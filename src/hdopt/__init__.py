@@ -1,5 +1,8 @@
 """Hybrid populations of first- and zeroth-order gradient agents:
-pairwise-interaction simulator, metrics, and analytic-bound verification."""
+pairwise-interaction simulator, metrics, and analytic-bound verification.
+
+The common entry points are re-exported here; the rest lives in the
+submodules objectives, estimators, protocol, metrics, theory and runner."""
 
 from .estimators import (
     FIRST_ORDER,
@@ -7,70 +10,28 @@ from .estimators import (
     ZO_FORWARD,
     ZO_ONE_SIDED,
     EstimatorConfig,
-    GradientEstimate,
-    couple_nu,
-    estimate_first_order,
     estimate_gradient,
-    estimate_zo_central,
-    estimate_zo_one_sided,
-    estimate_zo_unbiased_forward,
-)
-from .metrics import (
-    MetricsRecord,
-    WeightedAverageState,
-    aggregate_seeds,
-    compute_gamma,
-    compute_mtg,
-    compute_mu,
-    evaluate_validation,
-    weighted_average_update,
+    estimate_rows,
 )
 from .objectives import (
-    DataPartition,
-    Dataset,
-    DatasetFormatError,
-    LinearObjective,
-    LogisticObjective,
-    VarianceProfile,
-    QuadraticObjective,
-    SigmoidSquaredObjective,
-    directional_derivative,
-    load_csv_dataset,
     make_blobs_dataset,
     make_logistic,
     make_nonconvex,
     make_quadratic,
     partition_data,
-    save_dataset_csv,
-    stochastic_gradient,
-    stochastic_loss,
-    variance_profile,
 )
 from .protocol import (
-    AgentState,
-    InteractionEvent,
+    DivergedError,
     Population,
     PopulationConfig,
-    RunResult,
     Schedule,
     eta_at,
-    hdo_interact,
     init_population,
+    interact,
     run,
     step_matching,
     step_uniform_pair,
 )
-from .runner import ConfigError, ExperimentConfig, parse_config, run_experiment, run_theory_suite
-from .theory import (
-    BoundCheckReport,
-    check_bias_aggregate,
-    check_gamma_recursion,
-    check_gradcheck_all,
-    check_smoothing_grad_bias,
-    check_smoothing_value_gap,
-    check_zo_second_moment,
-    check_zo_variance_bound,
-    expected_gamma_pure_averaging,
-)
+from .runner import ConfigError, parse_config, run_experiment, run_theory_suite
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from .objectives import DatasetFormatError, make_blobs_dataset, save_dataset_csv
+from .protocol import DivergedError
 from .runner import ConfigError, parse_config, run_experiment, run_theory_suite
 
 EXIT_OK = 0
@@ -73,11 +74,11 @@ def _cmd_run(args):
         cfg.seeds = seeds
     if args.out_dir:
         cfg.out_dir = args.out_dir
-    if args.metric_cadence:
+    if args.metric_cadence is not None:
         if args.metric_cadence < 1:
             raise ConfigError("--metric-cadence must be >= 1")
         cfg.metric_cadence = args.metric_cadence
-    result = run_experiment(cfg, threads=max(1, args.threads))
+    result = run_experiment(cfg, threads=args.threads)
     print(f"wrote {len(result.csv_paths)} files to {result.out_dir}")
     return EXIT_OK
 
@@ -98,7 +99,8 @@ def _cmd_gen_data(args):
         dataset = make_blobs_dataset(
             n=int(params.pop("n", 1000)), d=int(params.pop("d", 10)),
             seed=int(params.pop("seed", 0)),
-            separation=float(params.pop("separation", 2.0)))
+            separation=float(params.pop("separation", 2.0)),
+            scale=float(params.pop("scale", 1.0)))
         if params:
             raise ConfigError(f"unknown generator parameter {next(iter(params))!r}")
     save_dataset_csv(dataset, args.out, header=args.header)
@@ -117,7 +119,7 @@ def main(argv=None) -> int:
     except (ConfigError, DatasetFormatError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
+    except (DivergedError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

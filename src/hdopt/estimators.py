@@ -13,6 +13,10 @@ average ``rv`` Gaussian directions share a single minibatch per call and
 divide by ``rv`` (plain mean).  ``function_evals`` counts zeroth-order
 function evaluations, with one first-order gradient costed at batch_size
 evaluations (a simulator convention for cost-normalized plots).
+
+:func:`estimate_rows` computes the estimates of k agents of one kind at
+once, with one row-batched objective call; :func:`estimate_gradient` is its
+single-agent form.
 """
 
 from __future__ import annotations
@@ -62,29 +66,14 @@ def couple_nu(eta: float, c: float) -> float:
     return eta / c
 
 
-def draw_batch(shard, batch_size, rng):
-    """Uniform minibatch of ids from an ndarray shard.
-
-    A batch covering the whole shard is returned as-is (exact local
-    gradient); smaller batches are i.i.d. uniform draws.
-    """
-    if not isinstance(shard, np.ndarray):
-        shard = np.asarray(shard)
-    m = shard.shape[0]
-    if m == 0:
+def check_shard(shard, batch_size):
+    """The shard as an ndarray, checked to hold at least batch_size ids."""
+    shard = np.asarray(shard)
+    if shard.shape[0] == 0:
         raise ValueError("shard must be non-empty")
-    if batch_size > m:
+    if batch_size > shard.shape[0]:
         raise ValueError("batch_size exceeds shard size")
-    if batch_size == m:
-        return shard
-    return shard[rng.integers(0, m, size=batch_size)]
-
-
-def estimate_first_order(spec, shard, x, batch_size, rng) -> GradientEstimate:
-    """Minibatch stochastic gradient over a uniformly drawn batch."""
-    batch = draw_batch(shard, batch_size, rng)
-    return GradientEstimate(vector=spec.grad(x, batch), kind=FIRST_ORDER,
-                            function_evals=int(batch.shape[0]))
+    return shard
 
 
 def _resolve_nu(cfg, nu):
@@ -94,60 +83,63 @@ def _resolve_nu(cfg, nu):
     return float(nu)
 
 
-def estimate_zo_one_sided(spec, shard, x, cfg: EstimatorConfig, rng, nu=None) -> GradientEstimate:
-    """One-sided smoothed estimate averaged over cfg.rv Gaussian directions."""
-    nu = _resolve_nu(cfg, nu)
-    batch = draw_batch(shard, cfg.batch_size, rng)
-    U = rng.standard_normal((cfg.rv, spec.d))
-    # one objective call evaluates the base point and all shifted points
-    points = np.empty((cfg.rv + 1, spec.d))
-    points[0] = x
-    np.multiply(U, nu, out=points[1:])
-    points[1:] += x
-    vals = spec.loss_many(points, batch)
-    vec = ((vals[1:] - vals[0]) / nu) @ U / cfg.rv
-    return GradientEstimate(vector=vec, kind=ZO_ONE_SIDED,
-                            function_evals=int(batch.shape[0]) * (cfg.rv + 1))
+def estimate_rows(spec, cfg: EstimatorConfig, Xr, agents, shards, rngs, nu=None):
+    """Estimates for k agents of kind cfg.kind: agent a = agents[r] (an int
+    array) is estimated at the model Xr[r] over a minibatch of shards[a] and
+    draws from rngs[a].  Returns (estimates (k, d), total function evals).
 
-
-def estimate_zo_central(spec, shard, x, cfg: EstimatorConfig, rng, nu=None) -> GradientEstimate:
-    """Central-difference smoothed estimate averaged over cfg.rv directions."""
-    nu = _resolve_nu(cfg, nu)
-    batch = draw_batch(shard, cfg.batch_size, rng)
-    U = rng.standard_normal((cfg.rv, spec.d))
-    points = np.empty((2 * cfg.rv, spec.d))
-    np.multiply(U, nu, out=points[:cfg.rv])
-    np.multiply(U, -nu, out=points[cfg.rv:])
-    points += x
-    vals = spec.loss_many(points, batch)
-    vec = ((vals[:cfg.rv] - vals[cfg.rv:]) / (2.0 * nu)) @ U / cfg.rv
-    return GradientEstimate(vector=vec, kind=ZO_CENTRAL,
-                            function_evals=int(batch.shape[0]) * 2 * cfg.rv)
-
-
-def estimate_zo_unbiased_forward(spec, shard, x, cfg: EstimatorConfig, rng, nu=None) -> GradientEstimate:
-    """(u . grad F) u averaged over cfg.rv directions; unbiased for grad F.
-
-    The directional derivative is obtained analytically per objective, which
-    is how a forward-mode pass is simulated here.
+    Each agent draws its minibatch (i.i.d. uniform ids; the whole shard when
+    batch_size equals its size) and then its rv Gaussian directions, in the
+    order of ``agents``.  The k estimates then come from one row-batched
+    objective call.  Shards must hold at least batch_size ids
+    (:func:`check_shard`).
     """
-    batch = draw_batch(shard, cfg.batch_size, rng)
-    U = rng.standard_normal((cfg.rv, spec.d))
-    dd = spec.dir_deriv(x, U, batch)
-    vec = dd @ U / cfg.rv
-    return GradientEstimate(vector=vec, kind=ZO_FORWARD,
-                            function_evals=int(batch.shape[0]) * cfg.rv)
+    k = agents.shape[0]
+    b, rv = cfg.batch_size, cfg.rv
+    B = np.empty((k, b), dtype=np.intp)
+    U = None if cfg.kind == FIRST_ORDER else np.empty((k, rv, Xr.shape[1]))
+    for r in range(k):
+        a = agents[r]
+        shard, rng = shards[a], rngs[a]
+        m = shard.shape[0]
+        B[r] = shard if m == b else shard[rng.integers(0, m, size=b)]
+        if U is not None:
+            rng.standard_normal(out=U[r])
+    if U is None:
+        return spec.grad_rows(Xr, B), k * b
+    if cfg.kind == ZO_FORWARD:
+        # sum over directions of (u . grad F) u, the directional derivatives
+        # standing in for a forward-mode pass
+        g = spec.grad_rows(Xr, B)[:, :, None]
+        return (U.transpose(0, 2, 1) @ (U @ g))[..., 0] / rv, k * b * rv
+    else:
+        nu = _resolve_nu(cfg, nu)
+        if cfg.kind == ZO_ONE_SIDED:
+            # one objective call evaluates the base points and all shifted points
+            P = np.empty((k, rv + 1, Xr.shape[1]))
+            P[:, 0] = Xr
+            np.multiply(U, nu, out=P[:, 1:])
+            P[:, 1:] += Xr[:, None]
+            vals = spec.loss_rows(P, B)
+            coef = (vals[:, 1:] - vals[:, :1]) / nu
+            evals = k * b * (rv + 1)
+        else:
+            P = np.empty((k, 2 * rv, Xr.shape[1]))
+            np.multiply(U, nu, out=P[:, :rv])
+            np.multiply(U, -nu, out=P[:, rv:])
+            P += Xr[:, None]
+            vals = spec.loss_rows(P, B)
+            coef = (vals[:, :rv] - vals[:, rv:]) / (2.0 * nu)
+            evals = k * b * 2 * rv
+    return (coef[:, None, :] @ U)[:, 0] / rv, evals
 
 
-_DISPATCH = {
-    ZO_ONE_SIDED: estimate_zo_one_sided,
-    ZO_CENTRAL: estimate_zo_central,
-    ZO_FORWARD: estimate_zo_unbiased_forward,
-}
+_ONE_ROW = np.zeros(1, dtype=np.intp)
 
 
 def estimate_gradient(spec, shard, x, cfg: EstimatorConfig, rng, nu=None) -> GradientEstimate:
-    """Dispatch on cfg.kind; ``nu`` overrides cfg.nu for the biased kinds."""
-    if cfg.kind == FIRST_ORDER:
-        return estimate_first_order(spec, shard, x, cfg.batch_size, rng)
-    return _DISPATCH[cfg.kind](spec, shard, x, cfg, rng, nu)
+    """One agent's estimate at x; ``nu`` overrides cfg.nu for the biased kinds."""
+    shard = check_shard(shard, cfg.batch_size)
+    X = np.asarray(x, dtype=float)[None, :]
+    G, evals = estimate_rows(spec, cfg, X, _ONE_ROW, (shard,), (rng,), nu)
+    return GradientEstimate(vector=G[0], kind=cfg.kind, function_evals=evals)

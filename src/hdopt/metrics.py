@@ -3,7 +3,7 @@
 The variance potential reported as ``gamma`` is the mean squared distance of
 agent models from the population mean; ``mt_g`` is the mean squared norm of
 one fresh gradient estimate per agent.  All functions here are read-only
-over the population.
+over the population and work on its (n, d) model array as a whole.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import estimate_gradient
+from .estimators import estimate_rows
 
 CSV_COLUMNS = (
     "step", "parallel_time", "eta", "gamma", "mu_loss_gap", "grad_norm_sq_mu",
@@ -40,28 +40,28 @@ class MetricsRecord:
 
 def compute_mu(pop) -> np.ndarray:
     """Arithmetic mean of the agent models."""
-    return pop.models().mean(axis=0)
+    return pop.X.mean(axis=0)
 
 
 def compute_gamma(pop) -> float:
     """Variance potential: (1/n) sum_i ||X_i - mu||^2."""
-    models = pop.models()
-    centered = models - models.mean(axis=0)
+    centered = pop.X - pop.X.mean(axis=0)
     return float(np.mean(np.sum(centered * centered, axis=1)))
 
 
 def compute_mtg(pop, eta, rng) -> float:
     """Mean squared estimate norm, one fresh estimate per agent.
 
-    Uses a caller-supplied rng stream so diagnostics never perturb the
-    optimization trajectory; the smoothing radius is coupled to ``eta``.
+    Uses a caller-supplied rng stream, shared by all agents and drawn in
+    agent order, so diagnostics never perturb the optimization trajectory;
+    the smoothing radius is coupled to ``eta``.
     """
-    spec = pop.objective
     nu = eta / pop.c if eta > 0 else None
+    rngs = [rng] * pop.n
     total = 0.0
-    for agent in pop.agents:
-        est = estimate_gradient(spec, agent.shard, agent.model, agent.estimator, rng, nu)
-        total += float(np.dot(est.vector, est.vector))
+    for cfg, rows in pop.groups:
+        G, _ = estimate_rows(pop.objective, cfg, pop.X[rows], rows, pop.shards, rngs, nu)
+        total += float(np.sum(G * G))
     return total / pop.n
 
 
@@ -100,34 +100,35 @@ def weighted_average_update(state: WeightedAverageState, mu_prev, eta, ell, n) -
     return state
 
 
-def evaluate_validation(pop, features, labels=None):
-    """Per-agent validation loss/accuracy, averaged over agents.
-
-    Accepts a Dataset or a (features, labels) pair.  Accuracy is NaN for
-    objectives without classification semantics.
-    """
+def validation_set(spec, features, labels=None):
+    """(features, targets) for :meth:`Objective.validate`: the labels mapped
+    once by the objective's training rule.  Accepts a Dataset or a
+    (features, labels) pair."""
     if labels is None:
         features, labels = features.features, features.labels
     features = np.asarray(features, dtype=float)
     if features.shape[0] == 0:
         raise ValueError("validation set must be non-empty")
-    losses, accs = [], []
-    for agent in pop.agents:
-        loss, acc = pop.objective.evaluate(agent.model, features, labels)
-        losses.append(loss)
-        accs.append(acc)
-    return float(np.mean(losses)), float(np.mean(accs))
+    return features, spec.targets(np.asarray(labels, dtype=float))
 
 
-def snapshot(pop, step, eta, val_features=None, val_labels=None, mtg_rng=None) -> MetricsRecord:
-    """One metrics record for the current population state."""
+def evaluate_validation(pop, features, labels=None):
+    """Validation loss/accuracy averaged over agents, all agents in one
+    matmul.  Accuracy is NaN for objectives without classification
+    semantics."""
+    return pop.objective.validate(pop.X, *validation_set(pop.objective, features, labels))
+
+
+def snapshot(pop, step, eta, val=None, mtg_rng=None) -> MetricsRecord:
+    """One metrics record for the current population state; ``val`` is a
+    :func:`validation_set`."""
     spec = pop.objective
     mu = compute_mu(pop)
     gap = None if spec.f_star is None else float(spec.loss(mu) - spec.f_star)
     grad_mu = spec.grad(mu)
     val_loss = val_acc = None
-    if val_features is not None:
-        val_loss, val_acc = evaluate_validation(pop, val_features, val_labels)
+    if val is not None:
+        val_loss, val_acc = spec.validate(pop.X, *val)
         if math.isnan(val_acc):
             val_acc = None
     mt_g = None if mtg_rng is None else compute_mtg(pop, eta, mtg_rng)

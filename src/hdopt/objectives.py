@@ -220,8 +220,6 @@ class Objective:
             raise ValueError("batch must be non-empty")
         return idx
 
-    # subclasses implement loss / loss_many / grad / dir_deriv / grad_per_sample
-
     def loss(self, x, idx=None):
         raise NotImplementedError
 
@@ -233,7 +231,17 @@ class Objective:
         """Single-sample losses F(X[k], ids[k]) -> (len(ids),)."""
         raise NotImplementedError
 
+    def loss_rows(self, P, B):
+        """Row-batched losses: the batch loss over ids B[r] at each point
+        P[r, q], for P (k, p, d) and B (k, b) -> (k, p)."""
+        raise NotImplementedError
+
     def grad(self, x, idx=None):
+        raise NotImplementedError
+
+    def grad_rows(self, X, B):
+        """Row-batched gradients: the batch gradient over ids B[r] at X[r],
+        for X (k, d) and B (k, b) -> (k, d)."""
         raise NotImplementedError
 
     def dir_deriv(self, x, u, idx=None):
@@ -251,10 +259,20 @@ class Objective:
         centered = g - g.mean(axis=0)
         return float(np.mean(np.sum(centered * centered, axis=1)))
 
+    def targets(self, labels):
+        """Validation labels mapped as the training labels are."""
+        return labels
+
+    def validate(self, X, features, targets):
+        """(validation loss, accuracy) averaged over the models in the rows
+        of X, for labels already mapped by :meth:`targets`; accuracy is NaN
+        when the objective has no classification semantics."""
+        return float(np.mean(self.loss_many(X))), float("nan")
+
     def evaluate(self, x, features=None, labels=None):
-        """(validation loss, accuracy) of model x; accuracy is NaN when the
-        objective has no classification semantics."""
-        raise NotImplementedError
+        """(validation loss, accuracy) of the single model x."""
+        return self.validate(np.asarray(x, dtype=float)[None, :], features,
+                             None if labels is None else self.targets(labels))
 
 
 class QuadraticObjective(Objective):
@@ -280,6 +298,8 @@ class QuadraticObjective(Objective):
         self.lam = lam
         self.Lam = per_sample_lam  # (m, d) eigenvalue weights
         self.Goff = offsets  # (m, d) gradient offsets in the eigenbasis
+        self._coeffs = np.hstack([per_sample_lam, offsets])  # one gather per batch
+        self._ones = np.ones(m)
         self._lam_mean = per_sample_lam.mean(axis=0)
         self._goff_mean = offsets.mean(axis=0)
 
@@ -288,14 +308,14 @@ class QuadraticObjective(Objective):
         return self.Q @ (self.lam[:, None] * self.Qt)
 
     def _batch_coeffs(self, idx):
-        if idx is None or idx.shape[0] == self.n_samples:
+        """Batch means of the eigenvalue weights and offsets over the last
+        axis of ids: (d,) for one batch, (k, d) for k row batches."""
+        if idx is None or idx.shape[-1] == self.n_samples:
             return self._lam_mean, self._goff_mean
-        inv = 1.0 / idx.shape[0]
-        lam_b = np.add.reduce(self.Lam[idx], axis=0)
-        lam_b *= inv
-        off_b = np.add.reduce(self.Goff[idx], axis=0)
-        off_b *= inv
-        return lam_b, off_b
+        b = idx.shape[-1]
+        coeffs = self._ones[:b] @ self._coeffs[idx]  # a matvec beats a middle-axis reduce
+        coeffs *= 1.0 / b
+        return coeffs[..., :self.d], coeffs[..., self.d:]
 
     def loss(self, x, idx=None):
         idx = self._idx(idx)
@@ -314,11 +334,20 @@ class QuadraticObjective(Objective):
         return 0.5 * np.einsum("nd,nd->n", W * W, self.Lam[ids]) \
             - np.einsum("nd,nd->n", W, self.Goff[ids])
 
+    def loss_rows(self, P, B):
+        lam_b, off_b = self._batch_coeffs(B)
+        W = (P - self.x_star) @ self.Q
+        return (0.5 * (W * W) @ lam_b[..., None] - W @ off_b[..., None])[..., 0]
+
     def grad(self, x, idx=None):
         idx = self._idx(idx)
         lam_b, off_b = self._batch_coeffs(idx)
         w = self.Qt @ (x - self.x_star)
         return self.Q @ (lam_b * w - off_b)
+
+    def grad_rows(self, X, B):
+        lam_b, off_b = self._batch_coeffs(B)
+        return (lam_b * ((X - self.x_star) @ self.Q) - off_b) @ self.Qt
 
     def dir_deriv(self, x, u, idx=None):
         idx = self._idx(idx)
@@ -334,9 +363,6 @@ class QuadraticObjective(Objective):
         idx = self._idx(idx)
         w = self.Qt @ (x - self.x_star)
         return (self.Lam[idx] * w - self.Goff[idx]) @ self.Qt
-
-    def evaluate(self, x, features=None, labels=None):
-        return self.loss(x), float("nan")
 
 
 def _antisymmetric(rows, cols, rng, uniform=False):
@@ -396,6 +422,7 @@ class _MarginObjective(Objective):
         feats = dataset.features
         super().__init__(d=feats.shape[1], n_samples=feats.shape[0], L=L, ell=ell)
         self.A = feats
+        self.positive_class = positive_class
         self.y = _signed_labels(dataset.labels, positive_class)
         self.reg = float(reg)
 
@@ -427,6 +454,13 @@ class _MarginObjective(Objective):
             vals = vals + 0.5 * self.reg * np.sum(X * X, axis=1)
         return vals
 
+    def loss_rows(self, P, B):
+        T = self.y[B][:, :, None] * (self.A[B] @ P.transpose(0, 2, 1))
+        base = self._g(T).mean(axis=1)
+        if self.reg:
+            base = base + 0.5 * self.reg * np.sum(P * P, axis=2)
+        return base
+
     def grad(self, x, idx=None):
         idx = self._idx(idx)
         yb = self.y[idx]
@@ -436,6 +470,15 @@ class _MarginObjective(Objective):
         if self.reg:
             g = g + self.reg * x
         return g
+
+    def grad_rows(self, X, B):
+        AB = self.A[B]
+        yb = self.y[B]
+        coef = self._gprime(yb * (AB @ X[:, :, None])[..., 0]) * yb
+        G = (coef[:, None, :] @ AB)[:, 0] / B.shape[1]
+        if self.reg:
+            G = G + self.reg * X
+        return G
 
     def dir_deriv(self, x, u, idx=None):
         idx = self._idx(idx)
@@ -460,14 +503,16 @@ class _MarginObjective(Objective):
             g = g + self.reg * x
         return g
 
-    def evaluate(self, x, features=None, labels=None):
-        if features is None or labels is None:
+    def targets(self, labels):
+        return _signed_labels(labels, self.positive_class)
+
+    def validate(self, X, features, targets):
+        if features is None or targets is None:
             raise ValueError("classification objectives need validation features and labels")
-        y = _signed_labels(labels)
-        z = np.asarray(features, dtype=float) @ x
-        loss = float(np.mean(self._g(y * z)))  # data term only, no regularizer
-        pred = np.where(z >= 0, 1.0, -1.0)
-        return loss, float(np.mean(pred == y))
+        y = targets[:, None]
+        Z = np.asarray(features, dtype=float) @ X.T  # (samples, models)
+        loss = float(np.mean(self._g(y * Z)))  # data term only, no regularizer
+        return loss, float(np.mean(np.where(Z >= 0, 1.0, -1.0) == y))
 
 
 class LogisticObjective(_MarginObjective):
@@ -547,9 +592,15 @@ class LinearObjective(Objective):
     def loss_pairs(self, X, ids):
         return np.einsum("nd,nd->n", self.a[None, :] + self.offsets[ids], X)
 
+    def loss_rows(self, P, B):
+        return (P @ self.grad_rows(None, B)[:, :, None])[..., 0]
+
     def grad(self, x, idx=None):
         idx = self._idx(idx)
         return self.a + self.offsets[idx].mean(axis=0)
+
+    def grad_rows(self, X, B):
+        return self.a + self.offsets[B].mean(axis=1)
 
     def dir_deriv(self, x, u, idx=None):
         g = self.grad(None, idx)
@@ -561,9 +612,6 @@ class LinearObjective(Objective):
     def grad_per_sample(self, x, idx=None):
         idx = self._idx(idx)
         return self.a[None, :] + self.offsets[idx]
-
-    def evaluate(self, x, features=None, labels=None):
-        return self.loss(x), float("nan")
 
 
 def make_logistic(dataset: Dataset, lam: float, positive_class=None) -> LogisticObjective:

@@ -1,10 +1,13 @@
-"""Population dynamics: agent state, pair scheduling, and interactions.
+"""Population dynamics: pair scheduling and interactions.
 
-An interaction between two agents applies one local estimator step each
-(at the pre-interaction models), then replaces both models with their
-average.  Two schedulers are provided: ``uniform_pair`` draws one unordered
-pair per fine-grained step, ``random_matching`` pairs all agents via a
-uniformly random perfect matching per step (one agent idles when n is odd).
+The models of all n agents are the rows of one (n, d) array.  An
+interaction between two agents applies one local estimator step each (at
+the pre-interaction models), then replaces both models with their average.
+Two schedulers are provided: ``uniform_pair`` draws one unordered pair per
+fine-grained step, ``random_matching`` pairs all agents via a uniformly
+random perfect matching per step (one agent idles when n is odd).  Both run
+the same kernel, :func:`interact`, over k disjoint pairs: k = 1 for
+``uniform_pair``, k = n // 2 for ``random_matching``.
 
 Clock conventions: ``interactions`` counts pairwise interactions
 (fine-grained time), parallel time is interactions / n, and a matching step
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimatorConfig, estimate_gradient
+from .estimators import EstimatorConfig, check_shard, estimate_rows
 from . import metrics as _metrics
 
 UNIFORM_PAIR = "uniform_pair"
@@ -75,16 +78,6 @@ def eta_at(schedule: Schedule, step: int) -> float:
 
 
 @dataclass
-class AgentState:
-    model: np.ndarray
-    estimator: EstimatorConfig
-    shard: np.ndarray
-    rng: np.random.Generator
-    momentum_buffer: np.ndarray
-    interactions: int = 0
-
-
-@dataclass
 class PopulationConfig:
     n0: int
     n1: int
@@ -117,60 +110,75 @@ class PopulationConfig:
             raise ValueError("n1 > 0 requires a first-order estimator config")
 
 
-@dataclass
-class InteractionEvent:
-    i: int
-    j: int
-    eta: float
-    update_i: np.ndarray
-    update_j: np.ndarray
-    function_evals: int
+class DivergedError(RuntimeError):
+    """Raised when a run's models become non-finite."""
 
 
 @dataclass
 class Population:
+    """Agent i's model is row i of ``X`` (n, d); it owns ``shards[i]`` and
+    draws from ``rngs[i]``.  Agents 0..n0-1 use the zeroth-order estimator
+    ``zo``, the others the first-order ``fo``.  ``M`` holds the momentum
+    buffers, one row per agent, and exists only when momentum > 0."""
+
     objective: object
-    agents: list
+    X: np.ndarray
+    shards: list
+    rngs: list
     n0: int
-    n1: int
+    zo: EstimatorConfig | None
+    fo: EstimatorConfig | None
     c: float
     momentum: float
     scheduler_mode: str
     scheduler_rng: np.random.Generator
     metrics_rng: np.random.Generator
+    M: np.ndarray | None = None
     interactions: int = 0
     function_evals: int = 0
     sim_steps: int = 0
 
+    def __post_init__(self):
+        self.X = np.asarray(self.X, dtype=float)
+        n = self.X.shape[0]
+        if self.X.ndim != 2 or self.X.shape[1] != self.objective.d:
+            raise ValueError("models must form an (n, d) array matching the objective")
+        if len(self.shards) != n or len(self.rngs) != n or not 0 <= self.n0 <= n:
+            raise ValueError("need one shard and one rng per agent and 0 <= n0 <= n")
+        # the estimator groups, in agent order: (config, agent ids)
+        self.groups = [(cfg, rows) for cfg, rows in
+                       ((self.zo, np.arange(self.n0)), (self.fo, np.arange(self.n0, n)))
+                       if rows.shape[0]]
+        if any(cfg is None for cfg, _ in self.groups):
+            raise ValueError("every agent needs an estimator config")
+        self.shards = [check_shard(self.shards[i], cfg.batch_size)
+                       for cfg, rows in self.groups for i in rows]
+        if self.momentum > 0.0 and self.M is None:
+            self.M = np.zeros_like(self.X)
+
     @property
     def n(self):
-        return len(self.agents)
+        return self.X.shape[0]
 
     @property
-    def parallel_time(self):
-        return self.interactions / len(self.agents)
-
-    def models(self):
-        return np.array([agent.model for agent in self.agents])
+    def n1(self):
+        return self.X.shape[0] - self.n0
 
     def clone(self, seed=None):
         """Independent copy; ``seed`` reseeds every rng stream in the copy."""
-        agents = []
-        for i, agent in enumerate(self.agents):
-            rng = derive_rng(seed, TAG_AGENT, i) if seed is not None else copy.deepcopy(agent.rng)
-            agents.append(AgentState(model=agent.model.copy(), estimator=agent.estimator,
-                                     shard=agent.shard, rng=rng,
-                                     momentum_buffer=agent.momentum_buffer.copy(),
-                                     interactions=agent.interactions))
-        sched = derive_rng(seed, TAG_SCHEDULER) if seed is not None \
-            else copy.deepcopy(self.scheduler_rng)
-        met = derive_rng(seed, TAG_METRICS) if seed is not None \
-            else copy.deepcopy(self.metrics_rng)
-        return Population(objective=self.objective, agents=agents, n0=self.n0, n1=self.n1,
-                          c=self.c, momentum=self.momentum, scheduler_mode=self.scheduler_mode,
+        if seed is None:
+            rngs = copy.deepcopy(self.rngs)
+            sched, met = copy.deepcopy(self.scheduler_rng), copy.deepcopy(self.metrics_rng)
+        else:
+            rngs = [derive_rng(seed, TAG_AGENT, i) for i in range(self.n)]
+            sched, met = derive_rng(seed, TAG_SCHEDULER), derive_rng(seed, TAG_METRICS)
+        return Population(objective=self.objective, X=self.X.copy(), shards=self.shards,
+                          rngs=rngs, n0=self.n0, zo=self.zo, fo=self.fo, c=self.c,
+                          momentum=self.momentum, scheduler_mode=self.scheduler_mode,
                           scheduler_rng=sched, metrics_rng=met,
-                          interactions=self.interactions, function_evals=self.function_evals,
-                          sim_steps=self.sim_steps)
+                          M=None if self.M is None else self.M.copy(),
+                          interactions=self.interactions,
+                          function_evals=self.function_evals, sim_steps=self.sim_steps)
 
 
 def init_population(cfg: PopulationConfig, spec, partition, x0) -> Population:
@@ -181,62 +189,61 @@ def init_population(cfg: PopulationConfig, spec, partition, x0) -> Population:
         raise ValueError("x0 dimension does not match the objective")
     if len(partition.zo_shards) != cfg.n0 or len(partition.fo_shards) != cfg.n1:
         raise ValueError("partition shard counts do not match n0 / n1")
-    agents = []
-    for i in range(cfg.n0 + cfg.n1):
-        est = cfg.zo if i < cfg.n0 else cfg.fo
-        shard = partition.zo_shards[i] if i < cfg.n0 else partition.fo_shards[i - cfg.n0]
-        agents.append(AgentState(
-            model=x0.copy(),
-            estimator=est,
-            shard=np.asarray(shard),
-            rng=derive_rng(cfg.seed, TAG_AGENT, i),
-            momentum_buffer=np.zeros(spec.d),
-        ))
+    n = cfg.n0 + cfg.n1
     c = cfg.c if cfg.c is not None else math.sqrt(spec.d)
-    return Population(objective=spec, agents=agents, n0=cfg.n0, n1=cfg.n1, c=c,
-                      momentum=cfg.momentum, scheduler_mode=cfg.scheduler_mode,
+    return Population(objective=spec, X=np.tile(x0, (n, 1)),
+                      shards=list(partition.zo_shards) + list(partition.fo_shards),
+                      rngs=[derive_rng(cfg.seed, TAG_AGENT, i) for i in range(n)],
+                      n0=cfg.n0, zo=cfg.zo if cfg.n0 else None,
+                      fo=cfg.fo if cfg.n1 else None, c=c, momentum=cfg.momentum,
+                      scheduler_mode=cfg.scheduler_mode,
                       scheduler_rng=derive_rng(cfg.seed, TAG_SCHEDULER),
                       metrics_rng=derive_rng(cfg.seed, TAG_METRICS))
 
 
-def hdo_interact(spec, a: AgentState, b: AgentState, eta: float, c: float,
-                 momentum: float = 0.0, i: int = -1, j: int = -1) -> InteractionEvent:
-    """One pairwise interaction: local steps at the pre-step models, then
-    both agents adopt the average.
+def interact(pop: Population, I, J, eta: float) -> None:
+    """The disjoint pairs (I[p], J[p]) interact at once: every agent takes
+    one local estimator step from its pre-interaction model, then both agents
+    of a pair adopt the average of their stepped models.
 
-    Momentum filters each estimate through the agent's persistent buffer
-    (g <- m g + (1 - m) G); buffers are never exchanged.  eta = 0 degenerates
-    to pure gossip averaging and skips the estimator calls.
+    The estimates of each estimator kind come from one call over all its
+    agents.  Momentum filters each estimate through the agent's persistent
+    buffer (g <- m g + (1 - m) G); buffers are never exchanged.  eta = 0
+    degenerates to pure gossip averaging and skips the estimator calls.
     """
-    xa, xb = a.model, b.model
-    if xa.shape != xb.shape:
-        raise ValueError("agents must share the model dimension")
-    if eta == 0.0:
-        upd_a = np.zeros_like(xa)
-        upd_b = np.zeros_like(xb)
-        evals = 0
-        avg = 0.5 * (xa + xb)
-    else:
-        nu = eta / c
-        ga = estimate_gradient(spec, a.shard, xa, a.estimator, a.rng, nu)
-        gb = estimate_gradient(spec, b.shard, xb, b.estimator, b.rng, nu)
-        if momentum > 0.0:
-            buf_a, buf_b = a.momentum_buffer, b.momentum_buffer
-            buf_a *= momentum
-            buf_a += (1.0 - momentum) * ga.vector
-            buf_b *= momentum
-            buf_b += (1.0 - momentum) * gb.vector
-            upd_a, upd_b = buf_a.copy(), buf_b.copy()
-        else:
-            upd_a, upd_b = ga.vector, gb.vector
-        evals = ga.function_evals + gb.function_evals
-        avg = 0.5 * ((xa - eta * upd_a) + (xb - eta * upd_b))
-    a.model = avg
-    b.model = avg.copy()
-    a.interactions += 1
-    b.interactions += 1
-    return InteractionEvent(i=i, j=j, eta=eta, update_i=upd_a, update_j=upd_b,
-                            function_evals=evals)
+    X = pop.X
+    k = I.shape[0]
+    rows = np.concatenate((I, J))
+    S = X.take(rows, axis=0)  # the 2k pre-interaction models; pair p is rows (p, k + p)
+    if eta != 0.0:
+        nu = eta / pop.c
+        spec, shards, rngs = pop.objective, pop.shards, pop.rngs
+        zo = rows < pop.n0
+        n_zo = np.count_nonzero(zo)
+        if n_zo == 0 or n_zo == 2 * k:  # a single estimator kind
+            G, evals = estimate_rows(spec, pop.zo if n_zo else pop.fo, S, rows,
+                                     shards, rngs, nu)
+        else:  # one call per kind over its rows
+            if k == 1:  # one agent of each kind: slices select without copies
+                z = 0 if zo[0] else 1
+                parts = ((pop.zo, slice(z, z + 1)), (pop.fo, slice(1 - z, 2 - z)))
+            else:
+                parts = ((pop.zo, zo), (pop.fo, ~zo))
+            G = np.empty_like(S)
+            evals = 0
+            for cfg, sel in parts:
+                G[sel], e = estimate_rows(spec, cfg, S[sel], rows[sel], shards, rngs, nu)
+                evals += e
+        if pop.M is not None:
+            G = pop.M.take(rows, axis=0) * pop.momentum + (1.0 - pop.momentum) * G
+            pop.M[rows] = G
+        pop.function_evals += evals
+        S -= eta * G
+    S[:k] += S[k:]
+    S[:k] *= 0.5
+    S[k:] = S[:k]
+    X[rows] = S
+    pop.interactions += k
 
 
 def draw_pair(rng, n):
@@ -249,38 +256,29 @@ def draw_pair(rng, n):
 
 
 def draw_matching(rng, n):
-    """Uniformly random perfect matching; odd n leaves one uniform idle agent."""
+    """Uniformly random perfect matching as two index arrays (I, J), pair p
+    being (I[p], J[p]); odd n leaves one uniform idle agent."""
     perm = rng.permutation(n)
-    return [(int(perm[2 * k]), int(perm[2 * k + 1])) for k in range(n // 2)]
+    k = n // 2
+    return perm[0:2 * k:2], perm[1:2 * k:2]
 
 
-def step_uniform_pair(pop: Population, eta: float) -> InteractionEvent:
+def step_uniform_pair(pop: Population, eta: float) -> None:
     """One fine-grained step: a single uniformly chosen pair interacts."""
-    if pop.n < 2:
+    if pop.X.shape[0] < 2:
         raise ValueError("need at least two agents")
-    i, j = draw_pair(pop.scheduler_rng, pop.n)
-    agents = pop.agents
-    event = hdo_interact(pop.objective, agents[i], agents[j], eta, pop.c,
-                         pop.momentum, i=i, j=j)
-    pop.interactions += 1
+    pair = np.array(draw_pair(pop.scheduler_rng, pop.X.shape[0]))
+    interact(pop, pair[:1], pair[1:], eta)
     pop.sim_steps += 1
-    pop.function_evals += event.function_evals
-    return event
 
 
-def step_matching(pop: Population, eta: float) -> list:
+def step_matching(pop: Population, eta: float) -> None:
     """One simulation step: all pairs of a random perfect matching interact."""
-    if pop.n < 2:
+    if pop.X.shape[0] < 2:
         raise ValueError("need at least two agents")
-    events = []
-    agents = pop.agents
-    for i, j in draw_matching(pop.scheduler_rng, pop.n):
-        events.append(hdo_interact(pop.objective, agents[i], agents[j], eta,
-                                   pop.c, pop.momentum, i=i, j=j))
-        pop.interactions += 1
-        pop.function_evals += events[-1].function_evals
+    I, J = draw_matching(pop.scheduler_rng, pop.X.shape[0])
+    interact(pop, I, J, eta)
     pop.sim_steps += 1
-    return events
 
 
 @dataclass
@@ -291,17 +289,21 @@ class RunResult:
 
 
 def run(pop: Population, cfg: PopulationConfig, *, val_features=None, val_labels=None,
-        sink=None, sample_mtg: bool = False, track_weighted_average: bool = False) -> RunResult:
+        sample_mtg: bool = False, track_weighted_average: bool = False) -> RunResult:
     """Execute cfg.T scheduler steps, recording metrics every
     cfg.metric_cadence steps (plus the initial and final states).
 
-    ``sink`` is called with each metrics record as it is produced.  With
-    ``track_weighted_average`` (strongly convex objectives only) the
+    Validation labels are mapped once, by the objective's training rule.
+    With ``track_weighted_average`` (strongly convex objectives only) the
     exponentially weighted average of the pre-step means is maintained.
+    Raises :class:`DivergedError` when a record finds a non-finite model.
     """
     spec = pop.objective
     schedule = cfg.schedule
     step_fn = step_matching if pop.scheduler_mode == RANDOM_MATCHING else step_uniform_pair
+    val = None
+    if val_features is not None:
+        val = _metrics.validation_set(spec, val_features, val_labels)
     wavg = None
     if track_weighted_average:
         if spec.ell <= 0:
@@ -311,32 +313,20 @@ def run(pop: Population, cfg: PopulationConfig, *, val_features=None, val_labels
     records = []
 
     def record(step, eta):
-        rec = _metrics.snapshot(pop, step=step, eta=eta,
-                                val_features=val_features, val_labels=val_labels,
-                                mtg_rng=pop.metrics_rng if sample_mtg else None)
-        records.append(rec)
-        if sink is not None:
-            sink(rec)
+        if not np.isfinite(pop.X).all():
+            raise DivergedError(f"models are non-finite at step {step}")
+        records.append(_metrics.snapshot(pop, step=step, eta=eta, val=val,
+                                         mtg_rng=pop.metrics_rng if sample_mtg else None))
 
     record(0, eta_at(schedule, 0))
     n = pop.n
-    # the running mean follows the update identity mu' = mu - (eta/n)(g_i + g_j)
-    # exactly; it is refreshed from the models at every record to pin float drift
-    mu = _metrics.compute_mu(pop) if wavg is not None else None
     for t in range(cfg.T):
         eta = eta_at(schedule, t)
         if wavg is not None:
+            mu = np.add.reduce(pop.X, axis=0) / n  # the pre-step mean
             _metrics.weighted_average_update(wavg, mu, eta, spec.ell, n)
-        events = step_fn(pop, eta)
-        if mu is not None:
-            if eta != 0.0:
-                if isinstance(events, InteractionEvent):
-                    events = (events,)
-                for ev in events:
-                    mu = mu - (eta / n) * (ev.update_i + ev.update_j)
+        step_fn(pop, eta)
         if (t + 1) % cfg.metric_cadence == 0 or t + 1 == cfg.T:
             record(t + 1, eta)
-            if mu is not None:
-                mu = _metrics.compute_mu(pop)
     return RunResult(records=records, population=pop,
                      weighted_average=None if wavg is None else wavg.value())

@@ -41,6 +41,7 @@ from .protocol import (
     RANDOM_MATCHING,
     SCHEDULER_MODES,
     TAG_INIT,
+    DivergedError,
     PopulationConfig,
     Schedule,
     derive_rng,
@@ -299,9 +300,10 @@ def build_objective(cfg: ExperimentConfig):
     return spec, val
 
 
-def _run_cell(cfg: ExperimentConfig, pop_index: int, seed_value: int):
-    """One (population, seed) cell; returns the metric records."""
-    spec, val = build_objective(cfg)
+def _run_cell(cfg: ExperimentConfig, pop_index: int, seed_value: int, built=None):
+    """One (population, seed) cell; returns the metric records.  ``built`` is
+    build_objective(cfg), made here when not given."""
+    spec, val = build_objective(cfg) if built is None else built
     entry = cfg.populations[pop_index]
     partition = partition_data(spec.n_samples, entry.n0, entry.n1,
                                seed=fold_seed(cfg.seed, pop_index, seed_value, 5))
@@ -313,9 +315,12 @@ def _run_cell(cfg: ExperimentConfig, pop_index: int, seed_value: int):
     # x0 shared across populations at equal seed value: comparisons start equal
     x0 = cfg.x0_scale * derive_rng([cfg.seed, seed_value], TAG_INIT).standard_normal(spec.d)
     pop = init_population(pop_cfg, spec, partition, x0)
-    result = run(pop, pop_cfg,
-                 val_features=None if val is None else val.features,
-                 val_labels=None if val is None else val.labels)
+    try:
+        result = run(pop, pop_cfg,
+                     val_features=None if val is None else val.features,
+                     val_labels=None if val is None else val.labels)
+    except DivergedError as exc:
+        raise DivergedError(f"population {entry.label!r}, seed {seed_value}: {exc}") from None
     return result.records
 
 
@@ -334,21 +339,25 @@ def _sha256(path: Path) -> str:
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run every (population, seed) cell, writing per-seed CSVs, per-population
-    aggregates, and a manifest with content hashes."""
+    aggregates, and a manifest with content hashes.  The objective and the
+    validation set are built once and shared by all cells."""
     if not cfg.populations:
         raise ConfigError("config has no populations to run")
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    built = build_objective(cfg)
     cells = [(p, s) for p in range(len(cfg.populations)) for s in cfg.seeds]
     results = {}
     if threads > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(_run_cell, cfg, p, s): (p, s) for p, s in cells}
+            futures = {pool.submit(_run_cell, cfg, p, s, built): (p, s) for p, s in cells}
             for fut in concurrent.futures.as_completed(futures):
                 results[futures[fut]] = fut.result()
     else:
         for p, s in cells:
-            results[(p, s)] = _run_cell(cfg, p, s)
+            results[(p, s)] = _run_cell(cfg, p, s, built)
 
     csv_paths = []
     for p, entry in enumerate(cfg.populations):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .estimators import BIASED_KINDS
 from .metrics import compute_gamma, compute_mtg
-from .protocol import AgentState, draw_pair, hdo_interact
+from .protocol import draw_pair, interact
 
 _CHUNK = 100_000
 
@@ -227,21 +227,20 @@ def check_bias_aggregate(pop, nu, samples=200_000, seed=0) -> BoundCheckReport:
     bound = nu * pop.n0 / (2.0 * n) * spec.L * (spec.d + 3) ** 1.5
     biases = []
     ses = []
-    for i, agent in enumerate(pop.agents):
-        if agent.estimator.kind not in BIASED_KINDS:
-            continue
+    zo_rows = range(pop.n0) if pop.zo is not None and pop.zo.kind in BIASED_KINDS else ()
+    for i in zo_rows:
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 29, i]))
-        x = agent.model
+        x, shard = pop.X[i], pop.shards[i]
         vec_sum = np.zeros(spec.d)
         sq_sum = np.zeros(spec.d)
         for size in _chunks(samples):
-            coeff, U, _ = _zo_draws(spec, agent.shard, x, nu, size, rng)
+            coeff, U, _ = _zo_draws(spec, shard, x, nu, size, rng)
             contrib = coeff[:, None] * U
             vec_sum += contrib.sum(axis=0)
             sq_sum += (contrib * contrib).sum(axis=0)
         mean_vec = vec_sum / samples
         var = np.maximum(sq_sum / samples - mean_vec * mean_vec, 0.0)
-        biases.append(float(np.linalg.norm(mean_vec - spec.grad(x, agent.shard))))
+        biases.append(float(np.linalg.norm(mean_vec - spec.grad(x, shard))))
         ses.append(math.sqrt(float(var.sum()) / samples))
     measured = sum(biases) / n
     se = math.sqrt(sum(s * s for s in ses)) / n if ses else 0.0
@@ -277,23 +276,19 @@ def check_gamma_recursion(spec, pop, eta, replicas=2000, seed=0) -> BoundCheckRe
     """
     n = pop.n
     gamma_t = compute_gamma(pop)
-    models = pop.models()
+    work = pop.clone()
+    work.objective = spec
     gammas = np.empty(replicas)
     mtgs = np.empty(replicas)
     for r in range(replicas):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 31, r]))
-        i, j = draw_pair(rng, n)
-        src_i, src_j = pop.agents[i], pop.agents[j]
-        a = AgentState(model=models[i].copy(), estimator=src_i.estimator, shard=src_i.shard,
-                       rng=rng, momentum_buffer=src_i.momentum_buffer.copy())
-        b = AgentState(model=models[j].copy(), estimator=src_j.estimator, shard=src_j.shard,
-                       rng=rng, momentum_buffer=src_j.momentum_buffer.copy())
-        hdo_interact(spec, a, b, eta, pop.c, pop.momentum, i=i, j=j)
-        work = models.copy()
-        work[i] = a.model
-        work[j] = b.model
-        centered = work - work.mean(axis=0)
-        gammas[r] = np.mean(np.sum(centered * centered, axis=1))
+        pair = np.array(draw_pair(rng, n))
+        work.X[:] = pop.X
+        if work.M is not None:
+            work.M[:] = pop.M
+        work.rngs = [rng] * n
+        interact(work, pair[:1], pair[1:], eta)
+        gammas[r] = compute_gamma(work)
         mtgs[r] = compute_mtg(pop, eta, rng)
     mean_next = float(gammas.mean())
     se_next = float(gammas.std(ddof=1)) / math.sqrt(replicas)

@@ -46,7 +46,7 @@ def test_c01_forward_estimator_unbiased():
         rng = np.random.default_rng(1000 + p)
         draws = np.empty((calls, 20))
         for k in range(calls):
-            draws[k] = h.estimate_zo_unbiased_forward(lg, shard, x, cfg, rng).vector
+            draws[k] = h.estimate_gradient(lg, shard, x, cfg, rng).vector
         mean = draws.mean(axis=0)
         se = float(np.sqrt(draws.var(axis=0, ddof=1).sum() / calls))
         gap = float(np.linalg.norm(mean - lg.grad(x)))
@@ -243,7 +243,7 @@ def test_c07_rv_monotonicity():
         rng = np.random.default_rng(seed)
         draws = np.empty((trials, 10))
         for k in range(trials):
-            draws[k] = h.estimate_zo_one_sided(lg, shard, x, cfg, rng).vector
+            draws[k] = h.estimate_gradient(lg, shard, x, cfg, rng).vector
         centered = draws - draws.mean(axis=0)
         sq = np.sum(centered * centered, axis=1)
         return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(trials))
@@ -279,7 +279,7 @@ def _c08_hitting_time(args):
     for t in range(T):
         h.step_uniform_pair(pop, h.eta_at(sched, t))
         if (t + 1) % n == 0:  # check once per parallel-time unit
-            mu = np.mean([a.model for a in pop.agents], axis=0)
+            mu = pop.X.mean(axis=0)
             if q.loss(mu) - q.f_star < 1e-3:
                 return (t + 1) // n
     return float("inf")

@@ -8,11 +8,7 @@ from hdopt.estimators import (
     ZO_ONE_SIDED,
     EstimatorConfig,
     couple_nu,
-    estimate_first_order,
     estimate_gradient,
-    estimate_zo_central,
-    estimate_zo_one_sided,
-    estimate_zo_unbiased_forward,
 )
 from hdopt.objectives import (
     LinearObjective,
@@ -27,6 +23,10 @@ from conftest import scalar_mc_stats, vector_mc_stats
 
 def logistic_instance(d=3, n=40, lam=0.1, seed=5):
     return make_logistic(make_blobs_dataset(n, d, seed=seed), lam=lam)
+
+
+def estimate_first_order(spec, shard, x, batch_size, rng):
+    return estimate_gradient(spec, shard, x, EstimatorConfig(FIRST_ORDER, batch_size), rng)
 
 
 def mc_estimates(fn, calls, seed):
@@ -108,8 +108,8 @@ def test_one_sided_linear_exact_per_draw():
     cfg_small = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=1, rv=3, nu=1e-3)
     cfg_large = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=1, rv=3, nu=10.0)
     x = np.zeros(2)
-    a = estimate_zo_one_sided(lin, np.array([0]), x, cfg_small, np.random.default_rng(11))
-    b = estimate_zo_one_sided(lin, np.array([0]), x, cfg_large, np.random.default_rng(11))
+    a = estimate_gradient(lin, np.array([0]), x, cfg_small, np.random.default_rng(11))
+    b = estimate_gradient(lin, np.array([0]), x, cfg_large, np.random.default_rng(11))
     assert np.allclose(a.vector, b.vector, atol=1e-9)
     assert a.function_evals == 1 * (3 + 1)
 
@@ -120,7 +120,7 @@ def test_one_sided_mean_on_quadratic_recovers_gradient():
     shard = np.arange(q.n_samples)
     x = q.x_star + np.array([1.0, -0.5, 0.2, 0.0, 2.0])
     cfg = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=q.n_samples, rv=1000, nu=0.05)
-    draws = mc_estimates(lambda r: estimate_zo_one_sided(q, shard, x, cfg, r), 1000, seed=5)
+    draws = mc_estimates(lambda r: estimate_gradient(q, shard, x, cfg, r), 1000, seed=5)
     mean, se = vector_mc_stats(draws)
     assert np.linalg.norm(mean - q.grad(x)) <= 3 * se
 
@@ -152,7 +152,7 @@ def test_one_sided_mean_matches_independent_smoothed_gradient_oracle():
 
     shard = np.arange(20)
     cfg = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=20, rv=100, nu=nu)
-    draws = mc_estimates(lambda r: estimate_zo_one_sided(lg, shard, x, cfg, r), 2000, seed=8)
+    draws = mc_estimates(lambda r: estimate_gradient(lg, shard, x, cfg, r), 2000, seed=8)
     mean, se = vector_mc_stats(draws)
     assert np.linalg.norm(mean - oracle) <= 3 * np.hypot(se, oracle_se)
     # and the smoothed target genuinely differs from the raw gradient here
@@ -163,7 +163,7 @@ def test_one_sided_requires_positive_nu():
     q = make_quadratic(d=3, cond=2.0, seed=9)
     cfg = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=2, rv=1)
     with pytest.raises(ValueError):
-        estimate_zo_one_sided(q, np.arange(4), np.zeros(3), cfg, np.random.default_rng(0))
+        estimate_gradient(q, np.arange(4), np.zeros(3), cfg, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +173,10 @@ def test_one_sided_requires_positive_nu():
 def test_central_linear_exact_per_draw():
     lin = LinearObjective(np.array([2.0, -1.0, 0.5]))
     x = np.array([1.0, 1.0, 1.0])
-    a = estimate_zo_central(lin, np.array([0]), x,
+    a = estimate_gradient(lin, np.array([0]), x,
                             EstimatorConfig(kind=ZO_CENTRAL, batch_size=1, rv=4, nu=1e-4),
                             np.random.default_rng(13))
-    b = estimate_zo_central(lin, np.array([0]), x,
+    b = estimate_gradient(lin, np.array([0]), x,
                             EstimatorConfig(kind=ZO_CENTRAL, batch_size=1, rv=4, nu=5.0),
                             np.random.default_rng(13))
     assert np.allclose(a.vector, b.vector, atol=1e-9)
@@ -192,8 +192,8 @@ def test_central_one_dim_quadratic_identity():
     outs = []
     for s in range(4000):
         cfg = EstimatorConfig(kind=ZO_CENTRAL, batch_size=q.n_samples, rv=1, nu=0.7)
-        est = estimate_zo_central(q, shard, x, cfg, np.random.default_rng(s))
-        est2 = estimate_zo_central(q, shard, x,
+        est = estimate_gradient(q, shard, x, cfg, np.random.default_rng(s))
+        est2 = estimate_gradient(q, shard, x,
                                    EstimatorConfig(kind=ZO_CENTRAL, batch_size=q.n_samples,
                                                    rv=1, nu=0.001),
                                    np.random.default_rng(s))
@@ -212,7 +212,7 @@ def test_central_variance_decreases_with_rv():
 
     def variance_for(rv, seed):
         cfg = EstimatorConfig(kind=ZO_CENTRAL, batch_size=2, rv=rv, nu=0.05)
-        draws = mc_estimates(lambda r: estimate_zo_central(lg, shard, x, cfg, r), trials, seed)
+        draws = mc_estimates(lambda r: estimate_gradient(lg, shard, x, cfg, r), trials, seed)
         centered = draws - draws.mean(axis=0)
         sq = np.sum(centered * centered, axis=1)
         return scalar_mc_stats(sq)
@@ -230,7 +230,7 @@ def test_forward_zero_gradient_gives_zero_vector():
     q = make_quadratic(d=4, cond=2.0, seed=18, grad_noise=0.0, hessian_jitter=0.0)
     shard = np.arange(q.n_samples)
     cfg = EstimatorConfig(kind=ZO_FORWARD, batch_size=q.n_samples, rv=8)
-    est = estimate_zo_unbiased_forward(q, shard, q.x_star, cfg, np.random.default_rng(19))
+    est = estimate_gradient(q, shard, q.x_star, cfg, np.random.default_rng(19))
     assert np.allclose(est.vector, 0.0, atol=1e-12)
     assert est.function_evals == q.n_samples * 8
 
@@ -241,7 +241,7 @@ def test_forward_one_dim_mean_recovers_derivative():
     shard = np.arange(q.n_samples)
     cfg = EstimatorConfig(kind=ZO_FORWARD, batch_size=q.n_samples, rv=1)
     draws = mc_estimates(
-        lambda r: estimate_zo_unbiased_forward(q, shard, x, cfg, r), 20000, seed=21)
+        lambda r: estimate_gradient(q, shard, x, cfg, r), 20000, seed=21)
     mean, se = vector_mc_stats(draws)
     assert abs(mean[0] - 1.5) <= 3 * se
 
@@ -252,7 +252,7 @@ def test_forward_mc_mean_matches_gradient_logistic_d10():
     x = np.random.default_rng(23).standard_normal(10) * 0.5
     cfg = EstimatorConfig(kind=ZO_FORWARD, batch_size=4, rv=100)
     draws = mc_estimates(
-        lambda r: estimate_zo_unbiased_forward(lg, shard, x, cfg, r), 10**4, seed=24)
+        lambda r: estimate_gradient(lg, shard, x, cfg, r), 10**4, seed=24)
     mean, se = vector_mc_stats(draws)
     assert np.linalg.norm(mean - lg.grad(x, shard)) <= 3 * se
 
@@ -271,7 +271,7 @@ def test_forward_agrees_with_first_order_across_objectives():
         shard = np.arange(spec.n_samples)
         cfg = EstimatorConfig(kind=ZO_FORWARD, batch_size=4, rv=50)
         fwd = mc_estimates(
-            lambda r: estimate_zo_unbiased_forward(spec, shard, x, cfg, r), 400, seed=100 + pair)
+            lambda r: estimate_gradient(spec, shard, x, cfg, r), 400, seed=100 + pair)
         fo = mc_estimates(
             lambda r: estimate_first_order(spec, shard, x, 4, r), 4000, seed=200 + pair)
         mean_f, se_f = vector_mc_stats(fwd)
@@ -325,7 +325,7 @@ def test_smoothing_bias_bound_on_probes():
     for _ in range(3):
         x = rng.standard_normal(3)
         cfg = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=20, rv=50, nu=nu)
-        draws = mc_estimates(lambda r: estimate_zo_one_sided(lg, shard, x, cfg, r), 2000,
+        draws = mc_estimates(lambda r: estimate_gradient(lg, shard, x, cfg, r), 2000,
                              seed=int(rng.integers(2**31)))
         mean, se = vector_mc_stats(draws)
         assert np.linalg.norm(mean - lg.grad(x)) <= bound + 3 * se
@@ -341,7 +341,7 @@ def test_single_draw_second_moment_bound():
     bound = 0.5 * nu**2 * lg.L**2 * (lg.d + 6) ** 3 \
         + 2 * (lg.d + 4) * (float(grad_i @ grad_i) + s_sq)
     cfg = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=1, rv=1, nu=nu)
-    draws = mc_estimates(lambda r: estimate_zo_one_sided(lg, shard, x, cfg, r), 30000, seed=39)
+    draws = mc_estimates(lambda r: estimate_gradient(lg, shard, x, cfg, r), 30000, seed=39)
     vals = np.sum(draws * draws, axis=1)
     mean, se = scalar_mc_stats(vals)
     assert mean <= bound + 3 * se

@@ -1,0 +1,167 @@
+"""The batched interaction kernel against the per-pair reference, and its
+algebraic properties."""
+
+import copy
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hdopt.estimators import FIRST_ORDER, ZO_CENTRAL, ZO_FORWARD, ZO_ONE_SIDED, EstimatorConfig
+from hdopt.metrics import compute_gamma, compute_mu
+from hdopt.objectives import (
+    Dataset,
+    make_blobs_dataset,
+    make_logistic,
+    make_nonconvex,
+    make_quadratic,
+    partition_data,
+)
+from hdopt.protocol import (
+    PopulationConfig,
+    Schedule,
+    draw_matching,
+    init_population,
+    interact,
+    run,
+)
+
+from pairwise_reference import reference_run
+
+RTOL = 1e-12
+
+
+def _objective(name):
+    if name == "quadratic":
+        return make_quadratic(d=6, cond=5.0, seed=3, n_samples=40), None
+    pool = make_blobs_dataset(100, 5, seed=4, scale=2.0)
+    train = Dataset(features=pool.features[:60], labels=pool.labels[:60])
+    val = (pool.features[60:], pool.labels[60:])
+    if name == "logistic":
+        return make_logistic(train, lam=0.05), val
+    return make_nonconvex(train), val
+
+
+# (n0, n1, zeroth-order kind); n = 5 leaves one agent idle per matching
+POPULATIONS = {
+    "fo": (0, 4, ZO_ONE_SIDED),
+    "one_sided": (4, 0, ZO_ONE_SIDED),
+    "central": (4, 0, ZO_CENTRAL),
+    "forward": (4, 0, ZO_FORWARD),
+    "hybrid_one_sided": (3, 2, ZO_ONE_SIDED),
+    "hybrid_forward": (2, 4, ZO_FORWARD),
+}
+
+
+def _config(n0, n1, kind, mode, eta, momentum, seed=7, T=40):
+    return PopulationConfig(
+        n0=n0, n1=n1, schedule=Schedule(eta_max=eta), T=T, scheduler_mode=mode,
+        momentum=momentum, seed=seed, metric_cadence=10,
+        zo=EstimatorConfig(kind=kind, batch_size=3, rv=5) if n0 else None,
+        fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=3) if n1 else None)
+
+
+def _assert_records_match(records, expected):
+    assert len(records) == len(expected)
+    for rec, ref in zip(records, expected):
+        for got, want in zip(rec.as_row(), ref):
+            if want is None:
+                assert got is None
+            else:
+                assert abs(got - want) <= RTOL * max(abs(got), abs(want)), (rec, ref)
+
+
+def _compare(objective, population, mode, eta, momentum):
+    spec, val = _objective(objective)
+    n0, n1, kind = POPULATIONS[population]
+    cfg = _config(n0, n1, kind, mode, eta, momentum)
+    part = partition_data(spec.n_samples, n0, n1, seed=11)
+    x0 = np.random.default_rng(12).standard_normal(spec.d)
+    pop = init_population(cfg, spec, part, x0)
+    mtg = eta > 0  # the biased kinds have no smoothing radius at eta = 0
+    result = run(pop, cfg, val_features=None if val is None else val[0],
+                 val_labels=None if val is None else val[1], sample_mtg=mtg)
+    expected, ref = reference_run(cfg, spec, part, x0, val=val, sample_mtg=mtg)
+    _assert_records_match(result.records, expected)
+    models = ref.models()
+    assert np.allclose(pop.X, models, rtol=RTOL, atol=RTOL * np.abs(models).max())
+    if momentum:
+        buffers = np.array([a.momentum_buffer for a in ref.agents])
+        assert np.allclose(pop.M, buffers, rtol=RTOL, atol=RTOL * np.abs(buffers).max())
+
+
+@pytest.mark.parametrize("mode", ["uniform_pair", "random_matching"])
+@pytest.mark.parametrize("population", sorted(POPULATIONS))
+@pytest.mark.parametrize("objective", ["quadratic", "logistic", "sigmoid_sq"])
+def test_run_matches_per_pair_reference(objective, population, mode):
+    for momentum in (0.0, 0.9):
+        _compare(objective, population, mode, eta=0.05, momentum=momentum)
+
+
+@pytest.mark.parametrize("mode", ["uniform_pair", "random_matching"])
+def test_run_zero_eta_matches_per_pair_reference(mode):
+    for objective in ("quadratic", "logistic"):
+        _compare(objective, "hybrid_one_sided", mode, eta=0.0, momentum=0.9)
+
+
+def _population(n0, n1, kind, momentum, seed, spec=None):
+    spec = spec or make_quadratic(d=4, cond=3.0, seed=2, n_samples=24)
+    cfg = _config(n0, n1, kind, "random_matching", 0.05, momentum, seed=seed)
+    part = partition_data(spec.n_samples, n0, n1, seed=seed)
+    x0 = np.random.default_rng(seed).standard_normal(spec.d)
+    pop = init_population(cfg, spec, part, x0)
+    run(pop, _config(n0, n1, kind, "random_matching", 0.05, momentum, seed=seed, T=5))
+    return pop
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 9), d=st.integers(1, 5), steps=st.integers(1, 12),
+       matching=st.booleans(), seed=st.integers(0, 2**31 - 1))
+def test_zero_eta_keeps_mean_exactly_and_never_raises_gamma(n, d, steps, matching, seed):
+    # integer-valued models keep every average and sum exact in binary
+    # floating point, so the mean is preserved bit for bit
+    spec = make_quadratic(d=d, cond=2.0, seed=1, n_samples=64)
+    cfg = _config(0, n, ZO_ONE_SIDED, "random_matching", 0.0, 0.0, seed=seed)
+    pop = init_population(cfg, spec, partition_data(spec.n_samples, 0, n, seed=seed),
+                          np.zeros(d))
+    rng = np.random.default_rng(seed)
+    pop.X[:] = rng.integers(-8, 9, size=(n, d))
+    states = [copy.deepcopy(r.bit_generator.state) for r in pop.rngs]
+    mu0 = compute_mu(pop)
+    for _ in range(steps):
+        gamma = compute_gamma(pop)
+        if matching:
+            I, J = draw_matching(rng, n)
+        else:
+            i, j = rng.choice(n, size=2, replace=False)
+            I, J = np.array([i]), np.array([j])
+        interact(pop, I, J, 0.0)
+        assert np.array_equal(compute_mu(pop), mu0)
+        assert compute_gamma(pop) <= gamma + 1e-12 * (1.0 + gamma)
+    assert pop.function_evals == 0
+    assert [r.bit_generator.state for r in pop.rngs] == states  # eta = 0 draws nothing
+
+
+@settings(max_examples=40, deadline=None)
+@given(n0=st.integers(0, 5), n1=st.integers(0, 5),
+       kind=st.sampled_from([ZO_ONE_SIDED, ZO_CENTRAL, ZO_FORWARD]),
+       momentum=st.sampled_from([0.0, 0.9]), logistic=st.booleans(),
+       seed=st.integers(0, 2**31 - 1))
+def test_batched_matching_equals_sequential_pairs(n0, n1, kind, momentum, logistic, seed):
+    if n0 + n1 < 2:
+        return
+    spec = make_logistic(make_blobs_dataset(40, 4, seed=3), lam=0.1) if logistic else None
+    batched = _population(n0, n1, kind, momentum, seed, spec)
+    sequential = batched.clone()
+    I, J = draw_matching(np.random.default_rng(seed), batched.n)
+    interact(batched, I, J, 0.05)
+    for p in range(I.shape[0]):
+        interact(sequential, I[p:p + 1], J[p:p + 1], 0.05)
+    scale = np.abs(sequential.X).max()
+    assert np.allclose(batched.X, sequential.X, rtol=RTOL, atol=RTOL * scale)
+    if momentum:
+        assert np.allclose(batched.M, sequential.M, rtol=RTOL,
+                           atol=RTOL * np.abs(sequential.M).max())
+    assert batched.function_evals == sequential.function_evals
+    assert batched.interactions == sequential.interactions

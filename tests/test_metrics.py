@@ -20,21 +20,19 @@ from hdopt.metrics import (
     write_metrics_csv,
 )
 from hdopt.objectives import Dataset, make_logistic, make_quadratic, partition_data
-from hdopt.protocol import AgentState, Population, PopulationConfig, Schedule, init_population
+from hdopt.protocol import Population, PopulationConfig, Schedule, init_population
 
 from conftest import scalar_mc_stats
 
 
-def make_population(models, objective=None, estimator=None, shard=None):
+def make_population(models, objective=None, estimator=None, shards=None):
     objective = objective or make_quadratic(d=len(models[0]), cond=2.0, seed=0)
     estimator = estimator or EstimatorConfig(kind=FIRST_ORDER, batch_size=1)
-    shard = np.arange(objective.n_samples) if shard is None else shard
-    agents = [AgentState(model=np.asarray(m, dtype=float), estimator=estimator,
-                         shard=shard, rng=np.random.default_rng(i),
-                         momentum_buffer=np.zeros(len(models[0])))
-              for i, m in enumerate(models)]
-    return Population(objective=objective, agents=agents, n0=0, n1=len(agents),
-                      c=1.0, momentum=0.0, scheduler_mode="uniform_pair",
+    n = len(models)
+    shards = [np.arange(objective.n_samples)] * n if shards is None else shards
+    return Population(objective=objective, X=np.array(models, dtype=float), shards=shards,
+                      rngs=[np.random.default_rng(i) for i in range(n)], n0=0, zo=None,
+                      fo=estimator, c=1.0, momentum=0.0, scheduler_mode="uniform_pair",
                       scheduler_rng=np.random.default_rng(99),
                       metrics_rng=np.random.default_rng(100))
 
@@ -108,12 +106,10 @@ def test_mtg_mc_average_matches_closed_form():
     rng = np.random.default_rng(7)
     models = [q.x_star + rng.standard_normal(4) for _ in range(3)]
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=1)
-    pop = make_population(models, objective=q, estimator=est)
-    for agent, shard in zip(pop.agents, part.fo_shards):
-        agent.shard = shard
+    pop = make_population(models, objective=q, estimator=est, shards=part.fo_shards)
     exact = np.mean([
-        np.mean(np.sum(q.grad_per_sample(agent.model, agent.shard) ** 2, axis=1))
-        for agent in pop.agents])
+        np.mean(np.sum(q.grad_per_sample(x, shard) ** 2, axis=1))
+        for x, shard in zip(pop.X, pop.shards)])
     mrng = np.random.default_rng(8)
     vals = np.array([compute_mtg(pop, eta=0.1, rng=mrng) for _ in range(10**4)])
     mean, se = scalar_mc_stats(vals)
@@ -216,6 +212,23 @@ def test_validation_invariant_under_relabeling():
     a = evaluate_validation(make_population(models, objective=lg), ds)
     b = evaluate_validation(make_population(models[::-1], objective=lg), ds)
     assert a == pytest.approx(b)
+
+
+@pytest.mark.parametrize("labels, positive", [([0.0, 1.0, 0.0, 1.0], 0.0),
+                                             ([3.0, 7.0, 3.0, 7.0], 3.0)])
+def test_validation_maps_labels_with_positive_class(labels, positive):
+    # the positive class sits on the +x side, so x = (1, 0) classifies every
+    # point correctly under the training rule
+    feats = np.array([[2.0, 0.0], [-2.0, 0.0], [3.0, 1.0], [-3.0, -1.0]])
+    lg = make_logistic(Dataset(features=feats, labels=np.array(labels)), lam=0.1,
+                       positive_class=positive)
+    signed, ds = logistic_fixture()
+    pop = make_population([[1.0, 0.0]] * 2, objective=lg)
+    loss, acc = evaluate_validation(pop, feats, np.array(labels))
+    assert acc == 1.0
+    want = evaluate_validation(make_population([[1.0, 0.0]] * 2, objective=signed), ds)
+    assert (loss, acc) == pytest.approx(want)
+    assert lg.evaluate(np.array([1.0, 0.0]), feats, np.array(labels)) == pytest.approx(want)
 
 
 # ---------------------------------------------------------------------------

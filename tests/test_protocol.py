@@ -1,21 +1,23 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from hdopt.estimators import FIRST_ORDER, ZO_ONE_SIDED, EstimatorConfig
+from hdopt.estimators import FIRST_ORDER, ZO_ONE_SIDED, EstimatorConfig, estimate_gradient
 from hdopt.metrics import compute_gamma, compute_mu
 from hdopt.objectives import make_quadratic, partition_data
 from hdopt.protocol import (
-    AgentState,
+    Population,
     PopulationConfig,
     Schedule,
     draw_matching,
     draw_pair,
     eta_at,
-    hdo_interact,
     init_population,
+    interact,
     run,
     step_matching,
     step_uniform_pair,
@@ -38,10 +40,20 @@ def quadratic_pop(n0, n1, seed=0, eta=0.05, T=100, mode="uniform_pair", momentum
 
 class _StubPop:
     def __init__(self, models):
-        self._models = np.asarray(models, dtype=float)
+        self.X = np.asarray(models, dtype=float)
 
-    def models(self):
-        return self._models.copy()
+
+def two_agents(spec, models, est):
+    """A first-order pair over the full data, one rng per agent."""
+    shard = np.arange(spec.n_samples)
+    return Population(objective=spec, X=np.array(models, dtype=float), shards=[shard, shard],
+                      rngs=[np.random.default_rng(0), np.random.default_rng(1)], n0=0,
+                      zo=None, fo=est, c=1.0, momentum=0.0, scheduler_mode="uniform_pair",
+                      scheduler_rng=np.random.default_rng(2),
+                      metrics_rng=np.random.default_rng(3))
+
+
+PAIR = (np.array([0]), np.array([1]))
 
 
 # ---------------------------------------------------------------------------
@@ -85,55 +97,42 @@ def test_population_config_validation():
 
 def test_interact_noiseless_optimum_is_fixed_point():
     q = make_quadratic(d=3, cond=2.0, seed=5, grad_noise=0.0, hessian_jitter=0.0)
-    shard = np.arange(q.n_samples)
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=q.n_samples)
-    mk = lambda s: AgentState(model=q.x_star.copy(), estimator=est, shard=shard,
-                              rng=np.random.default_rng(s), momentum_buffer=np.zeros(3))
-    a, b = mk(0), mk(1)
-    hdo_interact(q, a, b, eta=0.1, c=1.0)
-    assert np.allclose(a.model, q.x_star, atol=1e-12)
-    assert np.allclose(b.model, q.x_star, atol=1e-12)
-    assert a.interactions == 1 and b.interactions == 1
+    pop = two_agents(q, [q.x_star, q.x_star], est)
+    interact(pop, *PAIR, eta=0.1)
+    assert np.allclose(pop.X[0], q.x_star, atol=1e-12)
+    assert np.allclose(pop.X[1], q.x_star, atol=1e-12)
+    assert pop.interactions == 1
 
 
 def test_interact_zero_eta_is_pure_averaging():
     q = make_quadratic(d=2, cond=2.0, seed=6)
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=1)
-    shard = np.arange(q.n_samples)
-    a = AgentState(model=np.array([2.0, 0.0]), estimator=est, shard=shard,
-                   rng=np.random.default_rng(0), momentum_buffer=np.zeros(2))
-    b = AgentState(model=np.array([0.0, 0.0]), estimator=est, shard=shard,
-                   rng=np.random.default_rng(1), momentum_buffer=np.zeros(2))
-    ev = hdo_interact(q, a, b, eta=0.0, c=1.0)
-    assert np.array_equal(a.model, [1.0, 0.0])
-    assert np.array_equal(b.model, [1.0, 0.0])
-    assert ev.function_evals == 0
-    assert a.model is not b.model
+    pop = two_agents(q, [[2.0, 0.0], [0.0, 0.0]], est)
+    interact(pop, *PAIR, eta=0.0)
+    assert np.array_equal(pop.X[0], [1.0, 0.0])
+    assert np.array_equal(pop.X[1], [1.0, 0.0])
+    assert pop.function_evals == 0
+    pop.X[0, 0] = 5.0  # the two models do not share storage
+    assert pop.X[1, 0] == 1.0
 
 
 def test_interact_hand_arithmetic_one_dim():
     # f(x) = x^2 / 2 around 0: both agents at 2.0 step to 1.8, average 1.8
     q = make_quadratic(d=1, cond=1.0, seed=7, grad_noise=0.0)
-    shard = np.arange(q.n_samples)
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=q.n_samples)
     x0 = q.x_star + 2.0
-    mk = lambda s: AgentState(model=x0.copy(), estimator=est, shard=shard,
-                              rng=np.random.default_rng(s), momentum_buffer=np.zeros(1))
-    a, b = mk(0), mk(1)
-    hdo_interact(q, a, b, eta=0.1, c=1.0)
-    assert a.model[0] == pytest.approx(q.x_star[0] + 1.8, abs=1e-12)
-    assert b.model[0] == pytest.approx(q.x_star[0] + 1.8, abs=1e-12)
+    pop = two_agents(q, [x0, x0], est)
+    interact(pop, *PAIR, eta=0.1)
+    assert pop.X[0, 0] == pytest.approx(q.x_star[0] + 1.8, abs=1e-12)
+    assert pop.X[1, 0] == pytest.approx(q.x_star[0] + 1.8, abs=1e-12)
 
 
 def test_interact_dimension_mismatch():
     q = make_quadratic(d=2, cond=2.0, seed=8)
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=1)
-    a = AgentState(model=np.zeros(2), estimator=est, shard=np.arange(4),
-                   rng=np.random.default_rng(0), momentum_buffer=np.zeros(2))
-    b = AgentState(model=np.zeros(3), estimator=est, shard=np.arange(4),
-                   rng=np.random.default_rng(1), momentum_buffer=np.zeros(3))
     with pytest.raises(ValueError):
-        hdo_interact(q, a, b, eta=0.1, c=1.0)
+        two_agents(q, [np.zeros(3), np.zeros(3)], est)
 
 
 def test_mean_update_identity():
@@ -141,9 +140,15 @@ def test_mean_update_identity():
     n = pop.n
     for t in range(200):
         mu_before = compute_mu(pop)
-        ev = step_uniform_pair(pop, 0.05)
+        # the pair and both estimates, replayed from copies of the streams
+        i, j = draw_pair(copy.deepcopy(pop.scheduler_rng), n)
+        nu = 0.05 / pop.c
+        g = [estimate_gradient(pop.objective, pop.shards[a], pop.X[a],
+                               cfg.zo if a < pop.n0 else cfg.fo,
+                               copy.deepcopy(pop.rngs[a]), nu).vector for a in (i, j)]
+        step_uniform_pair(pop, 0.05)
         mu_after = compute_mu(pop)
-        expected = mu_before - (0.05 / n) * (ev.update_i + ev.update_j)
+        expected = mu_before - (0.05 / n) * (g[0] + g[1])
         assert np.allclose(mu_after, expected, atol=1e-12)
 
 
@@ -173,14 +178,14 @@ def test_momentum_zero_matches_raw_updates():
     for _ in range(50):
         step_uniform_pair(pop_a, 0.05)
         step_uniform_pair(pop_b, 0.05)
-    assert all(np.array_equal(a.model, b.model) for a, b in zip(pop_a.agents, pop_b.agents))
+    assert np.array_equal(pop_a.X, pop_b.X)
 
 
 def test_momentum_buffers_persist_and_are_not_averaged():
     _, _, pop = quadratic_pop(0, 4, seed=13, momentum=0.5, T=0)
     for _ in range(30):
         step_uniform_pair(pop, 0.05)
-    bufs = np.array([a.momentum_buffer for a in pop.agents])
+    bufs = pop.M
     assert not np.allclose(bufs, bufs[0])  # buffers stay agent-local
 
 
@@ -213,7 +218,7 @@ def test_matching_n4_uniform_over_three_matchings():
               frozenset([(0, 2), (1, 3)]): 0,
               frozenset([(0, 3), (1, 2)]): 0}
     for _ in range(10**5):
-        pairs = frozenset(tuple(sorted(p)) for p in draw_matching(rng, 4))
+        pairs = frozenset(tuple(sorted(p)) for p in zip(*draw_matching(rng, 4)))
         counts[pairs] += 1
     _, p = sps.chisquare(list(counts.values()))
     assert p > 0.01
@@ -223,8 +228,8 @@ def test_matching_odd_n_idles_one_uniform_agent():
     rng = np.random.default_rng(17)
     idle_counts = np.zeros(5, dtype=int)
     for _ in range(10**5):
-        pairs = draw_matching(rng, 5)
-        used = {a for p in pairs for a in p}
+        pairs = list(zip(*draw_matching(rng, 5)))
+        used = {int(a) for p in pairs for a in p}
         assert len(pairs) == 2 and len(used) == 4
         idle = (set(range(5)) - used).pop()
         idle_counts[idle] += 1
@@ -234,12 +239,13 @@ def test_matching_odd_n_idles_one_uniform_agent():
 
 def test_matching_step_leaves_idle_agent_unchanged():
     _, cfg, pop = quadratic_pop(0, 5, seed=18, mode="random_matching", T=0)
-    before = [a.model.copy() for a in pop.agents]
-    events = step_matching(pop, 0.05)
-    touched = {e.i for e in events} | {e.j for e in events}
-    idle = (set(range(5)) - touched).pop()
-    assert np.array_equal(pop.agents[idle].model, before[idle])
-    assert pop.agents[idle].interactions == 0
+    before = pop.X.copy()
+    I, J = draw_matching(copy.deepcopy(pop.scheduler_rng), 5)
+    idle = (set(range(5)) - set(I.tolist()) - set(J.tolist())).pop()
+    idle_rng = copy.deepcopy(pop.rngs[idle].bit_generator.state)
+    step_matching(pop, 0.05)
+    assert np.array_equal(pop.X[idle], before[idle])
+    assert pop.rngs[idle].bit_generator.state == idle_rng  # made no estimate
     assert pop.interactions == 2
 
 
@@ -249,7 +255,7 @@ def test_matching_n2_equals_uniform_pair():
     step_matching(pop_m, 0.05)
     step_uniform_pair(pop_u, 0.05)
     # same agent rng streams, same single pair: identical models
-    assert all(np.array_equal(a.model, b.model) for a, b in zip(pop_m.agents, pop_u.agents))
+    assert np.array_equal(pop_m.X, pop_u.X)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +317,7 @@ def test_run_zero_eta_pure_gossip_contracts_gamma():
                                 cadence=1)
     # start from distinct models
     rng = np.random.default_rng(22)
-    for agent in pop.agents:
-        agent.model = rng.standard_normal(agent.model.shape[0])
+    pop.X[:] = rng.standard_normal(pop.X.shape)
     mu0 = compute_mu(pop)
     result = run(pop, cfg)
     gammas = [r.gamma for r in result.records]

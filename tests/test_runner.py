@@ -173,6 +173,54 @@ populations:
     assert (result.out_dir / "duo_seed0.csv").exists()
 
 
+def test_csv_dataset_parsed_once_per_run(tmp_path, monkeypatch):
+    import hdopt.runner as runner
+
+    paths = []
+    for name, seed in (("train.csv", 4), ("val.csv", 5)):
+        paths.append(tmp_path / name)
+        assert main(["gen-data", "blobs", "n=40", "d=3", f"seed={seed}", str(paths[-1])]) == 0
+    cfg_text = """\
+name: csvonce
+seed: 2
+out_dir: {out}
+T: 6
+metric_cadence: 3
+scheduler_mode: random_matching
+seeds: [0, 1]
+objective:
+  kind: logistic_l2
+  lam: 0.01
+dataset:
+  kind: csv
+  path: %s
+  val_path: %s
+populations:
+  - label: fo2
+    n1: 2
+    eta: 0.05
+  - label: zo2
+    n0: 2
+    eta: 0.05
+""" % tuple(paths)
+    cfg = parse_config(write_tiny(tmp_path, cfg_text))
+    calls = []
+
+    def counting_load(*args, **kwargs):
+        calls.append(args[0])
+        return load_csv_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "load_csv_dataset", counting_load)
+    serial = run_experiment(cfg)
+    assert len(calls) == 2  # train and validation, not twice per cell
+    bytes_serial = {p.name: p.read_bytes() for p in serial.csv_paths}
+    cfg.out_dir = str(tmp_path / "out2")
+    parallel = run_experiment(cfg, threads=2)
+    assert len(calls) == 4
+    for p in parallel.csv_paths:
+        assert p.read_bytes() == bytes_serial[p.name]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -208,6 +256,46 @@ def test_cli_gen_data_round_trip(tmp_path):
     assert len(ds) == 50 and ds.d_in == 4
     assert set(np.unique(ds.labels)) == {-1.0, 1.0}
     assert main(["gen-data", "blobs", "n=10", "d=2", "wat=1", str(out)]) == 1
+
+
+def test_cli_diverged_run_exits_runtime(tmp_path, capsys):
+    diverging = """\
+name: diverge
+seed: 5
+out_dir: {out}
+T: 300
+metric_cadence: 100
+scheduler_mode: uniform_pair
+seeds: [0]
+objective:
+  kind: quadratic
+populations:
+  - label: fo8
+    n1: 8
+    eta: 50
+    fo_batch_size: 4
+"""
+    assert main(["run", str(write_tiny(tmp_path, diverging))]) == 2
+    err = capsys.readouterr().err
+    assert "'fo8'" in err and "seed 0" in err and "step" in err
+
+
+def test_cli_gen_data_accepts_scale(tmp_path):
+    plain, scaled = tmp_path / "plain.csv", tmp_path / "scaled.csv"
+    assert main(["gen-data", "blobs", "n=20", "d=2", "seed=1", str(plain)]) == 0
+    assert main(["gen-data", "blobs", "n=20", "d=2", "seed=1", "scale=2.0", str(scaled)]) == 0
+    a, b = load_csv_dataset(plain), load_csv_dataset(scaled)
+    assert np.array_equal(b.features, 2.0 * a.features)
+    assert np.array_equal(b.labels, a.labels)
+
+
+def test_cli_rejects_nonpositive_cadence_and_threads(tmp_path):
+    cfg_path = str(write_tiny(tmp_path))
+    out = str(tmp_path / "never")
+    assert main(["run", cfg_path, "--out-dir", out, "--metric-cadence", "0"]) == 1
+    assert main(["run", cfg_path, "--out-dir", out, "--threads", "0"]) == 1
+    assert main(["run", cfg_path, "--out-dir", out, "--threads", "-3"]) == 1
+    assert not (tmp_path / "never").exists()
 
 
 def test_cli_verify_exit_codes(tmp_path, monkeypatch):

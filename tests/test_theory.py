@@ -190,7 +190,7 @@ def test_gamma_recursion_pure_averaging_matches_enumeration():
 
     gamma_t = compute_gamma(pop)
     exact = gamma_t * (3 - 2) / (3 - 1)
-    assert expected_gamma_pure_averaging(pop.models()) == pytest.approx(exact, abs=1e-12)
+    assert expected_gamma_pure_averaging(pop.X) == pytest.approx(exact, abs=1e-12)
     report = check_gamma_recursion(q, pop, eta=0.0, replicas=500, seed=26)
     assert report.passed
     assert abs(report.measured - exact) <= 3 * report.stderr
