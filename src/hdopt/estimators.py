@@ -83,7 +83,7 @@ def _resolve_nu(cfg, nu):
     return float(nu)
 
 
-def estimate_rows(spec, cfg: EstimatorConfig, Xr, agents, shards, rngs, nu=None):
+def estimate_rows(spec, cfg: EstimatorConfig, Xr, agents, shards, rngs, nu=None, B=None):
     """Estimates for k agents of kind cfg.kind: agent a = agents[r] (an int
     array) is estimated at the model Xr[r] over a minibatch of shards[a] and
     draws from rngs[a].  Returns (estimates (k, d), total function evals).
@@ -92,10 +92,13 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, agents, shards, rngs, nu=None)
     batch_size equals its size) and then its rv Gaussian directions, in the
     order of ``agents``.  The k estimates then come from one row-batched
     objective call.  Shards must hold at least batch_size ids
-    (:func:`check_shard`).
+    (:func:`check_shard`).  The first-order kind takes its minibatches as
+    ``B`` (k, batch_size) sample ids when the caller drew them in advance.
     """
     k = agents.shape[0]
     b, rv = cfg.batch_size, cfg.rv
+    if B is not None and cfg.kind == FIRST_ORDER:
+        return spec.grad_rows(Xr, B), k * b
     B = np.empty((k, b), dtype=np.intp)
     U = None if cfg.kind == FIRST_ORDER else np.empty((k, rv, Xr.shape[1]))
     for r in range(k):

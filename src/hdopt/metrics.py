@@ -87,16 +87,34 @@ class WeightedAverageState:
         return self._y.copy()
 
 
-def weighted_average_update(state: WeightedAverageState, mu_prev, eta, ell, n) -> WeightedAverageState:
-    """Fold the next mean into the weighted average (convex-only quantity)."""
+def _shrink(eta, ell, n):
     if ell <= 0:
         raise ValueError("weighted averaging is defined only for ell > 0")
     shrink = 1.0 - eta * ell / (2.0 * n)
     if not 0.0 < shrink <= 1.0:
         raise ValueError("eta * ell / (2 n) must lie in [0, 1)")
-    state.q = state.q * shrink + 1.0
-    state._y += (np.asarray(mu_prev, dtype=float) - state._y) / state.q
-    state.steps += 1
+    return shrink
+
+
+def window_weights(eta, ell, n, steps):
+    """Weights for folding the pre-step means mu_0..mu_{steps-1} of ``steps``
+    steps at one eta in one update: v[t], the weight of mu_t relative to the
+    last mean's, and u[s], the summed weight of the means after step s."""
+    v = _shrink(eta, ell, n) ** np.arange(steps - 1.0, -1.0, -1.0)
+    u = np.zeros(steps)
+    u[:-1] = np.cumsum(v[:0:-1])[::-1]
+    return v, u
+
+
+def weighted_average_update(state: WeightedAverageState, mu_prev, eta, ell, n,
+                            weight=1.0, steps=1) -> WeightedAverageState:
+    """Fold the next mean into the weighted average (convex-only quantity).
+    ``steps`` steps at one eta fold at once when ``mu_prev`` is the sum of
+    their pre-step means weighted by v and ``weight`` is v.sum()
+    (:func:`window_weights`)."""
+    state.q = state.q * _shrink(eta, ell, n) ** steps + weight
+    state._y += (np.asarray(mu_prev, dtype=float) - weight * state._y) / state.q
+    state.steps += steps
     return state
 
 

@@ -134,24 +134,23 @@ class DataPartition:
     single_copy: bool = False
 
     def __post_init__(self):
-        all_ids = set(range(self.n_samples))
         if self.single_copy:
-            joint = [i for shard in list(self.zo_shards) + list(self.fo_shards) for i in shard]
-            if sorted(joint) != sorted(all_ids):
-                raise ValueError("single-copy shards must partition the sample ids")
+            groups = [list(self.zo_shards) + list(self.fo_shards)]
+            error = "single-copy shards must partition the sample ids"
         else:
-            for shards, n_agents in ((self.zo_shards, len(self.zo_shards)),
-                                     (self.fo_shards, len(self.fo_shards))):
-                if n_agents == 0:
-                    continue
-                joint = [i for shard in shards for i in shard]
-                if len(joint) != self.n_samples or set(joint) != all_ids:
-                    raise ValueError("shards must be disjoint and cover all sample ids")
-        sizes = [len(s) for s in list(self.zo_shards) + list(self.fo_shards) if len(s)]
-        if sizes and not self.single_copy:
+            groups = [g for g in (self.zo_shards, self.fo_shards) if len(g)]
+            error = "shards must be disjoint and cover all sample ids"
+        for shards in groups:  # every id must occur exactly once
+            parts = [s for s in shards if len(s)]
+            ids = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+            if (ids.dtype.kind not in "iu" or ids.size != self.n_samples
+                    or (ids.size and (ids.min() < 0 or ids.max() >= self.n_samples))
+                    or not np.all(np.bincount(ids.astype(np.intp), minlength=self.n_samples) == 1)):
+                raise ValueError(error)
+        if not self.single_copy:
             for group in (self.zo_shards, self.fo_shards):
-                gsizes = [len(s) for s in group]
-                if gsizes and max(gsizes) - min(gsizes) > 1:
+                sizes = [len(s) for s in group]
+                if sizes and max(sizes) - min(sizes) > 1:
                     raise ValueError("shard sizes within a sub-population must differ by at most 1")
 
 

@@ -6,8 +6,8 @@ the pre-interaction models), then replaces both models with their average.
 Two schedulers are provided: ``uniform_pair`` draws one unordered pair per
 fine-grained step, ``random_matching`` pairs all agents via a uniformly
 random perfect matching per step (one agent idles when n is odd).  Both run
-the same kernel, :func:`interact`, over k disjoint pairs: k = 1 for
-``uniform_pair``, k = n // 2 for ``random_matching``.
+the same kernel, :func:`interact`, over k disjoint pairs: a layer of a window
+of ``uniform_pair`` steps, or the n // 2 pairs of a ``random_matching`` step.
 
 Clock conventions: ``interactions`` counts pairwise interactions
 (fine-grained time), parallel time is interactions / n, and a matching step
@@ -201,20 +201,24 @@ def init_population(cfg: PopulationConfig, spec, partition, x0) -> Population:
                       metrics_rng=derive_rng(cfg.seed, TAG_METRICS))
 
 
-def interact(pop: Population, I, J, eta: float) -> None:
+def interact(pop: Population, I, J, eta: float, B=None):
     """The disjoint pairs (I[p], J[p]) interact at once: every agent takes
     one local estimator step from its pre-interaction model, then both agents
     of a pair adopt the average of their stepped models.
 
     The estimates of each estimator kind come from one call over all its
-    agents.  Momentum filters each estimate through the agent's persistent
+    agents.  ``B``, when given, holds minibatch ids drawn in advance, row r
+    for agent ``concat(I, J)[r]``; only the first-order agents' rows are
+    read.  Momentum filters each estimate through the agent's persistent
     buffer (g <- m g + (1 - m) G); buffers are never exchanged.  eta = 0
     degenerates to pure gossip averaging and skips the estimator calls.
+    Returns the applied estimates, rows as in ``B``, or None when eta = 0.
     """
     X = pop.X
     k = I.shape[0]
     rows = np.concatenate((I, J))
     S = X.take(rows, axis=0)  # the 2k pre-interaction models; pair p is rows (p, k + p)
+    G = None
     if eta != 0.0:
         nu = eta / pop.c
         spec, shards, rngs = pop.objective, pop.shards, pop.rngs
@@ -222,17 +226,18 @@ def interact(pop: Population, I, J, eta: float) -> None:
         n_zo = np.count_nonzero(zo)
         if n_zo == 0 or n_zo == 2 * k:  # a single estimator kind
             G, evals = estimate_rows(spec, pop.zo if n_zo else pop.fo, S, rows,
-                                     shards, rngs, nu)
+                                     shards, rngs, nu, None if n_zo else B)
         else:  # one call per kind over its rows
             if k == 1:  # one agent of each kind: slices select without copies
                 z = 0 if zo[0] else 1
                 parts = ((pop.zo, slice(z, z + 1)), (pop.fo, slice(1 - z, 2 - z)))
             else:
-                parts = ((pop.zo, zo), (pop.fo, ~zo))
+                parts = ((pop.zo, zo.nonzero()[0]), (pop.fo, (~zo).nonzero()[0]))
             G = np.empty_like(S)
             evals = 0
             for cfg, sel in parts:
-                G[sel], e = estimate_rows(spec, cfg, S[sel], rows[sel], shards, rngs, nu)
+                G[sel], e = estimate_rows(spec, cfg, S[sel], rows[sel], shards, rngs, nu,
+                                          None if B is None or cfg is pop.zo else B[sel])
                 evals += e
         if pop.M is not None:
             G = pop.M.take(rows, axis=0) * pop.momentum + (1.0 - pop.momentum) * G
@@ -244,15 +249,21 @@ def interact(pop: Population, I, J, eta: float) -> None:
     S[k:] = S[:k]
     X[rows] = S
     pop.interactions += k
+    return G
 
 
-def draw_pair(rng, n):
-    """Unordered pair uniform over the n (n - 1) / 2 choices."""
-    i = rng.integers(n)
-    j = rng.integers(n - 1)
-    if j >= i:
-        j += 1
-    return int(i), int(j)
+def draw_pairs(rng, n, steps):
+    """``steps`` unordered pairs (I[p], J[p]), each uniform over the n (n - 1) / 2
+    choices: the draws of ``steps`` scalar pairs ``rng.integers(n)``,
+    ``rng.integers(n - 1)``, value for value, from one call on the bounds."""
+    if steps == 1:  # two scalar draws cost less than one call on array bounds
+        i, j = rng.integers(n), rng.integers(n - 1)
+        D = np.array((i, j + (j >= i)))
+        return D[:1], D[1:]
+    D = rng.integers(0, np.tile((n, n - 1), steps))
+    I, J = D[0::2], D[1::2]
+    J += J >= I
+    return I, J
 
 
 def draw_matching(rng, n):
@@ -263,13 +274,58 @@ def draw_matching(rng, n):
     return perm[0:2 * k:2], perm[1:2 * k:2]
 
 
-def step_uniform_pair(pop: Population, eta: float) -> None:
-    """One fine-grained step: a single uniformly chosen pair interacts."""
-    if pop.X.shape[0] < 2:
+def step_uniform_pair(pop: Population, eta: float, steps: int = 1, weights=None):
+    """``steps`` fine-grained steps, in each a uniformly chosen pair interacts.
+
+    Steps that share no agent commute, so the window runs as layers of disjoint
+    pairs, one :func:`interact` call per layer, each pair one layer after the last
+    earlier pair that shares an agent with it.  Each first-order agent draws the
+    minibatch ids of all its estimates in the window in one call.  Every agent
+    draws from its own generator, so the numbers are those of the steps one by one.
+    With ``weights`` (one per step) it returns the sum over steps p of
+    weights[p] (G_I + G_J)[p], the pair's applied estimates: step p moves the
+    mean by -eta / n (G_I + G_J)[p].
+    """
+    n = pop.X.shape[0]
+    if n < 2:
         raise ValueError("need at least two agents")
-    pair = np.array(draw_pair(pop.scheduler_rng, pop.X.shape[0]))
-    interact(pop, pair[:1], pair[1:], eta)
-    pop.sim_steps += 1
+    I, J = draw_pairs(pop.scheduler_rng, n, steps)
+    if steps == 1 and weights is None:  # one pair; its agents draw their minibatches in the kernel
+        interact(pop, I, J, eta)
+        pop.sim_steps += 1
+        return
+    depth, L = {}, []  # agent -> layers joined so far; per pair, its layer
+    for i, j in zip(I.tolist(), J.tolist()):
+        l = max(depth.get(i, 0), depth.get(j, 0))
+        depth[i] = depth[j] = l + 1
+        L.append(l)
+    B = None  # the first-order minibatch ids, rows 2p and 2p + 1 for agents I[p] and J[p]
+    if eta != 0.0 and pop.fo is not None:
+        b = pop.fo.batch_size
+        B = np.empty((2 * steps, b), dtype=np.intp)
+        A = np.stack((I, J), axis=1).ravel()  # the agents in step order
+        for a in depth:
+            if a >= pop.n0:
+                shard, rows = pop.shards[a], np.flatnonzero(A == a)
+                m = shard.shape[0]
+                B[rows] = shard if m == b else shard[pop.rngs[a].integers(0, m, (rows.size, b))]
+    # sorted by layer, each layer's pairs are a slice; B[s, p] for the agent of side s
+    order = np.argsort(L, kind="stable")
+    I, J = I[order], J[order]
+    if B is not None:
+        B = B.reshape(steps, 2, b)[order].transpose(1, 0, 2)
+    if weights is not None:
+        weights = weights[order]
+    drift = None if weights is None else np.zeros(pop.X.shape[1])
+    start = 0
+    for end in np.cumsum(np.bincount(L)).tolist():
+        G = interact(pop, I[start:end], J[start:end], eta,
+                     None if B is None else B[:, start:end].reshape(-1, b))
+        if drift is not None and G is not None:
+            drift += weights[start:end] @ (G[:end - start] + G[end - start:])
+        start = end
+    pop.sim_steps += steps
+    return drift
 
 
 def step_matching(pop: Population, eta: float) -> None:
@@ -295,7 +351,8 @@ def run(pop: Population, cfg: PopulationConfig, *, val_features=None, val_labels
 
     Validation labels are mapped once, by the objective's training rule.
     With ``track_weighted_average`` (strongly convex objectives only) the
-    exponentially weighted average of the pre-step means is maintained.
+    exponentially weighted average of the pre-step means is maintained; in a
+    window its means follow from the first one and the steps' estimates.
     Raises :class:`DivergedError` when a record finds a non-finite model.
     """
     spec = pop.objective
@@ -319,14 +376,27 @@ def run(pop: Population, cfg: PopulationConfig, *, val_features=None, val_labels
                                          mtg_rng=pop.metrics_rng if sample_mtg else None))
 
     record(0, eta_at(schedule, 0))
-    n = pop.n
-    for t in range(cfg.T):
+    n, T, cadence = pop.n, cfg.T, cfg.metric_cadence
+    # uniform_pair runs whole record intervals when no step needs its own eta
+    window = step_fn is step_uniform_pair and schedule.mode == "constant"
+    t = 0
+    while t < T:
         eta = eta_at(schedule, t)
+        steps = min(cadence - t % cadence, T - t) if window else 1
+        mu = None if wavg is None else np.add.reduce(pop.X, axis=0) / n  # the (first) pre-step mean
+        weight = 1.0
+        if not window:
+            step_fn(pop, eta)
+        elif wavg is None:
+            step_uniform_pair(pop, eta, steps)
+        else:
+            v, u = _metrics.window_weights(eta, spec.ell, n, steps)
+            weight = v.sum()
+            mu = weight * mu - eta / n * step_uniform_pair(pop, eta, steps, u)
         if wavg is not None:
-            mu = np.add.reduce(pop.X, axis=0) / n  # the pre-step mean
-            _metrics.weighted_average_update(wavg, mu, eta, spec.ell, n)
-        step_fn(pop, eta)
-        if (t + 1) % cfg.metric_cadence == 0 or t + 1 == cfg.T:
-            record(t + 1, eta)
+            _metrics.weighted_average_update(wavg, mu, eta, spec.ell, n, weight, steps)
+        t += steps
+        if t % cadence == 0 or t == T:
+            record(t, eta)
     return RunResult(records=records, population=pop,
                      weighted_average=None if wavg is None else wavg.value())

@@ -20,7 +20,7 @@ import numpy as np
 
 from .estimators import BIASED_KINDS
 from .metrics import compute_gamma, compute_mtg
-from .protocol import draw_pair, interact
+from .protocol import draw_pairs, interact
 
 _CHUNK = 100_000
 
@@ -282,12 +282,12 @@ def check_gamma_recursion(spec, pop, eta, replicas=2000, seed=0) -> BoundCheckRe
     mtgs = np.empty(replicas)
     for r in range(replicas):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 31, r]))
-        pair = np.array(draw_pair(rng, n))
+        I, J = draw_pairs(rng, n, 1)
         work.X[:] = pop.X
         if work.M is not None:
             work.M[:] = pop.M
         work.rngs = [rng] * n
-        interact(work, pair[:1], pair[1:], eta)
+        interact(work, I, J, eta)
         gammas[r] = compute_gamma(work)
         mtgs[r] = compute_mtg(pop, eta, rng)
     mean_next = float(gammas.mean())

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdopt.estimators import FIRST_ORDER, ZO_CENTRAL, ZO_FORWARD, ZO_ONE_SIDED, EstimatorConfig
-from hdopt.metrics import compute_gamma, compute_mu
+from hdopt.metrics import WeightedAverageState, compute_gamma, compute_mu, weighted_average_update
 from hdopt.objectives import (
     Dataset,
     make_blobs_dataset,
@@ -19,12 +19,15 @@ from hdopt.objectives import (
     partition_data,
 )
 from hdopt.protocol import (
+    Population,
     PopulationConfig,
     Schedule,
     draw_matching,
+    draw_pairs,
     init_population,
     interact,
     run,
+    step_uniform_pair,
 )
 
 from pairwise_reference import reference_run
@@ -165,3 +168,93 @@ def test_batched_matching_equals_sequential_pairs(n0, n1, kind, momentum, logist
                            atol=RTOL * np.abs(sequential.M).max())
     assert batched.function_evals == sequential.function_evals
     assert batched.interactions == sequential.interactions
+
+
+def _states(pop):
+    return [r.bit_generator.state for r in [pop.scheduler_rng, *pop.rngs]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 9), zo_share=st.floats(0.0, 1.0),
+       kind=st.sampled_from([ZO_ONE_SIDED, ZO_CENTRAL, ZO_FORWARD]),
+       momentum=st.sampled_from([0.0, 0.9]), full_batch=st.booleans(),
+       logistic=st.booleans(), eta=st.sampled_from([0.0, 0.05]),
+       steps=st.integers(1, 40), seed=st.integers(0, 2**31 - 1))
+def test_window_equals_its_steps(n, zo_share, kind, momentum, full_batch, logistic, eta,
+                                 steps, seed):
+    # a window of uniform_pair steps runs as layers of disjoint pairs and
+    # draws first-order minibatches in bulk: it must equal the steps one by one
+    spec = (make_logistic(make_blobs_dataset(40, 4, seed=3), lam=0.1) if logistic
+            else make_quadratic(d=4, cond=3.0, seed=2, n_samples=40))
+    n0 = int(round(zo_share * n))
+    rng = np.random.default_rng(seed)
+    b = 3
+    # with full_batch every shard holds exactly b ids, so no minibatch is drawn
+    shards = [rng.choice(spec.n_samples, size=b if full_batch else int(rng.integers(b, 12)),
+                         replace=False) for _ in range(n)]
+    window = Population(
+        objective=spec, X=rng.standard_normal((n, spec.d)), shards=shards,
+        rngs=[np.random.default_rng([seed, a]) for a in range(n)], n0=n0,
+        zo=EstimatorConfig(kind=kind, batch_size=b, rv=4) if n0 else None,
+        fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=b) if n0 < n else None,
+        c=2.0, momentum=momentum, scheduler_mode="uniform_pair",
+        scheduler_rng=np.random.default_rng([seed, n]),
+        metrics_rng=np.random.default_rng([seed, n + 1]))
+    one_by_one = window.clone()
+    before = _states(window)
+    step_uniform_pair(window, eta, steps)
+    for _ in range(steps):
+        step_uniform_pair(one_by_one, eta)
+    assert _states(window) == _states(one_by_one)
+    if eta == 0.0:  # pure gossip: only the scheduler draws
+        assert _states(window)[1:] == before[1:]
+    assert (window.interactions, window.function_evals, window.sim_steps) == (
+        one_by_one.interactions, one_by_one.function_evals, one_by_one.sim_steps)
+    assert window.interactions == window.sim_steps == steps
+    assert np.allclose(window.X, one_by_one.X, rtol=RTOL,
+                       atol=RTOL * np.abs(one_by_one.X).max())
+    if momentum:
+        assert np.allclose(window.M, one_by_one.M, rtol=RTOL,
+                           atol=RTOL * max(np.abs(one_by_one.M).max(), 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), steps=st.integers(1, 50), seed=st.integers(0, 2**31 - 1))
+def test_window_pairs_equal_scalar_draws(n, steps, seed):
+    bulk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    I, J = draw_pairs(bulk, n, steps)
+    pairs = []
+    for _ in range(steps):
+        i, j = int(scalar.integers(n)), int(scalar.integers(n - 1))
+        pairs.append((i, j + (j >= i)))
+    assert list(zip(I.tolist(), J.tolist())) == pairs
+    assert bulk.bit_generator.state == scalar.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(n0=st.integers(0, 4), n1=st.integers(0, 4), momentum=st.sampled_from([0.0, 0.9]),
+       logistic=st.booleans(), eta=st.sampled_from([0.0, 0.05]), T=st.integers(1, 60),
+       cadence=st.integers(1, 25), seed=st.integers(0, 2**31 - 1))
+def test_window_weighted_average_equals_per_step_fold(n0, n1, momentum, logistic, eta, T,
+                                                      cadence, seed):
+    # run() folds a window's pre-step means from the first mean and the steps'
+    # estimates: it must equal folding the mean before every single step
+    if n0 + n1 < 2:
+        n1 = 2
+    spec = (make_logistic(make_blobs_dataset(40, 4, seed=3), lam=0.1) if logistic
+            else make_quadratic(d=4, cond=3.0, seed=2, n_samples=40))
+    cfg = _config(n0, n1, ZO_FORWARD, "uniform_pair", eta, momentum, seed=seed % 1000, T=T)
+    cfg.metric_cadence = cadence
+    x0 = np.random.default_rng(seed).standard_normal(spec.d)
+    pop = init_population(cfg, spec, partition_data(spec.n_samples, n0, n1, seed=5), x0)
+    one_by_one = pop.clone()
+    result = run(pop, cfg, track_weighted_average=True)
+    state = WeightedAverageState(dim=spec.d)
+    for _ in range(T):
+        weighted_average_update(state, one_by_one.X.mean(axis=0), eta, spec.ell, pop.n)
+        step_uniform_pair(one_by_one, eta)
+    expected = state.value()
+    assert state.steps == T
+    assert np.allclose(result.weighted_average, expected, rtol=RTOL,
+                       atol=RTOL * np.abs(expected).max())
+    assert np.allclose(pop.X, one_by_one.X, rtol=RTOL, atol=RTOL * np.abs(one_by_one.X).max())

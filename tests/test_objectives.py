@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdopt.objectives import (
+    DataPartition,
     Dataset,
     DatasetFormatError,
     LinearObjective,
@@ -292,6 +293,40 @@ def test_partition_disjoint_cover_property(m, n0, n1, seed):
             assert sorted(joined.tolist()) == list(range(m))
             sizes = [len(s) for s in shards]
             assert max(sizes) - min(sizes) <= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 80), n0=st.integers(0, 6), n1=st.integers(0, 6),
+       single_copy=st.booleans(), seed=st.integers(0, 1000))
+def test_partition_covers_every_id_in_both_modes(m, n0, n1, single_copy, seed):
+    if n0 + n1 < 2:
+        return
+    part = partition_data(m, n0, n1, seed=seed, single_copy=single_copy)
+    assert len(part.zo_shards) == n0 and len(part.fo_shards) == n1
+    groups = ([part.zo_shards + part.fo_shards] if single_copy
+              else [g for g in (part.zo_shards, part.fo_shards) if g])
+    for shards in groups:  # every id exactly once per copy
+        assert sorted(np.concatenate(shards).tolist()) == list(range(m))
+    for shards in (part.zo_shards, part.fo_shards):
+        sizes = [len(s) for s in shards]
+        assert not sizes or max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("zo, fo, m, single_copy, message", [
+    ([[0, 1], [1, 2]], [], 3, False, "disjoint and cover"),  # a repeated id
+    ([[0], [1]], [[0, 1, 2]], 3, False, "disjoint and cover"),  # a missing id
+    ([[0, 1], [2, 3]], [], 3, False, "disjoint and cover"),  # an id out of range
+    ([[0, 1], [2, -1]], [], 3, False, "disjoint and cover"),  # a negative id
+    ([[0.0, 1.0], [2.0]], [], 3, False, "disjoint and cover"),  # non-integer ids
+    ([[0, 1, 2, 3], [4]], [], 5, False, "differ by at most 1"),
+    ([[0, 1]], [[1, 2]], 3, True, "must partition"),  # one id in both groups
+    ([[0]], [[1]], 3, True, "must partition"),  # a missing id
+    ([[0, 1]], [[2, 3]], 3, True, "must partition"),
+])
+def test_partition_rejects_bad_shards(zo, fo, m, single_copy, message):
+    with pytest.raises(ValueError, match=message):
+        DataPartition(zo_shards=[np.array(s) for s in zo], fo_shards=[np.array(s) for s in fo],
+                      n_samples=m, single_copy=single_copy)
 
 
 def test_partition_single_copy_mode():

@@ -14,7 +14,7 @@ from hdopt.protocol import (
     PopulationConfig,
     Schedule,
     draw_matching,
-    draw_pair,
+    draw_pairs,
     eta_at,
     init_population,
     interact,
@@ -141,7 +141,7 @@ def test_mean_update_identity():
     for t in range(200):
         mu_before = compute_mu(pop)
         # the pair and both estimates, replayed from copies of the streams
-        i, j = draw_pair(copy.deepcopy(pop.scheduler_rng), n)
+        (i,), (j,) = draw_pairs(copy.deepcopy(pop.scheduler_rng), n, 1)
         nu = 0.05 / pop.c
         g = [estimate_gradient(pop.objective, pop.shards[a], pop.X[a],
                                cfg.zo if a < pop.n0 else cfg.fo,
@@ -158,7 +158,7 @@ def test_averaging_substep_never_increases_gamma():
         n = int(rng.integers(2, 8))
         d = int(rng.integers(1, 6))
         stepped = rng.standard_normal((n, d))  # models after the local steps
-        i, j = draw_pair(rng, n)
+        (i,), (j,) = draw_pairs(rng, n, 1)
         averaged = stepped.copy()
         avg = 0.5 * (stepped[i] + stepped[j])
         averaged[i] = avg
@@ -195,20 +195,19 @@ def test_momentum_buffers_persist_and_are_not_averaged():
 
 def test_pair_n2_always_single_pair():
     rng = np.random.default_rng(14)
-    for _ in range(100):
-        assert sorted(draw_pair(rng, 2)) == [0, 1]
+    I, J = draw_pairs(rng, 2, 100)
+    assert np.array_equal(np.minimum(I, J), np.zeros(100))
+    assert np.array_equal(np.maximum(I, J), np.ones(100))
 
 
 def test_pair_frequencies_uniform_chi_square():
     rng = np.random.default_rng(150)
     n = 4
-    counts = {}
-    for _ in range(10**6):
-        i, j = draw_pair(rng, n)
-        key = (min(i, j), max(i, j))
-        counts[key] = counts.get(key, 0) + 1
+    I, J = draw_pairs(rng, n, 10**6)
+    assert np.all(I != J)
+    _, counts = np.unique(np.minimum(I, J) * n + np.maximum(I, J), return_counts=True)
     assert len(counts) == n * (n - 1) // 2
-    _, p = sps.chisquare(list(counts.values()))
+    _, p = sps.chisquare(counts)
     assert p > 0.01
 
 
