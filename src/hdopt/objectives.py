@@ -14,6 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# float64 elements in one (batch x points) slab of a blocked margin loss:
+# about 4 MB, so the slab and its link temporaries stay in cache
+_SLAB = 1 << 19
+
+
 class DatasetFormatError(ValueError):
     """Raised when a dataset file cannot be parsed."""
 
@@ -425,8 +430,9 @@ class _MarginObjective(Objective):
         self.y = _signed_labels(dataset.labels, positive_class)
         self.reg = float(reg)
 
-    # subclasses define the scalar link g and its derivative
-    def _g(self, t):
+    # subclasses define the scalar link g and its derivative; g may write
+    # its result into ``out`` (which may be t itself)
+    def _g(self, t, out=None):
         raise NotImplementedError
 
     def _gprime(self, t):
@@ -435,27 +441,37 @@ class _MarginObjective(Objective):
     def loss(self, x, idx=None):
         idx = self._idx(idx)
         t = self.y[idx] * (self.A[idx] @ x)
-        base = float(np.mean(self._g(t)))
+        base = float(np.mean(self._g(t, out=t)))
         return base + 0.5 * self.reg * float(np.dot(x, x))
 
     def loss_many(self, X, idx=None):
+        """Batch loss at each row of X, walked in blocks of points whose
+        (batch x block) slab stays in cache; each block's column sums are
+        the sums ``mean(axis=0)`` would take."""
         idx = self._idx(idx)
-        T = self.y[idx, None] * (self.A[idx] @ X.T)
-        base = self._g(T).mean(axis=0)
+        A, y = self.A[idx], self.y[idx, None]
+        m = idx.shape[0]
+        out = np.empty(X.shape[0])
+        step = max(1, _SLAB // m)
+        for lo in range(0, X.shape[0], step):
+            T = A @ X[lo:lo + step].T
+            T *= y
+            np.add.reduce(self._g(T, out=T), axis=0, out=out[lo:lo + step])
+        out /= m
         if self.reg:
-            base = base + 0.5 * self.reg * np.sum(X * X, axis=1)
-        return base
+            out += 0.5 * self.reg * np.sum(X * X, axis=1)
+        return out
 
     def loss_pairs(self, X, ids):
         t = self.y[ids] * np.einsum("nd,nd->n", self.A[ids], X)
-        vals = self._g(t)
+        vals = self._g(t, out=t)
         if self.reg:
             vals = vals + 0.5 * self.reg * np.sum(X * X, axis=1)
         return vals
 
     def loss_rows(self, P, B):
         T = self.y[B][:, :, None] * (self.A[B] @ P.transpose(0, 2, 1))
-        base = self._g(T).mean(axis=1)
+        base = self._g(T, out=T).mean(axis=1)
         if self.reg:
             base = base + 0.5 * self.reg * np.sum(P * P, axis=2)
         return base
@@ -510,7 +526,8 @@ class _MarginObjective(Objective):
             raise ValueError("classification objectives need validation features and labels")
         y = targets[:, None]
         Z = np.asarray(features, dtype=float) @ X.T  # (samples, models)
-        loss = float(np.mean(self._g(y * Z)))  # data term only, no regularizer
+        T = y * Z
+        loss = float(np.mean(self._g(T, out=T)))  # data term only, no regularizer
         return loss, float(np.mean(np.where(Z >= 0, 1.0, -1.0) == y))
 
 
@@ -526,8 +543,16 @@ class LogisticObjective(_MarginObjective):
         super().__init__(dataset, positive_class,
                          L=lam + 0.25 * row_norm_sq, ell=lam, reg=lam)
 
-    def _g(self, t):
-        return np.logaddexp(0.0, -t)
+    def _g(self, t, out=None):
+        # log(1 + exp(-t)) = log1p(exp(-|t|)) - min(t, 0): never overflows,
+        # and numpy's exp and log1p have SIMD loops where logaddexp has none
+        low = np.minimum(t, 0.0)
+        out = np.abs(t, out=out)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        np.log1p(out, out=out)
+        out -= low
+        return out
 
     def _gprime(self, t):
         return -sigmoid(-t)
@@ -546,9 +571,10 @@ class SigmoidSquaredObjective(_MarginObjective):
         row_norm_sq = float(np.max(np.sum(dataset.features ** 2, axis=1)))
         super().__init__(dataset, positive_class, L=0.25 * row_norm_sq, ell=0.0, reg=0.0)
 
-    def _g(self, t):
+    def _g(self, t, out=None):
         s = sigmoid(t)
-        return (s - 1.0) ** 2
+        s -= 1.0
+        return np.multiply(s, s, out=out)
 
     def _gprime(self, t):
         s = sigmoid(t)

@@ -80,6 +80,9 @@ _POP_KEYS = {"label", "n0", "n1", "eta", "momentum", "c",
 _ETA_KEYS = {"mode", "eta_max", "eta_min", "warmup_steps"}
 _THEORY_KEYS = {"seed", "probes", "smoothing_samples", "mc_samples",
                 "recursion_replicas", "nu_scale", "eta"}
+# least values of the integer theory options; eta and nu_scale must be > 0
+_THEORY_INT_MIN = {"probes": 1, "smoothing_samples": 1, "mc_samples": 1,
+                   "recursion_replicas": 2}
 
 
 def _require_mapping(value, where):
@@ -92,6 +95,24 @@ def _check_keys(mapping, allowed, where):
     for key in mapping:
         if key not in allowed:
             raise ConfigError(f"{where}: unknown key {key!r}")
+
+
+def _theory_number(key, value):
+    """A numeric theory option, checked at parse time so that a bad value
+    fails before any check of the suite runs."""
+    least = _THEORY_INT_MIN.get(key)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if least is None:
+        ok = math.isfinite(number) and number > 0.0
+    else:
+        ok = number.is_integer() and number >= least
+    if isinstance(value, bool) or not ok:
+        want = "a number > 0" if least is None else f"an integer >= {least}"
+        raise ConfigError(f"theory.{key} must be {want}, got {value!r}")
+    return number if least is None else int(number)
 
 
 @dataclass(frozen=True)
@@ -231,8 +252,11 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"dataset.kind: unknown kind {dkind!r}")
         _check_keys(dataset, _DATASET_KEYS[dkind], "dataset")
 
-    theory = dict(raw.get("theory") or {})
+    theory = raw.get("theory") or {}
     _check_keys(_require_mapping(theory, "theory"), _THEORY_KEYS, "theory")
+    for key in theory:
+        if key != "seed":
+            theory[key] = _theory_number(key, theory[key])
 
     pops_raw = raw.get("populations", [])
     if not isinstance(pops_raw, list):

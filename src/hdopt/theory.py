@@ -7,7 +7,11 @@ statements, so the margin covers sampling noise); analytic cases report
 stderr = 0 and must hold outright.  Probe points are drawn from a standard
 Gaussian centered at the optimum when it is known, otherwise at the origin.
 All randomness is derived from the recorded seed, so re-running a check with
-its reported seed reproduces the measured value bit-exactly.
+its reported seed reproduces the measured value bit-exactly on one version
+of the code (other versions may differ in the last ulp).  Monte-Carlo draws
+are made in chunks of 100,000 through one helper, and the margin objectives
+evaluate a chunk in cache-sized blocks, so memory is bounded per block, not
+by the sample count.
 """
 
 from __future__ import annotations
@@ -76,43 +80,50 @@ def combined_stderr(*errs):
     return math.sqrt(sum(e * e for e in errs))
 
 
-def _chunks(total, chunk=_CHUNK):
+def _mc_mean(samples, draw):
+    """Monte-Carlo mean of ``samples`` draws, made in chunks of at most
+    _CHUNK, with its standard error.
+
+    ``draw(size)`` returns (c, U): the draws are the scalars c[k] when U is
+    None, else the vectors c[k] U[k], summed as matvecs and given the scalar
+    stderr sqrt(sum_j var_j / N).  U is overwritten.
+    """
+    total = total_sq = 0.0
     done = 0
-    while done < total:
-        size = min(chunk, total - done)
-        yield size
+    while done < samples:
+        size = min(_CHUNK, samples - done)
+        c, U = draw(size)
+        if U is None:
+            total += float(c.sum())
+            total_sq += float(np.dot(c, c))
+        else:
+            total = total + c @ U
+            total_sq = total_sq + (c * c) @ np.square(U, out=U)
         done += size
+    mean = total / samples
+    var = np.maximum(total_sq / samples - mean * mean, 0.0)
+    return mean, math.sqrt(float(np.sum(var)) / samples)
 
 
 def mc_smoothed_value(spec, x, nu, samples, rng):
     """Monte-Carlo estimate of E_u[f(x + nu u)] with its stderr."""
-    total = 0.0
-    total_sq = 0.0
-    for size in _chunks(samples):
-        U = rng.standard_normal((size, spec.d))
-        vals = spec.loss_many(x[None, :] + nu * U)
-        total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / samples)
+
+    def draw(size):
+        return spec.loss_many(x + nu * rng.standard_normal((size, spec.d))), None
+
+    return _mc_mean(samples, draw)
 
 
 def mc_smoothed_gradient(spec, x, nu, samples, rng):
     """Monte-Carlo estimate of the smoothed full gradient via the one-sided
     identity, with a scalar stderr sqrt(sum_j var_j / N)."""
     f0 = spec.loss(x)
-    vec_sum = np.zeros(spec.d)
-    sq_sum = np.zeros(spec.d)
-    for size in _chunks(samples):
+
+    def draw(size):
         U = rng.standard_normal((size, spec.d))
-        coeff = (spec.loss_many(x[None, :] + nu * U) - f0) / nu
-        contrib = coeff[:, None] * U
-        vec_sum += contrib.sum(axis=0)
-        sq_sum += (contrib * contrib).sum(axis=0)
-    mean = vec_sum / samples
-    var = np.maximum(sq_sum / samples - mean * mean, 0.0)
-    return mean, math.sqrt(float(var.sum()) / samples)
+        return (spec.loss_many(x + nu * U) - f0) / nu, U
+
+    return _mc_mean(samples, draw)
 
 
 def check_smoothing_value_gap(spec, nu, probes, samples=10**6, seed=0) -> BoundCheckReport:
@@ -155,16 +166,19 @@ def check_smoothing_grad_bias(spec, nu, probes, samples=10**6, seed=0) -> BoundC
                    samples, seed, kind=spec.kind, nu=nu, analytic=False)
 
 
-def _zo_draws(spec, shard, x, nu, samples, rng):
-    """Per-draw one-sided estimates at x over single-sample batches.
-
-    Returns (coeff, U, ids) where the estimate is coeff[k] * U[k]."""
+def _zo_sampler(spec, shard, x, nu, rng):
+    """draw(size) -> (coeff, U): one-sided estimates coeff[k] U[k] at x over
+    single-sample batches drawn from the shard.  The base losses are
+    evaluated once per shard id and gathered."""
     shard = np.asarray(shard)
-    ids = shard[rng.integers(0, shard.shape[0], size=samples)]
-    U = rng.standard_normal((samples, spec.d))
-    base = spec.loss_pairs(np.broadcast_to(x, U.shape), ids)
-    shifted = spec.loss_pairs(x[None, :] + nu * U, ids)
-    return (shifted - base) / nu, U, ids
+    base = spec.loss_pairs(np.broadcast_to(x, (shard.shape[0], spec.d)), shard)
+
+    def draw(size):
+        pick = rng.integers(0, shard.shape[0], size=size)
+        U = rng.standard_normal((size, spec.d))
+        return (spec.loss_pairs(x + nu * U, shard[pick]) - base[pick]) / nu, U
+
+    return draw
 
 
 def check_zo_second_moment(spec, shard, nu, x, samples=200_000, seed=0) -> BoundCheckReport:
@@ -179,15 +193,13 @@ def check_zo_second_moment(spec, shard, nu, x, samples=200_000, seed=0) -> Bound
     bound = 0.5 * nu * nu * spec.L ** 2 * (spec.d + 6) ** 3 \
         + 2.0 * (spec.d + 4) * (float(np.dot(grad_i, grad_i)) + s_sq)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 19]))
-    total = 0.0
-    total_sq = 0.0
-    for size in _chunks(samples):
-        coeff, U, _ = _zo_draws(spec, shard, x, nu, size, rng)
-        vals = coeff * coeff * np.sum(U * U, axis=1)
-        total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
-    mean = total / samples
-    se = math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
+    sample = _zo_sampler(spec, shard, x, nu, rng)
+
+    def draw(size):
+        coeff, U = sample(size)
+        return coeff * coeff * np.sum(U * U, axis=1), None
+
+    mean, se = _mc_mean(samples, draw)
     return _report("zo_second_moment", mean, bound, se, samples, seed,
                    kind=spec.kind, nu=nu, s_sq=s_sq)
 
@@ -200,18 +212,16 @@ def check_zo_variance_bound(spec, shard, nu, x, samples=200_000, seed=0) -> Boun
     bound = 1.5 * nu * nu * spec.L ** 2 * (spec.d + 6) ** 3 \
         + 4.0 * (spec.d + 4) * (float(np.dot(grad_i, grad_i)) + s_sq)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 23]))
-    total = 0.0
-    total_sq = 0.0
+    sample = _zo_sampler(spec, shard, x, nu, rng)
     gnorm_sq = float(np.dot(grad_i, grad_i))
-    for size in _chunks(samples):
-        coeff, U, _ = _zo_draws(spec, shard, x, nu, size, rng)
+
+    def draw(size):
+        coeff, U = sample(size)
         # ||c u - g||^2 expanded through dot products, no (N, d) temporaries
-        vals = coeff * coeff * np.sum(U * U, axis=1) \
-            - 2.0 * coeff * (U @ grad_i) + gnorm_sq
-        total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
-    mean = total / samples
-    se = math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
+        return coeff * coeff * np.sum(U * U, axis=1) \
+            - 2.0 * coeff * (U @ grad_i) + gnorm_sq, None
+
+    mean, se = _mc_mean(samples, draw)
     return _report("zo_variance", mean, bound, se, samples, seed,
                    kind=spec.kind, nu=nu, s_sq=s_sq)
 
@@ -231,17 +241,9 @@ def check_bias_aggregate(pop, nu, samples=200_000, seed=0) -> BoundCheckReport:
     for i in zo_rows:
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 29, i]))
         x, shard = pop.X[i], pop.shards[i]
-        vec_sum = np.zeros(spec.d)
-        sq_sum = np.zeros(spec.d)
-        for size in _chunks(samples):
-            coeff, U, _ = _zo_draws(spec, shard, x, nu, size, rng)
-            contrib = coeff[:, None] * U
-            vec_sum += contrib.sum(axis=0)
-            sq_sum += (contrib * contrib).sum(axis=0)
-        mean_vec = vec_sum / samples
-        var = np.maximum(sq_sum / samples - mean_vec * mean_vec, 0.0)
+        mean_vec, se = _mc_mean(samples, _zo_sampler(spec, shard, x, nu, rng))
         biases.append(float(np.linalg.norm(mean_vec - spec.grad(x, shard))))
-        ses.append(math.sqrt(float(var.sum()) / samples))
+        ses.append(se)
     measured = sum(biases) / n
     se = math.sqrt(sum(s * s for s in ses)) / n if ses else 0.0
     return _report("bias_aggregate", measured, bound, se, samples, seed,
@@ -302,19 +304,18 @@ def check_gamma_recursion(spec, pop, eta, replicas=2000, seed=0) -> BoundCheckRe
 
 
 def check_gradcheck_all(spec, points=100, tol=1e-4, h=1e-6, seed=0) -> BoundCheckReport:
-    """Central finite differences of the full loss vs the analytic gradient."""
+    """Central finite differences of the full loss vs the analytic gradient.
+
+    The 2 d shifted points of every probe are evaluated in one loss_many call.
+    """
     probes = probe_points(spec, points, seed)
-    worst = 0.0
-    for x in probes:
-        fd = np.empty(spec.d)
-        for k in range(spec.d):
-            e = np.zeros(spec.d)
-            e[k] = h
-            fd[k] = (spec.loss(x + e) - spec.loss(x - e)) / (2.0 * h)
-        g = spec.grad(x)
-        rel = float(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-10))
-        worst = max(worst, rel)
-    return _report(f"gradcheck_{spec.kind}", worst, tol, 0.0, points, seed, h=h)
+    steps = h * np.eye(spec.d)
+    shifted = np.stack([probes[:, None, :] + steps, probes[:, None, :] - steps], axis=1)
+    vals = spec.loss_many(shifted.reshape(-1, spec.d)).reshape(points, 2, spec.d)
+    fd = (vals[:, 0] - vals[:, 1]) / (2.0 * h)
+    G = np.array([spec.grad(x) for x in probes])
+    rel = np.linalg.norm(fd - G, axis=1) / np.maximum(np.linalg.norm(G, axis=1), 1e-10)
+    return _report(f"gradcheck_{spec.kind}", float(rel.max()), tol, 0.0, points, seed, h=h)
 
 
 def write_report(path, reports) -> None:

@@ -1,8 +1,12 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hdopt.objectives as objectives
 from hdopt.objectives import (
     DataPartition,
     Dataset,
@@ -139,6 +143,58 @@ def test_nonconvex_midpoint_violation_exists():
         if found:
             break
     assert found, "objective should not be convex"
+
+
+# ---------------------------------------------------------------------------
+# margin losses: the link and the blocked loss_many
+
+
+def test_logistic_link_matches_logaddexp_without_warnings():
+    t = np.array([0.0, 1e-300, -1e-300, 1.0, -1.0, 30.0, -30.0, 800.0, -800.0,
+                  np.inf, -np.inf])
+    lg = make_logistic(small_dataset(), lam=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lg._g(t)
+        in_place = t.copy()
+        lg._g(in_place, out=in_place)
+    ref = np.logaddexp(0.0, -t)
+    np.testing.assert_array_max_ulp(got, ref, maxulp=2)
+    assert np.array_equal(in_place, got)
+
+
+def _unblocked_loss_many(spec, X):
+    T = spec.y[:, None] * (spec.A @ X.T)
+    if spec.kind == "logistic_l2":
+        return np.logaddexp(0.0, -T).mean(axis=0) + 0.5 * spec.reg * np.sum(X * X, axis=1)
+    return ((objectives.sigmoid(T) - 1.0) ** 2).mean(axis=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda data: make_logistic(data, lam=0.1),
+    lambda data: make_nonconvex(data),
+])
+def test_blocked_loss_many_matches_unblocked_reference(make):
+    spec = make(make_blobs_dataset(100, 5, seed=6))
+    block = objectives._SLAB // spec.n_samples
+    rng = np.random.default_rng(7)
+    for count in (1, block - 1, block, block + 1, 2 * block + 3):
+        X = 2.0 * rng.standard_normal((count, spec.d))
+        np.testing.assert_array_max_ulp(spec.loss_many(X), _unblocked_loss_many(spec, X),
+                                        maxulp=4)
+
+
+def test_loss_many_memory_is_bounded_per_block():
+    lg = make_logistic(make_blobs_dataset(100, 5, seed=6), lam=0.1)
+    X = np.random.default_rng(8).standard_normal((100_000, 5))
+    tracemalloc.start()
+    try:
+        lg.loss_many(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the unblocked (100 x 100,000) slab alone is 80 MB
+    assert peak < 24 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------

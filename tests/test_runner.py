@@ -316,6 +316,19 @@ FAST_THEORY = {"probes": 1, "smoothing_samples": 20_000, "mc_samples": 10_000,
                "recursion_replicas": 300}
 
 
+@pytest.mark.parametrize("option, value", [
+    ("smoothing_samples", 0), ("mc_samples", 0), ("probes", 0), ("smoothing_samples", -5),
+    ("recursion_replicas", 1), ("eta", 0), ("nu_scale", 0), ("probes", 2.5)])
+def test_cli_verify_rejects_bad_theory_option(tmp_path, capsys, option, value):
+    theory = dict(FAST_THEORY, **{option: value})
+    text = TINY_CONFIG + "theory:\n" + "".join(f"  {k}: {v}\n" for k, v in theory.items())
+    out = tmp_path / "verify-out"
+    assert main(["verify", str(write_tiny(tmp_path, text)), "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"theory.{option}" in captured.err
+    assert captured.out == "" and not out.exists()  # no check ran
+
+
 def test_theory_suite_quadratic_checks_pass_fast_options():
     reports = default_theory_suite(dict(FAST_THEORY))
     names = {r.name for r in reports}

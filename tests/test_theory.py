@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hdopt import theory
 from hdopt.estimators import FIRST_ORDER, ZO_ONE_SIDED, EstimatorConfig
 from hdopt.objectives import (
     LinearObjective,
@@ -216,6 +217,39 @@ def test_gamma_recursion_hybrid_quadratic_passes():
 def test_gradcheck_each_objective(make):
     report = check_gradcheck_all(make(), points=100, seed=31)
     assert report.passed, report
+
+
+def test_mc_mean_chunked_matvec_sums_match_direct_moments(monkeypatch):
+    monkeypatch.setattr(theory, "_CHUNK", 7)
+    rng = np.random.default_rng(36)
+    C, U = rng.standard_normal(20), rng.standard_normal((20, 3))
+    for vector in (True, False):
+        served = []
+
+        def draw(size):
+            lo = sum(served)
+            served.append(size)
+            return C[lo:lo + size].copy(), U[lo:lo + size].copy() if vector else None
+
+        mean, se = theory._mc_mean(20, draw)
+        assert served == [7, 7, 6]
+        V = C[:, None] * U if vector else C
+        np.testing.assert_allclose(mean, V.mean(axis=0), rtol=1e-12)
+        assert se == pytest.approx(np.sqrt(np.sum(V.var(axis=0)) / 20), rel=1e-12)
+
+
+def test_zo_sampler_gathers_base_losses_per_draw():
+    lg = logistic_instance()
+    shard, nu = np.arange(5, 35), 0.05
+    x = probe_points(lg, 1, 37)[0]
+    coeff, U = theory._zo_sampler(lg, shard, x, nu, np.random.default_rng(38))(1000)
+    rng = np.random.default_rng(38)  # replay: batch ids, then directions
+    ids = shard[rng.integers(0, shard.shape[0], size=1000)]
+    U_ref = rng.standard_normal((1000, lg.d))
+    ref = (lg.loss_pairs(x + nu * U_ref, ids)
+           - lg.loss_pairs(np.broadcast_to(x, U_ref.shape), ids)) / nu
+    assert np.array_equal(U, U_ref)
+    np.testing.assert_allclose(coeff, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_checks_reproducible_bit_exact():
