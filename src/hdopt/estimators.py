@@ -59,13 +59,6 @@ class GradientEstimate:
     function_evals: int
 
 
-def couple_nu(eta: float, c: float) -> float:
-    """Smoothing radius coupled to the learning rate: nu = eta / c."""
-    if eta <= 0 or c <= 0:
-        raise ValueError("eta and c must be positive")
-    return eta / c
-
-
 def check_shard(shard, batch_size):
     """The shard as an ndarray, checked to hold at least batch_size ids."""
     shard = np.asarray(shard)
@@ -115,26 +108,21 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, agents, shards, rngs, nu=None,
         # standing in for a forward-mode pass
         g = spec.grad_rows(Xr, B)[:, :, None]
         return (U.transpose(0, 2, 1) @ (U @ g))[..., 0] / rv, k * b * rv
+    # one objective call evaluates the rv points x + nu u after the points
+    # they are differenced with: x - nu u (central) or x once (one-sided)
+    nu = _resolve_nu(cfg, nu)
+    central = cfg.kind == ZO_CENTRAL
+    sub = rv if central else 1
+    P = np.empty((k, sub + rv, Xr.shape[1]))
+    np.multiply(U, nu, out=P[:, sub:])
+    if central:
+        np.negative(P[:, sub:], out=P[:, :sub])
     else:
-        nu = _resolve_nu(cfg, nu)
-        if cfg.kind == ZO_ONE_SIDED:
-            # one objective call evaluates the base points and all shifted points
-            P = np.empty((k, rv + 1, Xr.shape[1]))
-            P[:, 0] = Xr
-            np.multiply(U, nu, out=P[:, 1:])
-            P[:, 1:] += Xr[:, None]
-            vals = spec.loss_rows(P, B)
-            coef = (vals[:, 1:] - vals[:, :1]) / nu
-            evals = k * b * (rv + 1)
-        else:
-            P = np.empty((k, 2 * rv, Xr.shape[1]))
-            np.multiply(U, nu, out=P[:, :rv])
-            np.multiply(U, -nu, out=P[:, rv:])
-            P += Xr[:, None]
-            vals = spec.loss_rows(P, B)
-            coef = (vals[:, :rv] - vals[:, rv:]) / (2.0 * nu)
-            evals = k * b * 2 * rv
-    return (coef[:, None, :] @ U)[:, 0] / rv, evals
+        P[:, 0] = 0.0
+    P += Xr[:, None]
+    vals = spec.loss_rows(P, B)
+    coef = (vals[:, sub:] - vals[:, :sub]) / (2.0 * nu if central else nu)
+    return (coef[:, None, :] @ U)[:, 0] / rv, k * b * (sub + rv)
 
 
 _ONE_ROW = np.zeros(1, dtype=np.intp)

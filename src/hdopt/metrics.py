@@ -130,13 +130,6 @@ def validation_set(spec, features, labels=None):
     return features, spec.targets(np.asarray(labels, dtype=float))
 
 
-def evaluate_validation(pop, features, labels=None):
-    """Validation loss/accuracy averaged over agents, all agents in one
-    matmul.  Accuracy is NaN for objectives without classification
-    semantics."""
-    return pop.objective.validate(pop.X, *validation_set(pop.objective, features, labels))
-
-
 def snapshot(pop, step, eta, val=None, mtg_rng=None) -> MetricsRecord:
     """One metrics record for the current population state; ``val`` is a
     :func:`validation_set`."""

@@ -9,13 +9,13 @@ non-convex kind), and, when known, the optimum ``x_star`` / ``f_star``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-# float64 elements in one (batch x points) slab of a blocked margin loss:
-# about 4 MB, so the slab and its link temporaries stay in cache
+# float64 elements in one slab of a blocked loss kernel: about 4 MB, so the
+# slab and its temporaries stay in cache
 _SLAB = 1 << 19
 
 
@@ -200,8 +200,40 @@ def partition_data(dataset, n0: int, n1: int, seed: int, single_copy: bool = Fal
 # objectives
 
 
+def _in_blocks(kernel, P, B, width):
+    """kernel(P, B) evaluated over blocks of P's rows and points whose slabs,
+    at ``width`` float64s per (row, point), hold at most _SLAB elements,
+    gathered into one (k, p) array."""
+    k, p = P.shape[:2]
+    pc = min(p, max(1, _SLAB // width))
+    kc = max(1, _SLAB // (width * pc))
+    out = np.empty((k, p))
+    for i in range(0, k, kc):
+        for j in range(0, p, pc):
+            out[i:i + kc, j:j + pc] = kernel(P[i:i + kc, j:j + pc],
+                                             None if B is None else B[i:i + kc])
+    return out
+
+
+def _row(idx):
+    """Sample ids as the one row of a kernel's B."""
+    idx = np.asarray(idx)
+    if idx.size == 0:
+        raise ValueError("batch must be non-empty")
+    return idx.reshape(1, -1)
+
+
 class Objective:
-    """Common interface: mean-over-batch losses/gradients over sample ids."""
+    """Mean-over-batch losses and gradients over sample ids.
+
+    A subclass implements two row-batched kernels, where B is a (k, b) array
+    of sample ids, one minibatch per row, and None means the full dataset:
+
+    * ``loss_rows(P, B=None)``: the batch loss over B[r] at each point
+      P[r, q], for P (k, p, d) -> (k, p);
+    * ``grad_rows(X, B=None)``: the batch gradient over B[r] at X[r], for
+      X (k, d) -> (k, d).
+    """
 
     kind = "abstract"
 
@@ -214,52 +246,21 @@ class Objective:
         self.f_star = f_star
         if self.L < 0 or self.ell < 0 or self.ell > self.L + 1e-12:
             raise ValueError("need 0 <= ell <= L")
-        self._all_idx = np.arange(self.n_samples)
-
-    def _idx(self, idx):
-        if idx is None:
-            return self._all_idx
-        idx = np.asarray(idx)
-        if idx.size == 0:
-            raise ValueError("batch must be non-empty")
-        return idx
 
     def loss(self, x, idx=None):
-        raise NotImplementedError
-
-    def loss_many(self, X, idx=None):
-        """Batch loss at each row of X (p, d) -> (p,)."""
-        raise NotImplementedError
-
-    def loss_pairs(self, X, ids):
-        """Single-sample losses F(X[k], ids[k]) -> (len(ids),)."""
-        raise NotImplementedError
-
-    def loss_rows(self, P, B):
-        """Row-batched losses: the batch loss over ids B[r] at each point
-        P[r, q], for P (k, p, d) and B (k, b) -> (k, p)."""
-        raise NotImplementedError
+        """Batch loss at the point x (an array) over the ids idx (all samples
+        when None)."""
+        return float(self.loss_rows(x[None, None], None if idx is None else _row(idx))[0, 0])
 
     def grad(self, x, idx=None):
-        raise NotImplementedError
-
-    def grad_rows(self, X, B):
-        """Row-batched gradients: the batch gradient over ids B[r] at X[r],
-        for X (k, d) and B (k, b) -> (k, d)."""
-        raise NotImplementedError
-
-    def dir_deriv(self, x, u, idx=None):
-        """u^T grad_batch(x) for u of shape (d,) or (r, d), without forming
-        the full gradient where a cheaper path exists."""
-        raise NotImplementedError
-
-    def grad_per_sample(self, x, idx=None):
-        """Per-sample gradients, (len(idx), d). Used by exact variance oracles."""
-        raise NotImplementedError
+        """Batch gradient at the point x (an array) over the ids idx (all
+        samples when None)."""
+        return self.grad_rows(x[None], None if idx is None else _row(idx))[0]
 
     def gradient_variance(self, x, idx=None):
         """Exact Var over single-sample draws from idx of the per-sample gradient."""
-        g = self.grad_per_sample(x, idx)
+        ids = np.arange(self.n_samples) if idx is None else np.asarray(idx)
+        g = self.grad_rows(np.broadcast_to(x, (ids.shape[0], self.d)), ids[:, None])
         centered = g - g.mean(axis=0)
         return float(np.mean(np.sum(centered * centered, axis=1)))
 
@@ -271,12 +272,7 @@ class Objective:
         """(validation loss, accuracy) averaged over the models in the rows
         of X, for labels already mapped by :meth:`targets`; accuracy is NaN
         when the objective has no classification semantics."""
-        return float(np.mean(self.loss_many(X))), float("nan")
-
-    def evaluate(self, x, features=None, labels=None):
-        """(validation loss, accuracy) of the single model x."""
-        return self.validate(np.asarray(x, dtype=float)[None, :], features,
-                             None if labels is None else self.targets(labels))
+        return float(np.mean(self.loss_rows(X[None])[0])), float("nan")
 
 
 class QuadraticObjective(Objective):
@@ -311,62 +307,32 @@ class QuadraticObjective(Objective):
     def hessian(self):
         return self.Q @ (self.lam[:, None] * self.Qt)
 
-    def _batch_coeffs(self, idx):
-        """Batch means of the eigenvalue weights and offsets over the last
-        axis of ids: (d,) for one batch, (k, d) for k row batches."""
-        if idx is None or idx.shape[-1] == self.n_samples:
+    def _batch_coeffs(self, B):
+        """Batch means of the eigenvalue weights and offsets over each row of
+        ids: (d,) each for the full dataset, (k, d) for k rows."""
+        if B is None:
             return self._lam_mean, self._goff_mean
-        b = idx.shape[-1]
-        coeffs = self._ones[:b] @ self._coeffs[idx]  # a matvec beats a middle-axis reduce
-        coeffs *= 1.0 / b
-        return coeffs[..., :self.d], coeffs[..., self.d:]
+        b = B.shape[1]
+        if b == 1:
+            coeffs = self._coeffs[B[:, 0]]
+        else:
+            coeffs = self._ones[:b] @ self._coeffs[B]  # a matvec beats a middle-axis reduce
+            coeffs *= 1.0 / b
+        return coeffs[:, :self.d], coeffs[:, self.d:]
 
-    def loss(self, x, idx=None):
-        idx = self._idx(idx)
-        lam_b, off_b = self._batch_coeffs(idx)
-        w = self.Qt @ (x - self.x_star)
-        return float(0.5 * np.dot(lam_b, w * w) - np.dot(off_b, w))
-
-    def loss_many(self, X, idx=None):
-        idx = self._idx(idx)
-        lam_b, off_b = self._batch_coeffs(idx)
-        W = (X - self.x_star) @ self.Q  # rows in the eigenbasis
-        return 0.5 * (W * W) @ lam_b - W @ off_b
-
-    def loss_pairs(self, X, ids):
-        W = (X - self.x_star) @ self.Q
-        return 0.5 * np.einsum("nd,nd->n", W * W, self.Lam[ids]) \
-            - np.einsum("nd,nd->n", W, self.Goff[ids])
-
-    def loss_rows(self, P, B):
+    def loss_rows(self, P, B=None):
+        # four (rows x points x d) temporaries: the centred points, W, W * W
+        # and its half
+        k, p, d = P.shape
+        if k * p * 4 * d > _SLAB and k * p > 1:
+            return _in_blocks(self.loss_rows, P, B, 4 * d)
         lam_b, off_b = self._batch_coeffs(B)
-        W = (P - self.x_star) @ self.Q
+        W = (P - self.x_star) @ self.Q  # rows in the eigenbasis
         return (0.5 * (W * W) @ lam_b[..., None] - W @ off_b[..., None])[..., 0]
 
-    def grad(self, x, idx=None):
-        idx = self._idx(idx)
-        lam_b, off_b = self._batch_coeffs(idx)
-        w = self.Qt @ (x - self.x_star)
-        return self.Q @ (lam_b * w - off_b)
-
-    def grad_rows(self, X, B):
+    def grad_rows(self, X, B=None):
         lam_b, off_b = self._batch_coeffs(B)
         return (lam_b * ((X - self.x_star) @ self.Q) - off_b) @ self.Qt
-
-    def dir_deriv(self, x, u, idx=None):
-        idx = self._idx(idx)
-        lam_b, off_b = self._batch_coeffs(idx)
-        w = self.Qt @ (x - self.x_star)
-        v = lam_b * w - off_b
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 1:
-            return float((u @ self.Q) @ v)
-        return (u @ self.Q) @ v
-
-    def grad_per_sample(self, x, idx=None):
-        idx = self._idx(idx)
-        w = self.Qt @ (x - self.x_star)
-        return (self.Lam[idx] * w - self.Goff[idx]) @ self.Qt
 
 
 def _antisymmetric(rows, cols, rng, uniform=False):
@@ -425,7 +391,7 @@ class _MarginObjective(Objective):
     def __init__(self, dataset, positive_class, L, ell, reg=0.0):
         feats = dataset.features
         super().__init__(d=feats.shape[1], n_samples=feats.shape[0], L=L, ell=ell)
-        self.A = feats
+        self.A = np.ascontiguousarray(feats)  # numpy's products depend on the layout
         self.positive_class = positive_class
         self.y = _signed_labels(dataset.labels, positive_class)
         self.reg = float(reg)
@@ -438,85 +404,30 @@ class _MarginObjective(Objective):
     def _gprime(self, t):
         raise NotImplementedError
 
-    def loss(self, x, idx=None):
-        idx = self._idx(idx)
-        t = self.y[idx] * (self.A[idx] @ x)
-        base = float(np.mean(self._g(t, out=t)))
-        return base + 0.5 * self.reg * float(np.dot(x, x))
-
-    def loss_many(self, X, idx=None):
-        """Batch loss at each row of X, walked in blocks of points whose
-        (batch x block) slab stays in cache; each block's column sums are
-        the sums ``mean(axis=0)`` would take."""
-        idx = self._idx(idx)
-        A, y = self.A[idx], self.y[idx, None]
-        m = idx.shape[0]
-        out = np.empty(X.shape[0])
-        step = max(1, _SLAB // m)
-        for lo in range(0, X.shape[0], step):
-            T = A @ X[lo:lo + step].T
-            T *= y
-            np.add.reduce(self._g(T, out=T), axis=0, out=out[lo:lo + step])
-        out /= m
+    def loss_rows(self, P, B=None):
+        """Walked in blocks of rows and points whose (batch x points) slabs
+        stay in cache; each block's sums over the batch are the sums
+        ``mean`` would take."""
+        k, p, _ = P.shape
+        b = self.n_samples if B is None else B.shape[1]
+        if k * p * b > _SLAB and k * p > 1:
+            return _in_blocks(self.loss_rows, P, B, b)
+        A, y = (self.A, self.y) if B is None else (self.A[B], self.y[B])
+        T = A @ P.transpose(0, 2, 1)  # (k, b, p)
+        T *= y[..., None]
+        out = np.add.reduce(self._g(T, out=T), axis=1)
+        out /= b
         if self.reg:
-            out += 0.5 * self.reg * np.sum(X * X, axis=1)
+            out += 0.5 * self.reg * np.add.reduce(P * P, axis=2)
         return out
 
-    def loss_pairs(self, X, ids):
-        t = self.y[ids] * np.einsum("nd,nd->n", self.A[ids], X)
-        vals = self._g(t, out=t)
-        if self.reg:
-            vals = vals + 0.5 * self.reg * np.sum(X * X, axis=1)
-        return vals
-
-    def loss_rows(self, P, B):
-        T = self.y[B][:, :, None] * (self.A[B] @ P.transpose(0, 2, 1))
-        base = self._g(T, out=T).mean(axis=1)
-        if self.reg:
-            base = base + 0.5 * self.reg * np.sum(P * P, axis=2)
-        return base
-
-    def grad(self, x, idx=None):
-        idx = self._idx(idx)
-        yb = self.y[idx]
-        t = yb * (self.A[idx] @ x)
-        coef = self._gprime(t) * yb
-        g = (coef @ self.A[idx]) / idx.shape[0]
-        if self.reg:
-            g = g + self.reg * x
-        return g
-
-    def grad_rows(self, X, B):
-        AB = self.A[B]
-        yb = self.y[B]
-        coef = self._gprime(yb * (AB @ X[:, :, None])[..., 0]) * yb
-        G = (coef[:, None, :] @ AB)[:, 0] / B.shape[1]
+    def grad_rows(self, X, B=None):
+        A, y = (self.A, self.y) if B is None else (self.A[B], self.y[B])
+        coef = self._gprime(y * (A @ X[:, :, None])[..., 0]) * y
+        G = (coef[:, None, :] @ A)[:, 0] / A.shape[-2]
         if self.reg:
             G = G + self.reg * X
         return G
-
-    def dir_deriv(self, x, u, idx=None):
-        idx = self._idx(idx)
-        yb = self.y[idx]
-        t = yb * (self.A[idx] @ x)
-        coef = self._gprime(t) * yb
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 1:
-            out = float(np.dot(coef, self.A[idx] @ u)) / idx.shape[0]
-            return out + (self.reg * float(np.dot(x, u)) if self.reg else 0.0)
-        out = (self.A[idx] @ u.T).T @ coef / idx.shape[0]
-        if self.reg:
-            out = out + self.reg * (u @ x)
-        return out
-
-    def grad_per_sample(self, x, idx=None):
-        idx = self._idx(idx)
-        yb = self.y[idx]
-        t = yb * (self.A[idx] @ x)
-        g = (self._gprime(t) * yb)[:, None] * self.A[idx]
-        if self.reg:
-            g = g + self.reg * x
-        return g
 
     def targets(self, labels):
         return _signed_labels(labels, self.positive_class)
@@ -581,64 +492,6 @@ class SigmoidSquaredObjective(_MarginObjective):
         return -2.0 * s * (1.0 - s) ** 2
 
 
-class LinearObjective(Objective):
-    """Linear calibration objective f(x) = a . x with optional per-sample noise.
-
-    The gradient is constant, so any L >= 0 is a valid Lipschitz constant
-    (reported as 0).  Used to calibrate estimators where exact Gaussian
-    moments are available; not one of the production objective kinds.
-    """
-
-    kind = "linear"
-
-    def __init__(self, a, noise: float = 0.0, n_samples: int = 1, seed: int = 0):
-        a = np.asarray(a, dtype=float)
-        m = int(n_samples)
-        if noise > 0:
-            m += m % 2
-            if m < 2:
-                m = 2
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), 5]))
-            offsets = noise * _antisymmetric(m // 2, a.shape[0], rng)
-        else:
-            offsets = np.zeros((max(m, 1), a.shape[0]))
-        super().__init__(d=a.shape[0], n_samples=offsets.shape[0], L=0.0, ell=0.0)
-        self.a = a
-        self.offsets = offsets
-
-    def loss(self, x, idx=None):
-        idx = self._idx(idx)
-        return float((self.a + self.offsets[idx].mean(axis=0)) @ x)
-
-    def loss_many(self, X, idx=None):
-        idx = self._idx(idx)
-        return X @ (self.a + self.offsets[idx].mean(axis=0))
-
-    def loss_pairs(self, X, ids):
-        return np.einsum("nd,nd->n", self.a[None, :] + self.offsets[ids], X)
-
-    def loss_rows(self, P, B):
-        return (P @ self.grad_rows(None, B)[:, :, None])[..., 0]
-
-    def grad(self, x, idx=None):
-        idx = self._idx(idx)
-        return self.a + self.offsets[idx].mean(axis=0)
-
-    def grad_rows(self, X, B):
-        return self.a + self.offsets[B].mean(axis=1)
-
-    def dir_deriv(self, x, u, idx=None):
-        g = self.grad(None, idx)
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 1:
-            return float(np.dot(u, g))
-        return u @ g
-
-    def grad_per_sample(self, x, idx=None):
-        idx = self._idx(idx)
-        return self.a[None, :] + self.offsets[idx]
-
-
 def make_logistic(dataset: Dataset, lam: float, positive_class=None) -> LogisticObjective:
     """L2-regularized logistic regression objective over the dataset."""
     return LogisticObjective(dataset, lam, positive_class)
@@ -647,83 +500,3 @@ def make_logistic(dataset: Dataset, lam: float, positive_class=None) -> Logistic
 def make_nonconvex(dataset: Dataset, positive_class=None) -> SigmoidSquaredObjective:
     """Smooth bounded non-convex classification objective over the dataset."""
     return SigmoidSquaredObjective(dataset, positive_class)
-
-
-@dataclass(frozen=True)
-class VarianceProfile:
-    """Per-agent gradient-noise levels and data-heterogeneity measurements.
-
-    ``s_zo`` / ``s_fo`` hold each agent's single-sample gradient standard
-    deviation; ``sigma0_sq`` / ``sigma1_sq`` are the means of their squares
-    over the two sub-populations.  ``varsigma0_sq`` / ``varsigma1_sq`` are
-    the mean squared distances between shard gradients and the full
-    gradient.  All quantities are measured at one probe point (the bound
-    constants are suprema, so a pointwise measurement is a valid instance).
-    """
-
-    s_zo: np.ndarray
-    s_fo: np.ndarray
-    sigma0_sq: float
-    sigma1_sq: float
-    varsigma0_sq: float
-    varsigma1_sq: float
-
-    def __post_init__(self):
-        for arr, avg in ((self.s_zo, self.sigma0_sq), (self.s_fo, self.sigma1_sq)):
-            if np.any(np.asarray(arr) < 0):
-                raise ValueError("noise levels must be non-negative")
-            if len(arr) and not np.isclose(np.mean(np.square(arr)), avg):
-                raise ValueError("population average must be the mean of s_i^2")
-
-
-def variance_profile(spec: Objective, partition: DataPartition, x) -> VarianceProfile:
-    """Measure the per-agent noise and heterogeneity constants at a point."""
-    x = np.asarray(x, dtype=float)
-    full_grad = spec.grad(x)
-
-    def per_group(shards):
-        s = np.array([np.sqrt(spec.gradient_variance(x, shard)) for shard in shards])
-        het = np.array([float(np.sum((spec.grad(x, shard) - full_grad) ** 2))
-                        for shard in shards])
-        return s, float(np.mean(np.square(s))) if len(s) else 0.0, \
-            float(het.mean()) if len(het) else 0.0
-
-    s_zo, sigma0_sq, varsigma0_sq = per_group(partition.zo_shards)
-    s_fo, sigma1_sq, varsigma1_sq = per_group(partition.fo_shards)
-    return VarianceProfile(s_zo=s_zo, s_fo=s_fo, sigma0_sq=sigma0_sq,
-                           sigma1_sq=sigma1_sq, varsigma0_sq=varsigma0_sq,
-                           varsigma1_sq=varsigma1_sq)
-
-
-# ---------------------------------------------------------------------------
-# functional wrappers over the per-sample interface
-
-
-def _check_batch(spec, batch):
-    batch = np.asarray(batch)
-    if batch.size == 0:
-        raise ValueError("batch must be non-empty")
-    if batch.min() < 0 or batch.max() >= spec.n_samples:
-        raise ValueError("batch indices out of range")
-    return batch
-
-
-def stochastic_loss(spec: Objective, x, batch) -> float:
-    """Mean per-sample loss over the batch indices."""
-    return spec.loss(np.asarray(x, dtype=float), _check_batch(spec, batch))
-
-
-def stochastic_gradient(spec: Objective, x, batch) -> np.ndarray:
-    """Mean per-sample gradient over the batch indices (unbiased for the
-    shard gradient when the batch is drawn uniformly)."""
-    return spec.grad(np.asarray(x, dtype=float), _check_batch(spec, batch))
-
-
-def directional_derivative(spec: Objective, x, batch, u) -> float:
-    """u^T grad of the batch loss, computed without materializing the full
-    gradient where the objective admits a cheaper path."""
-    u = np.asarray(u, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if u.shape[-1] != spec.d or x.shape[-1] != spec.d:
-        raise ValueError("dimension mismatch between x, u, and the objective")
-    return spec.dir_deriv(x, u, _check_batch(spec, batch))

@@ -9,9 +9,9 @@ Gaussian centered at the optimum when it is known, otherwise at the origin.
 All randomness is derived from the recorded seed, so re-running a check with
 its reported seed reproduces the measured value bit-exactly on one version
 of the code (other versions may differ in the last ulp).  Monte-Carlo draws
-are made in chunks of 100,000 through one helper, and the margin objectives
-evaluate a chunk in cache-sized blocks, so memory is bounded per block, not
-by the sample count.
+are made in chunks of 100,000 through one helper, and an objective's
+``loss_rows`` evaluates a chunk in cache-sized blocks, so memory is bounded
+per block, not by the sample count.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def mc_smoothed_value(spec, x, nu, samples, rng):
     """Monte-Carlo estimate of E_u[f(x + nu u)] with its stderr."""
 
     def draw(size):
-        return spec.loss_many(x + nu * rng.standard_normal((size, spec.d))), None
+        return spec.loss_rows((x + nu * rng.standard_normal((size, spec.d)))[None])[0], None
 
     return _mc_mean(samples, draw)
 
@@ -121,7 +121,7 @@ def mc_smoothed_gradient(spec, x, nu, samples, rng):
 
     def draw(size):
         U = rng.standard_normal((size, spec.d))
-        return (spec.loss_many(x + nu * U) - f0) / nu, U
+        return (spec.loss_rows((x + nu * U)[None])[0] - f0) / nu, U
 
     return _mc_mean(samples, draw)
 
@@ -171,12 +171,13 @@ def _zo_sampler(spec, shard, x, nu, rng):
     single-sample batches drawn from the shard.  The base losses are
     evaluated once per shard id and gathered."""
     shard = np.asarray(shard)
-    base = spec.loss_pairs(np.broadcast_to(x, (shard.shape[0], spec.d)), shard)
+    base = spec.loss_rows(np.broadcast_to(x, (shard.shape[0], 1, spec.d)), shard[:, None])[:, 0]
 
     def draw(size):
         pick = rng.integers(0, shard.shape[0], size=size)
         U = rng.standard_normal((size, spec.d))
-        return (spec.loss_pairs(x + nu * U, shard[pick]) - base[pick]) / nu, U
+        P = (x + nu * U)[:, None]
+        return (spec.loss_rows(P, shard[pick][:, None])[:, 0] - base[pick]) / nu, U
 
     return draw
 
@@ -306,14 +307,14 @@ def check_gamma_recursion(spec, pop, eta, replicas=2000, seed=0) -> BoundCheckRe
 def check_gradcheck_all(spec, points=100, tol=1e-4, h=1e-6, seed=0) -> BoundCheckReport:
     """Central finite differences of the full loss vs the analytic gradient.
 
-    The 2 d shifted points of every probe are evaluated in one loss_many call.
+    The 2 d shifted points of every probe are evaluated in one loss_rows call.
     """
     probes = probe_points(spec, points, seed)
     steps = h * np.eye(spec.d)
     shifted = np.stack([probes[:, None, :] + steps, probes[:, None, :] - steps], axis=1)
-    vals = spec.loss_many(shifted.reshape(-1, spec.d)).reshape(points, 2, spec.d)
+    vals = spec.loss_rows(shifted.reshape(1, -1, spec.d))[0].reshape(points, 2, spec.d)
     fd = (vals[:, 0] - vals[:, 1]) / (2.0 * h)
-    G = np.array([spec.grad(x) for x in probes])
+    G = spec.grad_rows(probes)
     rel = np.linalg.norm(fd - G, axis=1) / np.maximum(np.linalg.norm(G, axis=1), 1e-10)
     return _report(f"gradcheck_{spec.kind}", float(rel.max()), tol, 0.0, points, seed, h=h)
 

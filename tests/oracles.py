@@ -1,0 +1,97 @@
+"""Test oracles for the objective kernels: a linear calibration objective
+with exact Gaussian moments, and per-sample references written out one
+sample at a time, independent of the row-batched kernels they check."""
+
+import math
+
+import numpy as np
+
+from hdopt.objectives import Objective, _antisymmetric
+
+
+class LinearObjective(Objective):
+    """Linear calibration objective f(x) = a . x with optional per-sample noise.
+
+    The gradient is constant, so any L >= 0 is a valid Lipschitz constant
+    (reported as 0).  Used to calibrate estimators where exact Gaussian
+    moments are available; not one of the production objective kinds.
+    """
+
+    kind = "linear"
+
+    def __init__(self, a, noise: float = 0.0, n_samples: int = 1, seed: int = 0):
+        a = np.asarray(a, dtype=float)
+        m = int(n_samples)
+        if noise > 0:
+            m += m % 2
+            if m < 2:
+                m = 2
+            rng = np.random.default_rng(np.random.SeedSequence([int(seed), 5]))
+            offsets = noise * _antisymmetric(m // 2, a.shape[0], rng)
+        else:
+            offsets = np.zeros((max(m, 1), a.shape[0]))
+        super().__init__(d=a.shape[0], n_samples=offsets.shape[0], L=0.0, ell=0.0)
+        self.a = a
+        self.offsets = offsets
+
+    def loss_rows(self, P, B=None):
+        return np.einsum("kpd,kd->kp", P, self.grad_rows(P[:, 0], B))
+
+    def grad_rows(self, X, B=None):
+        off = self.offsets.mean(axis=0) if B is None else self.offsets[B].mean(axis=1)
+        return np.broadcast_to(self.a + off, X.shape).copy()
+
+
+def _sigmoid(t):
+    # the library's tanh form, so that both sides round a confident
+    # sigmoid's distance from 1 alike
+    return 0.5 * (1.0 + math.tanh(0.5 * t))
+
+
+def sample_loss(spec, x, i):
+    """F_i(x), the loss of sample i alone, from the objective's stored data."""
+    if spec.kind == "quadratic":
+        w = spec.Q.T @ (x - spec.x_star)
+        return 0.5 * float(spec.Lam[i] @ (w * w)) - float(spec.Goff[i] @ w)
+    if spec.kind == "linear":
+        return float((spec.a + spec.offsets[i]) @ x)
+    t = float(spec.y[i] * (spec.A[i] @ x))
+    if spec.kind == "logistic_l2":
+        return float(np.logaddexp(0.0, -t)) + 0.5 * spec.reg * float(x @ x)
+    return (_sigmoid(t) - 1.0) ** 2
+
+
+def sample_grad(spec, x, i):
+    """grad F_i(x), from the objective's stored data."""
+    if spec.kind == "quadratic":
+        w = spec.Q.T @ (x - spec.x_star)
+        return spec.Q @ (spec.Lam[i] * w - spec.Goff[i])
+    if spec.kind == "linear":
+        return spec.a + spec.offsets[i]
+    ya = spec.y[i] * spec.A[i]
+    t = float(ya @ x)
+    if spec.kind == "logistic_l2":
+        return -_sigmoid(-t) * ya + spec.reg * x
+    s = _sigmoid(t)
+    return -2.0 * s * (1.0 - s) ** 2 * ya
+
+
+def _batches(spec, B, k):
+    return [range(spec.n_samples)] * k if B is None else [list(row) for row in B]
+
+
+def loss_rows_reference(spec, P, B=None):
+    """loss_rows by a loop over rows, points and samples."""
+    out = np.empty(P.shape[:2])
+    for r, ids in enumerate(_batches(spec, B, P.shape[0])):
+        for q in range(P.shape[1]):
+            out[r, q] = sum(sample_loss(spec, P[r, q], i) for i in ids) / len(ids)
+    return out
+
+
+def grad_rows_reference(spec, X, B=None):
+    """grad_rows by a loop over rows and samples."""
+    out = np.empty(X.shape)
+    for r, ids in enumerate(_batches(spec, B, X.shape[0])):
+        out[r] = sum(sample_grad(spec, X[r], i) for i in ids) / len(ids)
+    return out

@@ -44,7 +44,7 @@ def estimate_zo_one_sided(spec, shard, x, cfg, rng, nu):
     points[0] = x
     np.multiply(U, nu, out=points[1:])
     points[1:] += x
-    vals = spec.loss_many(points, batch)
+    vals = spec.loss_rows(points[None], batch[None])[0]
     return ((vals[1:] - vals[0]) / nu) @ U / cfg.rv, int(batch.shape[0]) * (cfg.rv + 1)
 
 
@@ -55,7 +55,7 @@ def estimate_zo_central(spec, shard, x, cfg, rng, nu):
     np.multiply(U, nu, out=points[:cfg.rv])
     np.multiply(U, -nu, out=points[cfg.rv:])
     points += x
-    vals = spec.loss_many(points, batch)
+    vals = spec.loss_rows(points[None], batch[None])[0]
     vec = ((vals[:cfg.rv] - vals[cfg.rv:]) / (2.0 * nu)) @ U / cfg.rv
     return vec, int(batch.shape[0]) * 2 * cfg.rv
 
@@ -63,7 +63,7 @@ def estimate_zo_central(spec, shard, x, cfg, rng, nu):
 def estimate_zo_unbiased_forward(spec, shard, x, cfg, rng, nu):
     batch = draw_batch(shard, cfg.batch_size, rng)
     U = rng.standard_normal((cfg.rv, spec.d))
-    return spec.dir_deriv(x, U, batch) @ U / cfg.rv, int(batch.shape[0]) * cfg.rv
+    return (U @ spec.grad(x, batch)) @ U / cfg.rv, int(batch.shape[0]) * cfg.rv
 
 
 def estimate(spec, shard, x, cfg, rng, nu):

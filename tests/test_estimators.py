@@ -7,11 +7,9 @@ from hdopt.estimators import (
     ZO_FORWARD,
     ZO_ONE_SIDED,
     EstimatorConfig,
-    couple_nu,
     estimate_gradient,
 )
 from hdopt.objectives import (
-    LinearObjective,
     make_blobs_dataset,
     make_logistic,
     make_nonconvex,
@@ -19,6 +17,7 @@ from hdopt.objectives import (
 )
 
 from conftest import scalar_mc_stats, vector_mc_stats
+from oracles import LinearObjective
 
 
 def logistic_instance(d=3, n=40, lam=0.1, seed=5):
@@ -32,23 +31,6 @@ def estimate_first_order(spec, shard, x, batch_size, rng):
 def mc_estimates(fn, calls, seed):
     rng = np.random.default_rng(seed)
     return np.array([fn(rng).vector for _ in range(calls)])
-
-
-# ---------------------------------------------------------------------------
-# couple_nu
-
-
-def test_couple_nu_values():
-    assert couple_nu(0.01, 1.0) == pytest.approx(0.01)
-    assert couple_nu(0.01, np.sqrt(100.0)) == pytest.approx(0.001)
-    assert couple_nu(0.1, np.sqrt(2.0)) == pytest.approx(0.0707107, abs=1e-6)
-
-
-def test_couple_nu_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        couple_nu(0.0, 1.0)
-    with pytest.raises(ValueError):
-        couple_nu(0.1, -1.0)
 
 
 def test_estimator_config_validation():

@@ -12,9 +12,9 @@ from hdopt.metrics import (
     compute_gamma,
     compute_mtg,
     compute_mu,
-    evaluate_validation,
     read_metrics_csv,
     snapshot,
+    validation_set,
     weighted_average_update,
     write_aggregate_csv,
     write_metrics_csv,
@@ -108,7 +108,8 @@ def test_mtg_mc_average_matches_closed_form():
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=1)
     pop = make_population(models, objective=q, estimator=est, shards=part.fo_shards)
     exact = np.mean([
-        np.mean(np.sum(q.grad_per_sample(x, shard) ** 2, axis=1))
+        np.mean(np.sum(q.grad_rows(np.broadcast_to(x, (shard.shape[0], q.d)), shard[:, None]) ** 2,
+                       axis=1))
         for x, shard in zip(pop.X, pop.shards)])
     mrng = np.random.default_rng(8)
     vals = np.array([compute_mtg(pop, eta=0.1, rng=mrng) for _ in range(10**4)])
@@ -178,8 +179,8 @@ def test_validation_identical_agents_equal_single():
     lg, ds = logistic_fixture()
     x = np.array([1.0, 0.0])
     pop = make_population([x] * 3, objective=lg)
-    loss, acc = evaluate_validation(pop, ds)
-    single_loss, single_acc = lg.evaluate(x, ds.features, ds.labels)
+    loss, acc = lg.validate(pop.X, *validation_set(lg, ds))
+    single_loss, single_acc = lg.validate(x[None], *validation_set(lg, ds.features, ds.labels))
     assert loss == pytest.approx(single_loss)
     assert acc == pytest.approx(single_acc)
 
@@ -187,14 +188,14 @@ def test_validation_identical_agents_equal_single():
 def test_validation_perfect_classifier_accuracy_one():
     lg, ds = logistic_fixture()
     pop = make_population([[5.0, 0.0]], objective=lg)
-    _, acc = evaluate_validation(pop, ds)
+    _, acc = lg.validate(pop.X, *validation_set(lg, ds))
     assert acc == 1.0
 
 
 def test_validation_regression_reports_nan_accuracy():
     q = make_quadratic(d=2, cond=2.0, seed=10)
     pop = make_population([[0.0, 0.0]], objective=q)
-    loss, acc = evaluate_validation(pop, np.zeros((3, 2)), np.zeros(3))
+    loss, acc = q.validate(pop.X, *validation_set(q, np.zeros((3, 2)), np.zeros(3)))
     assert np.isnan(acc)
     assert loss == pytest.approx(q.loss(np.zeros(2)))
 
@@ -203,14 +204,14 @@ def test_validation_empty_set_rejected():
     lg, _ = logistic_fixture()
     pop = make_population([[1.0, 0.0]], objective=lg)
     with pytest.raises(ValueError):
-        evaluate_validation(pop, np.zeros((0, 2)), np.zeros(0))
+        lg.validate(pop.X, *validation_set(lg, np.zeros((0, 2)), np.zeros(0)))
 
 
 def test_validation_invariant_under_relabeling():
     lg, ds = logistic_fixture()
     models = np.random.default_rng(11).standard_normal((4, 2))
-    a = evaluate_validation(make_population(models, objective=lg), ds)
-    b = evaluate_validation(make_population(models[::-1], objective=lg), ds)
+    a = lg.validate(make_population(models, objective=lg).X, *validation_set(lg, ds))
+    b = lg.validate(make_population(models[::-1], objective=lg).X, *validation_set(lg, ds))
     assert a == pytest.approx(b)
 
 
@@ -224,11 +225,13 @@ def test_validation_maps_labels_with_positive_class(labels, positive):
                        positive_class=positive)
     signed, ds = logistic_fixture()
     pop = make_population([[1.0, 0.0]] * 2, objective=lg)
-    loss, acc = evaluate_validation(pop, feats, np.array(labels))
+    loss, acc = lg.validate(pop.X, *validation_set(lg, feats, np.array(labels)))
     assert acc == 1.0
-    want = evaluate_validation(make_population([[1.0, 0.0]] * 2, objective=signed), ds)
+    want = signed.validate(make_population([[1.0, 0.0]] * 2, objective=signed).X,
+                           *validation_set(signed, ds))
     assert (loss, acc) == pytest.approx(want)
-    assert lg.evaluate(np.array([1.0, 0.0]), feats, np.array(labels)) == pytest.approx(want)
+    assert lg.validate(np.array([[1.0, 0.0]]), *validation_set(lg, feats, np.array(labels))) \
+        == pytest.approx(want)
 
 
 # ---------------------------------------------------------------------------

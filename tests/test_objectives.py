@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +12,6 @@ from hdopt.objectives import (
     DataPartition,
     Dataset,
     DatasetFormatError,
-    LinearObjective,
-    VarianceProfile,
-    directional_derivative,
     load_csv_dataset,
     make_blobs_dataset,
     make_logistic,
@@ -21,12 +19,11 @@ from hdopt.objectives import (
     make_quadratic,
     partition_data,
     save_dataset_csv,
-    stochastic_gradient,
-    stochastic_loss,
-    variance_profile,
 )
 
+import oracles
 from conftest import central_diff_gradient, scalar_mc_stats
+from oracles import LinearObjective
 
 
 def small_dataset():
@@ -69,6 +66,14 @@ def test_quadratic_full_batch_gradient_exact():
 def test_quadratic_rejects_bad_cond():
     with pytest.raises(ValueError):
         make_quadratic(d=3, cond=0.5, seed=0)
+
+
+def test_quadratic_batch_of_repeated_ids_is_not_the_full_mean():
+    # a batch as long as the dataset, drawn with replacement, is no full pass
+    q = make_quadratic(d=3, cond=4.0, seed=1, n_samples=4)
+    x = q.x_star + 1.0
+    assert q.loss(x, [0, 0, 0, 0]) == pytest.approx(q.loss(x, [0]), rel=1e-12)
+    np.testing.assert_allclose(q.grad(x, [0, 0, 0, 0]), q.grad(x, [0]), rtol=1e-12)
 
 
 def test_quadratic_per_sample_lipschitz_within_L():
@@ -146,7 +151,7 @@ def test_nonconvex_midpoint_violation_exists():
 
 
 # ---------------------------------------------------------------------------
-# margin losses: the link and the blocked loss_many
+# the link and the blocked loss kernels
 
 
 def test_logistic_link_matches_logaddexp_without_warnings():
@@ -164,37 +169,62 @@ def test_logistic_link_matches_logaddexp_without_warnings():
 
 
 def _unblocked_loss_many(spec, X):
+    if spec.kind == "quadratic":
+        W = (X - spec.x_star) @ spec.Q
+        return 0.5 * (W * W) @ spec.Lam.mean(axis=0) - W @ spec.Goff.mean(axis=0)
     T = spec.y[:, None] * (spec.A @ X.T)
     if spec.kind == "logistic_l2":
         return np.logaddexp(0.0, -T).mean(axis=0) + 0.5 * spec.reg * np.sum(X * X, axis=1)
     return ((objectives.sigmoid(T) - 1.0) ** 2).mean(axis=0)
 
 
+def _block_width(spec, b):
+    """float64s per (row, point) by which a loss kernel sizes its blocks."""
+    return 4 * spec.d if spec.kind == "quadratic" else b
+
+
 @pytest.mark.parametrize("make", [
     lambda data: make_logistic(data, lam=0.1),
     lambda data: make_nonconvex(data),
+    lambda data: make_quadratic(d=data.d_in, cond=10.0, seed=6, n_samples=100),
 ])
 def test_blocked_loss_many_matches_unblocked_reference(make):
     spec = make(make_blobs_dataset(100, 5, seed=6))
-    block = objectives._SLAB // spec.n_samples
+    block = objectives._SLAB // _block_width(spec, spec.n_samples)
     rng = np.random.default_rng(7)
     for count in (1, block - 1, block, block + 1, 2 * block + 3):
         X = 2.0 * rng.standard_normal((count, spec.d))
-        np.testing.assert_array_max_ulp(spec.loss_many(X), _unblocked_loss_many(spec, X),
+        np.testing.assert_array_max_ulp(spec.loss_rows(X[None])[0], _unblocked_loss_many(spec, X),
                                         maxulp=4)
 
 
 def test_loss_many_memory_is_bounded_per_block():
     lg = make_logistic(make_blobs_dataset(100, 5, seed=6), lam=0.1)
-    X = np.random.default_rng(8).standard_normal((100_000, 5))
+    X = np.random.default_rng(8).standard_normal((1, 100_000, 5))
     tracemalloc.start()
     try:
-        lg.loss_many(X)
+        lg.loss_rows(X)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # the unblocked (100 x 100,000) slab alone is 80 MB
     assert peak < 24 * 2**20, peak
+
+
+def test_quadratic_single_sample_rows_memory_is_bounded_per_block():
+    # the (N, 1, d) shape of the Monte-Carlo checks' single-sample draws;
+    # unblocked, its gathered coefficients alone take 16 MB
+    q = make_quadratic(d=10, cond=10.0, seed=6, n_samples=64)
+    rng = np.random.default_rng(8)
+    P = rng.standard_normal((100_000, 1, 10))
+    B = rng.integers(0, q.n_samples, size=(100_000, 1))
+    tracemalloc.start()
+    try:
+        q.loss_rows(P, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +244,8 @@ def test_per_sample_gradients_are_L_lipschitz(make):
         k = rng.integers(spec.n_samples)
         x = rng.standard_normal(spec.d)
         y = rng.standard_normal(spec.d)
-        gx = spec.grad_per_sample(x, np.array([k]))[0]
-        gy = spec.grad_per_sample(y, np.array([k]))[0]
+        gx = spec.grad(x, np.array([k]))
+        gy = spec.grad(y, np.array([k]))
         worst = max(worst, np.linalg.norm(gx - gy) / np.linalg.norm(x - y))
     assert worst <= spec.L * (1 + 1e-9)
 
@@ -229,10 +259,56 @@ def test_quadratic_strong_convexity_inequality():
         assert lhs >= q.ell * np.linalg.norm(x - y) ** 2 - 1e-9
 
 
+_KERNEL_SPECS = {
+    "quadratic": lambda: make_quadratic(d=3, cond=5.0, seed=40, n_samples=10),
+    "logistic": lambda: make_logistic(make_blobs_dataset(12, 3, seed=41), lam=0.2),
+    "nonconvex": lambda: make_nonconvex(make_blobs_dataset(12, 3, seed=41)),
+    "linear": lambda: LinearObjective(np.array([1.0, -2.0, 0.5]), noise=0.3, n_samples=10,
+                                      seed=42),
+}
+
+
+def _assert_close(got, ref):
+    # 1e-12 relative to the largest reference value
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_KERNEL_SPECS)), b=st.sampled_from([None, 1, 2, 4]),
+       k=st.integers(1, 5), p=st.sampled_from(["small", "below", "at", "above", "twice"]),
+       seed=st.integers(0, 2**16))
+def test_kernels_match_per_sample_loops_over_shapes(name, b, k, p, seed):
+    spec = _KERNEL_SPECS[name]()
+    slab = 48  # small blocks, so that a few points already cross a boundary
+    block = max(1, slab // _block_width(spec, spec.n_samples if b is None else b))
+    rng = np.random.default_rng(seed)
+    p = {"small": int(rng.integers(1, 4)), "below": max(1, block - 1), "at": block,
+         "above": block + 1, "twice": 2 * block + 1}[p]
+    B = None if b is None else rng.integers(0, spec.n_samples, size=(k, b))
+    P = 2.0 * rng.standard_normal((k, p, spec.d))
+    with mock.patch.object(objectives, "_SLAB", slab):
+        losses = spec.loss_rows(P, B)
+        grads = spec.grad_rows(P[:, 0], B)
+    assert losses.shape == (k, p) and grads.shape == (k, spec.d)
+    _assert_close(losses, oracles.loss_rows_reference(spec, P, B))
+    _assert_close(grads, oracles.grad_rows_reference(spec, P[:, 0], B))
+
+    # the single-point forms are the kernels at one row
+    x, idx = P[0, 0], None if B is None else B[0]
+    row = None if idx is None else idx[None]
+    assert spec.loss(x, idx) == spec.loss_rows(x[None, None], row)[0, 0]
+    assert np.array_equal(spec.grad(x, idx), spec.grad_rows(x[None], row)[0])
+    ids = range(spec.n_samples) if idx is None else idx
+    G = np.array([oracles.sample_grad(spec, x, i) for i in ids])
+    centered = G - G.mean(axis=0)
+    want = float(np.mean(np.sum(centered * centered, axis=1)))
+    assert spec.gradient_variance(x, idx) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_stochastic_loss_full_batch_equals_objective():
     q = make_quadratic(d=4, cond=3.0, seed=13, n_samples=16)
     x = np.ones(4)
-    full = stochastic_loss(q, x, np.arange(q.n_samples))
+    full = q.loss(x, np.arange(q.n_samples))
     assert full == pytest.approx(q.loss(x), abs=1e-12)
 
 
@@ -243,7 +319,7 @@ def test_stochastic_loss_mc_mean_matches_objective():
     vals = np.empty(10**5)
     for i in range(vals.size):
         batch = rng.integers(0, q.n_samples, size=2)
-        vals[i] = stochastic_loss(q, x, batch)
+        vals[i] = q.loss(x, batch)
     mean, se = scalar_mc_stats(vals)
     assert abs(mean - q.loss(x)) <= 3 * se
 
@@ -255,53 +331,21 @@ def test_stochastic_gradient_unbiased_and_matches_fd():
     draws = np.empty((20000, 3))
     for i in range(draws.shape[0]):
         batch = rng.integers(0, lg.n_samples, size=2)
-        draws[i] = stochastic_gradient(lg, x, batch)
+        draws[i] = lg.grad(x, batch)
     mean = draws.mean(axis=0)
     se = np.sqrt(draws.var(axis=0, ddof=1).sum() / draws.shape[0])
     assert np.linalg.norm(mean - lg.grad(x)) <= 3 * se
     batch = np.array([0, 3, 7])
-    fd = central_diff_gradient(lambda z: stochastic_loss(lg, z, batch), x)
-    assert np.linalg.norm(fd - stochastic_gradient(lg, x, batch)) < 1e-5
+    fd = central_diff_gradient(lambda z: lg.loss(z, batch), x)
+    assert np.linalg.norm(fd - lg.grad(x, batch)) < 1e-5
 
 
 def test_empty_batch_rejected():
     q = make_quadratic(d=3, cond=2.0, seed=17)
     with pytest.raises(ValueError):
-        stochastic_loss(q, np.zeros(3), [])
+        q.loss(np.zeros(3), [])
     with pytest.raises(ValueError):
-        stochastic_gradient(q, np.zeros(3), [])
-
-
-@pytest.mark.parametrize("make", [
-    lambda: make_quadratic(d=5, cond=4.0, seed=18, n_samples=12),
-    lambda: make_logistic(small_dataset(), lam=0.3),
-    lambda: make_nonconvex(small_dataset()),
-])
-def test_directional_derivative_matches_gradient_dot(make):
-    spec = make()
-    rng = np.random.default_rng(19)
-    x = rng.standard_normal(spec.d)
-    batch = rng.integers(0, spec.n_samples, size=4)
-    for _ in range(20):
-        u = rng.standard_normal(spec.d)
-        dd = directional_derivative(spec, x, batch, u)
-        assert dd == pytest.approx(float(stochastic_gradient(spec, x, batch) @ u), abs=1e-10)
-    assert directional_derivative(spec, x, batch, np.zeros(spec.d)) == 0.0
-
-
-def test_directional_derivative_unit_vector_picks_component():
-    q = make_quadratic(d=4, cond=2.0, seed=20)
-    x = np.ones(4)
-    batch = np.arange(q.n_samples)
-    e2 = np.zeros(4)
-    e2[2] = 1.0
-    assert directional_derivative(q, x, batch, e2) == pytest.approx(q.grad(x)[2], abs=1e-12)
-
-
-def test_directional_derivative_dimension_mismatch():
-    q = make_quadratic(d=4, cond=2.0, seed=21)
-    with pytest.raises(ValueError):
-        directional_derivative(q, np.zeros(4), [0], np.zeros(5))
+        q.grad(np.zeros(3), [])
 
 
 def test_linear_objective_constant_gradient():
@@ -392,32 +436,14 @@ def test_partition_single_copy_mode():
     assert all(len(s) == 3 for s in part.zo_shards + part.fo_shards)
 
 
-def test_variance_profile_population_averages():
-    q = make_quadratic(d=4, cond=5.0, seed=30, n_samples=24, grad_noise=1.0)
-    part = partition_data(q.n_samples, 2, 3, seed=31)
-    x = q.x_star + np.ones(4)
-    prof = variance_profile(q, part, x)
-    assert len(prof.s_zo) == 2 and len(prof.s_fo) == 3
-    assert prof.sigma0_sq == pytest.approx(np.mean(prof.s_zo ** 2))
-    assert prof.sigma1_sq == pytest.approx(np.mean(prof.s_fo ** 2))
-    assert prof.varsigma0_sq >= 0 and prof.varsigma1_sq >= 0
-
-
 def test_variance_profile_constant_for_additive_noise():
     # with no Hessian jitter the gradient noise is the same at every point
     q = make_quadratic(d=3, cond=4.0, seed=32, n_samples=20, grad_noise=0.7,
                        hessian_jitter=0.0)
     part = partition_data(q.n_samples, 0, 4, seed=33)
-    a = variance_profile(q, part, q.x_star)
-    b = variance_profile(q, part, q.x_star + 5.0)
-    assert np.allclose(a.s_fo, b.s_fo, atol=1e-10)
-
-
-def test_variance_profile_invariant_enforced():
-    with pytest.raises(ValueError):
-        VarianceProfile(s_zo=np.array([1.0, 2.0]), s_fo=np.array([]),
-                        sigma0_sq=1.0, sigma1_sq=0.0,
-                        varsigma0_sq=0.0, varsigma1_sq=0.0)
+    a = np.sqrt([q.gradient_variance(q.x_star, shard) for shard in part.fo_shards])
+    b = np.sqrt([q.gradient_variance(q.x_star + 5.0, shard) for shard in part.fo_shards])
+    assert np.allclose(a, b, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
