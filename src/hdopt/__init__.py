@@ -29,8 +29,7 @@ from .protocol import (
     init_population,
     interact,
     run,
-    step_matching,
-    step_uniform_pair,
+    step_window,
 )
 from .runner import ConfigError, parse_config, run_experiment, run_theory_suite
 

@@ -71,6 +71,10 @@ def check_shard(shard, batch_size):
 
 def _resolve_nu(cfg, nu):
     nu = cfg.nu if nu is None else nu
+    if type(nu) is np.ndarray:  # one radius per row, from interact's per-pair rates
+        if (nu <= 0).any():
+            raise ValueError("biased zeroth-order estimators need nu > 0")
+        return nu[:, :, None]
     if nu is None or nu <= 0:
         raise ValueError("biased zeroth-order estimators need nu > 0")
     return float(nu)
@@ -84,7 +88,8 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, agents, shards, rngs, nu=None,
     Each agent draws its minibatch (i.i.d. uniform ids; the whole shard when
     batch_size equals its size) and then its rv Gaussian directions, in the
     order of ``agents``.  The k estimates then come from one row-batched
-    objective call.  Shards must hold at least batch_size ids
+    objective call.  ``nu`` is one smoothing radius, or a (k, 1) column of one
+    per agent.  Shards must hold at least batch_size ids
     (:func:`check_shard`).  The first-order kind takes its minibatches as
     ``B`` (k, batch_size) sample ids when the caller drew them in advance.
     """
@@ -121,8 +126,8 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, agents, shards, rngs, nu=None,
         P[:, 0] = 0.0
     P += Xr[:, None]
     vals = spec.loss_rows(P, B)
-    coef = (vals[:, sub:] - vals[:, :sub]) / (2.0 * nu if central else nu)
-    return (coef[:, None, :] @ U)[:, 0] / rv, k * b * (sub + rv)
+    coef = (vals[:, sub:] - vals[:, :sub])[:, None, :] / (2.0 * nu if central else nu)
+    return (coef @ U)[:, 0] / rv, k * b * (sub + rv)
 
 
 _ONE_ROW = np.zeros(1, dtype=np.intp)

@@ -88,33 +88,36 @@ class WeightedAverageState:
 
 
 def _shrink(eta, ell, n):
+    """r = 1 - eta ell / 2n, for one rate or elementwise for an array of them."""
     if ell <= 0:
         raise ValueError("weighted averaging is defined only for ell > 0")
-    shrink = 1.0 - eta * ell / (2.0 * n)
-    if not 0.0 < shrink <= 1.0:
+    shrink = 1.0 - np.asarray(eta) * ell / (2.0 * n)
+    if not ((0.0 < shrink) & (shrink <= 1.0)).all():
         raise ValueError("eta * ell / (2 n) must lie in [0, 1)")
     return shrink
 
 
-def window_weights(eta, ell, n, steps):
-    """Weights for folding the pre-step means mu_0..mu_{steps-1} of ``steps``
-    steps at one eta in one update: v[t], the weight of mu_t relative to the
-    last mean's, and u[s], the summed weight of the means after step s."""
-    v = _shrink(eta, ell, n) ** np.arange(steps - 1.0, -1.0, -1.0)
-    u = np.zeros(steps)
-    u[:-1] = np.cumsum(v[:0:-1])[::-1]
-    return v, u
+def window_weights(etas, ell, n):
+    """Weights for folding the pre-step means mu_0..mu_{k-1} of k steps at
+    rates ``etas`` in one update: (v.sum(), etas * u).  mu_t weighs
+    v[t] = prod_{s>t} r_s (:func:`_shrink`) relative to the last mean, and
+    u[s] = sum_{t>s} v[t] is the summed weight of the means after step s."""
+    r = _shrink(etas, ell, n)
+    v = np.cumprod(np.concatenate(([1.0], r[:0:-1])))[::-1]
+    u = np.cumsum(np.concatenate(([0.0], v[:0:-1])))[::-1]
+    return v.sum(), etas * u
 
 
 def weighted_average_update(state: WeightedAverageState, mu_prev, eta, ell, n,
-                            weight=1.0, steps=1) -> WeightedAverageState:
+                            weight=1.0) -> WeightedAverageState:
     """Fold the next mean into the weighted average (convex-only quantity).
-    ``steps`` steps at one eta fold at once when ``mu_prev`` is the sum of
-    their pre-step means weighted by v and ``weight`` is v.sum()
+    The steps of an array of rates ``eta`` fold at once when ``mu_prev`` is
+    the sum of their pre-step means weighted by v and ``weight`` is v.sum()
     (:func:`window_weights`)."""
-    state.q = state.q * _shrink(eta, ell, n) ** steps + weight
+    shrink = _shrink(eta, ell, n)
+    state.q = state.q * shrink.prod() + weight
     state._y += (np.asarray(mu_prev, dtype=float) - weight * state._y) / state.q
-    state.steps += steps
+    state.steps += shrink.size
     return state
 
 

@@ -55,26 +55,27 @@ class Schedule:
     def __post_init__(self):
         if self.mode not in ("constant", "warmup_cosine"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
-        if self.eta_max < 0 or self.eta_min < 0 or self.eta_min > self.eta_max:
-            raise ValueError("need 0 <= eta_min <= eta_max")
+        if not 0.0 <= self.eta_min <= self.eta_max < math.inf:
+            raise ValueError("need 0 <= eta_min <= eta_max < inf")
         if self.mode == "warmup_cosine":
             if self.warmup_steps < 0 or self.total_steps <= self.warmup_steps:
                 raise ValueError("warmup_cosine needs 0 <= warmup_steps < total_steps")
 
 
-def eta_at(schedule: Schedule, step: int) -> float:
-    """Learning rate at a scheduler step."""
-    if step < 0:
+def eta_at(schedule: Schedule, step):
+    """Learning rate at a scheduler step, or an array of them at an array of steps."""
+    step = np.asarray(step)
+    if (step < 0).any():
         raise ValueError("step must be >= 0")
     if schedule.mode == "constant":
-        return schedule.eta_max
-    if step < schedule.warmup_steps:
-        return schedule.eta_max * step / schedule.warmup_steps
-    span = schedule.total_steps - schedule.warmup_steps
-    progress = min((step - schedule.warmup_steps) / span, 1.0)
-    return schedule.eta_min + 0.5 * (schedule.eta_max - schedule.eta_min) * (
-        1.0 + math.cos(math.pi * progress)
-    )
+        eta = np.full(step.shape, schedule.eta_max)
+    else:
+        warmup, span = schedule.warmup_steps, schedule.total_steps - schedule.warmup_steps
+        progress = np.minimum((step - warmup) / span, 1.0)
+        eta = np.where(step < warmup, schedule.eta_max * step / max(warmup, 1),
+                       schedule.eta_min + 0.5 * (schedule.eta_max - schedule.eta_min)
+                       * (1.0 + np.cos(np.pi * progress)))
+    return eta if step.ndim else float(eta)
 
 
 @dataclass
@@ -164,14 +165,10 @@ class Population:
     def n1(self):
         return self.X.shape[0] - self.n0
 
-    def clone(self, seed=None):
-        """Independent copy; ``seed`` reseeds every rng stream in the copy."""
-        if seed is None:
-            rngs = copy.deepcopy(self.rngs)
-            sched, met = copy.deepcopy(self.scheduler_rng), copy.deepcopy(self.metrics_rng)
-        else:
-            rngs = [derive_rng(seed, TAG_AGENT, i) for i in range(self.n)]
-            sched, met = derive_rng(seed, TAG_SCHEDULER), derive_rng(seed, TAG_METRICS)
+    def clone(self):
+        """Independent copy, generator states included."""
+        rngs = copy.deepcopy(self.rngs)
+        sched, met = copy.deepcopy(self.scheduler_rng), copy.deepcopy(self.metrics_rng)
         return Population(objective=self.objective, X=self.X.copy(), shards=self.shards,
                           rngs=rngs, n0=self.n0, zo=self.zo, fo=self.fo, c=self.c,
                           momentum=self.momentum, scheduler_mode=self.scheduler_mode,
@@ -201,25 +198,30 @@ def init_population(cfg: PopulationConfig, spec, partition, x0) -> Population:
                       metrics_rng=derive_rng(cfg.seed, TAG_METRICS))
 
 
-def interact(pop: Population, I, J, eta: float, B=None):
+def interact(pop: Population, I, J, eta, B=None):
     """The disjoint pairs (I[p], J[p]) interact at once: every agent takes
     one local estimator step from its pre-interaction model, then both agents
     of a pair adopt the average of their stepped models.
 
-    The estimates of each estimator kind come from one call over all its
-    agents.  ``B``, when given, holds minibatch ids drawn in advance, row r
-    for agent ``concat(I, J)[r]``; only the first-order agents' rows are
-    read.  Momentum filters each estimate through the agent's persistent
-    buffer (g <- m g + (1 - m) G); buffers are never exchanged.  eta = 0
-    degenerates to pure gossip averaging and skips the estimator calls.
-    Returns the applied estimates, rows as in ``B``, or None when eta = 0.
+    ``eta`` is one rate for every pair, or an array of one positive rate per
+    pair; an agent's smoothing radius is nu = eta / c.  The estimates of each
+    estimator kind come from one call over all its agents.  ``B``, when
+    given, holds minibatch ids drawn in advance, row r for agent
+    ``concat(I, J)[r]``; only the first-order agents' rows are read.
+    Momentum filters each estimate through the agent's persistent buffer
+    (g <- m g + (1 - m) G); buffers are never exchanged.  eta = 0 degenerates
+    to pure gossip averaging and skips the estimator calls.  Returns the
+    applied estimates, rows as in ``B``, or None when eta = 0.
     """
     X = pop.X
     k = I.shape[0]
     rows = np.concatenate((I, J))
     S = X.take(rows, axis=0)  # the 2k pre-interaction models; pair p is rows (p, k + p)
+    per_pair = type(eta) is np.ndarray
+    if per_pair:  # a column over the 2k rows
+        eta = np.concatenate((eta, eta))[:, None]
     G = None
-    if eta != 0.0:
+    if per_pair or eta != 0.0:
         nu = eta / pop.c
         spec, shards, rngs = pop.objective, pop.shards, pop.rngs
         zo = rows < pop.n0
@@ -235,9 +237,11 @@ def interact(pop: Population, I, J, eta: float, B=None):
                 parts = ((pop.zo, zo.nonzero()[0]), (pop.fo, (~zo).nonzero()[0]))
             G = np.empty_like(S)
             evals = 0
-            for cfg, sel in parts:
-                G[sel], e = estimate_rows(spec, cfg, S[sel], rows[sel], shards, rngs, nu,
-                                          None if B is None or cfg is pop.zo else B[sel])
+            for cfg, sel in parts:  # first-order estimates use B, not nu
+                zo_part = cfg is pop.zo
+                G[sel], e = estimate_rows(spec, cfg, S[sel], rows[sel], shards, rngs,
+                                          nu[sel] if per_pair and zo_part else nu,
+                                          None if B is None or zo_part else B[sel])
                 evals += e
         if pop.M is not None:
             G = pop.M.take(rows, axis=0) * pop.momentum + (1.0 - pop.momentum) * G
@@ -274,67 +278,71 @@ def draw_matching(rng, n):
     return perm[0:2 * k:2], perm[1:2 * k:2]
 
 
-def step_uniform_pair(pop: Population, eta: float, steps: int = 1, weights=None):
-    """``steps`` fine-grained steps, in each a uniformly chosen pair interacts.
+def step_window(pop: Population, etas, weights=None):
+    """``len(etas)`` steps of ``pop.scheduler_mode``, step s at rate etas[s].
 
-    Steps that share no agent commute, so the window runs as layers of disjoint
-    pairs, one :func:`interact` call per layer, each pair one layer after the last
-    earlier pair that shares an agent with it.  Each first-order agent draws the
-    minibatch ids of all its estimates in the window in one call.  Every agent
-    draws from its own generator, so the numbers are those of the steps one by one.
-    With ``weights`` (one per step) it returns the sum over steps p of
-    weights[p] (G_I + G_J)[p], the pair's applied estimates: step p moves the
-    mean by -eta / n (G_I + G_J)[p].
+    Disjoint pairs commute, so the window runs as layers of them, one
+    :func:`interact` each: a matching step is a layer, and a ``uniform_pair``
+    pair goes one layer after the last earlier pair sharing an agent with it
+    (one at rate 0 among nonzero ones in a layer of its own).  Each first-order
+    agent draws the minibatch ids of its nonzero-rate steps in one call, from
+    its own generator, so the numbers are those of the steps one by one.  With
+    ``weights`` (one per step) it returns sum_p weights[s] (G_I + G_J)[p], s
+    being pair p's step, which moves the mean by -etas[s] / n (G_I + G_J)[p].
     """
     n = pop.X.shape[0]
     if n < 2:
         raise ValueError("need at least two agents")
-    I, J = draw_pairs(pop.scheduler_rng, n, steps)
-    if steps == 1 and weights is None:  # one pair; its agents draw their minibatches in the kernel
-        interact(pop, I, J, eta)
-        pop.sim_steps += 1
-        return
-    depth, L = {}, []  # agent -> layers joined so far; per pair, its layer
-    for i, j in zip(I.tolist(), J.tolist()):
-        l = max(depth.get(i, 0), depth.get(j, 0))
-        depth[i] = depth[j] = l + 1
-        L.append(l)
-    B = None  # the first-order minibatch ids, rows 2p and 2p + 1 for agents I[p] and J[p]
-    if eta != 0.0 and pop.fo is not None:
+    etas = np.asarray(etas, dtype=float)
+    steps = etas.shape[0]
+    if pop.scheduler_mode == UNIFORM_PAIR:
+        I, J = draw_pairs(pop.scheduler_rng, n, steps)
+        depth, L = {}, []  # agent -> layers joined so far; per pair, its layer
+        for i, j in zip(I.tolist(), J.tolist()):
+            l = max(depth.get(i, 0), depth.get(j, 0))
+            depth[i] = depth[j] = l + 1
+            L.append(l)
+        mixed = not (etas == etas[0]).all()
+        if mixed:
+            L = np.unique(2 * np.asarray(L) + (etas == 0.0), return_inverse=True)[1]
+        # sorted by layer, a layer's pairs are a slice; an agent's stay in step order
+        S = np.argsort(L, kind="stable")  # per pair, its step
+        I, J = I[S], J[S]
+        ends = np.cumsum(np.bincount(L)).tolist()
+        rates = None if mixed else [float(etas[0])] * len(ends)  # per layer
+        agents = depth
+    else:
+        k = n // 2
+        I, J = map(np.concatenate, zip(*[draw_matching(pop.scheduler_rng, n) for _ in etas]))
+        S = np.arange(steps).repeat(k)
+        ends, rates, agents = range(k, k * steps + 1, k), etas.tolist(), range(n)
+    E, W = etas[S], None if weights is None else weights[S]
+    B = None  # the first-order minibatch ids; B[s, p] for the agent on side s of pair p
+    if pop.fo is not None and (rates is None or any(rates)):
         b = pop.fo.batch_size
-        B = np.empty((2 * steps, b), dtype=np.intp)
-        A = np.stack((I, J), axis=1).ravel()  # the agents in step order
-        for a in depth:
+        A = np.array((I, J))
+        A[:, E == 0.0] = -1
+        A = A.T.ravel()  # the agents pair by pair, -1 for the pairs at rate 0
+        B = np.empty((A.shape[0], b), dtype=np.intp)
+        for a in agents:
             if a >= pop.n0:
-                shard, rows = pop.shards[a], np.flatnonzero(A == a)
-                m = shard.shape[0]
-                B[rows] = shard if m == b else shard[pop.rngs[a].integers(0, m, (rows.size, b))]
-    # sorted by layer, each layer's pairs are a slice; B[s, p] for the agent of side s
-    order = np.argsort(L, kind="stable")
-    I, J = I[order], J[order]
-    if B is not None:
-        B = B.reshape(steps, 2, b)[order].transpose(1, 0, 2)
-    if weights is not None:
-        weights = weights[order]
-    drift = None if weights is None else np.zeros(pop.X.shape[1])
+                rows = (A == a).nonzero()[0]
+                if rows.size:
+                    shard = pop.shards[a]
+                    m = shard.shape[0]
+                    B[rows] = shard if m == b else shard[pop.rngs[a].integers(0, m, (rows.size, b))]
+        B = B.reshape(-1, 2, b).transpose(1, 0, 2)
+    drift = None if W is None else np.zeros(pop.X.shape[1])
     start = 0
-    for end in np.cumsum(np.bincount(L)).tolist():
-        G = interact(pop, I[start:end], J[start:end], eta,
+    for l, end in enumerate(ends):
+        rate = rates[l] if rates is not None else E[start:end] if E[start] else 0.0
+        G = interact(pop, I[start:end], J[start:end], rate,
                      None if B is None else B[:, start:end].reshape(-1, b))
         if drift is not None and G is not None:
-            drift += weights[start:end] @ (G[:end - start] + G[end - start:])
+            drift += W[start:end] @ (G[:end - start] + G[end - start:])
         start = end
     pop.sim_steps += steps
     return drift
-
-
-def step_matching(pop: Population, eta: float) -> None:
-    """One simulation step: all pairs of a random perfect matching interact."""
-    if pop.X.shape[0] < 2:
-        raise ValueError("need at least two agents")
-    I, J = draw_matching(pop.scheduler_rng, pop.X.shape[0])
-    interact(pop, I, J, eta)
-    pop.sim_steps += 1
 
 
 @dataclass
@@ -346,18 +354,17 @@ class RunResult:
 
 def run(pop: Population, cfg: PopulationConfig, *, val_features=None, val_labels=None,
         sample_mtg: bool = False, track_weighted_average: bool = False) -> RunResult:
-    """Execute cfg.T scheduler steps, recording metrics every
-    cfg.metric_cadence steps (plus the initial and final states).
+    """Execute cfg.T scheduler steps, one :func:`step_window` per record
+    interval, recording metrics every cfg.metric_cadence steps (plus the
+    initial and final states).
 
     Validation labels are mapped once, by the objective's training rule.
     With ``track_weighted_average`` (strongly convex objectives only) the
-    exponentially weighted average of the pre-step means is maintained; in a
-    window its means follow from the first one and the steps' estimates.
+    exponentially weighted average of the pre-step means is maintained; a
+    window's means follow from its first one and the steps' estimates.
     Raises :class:`DivergedError` when a record finds a non-finite model.
     """
     spec = pop.objective
-    schedule = cfg.schedule
-    step_fn = step_matching if pop.scheduler_mode == RANDOM_MATCHING else step_uniform_pair
     val = None
     if val_features is not None:
         val = _metrics.validation_set(spec, val_features, val_labels)
@@ -375,28 +382,17 @@ def run(pop: Population, cfg: PopulationConfig, *, val_features=None, val_labels
         records.append(_metrics.snapshot(pop, step=step, eta=eta, val=val,
                                          mtg_rng=pop.metrics_rng if sample_mtg else None))
 
-    record(0, eta_at(schedule, 0))
+    record(0, eta_at(cfg.schedule, 0))
     n, T, cadence = pop.n, cfg.T, cfg.metric_cadence
-    # uniform_pair runs whole record intervals when no step needs its own eta
-    window = step_fn is step_uniform_pair and schedule.mode == "constant"
-    t = 0
-    while t < T:
-        eta = eta_at(schedule, t)
-        steps = min(cadence - t % cadence, T - t) if window else 1
-        mu = None if wavg is None else np.add.reduce(pop.X, axis=0) / n  # the (first) pre-step mean
-        weight = 1.0
-        if not window:
-            step_fn(pop, eta)
-        elif wavg is None:
-            step_uniform_pair(pop, eta, steps)
+    for t in range(0, T, cadence):
+        etas = eta_at(cfg.schedule, np.arange(t, min(t + cadence, T)))
+        if wavg is None:
+            step_window(pop, etas)
         else:
-            v, u = _metrics.window_weights(eta, spec.ell, n, steps)
-            weight = v.sum()
-            mu = weight * mu - eta / n * step_uniform_pair(pop, eta, steps, u)
-        if wavg is not None:
-            _metrics.weighted_average_update(wavg, mu, eta, spec.ell, n, weight, steps)
-        t += steps
-        if t % cadence == 0 or t == T:
-            record(t, eta)
+            weight, w = _metrics.window_weights(etas, spec.ell, n)
+            mu = weight * (np.add.reduce(pop.X, axis=0) / n)  # from the first pre-step mean
+            mu -= step_window(pop, etas, w) / n
+            _metrics.weighted_average_update(wavg, mu, etas, spec.ell, n, weight)
+        record(t + etas.shape[0], etas[-1])
     return RunResult(records=records, population=pop,
                      weighted_average=None if wavg is None else wavg.value())

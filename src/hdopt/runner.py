@@ -80,9 +80,13 @@ _POP_KEYS = {"label", "n0", "n1", "eta", "momentum", "c",
 _ETA_KEYS = {"mode", "eta_max", "eta_min", "warmup_steps"}
 _THEORY_KEYS = {"seed", "probes", "smoothing_samples", "mc_samples",
                 "recursion_replicas", "nu_scale", "eta"}
-# least values of the integer theory options; eta and nu_scale must be > 0
-_THEORY_INT_MIN = {"probes": 1, "smoothing_samples": 1, "mc_samples": 1,
+# least values of the integer theory options (None: any integer); eta and
+# nu_scale are numbers > 0
+_THEORY_INT_MIN = {"seed": None, "probes": 1, "smoothing_samples": 1, "mc_samples": 1,
                    "recursion_replicas": 2}
+# the integer fields of the objective and dataset sections; the builders
+# check the ranges of these sections' numbers
+_INTEGER_FIELDS = {"d", "n_samples", "seed", "n_train", "n_val"}
 
 
 def _require_mapping(value, where):
@@ -97,22 +101,21 @@ def _check_keys(mapping, allowed, where):
             raise ConfigError(f"{where}: unknown key {key!r}")
 
 
-def _theory_number(key, value):
-    """A numeric theory option, checked at parse time so that a bad value
-    fails before any check of the suite runs."""
-    least = _THEORY_INT_MIN.get(key)
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if least is None:
-        ok = math.isfinite(number) and number > 0.0
-    else:
-        ok = number.is_integer() and number >= least
-    if isinstance(value, bool) or not ok:
-        want = "a number > 0" if least is None else f"an integer >= {least}"
-        raise ConfigError(f"theory.{key} must be {want}, got {value!r}")
-    return number if least is None else int(number)
+def _number(where, value, least=None, integer=False, strict=False):
+    """A numeric field, checked at parse time so that a bad value fails before
+    anything runs: a finite int or float (not a bool or a string), whole when
+    ``integer``, and >= ``least`` (> ``least`` when ``strict``)."""
+    ok = type(value) in (int, float) and -math.inf < value < math.inf
+    if ok and integer and type(value) is float:
+        ok = value.is_integer()
+    if ok and least is not None:
+        ok = value > least if strict else value >= least
+    if not ok:
+        want = "an integer" if integer else "a number"
+        if least is not None:
+            want += f" {'>' if strict else '>='} {least}"
+        raise ConfigError(f"{where} must be {want}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 @dataclass(frozen=True)
@@ -144,18 +147,15 @@ class ExperimentConfig:
 
 
 def _parse_schedule(value, T, where):
-    if isinstance(value, (int, float)):
-        if value < 0:
-            raise ConfigError(f"{where}: eta must be non-negative")
-        return Schedule(eta_max=float(value))
-    value = _require_mapping(value, where)
+    if not isinstance(value, dict):
+        return Schedule(eta_max=_number(where, value, 0.0))
     _check_keys(value, _ETA_KEYS, where)
-    mode = value.get("mode", "constant")
+    eta_max, eta_min = (_number(f"{where}.{key}", value.get(key, 0.0), 0.0)
+                        for key in ("eta_max", "eta_min"))
+    warmup = _number(f"{where}.warmup_steps", value.get("warmup_steps", 0), 0, integer=True)
     try:
-        return Schedule(eta_max=float(value.get("eta_max", 0.0)), mode=mode,
-                        eta_min=float(value.get("eta_min", 0.0)),
-                        warmup_steps=int(value.get("warmup_steps", 0)),
-                        total_steps=T)
+        return Schedule(eta_max=eta_max, mode=value.get("mode", "constant"), eta_min=eta_min,
+                        warmup_steps=warmup, total_steps=T)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -164,39 +164,31 @@ def _parse_population(entry, T, index):
     where = f"populations[{index}]"
     entry = _require_mapping(entry, where)
     _check_keys(entry, _POP_KEYS, where)
-    try:
-        label = str(entry["label"])
-        n0 = int(entry.get("n0", 0))
-        n1 = int(entry.get("n1", 0))
-    except KeyError as exc:
-        raise ConfigError(f"{where}: missing key {exc.args[0]!r}") from None
-    if n0 < 0 or n1 < 0 or n0 + n1 < 2:
+    for key in ("label", "eta"):
+        if key not in entry:
+            raise ConfigError(f"{where}: missing key {key!r}")
+    n0, n1 = (_number(f"{where}.{key}", entry.get(key, 0), 0, integer=True)
+              for key in ("n0", "n1"))
+    if n0 + n1 < 2:
         raise ConfigError(f"{where}: need n0, n1 >= 0 with n0 + n1 >= 2")
-    if "eta" not in entry:
-        raise ConfigError(f"{where}: missing key 'eta'")
     schedule = _parse_schedule(entry["eta"], T, f"{where}.eta")
-    momentum = float(entry.get("momentum", 0.0))
-    if not 0.0 <= momentum < 1.0:
+    momentum = _number(f"{where}.momentum", entry.get("momentum", 0.0), 0.0)
+    if momentum >= 1.0:
         raise ConfigError(f"{where}: momentum must lie in [0, 1)")
     c = entry.get("c")
     if c is not None:
-        c = float(c)
-        if c <= 0:
-            raise ConfigError(f"{where}: c must be positive")
+        c = _number(f"{where}.c", c, 0.0, strict=True)
+    size = {key: _number(f"{where}.{key}", entry.get(key, 1), 1, integer=True)
+            for key in ("fo_batch_size", "zo_batch_size", "zo_rv")}
     fo = zo = None
-    try:
-        if n1 > 0:
-            fo = EstimatorConfig(kind=FIRST_ORDER,
-                                 batch_size=int(entry.get("fo_batch_size", 1)))
-        if n0 > 0:
-            kind = entry.get("zo_kind", ZO_FORWARD)
-            if kind not in ESTIMATOR_KINDS or kind == FIRST_ORDER:
-                raise ConfigError(f"{where}: zo_kind must be a zeroth-order kind")
-            zo = EstimatorConfig(kind=kind, batch_size=int(entry.get("zo_batch_size", 1)),
-                                 rv=int(entry.get("zo_rv", 1)))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    return PopulationEntry(label=label, n0=n0, n1=n1, schedule=schedule,
+    if n1 > 0:
+        fo = EstimatorConfig(kind=FIRST_ORDER, batch_size=size["fo_batch_size"])
+    if n0 > 0:
+        kind = entry.get("zo_kind", ZO_FORWARD)
+        if kind not in ESTIMATOR_KINDS or kind == FIRST_ORDER:
+            raise ConfigError(f"{where}: zo_kind must be a zeroth-order kind")
+        zo = EstimatorConfig(kind=kind, batch_size=size["zo_batch_size"], rv=size["zo_rv"])
+    return PopulationEntry(label=str(entry["label"]), n0=n0, n1=n1, schedule=schedule,
                            momentum=momentum, c=c, fo=fo, zo=zo)
 
 
@@ -214,25 +206,19 @@ def parse_config(path) -> ExperimentConfig:
     _check_keys(raw, _TOP_KEYS, str(path))
 
     name = str(raw.get("name", path.stem))
-    seed = int(raw.get("seed", 0))
-    T = int(raw.get("T", 1))
-    if T < 0:
-        raise ConfigError("T must be >= 0")
-    cadence = int(raw.get("metric_cadence", 10))
-    if cadence < 1:
-        raise ConfigError("metric_cadence must be >= 1")
+    seed = _number("seed", raw.get("seed", 0), integer=True)
+    T = _number("T", raw.get("T", 1), 0, integer=True)
+    cadence = _number("metric_cadence", raw.get("metric_cadence", 10), 1, integer=True)
     mode = raw.get("scheduler_mode", RANDOM_MATCHING)
     if mode not in SCHEDULER_MODES:
         raise ConfigError(f"scheduler_mode: unknown mode {mode!r}")
     seeds = raw.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds must be a non-empty list")
-    seeds = [int(s) for s in seeds]
+    seeds = [_number(f"seeds[{i}]", s, integer=True) for i, s in enumerate(seeds)]
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be unique")
-    x0_scale = float(raw.get("x0_scale", 1.0))
-    if x0_scale < 0:
-        raise ConfigError("x0_scale must be non-negative")
+    x0_scale = _number("x0_scale", raw.get("x0_scale", 1.0), 0.0)
 
     objective = raw.get("objective")
     if objective is not None:
@@ -241,8 +227,12 @@ def parse_config(path) -> ExperimentConfig:
         if kind not in _OBJECTIVE_KEYS:
             raise ConfigError(f"objective.kind: unknown kind {kind!r}")
         _check_keys(objective, _OBJECTIVE_KEYS[kind], "objective")
-        if kind == "logistic_l2" and float(objective.get("lam", 0.0)) <= 0:
-            raise ConfigError("objective.lam must be positive")
+        for key in objective:
+            if key not in ("kind", "positive_class"):
+                objective[key] = _number(f"objective.{key}", objective[key],
+                                         integer=key in _INTEGER_FIELDS)
+        if kind == "logistic_l2":
+            _number("objective.lam", objective.get("lam"), 0.0, strict=True)
 
     dataset = raw.get("dataset")
     if dataset is not None:
@@ -251,12 +241,17 @@ def parse_config(path) -> ExperimentConfig:
         if dkind not in _DATASET_KEYS:
             raise ConfigError(f"dataset.kind: unknown kind {dkind!r}")
         _check_keys(dataset, _DATASET_KEYS[dkind], "dataset")
+        for key in dataset:
+            if dkind == "blobs" and key != "kind":
+                dataset[key] = _number(f"dataset.{key}", dataset[key],
+                                       integer=key in _INTEGER_FIELDS)
 
     theory = raw.get("theory") or {}
     _check_keys(_require_mapping(theory, "theory"), _THEORY_KEYS, "theory")
     for key in theory:
-        if key != "seed":
-            theory[key] = _theory_number(key, theory[key])
+        integer = key in _THEORY_INT_MIN
+        theory[key] = _number(f"theory.{key}", theory[key], _THEORY_INT_MIN.get(key, 0.0),
+                              integer, strict=not integer)
 
     pops_raw = raw.get("populations", [])
     if not isinstance(pops_raw, list):

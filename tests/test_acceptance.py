@@ -150,7 +150,7 @@ def test_c04_gamma_recursion():
     worst_slack = -np.inf
     for snap in range(20):
         for _ in range(100):
-            h.step_uniform_pair(pop, eta)
+            h.step_window(pop, [eta])
         rep = check_gamma_recursion(q, pop.clone(), eta, replicas=2000, seed=500 + snap)
         slack = rep.measured - (rep.bound + 3 * rep.stderr)
         worst_slack = max(worst_slack, slack)
@@ -277,7 +277,7 @@ def _c08_hitting_time(args):
                              fo=h.EstimatorConfig(kind=h.FIRST_ORDER, batch_size=1))
     pop = h.init_population(cfg, q, part, q.x_star + np.ones(10))
     for t in range(T):
-        h.step_uniform_pair(pop, h.eta_at(sched, t))
+        h.step_window(pop, [h.eta_at(sched, t)])
         if (t + 1) % n == 0:  # check once per parallel-time unit
             mu = pop.X.mean(axis=0)
             if q.loss(mu) - q.f_star < 1e-3:

@@ -24,10 +24,11 @@ from hdopt.protocol import (
     Schedule,
     draw_matching,
     draw_pairs,
+    eta_at,
     init_population,
     interact,
     run,
-    step_uniform_pair,
+    step_window,
 )
 
 from pairwise_reference import reference_run
@@ -58,8 +59,10 @@ POPULATIONS = {
 
 
 def _config(n0, n1, kind, mode, eta, momentum, seed=7, T=40):
+    """``eta`` is a constant rate or a Schedule."""
+    schedule = eta if isinstance(eta, Schedule) else Schedule(eta_max=eta)
     return PopulationConfig(
-        n0=n0, n1=n1, schedule=Schedule(eta_max=eta), T=T, scheduler_mode=mode,
+        n0=n0, n1=n1, schedule=schedule, T=T, scheduler_mode=mode,
         momentum=momentum, seed=seed, metric_cadence=10,
         zo=EstimatorConfig(kind=kind, batch_size=3, rv=5) if n0 else None,
         fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=3) if n1 else None)
@@ -75,14 +78,15 @@ def _assert_records_match(records, expected):
                 assert abs(got - want) <= RTOL * max(abs(got), abs(want)), (rec, ref)
 
 
-def _compare(objective, population, mode, eta, momentum):
+def _compare(objective, population, mode, eta, momentum, mtg=None):
     spec, val = _objective(objective)
     n0, n1, kind = POPULATIONS[population]
     cfg = _config(n0, n1, kind, mode, eta, momentum)
     part = partition_data(spec.n_samples, n0, n1, seed=11)
     x0 = np.random.default_rng(12).standard_normal(spec.d)
     pop = init_population(cfg, spec, part, x0)
-    mtg = eta > 0  # the biased kinds have no smoothing radius at eta = 0
+    if mtg is None:
+        mtg = eta > 0  # the biased kinds have no smoothing radius at eta = 0
     result = run(pop, cfg, val_features=None if val is None else val[0],
                  val_labels=None if val is None else val[1], sample_mtg=mtg)
     expected, ref = reference_run(cfg, spec, part, x0, val=val, sample_mtg=mtg)
@@ -106,6 +110,18 @@ def test_run_matches_per_pair_reference(objective, population, mode):
 def test_run_zero_eta_matches_per_pair_reference(mode):
     for objective in ("quadratic", "logistic"):
         _compare(objective, "hybrid_one_sided", mode, eta=0.0, momentum=0.9)
+
+
+@pytest.mark.parametrize("mode", ["uniform_pair", "random_matching"])
+@pytest.mark.parametrize("population", ["hybrid_forward", "hybrid_one_sided"])
+@pytest.mark.parametrize("objective", ["quadratic", "logistic"])
+def test_run_cosine_matches_per_pair_reference(objective, population, mode):
+    # step 0 (warmup) and the steps from total_steps on run at eta = 0, so the
+    # first and last windows mix zero and nonzero rates
+    schedule = Schedule(eta_max=0.05, mode="warmup_cosine", warmup_steps=5, total_steps=35)
+    # the biased kinds have no smoothing radius for the final record's eta = 0
+    _compare(objective, population, mode, schedule, momentum=0.9,
+             mtg=population == "hybrid_forward")
 
 
 def _population(n0, n1, kind, momentum, seed, spec=None):
@@ -178,11 +194,16 @@ def _states(pop):
 @given(n=st.integers(2, 9), zo_share=st.floats(0.0, 1.0),
        kind=st.sampled_from([ZO_ONE_SIDED, ZO_CENTRAL, ZO_FORWARD]),
        momentum=st.sampled_from([0.0, 0.9]), full_batch=st.booleans(),
-       logistic=st.booleans(), eta=st.sampled_from([0.0, 0.05]),
-       steps=st.integers(1, 40), seed=st.integers(0, 2**31 - 1))
-def test_window_equals_its_steps(n, zo_share, kind, momentum, full_batch, logistic, eta,
-                                 steps, seed):
-    # a window of uniform_pair steps runs as layers of disjoint pairs and
+       logistic=st.booleans(), matching=st.booleans(),
+       etas=st.one_of(
+           # one rate for the window, or a rate per step with zeros mixed in
+           st.builds(lambda eta, steps: [eta] * steps, st.sampled_from([0.0, 0.05]),
+                     st.integers(1, 40)),
+           st.lists(st.one_of(st.just(0.0), st.floats(0.001, 0.05)), min_size=1, max_size=40)),
+       seed=st.integers(0, 2**31 - 1))
+def test_window_equals_its_steps(n, zo_share, kind, momentum, full_batch, logistic, matching,
+                                 etas, seed):
+    # a window of steps runs as layers of disjoint pairs at per-pair rates and
     # draws first-order minibatches in bulk: it must equal the steps one by one
     spec = (make_logistic(make_blobs_dataset(40, 4, seed=3), lam=0.1) if logistic
             else make_quadratic(d=4, cond=3.0, seed=2, n_samples=40))
@@ -192,25 +213,34 @@ def test_window_equals_its_steps(n, zo_share, kind, momentum, full_batch, logist
     # with full_batch every shard holds exactly b ids, so no minibatch is drawn
     shards = [rng.choice(spec.n_samples, size=b if full_batch else int(rng.integers(b, 12)),
                          replace=False) for _ in range(n)]
+    mode = "random_matching" if matching else "uniform_pair"
     window = Population(
         objective=spec, X=rng.standard_normal((n, spec.d)), shards=shards,
         rngs=[np.random.default_rng([seed, a]) for a in range(n)], n0=n0,
         zo=EstimatorConfig(kind=kind, batch_size=b, rv=4) if n0 else None,
         fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=b) if n0 < n else None,
-        c=2.0, momentum=momentum, scheduler_mode="uniform_pair",
+        c=2.0, momentum=momentum, scheduler_mode=mode,
         scheduler_rng=np.random.default_rng([seed, n]),
         metrics_rng=np.random.default_rng([seed, n + 1]))
     one_by_one = window.clone()
     before = _states(window)
-    step_uniform_pair(window, eta, steps)
-    for _ in range(steps):
-        step_uniform_pair(one_by_one, eta)
+    # the agents of the pairs that step at a nonzero rate, from a replay of the schedule
+    replay, moved = copy.deepcopy(window.scheduler_rng), {-1}
+    for eta in etas:
+        I, J = draw_matching(replay, n) if matching else draw_pairs(replay, n, 1)
+        if eta:
+            moved.update(I.tolist() + J.tolist())
+    step_window(window, etas)
+    for eta in etas:
+        step_window(one_by_one, [eta])
     assert _states(window) == _states(one_by_one)
-    if eta == 0.0:  # pure gossip: only the scheduler draws
-        assert _states(window)[1:] == before[1:]
+    # an eta = 0 step moves no agent stream: only the scheduler and the stepped agents draw
+    assert [s for a, s in enumerate(_states(window), -1) if a not in moved] == [
+        s for a, s in enumerate(before, -1) if a not in moved]
     assert (window.interactions, window.function_evals, window.sim_steps) == (
         one_by_one.interactions, one_by_one.function_evals, one_by_one.sim_steps)
-    assert window.interactions == window.sim_steps == steps
+    assert window.interactions == window.sim_steps * (n // 2 if matching else 1)
+    assert window.sim_steps == len(etas)
     assert np.allclose(window.X, one_by_one.X, rtol=RTOL,
                        atol=RTOL * np.abs(one_by_one.X).max())
     if momentum:
@@ -234,25 +264,33 @@ def test_window_pairs_equal_scalar_draws(n, steps, seed):
 @settings(max_examples=40, deadline=None)
 @given(n0=st.integers(0, 4), n1=st.integers(0, 4), momentum=st.sampled_from([0.0, 0.9]),
        logistic=st.booleans(), eta=st.sampled_from([0.0, 0.05]), T=st.integers(1, 60),
-       cadence=st.integers(1, 25), seed=st.integers(0, 2**31 - 1))
+       cadence=st.integers(1, 25), matching=st.booleans(), cosine=st.booleans(),
+       warmup=st.integers(0, 10), total=st.integers(1, 80),
+       eta_min=st.sampled_from([0.0, 0.01]), seed=st.integers(0, 2**31 - 1))
 def test_window_weighted_average_equals_per_step_fold(n0, n1, momentum, logistic, eta, T,
-                                                      cadence, seed):
+                                                      cadence, matching, cosine, warmup,
+                                                      total, eta_min, seed):
     # run() folds a window's pre-step means from the first mean and the steps'
     # estimates: it must equal folding the mean before every single step
     if n0 + n1 < 2:
         n1 = 2
     spec = (make_logistic(make_blobs_dataset(40, 4, seed=3), lam=0.1) if logistic
             else make_quadratic(d=4, cond=3.0, seed=2, n_samples=40))
-    cfg = _config(n0, n1, ZO_FORWARD, "uniform_pair", eta, momentum, seed=seed % 1000, T=T)
+    if cosine:  # a total below T leaves a tail of steps at eta_min
+        eta = Schedule(eta_max=0.05, mode="warmup_cosine", eta_min=eta_min,
+                       warmup_steps=warmup, total_steps=warmup + total)
+    mode = "random_matching" if matching else "uniform_pair"
+    cfg = _config(n0, n1, ZO_FORWARD, mode, eta, momentum, seed=seed % 1000, T=T)
     cfg.metric_cadence = cadence
     x0 = np.random.default_rng(seed).standard_normal(spec.d)
     pop = init_population(cfg, spec, partition_data(spec.n_samples, n0, n1, seed=5), x0)
     one_by_one = pop.clone()
     result = run(pop, cfg, track_weighted_average=True)
     state = WeightedAverageState(dim=spec.d)
-    for _ in range(T):
+    for t in range(T):
+        eta = eta_at(cfg.schedule, t)
         weighted_average_update(state, one_by_one.X.mean(axis=0), eta, spec.ell, pop.n)
-        step_uniform_pair(one_by_one, eta)
+        step_window(one_by_one, [eta])
     expected = state.value()
     assert state.steps == T
     assert np.allclose(result.weighted_average, expected, rtol=RTOL,

@@ -19,8 +19,7 @@ from hdopt.protocol import (
     init_population,
     interact,
     run,
-    step_matching,
-    step_uniform_pair,
+    step_window,
 )
 from hdopt.theory import expected_gamma_pure_averaging
 
@@ -128,6 +127,14 @@ def test_interact_hand_arithmetic_one_dim():
     assert pop.X[1, 0] == pytest.approx(q.x_star[0] + 1.8, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.05])
+def test_interact_rejects_a_per_pair_rate_that_is_not_positive(bad):
+    # a biased zeroth-order kind needs nu = eta / c > 0, per pair as for one rate
+    _, _, pop = quadratic_pop(4, 0)
+    with pytest.raises(ValueError, match="nu > 0"):
+        interact(pop, np.array([0, 1]), np.array([2, 3]), np.array([0.05, bad]))
+
+
 def test_interact_dimension_mismatch():
     q = make_quadratic(d=2, cond=2.0, seed=8)
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=1)
@@ -146,7 +153,7 @@ def test_mean_update_identity():
         g = [estimate_gradient(pop.objective, pop.shards[a], pop.X[a],
                                cfg.zo if a < pop.n0 else cfg.fo,
                                copy.deepcopy(pop.rngs[a]), nu).vector for a in (i, j)]
-        step_uniform_pair(pop, 0.05)
+        step_window(pop, [0.05])
         mu_after = compute_mu(pop)
         expected = mu_before - (0.05 / n) * (g[0] + g[1])
         assert np.allclose(mu_after, expected, atol=1e-12)
@@ -176,15 +183,15 @@ def test_momentum_zero_matches_raw_updates():
     _, _, pop_a = quadratic_pop(2, 2, seed=12, momentum=0.0, T=0)
     _, _, pop_b = quadratic_pop(2, 2, seed=12, momentum=0.0, T=0)
     for _ in range(50):
-        step_uniform_pair(pop_a, 0.05)
-        step_uniform_pair(pop_b, 0.05)
+        step_window(pop_a, [0.05])
+        step_window(pop_b, [0.05])
     assert np.array_equal(pop_a.X, pop_b.X)
 
 
 def test_momentum_buffers_persist_and_are_not_averaged():
     _, _, pop = quadratic_pop(0, 4, seed=13, momentum=0.5, T=0)
     for _ in range(30):
-        step_uniform_pair(pop, 0.05)
+        step_window(pop, [0.05])
     bufs = pop.M
     assert not np.allclose(bufs, bufs[0])  # buffers stay agent-local
 
@@ -242,7 +249,7 @@ def test_matching_step_leaves_idle_agent_unchanged():
     I, J = draw_matching(copy.deepcopy(pop.scheduler_rng), 5)
     idle = (set(range(5)) - set(I.tolist()) - set(J.tolist())).pop()
     idle_rng = copy.deepcopy(pop.rngs[idle].bit_generator.state)
-    step_matching(pop, 0.05)
+    step_window(pop, [0.05])
     assert np.array_equal(pop.X[idle], before[idle])
     assert pop.rngs[idle].bit_generator.state == idle_rng  # made no estimate
     assert pop.interactions == 2
@@ -251,8 +258,8 @@ def test_matching_step_leaves_idle_agent_unchanged():
 def test_matching_n2_equals_uniform_pair():
     _, _, pop_m = quadratic_pop(0, 2, seed=19, mode="random_matching", T=0)
     _, _, pop_u = quadratic_pop(0, 2, seed=19, T=0)
-    step_matching(pop_m, 0.05)
-    step_uniform_pair(pop_u, 0.05)
+    step_window(pop_m, [0.05])
+    step_window(pop_u, [0.05])
     # same agent rng streams, same single pair: identical models
     assert np.array_equal(pop_m.X, pop_u.X)
 
@@ -358,3 +365,22 @@ def test_pure_averaging_gamma_enumeration_matches_formula():
         gamma_t = compute_gamma(_StubPop(models))
         expected = gamma_t * (n - 2) / (n - 1)
         assert expected_gamma_pure_averaging(models) == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.integers(0, 3000), count=st.integers(1, 600), warmup=st.integers(0, 500),
+       span=st.integers(1, 2000), eta_max=st.floats(0.0, 1.0),
+       eta_min_frac=st.floats(0.0, 1.0), cosine=st.booleans())
+def test_eta_array_form_equals_scalar_form(start, count, warmup, span, eta_max,
+                                           eta_min_frac, cosine):
+    s = Schedule(eta_max=eta_max, mode="warmup_cosine" if cosine else "constant",
+                 eta_min=eta_min_frac * eta_max, warmup_steps=warmup,
+                 total_steps=warmup + span)
+    steps = np.arange(start, start + count)
+    etas = eta_at(s, steps)
+    scalar = np.array([eta_at(s, int(t)) for t in steps])
+    assert etas.shape == (count,) and etas.dtype == np.float64
+    if cosine:  # within one unit in the last place
+        assert np.all(np.abs(etas - scalar) <= np.spacing(np.maximum(etas, scalar)))
+    else:
+        assert np.array_equal(etas, scalar)

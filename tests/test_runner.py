@@ -329,6 +329,38 @@ def test_cli_verify_rejects_bad_theory_option(tmp_path, capsys, option, value):
     assert captured.out == "" and not out.exists()  # no check ran
 
 
+FO2_ETA = "eta: 0.05\n    fo_batch_size: 4\n  - label: hybrid"
+
+
+@pytest.mark.parametrize("old, new, field", [
+    (FO2_ETA, FO2_ETA.replace("0.05", ".nan"), "populations[0].eta"),
+    (FO2_ETA, FO2_ETA.replace("0.05", ".inf"), "populations[0].eta"),
+    (FO2_ETA, FO2_ETA.replace("0.05", "\n      mode: warmup_cosine\n      eta_max: .inf"),
+     "populations[0].eta.eta_max"),
+    ("T: 30", "T: 30\nx0_scale: .nan", "x0_scale"),
+    (FO2_ETA, FO2_ETA.replace("  - label", "    c: .nan\n  - label"), "populations[0].c"),
+    (FO2_ETA, FO2_ETA.replace("0.05", "true"), "populations[0].eta"),
+    ("T: 30", "T: 20.7", "T"),
+    ("n1: 2\n    eta: 0.05\n    fo_batch_size: 4\n  - label: hybrid",
+     "n1: 3.9\n    eta: 0.05\n    fo_batch_size: 4\n  - label: hybrid", "populations[0].n1"),
+    (FO2_ETA, FO2_ETA.replace("size: 4", "size: 2.5"), "populations[0].fo_batch_size"),
+    ("T: 30", "T: 1e3", "T"),
+    ("T: 30", "T: 30\ntheory:\n  smoothing_samples: 1e6", "theory.smoothing_samples"),
+], ids=["eta-nan", "eta-inf", "cosine-eta_max-inf", "x0_scale-nan", "c-nan", "eta-true",
+        "T-fraction", "n1-fraction", "fo_batch_size-fraction", "T-string",
+        "smoothing_samples-string"])
+def test_cli_rejects_bad_numbers_at_parse_time(tmp_path, capsys, old, new, field):
+    # non-finite, boolean, fractional or string values of numeric fields,
+    # under one rule: exit 1 naming the field, before anything runs
+    assert old in TINY_CONFIG
+    cfg_path = str(write_tiny(tmp_path, TINY_CONFIG.replace(old, new, 1)))
+    out = tmp_path / "never"
+    command = "verify" if field.startswith("theory.") else "run"
+    assert main([command, cfg_path, "--out-dir", str(out)]) == 1
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_theory_suite_quadratic_checks_pass_fast_options():
     reports = default_theory_suite(dict(FAST_THEORY))
     names = {r.name for r in reports}
