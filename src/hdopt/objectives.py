@@ -482,14 +482,16 @@ class SigmoidSquaredObjective(_MarginObjective):
         row_norm_sq = float(np.max(np.sum(dataset.features ** 2, axis=1)))
         super().__init__(dataset, positive_class, L=0.25 * row_norm_sq, ell=0.0, reg=0.0)
 
-    def _g(self, t, out=None):
-        s = sigmoid(t)
-        s -= 1.0
-        return np.multiply(s, s, out=out)
+    # s = sigmoid(t) and 1 - s as exp(-softplus(-t)) and exp(-softplus(t)), from the
+    # logistic link softplus(-t): neither cancels where s rounds near 0 or 1
+    _softplus_neg = LogisticObjective._g
+
+    def _g(self, t, out=None):  # (1 - s)^2
+        return np.exp(-2.0 * self._softplus_neg(-t), out=out)
 
     def _gprime(self, t):
-        s = sigmoid(t)
-        return -2.0 * s * (1.0 - s) ** 2
+        s, r = np.exp(-self._softplus_neg(t)), np.exp(-self._softplus_neg(-t))
+        return -2.0 * s * r * r
 
 
 def make_logistic(dataset: Dataset, lam: float, positive_class=None) -> LogisticObjective:

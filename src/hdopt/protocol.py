@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimatorConfig, check_shard, estimate_rows
+from .estimators import BIASED_KINDS, EstimatorConfig, check_shard, estimate_rows
 from . import metrics as _metrics
 
 UNIFORM_PAIR = "uniform_pair"
@@ -40,6 +40,12 @@ def derive_rng(seed, *path):
     """Child generator for (master seed, purpose tag, indices...)."""
     entropy = [int(v) for v in (list(np.atleast_1d(seed)) + list(path))]
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def fold_seed(*parts) -> int:
+    """Deterministic 64-bit seed from a path of integers."""
+    seq = np.random.SeedSequence([int(p) for p in parts])
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -101,8 +107,8 @@ class PopulationConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.scheduler_mode not in SCHEDULER_MODES:
             raise ValueError(f"unknown scheduler mode {self.scheduler_mode!r}")
-        if self.c is not None and self.c <= 0:
-            raise ValueError("c must be positive")
+        if self.c is not None and not 0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
         if self.metric_cadence < 1:
             raise ValueError("metric_cadence must be >= 1")
         if self.n0 > 0 and self.zo is None:
@@ -359,6 +365,8 @@ def run(pop: Population, cfg: PopulationConfig, *, val_features=None, val_labels
     initial and final states).
 
     Validation labels are mapped once, by the objective's training rule.
+    With ``sample_mtg`` each record samples ``mt_g``, except at eta = 0 in a
+    population of a biased zeroth-order kind: no smoothing radius, no mt_g.
     With ``track_weighted_average`` (strongly convex objectives only) the
     exponentially weighted average of the pre-step means is maintained; a
     window's means follow from its first one and the steps' estimates.
@@ -375,12 +383,14 @@ def run(pop: Population, cfg: PopulationConfig, *, val_features=None, val_labels
         wavg = _metrics.WeightedAverageState(dim=spec.d)
 
     records = []
+    biased = pop.zo is not None and pop.zo.kind in BIASED_KINDS
 
     def record(step, eta):
         if not np.isfinite(pop.X).all():
             raise DivergedError(f"models are non-finite at step {step}")
+        mtg = sample_mtg and (eta > 0 or not biased)
         records.append(_metrics.snapshot(pop, step=step, eta=eta, val=val,
-                                         mtg_rng=pop.metrics_rng if sample_mtg else None))
+                                         mtg_rng=pop.metrics_rng if mtg else None))
 
     record(0, eta_at(cfg.schedule, 0))
     n, T, cadence = pop.n, cfg.T, cfg.metric_cadence

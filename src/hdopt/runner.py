@@ -17,11 +17,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import metrics as _metrics
-from . import theory as _theory
 from .estimators import (
     ESTIMATOR_KINDS,
     FIRST_ORDER,
@@ -45,19 +43,15 @@ from .protocol import (
     PopulationConfig,
     Schedule,
     derive_rng,
+    fold_seed,
     init_population,
     run,
 )
+from .theory import default_theory_suite, format_report_line, write_report
 
 
 class ConfigError(ValueError):
     """Raised for schema violations and invalid experiment parameters."""
-
-
-def fold_seed(*parts) -> int:
-    """Deterministic 64-bit seed from a path of integers."""
-    seq = np.random.SeedSequence([int(p) for p in parts])
-    return int(seq.generate_state(1, np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -409,94 +403,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     return ExperimentResult(out_dir=out_dir, csv_paths=csv_paths, manifest_path=manifest_path)
 
 
-# ---------------------------------------------------------------------------
-# theory suite
-
-
-def default_theory_suite(options=None):
-    """Build and run the default verification suite; returns the reports."""
-    opts = {"seed": 7, "probes": 3, "smoothing_samples": 10**6,
-            "mc_samples": 100_000, "recursion_replicas": 1500,
-            "nu_scale": 1.0, "eta": 0.1}
-    opts.update(options or {})
-    seed = int(opts["seed"])
-    reports = []
-
-    quad = make_quadratic(d=10, cond=10.0, seed=seed, n_samples=64,
-                          grad_noise=1.0, hessian_jitter=0.5)
-    data = make_blobs_dataset(100, 5, fold_seed(seed, 41), separation=2.0)
-    logistic = make_logistic(data, lam=0.1)
-    nonconvex = make_nonconvex(data)
-
-    for spec in (quad, logistic, nonconvex):
-        reports.append(_theory.check_gradcheck_all(spec, points=100, seed=seed))
-
-    for spec in (quad, logistic):
-        nu = float(opts["eta"]) / math.sqrt(spec.d) * float(opts["nu_scale"])
-        probes = _theory.probe_points(spec, int(opts["probes"]), seed)
-        reports.append(_theory.check_smoothing_value_gap(
-            spec, nu, probes, samples=int(opts["smoothing_samples"]), seed=seed))
-        reports[-1].name += f"_{spec.kind}"
-        reports.append(_theory.check_smoothing_grad_bias(
-            spec, nu, probes, samples=int(opts["smoothing_samples"]), seed=seed))
-        reports[-1].name += f"_{spec.kind}"
-        shard = np.arange(spec.n_samples // 2)
-        x = probes[0]
-        reports.append(_theory.check_zo_second_moment(
-            spec, shard, nu, x, samples=int(opts["mc_samples"]), seed=seed))
-        reports[-1].name += f"_{spec.kind}"
-        reports.append(_theory.check_zo_variance_bound(
-            spec, shard, nu, x, samples=int(opts["mc_samples"]), seed=seed))
-        reports[-1].name += f"_{spec.kind}"
-
-    # population-level checks on a hybrid quadratic population
-    eta = float(opts["eta"])
-    pop = _make_hybrid_snapshot(quad, seed=seed, eta=eta, steps=30)
-    nu = eta / pop.c * float(opts["nu_scale"])
-    reports.append(_theory.check_bias_aggregate(pop, nu,
-                                                samples=int(opts["mc_samples"]), seed=seed))
-    reports.append(_theory.check_gamma_recursion(
-        quad, pop, eta, replicas=int(opts["recursion_replicas"]), seed=seed))
-
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 43]))
-    for n in (3, 4, 5):
-        models = rng.standard_normal((n, 4))
-        centered = models - models.mean(axis=0)
-        gamma_t = float(np.mean(np.sum(centered * centered, axis=1)))
-        empirical = _theory.expected_gamma_pure_averaging(models)
-        exact = gamma_t * (n - 2) / (n - 1)
-        reports.append(_theory.BoundCheckReport(
-            name=f"gamma_pure_averaging_n{n}", measured=abs(empirical - exact),
-            bound=1e-12, stderr=0.0, passed=abs(empirical - exact) <= 1e-12,
-            samples=n * (n - 1) // 2, seed=seed,
-            detail={"gamma_t": gamma_t, "exact": exact}))
-    return reports
-
-
-def _make_hybrid_snapshot(spec, seed, eta, steps, n0=4, n1=4):
-    """Short hybrid run producing a de-synchronized population snapshot."""
-    from .estimators import ZO_ONE_SIDED
-
-    partition = partition_data(spec.n_samples, n0, n1, seed=fold_seed(seed, 47))
-    cfg = PopulationConfig(
-        n0=n0, n1=n1, schedule=Schedule(eta_max=eta), T=steps,
-        scheduler_mode="uniform_pair", seed=fold_seed(seed, 53), metric_cadence=10**9,
-        zo=EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=4, rv=4),
-        fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=4))
-    x0 = derive_rng([seed, 59], TAG_INIT).standard_normal(spec.d)
-    pop = init_population(cfg, spec, partition, x0)
-    run(pop, cfg)
-    return pop
-
-
 def run_theory_suite(cfg: ExperimentConfig, out_dir=None):
     """Run the verification suite, write its report, print one line per
     check; returns (reports, all_passed)."""
     reports = default_theory_suite(cfg.theory)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "theory_report.json"
-    _theory.write_report(report_path, reports)
+    write_report(out / "theory_report.json", reports)
     for report in reports:
-        print(_theory.format_report_line(report))
+        print(format_report_line(report))
     return reports, all(r.passed for r in reports)

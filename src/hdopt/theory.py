@@ -1,5 +1,6 @@
 """Empirical verification of the smoothing, second-moment, bias, and
-variance-potential bounds.
+variance-potential bounds, and the default suite of these checks that
+``hdo verify`` runs (:func:`default_theory_suite`).
 
 Every check produces a :class:`BoundCheckReport`.  Monte-Carlo checks pass
 when measured <= bound + 3 * stderr (the bounds are one-sided population
@@ -22,11 +23,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import BIASED_KINDS
+from .estimators import BIASED_KINDS, FIRST_ORDER, ZO_ONE_SIDED, EstimatorConfig
 from .metrics import compute_gamma, compute_mtg
-from .protocol import draw_pairs, interact
+from .objectives import (
+    make_blobs_dataset,
+    make_logistic,
+    make_nonconvex,
+    make_quadratic,
+    partition_data,
+)
+from .protocol import (
+    TAG_INIT,
+    PopulationConfig,
+    Schedule,
+    derive_rng,
+    draw_pairs,
+    fold_seed,
+    init_population,
+    interact,
+    run,
+)
 
 _CHUNK = 100_000
+_GRADCHECK_TOL, _GRADCHECK_H = 1e-4, 1e-6  # relative tolerance, finite-difference step
 
 
 @dataclass
@@ -41,43 +60,25 @@ class BoundCheckReport:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "measured": self.measured,
-            "bound": self.bound,
-            "stderr": self.stderr,
-            "pass": self.passed,
-            "samples": self.samples,
-            "seed": self.seed,
-            "detail": self.detail,
-        }
+        """The fields in order, ``passed`` stored as "pass"."""
+        return {"pass" if k == "passed" else k: v for k, v in vars(self).items()}
 
     @classmethod
     def from_dict(cls, data):
-        return cls(name=data["name"], measured=data["measured"], bound=data["bound"],
-                   stderr=data["stderr"], passed=data["pass"], samples=data["samples"],
-                   seed=data["seed"], detail=data.get("detail", {}))
-
-
-def _verdict(measured, bound, stderr):
-    return bool(measured <= bound + 3.0 * stderr)
+        return cls(**{"passed" if k == "pass" else k: v for k, v in data.items()})
 
 
 def _report(name, measured, bound, stderr, samples, seed, **detail):
     return BoundCheckReport(name=name, measured=float(measured), bound=float(bound),
-                            stderr=float(stderr), passed=_verdict(measured, bound, stderr),
+                            stderr=float(stderr), passed=bool(measured <= bound + 3.0 * stderr),
                             samples=int(samples), seed=int(seed), detail=detail)
 
 
-def probe_points(spec, count, seed, scale=1.0):
-    """Documented probe rule: Gaussian around x_star when known, else 0."""
+def probe_points(spec, count, seed):
+    """Documented probe rule: standard Gaussian around x_star when known, else 0."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 11]))
     center = spec.x_star if spec.x_star is not None else np.zeros(spec.d)
-    return center + scale * rng.standard_normal((count, spec.d))
-
-
-def combined_stderr(*errs):
-    return math.sqrt(sum(e * e for e in errs))
+    return center + rng.standard_normal((count, spec.d))
 
 
 def _mc_mean(samples, draw):
@@ -105,65 +106,45 @@ def _mc_mean(samples, draw):
     return mean, math.sqrt(float(np.sum(var)) / samples)
 
 
-def mc_smoothed_value(spec, x, nu, samples, rng):
-    """Monte-Carlo estimate of E_u[f(x + nu u)] with its stderr."""
+def _smoothing_check(spec, nu, bound, probes, samples, seed, gradient):
+    """The value gap |f_nu(x) - f(x)|, or with ``gradient`` the gradient bias
+    ||grad f_nu(x) - grad f(x)||, at the probe whose measured - 3 stderr is
+    largest.  Quadratics are exact: the gap is nu^2 tr(A) / 2 at every x and
+    the bias 0.  Otherwise probe p estimates E_u[f(x + nu u)], or the smoothed
+    gradient by the one-sided identity (scalar stderr sqrt(sum_j var_j / N)),
+    by Monte-Carlo from the stream (seed, tag, p)."""
+    name, tag = ("smoothing_grad_bias", 17) if gradient else ("smoothing_value_gap", 13)
+    if spec.kind == "quadratic":
+        exact = 0.0 if gradient else 0.5 * nu * nu * float(spec.lam.sum())
+        return _report(name, exact, bound, 0.0, 0, seed, kind=spec.kind, nu=nu, analytic=True)
+    worst, worst_se = -1.0, 0.0
+    for p, x in enumerate(np.atleast_2d(probes)):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), tag, p]))
+        f0 = spec.loss(x)
 
-    def draw(size):
-        return spec.loss_rows((x + nu * rng.standard_normal((size, spec.d)))[None])[0], None
+        def draw(size):
+            U = rng.standard_normal((size, spec.d))
+            f = spec.loss_rows((x + nu * U)[None])[0]
+            return ((f - f0) / nu, U) if gradient else (f, None)
 
-    return _mc_mean(samples, draw)
-
-
-def mc_smoothed_gradient(spec, x, nu, samples, rng):
-    """Monte-Carlo estimate of the smoothed full gradient via the one-sided
-    identity, with a scalar stderr sqrt(sum_j var_j / N)."""
-    f0 = spec.loss(x)
-
-    def draw(size):
-        U = rng.standard_normal((size, spec.d))
-        return (spec.loss_rows((x + nu * U)[None])[0] - f0) / nu, U
-
-    return _mc_mean(samples, draw)
+        mean, se = _mc_mean(samples, draw)
+        value = float(np.linalg.norm(mean - spec.grad(x))) if gradient else abs(mean - f0)
+        if value - 3 * se > worst - 3 * worst_se:
+            worst, worst_se = value, se
+    return _report(name, worst, bound, worst_se, samples, seed,
+                   kind=spec.kind, nu=nu, analytic=False)
 
 
 def check_smoothing_value_gap(spec, nu, probes, samples=10**6, seed=0) -> BoundCheckReport:
-    """|f_nu(x) - f(x)| <= nu^2 L d / 2 at every probe.
-
-    Quadratics use the exact identity (the gap equals nu^2 tr(A) / 2
-    regardless of x); other objectives are estimated by Monte-Carlo.
-    """
+    """|f_nu(x) - f(x)| <= nu^2 L d / 2 at every probe."""
     bound = 0.5 * nu * nu * spec.L * spec.d
-    if spec.kind == "quadratic":
-        gap = 0.5 * nu * nu * float(spec.lam.sum())
-        return _report("smoothing_value_gap", gap, bound, 0.0, 0, seed,
-                       kind=spec.kind, nu=nu, analytic=True)
-    worst_gap, worst_se = -1.0, 0.0
-    for p, x in enumerate(np.atleast_2d(probes)):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 13, p]))
-        f_nu, se = mc_smoothed_value(spec, x, nu, samples, rng)
-        gap = abs(f_nu - spec.loss(x))
-        if gap - 3 * se > worst_gap - 3 * worst_se:
-            worst_gap, worst_se = gap, se
-    return _report("smoothing_value_gap", worst_gap, bound, worst_se,
-                   samples, seed, kind=spec.kind, nu=nu, analytic=False)
+    return _smoothing_check(spec, nu, bound, probes, samples, seed, gradient=False)
 
 
 def check_smoothing_grad_bias(spec, nu, probes, samples=10**6, seed=0) -> BoundCheckReport:
     """||grad f_nu(x) - grad f(x)|| <= (nu / 2) L (d + 3)^1.5 at every probe."""
     bound = 0.5 * nu * spec.L * (spec.d + 3) ** 1.5
-    if spec.kind == "quadratic":
-        # smoothing leaves the gradient of a quadratic unchanged
-        return _report("smoothing_grad_bias", 0.0, bound, 0.0, 0, seed,
-                       kind=spec.kind, nu=nu, analytic=True)
-    worst, worst_se = -1.0, 0.0
-    for p, x in enumerate(np.atleast_2d(probes)):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 17, p]))
-        ghat, se = mc_smoothed_gradient(spec, x, nu, samples, rng)
-        bias = float(np.linalg.norm(ghat - spec.grad(x)))
-        if bias - 3 * se > worst - 3 * worst_se:
-            worst, worst_se = bias, se
-    return _report("smoothing_grad_bias", worst, bound, worst_se,
-                   samples, seed, kind=spec.kind, nu=nu, analytic=False)
+    return _smoothing_check(spec, nu, bound, probes, samples, seed, gradient=True)
 
 
 def _zo_sampler(spec, shard, x, nu, rng):
@@ -182,49 +163,40 @@ def _zo_sampler(spec, shard, x, nu, rng):
     return draw
 
 
-def check_zo_second_moment(spec, shard, nu, x, samples=200_000, seed=0) -> BoundCheckReport:
-    """E||G_nu||^2 <= nu^2 L^2 (d+6)^3 / 2 + 2 (d+4) (||grad f_i||^2 + s_i^2).
-
-    s_i^2 is the exact single-sample gradient variance over the shard at x
-    (finite shard, so no estimation error on the bound side).
-    """
+def _zo_moment(spec, shard, nu, x, samples, seed, centred):
+    """The Monte-Carlo E||G_nu - g||^2 of one-sided estimates over the shard
+    at x, against a nu^2 L^2 (d+6)^3 + b (d+4) (||grad f_i||^2 + s_i^2): g = 0
+    and (a, b) = (1/2, 2), or with ``centred`` g = grad f_i and (3/2, 4).  s_i^2
+    is the exact single-sample gradient variance over the (finite) shard at x."""
+    name, tag, a, b = (("zo_variance", 23, 1.5, 4.0) if centred
+                       else ("zo_second_moment", 19, 0.5, 2.0))
     x = np.asarray(x, dtype=float)
     grad_i = spec.grad(x, np.asarray(shard))
     s_sq = spec.gradient_variance(x, np.asarray(shard))
-    bound = 0.5 * nu * nu * spec.L ** 2 * (spec.d + 6) ** 3 \
-        + 2.0 * (spec.d + 4) * (float(np.dot(grad_i, grad_i)) + s_sq)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 19]))
-    sample = _zo_sampler(spec, shard, x, nu, rng)
+    gnorm_sq = float(np.dot(grad_i, grad_i))
+    bound = a * nu * nu * spec.L ** 2 * (spec.d + 6) ** 3 + b * (spec.d + 4) * (gnorm_sq + s_sq)
+    sample = _zo_sampler(spec, shard, x, nu,
+                         np.random.default_rng(np.random.SeedSequence([int(seed), tag])))
 
     def draw(size):
         coeff, U = sample(size)
-        return coeff * coeff * np.sum(U * U, axis=1), None
+        sq = coeff * coeff * np.sum(U * U, axis=1)
+        if centred:  # ||c u - g||^2 expanded through dot products, no (N, d) temporaries
+            sq = sq - 2.0 * coeff * (U @ grad_i) + gnorm_sq
+        return sq, None
 
     mean, se = _mc_mean(samples, draw)
-    return _report("zo_second_moment", mean, bound, se, samples, seed,
-                   kind=spec.kind, nu=nu, s_sq=s_sq)
+    return _report(name, mean, bound, se, samples, seed, kind=spec.kind, nu=nu, s_sq=s_sq)
+
+
+def check_zo_second_moment(spec, shard, nu, x, samples=200_000, seed=0) -> BoundCheckReport:
+    """E||G_nu||^2 <= nu^2 L^2 (d+6)^3 / 2 + 2 (d+4) (||grad f_i||^2 + s_i^2)."""
+    return _zo_moment(spec, shard, nu, x, samples, seed, centred=False)
 
 
 def check_zo_variance_bound(spec, shard, nu, x, samples=200_000, seed=0) -> BoundCheckReport:
     """E||G_nu - grad f_i||^2 <= 3 nu^2 L^2 (d+6)^3 / 2 + 4 (d+4) (||grad f_i||^2 + s_i^2)."""
-    x = np.asarray(x, dtype=float)
-    grad_i = spec.grad(x, np.asarray(shard))
-    s_sq = spec.gradient_variance(x, np.asarray(shard))
-    bound = 1.5 * nu * nu * spec.L ** 2 * (spec.d + 6) ** 3 \
-        + 4.0 * (spec.d + 4) * (float(np.dot(grad_i, grad_i)) + s_sq)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 23]))
-    sample = _zo_sampler(spec, shard, x, nu, rng)
-    gnorm_sq = float(np.dot(grad_i, grad_i))
-
-    def draw(size):
-        coeff, U = sample(size)
-        # ||c u - g||^2 expanded through dot products, no (N, d) temporaries
-        return coeff * coeff * np.sum(U * U, axis=1) \
-            - 2.0 * coeff * (U @ grad_i) + gnorm_sq, None
-
-    mean, se = _mc_mean(samples, draw)
-    return _report("zo_variance", mean, bound, se, samples, seed,
-                   kind=spec.kind, nu=nu, s_sq=s_sq)
+    return _zo_moment(spec, shard, nu, x, samples, seed, centred=True)
 
 
 def check_bias_aggregate(pop, nu, samples=200_000, seed=0) -> BoundCheckReport:
@@ -236,8 +208,7 @@ def check_bias_aggregate(pop, nu, samples=200_000, seed=0) -> BoundCheckReport:
     spec = pop.objective
     n = pop.n
     bound = nu * pop.n0 / (2.0 * n) * spec.L * (spec.d + 3) ** 1.5
-    biases = []
-    ses = []
+    biases, ses = [], []
     zo_rows = range(pop.n0) if pop.zo is not None and pop.zo.kind in BIASED_KINDS else ()
     for i in zo_rows:
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 29, i]))
@@ -257,20 +228,29 @@ def expected_gamma_pure_averaging(models) -> float:
     models = np.asarray(models, dtype=float)
     n = models.shape[0]
     total = 0.0
-    count = 0
     for i in range(n):
         for j in range(i + 1, n):
             work = models.copy()
-            avg = 0.5 * (work[i] + work[j])
-            work[i] = avg
-            work[j] = avg
+            work[i] = work[j] = 0.5 * (work[i] + work[j])
             centered = work - work.mean(axis=0)
             total += float(np.mean(np.sum(centered * centered, axis=1)))
-            count += 1
-    return total / count
+    return total / (n * (n - 1) // 2)
 
 
-def check_gamma_recursion(spec, pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
+def check_gamma_pure_averaging(models, seed=0) -> BoundCheckReport:
+    """E[Gamma_{t+1}] = (n - 2) / (n - 1) Gamma_t for one eta = 0 uniform-pair
+    step from the models (n, d), to 1e-12, by exact enumeration."""
+    models = np.asarray(models, dtype=float)
+    n = models.shape[0]
+    centered = models - models.mean(axis=0)
+    gamma_t = float(np.mean(np.sum(centered * centered, axis=1)))
+    exact = gamma_t * (n - 2) / (n - 1)
+    gap = abs(expected_gamma_pure_averaging(models) - exact)
+    return _report(f"gamma_pure_averaging_n{n}", gap, 1e-12, 0.0, n * (n - 1) // 2, seed,
+                   gamma_t=gamma_t, exact=exact)
+
+
+def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
     """E[Gamma_{t+1}] <= (1 - 1/2n) Gamma_t + (4/n) eta^2 E[M_t^G] from a
     frozen population, one uniform-pair step per replica.
 
@@ -280,7 +260,6 @@ def check_gamma_recursion(spec, pop, eta, replicas=2000, seed=0) -> BoundCheckRe
     n = pop.n
     gamma_t = compute_gamma(pop)
     work = pop.clone()
-    work.objective = spec
     gammas = np.empty(replicas)
     mtgs = np.empty(replicas)
     for r in range(replicas):
@@ -299,16 +278,17 @@ def check_gamma_recursion(spec, pop, eta, replicas=2000, seed=0) -> BoundCheckRe
     se_mtg = float(mtgs.std(ddof=1)) / math.sqrt(replicas)
     coef = 4.0 / n * eta * eta
     bound = (1.0 - 1.0 / (2.0 * n)) * gamma_t + coef * mean_mtg
-    se = combined_stderr(se_next, coef * se_mtg)
+    se = math.sqrt(se_next * se_next + (coef * se_mtg) * (coef * se_mtg))
     return _report("gamma_recursion", mean_next, bound, se, replicas, seed,
                    gamma_t=gamma_t, eta=eta, mean_mtg=mean_mtg, n=n)
 
 
-def check_gradcheck_all(spec, points=100, tol=1e-4, h=1e-6, seed=0) -> BoundCheckReport:
+def check_gradcheck_all(spec, points=100, seed=0) -> BoundCheckReport:
     """Central finite differences of the full loss vs the analytic gradient.
 
     The 2 d shifted points of every probe are evaluated in one loss_rows call.
     """
+    h = _GRADCHECK_H
     probes = probe_points(spec, points, seed)
     steps = h * np.eye(spec.d)
     shifted = np.stack([probes[:, None, :] + steps, probes[:, None, :] - steps], axis=1)
@@ -316,7 +296,59 @@ def check_gradcheck_all(spec, points=100, tol=1e-4, h=1e-6, seed=0) -> BoundChec
     fd = (vals[:, 0] - vals[:, 1]) / (2.0 * h)
     G = spec.grad_rows(probes)
     rel = np.linalg.norm(fd - G, axis=1) / np.maximum(np.linalg.norm(G, axis=1), 1e-10)
-    return _report(f"gradcheck_{spec.kind}", float(rel.max()), tol, 0.0, points, seed, h=h)
+    return _report(f"gradcheck_{spec.kind}", float(rel.max()), _GRADCHECK_TOL, 0.0, points,
+                   seed, h=h)
+
+
+# ---------------------------------------------------------------------------
+# the default suite
+
+
+def default_theory_suite(options=None):
+    """Build and run the default verification suite, with ``options`` (the
+    config's ``theory`` section) over the defaults below; returns the reports.
+    Each objective's checks run at nu = eta / sqrt(d) * nu_scale and carry its
+    kind as a name suffix; the population checks use nu = eta / c * nu_scale."""
+    opts = {"seed": 7, "probes": 3, "smoothing_samples": 10**6,
+            "mc_samples": 100_000, "recursion_replicas": 1500,
+            "nu_scale": 1.0, "eta": 0.1}
+    opts.update(options or {})
+    seed, eta, scale = int(opts["seed"]), float(opts["eta"]), float(opts["nu_scale"])
+    smoothing, mc = int(opts["smoothing_samples"]), int(opts["mc_samples"])
+
+    quad = make_quadratic(d=10, cond=10.0, seed=seed, n_samples=64,
+                          grad_noise=1.0, hessian_jitter=0.5)
+    data = make_blobs_dataset(100, 5, fold_seed(seed, 41), separation=2.0)
+    logistic = make_logistic(data, lam=0.1)
+    reports = [check_gradcheck_all(spec, seed=seed)
+               for spec in (quad, logistic, make_nonconvex(data))]
+
+    for spec in (quad, logistic):
+        nu = eta / math.sqrt(spec.d) * scale
+        probes = probe_points(spec, int(opts["probes"]), seed)
+        shard = np.arange(spec.n_samples // 2)
+        checks = [check_smoothing_value_gap(spec, nu, probes, smoothing, seed),
+                  check_smoothing_grad_bias(spec, nu, probes, smoothing, seed),
+                  check_zo_second_moment(spec, shard, nu, probes[0], mc, seed),
+                  check_zo_variance_bound(spec, shard, nu, probes[0], mc, seed)]
+        for report in checks:
+            report.name += f"_{spec.kind}"
+        reports += checks
+
+    # a hybrid quadratic population, de-synchronized by a short run
+    cfg = PopulationConfig(
+        n0=4, n1=4, schedule=Schedule(eta_max=eta), T=30, scheduler_mode="uniform_pair",
+        seed=fold_seed(seed, 53), metric_cadence=10**9,
+        zo=EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=4, rv=4),
+        fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=4))
+    x0 = derive_rng([seed, 59], TAG_INIT).standard_normal(quad.d)
+    pop = init_population(cfg, quad, partition_data(quad.n_samples, 4, 4, fold_seed(seed, 47)), x0)
+    run(pop, cfg)
+    reports.append(check_bias_aggregate(pop, eta / pop.c * scale, mc, seed))
+    reports.append(check_gamma_recursion(pop, eta, int(opts["recursion_replicas"]), seed))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 43]))
+    reports += [check_gamma_pure_averaging(rng.standard_normal((n, 4)), seed) for n in (3, 4, 5)]
+    return reports
 
 
 def write_report(path, reports) -> None:

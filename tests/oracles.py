@@ -43,9 +43,9 @@ class LinearObjective(Objective):
 
 
 def _sigmoid(t):
-    # the library's tanh form, so that both sides round a confident
-    # sigmoid's distance from 1 alike
-    return 0.5 * (1.0 + math.tanh(0.5 * t))
+    """sigmoid(t) = exp(-log(1 + exp(-t))), accurate in relative terms for
+    every t: 1 - sigmoid(t) is _sigmoid(-t), with no cancellation."""
+    return math.exp(-float(np.logaddexp(0.0, -t)))
 
 
 def sample_loss(spec, x, i):
@@ -58,7 +58,7 @@ def sample_loss(spec, x, i):
     t = float(spec.y[i] * (spec.A[i] @ x))
     if spec.kind == "logistic_l2":
         return float(np.logaddexp(0.0, -t)) + 0.5 * spec.reg * float(x @ x)
-    return (_sigmoid(t) - 1.0) ** 2
+    return _sigmoid(-t) ** 2
 
 
 def sample_grad(spec, x, i):
@@ -72,8 +72,7 @@ def sample_grad(spec, x, i):
     t = float(ya @ x)
     if spec.kind == "logistic_l2":
         return -_sigmoid(-t) * ya + spec.reg * x
-    s = _sigmoid(t)
-    return -2.0 * s * (1.0 - s) ** 2 * ya
+    return -2.0 * _sigmoid(t) * _sigmoid(-t) ** 2 * ya
 
 
 def _batches(spec, B, k):

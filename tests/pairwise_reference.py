@@ -117,6 +117,8 @@ class RefPopulation:
                              momentum_buffer=np.zeros(spec.d))
                        for i in range(cfg.n0 + cfg.n1)]
         self.c = cfg.c if cfg.c is not None else np.sqrt(spec.d)
+        # no smoothing radius at eta = 0 for these: their mt_g is empty there
+        self.biased = cfg.n0 > 0 and cfg.zo.kind in (ZO_ONE_SIDED, ZO_CENTRAL)
         self.momentum = cfg.momentum
         self.mode = cfg.scheduler_mode
         self.scheduler_rng = derive_rng(cfg.seed, TAG_SCHEDULER)
@@ -165,7 +167,7 @@ class RefPopulation:
             accs.append(float(np.mean(np.where(z >= 0, 1.0, -1.0) == y)))
         return float(np.mean(losses)), float(np.mean(accs))
 
-    def record(self, step, eta, val, sample_mtg):
+    def record(self, step, eta, val):
         spec = self.spec
         models = self.models()
         mu = models.mean(axis=0)
@@ -176,16 +178,17 @@ class RefPopulation:
                 float(np.mean(np.sum(centered * centered, axis=1))),
                 None if spec.f_star is None else float(spec.loss(mu) - spec.f_star),
                 float(np.dot(grad_mu, grad_mu)), loss, acc,
-                self.mtg(eta) if sample_mtg else None, self.function_evals)
+                self.mtg(eta) if eta > 0 or not self.biased else None, self.function_evals)
 
 
-def reference_run(cfg, spec, partition, x0, val=None, sample_mtg=False):
-    """Metric rows, in CSV column order, of the per-pair run of cfg."""
+def reference_run(cfg, spec, partition, x0, val=None):
+    """Metric rows, in CSV column order, of the per-pair run of cfg, mt_g
+    sampled (as by ``run(..., sample_mtg=True)``)."""
     pop = RefPopulation(cfg, spec, partition, x0)
-    rows = [pop.record(0, eta_at(cfg.schedule, 0), val, sample_mtg)]
+    rows = [pop.record(0, eta_at(cfg.schedule, 0), val)]
     for t in range(cfg.T):
         eta = eta_at(cfg.schedule, t)
         pop.step(eta)
         if (t + 1) % cfg.metric_cadence == 0 or t + 1 == cfg.T:
-            rows.append(pop.record(t + 1, eta, val, sample_mtg))
+            rows.append(pop.record(t + 1, eta, val))
     return rows, pop

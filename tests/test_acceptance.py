@@ -151,7 +151,7 @@ def test_c04_gamma_recursion():
     for snap in range(20):
         for _ in range(100):
             h.step_window(pop, [eta])
-        rep = check_gamma_recursion(q, pop.clone(), eta, replicas=2000, seed=500 + snap)
+        rep = check_gamma_recursion(pop.clone(), eta, replicas=2000, seed=500 + snap)
         slack = rep.measured - (rep.bound + 3 * rep.stderr)
         worst_slack = max(worst_slack, slack)
         assert rep.passed, f"snapshot {snap}: {rep}"

@@ -78,18 +78,16 @@ def _assert_records_match(records, expected):
                 assert abs(got - want) <= RTOL * max(abs(got), abs(want)), (rec, ref)
 
 
-def _compare(objective, population, mode, eta, momentum, mtg=None):
+def _compare(objective, population, mode, eta, momentum):
     spec, val = _objective(objective)
     n0, n1, kind = POPULATIONS[population]
     cfg = _config(n0, n1, kind, mode, eta, momentum)
     part = partition_data(spec.n_samples, n0, n1, seed=11)
     x0 = np.random.default_rng(12).standard_normal(spec.d)
     pop = init_population(cfg, spec, part, x0)
-    if mtg is None:
-        mtg = eta > 0  # the biased kinds have no smoothing radius at eta = 0
     result = run(pop, cfg, val_features=None if val is None else val[0],
-                 val_labels=None if val is None else val[1], sample_mtg=mtg)
-    expected, ref = reference_run(cfg, spec, part, x0, val=val, sample_mtg=mtg)
+                 val_labels=None if val is None else val[1], sample_mtg=True)
+    expected, ref = reference_run(cfg, spec, part, x0, val=val)
     _assert_records_match(result.records, expected)
     models = ref.models()
     assert np.allclose(pop.X, models, rtol=RTOL, atol=RTOL * np.abs(models).max())
@@ -119,9 +117,7 @@ def test_run_cosine_matches_per_pair_reference(objective, population, mode):
     # step 0 (warmup) and the steps from total_steps on run at eta = 0, so the
     # first and last windows mix zero and nonzero rates
     schedule = Schedule(eta_max=0.05, mode="warmup_cosine", warmup_steps=5, total_steps=35)
-    # the biased kinds have no smoothing radius for the final record's eta = 0
-    _compare(objective, population, mode, schedule, momentum=0.9,
-             mtg=population == "hybrid_forward")
+    _compare(objective, population, mode, schedule, momentum=0.9)
 
 
 def _population(n0, n1, kind, momentum, seed, spec=None):

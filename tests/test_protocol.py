@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from hdopt.estimators import FIRST_ORDER, ZO_ONE_SIDED, EstimatorConfig, estimate_gradient
+from hdopt.estimators import (
+    FIRST_ORDER,
+    ZO_CENTRAL,
+    ZO_FORWARD,
+    ZO_ONE_SIDED,
+    EstimatorConfig,
+    estimate_gradient,
+)
 from hdopt.metrics import compute_gamma, compute_mu
 from hdopt.objectives import make_quadratic, partition_data
 from hdopt.protocol import (
@@ -88,6 +95,10 @@ def test_population_config_validation():
         PopulationConfig(n0=2, n1=2, schedule=Schedule(eta_max=0.1), momentum=1.0,
                          zo=EstimatorConfig(kind=ZO_ONE_SIDED, nu=0.1),
                          fo=EstimatorConfig(kind=FIRST_ORDER))
+    for c in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="c must be"):
+            PopulationConfig(n0=0, n1=2, schedule=Schedule(eta_max=0.1), c=c,
+                             fo=EstimatorConfig(kind=FIRST_ORDER))
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +351,22 @@ def test_run_deterministic_given_seed():
     assert res_a.records == res_b.records
 
 
+@pytest.mark.parametrize("kind", [ZO_ONE_SIDED, ZO_CENTRAL, ZO_FORWARD])
+def test_run_samples_mtg_from_a_warmup_at_eta_zero(kind):
+    # a warmup starts at eta = 0, where the biased kinds have no smoothing
+    # radius: their mt_g is recorded empty there, and the run goes on
+    q = make_quadratic(d=6, cond=5.0, seed=3, n_samples=32)
+    schedule = Schedule(eta_max=0.05, mode="warmup_cosine", warmup_steps=5, total_steps=20)
+    cfg = PopulationConfig(n0=2, n1=2, schedule=schedule, T=20, metric_cadence=5, seed=28,
+                           zo=EstimatorConfig(kind=kind, batch_size=4, rv=4),
+                           fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=4))
+    pop = init_population(cfg, q, partition_data(q.n_samples, 2, 2, seed=29), q.x_star + 1.0)
+    records = run(pop, cfg, sample_mtg=True).records
+    assert records[0].eta == 0.0 and all(r.eta > 0 for r in records[1:])
+    assert [r.mt_g is not None for r in records] == [
+        r.eta > 0 or kind == ZO_FORWARD for r in records]
+
+
 def test_run_matching_clock_accounting():
     _, cfg, pop = quadratic_pop(0, 6, seed=24, T=10, mode="random_matching", cadence=5)
     result = run(pop, cfg)
@@ -354,7 +381,7 @@ def test_gamma_recursion_over_replicas():
     run(pop, cfg)
     from hdopt.theory import check_gamma_recursion
 
-    report = check_gamma_recursion(q, pop, eta=0.05, replicas=1000, seed=26)
+    report = check_gamma_recursion(pop, eta=0.05, replicas=1000, seed=26)
     assert report.passed, report
 
 

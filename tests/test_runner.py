@@ -7,14 +7,9 @@ import pytest
 from hdopt.cli import main
 from hdopt.metrics import read_metrics_csv
 from hdopt.objectives import load_csv_dataset
-from hdopt.runner import (
-    ConfigError,
-    default_theory_suite,
-    fold_seed,
-    parse_config,
-    run_experiment,
-    run_theory_suite,
-)
+from hdopt.protocol import fold_seed
+from hdopt.runner import ConfigError, parse_config, run_experiment, run_theory_suite
+from hdopt.theory import default_theory_suite
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

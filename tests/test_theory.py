@@ -6,6 +6,7 @@ import pytest
 from hdopt import theory
 from hdopt.estimators import FIRST_ORDER, ZO_ONE_SIDED, EstimatorConfig
 from hdopt.objectives import (
+    LogisticObjective,
     make_blobs_dataset,
     make_logistic,
     make_nonconvex,
@@ -179,7 +180,7 @@ def test_gamma_recursion_identical_models():
     cfg = PopulationConfig(n0=0, n1=4, schedule=Schedule(eta_max=0.05), T=1,
                            seed=23, fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=4))
     pop = init_population(cfg, q, part, q.x_star + np.ones(4))
-    report = check_gamma_recursion(q, pop, eta=0.05, replicas=400, seed=24)
+    report = check_gamma_recursion(pop, eta=0.05, replicas=400, seed=24)
     assert report.passed
     assert report.detail["gamma_t"] == 0.0
 
@@ -193,7 +194,7 @@ def test_gamma_recursion_pure_averaging_matches_enumeration():
     gamma_t = compute_gamma(pop)
     exact = gamma_t * (3 - 2) / (3 - 1)
     assert expected_gamma_pure_averaging(pop.X) == pytest.approx(exact, abs=1e-12)
-    report = check_gamma_recursion(q, pop, eta=0.0, replicas=500, seed=26)
+    report = check_gamma_recursion(pop, eta=0.0, replicas=500, seed=26)
     assert report.passed
     assert abs(report.measured - exact) <= 3 * report.stderr
 
@@ -201,9 +202,45 @@ def test_gamma_recursion_pure_averaging_matches_enumeration():
 def test_gamma_recursion_hybrid_quadratic_passes():
     q = make_quadratic(d=5, cond=5.0, seed=27)
     pop = hybrid_population(q, n0=2, n1=2, steps=40, eta=0.05)
-    report = check_gamma_recursion(q, pop, eta=0.05, replicas=1200, seed=28)
+    report = check_gamma_recursion(pop, eta=0.05, replicas=1200, seed=28)
     assert report.passed, report
     assert report.measured <= report.bound + 3 * report.stderr
+
+
+# ---------------------------------------------------------------------------
+# negative controls
+
+
+class ZeroGradientLogistic(LogisticObjective):
+    """The logistic objective reporting zero gradients and L = ell = 1e-6:
+    a wrong gradient and wrong constants, which every check must catch."""
+
+    def __init__(self, dataset, lam):
+        super().__init__(dataset, lam)
+        self.L = self.ell = 1e-6
+
+    def grad_rows(self, X, B=None):
+        return np.zeros(X.shape)
+
+
+@pytest.mark.parametrize("honest", [True, False], ids=["honest", "zero_gradient"])
+def test_checks_fail_on_a_wrong_gradient_and_pass_on_the_right_one(honest):
+    # the same six calls, on real data: each check can fail, and does only
+    # when the objective lies
+    data = make_blobs_dataset(60, 5, seed=4)
+    spec = make_logistic(data, lam=0.1) if honest else ZeroGradientLogistic(data, lam=0.1)
+    probes = probe_points(spec, 2, 40)
+    far = probes + 2.0  # where the gradient is far from zero
+    pop = hybrid_population(spec, steps=0)
+    pop.X[:] = probe_points(spec, pop.n, 43) + 2.0
+    nu, shard, samples = 1e-3, np.arange(30), 20_000
+    reports = [check_gradcheck_all(spec, seed=44),
+               check_smoothing_value_gap(spec, 0.05, probes, samples, seed=45),
+               check_smoothing_grad_bias(spec, nu, far, samples, seed=46),
+               check_zo_second_moment(spec, shard, nu, far[0], samples, seed=47),
+               check_zo_variance_bound(spec, shard, nu, far[0], samples, seed=48),
+               check_bias_aggregate(pop, nu, samples, seed=49)]
+    assert [r.passed for r in reports] == [honest] * 6, reports
 
 
 # ---------------------------------------------------------------------------
