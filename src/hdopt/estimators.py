@@ -80,7 +80,8 @@ def _resolve_nu(cfg, nu):
     return float(nu)
 
 
-def estimate_rows(spec, cfg: EstimatorConfig, Xr, agents, shards, rngs, nu=None, B=None):
+def estimate_rows(spec, cfg: EstimatorConfig, Xr, agents, shards, rngs, nu=None, B=None,
+                  U=None):
     """Estimates for k agents of kind cfg.kind: agent a = agents[r] (an int
     array) is estimated at the model Xr[r] over a minibatch of shards[a] and
     draws from rngs[a].  Returns (estimates (k, d), total function evals).
@@ -90,23 +91,24 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, agents, shards, rngs, nu=None,
     order of ``agents``.  The k estimates then come from one row-batched
     objective call.  ``nu`` is one smoothing radius, or a (k, 1) column of one
     per agent.  Shards must hold at least batch_size ids
-    (:func:`check_shard`).  The first-order kind takes its minibatches as
-    ``B`` (k, batch_size) sample ids when the caller drew them in advance.
+    (:func:`check_shard`).  A caller that drew the rows' inputs in advance
+    passes them as ``B`` (k, batch_size) sample ids and, for the zeroth-order
+    kinds, ``U`` (k, rv, d) directions; ``agents``, ``shards`` and ``rngs``
+    are then not read.
     """
-    k = agents.shape[0]
+    k = Xr.shape[0]
     b, rv = cfg.batch_size, cfg.rv
-    if B is not None and cfg.kind == FIRST_ORDER:
-        return spec.grad_rows(Xr, B), k * b
-    B = np.empty((k, b), dtype=np.intp)
-    U = None if cfg.kind == FIRST_ORDER else np.empty((k, rv, Xr.shape[1]))
-    for r in range(k):
-        a = agents[r]
-        shard, rng = shards[a], rngs[a]
-        m = shard.shape[0]
-        B[r] = shard if m == b else shard[rng.integers(0, m, size=b)]
-        if U is not None:
-            rng.standard_normal(out=U[r])
-    if U is None:
+    if B is None or (U is None and cfg.kind != FIRST_ORDER):
+        B = np.empty((k, b), dtype=np.intp)
+        U = None if cfg.kind == FIRST_ORDER else np.empty((k, rv, Xr.shape[1]))
+        for r in range(k):
+            a = agents[r]
+            shard, rng = shards[a], rngs[a]
+            m = shard.shape[0]
+            B[r] = shard if m == b else shard[rng.integers(0, m, size=b)]
+            if U is not None:
+                rng.standard_normal(out=U[r])
+    if cfg.kind == FIRST_ORDER:
         return spec.grad_rows(Xr, B), k * b
     if cfg.kind == ZO_FORWARD:
         # sum over directions of (u . grad F) u, the directional derivatives

@@ -43,10 +43,16 @@ def compute_mu(pop) -> np.ndarray:
     return pop.X.mean(axis=0)
 
 
+def gamma_of(X):
+    """Variance potential (1/n) sum_i ||X_i - mu||^2 of the models X (n, d),
+    or one per population of a stack X (..., n, d)."""
+    centered = X - X.mean(axis=-2, keepdims=True)
+    return (centered * centered).sum(axis=-1).mean(axis=-1)
+
+
 def compute_gamma(pop) -> float:
-    """Variance potential: (1/n) sum_i ||X_i - mu||^2."""
-    centered = pop.X - pop.X.mean(axis=0)
-    return float(np.mean(np.sum(centered * centered, axis=1)))
+    """Variance potential of the population's models (:func:`gamma_of`)."""
+    return float(gamma_of(pop.X))
 
 
 def compute_mtg(pop, eta, rng) -> float:
@@ -150,7 +156,7 @@ def snapshot(pop, step, eta, val=None, mtg_rng=None) -> MetricsRecord:
         step=int(step),
         parallel_time=pop.interactions / pop.n,
         eta=float(eta),
-        gamma=compute_gamma(pop),
+        gamma=float(gamma_of(pop.X)),
         mu_loss_gap=gap,
         grad_norm_sq_mu=float(np.dot(grad_mu, grad_mu)),
         mean_val_loss=val_loss,

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import BIASED_KINDS, FIRST_ORDER, ZO_ONE_SIDED, EstimatorConfig
-from .metrics import compute_gamma, compute_mtg
+from .estimators import BIASED_KINDS, FIRST_ORDER, ZO_ONE_SIDED, EstimatorConfig, estimate_rows
+from .metrics import compute_gamma, gamma_of
 from .objectives import (
     make_blobs_dataset,
     make_logistic,
@@ -37,14 +37,14 @@ from .protocol import (
     PopulationConfig,
     Schedule,
     derive_rng,
-    draw_pairs,
     fold_seed,
     init_population,
-    interact,
     run,
 )
 
 _CHUNK = 100_000
+# float64 elements of Gaussian directions drawn per block of recursion replicas
+_REPLICA_BLOCK = 1 << 16
 _GRADCHECK_TOL, _GRADCHECK_H = 1e-4, 1e-6  # relative tolerance, finite-difference step
 
 
@@ -250,35 +250,135 @@ def check_gamma_pure_averaging(models, seed=0) -> BoundCheckReport:
                    gamma_t=gamma_t, exact=exact)
 
 
+def _replica_plan(pop, i, j, active, b):
+    """The draws of a recursion replica whose pair is (i, j), in stream order.
+
+    Slot 0 holds agent i's interaction row, slot 1 agent j's, slot 2 + a agent
+    a's M^G row; ``active`` says which slots draw.  The interaction draws its
+    zeroth-order row first, then M^G its agents in agent order, as
+    :func:`interact` and :func:`compute_mtg` do.  A slot's b minibatch
+    positions go to the flat positions s b ... of its replica; a run of
+    minibatch draws with no direction draw between them becomes one call on
+    the bounds, the same numbers.  Returns (positions, high, size) per
+    minibatch run and (None, slots, None) per run of direction draws into
+    adjacent slots.
+    """
+    order = sorted((s for s in (0, 1) if active[s]), key=lambda s: (i, j)[s] >= pop.n0)
+    order += [s for s in range(2, pop.n + 2) if active[s]]
+    runs = []  # ([positions], [highs]) per minibatch run, a slice per direction run
+    for s in order:
+        a = (i, j)[s] if s < 2 else s - 2
+        cfg = pop.zo if a < pop.n0 else pop.fo
+        m = pop.shards[a].shape[0]
+        if m != cfg.batch_size:
+            if not runs or type(runs[-1]) is slice:
+                runs.append(([], []))
+            runs[-1][0].append(s * b + np.arange(cfg.batch_size))
+            runs[-1][1].append(m)
+        if a < pop.n0:
+            if runs and type(runs[-1]) is slice and runs[-1].stop == s:
+                runs[-1] = slice(runs[-1].start, s + 1)
+            else:
+                runs.append(slice(s, s + 1))
+    plan = []
+    for seg in runs:
+        if type(seg) is slice:
+            plan.append((None, seg, None))
+        elif len(seg[0]) == 1:  # one scalar-bound call
+            plan.append((seg[0][0], seg[1][0], seg[0][0].size))
+        else:
+            plan.append((np.concatenate(seg[0]), np.repeat(seg[1], [p.size for p in seg[0]]),
+                         None))
+    return plan
+
+
 def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
     """E[Gamma_{t+1}] <= (1 - 1/2n) Gamma_t + (4/n) eta^2 E[M_t^G] from a
     frozen population, one uniform-pair step per replica.
 
     E[M_t^G] is itself estimated over the replicas; the pass margin combines
-    both standard errors.
+    both standard errors.  Replica r draws from its stream (seed, 31, r) what
+    one uniform-pair step (:func:`draw_pairs`, :func:`interact`) followed by
+    :func:`compute_mtg` on the frozen population would draw, in that order.
+    Only the draws are made replica by replica: the estimates, steps and
+    potentials of a block of replicas come from one array pass, with one
+    :func:`estimate_rows` call per estimator kind.  At eta = 0 the pair only
+    averages, and a population of a biased zeroth-order kind has no smoothing
+    radius, so it samples no M^G (``mean_mtg`` None), as :func:`run` does.
     """
-    n = pop.n
+    n, n0, d = pop.n, pop.n0, pop.objective.d
+    spec, X0, M0 = pop.objective, pop.X, pop.M
     gamma_t = compute_gamma(pop)
-    work = pop.clone()
+    sample_mtg = eta > 0 or pop.zo is None or pop.zo.kind not in BIASED_KINDS
+    nu = eta / pop.c if eta > 0 else None
+    active = np.array([eta != 0] * 2 + [sample_mtg] * n)
+    b = max(cfg.batch_size for cfg, _ in pop.groups)
+    rv = 0 if pop.zo is None else pop.zo.rv
+    # every agent's shard as a row, minibatch positions resolved per block
+    table = np.zeros((n, max(s.shape[0] for s in pop.shards)), dtype=np.intp)
+    for a, shard in enumerate(pop.shards):
+        table[a, :shard.shape[0]] = shard
+    plans = [None] * (n * n)  # per pair i n + j, built when first drawn
+    block = min(replicas, max(1, _REPLICA_BLOCK // ((n + 2) * max(rv, 1) * d)))
+    agents = np.tile(np.arange(-2, n), (block, 1))  # per replica and slot; 0 and 1 set per pair
+    template = np.tile(np.arange(b), n + 2)
+    P = np.empty((block, (n + 2) * b), dtype=np.intp)
+    U = np.empty((block, n0 + 2, rv, d))
     gammas = np.empty(replicas)
     mtgs = np.empty(replicas)
-    for r in range(replicas):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 31, r]))
-        I, J = draw_pairs(rng, n, 1)
-        work.X[:] = pop.X
-        if work.M is not None:
-            work.M[:] = pop.M
-        work.rngs = [rng] * n
-        interact(work, I, J, eta)
-        gammas[r] = compute_gamma(work)
-        mtgs[r] = compute_mtg(pop, eta, rng)
+    seed = int(seed)
+    for start in range(0, replicas, block):
+        k = min(block, replicas - start)
+        P[:] = template
+        for r in range(k):  # default_rng's generator, at fewer Python calls
+            stream = np.random.SeedSequence([seed, 31, start + r])
+            rng = np.random.Generator(np.random.PCG64(stream))
+            i, j = rng.integers(n), rng.integers(n - 1)
+            j += j >= i
+            agents[r, 0], agents[r, 1] = i, j
+            plan = plans[i * n + j]
+            if plan is None:
+                plan = plans[i * n + j] = _replica_plan(pop, i, j, active, b)
+            Pr, Ur = P[r], U[r]
+            for pos, high, size in plan:
+                if pos is None:
+                    rng.standard_normal(out=Ur[high])
+                else:
+                    Pr[pos] = rng.integers(0, high, size)
+        A = agents[:k]
+        ids = table[A[:, :, None], P[:k].reshape(k, n + 2, b)]
+        G = np.empty((k, n + 2, d))
+        for cfg, rows in pop.groups:
+            zo = rows[0] < n0
+            sel = active & ((A < n0) == zo)
+            if sel.any():
+                G[sel] = estimate_rows(spec, cfg, X0[A[sel]], None, None, None, nu,
+                                       ids[sel][:, :cfg.batch_size],
+                                       U[:k][sel[:, :n0 + 2]] if zo else None)[0]
+        S = X0[A[:, :2]]  # the pair's pre-interaction models, stepped as interact does
+        if eta != 0:
+            Gp = G[:, :2]
+            if M0 is not None:
+                Gp = M0[A[:, :2]] * pop.momentum + (1.0 - pop.momentum) * Gp
+            S -= eta * Gp
+        avg = (S[:, 0] + S[:, 1]) * 0.5
+        Xn = np.broadcast_to(X0, (k, n, d)).copy()
+        Xn[np.arange(k)[:, None], A[:, :2]] = avg[:, None]
+        gammas[start:start + k] = gamma_of(Xn)
+        if sample_mtg:  # each group's squared norms summed as one array, as compute_mtg does
+            sq = np.square(G[:, 2:])
+            mtgs[start:start + k] = sum(sq[:, rows[0]:rows[-1] + 1].reshape(k, -1).sum(axis=1)
+                                        for _, rows in pop.groups) / n
     mean_next = float(gammas.mean())
     se_next = float(gammas.std(ddof=1)) / math.sqrt(replicas)
-    mean_mtg = float(mtgs.mean())
-    se_mtg = float(mtgs.std(ddof=1)) / math.sqrt(replicas)
     coef = 4.0 / n * eta * eta
-    bound = (1.0 - 1.0 / (2.0 * n)) * gamma_t + coef * mean_mtg
-    se = math.sqrt(se_next * se_next + (coef * se_mtg) * (coef * se_mtg))
+    bound = (1.0 - 1.0 / (2.0 * n)) * gamma_t
+    se, mean_mtg = se_next, None
+    if sample_mtg:
+        mean_mtg = float(mtgs.mean())
+        se_mtg = float(mtgs.std(ddof=1)) / math.sqrt(replicas)
+        bound += coef * mean_mtg
+        se = math.sqrt(se_next * se_next + (coef * se_mtg) * (coef * se_mtg))
     return _report("gamma_recursion", mean_next, bound, se, replicas, seed,
                    gamma_t=gamma_t, eta=eta, mean_mtg=mean_mtg, n=n)
 
@@ -304,6 +404,25 @@ def check_gradcheck_all(spec, points=100, seed=0) -> BoundCheckReport:
 # the default suite
 
 
+def _suite_quadratic(seed):
+    return make_quadratic(d=10, cond=10.0, seed=seed, n_samples=64,
+                          grad_noise=1.0, hessian_jitter=0.5)
+
+
+def _suite_population(quad, seed, eta):
+    """The suite's hybrid population on its quadratic, de-synchronized by a
+    short run."""
+    cfg = PopulationConfig(
+        n0=4, n1=4, schedule=Schedule(eta_max=eta), T=30, scheduler_mode="uniform_pair",
+        seed=fold_seed(seed, 53), metric_cadence=10**9,
+        zo=EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=4, rv=4),
+        fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=4))
+    x0 = derive_rng([seed, 59], TAG_INIT).standard_normal(quad.d)
+    pop = init_population(cfg, quad, partition_data(quad.n_samples, 4, 4, fold_seed(seed, 47)), x0)
+    run(pop, cfg)
+    return pop
+
+
 def default_theory_suite(options=None):
     """Build and run the default verification suite, with ``options`` (the
     config's ``theory`` section) over the defaults below; returns the reports.
@@ -316,8 +435,7 @@ def default_theory_suite(options=None):
     seed, eta, scale = int(opts["seed"]), float(opts["eta"]), float(opts["nu_scale"])
     smoothing, mc = int(opts["smoothing_samples"]), int(opts["mc_samples"])
 
-    quad = make_quadratic(d=10, cond=10.0, seed=seed, n_samples=64,
-                          grad_noise=1.0, hessian_jitter=0.5)
+    quad = _suite_quadratic(seed)
     data = make_blobs_dataset(100, 5, fold_seed(seed, 41), separation=2.0)
     logistic = make_logistic(data, lam=0.1)
     reports = [check_gradcheck_all(spec, seed=seed)
@@ -335,15 +453,7 @@ def default_theory_suite(options=None):
             report.name += f"_{spec.kind}"
         reports += checks
 
-    # a hybrid quadratic population, de-synchronized by a short run
-    cfg = PopulationConfig(
-        n0=4, n1=4, schedule=Schedule(eta_max=eta), T=30, scheduler_mode="uniform_pair",
-        seed=fold_seed(seed, 53), metric_cadence=10**9,
-        zo=EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=4, rv=4),
-        fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=4))
-    x0 = derive_rng([seed, 59], TAG_INIT).standard_normal(quad.d)
-    pop = init_population(cfg, quad, partition_data(quad.n_samples, 4, 4, fold_seed(seed, 47)), x0)
-    run(pop, cfg)
+    pop = _suite_population(quad, seed, eta)
     reports.append(check_bias_aggregate(pop, eta / pop.c * scale, mc, seed))
     reports.append(check_gamma_recursion(pop, eta, int(opts["recursion_replicas"]), seed))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 43]))

@@ -1,12 +1,17 @@
-"""Test oracles for the objective kernels: a linear calibration objective
-with exact Gaussian moments, and per-sample references written out one
-sample at a time, independent of the row-batched kernels they check."""
+"""Test oracles: for the objective kernels, a linear calibration objective
+with exact Gaussian moments and per-sample references written out one
+sample at a time, independent of the row-batched kernels they check; for
+the variance-potential recursion check, its replicas run one at a time."""
 
 import math
 
 import numpy as np
 
+from hdopt.estimators import BIASED_KINDS
+from hdopt.metrics import compute_gamma, compute_mtg
 from hdopt.objectives import Objective, _antisymmetric
+from hdopt.protocol import draw_pairs, interact
+from hdopt.theory import _report
 
 
 class LinearObjective(Objective):
@@ -94,3 +99,39 @@ def grad_rows_reference(spec, X, B=None):
     for r, ids in enumerate(_batches(spec, B, X.shape[0])):
         out[r] = sum(sample_grad(spec, X[r], i) for i in ids) / len(ids)
     return out
+
+
+def gamma_recursion_reference(pop, eta, replicas, seed):
+    """check_gamma_recursion one replica at a time: each replica is one
+    interact call on a clone of the frozen population, then compute_gamma
+    and compute_mtg, drawing from the stream (seed, 31, r).  At eta = 0 a
+    population of a biased zeroth-order kind samples no M^G."""
+    n = pop.n
+    gamma_t = compute_gamma(pop)
+    sample_mtg = eta > 0 or pop.zo is None or pop.zo.kind not in BIASED_KINDS
+    work = pop.clone()
+    gammas = np.empty(replicas)
+    mtgs = np.empty(replicas)
+    for r in range(replicas):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 31, r]))
+        I, J = draw_pairs(rng, n, 1)
+        work.X[:] = pop.X
+        if work.M is not None:
+            work.M[:] = pop.M
+        work.rngs = [rng] * n
+        interact(work, I, J, eta)
+        gammas[r] = compute_gamma(work)
+        if sample_mtg:
+            mtgs[r] = compute_mtg(pop, eta, rng)
+    mean_next = float(gammas.mean())
+    se_next = float(gammas.std(ddof=1)) / math.sqrt(replicas)
+    coef = 4.0 / n * eta * eta
+    bound = (1.0 - 1.0 / (2.0 * n)) * gamma_t
+    se, mean_mtg = se_next, None
+    if sample_mtg:
+        mean_mtg = float(mtgs.mean())
+        se_mtg = float(mtgs.std(ddof=1)) / math.sqrt(replicas)
+        bound += coef * mean_mtg
+        se = math.sqrt(se_next * se_next + (coef * se_mtg) * (coef * se_mtg))
+    return _report("gamma_recursion", mean_next, bound, se, replicas, seed,
+                   gamma_t=gamma_t, eta=eta, mean_mtg=mean_mtg, n=n)

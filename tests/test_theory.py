@@ -1,10 +1,12 @@
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hdopt import theory
-from hdopt.estimators import FIRST_ORDER, ZO_ONE_SIDED, EstimatorConfig
+from hdopt.estimators import FIRST_ORDER, ZO_CENTRAL, ZO_FORWARD, ZO_ONE_SIDED, EstimatorConfig
 from hdopt.objectives import (
     LogisticObjective,
     make_blobs_dataset,
@@ -29,19 +31,21 @@ from hdopt.theory import (
     write_report,
 )
 
-from oracles import LinearObjective
+from oracles import LinearObjective, gamma_recursion_reference
 
 
 def logistic_instance(d=5, n=60, seed=4):
     return make_logistic(make_blobs_dataset(n, d, seed=seed), lam=0.1)
 
 
-def hybrid_population(spec, n0=2, n1=2, seed=5, steps=30, eta=0.1):
+def hybrid_population(spec, n0=2, n1=2, seed=5, steps=30, eta=0.1, zo_kind=ZO_ONE_SIDED,
+                      momentum=0.0, batch=4, rv=4):
     part = partition_data(spec.n_samples, n0, n1, seed=seed)
     cfg = PopulationConfig(n0=n0, n1=n1, schedule=Schedule(eta_max=eta), T=steps,
-                           scheduler_mode="uniform_pair", seed=seed, metric_cadence=10**9,
-                           zo=EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=4, rv=4),
-                           fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=4))
+                           scheduler_mode="uniform_pair", momentum=momentum, seed=seed,
+                           metric_cadence=10**9,
+                           zo=EstimatorConfig(kind=zo_kind, batch_size=batch, rv=rv),
+                           fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=batch))
     x0 = (spec.x_star if spec.x_star is not None else np.zeros(spec.d)) + np.ones(spec.d)
     pop = init_population(cfg, spec, part, x0)
     run(pop, cfg)
@@ -205,6 +209,108 @@ def test_gamma_recursion_hybrid_quadratic_passes():
     report = check_gamma_recursion(pop, eta=0.05, replicas=1200, seed=28)
     assert report.passed, report
     assert report.measured <= report.bound + 3 * report.stderr
+
+
+def test_gamma_recursion_at_eta_zero_samples_no_mtg_on_a_biased_population():
+    # a one-sided agent has no smoothing radius at eta = 0; the M^G term's
+    # coefficient is 0 there, so no M^G is sampled, as in run()
+    q = make_quadratic(d=5, cond=5.0, seed=27)
+    pop = hybrid_population(q, n0=2, n1=2, steps=40, eta=0.05)
+    report = check_gamma_recursion(pop, eta=0.0, replicas=600, seed=29)
+    gamma_t, n = report.detail["gamma_t"], pop.n
+    assert report.detail["mean_mtg"] is None
+    assert report.bound == (1.0 - 1.0 / (2.0 * n)) * gamma_t
+    assert report.passed, report
+    assert abs(report.measured - gamma_t * (n - 2) / (n - 1)) <= 3 * report.stderr
+
+
+def _recursion_case(spec, n0, n1, zo_kind=ZO_ONE_SIDED, momentum=0.0, batch=4):
+    return lambda: hybrid_population(spec(), n0, n1, steps=25, eta=0.05, zo_kind=zo_kind,
+                                     momentum=momentum, batch=batch, rv=3)
+
+
+def _quad(n_samples=64):
+    return lambda: make_quadratic(d=5, cond=5.0, seed=27, n_samples=n_samples)
+
+
+RECURSION_CASES = {  # (population, eta)
+    "first_order-n2": (_recursion_case(_quad(), 0, 2), 0.05),
+    "first_order-n5-momentum-eta0": (_recursion_case(_quad(), 0, 5, momentum=0.9), 0.0),
+    "one_sided-n5-momentum": (_recursion_case(_quad(), 5, 0, momentum=0.9), 0.05),
+    "central-n8": (_recursion_case(_quad(), 8, 0, ZO_CENTRAL), 0.05),
+    "forward-hybrid-n8": (_recursion_case(_quad(), 4, 4, ZO_FORWARD), 0.05),
+    "central-hybrid-n5-momentum": (_recursion_case(_quad(), 2, 3, ZO_CENTRAL, 0.9), 0.05),
+    "one_sided-hybrid-n2-eta0": (_recursion_case(_quad(), 1, 1), 0.0),
+    "forward-hybrid-n8-momentum-eta0": (_recursion_case(_quad(), 3, 5, ZO_FORWARD, 0.9), 0.0),
+    "one_sided-hybrid-n5-logistic": (_recursion_case(logistic_instance, 3, 2, momentum=0.9,
+                                                     batch=1), 0.05),
+    # every shard drawn whole: no minibatch draws, direction draws run together
+    "one_sided-hybrid-n4-whole-shards": (_recursion_case(_quad(8), 2, 2), 0.05),
+    # zeroth-order shards of 3, 3 and 2 ids
+    "forward-hybrid-n5-uneven-shards": (_recursion_case(_quad(8), 3, 2, ZO_FORWARD, batch=2),
+                                        0.05),
+}
+
+
+@pytest.mark.parametrize("case", RECURSION_CASES)
+@pytest.mark.parametrize("block", [None, 1000], ids=["default-blocks", "small-blocks"])
+def test_gamma_recursion_matches_the_one_replica_at_a_time_reference(case, block, monkeypatch):
+    make, eta = RECURSION_CASES[case]
+    pop = make()
+    if block is not None:  # several replica blocks, the last one partial
+        monkeypatch.setattr(theory, "_REPLICA_BLOCK", block)
+    got = check_gamma_recursion(pop, eta, replicas=300, seed=11)
+    want = gamma_recursion_reference(pop, eta, replicas=300, seed=11)
+
+    def fields(report):
+        out = report.to_dict()
+        out.update(out.pop("detail"))
+        return out
+
+    # floats to 1e-12 relative, for one named rounding: the reference steps a
+    # mixed pair's first-order row alone, a (1, d) product that BLAS runs as a
+    # gemv, where the batched pass runs it as a row of a gemm, and the two can
+    # differ in the last bits
+    assert fields(got) == pytest.approx(fields(want), rel=1e-12, abs=0.0)
+
+
+def test_gamma_recursion_python_calls_per_replica():
+    # the suite's population; the parent design made about 155 calls a replica
+    pop = theory._suite_population(theory._suite_quadratic(7), 7, 0.1)
+    count = [0]
+
+    def hook(frame, event, arg):
+        if event == "call" or event == "c_call":
+            count[0] += 1
+
+    def calls(replicas):
+        count[0] = 0
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            check_gamma_recursion(pop, 0.1, replicas, seed=7)
+        finally:
+            sys.setprofile(previous)
+        return count[0]
+
+    per_replica = (calls(400) - calls(200)) / 200
+    assert per_replica < 100, per_replica
+
+
+def test_gamma_recursion_memory_is_bounded_per_replica_block():
+    # C4's population: forward agents with rv = 16 directions, batches of 8.
+    # One pass over all 20,000 replicas would hold 150 MB of directions alone.
+    q = make_quadratic(d=10, cond=10.0, seed=1, n_samples=64, grad_noise=0.15,
+                       hessian_jitter=0.5)
+    pop = hybrid_population(q, n0=4, n1=4, steps=100, eta=0.05, zo_kind=ZO_FORWARD, batch=8,
+                            rv=16)
+    tracemalloc.start()
+    try:
+        check_gamma_recursion(pop, 0.05, replicas=20_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
