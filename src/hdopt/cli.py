@@ -11,14 +11,17 @@ import sys
 
 from .objectives import DatasetFormatError, make_blobs_dataset, save_dataset_csv
 from .protocol import DivergedError
-from .runner import ConfigError, parse_config, run_experiment, run_theory_suite
+from .runner import ConfigError, _number, parse_config, run_experiment, run_theory_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_THEORY = 3
 
-_GENERATORS = {"blobs": make_blobs_dataset}
+# gen-data blobs: its parameters, True for the integer ones, and the defaults
+# of those make_blobs_dataset leaves to its caller
+_BLOBS_PARAMS = {"n": True, "d": True, "seed": True, "separation": False, "scale": False}
+_BLOBS_DEFAULTS = {"n": 1000, "d": 10, "seed": 0}
 
 
 def _parse_params(pairs):
@@ -58,7 +61,7 @@ def build_parser():
     p_verify.add_argument("--out-dir", help="where to write the report")
 
     p_gen = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
-    p_gen.add_argument("kind", choices=sorted(_GENERATORS))
+    p_gen.add_argument("kind", choices=["blobs"])
     p_gen.add_argument("params", nargs="*", help="generator key=value parameters")
     p_gen.add_argument("out", help="output CSV path")
     p_gen.add_argument("--header", action="store_true", help="write a header row")
@@ -94,15 +97,12 @@ def _cmd_verify(args):
 
 
 def _cmd_gen_data(args):
-    params = _parse_params(args.params)
-    if args.kind == "blobs":
-        dataset = make_blobs_dataset(
-            n=int(params.pop("n", 1000)), d=int(params.pop("d", 10)),
-            seed=int(params.pop("seed", 0)),
-            separation=float(params.pop("separation", 2.0)),
-            scale=float(params.pop("scale", 1.0)))
-        if params:
-            raise ConfigError(f"unknown generator parameter {next(iter(params))!r}")
+    params = dict(_BLOBS_DEFAULTS)
+    for key, value in _parse_params(args.params).items():
+        if key not in _BLOBS_PARAMS:
+            raise ConfigError(f"unknown generator parameter {key!r}")
+        params[key] = _number(key, value, integer=_BLOBS_PARAMS[key])
+    dataset = make_blobs_dataset(**params)
     save_dataset_csv(dataset, args.out, header=args.header)
     print(f"wrote {len(dataset)} samples to {args.out}")
     return EXIT_OK

@@ -56,9 +56,9 @@ class Dataset:
 def load_csv_dataset(path, has_header: bool = False) -> Dataset:
     """Load a dataset from CSV: d_in comma-separated floats then the label.
 
-    ``has_header`` skips a single leading header row.  Ragged or non-numeric
-    rows raise :class:`DatasetFormatError` naming the offending row number
-    (1-based, counting the header if present).
+    ``has_header`` skips a single leading header row.  Ragged, non-numeric
+    or non-finite rows raise :class:`DatasetFormatError` naming the first
+    offending row number (1-based, counting the header if present).
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -86,6 +86,10 @@ def load_csv_dataset(path, has_header: bool = False) -> Dataset:
     if not rows:
         raise DatasetFormatError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise DatasetFormatError(f"{path}: row {start + 1 + int(finite.argmin())}: "
+                                 "non-finite value")
     return Dataset(features=arr[:, :-1], labels=arr[:, -1])
 
 
@@ -392,6 +396,8 @@ class _MarginObjective(Objective):
         feats = dataset.features
         super().__init__(d=feats.shape[1], n_samples=feats.shape[0], L=L, ell=ell)
         self.A = np.ascontiguousarray(feats)  # numpy's products depend on the layout
+        if positive_class is not None and not (dataset.labels == positive_class).any():
+            raise ValueError(f"positive_class {positive_class!r} matches no training label")
         self.positive_class = positive_class
         self.y = _signed_labels(dataset.labels, positive_class)
         self.reg = float(reg)

@@ -269,14 +269,11 @@ def parse_config(path) -> ExperimentConfig:
 def build_dataset(dcfg, master_seed):
     """(train, validation-or-None) per the dataset section."""
     if dcfg["kind"] == "blobs":
-        d = int(dcfg.get("d", 10))
-        seed = int(dcfg.get("seed", fold_seed(master_seed, 97)))
-        sep = float(dcfg.get("separation", 2.0))
-        scale = float(dcfg.get("scale", 1.0))
-        n_train = int(dcfg.get("n_train", 1000))
-        n_val = int(dcfg.get("n_val", 0))
+        n_train, n_val = dcfg.get("n_train", 1000), dcfg.get("n_val", 0)
+        shape = {key: dcfg[key] for key in ("separation", "scale") if key in dcfg}
         # one pool split train/val so both come from the same distribution
-        pool = make_blobs_dataset(n_train + n_val, d, seed, sep, scale)
+        pool = make_blobs_dataset(n_train + n_val, dcfg.get("d", 10),
+                                  dcfg.get("seed", fold_seed(master_seed, 97)), **shape)
         train = Dataset(features=pool.features[:n_train], labels=pool.labels[:n_train])
         val = None
         if n_val:
@@ -295,21 +292,16 @@ def build_objective(cfg: ExperimentConfig):
     if ocfg is None:
         raise ConfigError("config has no objective section")
     kind = ocfg["kind"]
-    if kind == "quadratic":
-        return make_quadratic(
-            d=int(ocfg.get("d", 10)), cond=float(ocfg.get("cond", 10.0)),
-            seed=int(ocfg.get("seed", fold_seed(cfg.seed, 11))),
-            n_samples=int(ocfg.get("n_samples", 64)),
-            grad_noise=float(ocfg.get("grad_noise", 1.0)),
-            hessian_jitter=float(ocfg.get("hessian_jitter", 0.5))), None
+    if kind == "quadratic":  # every other key of the section is a make_quadratic parameter
+        return make_quadratic(**{"d": 10, "cond": 10.0, "seed": fold_seed(cfg.seed, 11),
+                                 **{k: v for k, v in ocfg.items() if k != "kind"}}), None
     if cfg.dataset is None:
         raise ConfigError(f"objective kind {kind!r} needs a dataset section")
     train, val = build_dataset(cfg.dataset, cfg.seed)
     if kind == "logistic_l2":
-        spec = make_logistic(train, float(cfg.objective["lam"]),
-                             cfg.objective.get("positive_class"))
+        spec = make_logistic(train, ocfg["lam"], ocfg.get("positive_class"))
     else:
-        spec = make_nonconvex(train, cfg.objective.get("positive_class"))
+        spec = make_nonconvex(train, ocfg.get("positive_class"))
     return spec, val
 
 

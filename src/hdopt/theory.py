@@ -7,9 +7,11 @@ when measured <= bound + 3 * stderr (the bounds are one-sided population
 statements, so the margin covers sampling noise); analytic cases report
 stderr = 0 and must hold outright.  Probe points are drawn from a standard
 Gaussian centered at the optimum when it is known, otherwise at the origin.
-All randomness is derived from the recorded seed, so re-running a check with
-its reported seed reproduces the measured value bit-exactly on one version
-of the code (other versions may differ in the last ulp).  Monte-Carlo draws
+All randomness is derived from the recorded seed (and, for the recursion
+check, whose streams are per block of replicas, from its block size), so
+re-running a check with its reported seed reproduces the measured value
+bit-exactly on one version of the code (other versions may differ in the
+last ulp).  Monte-Carlo draws
 are made in chunks of 100,000 through one helper, and an objective's
 ``loss_rows`` evaluates a chunk in cache-sized blocks, so memory is bounded
 per block, not by the sample count.
@@ -37,6 +39,7 @@ from .protocol import (
     PopulationConfig,
     Schedule,
     derive_rng,
+    draw_pairs,
     fold_seed,
     init_population,
     run,
@@ -250,61 +253,24 @@ def check_gamma_pure_averaging(models, seed=0) -> BoundCheckReport:
                    gamma_t=gamma_t, exact=exact)
 
 
-def _replica_plan(pop, i, j, active, b):
-    """The draws of a recursion replica whose pair is (i, j), in stream order.
-
-    Slot 0 holds agent i's interaction row, slot 1 agent j's, slot 2 + a agent
-    a's M^G row; ``active`` says which slots draw.  The interaction draws its
-    zeroth-order row first, then M^G its agents in agent order, as
-    :func:`interact` and :func:`compute_mtg` do.  A slot's b minibatch
-    positions go to the flat positions s b ... of its replica; a run of
-    minibatch draws with no direction draw between them becomes one call on
-    the bounds, the same numbers.  Returns (positions, high, size) per
-    minibatch run and (None, slots, None) per run of direction draws into
-    adjacent slots.
-    """
-    order = sorted((s for s in (0, 1) if active[s]), key=lambda s: (i, j)[s] >= pop.n0)
-    order += [s for s in range(2, pop.n + 2) if active[s]]
-    runs = []  # ([positions], [highs]) per minibatch run, a slice per direction run
-    for s in order:
-        a = (i, j)[s] if s < 2 else s - 2
-        cfg = pop.zo if a < pop.n0 else pop.fo
-        m = pop.shards[a].shape[0]
-        if m != cfg.batch_size:
-            if not runs or type(runs[-1]) is slice:
-                runs.append(([], []))
-            runs[-1][0].append(s * b + np.arange(cfg.batch_size))
-            runs[-1][1].append(m)
-        if a < pop.n0:
-            if runs and type(runs[-1]) is slice and runs[-1].stop == s:
-                runs[-1] = slice(runs[-1].start, s + 1)
-            else:
-                runs.append(slice(s, s + 1))
-    plan = []
-    for seg in runs:
-        if type(seg) is slice:
-            plan.append((None, seg, None))
-        elif len(seg[0]) == 1:  # one scalar-bound call
-            plan.append((seg[0][0], seg[1][0], seg[0][0].size))
-        else:
-            plan.append((np.concatenate(seg[0]), np.repeat(seg[1], [p.size for p in seg[0]]),
-                         None))
-    return plan
-
-
 def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
     """E[Gamma_{t+1}] <= (1 - 1/2n) Gamma_t + (4/n) eta^2 E[M_t^G] from a
     frozen population, one uniform-pair step per replica.
 
     E[M_t^G] is itself estimated over the replicas; the pass margin combines
-    both standard errors.  Replica r draws from its stream (seed, 31, r) what
-    one uniform-pair step (:func:`draw_pairs`, :func:`interact`) followed by
-    :func:`compute_mtg` on the frozen population would draw, in that order.
-    Only the draws are made replica by replica: the estimates, steps and
-    potentials of a block of replicas come from one array pass, with one
-    :func:`estimate_rows` call per estimator kind.  At eta = 0 the pair only
-    averages, and a population of a biased zeroth-order kind has no smoothing
-    radius, so it samples no M^G (``mean_mtg`` None), as :func:`run` does.
+    both standard errors.  A replica has n + 2 slots: 0 and 1 estimate for
+    its pair, 2 + a is agent a's M^G estimate.  The replicas run in blocks of
+    about _REPLICA_BLOCK direction elements, so the block size k follows from
+    n, rv and d, and block b draws from the stream (seed, 31, b): its k pairs
+    (:func:`draw_pairs`), then in one call the minibatch positions of every
+    estimating slot in (replica, slot, position) order (a shard the size of
+    its kind's batch is taken whole), then the (k, n0 + 2, rv, d)
+    directions of slots 0 ... n0 + 1.  One array pass per block then steps
+    the pair as :func:`interact` does and sums M^G as :func:`compute_mtg`
+    does, with one :func:`estimate_rows` call per estimator kind.  At eta = 0
+    the pair only averages, and a population of a biased zeroth-order kind
+    has no smoothing radius, so it samples no M^G (``mean_mtg`` None), as
+    :func:`run` does.
     """
     n, n0, d = pop.n, pop.n0, pop.objective.d
     spec, X0, M0 = pop.objective, pop.X, pop.M
@@ -312,41 +278,29 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
     sample_mtg = eta > 0 or pop.zo is None or pop.zo.kind not in BIASED_KINDS
     nu = eta / pop.c if eta > 0 else None
     active = np.array([eta != 0] * 2 + [sample_mtg] * n)
-    b = max(cfg.batch_size for cfg, _ in pop.groups)
     rv = 0 if pop.zo is None else pop.zo.rv
-    # every agent's shard as a row, minibatch positions resolved per block
+    # per agent: its shard as a table row, and the bound of each position it draws (0: none)
+    b = max(cfg.batch_size for cfg, _ in pop.groups)
     table = np.zeros((n, max(s.shape[0] for s in pop.shards)), dtype=np.intp)
+    high = np.zeros((n, b), dtype=np.intp)
     for a, shard in enumerate(pop.shards):
-        table[a, :shard.shape[0]] = shard
-    plans = [None] * (n * n)  # per pair i n + j, built when first drawn
+        m, size = shard.shape[0], (pop.zo if a < n0 else pop.fo).batch_size
+        table[a, :m] = shard
+        high[a, :size] = m if m != size else 0
     block = min(replicas, max(1, _REPLICA_BLOCK // ((n + 2) * max(rv, 1) * d)))
-    agents = np.tile(np.arange(-2, n), (block, 1))  # per replica and slot; 0 and 1 set per pair
-    template = np.tile(np.arange(b), n + 2)
-    P = np.empty((block, (n + 2) * b), dtype=np.intp)
-    U = np.empty((block, n0 + 2, rv, d))
     gammas = np.empty(replicas)
     mtgs = np.empty(replicas)
-    seed = int(seed)
     for start in range(0, replicas, block):
         k = min(block, replicas - start)
-        P[:] = template
-        for r in range(k):  # default_rng's generator, at fewer Python calls
-            stream = np.random.SeedSequence([seed, 31, start + r])
-            rng = np.random.Generator(np.random.PCG64(stream))
-            i, j = rng.integers(n), rng.integers(n - 1)
-            j += j >= i
-            agents[r, 0], agents[r, 1] = i, j
-            plan = plans[i * n + j]
-            if plan is None:
-                plan = plans[i * n + j] = _replica_plan(pop, i, j, active, b)
-            Pr, Ur = P[r], U[r]
-            for pos, high, size in plan:
-                if pos is None:
-                    rng.standard_normal(out=Ur[high])
-                else:
-                    Pr[pos] = rng.integers(0, high, size)
-        A = agents[:k]
-        ids = table[A[:, :, None], P[:k].reshape(k, n + 2, b)]
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 31, start // block]))
+        I, J = draw_pairs(rng, n, k)
+        A = np.column_stack((I, J, np.tile(np.arange(n), (k, 1))))  # the agent of each slot
+        H = high[A] * active[:, None]
+        P = np.broadcast_to(np.arange(b), H.shape).copy()
+        drawn = H > 0
+        P[drawn] = rng.integers(0, H[drawn])
+        U = rng.standard_normal((k, n0 + 2, rv, d))
+        ids = table[A[:, :, None], P]
         G = np.empty((k, n + 2, d))
         for cfg, rows in pop.groups:
             zo = rows[0] < n0
@@ -354,7 +308,7 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
             if sel.any():
                 G[sel] = estimate_rows(spec, cfg, X0[A[sel]], None, None, None, nu,
                                        ids[sel][:, :cfg.batch_size],
-                                       U[:k][sel[:, :n0 + 2]] if zo else None)[0]
+                                       U[sel[:, :n0 + 2]] if zo else None)[0]
         S = X0[A[:, :2]]  # the pair's pre-interaction models, stepped as interact does
         if eta != 0:
             Gp = G[:, :2]
@@ -365,21 +319,16 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
         Xn = np.broadcast_to(X0, (k, n, d)).copy()
         Xn[np.arange(k)[:, None], A[:, :2]] = avg[:, None]
         gammas[start:start + k] = gamma_of(Xn)
-        if sample_mtg:  # each group's squared norms summed as one array, as compute_mtg does
-            sq = np.square(G[:, 2:])
-            mtgs[start:start + k] = sum(sq[:, rows[0]:rows[-1] + 1].reshape(k, -1).sum(axis=1)
-                                        for _, rows in pop.groups) / n
-    mean_next = float(gammas.mean())
-    se_next = float(gammas.std(ddof=1)) / math.sqrt(replicas)
-    coef = 4.0 / n * eta * eta
+        if sample_mtg:
+            mtgs[start:start + k] = np.square(G[:, 2:]).sum(axis=(1, 2)) / n
     bound = (1.0 - 1.0 / (2.0 * n)) * gamma_t
-    se, mean_mtg = se_next, None
+    se, mean_mtg = float(gammas.std(ddof=1)) / math.sqrt(replicas), None
     if sample_mtg:
+        coef = 4.0 / n * eta * eta
         mean_mtg = float(mtgs.mean())
-        se_mtg = float(mtgs.std(ddof=1)) / math.sqrt(replicas)
         bound += coef * mean_mtg
-        se = math.sqrt(se_next * se_next + (coef * se_mtg) * (coef * se_mtg))
-    return _report("gamma_recursion", mean_next, bound, se, replicas, seed,
+        se = math.hypot(se, coef * float(mtgs.std(ddof=1)) / math.sqrt(replicas))
+    return _report("gamma_recursion", gammas.mean(), bound, se, replicas, seed,
                    gamma_t=gamma_t, eta=eta, mean_mtg=mean_mtg, n=n)
 
 

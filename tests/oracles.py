@@ -1,14 +1,16 @@
 """Test oracles: for the objective kernels, a linear calibration objective
 with exact Gaussian moments and per-sample references written out one
 sample at a time, independent of the row-batched kernels they check; for
-the variance-potential recursion check, its replicas run one at a time."""
+the variance-potential recursion check, its replicas run one at a time
+from replays of their documented draws."""
 
 import math
 
 import numpy as np
 
-from hdopt.estimators import BIASED_KINDS
-from hdopt.metrics import compute_gamma, compute_mtg
+from hdopt import theory
+from hdopt.estimators import BIASED_KINDS, estimate_rows
+from hdopt.metrics import compute_gamma
 from hdopt.objectives import Objective, _antisymmetric
 from hdopt.protocol import draw_pairs, interact
 from hdopt.theory import _report
@@ -101,28 +103,71 @@ def grad_rows_reference(spec, X, B=None):
     return out
 
 
+class _Replay:
+    """A generator stand-in for one slot of a recursion replica: hands out
+    the slot's pre-drawn minibatch positions and directions."""
+
+    def __init__(self, positions, directions):
+        self.positions, self.directions = positions, directions
+
+    def integers(self, low, high, size):
+        assert low == 0 and size == len(self.positions)
+        assert all(p < high for p in self.positions)
+        return np.array(self.positions, dtype=np.intp)
+
+    def standard_normal(self, out):
+        out[...] = self.directions
+
+
 def gamma_recursion_reference(pop, eta, replicas, seed):
-    """check_gamma_recursion one replica at a time: each replica is one
-    interact call on a clone of the frozen population, then compute_gamma
-    and compute_mtg, drawing from the stream (seed, 31, r).  At eta = 0 a
-    population of a biased zeroth-order kind samples no M^G."""
-    n = pop.n
+    """check_gamma_recursion one replica at a time, read from its documented
+    block layout: block b of the replicas draws from the stream (seed, 31, b)
+    its pairs, then the minibatch positions of every estimating slot (0, 1:
+    the pair; 2 + a: agent a's M^G row) in (replica, slot, position) order,
+    then directions (k, n0 + 2, rv, d).  Each replica is then one interact
+    call on a clone of the frozen population, compute_gamma, and one
+    estimate_rows call per agent for M^G, each slot drawing from a replay
+    of its draws.  At eta = 0 a population of a biased zeroth-order kind
+    samples no M^G."""
+    n, n0, d = pop.n, pop.n0, pop.objective.d
+    rv = 0 if pop.zo is None else pop.zo.rv
+    block = min(replicas, max(1, theory._REPLICA_BLOCK // ((n + 2) * max(rv, 1) * d)))
     gamma_t = compute_gamma(pop)
     sample_mtg = eta > 0 or pop.zo is None or pop.zo.kind not in BIASED_KINDS
+    nu = eta / pop.c if eta > 0 else None
     work = pop.clone()
-    gammas = np.empty(replicas)
-    mtgs = np.empty(replicas)
-    for r in range(replicas):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 31, r]))
-        I, J = draw_pairs(rng, n, 1)
-        work.X[:] = pop.X
-        if work.M is not None:
-            work.M[:] = pop.M
-        work.rngs = [rng] * n
-        interact(work, I, J, eta)
-        gammas[r] = compute_gamma(work)
-        if sample_mtg:
-            mtgs[r] = compute_mtg(pop, eta, rng)
+    gammas, mtgs = [], []
+    for b, start in enumerate(range(0, replicas, block)):
+        k = min(block, replicas - start)
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 31, b]))
+        I, J = draw_pairs(rng, n, k)
+        slots = [(r, s, a) for r in range(k) for s, a in enumerate([I[r], J[r]] + list(range(n)))
+                 if (eta != 0 if s < 2 else sample_mtg)]
+        bounds = {}  # per slot: the bound of each of its minibatch draws
+        for r, s, a in slots:
+            m, size = pop.shards[a].shape[0], (pop.zo if a < n0 else pop.fo).batch_size
+            bounds[r, s] = [m] * size if m != size else []
+        drawn = iter(rng.integers(0, np.array(sum(bounds.values(), []), dtype=np.intp)))
+        U = rng.standard_normal((k, n0 + 2, rv, d))
+        replay = {(r, s): _Replay([next(drawn) for _ in bounds[r, s]],
+                                  U[r, s] if s < n0 + 2 else None) for r, s, _ in slots}
+        assert next(drawn, None) is None
+        for r in range(k):
+            work.X[:] = pop.X
+            if work.M is not None:
+                work.M[:] = pop.M
+            work.rngs = {I[r]: replay.get((r, 0)), J[r]: replay.get((r, 1))}
+            interact(work, I[r:r + 1], J[r:r + 1], eta)
+            gammas.append(compute_gamma(work))
+            if sample_mtg:
+                total = 0.0
+                for a in range(n):
+                    cfg = pop.zo if a < n0 else pop.fo
+                    G, _ = estimate_rows(pop.objective, cfg, pop.X[a:a + 1], [a], pop.shards,
+                                         {a: replay[r, 2 + a]}, nu)
+                    total += float(np.sum(G * G))
+                mtgs.append(total / n)
+    gammas, mtgs = np.array(gammas), np.array(mtgs)
     mean_next = float(gammas.mean())
     se_next = float(gammas.std(ddof=1)) / math.sqrt(replicas)
     coef = 4.0 / n * eta * eta

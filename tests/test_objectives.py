@@ -112,6 +112,15 @@ def test_logistic_rejects_nonpositive_regularization():
         make_logistic(small_dataset(), lam=0.0)
 
 
+@pytest.mark.parametrize("make", [lambda ds, pc: make_logistic(ds, 0.1, pc), make_nonconvex],
+                         ids=["logistic", "nonconvex"])
+def test_positive_class_must_match_a_training_label(make):
+    ds = Dataset(features=np.eye(4), labels=np.array([0.0, 1.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="positive_class 2 matches no training label"):
+        make(ds, 2)
+    assert np.array_equal(make(ds, 0).y, [1.0, -1.0, -1.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # non-convex
 
@@ -477,6 +486,16 @@ def test_csv_empty_file_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(DatasetFormatError):
         load_csv_dataset(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("header", [False, True])
+def test_csv_non_finite_value_names_first_row(tmp_path, value, header):
+    path = tmp_path / "data.csv"
+    rows = ["1.0,2.0,1", f"1.0,{value},-1", f"{value},2.0,1"]
+    path.write_text("\n".join(["x0,x1,label"] * header + rows) + "\n")
+    with pytest.raises(DatasetFormatError, match=f"row {2 + header}: non-finite value"):
+        load_csv_dataset(path, has_header=header)
 
 
 def test_csv_ragged_row_names_line(tmp_path):

@@ -253,6 +253,66 @@ def test_cli_gen_data_round_trip(tmp_path):
     assert main(["gen-data", "blobs", "n=10", "d=2", "wat=1", str(out)]) == 1
 
 
+@pytest.mark.parametrize("param", ["n=2.5", "seed=1.7", "d=3.5", "separation=nan", "scale=inf",
+                                   "scale=-inf", "n=many"])
+def test_cli_gen_data_rejects_bad_numbers(tmp_path, capsys, param):
+    out = tmp_path / "blobs.csv"
+    assert main(["gen-data", "blobs", "n=20", "d=2", "seed=1", param, str(out)]) == 1
+    assert not out.exists()
+    assert f"config error: {param.split('=')[0]} must be" in capsys.readouterr().err
+
+
+CSV_RUN = """\
+name: csvcheck
+seed: 2
+out_dir: {out}
+T: 20
+metric_cadence: 10
+scheduler_mode: random_matching
+seeds: [0]
+objective:
+  kind: logistic_l2
+  lam: 0.01%s
+dataset:
+  kind: csv
+  path: %s
+  val_path: %s
+populations:
+  - label: fo2
+    n1: 2
+    eta: 0.05
+"""
+
+
+def _csv_run_config(tmp_path, objective_extra=""):
+    paths = [tmp_path / "train.csv", tmp_path / "val.csv"]
+    for path, seed in zip(paths, (4, 5)):
+        assert main(["gen-data", "blobs", "n=40", "d=3", f"seed={seed}", str(path)]) == 0
+    return write_tiny(tmp_path, CSV_RUN % (objective_extra, *paths)), paths
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["train", "val"])
+def test_cli_run_rejects_non_finite_csv_values(tmp_path, capsys, which):
+    # bad input, not a diverged run (train) or an empty mean_val_loss
+    # column (validation)
+    cfg_path, paths = _csv_run_config(tmp_path)
+    lines = paths[which].read_text().splitlines()
+    lines[6] = "nan," + lines[6].split(",", 1)[1]
+    paths[which].write_text("\n".join(lines) + "\n")
+    assert main(["run", str(cfg_path)]) == 1
+    assert f"{paths[which]}: row 7: non-finite value" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_cli_run_rejects_positive_class_absent_from_training_labels(tmp_path, capsys):
+    # gen-data labels are -1 and +1; positive_class 2 would map every label to -1
+    cfg_path, _ = _csv_run_config(tmp_path, "\n  positive_class: 2")
+    assert main(["run", str(cfg_path)]) == 1
+    assert "positive_class 2 matches no training label" in capsys.readouterr().err
+    cfg_path, _ = _csv_run_config(tmp_path, "\n  positive_class: -1")
+    assert main(["run", str(cfg_path)]) == 0
+
+
 def test_cli_diverged_run_exits_runtime(tmp_path, capsys):
     diverging = """\
 name: diverge
