@@ -15,8 +15,11 @@ function evaluations, with one first-order gradient costed at batch_size
 evaluations (a simulator convention for cost-normalized plots).
 
 :func:`estimate_rows` computes the estimates of k agents of one kind at
-once, with one row-batched objective call; :func:`estimate_gradient` is its
-single-agent form.
+once, with one row-batched objective call, from inputs drawn beforehand:
+minibatch ids and, for the zeroth-order kinds, Gaussian directions.  It
+draws nothing itself.  :func:`draw_inputs` makes one estimate's inputs from
+one stream, and :func:`estimate_gradient` is the single-agent form that
+draws them.
 """
 
 from __future__ import annotations
@@ -80,34 +83,18 @@ def _resolve_nu(cfg, nu):
     return float(nu)
 
 
-def estimate_rows(spec, cfg: EstimatorConfig, Xr, agents, shards, rngs, nu=None, B=None,
-                  U=None):
-    """Estimates for k agents of kind cfg.kind: agent a = agents[r] (an int
-    array) is estimated at the model Xr[r] over a minibatch of shards[a] and
-    draws from rngs[a].  Returns (estimates (k, d), total function evals).
+def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
+    """Estimates of kind cfg.kind for k rows: row r is estimated at the model
+    Xr[r] over the minibatch of sample ids B[r] (batch_size of them) and, for
+    the zeroth-order kinds, the rv Gaussian directions U[r] (U is (k, rv, d)).
+    Returns (estimates (k, d), total function evals).
 
-    Each agent draws its minibatch (i.i.d. uniform ids; the whole shard when
-    batch_size equals its size) and then its rv Gaussian directions, in the
-    order of ``agents``.  The k estimates then come from one row-batched
-    objective call.  ``nu`` is one smoothing radius, or a (k, 1) column of one
-    per agent.  Shards must hold at least batch_size ids
-    (:func:`check_shard`).  A caller that drew the rows' inputs in advance
-    passes them as ``B`` (k, batch_size) sample ids and, for the zeroth-order
-    kinds, ``U`` (k, rv, d) directions; ``agents``, ``shards`` and ``rngs``
-    are then not read.
+    The k estimates come from one row-batched objective call.  ``nu`` is one
+    smoothing radius, or a (k, 1) column of one per row; only the biased
+    kinds read it.
     """
     k = Xr.shape[0]
     b, rv = cfg.batch_size, cfg.rv
-    if B is None or (U is None and cfg.kind != FIRST_ORDER):
-        B = np.empty((k, b), dtype=np.intp)
-        U = None if cfg.kind == FIRST_ORDER else np.empty((k, rv, Xr.shape[1]))
-        for r in range(k):
-            a = agents[r]
-            shard, rng = shards[a], rngs[a]
-            m = shard.shape[0]
-            B[r] = shard if m == b else shard[rng.integers(0, m, size=b)]
-            if U is not None:
-                rng.standard_normal(out=U[r])
     if cfg.kind == FIRST_ORDER:
         return spec.grad_rows(Xr, B), k * b
     if cfg.kind == ZO_FORWARD:
@@ -132,12 +119,20 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, agents, shards, rngs, nu=None,
     return (coef @ U)[:, 0] / rv, k * b * (sub + rv)
 
 
-_ONE_ROW = np.zeros(1, dtype=np.intp)
+def draw_inputs(cfg: EstimatorConfig, shard, rng, d):
+    """One estimate's inputs from one stream: its minibatch ids (i.i.d.
+    uniform over the shard, or the whole shard when batch_size equals its
+    size) as a (1, batch_size) array, then for the zeroth-order kinds its
+    (1, rv, d) Gaussian directions (None for first order)."""
+    m, b = shard.shape[0], cfg.batch_size
+    B = (shard if m == b else shard[rng.integers(0, m, size=b)])[None]
+    return B, None if cfg.kind == FIRST_ORDER else rng.standard_normal((1, cfg.rv, d))
 
 
 def estimate_gradient(spec, shard, x, cfg: EstimatorConfig, rng, nu=None) -> GradientEstimate:
-    """One agent's estimate at x; ``nu`` overrides cfg.nu for the biased kinds."""
+    """One agent's estimate at x from the inputs :func:`draw_inputs` draws
+    from ``rng``; ``nu`` overrides cfg.nu for the biased kinds."""
     shard = check_shard(shard, cfg.batch_size)
     X = np.asarray(x, dtype=float)[None, :]
-    G, evals = estimate_rows(spec, cfg, X, _ONE_ROW, (shard,), (rng,), nu)
+    G, evals = estimate_rows(spec, cfg, X, *draw_inputs(cfg, shard, rng, X.shape[1]), nu)
     return GradientEstimate(vector=G[0], kind=cfg.kind, function_evals=evals)

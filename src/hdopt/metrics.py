@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import estimate_rows
+from .estimators import draw_inputs, estimate_rows
 
 CSV_COLUMNS = (
     "step", "parallel_time", "eta", "gamma", "mu_loss_gap", "grad_norm_sq_mu",
@@ -59,14 +59,16 @@ def compute_mtg(pop, eta, rng) -> float:
     """Mean squared estimate norm, one fresh estimate per agent.
 
     Uses a caller-supplied rng stream, shared by all agents and drawn in
-    agent order, so diagnostics never perturb the optimization trajectory;
-    the smoothing radius is coupled to ``eta``.
+    agent order (each agent's minibatch ids, then its directions), so
+    diagnostics never perturb the optimization trajectory; the smoothing
+    radius is coupled to ``eta``.
     """
     nu = eta / pop.c if eta > 0 else None
-    rngs = [rng] * pop.n
     total = 0.0
     for cfg, rows in pop.groups:
-        G, _ = estimate_rows(pop.objective, cfg, pop.X[rows], rows, pop.shards, rngs, nu)
+        B, U = zip(*[draw_inputs(cfg, pop.shards[a], rng, pop.X.shape[1]) for a in rows])
+        G, _ = estimate_rows(pop.objective, cfg, pop.X[rows], np.concatenate(B),
+                             None if U[0] is None else np.concatenate(U), nu)
         total += float(np.sum(G * G))
     return total / pop.n
 

@@ -16,13 +16,14 @@ counts as one simulation step but n // 2 interactions.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import BIASED_KINDS, EstimatorConfig, check_shard, estimate_rows
+from .estimators import BIASED_KINDS, FIRST_ORDER, EstimatorConfig, check_shard, estimate_rows
 from . import metrics as _metrics
 
 UNIFORM_PAIR = "uniform_pair"
@@ -34,6 +35,10 @@ TAG_AGENT = 1
 TAG_SCHEDULER = 2
 TAG_METRICS = 3
 TAG_INIT = 4
+
+# a window of steps draws its estimator inputs ahead in blocks of layers
+# holding at most about this many direction elements (float64, 0.25 MB)
+_INPUT_BLOCK = 1 << 15
 
 
 def derive_rng(seed, *path):
@@ -124,9 +129,10 @@ class DivergedError(RuntimeError):
 @dataclass
 class Population:
     """Agent i's model is row i of ``X`` (n, d); it owns ``shards[i]`` and
-    draws from ``rngs[i]``.  Agents 0..n0-1 use the zeroth-order estimator
-    ``zo``, the others the first-order ``fo``.  ``M`` holds the momentum
-    buffers, one row per agent, and exists only when momentum > 0."""
+    draws its minibatch ids from ``rngs[i]``.  Agents 0..n0-1 use the
+    zeroth-order estimator ``zo`` and draw their Gaussian directions from
+    ``dir_rngs[i]``; the others use the first-order ``fo``.  ``M`` holds the
+    momentum buffers, one row per agent, and exists only when momentum > 0."""
 
     objective: object
     X: np.ndarray
@@ -140,6 +146,7 @@ class Population:
     scheduler_mode: str
     scheduler_rng: np.random.Generator
     metrics_rng: np.random.Generator
+    dir_rngs: list = field(default_factory=list)
     M: np.ndarray | None = None
     interactions: int = 0
     function_evals: int = 0
@@ -152,12 +159,16 @@ class Population:
             raise ValueError("models must form an (n, d) array matching the objective")
         if len(self.shards) != n or len(self.rngs) != n or not 0 <= self.n0 <= n:
             raise ValueError("need one shard and one rng per agent and 0 <= n0 <= n")
+        if len(self.dir_rngs) != self.n0:
+            raise ValueError("need one direction rng per zeroth-order agent")
         # the estimator groups, in agent order: (config, agent ids)
         self.groups = [(cfg, rows) for cfg, rows in
                        ((self.zo, np.arange(self.n0)), (self.fo, np.arange(self.n0, n)))
                        if rows.shape[0]]
         if any(cfg is None for cfg, _ in self.groups):
             raise ValueError("every agent needs an estimator config")
+        if (self.zo and self.zo.kind == FIRST_ORDER) or (self.fo and self.fo.kind != FIRST_ORDER):
+            raise ValueError("zo needs a zeroth-order kind and fo the first-order kind")
         self.shards = [check_shard(self.shards[i], cfg.batch_size)
                        for cfg, rows in self.groups for i in rows]
         if self.momentum > 0.0 and self.M is None:
@@ -173,12 +184,12 @@ class Population:
 
     def clone(self):
         """Independent copy, generator states included."""
-        rngs = copy.deepcopy(self.rngs)
+        rngs, dirs = copy.deepcopy(self.rngs), copy.deepcopy(self.dir_rngs)
         sched, met = copy.deepcopy(self.scheduler_rng), copy.deepcopy(self.metrics_rng)
         return Population(objective=self.objective, X=self.X.copy(), shards=self.shards,
                           rngs=rngs, n0=self.n0, zo=self.zo, fo=self.fo, c=self.c,
                           momentum=self.momentum, scheduler_mode=self.scheduler_mode,
-                          scheduler_rng=sched, metrics_rng=met,
+                          scheduler_rng=sched, metrics_rng=met, dir_rngs=dirs,
                           M=None if self.M is None else self.M.copy(),
                           interactions=self.interactions,
                           function_evals=self.function_evals, sim_steps=self.sim_steps)
@@ -186,7 +197,9 @@ class Population:
 
 def init_population(cfg: PopulationConfig, spec, partition, x0) -> Population:
     """All agents start at x0; agents 0..n0-1 are zeroth-order, the rest
-    first-order."""
+    first-order.  Agent i draws its minibatch ids from the stream
+    (seed, TAG_AGENT, i) and, when zeroth-order, its directions from
+    (seed, TAG_AGENT, i, 1)."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.d,):
         raise ValueError("x0 dimension does not match the objective")
@@ -201,23 +214,24 @@ def init_population(cfg: PopulationConfig, spec, partition, x0) -> Population:
                       fo=cfg.fo if cfg.n1 else None, c=c, momentum=cfg.momentum,
                       scheduler_mode=cfg.scheduler_mode,
                       scheduler_rng=derive_rng(cfg.seed, TAG_SCHEDULER),
-                      metrics_rng=derive_rng(cfg.seed, TAG_METRICS))
+                      metrics_rng=derive_rng(cfg.seed, TAG_METRICS),
+                      dir_rngs=[derive_rng(cfg.seed, TAG_AGENT, i, 1) for i in range(cfg.n0)])
 
 
-def interact(pop: Population, I, J, eta, B=None):
+def interact(pop: Population, I, J, eta, B=None, U=None):
     """The disjoint pairs (I[p], J[p]) interact at once: every agent takes
     one local estimator step from its pre-interaction model, then both agents
     of a pair adopt the average of their stepped models.
 
     ``eta`` is one rate for every pair, or an array of one positive rate per
     pair; an agent's smoothing radius is nu = eta / c.  The estimates of each
-    estimator kind come from one call over all its agents.  ``B``, when
-    given, holds minibatch ids drawn in advance, row r for agent
-    ``concat(I, J)[r]``; only the first-order agents' rows are read.
-    Momentum filters each estimate through the agent's persistent buffer
-    (g <- m g + (1 - m) G); buffers are never exchanged.  eta = 0 degenerates
-    to pure gossip averaging and skips the estimator calls.  Returns the
-    applied estimates, rows as in ``B``, or None when eta = 0.
+    estimator kind come from one call over all its agents, from inputs drawn
+    beforehand (:func:`draw_row_inputs`): row r, for agent
+    ``concat(I, J)[r]``, estimates over the minibatch ids in the leading
+    columns of B[r] and, when zeroth-order, the directions U[r].  Momentum filters each estimate through the agent's
+    persistent buffer (g <- m g + (1 - m) G); buffers are never exchanged.
+    eta = 0 degenerates to pure gossip averaging and reads no input.
+    Returns the applied estimates, rows as in ``B``, or None when eta = 0.
     """
     X = pop.X
     k = I.shape[0]
@@ -229,12 +243,12 @@ def interact(pop: Population, I, J, eta, B=None):
     G = None
     if per_pair or eta != 0.0:
         nu = eta / pop.c
-        spec, shards, rngs = pop.objective, pop.shards, pop.rngs
+        spec = pop.objective
         zo = rows < pop.n0
         n_zo = np.count_nonzero(zo)
         if n_zo == 0 or n_zo == 2 * k:  # a single estimator kind
-            G, evals = estimate_rows(spec, pop.zo if n_zo else pop.fo, S, rows,
-                                     shards, rngs, nu, None if n_zo else B)
+            cfg = pop.zo if n_zo else pop.fo
+            G, evals = estimate_rows(spec, cfg, S, B[:, :cfg.batch_size], U, nu)
         else:  # one call per kind over its rows
             if k == 1:  # one agent of each kind: slices select without copies
                 z = 0 if zo[0] else 1
@@ -243,11 +257,10 @@ def interact(pop: Population, I, J, eta, B=None):
                 parts = ((pop.zo, zo.nonzero()[0]), (pop.fo, (~zo).nonzero()[0]))
             G = np.empty_like(S)
             evals = 0
-            for cfg, sel in parts:  # first-order estimates use B, not nu
-                zo_part = cfg is pop.zo
-                G[sel], e = estimate_rows(spec, cfg, S[sel], rows[sel], shards, rngs,
-                                          nu[sel] if per_pair and zo_part else nu,
-                                          None if B is None or zo_part else B[sel])
+            for cfg, sel in parts:
+                G[sel], e = estimate_rows(spec, cfg, S[sel], B[sel, :cfg.batch_size],
+                                          U[sel] if cfg is pop.zo else None,
+                                          nu[sel] if per_pair else nu)
                 evals += e
         if pop.M is not None:
             G = pop.M.take(rows, axis=0) * pop.momentum + (1.0 - pop.momentum) * G
@@ -260,6 +273,35 @@ def interact(pop: Population, I, J, eta, B=None):
     X[rows] = S
     pop.interactions += k
     return G
+
+
+def draw_row_inputs(pop: Population, A):
+    """The estimator inputs of kernel rows whose agents are ``A``, -1 for a
+    row that makes no estimate: (B, U).  Row r's minibatch ids fill the
+    leading batch_size columns of B[r] and, in a population with
+    zeroth-order agents, its directions U[r] (rv, d) (U is None without).
+
+    Each agent draws the ids of all its rows, in row order, with one call on
+    ``rngs[a]``, and a zeroth-order agent all their directions with one call
+    on ``dir_rngs[a]``.  These streams draw nothing else, so a run of rows
+    gets the numbers of one draw per row, however the rows are split.
+    """
+    (n, d), n0, zo, fo = pop.X.shape, pop.n0, pop.zo, pop.fo
+    width = max(zo.batch_size if zo else 1, fo.batch_size if fo else 1)
+    B = np.empty((A.shape[0], width), dtype=np.intp)
+    U = np.empty((A.shape[0], zo.rv, d)) if n0 else None
+    order = A.argsort(kind="stable")  # the rows by agent, each agent's in row order
+    ends = np.bincount(A + 1, minlength=n + 1).cumsum().tolist()  # after the -1 rows
+    for a in range(n):
+        start, end = ends[a], ends[a + 1]
+        if end > start:
+            rows = order[start:end]
+            cfg, shard = zo if a < n0 else fo, pop.shards[a]
+            m, b = shard.shape[0], cfg.batch_size
+            B[rows, :b] = shard if m == b else shard[pop.rngs[a].integers(0, m, (end - start, b))]
+            if a < n0:
+                U[rows] = pop.dir_rngs[a].standard_normal((end - start, cfg.rv, d))
+    return B, U
 
 
 def draw_pairs(rng, n, steps):
@@ -290,11 +332,15 @@ def step_window(pop: Population, etas, weights=None):
     Disjoint pairs commute, so the window runs as layers of them, one
     :func:`interact` each: a matching step is a layer, and a ``uniform_pair``
     pair goes one layer after the last earlier pair sharing an agent with it
-    (one at rate 0 among nonzero ones in a layer of its own).  Each first-order
-    agent draws the minibatch ids of its nonzero-rate steps in one call, from
-    its own generator, so the numbers are those of the steps one by one.  With
-    ``weights`` (one per step) it returns sum_p weights[s] (G_I + G_J)[p], s
-    being pair p's step, which moves the mean by -etas[s] / n (G_I + G_J)[p].
+    (one at rate 0 among nonzero ones in a layer of its own).  The inputs of
+    every estimate come from :func:`draw_row_inputs` ahead of the layers:
+    each agent draws in one call the minibatch ids of its nonzero-rate steps,
+    and a zeroth-order agent their directions in another, per block of
+    layers holding at most about _INPUT_BLOCK direction elements.  Each
+    stream draws nothing else, so the numbers are those of the steps one by
+    one.  With ``weights`` (one per step) it returns
+    sum_p weights[s] (G_I + G_J)[p], s being pair p's step, which moves the
+    mean by -etas[s] / n (G_I + G_J)[p].
     """
     n = pop.X.shape[0]
     if n < 2:
@@ -314,36 +360,41 @@ def step_window(pop: Population, etas, weights=None):
         # sorted by layer, a layer's pairs are a slice; an agent's stay in step order
         S = np.argsort(L, kind="stable")  # per pair, its step
         I, J = I[S], J[S]
-        ends = np.cumsum(np.bincount(L)).tolist()
-        rates = None if mixed else [float(etas[0])] * len(ends)  # per layer
-        agents = depth
+        counts = np.bincount(L)
+        rates = None if mixed else [float(etas[0])] * counts.shape[0]  # per layer
     else:
         k = n // 2
         I, J = map(np.concatenate, zip(*[draw_matching(pop.scheduler_rng, n) for _ in etas]))
         S = np.arange(steps).repeat(k)
-        ends, rates, agents = range(k, k * steps + 1, k), etas.tolist(), range(n)
+        counts, rates = np.full(steps, k), etas.tolist()
+    ends = counts.cumsum()
     E, W = etas[S], None if weights is None else weights[S]
-    B = None  # the first-order minibatch ids; B[s, p] for the agent on side s of pair p
-    if pop.fo is not None and (rates is None or any(rates)):
-        b = pop.fo.batch_size
-        A = np.array((I, J))
-        A[:, E == 0.0] = -1
-        A = A.T.ravel()  # the agents pair by pair, -1 for the pairs at rate 0
-        B = np.empty((A.shape[0], b), dtype=np.intp)
-        for a in agents:
-            if a >= pop.n0:
-                rows = (A == a).nonzero()[0]
-                if rows.size:
-                    shard = pop.shards[a]
-                    m = shard.shape[0]
-                    B[rows] = shard if m == b else shard[pop.rngs[a].integers(0, m, (rows.size, b))]
-        B = B.reshape(-1, 2, b).transpose(1, 0, 2)
+    drawn = rates is None or any(rates)
+    if drawn:
+        # the layer of pairs [s, e) is kernel rows [2s, 2e): I[s:e], then J[s:e];
+        # a pair at rate 0 draws nothing (agent -1)
+        at = np.arange(I.shape[0]) + (ends - counts).repeat(counts)
+        A = np.empty(2 * I.shape[0], dtype=np.intp)
+        idle = rates is None or 0.0 in rates
+        A[at] = np.where(E != 0.0, I, -1) if idle else I
+        A[at + counts.repeat(counts)] = np.where(E != 0.0, J, -1) if idle else J
+        # pairs per block: zeroth-order directions fill at most _INPUT_BLOCK elements
+        cap = _INPUT_BLOCK // (2 * pop.zo.rv * pop.X.shape[1]) if pop.n0 else I.shape[0]
+    ends = ends.tolist()
     drift = None if W is None else np.zeros(pop.X.shape[1])
+    B = U = None
     start = 0
+    last = 0 if drawn else len(ends)  # the layer after the block drawn so far
     for l, end in enumerate(ends):
+        if l == last:  # draw the inputs of layers l .. last - 1
+            last = max(l + 1, bisect.bisect_right(ends, start + cap))
+            first = start
+            B = U = None  # the last block's inputs go before the next one's come
+            B, U = draw_row_inputs(pop, A[2 * start:2 * ends[last - 1]])
         rate = rates[l] if rates is not None else E[start:end] if E[start] else 0.0
         G = interact(pop, I[start:end], J[start:end], rate,
-                     None if B is None else B[:, start:end].reshape(-1, b))
+                     None if B is None else B[2 * (start - first):2 * (end - first)],
+                     None if U is None else U[2 * (start - first):2 * (end - first)])
         if drift is not None and G is not None:
             drift += W[start:end] @ (G[:end - start] + G[end - start:])
         start = end

@@ -10,6 +10,7 @@ byte except manifest timestamps.
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
 import hashlib
 import json
 import math
@@ -17,6 +18,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import metrics as _metrics
@@ -342,6 +344,34 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def bundled_openblas():
+    """numpy's bundled OpenBLAS (the scipy-openblas64 build of its wheels) as
+    a ctypes library, or None when numpy was built against another BLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(str(path))
+        lib.scipy_openblas_set_num_threads64_.argtypes = (ctypes.c_int,)
+        lib.scipy_openblas_set_num_threads64_.restype = None
+        lib.scipy_openblas_get_num_threads64_.argtypes = ()
+        lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+        return lib
+    return None
+
+
+def _one_blas_thread():
+    lib = bundled_openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
+
+
+def process_pool(workers: int):
+    """A pool of ``workers`` processes, each running BLAS on one thread: the
+    pool already keeps the cores busy, and a BLAS thread per core in every
+    worker would oversubscribe them."""
+    return concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                  initializer=_one_blas_thread)
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run every (population, seed) cell, writing per-seed CSVs, per-population
     aggregates, and a manifest with content hashes.  The objective and the
@@ -350,13 +380,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         raise ConfigError("config has no populations to run")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
+    built = build_objective(cfg)  # before any output: bad input leaves no directory
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    built = build_objective(cfg)
     cells = [(p, s) for p in range(len(cfg.populations)) for s in cfg.seeds]
     results = {}
     if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        with process_pool(threads) as pool:
             futures = {pool.submit(_run_cell, cfg, p, s, built): (p, s) for p, s in cells}
             for fut in concurrent.futures.as_completed(futures):
                 results[futures[fut]] = fut.result()

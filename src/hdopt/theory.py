@@ -306,9 +306,8 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
             zo = rows[0] < n0
             sel = active & ((A < n0) == zo)
             if sel.any():
-                G[sel] = estimate_rows(spec, cfg, X0[A[sel]], None, None, None, nu,
-                                       ids[sel][:, :cfg.batch_size],
-                                       U[sel[:, :n0 + 2]] if zo else None)[0]
+                G[sel] = estimate_rows(spec, cfg, X0[A[sel]], ids[sel][:, :cfg.batch_size],
+                                       U[sel[:, :n0 + 2]] if zo else None, nu)[0]
         S = X0[A[:, :2]]  # the pair's pre-interaction models, stepped as interact does
         if eta != 0:
             Gp = G[:, :2]

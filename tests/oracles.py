@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from hdopt import theory
-from hdopt.estimators import BIASED_KINDS, estimate_rows
+from hdopt.estimators import BIASED_KINDS, draw_inputs, estimate_rows
 from hdopt.metrics import compute_gamma
 from hdopt.objectives import Objective, _antisymmetric
 from hdopt.protocol import draw_pairs, interact
@@ -115,8 +115,8 @@ class _Replay:
         assert all(p < high for p in self.positions)
         return np.array(self.positions, dtype=np.intp)
 
-    def standard_normal(self, out):
-        out[...] = self.directions
+    def standard_normal(self, size):
+        return self.directions.reshape(size)
 
 
 def gamma_recursion_reference(pop, eta, replicas, seed):
@@ -126,15 +126,16 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
     the pair; 2 + a: agent a's M^G row) in (replica, slot, position) order,
     then directions (k, n0 + 2, rv, d).  Each replica is then one interact
     call on a clone of the frozen population, compute_gamma, and one
-    estimate_rows call per agent for M^G, each slot drawing from a replay
-    of its draws.  At eta = 0 a population of a biased zeroth-order kind
-    samples no M^G."""
+    estimate_rows call per agent for M^G, each slot's inputs drawn by
+    draw_inputs from a replay of its draws.  At eta = 0 a population of a
+    biased zeroth-order kind samples no M^G."""
     n, n0, d = pop.n, pop.n0, pop.objective.d
     rv = 0 if pop.zo is None else pop.zo.rv
     block = min(replicas, max(1, theory._REPLICA_BLOCK // ((n + 2) * max(rv, 1) * d)))
     gamma_t = compute_gamma(pop)
     sample_mtg = eta > 0 or pop.zo is None or pop.zo.kind not in BIASED_KINDS
     nu = eta / pop.c if eta > 0 else None
+    width = max(cfg.batch_size for cfg, _ in pop.groups)
     work = pop.clone()
     gammas, mtgs = [], []
     for b, start in enumerate(range(0, replicas, block)):
@@ -156,15 +157,25 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
             work.X[:] = pop.X
             if work.M is not None:
                 work.M[:] = pop.M
-            work.rngs = {I[r]: replay.get((r, 0)), J[r]: replay.get((r, 1))}
-            interact(work, I[r:r + 1], J[r:r + 1], eta)
+            B = U = None  # the pair's rows, I[r] then J[r]
+            if eta != 0:
+                drawn = [draw_inputs(pop.zo if a < n0 else pop.fo, pop.shards[a],
+                                     replay[r, s], d) for s, a in enumerate((I[r], J[r]))]
+                B = np.zeros((2, width), dtype=np.intp)
+                U = np.zeros((2, rv, d)) if n0 else None
+                for row, (ids, dirs) in enumerate(drawn):
+                    B[row, :ids.shape[1]] = ids[0]
+                    if dirs is not None:
+                        U[row] = dirs[0]
+            interact(work, I[r:r + 1], J[r:r + 1], eta, B, U)
             gammas.append(compute_gamma(work))
             if sample_mtg:
                 total = 0.0
                 for a in range(n):
                     cfg = pop.zo if a < n0 else pop.fo
-                    G, _ = estimate_rows(pop.objective, cfg, pop.X[a:a + 1], [a], pop.shards,
-                                         {a: replay[r, 2 + a]}, nu)
+                    G, _ = estimate_rows(pop.objective, cfg, pop.X[a:a + 1],
+                                         *draw_inputs(cfg, pop.shards[a], replay[r, 2 + a], d),
+                                         nu)
                     total += float(np.sum(G * G))
                 mtgs.append(total / n)
     gammas, mtgs = np.array(gammas), np.array(mtgs)

@@ -7,7 +7,10 @@ matching step runs its pairs one after another.  Metrics are computed agent
 by agent.  The seeding is the library's: the same (seed, purpose tag, agent)
 streams, drawn in the same order, so a run here and a run of
 ``hdopt.protocol.run`` from the same config follow the same trajectory up to
-floating-point rounding.
+floating-point rounding.  An agent draws its minibatch ids from its stream
+(seed, TAG_AGENT, i) and, when zeroth-order, its directions from
+(seed, TAG_AGENT, i, 1); an mt_g estimate draws both, ids first, from the
+metrics stream.
 """
 
 from dataclasses import dataclass
@@ -37,9 +40,9 @@ def estimate_first_order(spec, shard, x, batch_size, rng):
     return spec.grad(x, batch), int(batch.shape[0])
 
 
-def estimate_zo_one_sided(spec, shard, x, cfg, rng, nu):
+def estimate_zo_one_sided(spec, shard, x, cfg, rng, dir_rng, nu):
     batch = draw_batch(shard, cfg.batch_size, rng)
-    U = rng.standard_normal((cfg.rv, spec.d))
+    U = dir_rng.standard_normal((cfg.rv, spec.d))
     points = np.empty((cfg.rv + 1, spec.d))
     points[0] = x
     np.multiply(U, nu, out=points[1:])
@@ -48,9 +51,9 @@ def estimate_zo_one_sided(spec, shard, x, cfg, rng, nu):
     return ((vals[1:] - vals[0]) / nu) @ U / cfg.rv, int(batch.shape[0]) * (cfg.rv + 1)
 
 
-def estimate_zo_central(spec, shard, x, cfg, rng, nu):
+def estimate_zo_central(spec, shard, x, cfg, rng, dir_rng, nu):
     batch = draw_batch(shard, cfg.batch_size, rng)
-    U = rng.standard_normal((cfg.rv, spec.d))
+    U = dir_rng.standard_normal((cfg.rv, spec.d))
     points = np.empty((2 * cfg.rv, spec.d))
     np.multiply(U, nu, out=points[:cfg.rv])
     np.multiply(U, -nu, out=points[cfg.rv:])
@@ -60,19 +63,20 @@ def estimate_zo_central(spec, shard, x, cfg, rng, nu):
     return vec, int(batch.shape[0]) * 2 * cfg.rv
 
 
-def estimate_zo_unbiased_forward(spec, shard, x, cfg, rng, nu):
+def estimate_zo_unbiased_forward(spec, shard, x, cfg, rng, dir_rng, nu):
     batch = draw_batch(shard, cfg.batch_size, rng)
-    U = rng.standard_normal((cfg.rv, spec.d))
+    U = dir_rng.standard_normal((cfg.rv, spec.d))
     return (U @ spec.grad(x, batch)) @ U / cfg.rv, int(batch.shape[0]) * cfg.rv
 
 
-def estimate(spec, shard, x, cfg, rng, nu):
-    """(estimate vector, function evaluations) of one agent."""
+def estimate(spec, shard, x, cfg, rng, dir_rng, nu):
+    """(estimate vector, function evaluations) of one agent: minibatch ids
+    from ``rng``, directions from ``dir_rng``."""
     if cfg.kind == FIRST_ORDER:
         return estimate_first_order(spec, shard, x, cfg.batch_size, rng)
     fn = {ZO_ONE_SIDED: estimate_zo_one_sided, ZO_CENTRAL: estimate_zo_central}.get(
         cfg.kind, estimate_zo_unbiased_forward)
-    return fn(spec, shard, x, cfg, rng, nu)
+    return fn(spec, shard, x, cfg, rng, dir_rng, nu)
 
 
 @dataclass
@@ -81,6 +85,7 @@ class Agent:
     estimator: object
     shard: np.ndarray
     rng: np.random.Generator
+    dir_rng: np.random.Generator | None  # zeroth-order agents only
     momentum_buffer: np.ndarray
 
 
@@ -92,8 +97,8 @@ def hdo_interact(spec, a, b, eta, c, momentum=0.0):
         evals = 0
     else:
         nu = eta / c
-        ga, ea = estimate(spec, a.shard, xa, a.estimator, a.rng, nu)
-        gb, eb = estimate(spec, b.shard, xb, b.estimator, b.rng, nu)
+        ga, ea = estimate(spec, a.shard, xa, a.estimator, a.rng, a.dir_rng, nu)
+        gb, eb = estimate(spec, b.shard, xb, b.estimator, b.rng, b.dir_rng, nu)
         if momentum > 0.0:
             for agent, g in ((a, ga), (b, gb)):
                 agent.momentum_buffer *= momentum
@@ -114,6 +119,7 @@ class RefPopulation:
                              estimator=cfg.zo if i < cfg.n0 else cfg.fo,
                              shard=np.asarray(shards[i]),
                              rng=derive_rng(cfg.seed, TAG_AGENT, i),
+                             dir_rng=derive_rng(cfg.seed, TAG_AGENT, i, 1) if i < cfg.n0 else None,
                              momentum_buffer=np.zeros(spec.d))
                        for i in range(cfg.n0 + cfg.n1)]
         self.c = cfg.c if cfg.c is not None else np.sqrt(spec.d)
@@ -150,7 +156,8 @@ class RefPopulation:
         nu = eta / self.c if eta > 0 else None
         total = 0.0
         for a in self.agents:
-            g, _ = estimate(self.spec, a.shard, a.model, a.estimator, self.metrics_rng, nu)
+            g, _ = estimate(self.spec, a.shard, a.model, a.estimator, self.metrics_rng,
+                            self.metrics_rng, nu)
             total += float(np.dot(g, g))
         return total / len(self.agents)
 

@@ -5,7 +5,6 @@ Seed-replicated criteria use the seed values 0..9 through the library's
 documented seed-derivation scheme.
 """
 
-import concurrent.futures
 import time
 from pathlib import Path
 
@@ -14,7 +13,7 @@ import pytest
 
 import hdopt as h
 from hdopt.metrics import read_metrics_csv
-from hdopt.runner import parse_config, run_experiment
+from hdopt.runner import parse_config, process_pool, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -80,7 +79,7 @@ def test_c02_smoothing_bounds():
             for d in (5, 20) for kind in ("quadratic", "logistic")
             for nu in (0.01, 0.1) for which in ("value", "grad")]
     # probe checks are embarrassingly parallel with independent rng streams
-    with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
+    with process_pool(2) as pool:
         results = list(pool.map(_c02_one_check, jobs))
     elapsed = time.perf_counter() - t0
     for key, rep in results:
@@ -174,7 +173,7 @@ def _c05_single_seed(seed):
 
 def test_c05_strongly_convex_convergence():
     t0 = time.perf_counter()
-    with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
+    with process_pool(2) as pool:
         outcomes = list(pool.map(_c05_single_seed, range(10)))
     elapsed = time.perf_counter() - t0
     gaps = [g for g, _ in outcomes]
@@ -287,7 +286,7 @@ def _c08_hitting_time(args):
 
 def test_c08_speedup_trend():
     jobs = [(n, s) for n in (2, 4, 8, 16) for s in range(10)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=5) as pool:
+    with process_pool(5) as pool:
         times = list(pool.map(_c08_hitting_time, jobs))
     medians = {}
     for idx, n in enumerate((2, 4, 8, 16)):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdopt import protocol
 from hdopt.estimators import FIRST_ORDER, ZO_CENTRAL, ZO_FORWARD, ZO_ONE_SIDED, EstimatorConfig
 from hdopt.metrics import WeightedAverageState, compute_gamma, compute_mu, weighted_average_update
 from hdopt.objectives import (
@@ -24,6 +25,7 @@ from hdopt.protocol import (
     Schedule,
     draw_matching,
     draw_pairs,
+    draw_row_inputs,
     eta_at,
     init_population,
     interact,
@@ -137,12 +139,13 @@ def test_zero_eta_keeps_mean_exactly_and_never_raises_gamma(n, d, steps, matchin
     # integer-valued models keep every average and sum exact in binary
     # floating point, so the mean is preserved bit for bit
     spec = make_quadratic(d=d, cond=2.0, seed=1, n_samples=64)
-    cfg = _config(0, n, ZO_ONE_SIDED, "random_matching", 0.0, 0.0, seed=seed)
-    pop = init_population(cfg, spec, partition_data(spec.n_samples, 0, n, seed=seed),
+    n0 = n // 2
+    cfg = _config(n0, n - n0, ZO_ONE_SIDED, "random_matching", 0.0, 0.0, seed=seed)
+    pop = init_population(cfg, spec, partition_data(spec.n_samples, n0, n - n0, seed=seed),
                           np.zeros(d))
     rng = np.random.default_rng(seed)
     pop.X[:] = rng.integers(-8, 9, size=(n, d))
-    states = [copy.deepcopy(r.bit_generator.state) for r in pop.rngs]
+    states = [copy.deepcopy(r.bit_generator.state) for r in [*pop.rngs, *pop.dir_rngs]]
     mu0 = compute_mu(pop)
     for _ in range(steps):
         gamma = compute_gamma(pop)
@@ -155,7 +158,8 @@ def test_zero_eta_keeps_mean_exactly_and_never_raises_gamma(n, d, steps, matchin
         assert np.array_equal(compute_mu(pop), mu0)
         assert compute_gamma(pop) <= gamma + 1e-12 * (1.0 + gamma)
     assert pop.function_evals == 0
-    assert [r.bit_generator.state for r in pop.rngs] == states  # eta = 0 draws nothing
+    # eta = 0 draws nothing, neither minibatch ids nor directions
+    assert [r.bit_generator.state for r in [*pop.rngs, *pop.dir_rngs]] == states
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,9 +174,14 @@ def test_batched_matching_equals_sequential_pairs(n0, n1, kind, momentum, logist
     batched = _population(n0, n1, kind, momentum, seed, spec)
     sequential = batched.clone()
     I, J = draw_matching(np.random.default_rng(seed), batched.n)
-    interact(batched, I, J, 0.05)
-    for p in range(I.shape[0]):
-        interact(sequential, I[p:p + 1], J[p:p + 1], 0.05)
+    # both runs take the same inputs: pair p's rows are p and k + p of the batch
+    rows = np.concatenate((I, J))
+    B, U = draw_row_inputs(batched, rows)
+    interact(batched, I, J, 0.05, B, U)
+    k = I.shape[0]
+    for p in range(k):
+        r = [p, k + p]
+        interact(sequential, I[p:p + 1], J[p:p + 1], 0.05, B[r], None if U is None else U[r])
     scale = np.abs(sequential.X).max()
     assert np.allclose(batched.X, sequential.X, rtol=RTOL, atol=RTOL * scale)
     if momentum:
@@ -183,7 +192,9 @@ def test_batched_matching_equals_sequential_pairs(n0, n1, kind, momentum, logist
 
 
 def _states(pop):
-    return [r.bit_generator.state for r in [pop.scheduler_rng, *pop.rngs]]
+    """The scheduler's stream, each agent's id stream, then each zeroth-order
+    agent's direction stream."""
+    return [r.bit_generator.state for r in [pop.scheduler_rng, *pop.rngs, *pop.dir_rngs]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,6 +224,7 @@ def test_window_equals_its_steps(n, zo_share, kind, momentum, full_batch, logist
     window = Population(
         objective=spec, X=rng.standard_normal((n, spec.d)), shards=shards,
         rngs=[np.random.default_rng([seed, a]) for a in range(n)], n0=n0,
+        dir_rngs=[np.random.default_rng([seed, a, 1]) for a in range(n0)],
         zo=EstimatorConfig(kind=kind, batch_size=b, rv=4) if n0 else None,
         fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=b) if n0 < n else None,
         c=2.0, momentum=momentum, scheduler_mode=mode,
@@ -231,8 +243,9 @@ def test_window_equals_its_steps(n, zo_share, kind, momentum, full_batch, logist
         step_window(one_by_one, [eta])
     assert _states(window) == _states(one_by_one)
     # an eta = 0 step moves no agent stream: only the scheduler and the stepped agents draw
-    assert [s for a, s in enumerate(_states(window), -1) if a not in moved] == [
-        s for a, s in enumerate(before, -1) if a not in moved]
+    owners = [-1, *range(n), *range(n0)]  # per stream of _states, its agent (-1: scheduler)
+    assert [s for a, s in zip(owners, _states(window)) if a not in moved] == [
+        s for a, s in zip(owners, before) if a not in moved]
     assert (window.interactions, window.function_evals, window.sim_steps) == (
         one_by_one.interactions, one_by_one.function_evals, one_by_one.sim_steps)
     assert window.interactions == window.sim_steps * (n // 2 if matching else 1)
@@ -292,3 +305,27 @@ def test_window_weighted_average_equals_per_step_fold(n0, n1, momentum, logistic
     assert np.allclose(result.weighted_average, expected, rtol=RTOL,
                        atol=RTOL * np.abs(expected).max())
     assert np.allclose(pop.X, one_by_one.X, rtol=RTOL, atol=RTOL * np.abs(one_by_one.X).max())
+
+
+@pytest.mark.parametrize("block", [protocol._INPUT_BLOCK, 2 * 5 * 6], ids=["default", "one-pair"])
+@pytest.mark.parametrize("mode", ["uniform_pair", "random_matching"])
+@pytest.mark.parametrize("population", ["hybrid_one_sided", "central"])
+def test_metric_cadence_leaves_the_trajectory_unchanged(population, mode, block, monkeypatch):
+    # every stream draws the same numbers whether a window holds 1, 7 or 500
+    # steps, and whether its directions are drawn in one block or in many
+    monkeypatch.setattr(protocol, "_INPUT_BLOCK", block)
+    spec, _ = _objective("quadratic")
+    n0, n1, kind = POPULATIONS[population]
+    schedule = Schedule(eta_max=0.05, mode="warmup_cosine", warmup_steps=5, total_steps=500)
+    part = partition_data(spec.n_samples, n0, n1, seed=11)
+    x0 = np.random.default_rng(12).standard_normal(spec.d)
+    runs = []
+    for cadence in (1, 7, 500):
+        cfg = _config(n0, n1, kind, mode, schedule, 0.9, T=600 if mode == "uniform_pair" else 150)
+        cfg.metric_cadence = cadence
+        pop = init_population(cfg, spec, part, x0)
+        run(pop, cfg)
+        runs.append(pop)
+    for pop in runs[1:]:
+        assert np.allclose(pop.X, runs[0].X, rtol=RTOL, atol=RTOL * np.abs(runs[0].X).max())
+        assert pop.function_evals == runs[0].function_evals

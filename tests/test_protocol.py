@@ -12,7 +12,7 @@ from hdopt.estimators import (
     ZO_FORWARD,
     ZO_ONE_SIDED,
     EstimatorConfig,
-    estimate_gradient,
+    estimate_rows,
 )
 from hdopt.metrics import compute_gamma, compute_mu
 from hdopt.objectives import make_quadratic, partition_data
@@ -22,6 +22,7 @@ from hdopt.protocol import (
     Schedule,
     draw_matching,
     draw_pairs,
+    draw_row_inputs,
     eta_at,
     init_population,
     interact,
@@ -62,6 +63,11 @@ def two_agents(spec, models, est):
 PAIR = (np.array([0]), np.array([1]))
 
 
+def pair_inputs(pop, I, J):
+    """The estimator inputs of the kernel rows of the pairs (I[p], J[p])."""
+    return draw_row_inputs(pop, np.concatenate((I, J)))
+
+
 # ---------------------------------------------------------------------------
 # init
 
@@ -88,6 +94,17 @@ def test_init_rejects_mismatched_partition():
         init_population(cfg, q, part, np.zeros(3))
 
 
+def test_population_rejects_an_estimator_kind_on_the_wrong_side():
+    # only agents 0..n0-1 own a direction stream, so fo must be first-order
+    q = make_quadratic(d=3, cond=2.0, seed=1)
+    part = partition_data(q.n_samples, 2, 2, seed=0)
+    for zo, fo in ((FIRST_ORDER, FIRST_ORDER), (ZO_ONE_SIDED, ZO_ONE_SIDED)):
+        cfg = PopulationConfig(n0=2, n1=2, schedule=Schedule(eta_max=0.1),
+                               zo=EstimatorConfig(kind=zo), fo=EstimatorConfig(kind=fo))
+        with pytest.raises(ValueError, match="zo needs a zeroth-order kind"):
+            init_population(cfg, q, part, np.zeros(3))
+
+
 def test_population_config_validation():
     with pytest.raises(ValueError):
         PopulationConfig(n0=0, n1=1, schedule=Schedule(eta_max=0.1))
@@ -109,7 +126,7 @@ def test_interact_noiseless_optimum_is_fixed_point():
     q = make_quadratic(d=3, cond=2.0, seed=5, grad_noise=0.0, hessian_jitter=0.0)
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=q.n_samples)
     pop = two_agents(q, [q.x_star, q.x_star], est)
-    interact(pop, *PAIR, eta=0.1)
+    interact(pop, *PAIR, 0.1, *pair_inputs(pop, *PAIR))
     assert np.allclose(pop.X[0], q.x_star, atol=1e-12)
     assert np.allclose(pop.X[1], q.x_star, atol=1e-12)
     assert pop.interactions == 1
@@ -133,7 +150,7 @@ def test_interact_hand_arithmetic_one_dim():
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=q.n_samples)
     x0 = q.x_star + 2.0
     pop = two_agents(q, [x0, x0], est)
-    interact(pop, *PAIR, eta=0.1)
+    interact(pop, *PAIR, 0.1, *pair_inputs(pop, *PAIR))
     assert pop.X[0, 0] == pytest.approx(q.x_star[0] + 1.8, abs=1e-12)
     assert pop.X[1, 0] == pytest.approx(q.x_star[0] + 1.8, abs=1e-12)
 
@@ -143,7 +160,8 @@ def test_interact_rejects_a_per_pair_rate_that_is_not_positive(bad):
     # a biased zeroth-order kind needs nu = eta / c > 0, per pair as for one rate
     _, _, pop = quadratic_pop(4, 0)
     with pytest.raises(ValueError, match="nu > 0"):
-        interact(pop, np.array([0, 1]), np.array([2, 3]), np.array([0.05, bad]))
+        I, J = np.array([0, 1]), np.array([2, 3])
+        interact(pop, I, J, np.array([0.05, bad]), *pair_inputs(pop, I, J))
 
 
 def test_interact_dimension_mismatch():
@@ -151,6 +169,18 @@ def test_interact_dimension_mismatch():
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=1)
     with pytest.raises(ValueError):
         two_agents(q, [np.zeros(3), np.zeros(3)], est)
+
+
+def replayed_estimate(pop, a, nu):
+    """Agent a's next estimate, from copies of its streams: minibatch ids
+    from rngs[a], then for a zeroth-order agent directions from dir_rngs[a]."""
+    cfg = pop.zo if a < pop.n0 else pop.fo
+    shard = pop.shards[a]
+    m, b = shard.shape[0], cfg.batch_size
+    ids = shard if m == b else shard[copy.deepcopy(pop.rngs[a]).integers(0, m, size=b)]
+    U = None if a >= pop.n0 else copy.deepcopy(pop.dir_rngs[a]).standard_normal(
+        (1, cfg.rv, pop.X.shape[1]))
+    return estimate_rows(pop.objective, cfg, pop.X[a:a + 1], ids[None], U, nu)[0][0]
 
 
 def test_mean_update_identity():
@@ -161,9 +191,7 @@ def test_mean_update_identity():
         # the pair and both estimates, replayed from copies of the streams
         (i,), (j,) = draw_pairs(copy.deepcopy(pop.scheduler_rng), n, 1)
         nu = 0.05 / pop.c
-        g = [estimate_gradient(pop.objective, pop.shards[a], pop.X[a],
-                               cfg.zo if a < pop.n0 else cfg.fo,
-                               copy.deepcopy(pop.rngs[a]), nu).vector for a in (i, j)]
+        g = [replayed_estimate(pop, a, nu) for a in (i, j)]
         step_window(pop, [0.05])
         mu_after = compute_mu(pop)
         expected = mu_before - (0.05 / n) * (g[0] + g[1])

@@ -8,7 +8,14 @@ from hdopt.cli import main
 from hdopt.metrics import read_metrics_csv
 from hdopt.objectives import load_csv_dataset
 from hdopt.protocol import fold_seed
-from hdopt.runner import ConfigError, parse_config, run_experiment, run_theory_suite
+from hdopt.runner import (
+    ConfigError,
+    bundled_openblas,
+    parse_config,
+    process_pool,
+    run_experiment,
+    run_theory_suite,
+)
 from hdopt.theory import default_theory_suite
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -134,6 +141,20 @@ def test_run_experiment_threads_match_serial(tmp_path):
     parallel = run_experiment(cfg2, threads=2)
     for p in parallel.csv_paths:
         assert p.read_bytes() == bytes_serial[p.name]
+
+
+def _blas_threads(_):
+    return bundled_openblas().scipy_openblas_get_num_threads64_()
+
+
+def test_process_pool_workers_run_blas_on_one_thread():
+    lib = bundled_openblas()
+    if lib is None:
+        pytest.skip("numpy is not linked against its bundled OpenBLAS")
+    before = lib.scipy_openblas_get_num_threads64_()
+    with process_pool(2) as pool:
+        assert list(pool.map(_blas_threads, range(4))) == [1] * 4
+    assert lib.scipy_openblas_get_num_threads64_() == before  # this process keeps its own
 
 
 def test_run_experiment_csv_dataset(tmp_path):
@@ -301,7 +322,7 @@ def test_cli_run_rejects_non_finite_csv_values(tmp_path, capsys, which):
     paths[which].write_text("\n".join(lines) + "\n")
     assert main(["run", str(cfg_path)]) == 1
     assert f"{paths[which]}: row 7: non-finite value" in capsys.readouterr().err
-    assert not list((tmp_path / "out").glob("*.csv"))
+    assert not (tmp_path / "out").exists()  # found while building: no output at all
 
 
 def test_cli_run_rejects_positive_class_absent_from_training_labels(tmp_path, capsys):
@@ -309,6 +330,7 @@ def test_cli_run_rejects_positive_class_absent_from_training_labels(tmp_path, ca
     cfg_path, _ = _csv_run_config(tmp_path, "\n  positive_class: 2")
     assert main(["run", str(cfg_path)]) == 1
     assert "positive_class 2 matches no training label" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     cfg_path, _ = _csv_run_config(tmp_path, "\n  positive_class: -1")
     assert main(["run", str(cfg_path)]) == 0
 
