@@ -10,7 +10,6 @@ from .estimators import (
     ZO_FORWARD,
     ZO_ONE_SIDED,
     EstimatorConfig,
-    estimate_gradient,
     estimate_rows,
 )
 from .objectives import (

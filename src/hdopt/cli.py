@@ -11,7 +11,8 @@ import sys
 
 from .objectives import DatasetFormatError, make_blobs_dataset, save_dataset_csv
 from .protocol import DivergedError
-from .runner import ConfigError, _number, parse_config, run_experiment, run_theory_suite
+from .runner import (ConfigError, _number, parse_config, parse_seeds, run_experiment,
+                     run_theory_suite)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -24,19 +25,24 @@ _BLOBS_PARAMS = {"n": True, "d": True, "seed": True, "separation": False, "scale
 _BLOBS_DEFAULTS = {"n": 1000, "d": 10, "seed": 0}
 
 
+def _scalar(text):
+    """A command-line word as an int, else as a float, else as the string
+    itself; :func:`_number` checks it."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
 def _parse_params(pairs):
     params = {}
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"expected key=value, got {pair!r}")
         key, value = pair.split("=", 1)
-        try:
-            params[key] = int(value)
-        except ValueError:
-            try:
-                params[key] = float(value)
-            except ValueError:
-                params[key] = value
+        params[key] = _scalar(value)
     return params
 
 
@@ -71,16 +77,11 @@ def build_parser():
 def _cmd_run(args):
     cfg = parse_config(args.config)
     if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",") if s]
-        if not seeds or len(set(seeds)) != len(seeds):
-            raise ConfigError("--seeds must be a non-empty unique list")
-        cfg.seeds = seeds
+        cfg.seeds = parse_seeds([_scalar(s) for s in args.seeds.split(",") if s], "--seeds")
     if args.out_dir:
         cfg.out_dir = args.out_dir
     if args.metric_cadence is not None:
-        if args.metric_cadence < 1:
-            raise ConfigError("--metric-cadence must be >= 1")
-        cfg.metric_cadence = args.metric_cadence
+        cfg.metric_cadence = _number("--metric-cadence", args.metric_cadence, 1, integer=True)
     result = run_experiment(cfg, threads=args.threads)
     print(f"wrote {len(result.csv_paths)} files to {result.out_dir}")
     return EXIT_OK
@@ -101,7 +102,8 @@ def _cmd_gen_data(args):
     for key, value in _parse_params(args.params).items():
         if key not in _BLOBS_PARAMS:
             raise ConfigError(f"unknown generator parameter {key!r}")
-        params[key] = _number(key, value, integer=_BLOBS_PARAMS[key])
+        params[key] = _number(key, value, 0 if key == "seed" else None,
+                              integer=_BLOBS_PARAMS[key])
     dataset = make_blobs_dataset(**params)
     save_dataset_csv(dataset, args.out, header=args.header)
     print(f"wrote {len(dataset)} samples to {args.out}")

@@ -15,11 +15,9 @@ function evaluations, with one first-order gradient costed at batch_size
 evaluations (a simulator convention for cost-normalized plots).
 
 :func:`estimate_rows` computes the estimates of k agents of one kind at
-once, with one row-batched objective call, from inputs drawn beforehand:
-minibatch ids and, for the zeroth-order kinds, Gaussian directions.  It
-draws nothing itself.  :func:`draw_inputs` makes one estimate's inputs from
-one stream, and :func:`estimate_gradient` is the single-agent form that
-draws them.
+once, with one row-batched objective call, from inputs drawn beforehand
+by :func:`draw_row_inputs`: minibatch ids and, for the zeroth-order kinds,
+Gaussian directions.  It draws nothing itself.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ class EstimatorConfig:
     kind: str
     batch_size: int = 1
     rv: int = 1
-    nu: float | None = None  # smoothing radius; usually coupled to eta at call time
 
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
@@ -51,15 +48,6 @@ class EstimatorConfig:
             raise ValueError("batch_size must be >= 1")
         if self.rv < 1:
             raise ValueError("rv must be >= 1")
-        if self.nu is not None and self.nu <= 0:
-            raise ValueError("nu must be positive when given")
-
-
-@dataclass
-class GradientEstimate:
-    vector: np.ndarray
-    kind: str
-    function_evals: int
 
 
 def check_shard(shard, batch_size):
@@ -72,8 +60,7 @@ def check_shard(shard, batch_size):
     return shard
 
 
-def _resolve_nu(cfg, nu):
-    nu = cfg.nu if nu is None else nu
+def _resolve_nu(nu):
     if type(nu) is np.ndarray:  # one radius per row, from interact's per-pair rates
         if (nu <= 0).any():
             raise ValueError("biased zeroth-order estimators need nu > 0")
@@ -104,7 +91,7 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
         return (U.transpose(0, 2, 1) @ (U @ g))[..., 0] / rv, k * b * rv
     # one objective call evaluates the rv points x + nu u after the points
     # they are differenced with: x - nu u (central) or x once (one-sided)
-    nu = _resolve_nu(cfg, nu)
+    nu = _resolve_nu(nu)
     central = cfg.kind == ZO_CENTRAL
     sub = rv if central else 1
     P = np.empty((k, sub + rv, Xr.shape[1]))
@@ -119,20 +106,36 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
     return (coef @ U)[:, 0] / rv, k * b * (sub + rv)
 
 
-def draw_inputs(cfg: EstimatorConfig, shard, rng, d):
-    """One estimate's inputs from one stream: its minibatch ids (i.i.d.
-    uniform over the shard, or the whole shard when batch_size equals its
-    size) as a (1, batch_size) array, then for the zeroth-order kinds its
-    (1, rv, d) Gaussian directions (None for first order)."""
-    m, b = shard.shape[0], cfg.batch_size
-    B = (shard if m == b else shard[rng.integers(0, m, size=b)])[None]
-    return B, None if cfg.kind == FIRST_ORDER else rng.standard_normal((1, cfg.rv, d))
+def draw_row_inputs(pop, A, rng=None):
+    """The estimator inputs of kernel rows whose agents are ``A``, -1 for a
+    row that makes no estimate: (B, U).  Row r's minibatch ids (i.i.d.
+    uniform over its agent's shard, or the whole shard when batch_size equals
+    its size) fill the leading batch_size columns of B[r] and, in a
+    population with zeroth-order agents, its directions U[r] (rv, d) (U is
+    None without).
 
-
-def estimate_gradient(spec, shard, x, cfg: EstimatorConfig, rng, nu=None) -> GradientEstimate:
-    """One agent's estimate at x from the inputs :func:`draw_inputs` draws
-    from ``rng``; ``nu`` overrides cfg.nu for the biased kinds."""
-    shard = check_shard(shard, cfg.batch_size)
-    X = np.asarray(x, dtype=float)[None, :]
-    G, evals = estimate_rows(spec, cfg, X, *draw_inputs(cfg, shard, rng, X.shape[1]), nu)
-    return GradientEstimate(vector=G[0], kind=cfg.kind, function_evals=evals)
+    Each agent draws the ids of all its rows, in row order, with one call on
+    ``pop.rngs[a]``, and a zeroth-order agent all their directions with one
+    call on ``pop.dir_rngs[a]``.  These streams draw nothing else, so a run of
+    rows gets the numbers of one draw per row, however the rows are split.
+    Given ``rng``, every agent makes both of its calls on that one stream
+    instead, agent by agent: its ids, then its directions.
+    """
+    (n, d), n0, zo, fo = pop.X.shape, pop.n0, pop.zo, pop.fo
+    width = max(zo.batch_size if zo else 1, fo.batch_size if fo else 1)
+    B = np.empty((A.shape[0], width), dtype=np.intp)
+    U = np.empty((A.shape[0], zo.rv, d)) if n0 else None
+    order = A.argsort(kind="stable")  # the rows by agent, each agent's in row order
+    ends = np.bincount(A + 1, minlength=n + 1).cumsum().tolist()  # after the -1 rows
+    for a in range(n):
+        start, end = ends[a], ends[a + 1]
+        if end > start:
+            rows = order[start:end]
+            cfg, shard = zo if a < n0 else fo, pop.shards[a]
+            m, b = shard.shape[0], cfg.batch_size
+            stream = pop.rngs[a] if rng is None else rng
+            B[rows, :b] = shard if m == b else shard[stream.integers(0, m, (end - start, b))]
+            if a < n0:
+                stream = pop.dir_rngs[a] if rng is None else rng
+                U[rows] = stream.standard_normal((end - start, cfg.rv, d))
+    return B, U

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import draw_inputs, estimate_rows
+from .estimators import draw_row_inputs, estimate_rows
 
 CSV_COLUMNS = (
     "step", "parallel_time", "eta", "gamma", "mu_loss_gap", "grad_norm_sq_mu",
@@ -55,22 +55,34 @@ def compute_gamma(pop) -> float:
     return float(gamma_of(pop.X))
 
 
-def compute_mtg(pop, eta, rng) -> float:
-    """Mean squared estimate norm, one fresh estimate per agent.
+def sample_estimates(pop, rng, k, nu):
+    """k fresh estimates per agent at the current models, (k, n, d): G[r, a]
+    is agent a's r-th.  All inputs come from the one stream ``rng``, agent by
+    agent (:func:`~hdopt.estimators.draw_row_inputs`): the ids of the agent's
+    k estimates, then their directions.  Each estimator group makes one
+    :func:`~hdopt.estimators.estimate_rows` call; ``nu`` is the smoothing
+    radius of the biased kinds."""
+    n, d = pop.X.shape
+    B, U = draw_row_inputs(pop, np.repeat(np.arange(n), k), rng)
+    G = np.empty((n * k, d))
+    for cfg, rows in pop.groups:  # agent-major rows: a group's rows are one slice
+        sel = slice(rows[0] * k, (rows[-1] + 1) * k)
+        G[sel] = estimate_rows(pop.objective, cfg, pop.X[rows].repeat(k, axis=0),
+                               B[sel, :cfg.batch_size],
+                               U[sel] if rows[0] < pop.n0 else None, nu)[0]
+    return G.reshape(n, k, d).swapaxes(0, 1)
 
-    Uses a caller-supplied rng stream, shared by all agents and drawn in
-    agent order (each agent's minibatch ids, then its directions), so
-    diagnostics never perturb the optimization trajectory; the smoothing
-    radius is coupled to ``eta``.
+
+def compute_mtg(pop, eta, rng) -> float:
+    """Mean squared estimate norm, one fresh estimate per agent
+    (:func:`sample_estimates`).
+
+    The caller-supplied rng stream is drawn by no other code, so diagnostics
+    never perturb the optimization trajectory; the smoothing radius is
+    coupled to ``eta``.
     """
-    nu = eta / pop.c if eta > 0 else None
-    total = 0.0
-    for cfg, rows in pop.groups:
-        B, U = zip(*[draw_inputs(cfg, pop.shards[a], rng, pop.X.shape[1]) for a in rows])
-        G, _ = estimate_rows(pop.objective, cfg, pop.X[rows], np.concatenate(B),
-                             None if U[0] is None else np.concatenate(U), nu)
-        total += float(np.sum(G * G))
-    return total / pop.n
+    G = sample_estimates(pop, rng, 1, eta / pop.c if eta > 0 else None)
+    return float(np.sum(G * G)) / pop.n
 
 
 @dataclass
@@ -129,12 +141,9 @@ def weighted_average_update(state: WeightedAverageState, mu_prev, eta, ell, n,
     return state
 
 
-def validation_set(spec, features, labels=None):
+def validation_set(spec, features, labels):
     """(features, targets) for :meth:`Objective.validate`: the labels mapped
-    once by the objective's training rule.  Accepts a Dataset or a
-    (features, labels) pair."""
-    if labels is None:
-        features, labels = features.features, features.labels
+    once by the objective's training rule."""
     features = np.asarray(features, dtype=float)
     if features.shape[0] == 0:
         raise ValueError("validation set must be non-empty")
@@ -189,17 +198,6 @@ def write_metrics_csv(path, records) -> None:
             fh.write(",".join(_fmt(v) for v in rec.as_row()) + "\n")
 
 
-def read_metrics_csv(path):
-    """(column names, float matrix with NaN for empty fields)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        rows.append([float(p) if p else float("nan") for p in line.split(",")])
-    return header, np.asarray(rows, dtype=float)
-
-
 def records_to_matrix(records):
     rows = []
     for rec in records:
@@ -210,14 +208,14 @@ def records_to_matrix(records):
 def aggregate_seeds(series_list):
     """Pointwise mean and standard error across aligned metric series.
 
-    ``series_list`` holds per-seed record lists (or ready matrices).  Returns
+    ``series_list`` holds per-seed record lists.  Returns
     (steps, mean matrix, stderr matrix) over the non-step columns; stderr is
     the sample standard deviation over seeds divided by sqrt(k), zero for a
     single series.
     """
     if not series_list:
         raise ValueError("need at least one series")
-    mats = [s if isinstance(s, np.ndarray) else records_to_matrix(s) for s in series_list]
+    mats = [records_to_matrix(s) for s in series_list]
     steps = mats[0][:, 0]
     for m in mats[1:]:
         if m.shape != mats[0].shape or not np.array_equal(m[:, 0], steps):

@@ -130,37 +130,24 @@ def make_blobs_dataset(n: int, d: int, seed: int, separation: float = 2.0,
 
 @dataclass(frozen=True)
 class DataPartition:
-    """Disjoint balanced index shards for the two sub-populations.
-
-    In the default two-copy mode each sub-population's shards cover a full
-    copy of the sample ids.  In single-copy mode one copy is split across all
-    n0 + n1 agents.
-    """
+    """Disjoint balanced index shards for the two sub-populations; each
+    sub-population's shards cover a full copy of the sample ids."""
 
     zo_shards: list
     fo_shards: list
     n_samples: int
-    single_copy: bool = False
 
     def __post_init__(self):
-        if self.single_copy:
-            groups = [list(self.zo_shards) + list(self.fo_shards)]
-            error = "single-copy shards must partition the sample ids"
-        else:
-            groups = [g for g in (self.zo_shards, self.fo_shards) if len(g)]
-            error = "shards must be disjoint and cover all sample ids"
-        for shards in groups:  # every id must occur exactly once
-            parts = [s for s in shards if len(s)]
+        for shards in (g for g in (self.zo_shards, self.fo_shards) if len(g)):
+            parts = [s for s in shards if len(s)]  # every id must occur exactly once
             ids = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
             if (ids.dtype.kind not in "iu" or ids.size != self.n_samples
                     or (ids.size and (ids.min() < 0 or ids.max() >= self.n_samples))
                     or not np.all(np.bincount(ids.astype(np.intp), minlength=self.n_samples) == 1)):
-                raise ValueError(error)
-        if not self.single_copy:
-            for group in (self.zo_shards, self.fo_shards):
-                sizes = [len(s) for s in group]
-                if sizes and max(sizes) - min(sizes) > 1:
-                    raise ValueError("shard sizes within a sub-population must differ by at most 1")
+                raise ValueError("shards must be disjoint and cover all sample ids")
+            sizes = [len(s) for s in shards]
+            if max(sizes) - min(sizes) > 1:
+                raise ValueError("shard sizes within a sub-population must differ by at most 1")
 
 
 def _balanced_split(m, parts, rng):
@@ -170,34 +157,20 @@ def _balanced_split(m, parts, rng):
     return [np.sort(chunk) for chunk in np.array_split(perm, parts)]
 
 
-def partition_data(dataset, n0: int, n1: int, seed: int, single_copy: bool = False) -> DataPartition:
-    """Shuffle and split sample ids into balanced shards per sub-population.
-
-    ``dataset`` may be a :class:`Dataset` or a plain sample count.  Default
-    mode hands each sub-population its own full copy of the data; with
-    ``single_copy=True`` one copy is split across all n0 + n1 agents.
-    Deterministic given ``seed``.
-    """
-    m = dataset if isinstance(dataset, (int, np.integer)) else len(dataset)
+def partition_data(m: int, n0: int, n1: int, seed: int) -> DataPartition:
+    """Shuffle and split the sample ids 0..m-1 into balanced shards: each
+    sub-population gets its own full copy of the data.  Deterministic given
+    ``seed``."""
     if n0 < 0 or n1 < 0:
         raise ValueError("shard counts must be non-negative")
     if n0 + n1 < 2:
         raise ValueError("need at least two agents (n0 + n1 >= 2)")
     if m < 1:
         raise ValueError("cannot partition an empty dataset")
-    if single_copy:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
-        shards = _balanced_split(m, n0 + n1, rng)
-        return DataPartition(zo_shards=shards[:n0], fo_shards=shards[n0:],
-                             n_samples=m, single_copy=True)
     rng_zo = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
     rng_fo = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
-    return DataPartition(
-        zo_shards=_balanced_split(m, n0, rng_zo),
-        fo_shards=_balanced_split(m, n1, rng_fo),
-        n_samples=m,
-        single_copy=False,
-    )
+    return DataPartition(zo_shards=_balanced_split(m, n0, rng_zo),
+                         fo_shards=_balanced_split(m, n1, rng_fo), n_samples=m)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +279,6 @@ class QuadraticObjective(Objective):
         self._ones = np.ones(m)
         self._lam_mean = per_sample_lam.mean(axis=0)
         self._goff_mean = offsets.mean(axis=0)
-
-    @property
-    def hessian(self):
-        return self.Q @ (self.lam[:, None] * self.Qt)
 
     def _batch_coeffs(self, B):
         """Batch means of the eigenvalue weights and offsets over each row of

@@ -17,13 +17,13 @@ counts as one simulation step but n // 2 interactions.
 from __future__ import annotations
 
 import bisect
-import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import BIASED_KINDS, FIRST_ORDER, EstimatorConfig, check_shard, estimate_rows
+from .estimators import (BIASED_KINDS, FIRST_ORDER, EstimatorConfig, check_shard,
+                         draw_row_inputs, estimate_rows)
 from . import metrics as _metrics
 
 UNIFORM_PAIR = "uniform_pair"
@@ -182,18 +182,6 @@ class Population:
     def n1(self):
         return self.X.shape[0] - self.n0
 
-    def clone(self):
-        """Independent copy, generator states included."""
-        rngs, dirs = copy.deepcopy(self.rngs), copy.deepcopy(self.dir_rngs)
-        sched, met = copy.deepcopy(self.scheduler_rng), copy.deepcopy(self.metrics_rng)
-        return Population(objective=self.objective, X=self.X.copy(), shards=self.shards,
-                          rngs=rngs, n0=self.n0, zo=self.zo, fo=self.fo, c=self.c,
-                          momentum=self.momentum, scheduler_mode=self.scheduler_mode,
-                          scheduler_rng=sched, metrics_rng=met, dir_rngs=dirs,
-                          M=None if self.M is None else self.M.copy(),
-                          interactions=self.interactions,
-                          function_evals=self.function_evals, sim_steps=self.sim_steps)
-
 
 def init_population(cfg: PopulationConfig, spec, partition, x0) -> Population:
     """All agents start at x0; agents 0..n0-1 are zeroth-order, the rest
@@ -275,35 +263,6 @@ def interact(pop: Population, I, J, eta, B=None, U=None):
     return G
 
 
-def draw_row_inputs(pop: Population, A):
-    """The estimator inputs of kernel rows whose agents are ``A``, -1 for a
-    row that makes no estimate: (B, U).  Row r's minibatch ids fill the
-    leading batch_size columns of B[r] and, in a population with
-    zeroth-order agents, its directions U[r] (rv, d) (U is None without).
-
-    Each agent draws the ids of all its rows, in row order, with one call on
-    ``rngs[a]``, and a zeroth-order agent all their directions with one call
-    on ``dir_rngs[a]``.  These streams draw nothing else, so a run of rows
-    gets the numbers of one draw per row, however the rows are split.
-    """
-    (n, d), n0, zo, fo = pop.X.shape, pop.n0, pop.zo, pop.fo
-    width = max(zo.batch_size if zo else 1, fo.batch_size if fo else 1)
-    B = np.empty((A.shape[0], width), dtype=np.intp)
-    U = np.empty((A.shape[0], zo.rv, d)) if n0 else None
-    order = A.argsort(kind="stable")  # the rows by agent, each agent's in row order
-    ends = np.bincount(A + 1, minlength=n + 1).cumsum().tolist()  # after the -1 rows
-    for a in range(n):
-        start, end = ends[a], ends[a + 1]
-        if end > start:
-            rows = order[start:end]
-            cfg, shard = zo if a < n0 else fo, pop.shards[a]
-            m, b = shard.shape[0], cfg.batch_size
-            B[rows, :b] = shard if m == b else shard[pop.rngs[a].integers(0, m, (end - start, b))]
-            if a < n0:
-                U[rows] = pop.dir_rngs[a].standard_normal((end - start, cfg.rv, d))
-    return B, U
-
-
 def draw_pairs(rng, n, steps):
     """``steps`` unordered pairs (I[p], J[p]), each uniform over the n (n - 1) / 2
     choices: the draws of ``steps`` scalar pairs ``rng.integers(n)``,
@@ -349,9 +308,9 @@ def step_window(pop: Population, etas, weights=None):
     steps = etas.shape[0]
     if pop.scheduler_mode == UNIFORM_PAIR:
         I, J = draw_pairs(pop.scheduler_rng, n, steps)
-        depth, L = {}, []  # agent -> layers joined so far; per pair, its layer
+        depth, L = [0] * n, []  # per agent, layers joined so far; per pair, its layer
         for i, j in zip(I.tolist(), J.tolist()):
-            l = max(depth.get(i, 0), depth.get(j, 0))
+            l = max(depth[i], depth[j])
             depth[i] = depth[j] = l + 1
             L.append(l)
         mixed = not (etas == etas[0]).all()

@@ -76,12 +76,11 @@ _POP_KEYS = {"label", "n0", "n1", "eta", "momentum", "c",
 _ETA_KEYS = {"mode", "eta_max", "eta_min", "warmup_steps"}
 _THEORY_KEYS = {"seed", "probes", "smoothing_samples", "mc_samples",
                 "recursion_replicas", "nu_scale", "eta"}
-# least values of the integer theory options (None: any integer); eta and
-# nu_scale are numbers > 0
-_THEORY_INT_MIN = {"seed": None, "probes": 1, "smoothing_samples": 1, "mc_samples": 1,
+# least values of the integer theory options; eta and nu_scale are numbers > 0
+_THEORY_INT_MIN = {"seed": 0, "probes": 1, "smoothing_samples": 1, "mc_samples": 1,
                    "recursion_replicas": 2}
 # the integer fields of the objective and dataset sections; the builders
-# check the ranges of these sections' numbers
+# check the ranges of these sections' numbers, except that a seed is >= 0
 _INTEGER_FIELDS = {"d", "n_samples", "seed", "n_train", "n_val"}
 
 
@@ -112,6 +111,16 @@ def _number(where, value, least=None, integer=False, strict=False):
             want += f" {'>' if strict else '>='} {least}"
         raise ConfigError(f"{where} must be {want}, got {value!r}")
     return int(value) if integer else float(value)
+
+
+def parse_seeds(seeds, where):
+    """A non-empty list of unique seeds, each an integer >= 0."""
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError(f"{where} must be a non-empty list")
+    seeds = [_number(f"{where}[{i}]", s, 0, integer=True) for i, s in enumerate(seeds)]
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"{where} must be unique")
+    return seeds
 
 
 @dataclass(frozen=True)
@@ -202,18 +211,13 @@ def parse_config(path) -> ExperimentConfig:
     _check_keys(raw, _TOP_KEYS, str(path))
 
     name = str(raw.get("name", path.stem))
-    seed = _number("seed", raw.get("seed", 0), integer=True)
+    seed = _number("seed", raw.get("seed", 0), 0, integer=True)
     T = _number("T", raw.get("T", 1), 0, integer=True)
     cadence = _number("metric_cadence", raw.get("metric_cadence", 10), 1, integer=True)
     mode = raw.get("scheduler_mode", RANDOM_MATCHING)
     if mode not in SCHEDULER_MODES:
         raise ConfigError(f"scheduler_mode: unknown mode {mode!r}")
-    seeds = raw.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("seeds must be a non-empty list")
-    seeds = [_number(f"seeds[{i}]", s, integer=True) for i, s in enumerate(seeds)]
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be unique")
+    seeds = parse_seeds(raw.get("seeds", [0]), "seeds")
     x0_scale = _number("x0_scale", raw.get("x0_scale", 1.0), 0.0)
 
     objective = raw.get("objective")
@@ -226,6 +230,7 @@ def parse_config(path) -> ExperimentConfig:
         for key in objective:
             if key not in ("kind", "positive_class"):
                 objective[key] = _number(f"objective.{key}", objective[key],
+                                         0 if key == "seed" else None,
                                          integer=key in _INTEGER_FIELDS)
         if kind == "logistic_l2":
             _number("objective.lam", objective.get("lam"), 0.0, strict=True)
@@ -240,6 +245,7 @@ def parse_config(path) -> ExperimentConfig:
         for key in dataset:
             if dkind == "blobs" and key != "kind":
                 dataset[key] = _number(f"dataset.{key}", dataset[key],
+                                       0 if key == "seed" else None,
                                        integer=key in _INTEGER_FIELDS)
 
     theory = raw.get("theory") or {}

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import BIASED_KINDS, FIRST_ORDER, ZO_ONE_SIDED, EstimatorConfig, estimate_rows
-from .metrics import compute_gamma, gamma_of
+from .estimators import BIASED_KINDS, FIRST_ORDER, ZO_ONE_SIDED, EstimatorConfig
+from .metrics import compute_gamma, gamma_of, sample_estimates
 from .objectives import (
     make_blobs_dataset,
     make_logistic,
@@ -65,10 +65,6 @@ class BoundCheckReport:
     def to_dict(self):
         """The fields in order, ``passed`` stored as "pass"."""
         return {"pass" if k == "passed" else k: v for k, v in vars(self).items()}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**{"passed" if k == "pass" else k: v for k, v in data.items()})
 
 
 def _report(name, measured, bound, stderr, samples, seed, **detail):
@@ -257,76 +253,49 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
     """E[Gamma_{t+1}] <= (1 - 1/2n) Gamma_t + (4/n) eta^2 E[M_t^G] from a
     frozen population, one uniform-pair step per replica.
 
-    E[M_t^G] is itself estimated over the replicas; the pass margin combines
-    both standard errors.  A replica has n + 2 slots: 0 and 1 estimate for
-    its pair, 2 + a is agent a's M^G estimate.  The replicas run in blocks of
-    about _REPLICA_BLOCK direction elements, so the block size k follows from
-    n, rv and d, and block b draws from the stream (seed, 31, b): its k pairs
-    (:func:`draw_pairs`), then in one call the minibatch positions of every
-    estimating slot in (replica, slot, position) order (a shard the size of
-    its kind's batch is taken whole), then the (k, n0 + 2, rv, d)
-    directions of slots 0 ... n0 + 1.  One array pass per block then steps
-    the pair as :func:`interact` does and sums M^G as :func:`compute_mtg`
-    does, with one :func:`estimate_rows` call per estimator kind.  At eta = 0
-    the pair only averages, and a population of a biased zeroth-order kind
-    has no smoothing radius, so it samples no M^G (``mean_mtg`` None), as
-    :func:`run` does.
+    The replicas run in blocks of about _REPLICA_BLOCK direction elements, so
+    the block size k follows from n, rv and d.  Block b draws from the stream
+    (seed, 31, b) its k pairs (:func:`draw_pairs`), then k fresh estimates
+    per agent (:func:`sample_estimates`).  Replica r steps its pair (I, J) as
+    :func:`interact` does, with the estimates G[r, I] and G[r, J], and its
+    M^G sums the squared norms of G[r]: each estimate is independent of the
+    pair, so sharing them changes neither E[Gamma_{t+1}] nor E[M^G].  The
+    stderr is that of Gamma_r - (4/n) eta^2 M_r over the replicas, the
+    difference the pass rule compares.  At eta = 0 the pair only averages,
+    and a population of a biased zeroth-order kind has no smoothing radius,
+    so it samples no M^G (``mean_mtg`` None), as :func:`run` does.
     """
-    n, n0, d = pop.n, pop.n0, pop.objective.d
-    spec, X0, M0 = pop.objective, pop.X, pop.M
+    n, d = pop.X.shape
+    X0, M0 = pop.X, pop.M
     gamma_t = compute_gamma(pop)
     sample_mtg = eta > 0 or pop.zo is None or pop.zo.kind not in BIASED_KINDS
     nu = eta / pop.c if eta > 0 else None
-    active = np.array([eta != 0] * 2 + [sample_mtg] * n)
-    rv = 0 if pop.zo is None else pop.zo.rv
-    # per agent: its shard as a table row, and the bound of each position it draws (0: none)
-    b = max(cfg.batch_size for cfg, _ in pop.groups)
-    table = np.zeros((n, max(s.shape[0] for s in pop.shards)), dtype=np.intp)
-    high = np.zeros((n, b), dtype=np.intp)
-    for a, shard in enumerate(pop.shards):
-        m, size = shard.shape[0], (pop.zo if a < n0 else pop.fo).batch_size
-        table[a, :m] = shard
-        high[a, :size] = m if m != size else 0
-    block = min(replicas, max(1, _REPLICA_BLOCK // ((n + 2) * max(rv, 1) * d)))
-    gammas = np.empty(replicas)
-    mtgs = np.empty(replicas)
+    rv = 1 if pop.zo is None else pop.zo.rv
+    block = min(replicas, max(1, _REPLICA_BLOCK // (n * rv * d)))
+    gammas, mtgs = np.empty(replicas), np.zeros(replicas)
     for start in range(0, replicas, block):
         k = min(block, replicas - start)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 31, start // block]))
-        I, J = draw_pairs(rng, n, k)
-        A = np.column_stack((I, J, np.tile(np.arange(n), (k, 1))))  # the agent of each slot
-        H = high[A] * active[:, None]
-        P = np.broadcast_to(np.arange(b), H.shape).copy()
-        drawn = H > 0
-        P[drawn] = rng.integers(0, H[drawn])
-        U = rng.standard_normal((k, n0 + 2, rv, d))
-        ids = table[A[:, :, None], P]
-        G = np.empty((k, n + 2, d))
-        for cfg, rows in pop.groups:
-            zo = rows[0] < n0
-            sel = active & ((A < n0) == zo)
-            if sel.any():
-                G[sel] = estimate_rows(spec, cfg, X0[A[sel]], ids[sel][:, :cfg.batch_size],
-                                       U[sel[:, :n0 + 2]] if zo else None, nu)[0]
-        S = X0[A[:, :2]]  # the pair's pre-interaction models, stepped as interact does
-        if eta != 0:
-            Gp = G[:, :2]
-            if M0 is not None:
-                Gp = M0[A[:, :2]] * pop.momentum + (1.0 - pop.momentum) * Gp
-            S -= eta * Gp
-        avg = (S[:, 0] + S[:, 1]) * 0.5
-        Xn = np.broadcast_to(X0, (k, n, d)).copy()
-        Xn[np.arange(k)[:, None], A[:, :2]] = avg[:, None]
-        gammas[start:start + k] = gamma_of(Xn)
+        pair = np.column_stack(draw_pairs(rng, n, k))
+        S = X0[pair]  # the pair's pre-interaction models, stepped as interact does
         if sample_mtg:
-            mtgs[start:start + k] = np.square(G[:, 2:]).sum(axis=(1, 2)) / n
+            G = sample_estimates(pop, rng, k, nu)
+            mtgs[start:start + k] = np.square(G).sum(axis=(1, 2)) / n
+            if eta != 0:
+                Gp = G[np.arange(k)[:, None], pair]
+                if M0 is not None:
+                    Gp = M0[pair] * pop.momentum + (1.0 - pop.momentum) * Gp
+                S -= eta * Gp
+        Xn = np.broadcast_to(X0, (k, n, d)).copy()
+        Xn[np.arange(k)[:, None], pair] = ((S[:, 0] + S[:, 1]) * 0.5)[:, None]
+        gammas[start:start + k] = gamma_of(Xn)
+    coef = 4.0 / n * eta * eta
     bound = (1.0 - 1.0 / (2.0 * n)) * gamma_t
-    se, mean_mtg = float(gammas.std(ddof=1)) / math.sqrt(replicas), None
+    mean_mtg = None
     if sample_mtg:
-        coef = 4.0 / n * eta * eta
         mean_mtg = float(mtgs.mean())
         bound += coef * mean_mtg
-        se = math.hypot(se, coef * float(mtgs.std(ddof=1)) / math.sqrt(replicas))
+    se = float((gammas - coef * mtgs).std(ddof=1)) / math.sqrt(replicas)
     return _report("gamma_recursion", gammas.mean(), bound, se, replicas, seed,
                    gamma_t=gamma_t, eta=eta, mean_mtg=mean_mtg, n=n)
 
@@ -413,11 +382,6 @@ def write_report(path, reports) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump([r.to_dict() for r in reports], fh, indent=2)
         fh.write("\n")
-
-
-def load_report(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return [BoundCheckReport.from_dict(d) for d in json.load(fh)]
 
 
 def format_report_line(report: BoundCheckReport) -> str:

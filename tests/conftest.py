@@ -28,6 +28,14 @@ def vector_mc_stats(samples):
     return mean, float(np.sqrt(var.sum() / n))
 
 
+def read_metrics_csv(path):
+    """(column names, float matrix with NaN for empty fields) of a metrics CSV."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    rows = [[float(p) if p else float("nan") for p in line.split(",")] for line in lines[1:]]
+    return lines[0].split(","), np.asarray(rows, dtype=float)
+
+
 def scalar_mc_stats(values):
     values = np.asarray(values, dtype=float)
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))

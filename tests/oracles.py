@@ -1,15 +1,18 @@
 """Test oracles: for the objective kernels, a linear calibration objective
 with exact Gaussian moments and per-sample references written out one
 sample at a time, independent of the row-batched kernels they check; for
-the variance-potential recursion check, its replicas run one at a time
-from replays of their documented draws."""
+the estimators, one estimate at a time from one stream; for the
+variance-potential recursion check, its replicas run one at a time from
+their documented draws."""
 
+import copy
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from hdopt import theory
-from hdopt.estimators import BIASED_KINDS, draw_inputs, estimate_rows
+from hdopt.estimators import BIASED_KINDS, FIRST_ORDER, check_shard, estimate_rows
 from hdopt.metrics import compute_gamma
 from hdopt.objectives import Objective, _antisymmetric
 from hdopt.protocol import draw_pairs, interact
@@ -103,91 +106,87 @@ def grad_rows_reference(spec, X, B=None):
     return out
 
 
-class _Replay:
-    """A generator stand-in for one slot of a recursion replica: hands out
-    the slot's pre-drawn minibatch positions and directions."""
+@dataclass
+class GradientEstimate:
+    vector: np.ndarray
+    kind: str
+    function_evals: int
 
-    def __init__(self, positions, directions):
-        self.positions, self.directions = positions, directions
 
-    def integers(self, low, high, size):
-        assert low == 0 and size == len(self.positions)
-        assert all(p < high for p in self.positions)
-        return np.array(self.positions, dtype=np.intp)
-
-    def standard_normal(self, size):
-        return self.directions.reshape(size)
+def estimate_gradient(spec, shard, x, cfg, rng, nu=None):
+    """One agent's estimate at x, from inputs drawn from ``rng``: its
+    minibatch ids (i.i.d. uniform over the shard, or the whole shard when
+    batch_size equals its size), then for the zeroth-order kinds its rv
+    Gaussian directions.  ``nu`` is the smoothing radius of the biased
+    kinds."""
+    shard = check_shard(shard, cfg.batch_size)
+    X = np.asarray(x, dtype=float)[None, :]
+    m, b = shard.shape[0], cfg.batch_size
+    B = (shard if m == b else shard[rng.integers(0, m, size=b)])[None]
+    U = None if cfg.kind == FIRST_ORDER else rng.standard_normal((1, cfg.rv, X.shape[1]))
+    G, evals = estimate_rows(spec, cfg, X, B, U, nu)
+    return GradientEstimate(vector=G[0], kind=cfg.kind, function_evals=evals)
 
 
 def gamma_recursion_reference(pop, eta, replicas, seed):
     """check_gamma_recursion one replica at a time, read from its documented
-    block layout: block b of the replicas draws from the stream (seed, 31, b)
-    its pairs, then the minibatch positions of every estimating slot (0, 1:
-    the pair; 2 + a: agent a's M^G row) in (replica, slot, position) order,
-    then directions (k, n0 + 2, rv, d).  Each replica is then one interact
-    call on a clone of the frozen population, compute_gamma, and one
-    estimate_rows call per agent for M^G, each slot's inputs drawn by
-    draw_inputs from a replay of its draws.  At eta = 0 a population of a
-    biased zeroth-order kind samples no M^G."""
+    block contract: block b of the replicas draws from the stream
+    (seed, 31, b) its pairs, then, when M^G is sampled, agent by agent the
+    minibatch ids of the agent's k estimates and then their directions.
+    Each replica is then one interact call on a copy of the frozen
+    population, with the inputs of its pair's own estimates, compute_gamma,
+    and one estimate_rows call per agent for M^G.  At eta = 0 a population
+    of a biased zeroth-order kind samples no M^G."""
     n, n0, d = pop.n, pop.n0, pop.objective.d
-    rv = 0 if pop.zo is None else pop.zo.rv
-    block = min(replicas, max(1, theory._REPLICA_BLOCK // ((n + 2) * max(rv, 1) * d)))
+    rv = 1 if pop.zo is None else pop.zo.rv
+    block = min(replicas, max(1, theory._REPLICA_BLOCK // (n * rv * d)))
     gamma_t = compute_gamma(pop)
     sample_mtg = eta > 0 or pop.zo is None or pop.zo.kind not in BIASED_KINDS
     nu = eta / pop.c if eta > 0 else None
     width = max(cfg.batch_size for cfg, _ in pop.groups)
-    work = pop.clone()
+    work = copy.deepcopy(pop)
     gammas, mtgs = [], []
     for b, start in enumerate(range(0, replicas, block)):
         k = min(block, replicas - start)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 31, b]))
         I, J = draw_pairs(rng, n, k)
-        slots = [(r, s, a) for r in range(k) for s, a in enumerate([I[r], J[r]] + list(range(n)))
-                 if (eta != 0 if s < 2 else sample_mtg)]
-        bounds = {}  # per slot: the bound of each of its minibatch draws
-        for r, s, a in slots:
-            m, size = pop.shards[a].shape[0], (pop.zo if a < n0 else pop.fo).batch_size
-            bounds[r, s] = [m] * size if m != size else []
-        drawn = iter(rng.integers(0, np.array(sum(bounds.values(), []), dtype=np.intp)))
-        U = rng.standard_normal((k, n0 + 2, rv, d))
-        replay = {(r, s): _Replay([next(drawn) for _ in bounds[r, s]],
-                                  U[r, s] if s < n0 + 2 else None) for r, s, _ in slots}
-        assert next(drawn, None) is None
+        ids, dirs = [], []  # per agent: its k estimates' ids and directions
+        for a in range(n if sample_mtg else 0):
+            cfg, shard = pop.zo if a < n0 else pop.fo, pop.shards[a]
+            m, size = shard.shape[0], cfg.batch_size
+            ids.append(np.tile(shard, (k, 1)) if m == size
+                       else shard[rng.integers(0, m, (k, size))])
+            dirs.append(rng.standard_normal((k, cfg.rv, d)) if a < n0 else None)
         for r in range(k):
             work.X[:] = pop.X
             if work.M is not None:
                 work.M[:] = pop.M
             B = U = None  # the pair's rows, I[r] then J[r]
             if eta != 0:
-                drawn = [draw_inputs(pop.zo if a < n0 else pop.fo, pop.shards[a],
-                                     replay[r, s], d) for s, a in enumerate((I[r], J[r]))]
                 B = np.zeros((2, width), dtype=np.intp)
                 U = np.zeros((2, rv, d)) if n0 else None
-                for row, (ids, dirs) in enumerate(drawn):
-                    B[row, :ids.shape[1]] = ids[0]
-                    if dirs is not None:
-                        U[row] = dirs[0]
+                for row, a in enumerate((I[r], J[r])):
+                    B[row, :ids[a].shape[1]] = ids[a][r]
+                    if a < n0:
+                        U[row] = dirs[a][r]
             interact(work, I[r:r + 1], J[r:r + 1], eta, B, U)
             gammas.append(compute_gamma(work))
             if sample_mtg:
                 total = 0.0
                 for a in range(n):
-                    cfg = pop.zo if a < n0 else pop.fo
-                    G, _ = estimate_rows(pop.objective, cfg, pop.X[a:a + 1],
-                                         *draw_inputs(cfg, pop.shards[a], replay[r, 2 + a], d),
-                                         nu)
+                    G, _ = estimate_rows(pop.objective, pop.zo if a < n0 else pop.fo,
+                                         pop.X[a:a + 1], ids[a][r:r + 1],
+                                         None if dirs[a] is None else dirs[a][r:r + 1], nu)
                     total += float(np.sum(G * G))
                 mtgs.append(total / n)
-    gammas, mtgs = np.array(gammas), np.array(mtgs)
-    mean_next = float(gammas.mean())
-    se_next = float(gammas.std(ddof=1)) / math.sqrt(replicas)
+    gammas = np.array(gammas)
+    mtgs = np.array(mtgs) if sample_mtg else np.zeros(replicas)
     coef = 4.0 / n * eta * eta
     bound = (1.0 - 1.0 / (2.0 * n)) * gamma_t
-    se, mean_mtg = se_next, None
+    mean_mtg = None
     if sample_mtg:
         mean_mtg = float(mtgs.mean())
-        se_mtg = float(mtgs.std(ddof=1)) / math.sqrt(replicas)
         bound += coef * mean_mtg
-        se = math.sqrt(se_next * se_next + (coef * se_mtg) * (coef * se_mtg))
-    return _report("gamma_recursion", mean_next, bound, se, replicas, seed,
+    se = float((gammas - coef * mtgs).std(ddof=1)) / math.sqrt(replicas)
+    return _report("gamma_recursion", float(gammas.mean()), bound, se, replicas, seed,
                    gamma_t=gamma_t, eta=eta, mean_mtg=mean_mtg, n=n)

@@ -7,7 +7,7 @@ from hdopt.estimators import (
     ZO_FORWARD,
     ZO_ONE_SIDED,
     EstimatorConfig,
-    estimate_gradient,
+    estimate_rows,
 )
 from hdopt.objectives import (
     make_blobs_dataset,
@@ -17,7 +17,7 @@ from hdopt.objectives import (
 )
 
 from conftest import scalar_mc_stats, vector_mc_stats
-from oracles import LinearObjective
+from oracles import LinearObjective, estimate_gradient
 
 
 def logistic_instance(d=3, n=40, lam=0.1, seed=5):
@@ -38,8 +38,6 @@ def test_estimator_config_validation():
         EstimatorConfig(kind="newton")
     with pytest.raises(ValueError):
         EstimatorConfig(kind=ZO_CENTRAL, rv=0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(kind=ZO_CENTRAL, nu=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +85,10 @@ def test_first_order_rejects_empty_shard():
 def test_one_sided_linear_exact_per_draw():
     # for a linear objective each draw equals (a . u) u, independent of nu
     lin = LinearObjective(np.array([1.0, 0.0]))
-    cfg_small = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=1, rv=3, nu=1e-3)
-    cfg_large = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=1, rv=3, nu=10.0)
+    cfg = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=1, rv=3)
     x = np.zeros(2)
-    a = estimate_gradient(lin, np.array([0]), x, cfg_small, np.random.default_rng(11))
-    b = estimate_gradient(lin, np.array([0]), x, cfg_large, np.random.default_rng(11))
+    a = estimate_gradient(lin, np.array([0]), x, cfg, np.random.default_rng(11), nu=1e-3)
+    b = estimate_gradient(lin, np.array([0]), x, cfg, np.random.default_rng(11), nu=10.0)
     assert np.allclose(a.vector, b.vector, atol=1e-9)
     assert a.function_evals == 1 * (3 + 1)
 
@@ -101,8 +98,8 @@ def test_one_sided_mean_on_quadratic_recovers_gradient():
     q = make_quadratic(d=5, cond=1.0, seed=4, grad_noise=0.0)
     shard = np.arange(q.n_samples)
     x = q.x_star + np.array([1.0, -0.5, 0.2, 0.0, 2.0])
-    cfg = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=q.n_samples, rv=1000, nu=0.05)
-    draws = mc_estimates(lambda r: estimate_gradient(q, shard, x, cfg, r), 1000, seed=5)
+    cfg = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=q.n_samples, rv=1000)
+    draws = mc_estimates(lambda r: estimate_gradient(q, shard, x, cfg, r, nu=0.05), 1000, seed=5)
     mean, se = vector_mc_stats(draws)
     assert np.linalg.norm(mean - q.grad(x)) <= 3 * se
 
@@ -133,8 +130,8 @@ def test_one_sided_mean_matches_independent_smoothed_gradient_oracle():
     oracle_se = np.sqrt(np.maximum(total_sq / n_oracle - oracle**2, 0).sum() / n_oracle)
 
     shard = np.arange(20)
-    cfg = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=20, rv=100, nu=nu)
-    draws = mc_estimates(lambda r: estimate_gradient(lg, shard, x, cfg, r), 2000, seed=8)
+    cfg = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=20, rv=100)
+    draws = mc_estimates(lambda r: estimate_gradient(lg, shard, x, cfg, r, nu=nu), 2000, seed=8)
     mean, se = vector_mc_stats(draws)
     assert np.linalg.norm(mean - oracle) <= 3 * np.hypot(se, oracle_se)
     # and the smoothed target genuinely differs from the raw gradient here
@@ -155,12 +152,9 @@ def test_one_sided_requires_positive_nu():
 def test_central_linear_exact_per_draw():
     lin = LinearObjective(np.array([2.0, -1.0, 0.5]))
     x = np.array([1.0, 1.0, 1.0])
-    a = estimate_gradient(lin, np.array([0]), x,
-                            EstimatorConfig(kind=ZO_CENTRAL, batch_size=1, rv=4, nu=1e-4),
-                            np.random.default_rng(13))
-    b = estimate_gradient(lin, np.array([0]), x,
-                            EstimatorConfig(kind=ZO_CENTRAL, batch_size=1, rv=4, nu=5.0),
-                            np.random.default_rng(13))
+    cfg = EstimatorConfig(kind=ZO_CENTRAL, batch_size=1, rv=4)
+    a = estimate_gradient(lin, np.array([0]), x, cfg, np.random.default_rng(13), nu=1e-4)
+    b = estimate_gradient(lin, np.array([0]), x, cfg, np.random.default_rng(13), nu=5.0)
     assert np.allclose(a.vector, b.vector, atol=1e-9)
     assert a.function_evals == 1 * 2 * 4
 
@@ -173,12 +167,9 @@ def test_central_one_dim_quadratic_identity():
     shard = np.arange(q.n_samples)
     outs = []
     for s in range(4000):
-        cfg = EstimatorConfig(kind=ZO_CENTRAL, batch_size=q.n_samples, rv=1, nu=0.7)
-        est = estimate_gradient(q, shard, x, cfg, np.random.default_rng(s))
-        est2 = estimate_gradient(q, shard, x,
-                                   EstimatorConfig(kind=ZO_CENTRAL, batch_size=q.n_samples,
-                                                   rv=1, nu=0.001),
-                                   np.random.default_rng(s))
+        cfg = EstimatorConfig(kind=ZO_CENTRAL, batch_size=q.n_samples, rv=1)
+        est = estimate_gradient(q, shard, x, cfg, np.random.default_rng(s), nu=0.7)
+        est2 = estimate_gradient(q, shard, x, cfg, np.random.default_rng(s), nu=0.001)
         assert est.vector == pytest.approx(est2.vector, abs=1e-8)
         assert est.vector[0] * 2.0 >= 0.0  # x u^2 shares the sign of (x - x*)
         outs.append(est.vector[0])
@@ -193,8 +184,9 @@ def test_central_variance_decreases_with_rv():
     trials = 10**4
 
     def variance_for(rv, seed):
-        cfg = EstimatorConfig(kind=ZO_CENTRAL, batch_size=2, rv=rv, nu=0.05)
-        draws = mc_estimates(lambda r: estimate_gradient(lg, shard, x, cfg, r), trials, seed)
+        cfg = EstimatorConfig(kind=ZO_CENTRAL, batch_size=2, rv=rv)
+        draws = mc_estimates(lambda r: estimate_gradient(lg, shard, x, cfg, r, nu=0.05), trials,
+                             seed)
         centered = draws - draws.mean(axis=0)
         sq = np.sum(centered * centered, axis=1)
         return scalar_mc_stats(sq)
@@ -270,21 +262,23 @@ def test_estimator_dispatch_and_determinism():
     shard = np.arange(20)
     x = np.array([0.1, 0.2, -0.3])
     for kind in (FIRST_ORDER, ZO_ONE_SIDED, ZO_CENTRAL, ZO_FORWARD):
-        cfg = EstimatorConfig(kind=kind, batch_size=2, rv=4, nu=0.05)
-        a = estimate_gradient(lg, shard, x, cfg, np.random.default_rng(31))
-        b = estimate_gradient(lg, shard, x, cfg, np.random.default_rng(31))
+        cfg = EstimatorConfig(kind=kind, batch_size=2, rv=4)
+        a = estimate_gradient(lg, shard, x, cfg, np.random.default_rng(31), nu=0.05)
+        b = estimate_gradient(lg, shard, x, cfg, np.random.default_rng(31), nu=0.05)
         assert np.array_equal(a.vector, b.vector)
         assert a.kind == kind
 
 
 def test_nu_override_takes_effect():
+    # a (k, 1) column of radii, one per row, acts as the scalar radius would
     lg = logistic_instance()
-    shard = np.arange(20)
-    x = np.zeros(3)
-    cfg = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=2, rv=4, nu=0.5)
-    a = estimate_gradient(lg, shard, x, cfg, np.random.default_rng(33), nu=0.5)
-    b = estimate_gradient(lg, shard, x, cfg, np.random.default_rng(33))
-    assert np.array_equal(a.vector, b.vector)
+    x = np.zeros((2, 3))
+    cfg = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=2, rv=4)
+    rng = np.random.default_rng(33)
+    B, U = rng.integers(0, 20, (2, 2)), rng.standard_normal((2, 4, 3))
+    a, _ = estimate_rows(lg, cfg, x, B, U, 0.5)
+    b, _ = estimate_rows(lg, cfg, x, B, U, np.full((2, 1), 0.5))
+    assert np.array_equal(a, b)
 
 
 def test_gaussian_norm_moment_bounds():
@@ -306,8 +300,8 @@ def test_smoothing_bias_bound_on_probes():
     rng = np.random.default_rng(37)
     for _ in range(3):
         x = rng.standard_normal(3)
-        cfg = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=20, rv=50, nu=nu)
-        draws = mc_estimates(lambda r: estimate_gradient(lg, shard, x, cfg, r), 2000,
+        cfg = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=20, rv=50)
+        draws = mc_estimates(lambda r: estimate_gradient(lg, shard, x, cfg, r, nu=nu), 2000,
                              seed=int(rng.integers(2**31)))
         mean, se = vector_mc_stats(draws)
         assert np.linalg.norm(mean - lg.grad(x)) <= bound + 3 * se
@@ -322,8 +316,9 @@ def test_single_draw_second_moment_bound():
     s_sq = lg.gradient_variance(x, shard)
     bound = 0.5 * nu**2 * lg.L**2 * (lg.d + 6) ** 3 \
         + 2 * (lg.d + 4) * (float(grad_i @ grad_i) + s_sq)
-    cfg = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=1, rv=1, nu=nu)
-    draws = mc_estimates(lambda r: estimate_gradient(lg, shard, x, cfg, r), 30000, seed=39)
+    cfg = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=1, rv=1)
+    draws = mc_estimates(lambda r: estimate_gradient(lg, shard, x, cfg, r, nu=nu), 30000,
+                         seed=39)
     vals = np.sum(draws * draws, axis=1)
     mean, se = scalar_mc_stats(vals)
     assert mean <= bound + 3 * se

@@ -172,7 +172,7 @@ def test_batched_matching_equals_sequential_pairs(n0, n1, kind, momentum, logist
         return
     spec = make_logistic(make_blobs_dataset(40, 4, seed=3), lam=0.1) if logistic else None
     batched = _population(n0, n1, kind, momentum, seed, spec)
-    sequential = batched.clone()
+    sequential = copy.deepcopy(batched)
     I, J = draw_matching(np.random.default_rng(seed), batched.n)
     # both runs take the same inputs: pair p's rows are p and k + p of the batch
     rows = np.concatenate((I, J))
@@ -230,7 +230,7 @@ def test_window_equals_its_steps(n, zo_share, kind, momentum, full_batch, logist
         c=2.0, momentum=momentum, scheduler_mode=mode,
         scheduler_rng=np.random.default_rng([seed, n]),
         metrics_rng=np.random.default_rng([seed, n + 1]))
-    one_by_one = window.clone()
+    one_by_one = copy.deepcopy(window)
     before = _states(window)
     # the agents of the pairs that step at a nonzero rate, from a replay of the schedule
     replay, moved = copy.deepcopy(window.scheduler_rng), {-1}
@@ -293,7 +293,7 @@ def test_window_weighted_average_equals_per_step_fold(n0, n1, momentum, logistic
     cfg.metric_cadence = cadence
     x0 = np.random.default_rng(seed).standard_normal(spec.d)
     pop = init_population(cfg, spec, partition_data(spec.n_samples, n0, n1, seed=5), x0)
-    one_by_one = pop.clone()
+    one_by_one = copy.deepcopy(pop)
     result = run(pop, cfg, track_weighted_average=True)
     state = WeightedAverageState(dim=spec.d)
     for t in range(T):

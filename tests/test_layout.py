@@ -1,0 +1,45 @@
+"""The library holds only code that runs: every public function, class and
+method it defines is named by some library module.
+
+The check reads the source, not the imported package.  A use is a name, an
+attribute or a ``from`` import anywhere in ``src/hdopt`` outside
+``__init__.py``; its re-exports and docstrings do not count, so an entry
+point that only tests call fails here.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hdopt"
+
+
+def _public_definitions(tree):
+    """(qualified name, bare name) of each public module-level function or
+    class, and of each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_public_library_name_is_used_by_the_library():
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(SRC.glob("*.py"))}
+    used = {name for stem, tree in modules.items() if stem != "__init__"
+            for name in _uses(tree)}
+    unused = [f"{stem}.{qualified}" for stem, tree in modules.items()
+              for qualified, name in _public_definitions(tree) if name not in used]
+    assert not unused, f"public names no library module uses: {unused}"

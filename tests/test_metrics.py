@@ -12,7 +12,6 @@ from hdopt.metrics import (
     compute_gamma,
     compute_mtg,
     compute_mu,
-    read_metrics_csv,
     snapshot,
     validation_set,
     weighted_average_update,
@@ -22,7 +21,7 @@ from hdopt.metrics import (
 from hdopt.objectives import Dataset, make_logistic, make_quadratic, partition_data
 from hdopt.protocol import Population, PopulationConfig, Schedule, init_population
 
-from conftest import scalar_mc_stats
+from conftest import read_metrics_csv, scalar_mc_stats
 
 
 def make_population(models, objective=None, estimator=None, shards=None):
@@ -179,7 +178,7 @@ def test_validation_identical_agents_equal_single():
     lg, ds = logistic_fixture()
     x = np.array([1.0, 0.0])
     pop = make_population([x] * 3, objective=lg)
-    loss, acc = lg.validate(pop.X, *validation_set(lg, ds))
+    loss, acc = lg.validate(pop.X, *validation_set(lg, ds.features, ds.labels))
     single_loss, single_acc = lg.validate(x[None], *validation_set(lg, ds.features, ds.labels))
     assert loss == pytest.approx(single_loss)
     assert acc == pytest.approx(single_acc)
@@ -188,7 +187,7 @@ def test_validation_identical_agents_equal_single():
 def test_validation_perfect_classifier_accuracy_one():
     lg, ds = logistic_fixture()
     pop = make_population([[5.0, 0.0]], objective=lg)
-    _, acc = lg.validate(pop.X, *validation_set(lg, ds))
+    _, acc = lg.validate(pop.X, *validation_set(lg, ds.features, ds.labels))
     assert acc == 1.0
 
 
@@ -210,8 +209,8 @@ def test_validation_empty_set_rejected():
 def test_validation_invariant_under_relabeling():
     lg, ds = logistic_fixture()
     models = np.random.default_rng(11).standard_normal((4, 2))
-    a = lg.validate(make_population(models, objective=lg).X, *validation_set(lg, ds))
-    b = lg.validate(make_population(models[::-1], objective=lg).X, *validation_set(lg, ds))
+    a = lg.validate(make_population(models, objective=lg).X, *validation_set(lg, ds.features, ds.labels))
+    b = lg.validate(make_population(models[::-1], objective=lg).X, *validation_set(lg, ds.features, ds.labels))
     assert a == pytest.approx(b)
 
 
@@ -228,7 +227,7 @@ def test_validation_maps_labels_with_positive_class(labels, positive):
     loss, acc = lg.validate(pop.X, *validation_set(lg, feats, np.array(labels)))
     assert acc == 1.0
     want = signed.validate(make_population([[1.0, 0.0]] * 2, objective=signed).X,
-                           *validation_set(signed, ds))
+                           *validation_set(signed, ds.features, ds.labels))
     assert (loss, acc) == pytest.approx(want)
     assert lg.validate(np.array([[1.0, 0.0]]), *validation_set(lg, feats, np.array(labels))) \
         == pytest.approx(want)

@@ -88,7 +88,7 @@ def test_init_rejects_mismatched_partition():
     q = make_quadratic(d=3, cond=2.0, seed=1)
     part = partition_data(q.n_samples, 2, 2, seed=0)
     cfg = PopulationConfig(n0=3, n1=1, schedule=Schedule(eta_max=0.1), T=1,
-                           zo=EstimatorConfig(kind=ZO_ONE_SIDED, nu=0.1),
+                           zo=EstimatorConfig(kind=ZO_ONE_SIDED),
                            fo=EstimatorConfig(kind=FIRST_ORDER))
     with pytest.raises(ValueError):
         init_population(cfg, q, part, np.zeros(3))
@@ -110,7 +110,7 @@ def test_population_config_validation():
         PopulationConfig(n0=0, n1=1, schedule=Schedule(eta_max=0.1))
     with pytest.raises(ValueError):
         PopulationConfig(n0=2, n1=2, schedule=Schedule(eta_max=0.1), momentum=1.0,
-                         zo=EstimatorConfig(kind=ZO_ONE_SIDED, nu=0.1),
+                         zo=EstimatorConfig(kind=ZO_ONE_SIDED),
                          fo=EstimatorConfig(kind=FIRST_ORDER))
     for c in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="c must be"):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hdopt.cli import main
-from hdopt.metrics import read_metrics_csv
 from hdopt.objectives import load_csv_dataset
 from hdopt.protocol import fold_seed
 from hdopt.runner import (
@@ -17,6 +16,8 @@ from hdopt.runner import (
     run_theory_suite,
 )
 from hdopt.theory import default_theory_suite
+
+from conftest import read_metrics_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -275,7 +276,7 @@ def test_cli_gen_data_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("param", ["n=2.5", "seed=1.7", "d=3.5", "separation=nan", "scale=inf",
-                                   "scale=-inf", "n=many"])
+                                   "scale=-inf", "n=many", "seed=-1"])
 def test_cli_gen_data_rejects_bad_numbers(tmp_path, capsys, param):
     out = tmp_path / "blobs.csv"
     assert main(["gen-data", "blobs", "n=20", "d=2", "seed=1", param, str(out)]) == 1
@@ -366,6 +367,18 @@ def test_cli_gen_data_accepts_scale(tmp_path):
     assert np.array_equal(b.labels, a.labels)
 
 
+@pytest.mark.parametrize("option, value, field", [
+    ("--seeds", "0,-1", "--seeds[1]"), ("--seeds", "0,x", "--seeds[1]"),
+    ("--metric-cadence", "0", "--metric-cadence")])
+def test_cli_rejects_bad_overrides_by_name(tmp_path, capsys, option, value, field):
+    # checked as the config's own fields are: exit 1 naming the option, and
+    # no output directory
+    out = tmp_path / "never"
+    assert main(["run", str(write_tiny(tmp_path)), "--out-dir", str(out), option, value]) == 1
+    assert f"config error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_nonpositive_cadence_and_threads(tmp_path):
     cfg_path = str(write_tiny(tmp_path))
     out = str(tmp_path / "never")
@@ -407,6 +420,8 @@ def test_cli_verify_rejects_bad_theory_option(tmp_path, capsys, option, value):
 
 
 FO2_ETA = "eta: 0.05\n    fo_batch_size: 4\n  - label: hybrid"
+QUADRATIC = "kind: quadratic\n  d: 4\n  cond: 5.0\n  n_samples: 16\n"
+BLOBS = "kind: logistic_l2\n  lam: 0.1\ndataset:\n  kind: blobs\n  n_train: 16\n  d: 4\n"
 
 
 @pytest.mark.parametrize("old, new, field", [
@@ -423,12 +438,19 @@ FO2_ETA = "eta: 0.05\n    fo_batch_size: 4\n  - label: hybrid"
     (FO2_ETA, FO2_ETA.replace("size: 4", "size: 2.5"), "populations[0].fo_batch_size"),
     ("T: 30", "T: 1e3", "T"),
     ("T: 30", "T: 30\ntheory:\n  smoothing_samples: 1e6", "theory.smoothing_samples"),
+    ("seed: 5", "seed: -1", "seed"),
+    ("seeds: [0, 1, 2]", "seeds: [0, -1]", "seeds[1]"),
+    (QUADRATIC, QUADRATIC + "  seed: -1\n", "objective.seed"),
+    (QUADRATIC, BLOBS + "  seed: -1\n", "dataset.seed"),
+    ("T: 30", "T: 30\ntheory:\n  seed: -1", "theory.seed"),
 ], ids=["eta-nan", "eta-inf", "cosine-eta_max-inf", "x0_scale-nan", "c-nan", "eta-true",
         "T-fraction", "n1-fraction", "fo_batch_size-fraction", "T-string",
-        "smoothing_samples-string"])
+        "smoothing_samples-string", "seed-negative", "seeds-negative",
+        "objective-seed-negative", "dataset-seed-negative", "theory-seed-negative"])
 def test_cli_rejects_bad_numbers_at_parse_time(tmp_path, capsys, old, new, field):
-    # non-finite, boolean, fractional or string values of numeric fields,
-    # under one rule: exit 1 naming the field, before anything runs
+    # non-finite, boolean, fractional, string or negative-seed values of
+    # numeric fields, under one rule: exit 1 naming the field, before
+    # anything runs
     assert old in TINY_CONFIG
     cfg_path = str(write_tiny(tmp_path, TINY_CONFIG.replace(old, new, 1)))
     out = tmp_path / "never"
@@ -478,8 +500,6 @@ theory:
     reports, ok = run_theory_suite(cfg, out_dir=tmp_path / "verify-out")
     out = capsys.readouterr().out
     assert out.count("[PASS]") + out.count("[FAIL]") == len(reports)
-    from hdopt.theory import load_report
-
-    back = load_report(tmp_path / "verify-out" / "theory_report.json")
-    assert [r.name for r in back] == [r.name for r in reports]
+    back = json.loads((tmp_path / "verify-out" / "theory_report.json").read_text())
+    assert [r["name"] for r in back] == [r.name for r in reports]
     assert ok == all(r.passed for r in reports)

@@ -26,7 +26,6 @@ from hdopt.theory import (
     check_zo_second_moment,
     check_zo_variance_bound,
     format_report_line,
-    load_report,
     probe_points,
     write_report,
 )
@@ -244,7 +243,7 @@ RECURSION_CASES = {  # (population, eta)
     "forward-hybrid-n8-momentum-eta0": (_recursion_case(_quad(), 3, 5, ZO_FORWARD, 0.9), 0.0),
     "one_sided-hybrid-n5-logistic": (_recursion_case(logistic_instance, 3, 2, momentum=0.9,
                                                      batch=1), 0.05),
-    # every shard drawn whole: the block's positions call draws nothing
+    # every shard drawn whole: no agent draws minibatch ids
     "one_sided-hybrid-n4-whole-shards": (_recursion_case(_quad(8), 2, 2), 0.05),
     # zeroth-order shards of 3, 3 and 2 ids
     "forward-hybrid-n5-uneven-shards": (_recursion_case(_quad(8), 3, 2, ZO_FORWARD, batch=2),
@@ -267,10 +266,10 @@ def test_gamma_recursion_matches_the_one_replica_at_a_time_reference(case, block
         out.update(out.pop("detail"))
         return out
 
-    # floats to 1e-12 relative, for one named rounding: the reference steps a
-    # mixed pair's first-order row alone, a (1, d) product that BLAS runs as a
-    # gemv, where the batched pass runs it as a row of a gemm, and the two can
-    # differ in the last bits
+    # floats to 1e-12 relative, for one named rounding: the reference makes
+    # each estimate alone, a (1, d) product that BLAS runs as a gemv, where
+    # the batched pass runs it as a row of a gemm, and the two can differ in
+    # the last bits
     assert fields(got) == pytest.approx(fields(want), rel=1e-12, abs=0.0)
 
 
@@ -418,7 +417,8 @@ def test_report_round_trip(tmp_path):
                                 passed=True, samples=10, seed=3, detail={"nu": 0.1})]
     path = tmp_path / "report.json"
     write_report(path, reports)
-    back = load_report(path)
+    back = [BoundCheckReport(**{"passed" if k == "pass" else k: v for k, v in r.items()})
+            for r in json.load(open(path))]
     assert back == reports
     raw = json.load(open(path))
     assert raw[0]["pass"] is True
