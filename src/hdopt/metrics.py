@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .estimators import draw_row_inputs, estimate_rows
 
-CSV_COLUMNS = (
-    "step", "parallel_time", "eta", "gamma", "mu_loss_gap", "grad_norm_sq_mu",
-    "mean_val_loss", "mean_val_acc", "mt_g", "function_evals_total",
-)
 
+class MetricsRecord(NamedTuple):
+    """One CSV row, fields in column order.  Every field is a Python int,
+    float or None, so that its ``repr`` is the CSV field."""
 
-@dataclass
-class MetricsRecord:
     step: int
     parallel_time: float
     eta: float
@@ -34,13 +32,8 @@ class MetricsRecord:
     mt_g: float | None
     function_evals_total: int
 
-    def as_row(self):
-        return [getattr(self, col) for col in CSV_COLUMNS]
 
-
-def compute_mu(pop) -> np.ndarray:
-    """Arithmetic mean of the agent models."""
-    return pop.X.mean(axis=0)
+CSV_COLUMNS = MetricsRecord._fields
 
 
 def gamma_of(X):
@@ -48,11 +41,6 @@ def gamma_of(X):
     or one per population of a stack X (..., n, d)."""
     centered = X - X.mean(axis=-2, keepdims=True)
     return (centered * centered).sum(axis=-1).mean(axis=-1)
-
-
-def compute_gamma(pop) -> float:
-    """Variance potential of the population's models (:func:`gamma_of`)."""
-    return float(gamma_of(pop.X))
 
 
 def sample_estimates(pop, rng, k, nu):
@@ -154,7 +142,7 @@ def snapshot(pop, step, eta, val=None, mtg_rng=None) -> MetricsRecord:
     """One metrics record for the current population state; ``val`` is a
     :func:`validation_set`."""
     spec = pop.objective
-    mu = compute_mu(pop)
+    mu = pop.X.mean(axis=0)
     gap = None if spec.f_star is None else float(spec.loss(mu) - spec.f_star)
     grad_mu = spec.grad(mu)
     val_loss = val_acc = None
@@ -181,28 +169,15 @@ def snapshot(pop, step, eta, val=None, mtg_rng=None) -> MetricsRecord:
 # CSV plumbing
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float) and math.isnan(value):
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _line(values):
+    """A CSV line: None and NaN are empty fields, any other value its repr."""
+    return ",".join(["" if v is None or v != v else repr(v) for v in values]) + "\n"
 
 
 def write_metrics_csv(path, records) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in records:
-            fh.write(",".join(_fmt(v) for v in rec.as_row()) + "\n")
-
-
-def records_to_matrix(records):
-    rows = []
-    for rec in records:
-        rows.append([float("nan") if v is None else float(v) for v in rec.as_row()])
-    return np.asarray(rows, dtype=float)
+        fh.writelines(map(_line, records))
 
 
 def aggregate_seeds(series_list):
@@ -215,7 +190,7 @@ def aggregate_seeds(series_list):
     """
     if not series_list:
         raise ValueError("need at least one series")
-    mats = [records_to_matrix(s) for s in series_list]
+    mats = [np.array(s, dtype=float) for s in series_list]  # None is NaN
     steps = mats[0][:, 0]
     for m in mats[1:]:
         if m.shape != mats[0].shape or not np.array_equal(m[:, 0], steps):
@@ -233,11 +208,8 @@ def write_aggregate_csv(path, steps, mean, stderr) -> None:
     cols = ["step"]
     for name in CSV_COLUMNS[1:]:
         cols += [f"{name}_mean", f"{name}_stderr"]
+    body = np.empty((mean.shape[0], 2 * mean.shape[1]))
+    body[:, 0::2], body[:, 1::2] = mean, stderr
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for t in range(len(steps)):
-            row = [str(int(steps[t]))]
-            for c in range(mean.shape[1]):
-                row.append(_fmt(float(mean[t, c])))
-                row.append(_fmt(float(stderr[t, c])))
-            fh.write(",".join(row) + "\n")
+        fh.writelines(_line([step, *row]) for step, row in zip(steps.tolist(), body.tolist()))

@@ -41,10 +41,9 @@ TAG_INIT = 4
 _INPUT_BLOCK = 1 << 15
 
 
-def derive_rng(seed, *path):
-    """Child generator for (master seed, purpose tag, indices...)."""
-    entropy = [int(v) for v in (list(np.atleast_1d(seed)) + list(path))]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+def derive_rng(*path):
+    """Generator for a path of integers: (master seed, purpose tag, indices...)."""
+    return np.random.default_rng(np.random.SeedSequence([int(p) for p in path]))
 
 
 def fold_seed(*parts) -> int:
@@ -102,6 +101,7 @@ class PopulationConfig:
     metric_cadence: int = 10
     zo: EstimatorConfig | None = None
     fo: EstimatorConfig | None = None
+    label: str = ""
 
     def __post_init__(self):
         if self.n0 < 0 or self.n1 < 0 or self.n0 + self.n1 < 2:
@@ -123,7 +123,7 @@ class PopulationConfig:
 
 
 class DivergedError(RuntimeError):
-    """Raised when a run's models become non-finite."""
+    """Raised when a run's models or metrics become non-finite."""
 
 
 @dataclass
@@ -150,7 +150,6 @@ class Population:
     M: np.ndarray | None = None
     interactions: int = 0
     function_evals: int = 0
-    sim_steps: int = 0
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -357,14 +356,12 @@ def step_window(pop: Population, etas, weights=None):
         if drift is not None and G is not None:
             drift += W[start:end] @ (G[:end - start] + G[end - start:])
         start = end
-    pop.sim_steps += steps
     return drift
 
 
 @dataclass
 class RunResult:
     records: list
-    population: Population
     weighted_average: np.ndarray | None = None
 
 
@@ -380,17 +377,14 @@ def run(pop: Population, cfg: PopulationConfig, *, val_features=None, val_labels
     With ``track_weighted_average`` (strongly convex objectives only) the
     exponentially weighted average of the pre-step means is maintained; a
     window's means follow from its first one and the steps' estimates.
-    Raises :class:`DivergedError` when a record finds a non-finite model.
+    Raises :class:`DivergedError` when a record finds a non-finite model, or
+    a non-finite gamma, loss gap, gradient norm or validation loss.
     """
     spec = pop.objective
     val = None
     if val_features is not None:
         val = _metrics.validation_set(spec, val_features, val_labels)
-    wavg = None
-    if track_weighted_average:
-        if spec.ell <= 0:
-            raise ValueError("weighted averaging requires a strongly convex objective")
-        wavg = _metrics.WeightedAverageState(dim=spec.d)
+    wavg = _metrics.WeightedAverageState(dim=spec.d) if track_weighted_average else None
 
     records = []
     biased = pop.zo is not None and pop.zo.kind in BIASED_KINDS
@@ -399,8 +393,13 @@ def run(pop: Population, cfg: PopulationConfig, *, val_features=None, val_labels
         if not np.isfinite(pop.X).all():
             raise DivergedError(f"models are non-finite at step {step}")
         mtg = sample_mtg and (eta > 0 or not biased)
-        records.append(_metrics.snapshot(pop, step=step, eta=eta, val=val,
-                                         mtg_rng=pop.metrics_rng if mtg else None))
+        rec = _metrics.snapshot(pop, step=step, eta=eta, val=val,
+                                mtg_rng=pop.metrics_rng if mtg else None)
+        # 0 * v is 0 for a finite v and NaN otherwise, so the sum cannot overflow
+        if not math.isfinite(0.0 * rec.gamma + 0.0 * rec.grad_norm_sq_mu
+                             + 0.0 * (rec.mu_loss_gap or 0.0) + 0.0 * (rec.mean_val_loss or 0.0)):
+            raise DivergedError(f"metrics are non-finite at step {step}")
+        records.append(rec)
 
     record(0, eta_at(cfg.schedule, 0))
     n, T, cadence = pop.n, cfg.T, cfg.metric_cadence
@@ -414,5 +413,4 @@ def run(pop: Population, cfg: PopulationConfig, *, val_features=None, val_labels
             mu -= step_window(pop, etas, w) / n
             _metrics.weighted_average_update(wavg, mu, etas, spec.ell, n, weight)
         record(t + etas.shape[0], etas[-1])
-    return RunResult(records=records, population=pop,
-                     weighted_average=None if wavg is None else wavg.value())
+    return RunResult(records, None if wavg is None else wavg.value())

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,8 +80,11 @@ _THEORY_KEYS = {"seed", "probes", "smoothing_samples", "mc_samples",
 _THEORY_INT_MIN = {"seed": 0, "probes": 1, "smoothing_samples": 1, "mc_samples": 1,
                    "recursion_replicas": 2}
 # the integer fields of the objective and dataset sections; the builders
-# check the ranges of these sections' numbers, except that a seed is >= 0
+# check the ranges of these sections' numbers, except the least values here:
+# a seed is >= 0, and a blobs split has n_train >= 1 and n_val >= 0 (only the
+# dataset builder reads the split sizes, and its errors name no field)
 _INTEGER_FIELDS = {"d", "n_samples", "seed", "n_train", "n_val"}
+_INTEGER_MIN = {"seed": 0, "n_train": 1, "n_val": 0}
 
 
 def _require_mapping(value, where):
@@ -123,18 +126,6 @@ def parse_seeds(seeds, where):
     return seeds
 
 
-@dataclass(frozen=True)
-class PopulationEntry:
-    label: str
-    n0: int
-    n1: int
-    schedule: Schedule
-    momentum: float
-    c: float | None
-    fo: EstimatorConfig | None
-    zo: EstimatorConfig | None
-
-
 @dataclass
 class ExperimentConfig:
     name: str
@@ -174,12 +165,8 @@ def _parse_population(entry, T, index):
             raise ConfigError(f"{where}: missing key {key!r}")
     n0, n1 = (_number(f"{where}.{key}", entry.get(key, 0), 0, integer=True)
               for key in ("n0", "n1"))
-    if n0 + n1 < 2:
-        raise ConfigError(f"{where}: need n0, n1 >= 0 with n0 + n1 >= 2")
     schedule = _parse_schedule(entry["eta"], T, f"{where}.eta")
     momentum = _number(f"{where}.momentum", entry.get("momentum", 0.0), 0.0)
-    if momentum >= 1.0:
-        raise ConfigError(f"{where}: momentum must lie in [0, 1)")
     c = entry.get("c")
     if c is not None:
         c = _number(f"{where}.c", c, 0.0, strict=True)
@@ -193,8 +180,11 @@ def _parse_population(entry, T, index):
         if kind not in ESTIMATOR_KINDS or kind == FIRST_ORDER:
             raise ConfigError(f"{where}: zo_kind must be a zeroth-order kind")
         zo = EstimatorConfig(kind=kind, batch_size=size["zo_batch_size"], rv=size["zo_rv"])
-    return PopulationEntry(label=str(entry["label"]), n0=n0, n1=n1, schedule=schedule,
-                           momentum=momentum, c=c, fo=fo, zo=zo)
+    try:  # T, the scheduler mode, the cadence and the seed are set per cell (_run_cell)
+        return PopulationConfig(label=str(entry["label"]), n0=n0, n1=n1, schedule=schedule,
+                                momentum=momentum, c=c, zo=zo, fo=fo)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -230,8 +220,7 @@ def parse_config(path) -> ExperimentConfig:
         for key in objective:
             if key not in ("kind", "positive_class"):
                 objective[key] = _number(f"objective.{key}", objective[key],
-                                         0 if key == "seed" else None,
-                                         integer=key in _INTEGER_FIELDS)
+                                         _INTEGER_MIN.get(key), integer=key in _INTEGER_FIELDS)
         if kind == "logistic_l2":
             _number("objective.lam", objective.get("lam"), 0.0, strict=True)
 
@@ -245,8 +234,7 @@ def parse_config(path) -> ExperimentConfig:
         for key in dataset:
             if dkind == "blobs" and key != "kind":
                 dataset[key] = _number(f"dataset.{key}", dataset[key],
-                                       0 if key == "seed" else None,
-                                       integer=key in _INTEGER_FIELDS)
+                                       _INTEGER_MIN.get(key), integer=key in _INTEGER_FIELDS)
 
     theory = raw.get("theory") or {}
     _check_keys(_require_mapping(theory, "theory"), _THEORY_KEYS, "theory")
@@ -320,13 +308,11 @@ def _run_cell(cfg: ExperimentConfig, pop_index: int, seed_value: int, built=None
     entry = cfg.populations[pop_index]
     partition = partition_data(spec.n_samples, entry.n0, entry.n1,
                                seed=fold_seed(cfg.seed, pop_index, seed_value, 5))
-    pop_cfg = PopulationConfig(
-        n0=entry.n0, n1=entry.n1, schedule=entry.schedule, T=cfg.T,
-        scheduler_mode=cfg.scheduler_mode, momentum=entry.momentum, c=entry.c,
-        seed=fold_seed(cfg.seed, pop_index, seed_value),
-        metric_cadence=cfg.metric_cadence, zo=entry.zo, fo=entry.fo)
+    pop_cfg = replace(entry, T=cfg.T, scheduler_mode=cfg.scheduler_mode,
+                      metric_cadence=cfg.metric_cadence,
+                      seed=fold_seed(cfg.seed, pop_index, seed_value))
     # x0 shared across populations at equal seed value: comparisons start equal
-    x0 = cfg.x0_scale * derive_rng([cfg.seed, seed_value], TAG_INIT).standard_normal(spec.d)
+    x0 = cfg.x0_scale * derive_rng(cfg.seed, seed_value, TAG_INIT).standard_normal(spec.d)
     pop = init_population(pop_cfg, spec, partition, x0)
     try:
         result = run(pop, pop_cfg,

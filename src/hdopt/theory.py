@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import BIASED_KINDS, FIRST_ORDER, ZO_ONE_SIDED, EstimatorConfig
-from .metrics import compute_gamma, gamma_of, sample_estimates
+from .metrics import gamma_of, sample_estimates
 from .objectives import (
     make_blobs_dataset,
     make_logistic,
@@ -75,7 +75,7 @@ def _report(name, measured, bound, stderr, samples, seed, **detail):
 
 def probe_points(spec, count, seed):
     """Documented probe rule: standard Gaussian around x_star when known, else 0."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 11]))
+    rng = derive_rng(seed, 11)
     center = spec.x_star if spec.x_star is not None else np.zeros(spec.d)
     return center + rng.standard_normal((count, spec.d))
 
@@ -118,7 +118,7 @@ def _smoothing_check(spec, nu, bound, probes, samples, seed, gradient):
         return _report(name, exact, bound, 0.0, 0, seed, kind=spec.kind, nu=nu, analytic=True)
     worst, worst_se = -1.0, 0.0
     for p, x in enumerate(np.atleast_2d(probes)):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), tag, p]))
+        rng = derive_rng(seed, tag, p)
         f0 = spec.loss(x)
 
         def draw(size):
@@ -174,8 +174,7 @@ def _zo_moment(spec, shard, nu, x, samples, seed, centred):
     s_sq = spec.gradient_variance(x, np.asarray(shard))
     gnorm_sq = float(np.dot(grad_i, grad_i))
     bound = a * nu * nu * spec.L ** 2 * (spec.d + 6) ** 3 + b * (spec.d + 4) * (gnorm_sq + s_sq)
-    sample = _zo_sampler(spec, shard, x, nu,
-                         np.random.default_rng(np.random.SeedSequence([int(seed), tag])))
+    sample = _zo_sampler(spec, shard, x, nu, derive_rng(seed, tag))
 
     def draw(size):
         coeff, U = sample(size)
@@ -210,7 +209,7 @@ def check_bias_aggregate(pop, nu, samples=200_000, seed=0) -> BoundCheckReport:
     biases, ses = [], []
     zo_rows = range(pop.n0) if pop.zo is not None and pop.zo.kind in BIASED_KINDS else ()
     for i in zo_rows:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 29, i]))
+        rng = derive_rng(seed, 29, i)
         x, shard = pop.X[i], pop.shards[i]
         mean_vec, se = _mc_mean(samples, _zo_sampler(spec, shard, x, nu, rng))
         biases.append(float(np.linalg.norm(mean_vec - spec.grad(x, shard))))
@@ -231,8 +230,7 @@ def expected_gamma_pure_averaging(models) -> float:
         for j in range(i + 1, n):
             work = models.copy()
             work[i] = work[j] = 0.5 * (work[i] + work[j])
-            centered = work - work.mean(axis=0)
-            total += float(np.mean(np.sum(centered * centered, axis=1)))
+            total += float(gamma_of(work))
     return total / (n * (n - 1) // 2)
 
 
@@ -241,8 +239,7 @@ def check_gamma_pure_averaging(models, seed=0) -> BoundCheckReport:
     step from the models (n, d), to 1e-12, by exact enumeration."""
     models = np.asarray(models, dtype=float)
     n = models.shape[0]
-    centered = models - models.mean(axis=0)
-    gamma_t = float(np.mean(np.sum(centered * centered, axis=1)))
+    gamma_t = float(gamma_of(models))
     exact = gamma_t * (n - 2) / (n - 1)
     gap = abs(expected_gamma_pure_averaging(models) - exact)
     return _report(f"gamma_pure_averaging_n{n}", gap, 1e-12, 0.0, n * (n - 1) // 2, seed,
@@ -267,7 +264,7 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
     """
     n, d = pop.X.shape
     X0, M0 = pop.X, pop.M
-    gamma_t = compute_gamma(pop)
+    gamma_t = float(gamma_of(X0))
     sample_mtg = eta > 0 or pop.zo is None or pop.zo.kind not in BIASED_KINDS
     nu = eta / pop.c if eta > 0 else None
     rv = 1 if pop.zo is None else pop.zo.rv
@@ -275,7 +272,7 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
     gammas, mtgs = np.empty(replicas), np.zeros(replicas)
     for start in range(0, replicas, block):
         k = min(block, replicas - start)
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 31, start // block]))
+        rng = derive_rng(seed, 31, start // block)
         pair = np.column_stack(draw_pairs(rng, n, k))
         S = X0[pair]  # the pair's pre-interaction models, stepped as interact does
         if sample_mtg:
@@ -334,7 +331,7 @@ def _suite_population(quad, seed, eta):
         seed=fold_seed(seed, 53), metric_cadence=10**9,
         zo=EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=4, rv=4),
         fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=4))
-    x0 = derive_rng([seed, 59], TAG_INIT).standard_normal(quad.d)
+    x0 = derive_rng(seed, 59, TAG_INIT).standard_normal(quad.d)
     pop = init_population(cfg, quad, partition_data(quad.n_samples, 4, 4, fold_seed(seed, 47)), x0)
     run(pop, cfg)
     return pop
@@ -373,7 +370,7 @@ def default_theory_suite(options=None):
     pop = _suite_population(quad, seed, eta)
     reports.append(check_bias_aggregate(pop, eta / pop.c * scale, mc, seed))
     reports.append(check_gamma_recursion(pop, eta, int(opts["recursion_replicas"]), seed))
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 43]))
+    rng = derive_rng(seed, 43)
     reports += [check_gamma_pure_averaging(rng.standard_normal((n, 4)), seed) for n in (3, 4, 5)]
     return reports
 

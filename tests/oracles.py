@@ -13,7 +13,7 @@ import numpy as np
 
 from hdopt import theory
 from hdopt.estimators import BIASED_KINDS, FIRST_ORDER, check_shard, estimate_rows
-from hdopt.metrics import compute_gamma
+from hdopt.metrics import gamma_of
 from hdopt.objectives import Objective, _antisymmetric
 from hdopt.protocol import draw_pairs, interact
 from hdopt.theory import _report
@@ -134,13 +134,13 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
     (seed, 31, b) its pairs, then, when M^G is sampled, agent by agent the
     minibatch ids of the agent's k estimates and then their directions.
     Each replica is then one interact call on a copy of the frozen
-    population, with the inputs of its pair's own estimates, compute_gamma,
+    population, with the inputs of its pair's own estimates, gamma_of,
     and one estimate_rows call per agent for M^G.  At eta = 0 a population
     of a biased zeroth-order kind samples no M^G."""
     n, n0, d = pop.n, pop.n0, pop.objective.d
     rv = 1 if pop.zo is None else pop.zo.rv
     block = min(replicas, max(1, theory._REPLICA_BLOCK // (n * rv * d)))
-    gamma_t = compute_gamma(pop)
+    gamma_t = float(gamma_of(pop.X))
     sample_mtg = eta > 0 or pop.zo is None or pop.zo.kind not in BIASED_KINDS
     nu = eta / pop.c if eta > 0 else None
     width = max(cfg.batch_size for cfg, _ in pop.groups)
@@ -170,7 +170,7 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
                     if a < n0:
                         U[row] = dirs[a][r]
             interact(work, I[r:r + 1], J[r:r + 1], eta, B, U)
-            gammas.append(compute_gamma(work))
+            gammas.append(float(gamma_of(work.X)))
             if sample_mtg:
                 total = 0.0
                 for a in range(n):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hdopt import protocol
 from hdopt.estimators import FIRST_ORDER, ZO_CENTRAL, ZO_FORWARD, ZO_ONE_SIDED, EstimatorConfig
-from hdopt.metrics import WeightedAverageState, compute_gamma, compute_mu, weighted_average_update
+from hdopt.metrics import WeightedAverageState, gamma_of, weighted_average_update
 from hdopt.objectives import (
     Dataset,
     make_blobs_dataset,
@@ -73,7 +73,7 @@ def _config(n0, n1, kind, mode, eta, momentum, seed=7, T=40):
 def _assert_records_match(records, expected):
     assert len(records) == len(expected)
     for rec, ref in zip(records, expected):
-        for got, want in zip(rec.as_row(), ref):
+        for got, want in zip(rec, ref):
             if want is None:
                 assert got is None
             else:
@@ -146,17 +146,17 @@ def test_zero_eta_keeps_mean_exactly_and_never_raises_gamma(n, d, steps, matchin
     rng = np.random.default_rng(seed)
     pop.X[:] = rng.integers(-8, 9, size=(n, d))
     states = [copy.deepcopy(r.bit_generator.state) for r in [*pop.rngs, *pop.dir_rngs]]
-    mu0 = compute_mu(pop)
+    mu0 = pop.X.mean(axis=0)
     for _ in range(steps):
-        gamma = compute_gamma(pop)
+        gamma = gamma_of(pop.X)
         if matching:
             I, J = draw_matching(rng, n)
         else:
             i, j = rng.choice(n, size=2, replace=False)
             I, J = np.array([i]), np.array([j])
         interact(pop, I, J, 0.0)
-        assert np.array_equal(compute_mu(pop), mu0)
-        assert compute_gamma(pop) <= gamma + 1e-12 * (1.0 + gamma)
+        assert np.array_equal(pop.X.mean(axis=0), mu0)
+        assert gamma_of(pop.X) <= gamma + 1e-12 * (1.0 + gamma)
     assert pop.function_evals == 0
     # eta = 0 draws nothing, neither minibatch ids nor directions
     assert [r.bit_generator.state for r in [*pop.rngs, *pop.dir_rngs]] == states
@@ -246,10 +246,9 @@ def test_window_equals_its_steps(n, zo_share, kind, momentum, full_batch, logist
     owners = [-1, *range(n), *range(n0)]  # per stream of _states, its agent (-1: scheduler)
     assert [s for a, s in zip(owners, _states(window)) if a not in moved] == [
         s for a, s in zip(owners, before) if a not in moved]
-    assert (window.interactions, window.function_evals, window.sim_steps) == (
-        one_by_one.interactions, one_by_one.function_evals, one_by_one.sim_steps)
-    assert window.interactions == window.sim_steps * (n // 2 if matching else 1)
-    assert window.sim_steps == len(etas)
+    assert (window.interactions, window.function_evals) == (
+        one_by_one.interactions, one_by_one.function_evals)
+    assert window.interactions == len(etas) * (n // 2 if matching else 1)
     assert np.allclose(window.X, one_by_one.X, rtol=RTOL,
                        atol=RTOL * np.abs(one_by_one.X).max())
     if momentum:

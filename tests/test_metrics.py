@@ -9,9 +9,8 @@ from hdopt.metrics import (
     MetricsRecord,
     WeightedAverageState,
     aggregate_seeds,
-    compute_gamma,
     compute_mtg,
-    compute_mu,
+    gamma_of,
     snapshot,
     validation_set,
     weighted_average_update,
@@ -42,21 +41,21 @@ def make_population(models, objective=None, estimator=None, shards=None):
 
 def test_mu_of_identical_models():
     pop = make_population([[1.0, 2.0]] * 3)
-    assert np.array_equal(compute_mu(pop), [1.0, 2.0])
+    assert np.array_equal(pop.X.mean(axis=0), [1.0, 2.0])
 
 
 def test_mu_hand_value_and_permutation_invariance():
     pop = make_population([[2.0, 0.0], [0.0, 0.0]])
-    assert np.array_equal(compute_mu(pop), [1.0, 0.0])
+    assert np.array_equal(pop.X.mean(axis=0), [1.0, 0.0])
     models = np.random.default_rng(1).standard_normal((5, 3))
-    a = compute_mu(make_population(models))
-    b = compute_mu(make_population(models[::-1]))
+    a = make_population(models).X.mean(axis=0)
+    b = make_population(models[::-1]).X.mean(axis=0)
     assert np.allclose(a, b, atol=1e-15)
 
 
 def test_gamma_examples():
-    assert compute_gamma(make_population([[1.0, 1.0]] * 4)) == 0.0
-    assert compute_gamma(make_population([[0.0, 0.0], [2.0, 0.0]])) == pytest.approx(1.0)
+    assert gamma_of(make_population([[1.0, 1.0]] * 4).X) == 0.0
+    assert gamma_of(make_population([[0.0, 0.0], [2.0, 0.0]]).X) == pytest.approx(1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -65,15 +64,15 @@ def test_gamma_translation_invariant(seed):
     rng = np.random.default_rng(seed)
     models = rng.standard_normal((4, 3))
     shift = rng.standard_normal(3)
-    g0 = compute_gamma(make_population(models))
-    g1 = compute_gamma(make_population(models + shift))
+    g0 = gamma_of(make_population(models).X)
+    g1 = gamma_of(make_population(models + shift).X)
     assert g0 == pytest.approx(g1, abs=1e-10)
 
 
 def test_gamma_and_mu_are_pure():
     pop = make_population(np.random.default_rng(2).standard_normal((4, 3)))
-    assert compute_gamma(pop) == compute_gamma(pop)
-    assert np.array_equal(compute_mu(pop), compute_mu(pop))
+    assert gamma_of(pop.X) == gamma_of(pop.X)
+    assert np.array_equal(pop.X.mean(axis=0), pop.X.mean(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +303,29 @@ def test_snapshot_fields():
     assert r.gamma == pytest.approx(3.0)
     assert r.mu_loss_gap == pytest.approx(q.loss(q.x_star) - q.f_star, abs=1e-12)
     assert r.mean_val_loss is None and r.mt_g is None
+
+
+def test_csv_bytes(tmp_path):
+    # the exact text of both writers: an int is its digits, a float its
+    # repr, None and NaN an empty field; inf and -0.0 are written as such
+    nan, inf = float("nan"), float("inf")
+    a = [MetricsRecord(0, 0.0, 0.1, 1 / 3, None, inf, nan, -0.0, None, 0),
+         MetricsRecord(10, 2.5, 0.05, 0.1 + 0.2, 2.0, 1e-300, 0.75, 1.0, 3.0, 123456789)]
+    b = [MetricsRecord(0, 0.0, 0.1, 2 / 3, None, inf, nan, 0.0, None, 0),
+         MetricsRecord(10, 2.5, 0.05, 0.5, 4.0, 1e-300, 0.25, 0.0, 5.0, 123456791)]
+    write_metrics_csv(tmp_path / "a.csv", a)
+    write_aggregate_csv(tmp_path / "agg.csv", *aggregate_seeds([a, b]))
+    assert (tmp_path / "a.csv").read_text() == (
+        "step,parallel_time,eta,gamma,mu_loss_gap,grad_norm_sq_mu,mean_val_loss,"
+        "mean_val_acc,mt_g,function_evals_total\n"
+        "0,0.0,0.1,0.3333333333333333,,inf,,-0.0,,0\n"
+        "10,2.5,0.05,0.30000000000000004,2.0,1e-300,0.75,1.0,3.0,123456789\n")
+    assert (tmp_path / "agg.csv").read_text() == (
+        "step,parallel_time_mean,parallel_time_stderr,eta_mean,eta_stderr,gamma_mean,"
+        "gamma_stderr,mu_loss_gap_mean,mu_loss_gap_stderr,grad_norm_sq_mu_mean,"
+        "grad_norm_sq_mu_stderr,mean_val_loss_mean,mean_val_loss_stderr,mean_val_acc_mean,"
+        "mean_val_acc_stderr,mt_g_mean,mt_g_stderr,function_evals_total_mean,"
+        "function_evals_total_stderr\n"
+        "0,0.0,0.0,0.1,0.0,0.5,0.16666666666666666,,,inf,,,,0.0,0.0,,,0.0,0.0\n"
+        "10,2.5,0.0,0.05,0.0,0.4,0.09999999999999998,3.0,1.0,1e-300,0.0,0.5,0.25,0.5,0.5,"
+        "4.0,1.0,123456790.0,1.0\n")

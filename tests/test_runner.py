@@ -336,8 +336,7 @@ def test_cli_run_rejects_positive_class_absent_from_training_labels(tmp_path, ca
     assert main(["run", str(cfg_path)]) == 0
 
 
-def test_cli_diverged_run_exits_runtime(tmp_path, capsys):
-    diverging = """\
+DIVERGING = """\
 name: diverge
 seed: 5
 out_dir: {out}
@@ -353,9 +352,21 @@ populations:
     eta: 50
     fo_batch_size: 4
 """
-    assert main(["run", str(write_tiny(tmp_path, diverging))]) == 2
+
+
+def test_cli_diverged_run_exits_runtime(tmp_path, capsys):
+    assert main(["run", str(write_tiny(tmp_path, DIVERGING))]) == 2
     err = capsys.readouterr().err
     assert "'fo8'" in err and "seed 0" in err and "step" in err
+
+
+def test_cli_run_with_overflowing_metrics_exits_runtime(tmp_path, capsys):
+    # at step 200 the models are still finite, but gamma, the loss gap and
+    # the gradient norm overflow to inf: the run is diverged all the same
+    text = DIVERGING.replace("T: 300", "T: 200")
+    assert main(["run", str(write_tiny(tmp_path, text))]) == 2
+    err = capsys.readouterr().err
+    assert "'fo8'" in err and "seed 0" in err and "step 200" in err
 
 
 def test_cli_gen_data_accepts_scale(tmp_path):
@@ -443,14 +454,17 @@ BLOBS = "kind: logistic_l2\n  lam: 0.1\ndataset:\n  kind: blobs\n  n_train: 16\n
     (QUADRATIC, QUADRATIC + "  seed: -1\n", "objective.seed"),
     (QUADRATIC, BLOBS + "  seed: -1\n", "dataset.seed"),
     ("T: 30", "T: 30\ntheory:\n  seed: -1", "theory.seed"),
+    (QUADRATIC, BLOBS.replace("n_train: 16", "n_train: 40\n  n_val: -1"), "dataset.n_val"),
+    (QUADRATIC, BLOBS.replace("n_train: 16", "n_train: 0"), "dataset.n_train"),
 ], ids=["eta-nan", "eta-inf", "cosine-eta_max-inf", "x0_scale-nan", "c-nan", "eta-true",
         "T-fraction", "n1-fraction", "fo_batch_size-fraction", "T-string",
         "smoothing_samples-string", "seed-negative", "seeds-negative",
-        "objective-seed-negative", "dataset-seed-negative", "theory-seed-negative"])
+        "objective-seed-negative", "dataset-seed-negative", "theory-seed-negative",
+        "n_val-negative", "n_train-zero"])
 def test_cli_rejects_bad_numbers_at_parse_time(tmp_path, capsys, old, new, field):
-    # non-finite, boolean, fractional, string or negative-seed values of
-    # numeric fields, under one rule: exit 1 naming the field, before
-    # anything runs
+    # non-finite, boolean, fractional, string, negative-seed or bad blobs
+    # split values of numeric fields, under one rule: exit 1 naming the
+    # field, before anything runs
     assert old in TINY_CONFIG
     cfg_path = str(write_tiny(tmp_path, TINY_CONFIG.replace(old, new, 1)))
     out = tmp_path / "never"

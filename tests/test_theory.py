@@ -192,9 +192,9 @@ def test_gamma_recursion_pure_averaging_matches_enumeration():
     q = make_quadratic(d=3, cond=2.0, seed=25)
     pop = hybrid_population(q, n0=0, n1=3, steps=20)
     from hdopt.theory import expected_gamma_pure_averaging
-    from hdopt.metrics import compute_gamma
+    from hdopt.metrics import gamma_of
 
-    gamma_t = compute_gamma(pop)
+    gamma_t = gamma_of(pop.X)
     exact = gamma_t * (3 - 2) / (3 - 1)
     assert expected_gamma_pure_averaging(pop.X) == pytest.approx(exact, abs=1e-12)
     report = check_gamma_recursion(pop, eta=0.0, replicas=500, seed=26)
