@@ -11,18 +11,18 @@ import sys
 
 from .objectives import DatasetFormatError, make_blobs_dataset, save_dataset_csv
 from .protocol import DivergedError
-from .runner import (ConfigError, _number, parse_config, parse_seeds, run_experiment,
-                     run_theory_suite)
+from .runner import (_INT0, _INT1, _NUMBER, ConfigError, _number, _section, parse_config,
+                     parse_seeds, run_experiment, run_theory_suite)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_THEORY = 3
 
-# gen-data blobs: its parameters, True for the integer ones, and the defaults
-# of those make_blobs_dataset leaves to its caller
-_BLOBS_PARAMS = {"n": True, "d": True, "seed": True, "separation": False, "scale": False}
-_BLOBS_DEFAULTS = {"n": 1000, "d": 10, "seed": 0}
+# the rule table of gen-data blobs (see runner._section): make_blobs_dataset's
+# parameters, with defaults for those it leaves to its caller
+_BLOBS = {"n": ({"least": 2, "integer": True}, 1000), "d": (_INT1, 10), "seed": (_INT0, 0),
+          "separation": (_NUMBER, None), "scale": (_NUMBER, None)}
 
 
 def _scalar(text):
@@ -57,9 +57,9 @@ def build_parser():
     p_run.add_argument("config")
     p_run.add_argument("--seeds", help="comma-separated seed list overriding the config")
     p_run.add_argument("--out-dir", help="output directory overriding the config")
-    p_run.add_argument("--threads", type=int, default=1,
+    p_run.add_argument("--threads", type=_scalar, default=1,
                        help="worker processes for (population x seed) cells")
-    p_run.add_argument("--metric-cadence", type=int,
+    p_run.add_argument("--metric-cadence", type=_scalar,
                        help="record metrics every N scheduler steps")
 
     p_verify = sub.add_parser("verify", help="run the analytic-bound verification suite")
@@ -81,8 +81,8 @@ def _cmd_run(args):
     if args.out_dir:
         cfg.out_dir = args.out_dir
     if args.metric_cadence is not None:
-        cfg.metric_cadence = _number("--metric-cadence", args.metric_cadence, 1, integer=True)
-    result = run_experiment(cfg, threads=args.threads)
+        cfg.metric_cadence = _number("--metric-cadence", args.metric_cadence, **_INT1)
+    result = run_experiment(cfg, threads=_number("--threads", args.threads, **_INT1))
     print(f"wrote {len(result.csv_paths)} files to {result.out_dir}")
     return EXIT_OK
 
@@ -98,13 +98,7 @@ def _cmd_verify(args):
 
 
 def _cmd_gen_data(args):
-    params = dict(_BLOBS_DEFAULTS)
-    for key, value in _parse_params(args.params).items():
-        if key not in _BLOBS_PARAMS:
-            raise ConfigError(f"unknown generator parameter {key!r}")
-        params[key] = _number(key, value, 0 if key == "seed" else None,
-                              integer=_BLOBS_PARAMS[key])
-    dataset = make_blobs_dataset(**params)
+    dataset = make_blobs_dataset(**_section(_parse_params(args.params), _BLOBS, ""))
     save_dataset_csv(dataset, args.out, header=args.header)
     print(f"wrote {len(dataset)} samples to {args.out}")
     return EXIT_OK

@@ -23,9 +23,10 @@ import yaml
 
 from . import metrics as _metrics
 from .estimators import (
-    ESTIMATOR_KINDS,
     FIRST_ORDER,
+    ZO_CENTRAL,
     ZO_FORWARD,
+    ZO_ONE_SIDED,
     EstimatorConfig,
 )
 from .objectives import (
@@ -60,43 +61,50 @@ class ConfigError(ValueError):
 # schema
 
 
-_TOP_KEYS = {"name", "seed", "out_dir", "T", "metric_cadence", "scheduler_mode",
-             "seeds", "x0_scale", "objective", "dataset", "populations", "theory"}
-_OBJECTIVE_KEYS = {
-    "quadratic": {"kind", "d", "cond", "n_samples", "grad_noise", "hessian_jitter", "seed"},
-    "logistic_l2": {"kind", "lam", "positive_class"},
-    "sigmoid_sq_nonconvex": {"kind", "positive_class"},
+_REQUIRED = object()  # the default of a key that must be given
+_TYPES = {str: "a string", bool: "true or false", list: "a list"}  # rules that are types
+
+# rules for _number
+_NUMBER = {}  # a finite number
+_NONNEG = {"least": 0.0}
+_POSITIVE = {"least": 0.0, "strict": True}
+_INT = {"integer": True}
+_INT0 = {"least": 0, "integer": True}
+_INT1 = {"least": 1, "integer": True}
+
+# One rule table per section: key -> (rule, default); see _section.  The
+# objective's and the dataset's tables depend on their kind, and the
+# builders check the ranges of those sections' numbers beyond these rules.
+_TOP = {
+    "name": (str, None), "seed": (_INT0, 0), "out_dir": (str, None), "T": (_INT0, 1),
+    "metric_cadence": (_INT1, 10), "scheduler_mode": (SCHEDULER_MODES, RANDOM_MATCHING),
+    "seeds": (None, [0]), "x0_scale": (_NONNEG, 1.0), "objective": (None, None),
+    "dataset": (None, None), "populations": (list, []), "theory": (None, None)}
+_OBJECTIVES = {
+    "quadratic": {"d": (_INT, None), "cond": (_NUMBER, None), "n_samples": (_INT, None),
+                  "grad_noise": (_NUMBER, None), "hessian_jitter": (_NUMBER, None),
+                  "seed": (_INT0, None)},
+    "logistic_l2": {"lam": (_POSITIVE, _REQUIRED), "positive_class": (None, None)},
+    "sigmoid_sq_nonconvex": {"positive_class": (None, None)},
 }
-_DATASET_KEYS = {
-    "blobs": {"kind", "n_train", "n_val", "d", "separation", "scale", "seed"},
-    "csv": {"kind", "path", "has_header", "val_path", "val_has_header"},
+_DATASETS = {
+    "blobs": {"n_train": (_INT1, None), "n_val": (_INT0, None), "d": (_INT1, None),
+              "separation": (_NUMBER, None), "scale": (_NUMBER, None), "seed": (_INT0, None)},
+    "csv": {"path": (str, _REQUIRED), "has_header": (bool, None), "val_path": (str, None),
+            "val_has_header": (bool, None)},
 }
-_POP_KEYS = {"label", "n0", "n1", "eta", "momentum", "c",
-             "fo_batch_size", "zo_kind", "zo_rv", "zo_batch_size"}
-_ETA_KEYS = {"mode", "eta_max", "eta_min", "warmup_steps"}
-_THEORY_KEYS = {"seed", "probes", "smoothing_samples", "mc_samples",
-                "recursion_replicas", "nu_scale", "eta"}
-# least values of the integer theory options; eta and nu_scale are numbers > 0
-_THEORY_INT_MIN = {"seed": 0, "probes": 1, "smoothing_samples": 1, "mc_samples": 1,
-                   "recursion_replicas": 2}
-# the integer fields of the objective and dataset sections; the builders
-# check the ranges of these sections' numbers, except the least values here:
-# a seed is >= 0, and a blobs split has n_train >= 1 and n_val >= 0 (only the
-# dataset builder reads the split sizes, and its errors name no field)
-_INTEGER_FIELDS = {"d", "n_samples", "seed", "n_train", "n_val"}
-_INTEGER_MIN = {"seed": 0, "n_train": 1, "n_val": 0}
-
-
-def _require_mapping(value, where):
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected a mapping")
-    return value
-
-
-def _check_keys(mapping, allowed, where):
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"{where}: unknown key {key!r}")
+_POPULATION = {
+    "label": (str, _REQUIRED), "n0": (_INT0, 0), "n1": (_INT0, 0), "eta": (None, _REQUIRED),
+    "momentum": (_NONNEG, 0.0), "c": (_POSITIVE, None), "fo_batch_size": (_INT1, 1),
+    "zo_kind": ((ZO_ONE_SIDED, ZO_CENTRAL, ZO_FORWARD), ZO_FORWARD),
+    "zo_rv": (_INT1, 1), "zo_batch_size": (_INT1, 1)}
+# a population's eta is one of these mappings, or a number: its eta_max
+_ETA = {"mode": (("constant", "warmup_cosine"), "constant"), "eta_max": (_NONNEG, 0.0),
+        "eta_min": (_NONNEG, 0.0), "warmup_steps": (_INT0, 0)}
+# default_theory_suite holds the defaults
+_THEORY = {"seed": (_INT0, None), "probes": (_INT1, None), "smoothing_samples": (_INT1, None),
+           "mc_samples": (_INT1, None), "recursion_replicas": ({"least": 2, "integer": True}, None),
+           "nu_scale": (_POSITIVE, None), "eta": (_POSITIVE, None)}
 
 
 def _number(where, value, least=None, integer=False, strict=False):
@@ -116,11 +124,50 @@ def _number(where, value, least=None, integer=False, strict=False):
     return int(value) if integer else float(value)
 
 
+def _section(raw, rules, where):
+    """The keys of one config section, by its rule table ``rules``: key ->
+    (rule, default).  A rule is a dict of :func:`_number`'s arguments, a type
+    of _TYPES, a tuple of the allowed values, or None (the value passes to its
+    own parser).  A key not given takes its default, or stays absent when that
+    is None; unknown keys and missing _REQUIRED ones are errors.  Messages
+    name the field: ``where.key``, or ``key`` when ``where`` is empty."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where or 'the config'} must be a mapping")
+    prefix = f"{where}." if where else ""
+    out = {}
+    for key, (rule, default) in rules.items():
+        field = prefix + key
+        if key not in raw:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing key {field!r}")
+            if default is not None:
+                out[key] = default
+            continue
+        value = raw[key]
+        if isinstance(rule, dict):
+            value = _number(field, value, **rule)
+        elif isinstance(rule, tuple) and value not in rule:
+            raise ConfigError(f"{field} must be one of {', '.join(rule)}, got {value!r}")
+        elif isinstance(rule, type) and type(value) is not rule:
+            raise ConfigError(f"{field} must be {_TYPES[rule]}, got {value!r}")
+        out[key] = value
+    for key in raw:
+        if key not in rules:
+            raise ConfigError(f"unknown key {prefix + str(key)!r}")
+    return out
+
+
+def _kind_section(raw, tables, where):
+    """A section whose ``kind``, a key of ``tables``, picks its rule table."""
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    return _section(raw, {"kind": (tuple(tables), _REQUIRED), **tables.get(kind, {})}, where)
+
+
 def parse_seeds(seeds, where):
     """A non-empty list of unique seeds, each an integer >= 0."""
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"{where} must be a non-empty list")
-    seeds = [_number(f"{where}[{i}]", s, 0, integer=True) for i, s in enumerate(seeds)]
+    seeds = [_number(f"{where}[{i}]", s, **_INT0) for i, s in enumerate(seeds)]
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"{where} must be unique")
     return seeds
@@ -142,49 +189,31 @@ class ExperimentConfig:
     theory: dict
 
 
-def _parse_schedule(value, T, where):
-    if not isinstance(value, dict):
-        return Schedule(eta_max=_number(where, value, 0.0))
-    _check_keys(value, _ETA_KEYS, where)
-    eta_max, eta_min = (_number(f"{where}.{key}", value.get(key, 0.0), 0.0)
-                        for key in ("eta_max", "eta_min"))
-    warmup = _number(f"{where}.warmup_steps", value.get("warmup_steps", 0), 0, integer=True)
+def _build(where, builder, *args, **kwargs):
+    """builder(*args, **kwargs), a ValueError re-raised as a ConfigError naming ``where``."""
     try:
-        return Schedule(eta_max=eta_max, mode=value.get("mode", "constant"), eta_min=eta_min,
-                        warmup_steps=warmup, total_steps=T)
+        return builder(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
 def _parse_population(entry, T, index):
     where = f"populations[{index}]"
-    entry = _require_mapping(entry, where)
-    _check_keys(entry, _POP_KEYS, where)
-    for key in ("label", "eta"):
-        if key not in entry:
-            raise ConfigError(f"{where}: missing key {key!r}")
-    n0, n1 = (_number(f"{where}.{key}", entry.get(key, 0), 0, integer=True)
-              for key in ("n0", "n1"))
-    schedule = _parse_schedule(entry["eta"], T, f"{where}.eta")
-    momentum = _number(f"{where}.momentum", entry.get("momentum", 0.0), 0.0)
-    c = entry.get("c")
-    if c is not None:
-        c = _number(f"{where}.c", c, 0.0, strict=True)
-    size = {key: _number(f"{where}.{key}", entry.get(key, 1), 1, integer=True)
-            for key in ("fo_batch_size", "zo_batch_size", "zo_rv")}
+    entry = _section(entry, _POPULATION, where)
+    eta = entry["eta"]
+    if not isinstance(eta, dict):  # a constant rate: the rule of eta_max, named eta
+        eta = {"eta_max": _section({"eta": eta}, {"eta": _ETA["eta_max"]}, where)["eta"]}
+    eta = _section(eta, _ETA, f"{where}.eta")
+    schedule = _build(f"{where}.eta", Schedule, **eta, total_steps=T)
     fo = zo = None
-    if n1 > 0:
-        fo = EstimatorConfig(kind=FIRST_ORDER, batch_size=size["fo_batch_size"])
-    if n0 > 0:
-        kind = entry.get("zo_kind", ZO_FORWARD)
-        if kind not in ESTIMATOR_KINDS or kind == FIRST_ORDER:
-            raise ConfigError(f"{where}: zo_kind must be a zeroth-order kind")
-        zo = EstimatorConfig(kind=kind, batch_size=size["zo_batch_size"], rv=size["zo_rv"])
-    try:  # T, the scheduler mode, the cadence and the seed are set per cell (_run_cell)
-        return PopulationConfig(label=str(entry["label"]), n0=n0, n1=n1, schedule=schedule,
-                                momentum=momentum, c=c, zo=zo, fo=fo)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    if entry["n1"] > 0:
+        fo = EstimatorConfig(kind=FIRST_ORDER, batch_size=entry["fo_batch_size"])
+    if entry["n0"] > 0:
+        zo = EstimatorConfig(kind=entry["zo_kind"], batch_size=entry["zo_batch_size"],
+                             rv=entry["zo_rv"])
+    # T, the scheduler mode, the cadence and the seed are set per cell (_run_cell)
+    return _build(where, PopulationConfig, label=entry["label"], n0=entry["n0"], n1=entry["n1"],
+                  schedule=schedule, momentum=entry["momentum"], c=entry.get("c"), zo=zo, fo=fo)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -197,65 +226,17 @@ def parse_config(path) -> ExperimentConfig:
             raw = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from None
-    raw = _require_mapping(raw if raw is not None else {}, str(path))
-    _check_keys(raw, _TOP_KEYS, str(path))
-
-    name = str(raw.get("name", path.stem))
-    seed = _number("seed", raw.get("seed", 0), 0, integer=True)
-    T = _number("T", raw.get("T", 1), 0, integer=True)
-    cadence = _number("metric_cadence", raw.get("metric_cadence", 10), 1, integer=True)
-    mode = raw.get("scheduler_mode", RANDOM_MATCHING)
-    if mode not in SCHEDULER_MODES:
-        raise ConfigError(f"scheduler_mode: unknown mode {mode!r}")
-    seeds = parse_seeds(raw.get("seeds", [0]), "seeds")
-    x0_scale = _number("x0_scale", raw.get("x0_scale", 1.0), 0.0)
-
-    objective = raw.get("objective")
-    if objective is not None:
-        objective = dict(_require_mapping(objective, "objective"))
-        kind = objective.get("kind")
-        if kind not in _OBJECTIVE_KEYS:
-            raise ConfigError(f"objective.kind: unknown kind {kind!r}")
-        _check_keys(objective, _OBJECTIVE_KEYS[kind], "objective")
-        for key in objective:
-            if key not in ("kind", "positive_class"):
-                objective[key] = _number(f"objective.{key}", objective[key],
-                                         _INTEGER_MIN.get(key), integer=key in _INTEGER_FIELDS)
-        if kind == "logistic_l2":
-            _number("objective.lam", objective.get("lam"), 0.0, strict=True)
-
-    dataset = raw.get("dataset")
-    if dataset is not None:
-        dataset = dict(_require_mapping(dataset, "dataset"))
-        dkind = dataset.get("kind")
-        if dkind not in _DATASET_KEYS:
-            raise ConfigError(f"dataset.kind: unknown kind {dkind!r}")
-        _check_keys(dataset, _DATASET_KEYS[dkind], "dataset")
-        for key in dataset:
-            if dkind == "blobs" and key != "kind":
-                dataset[key] = _number(f"dataset.{key}", dataset[key],
-                                       _INTEGER_MIN.get(key), integer=key in _INTEGER_FIELDS)
-
-    theory = raw.get("theory") or {}
-    _check_keys(_require_mapping(theory, "theory"), _THEORY_KEYS, "theory")
-    for key in theory:
-        integer = key in _THEORY_INT_MIN
-        theory[key] = _number(f"theory.{key}", theory[key], _THEORY_INT_MIN.get(key, 0.0),
-                              integer, strict=not integer)
-
-    pops_raw = raw.get("populations", [])
-    if not isinstance(pops_raw, list):
-        raise ConfigError("populations must be a list")
-    populations = [_parse_population(p, T, i) for i, p in enumerate(pops_raw)]
-    labels = [p.label for p in populations]
-    if len(set(labels)) != len(labels):
+    top = _section(raw if raw is not None else {}, _TOP, "")  # the ExperimentConfig fields
+    top.setdefault("name", path.stem)
+    top.setdefault("out_dir", f"results/{top['name']}")
+    top["seeds"] = parse_seeds(top["seeds"], "seeds")
+    for key, tables in (("objective", _OBJECTIVES), ("dataset", _DATASETS)):
+        top[key] = None if top.get(key) is None else _kind_section(top[key], tables, key)
+    top["theory"] = _section(top.get("theory") or {}, _THEORY, "theory")
+    pops = [_parse_population(p, top["T"], i) for i, p in enumerate(top["populations"])]
+    if len({p.label for p in pops}) != len(pops):
         raise ConfigError("population labels must be unique")
-
-    return ExperimentConfig(name=name, seed=seed,
-                            out_dir=str(raw.get("out_dir", f"results/{name}")),
-                            T=T, metric_cadence=cadence, scheduler_mode=mode,
-                            seeds=seeds, x0_scale=x0_scale, objective=objective,
-                            dataset=dataset, populations=populations, theory=theory)
+    return ExperimentConfig(**{**top, "populations": pops})
 
 
 # ---------------------------------------------------------------------------
@@ -275,30 +256,29 @@ def build_dataset(dcfg, master_seed):
         if n_val:
             val = Dataset(features=pool.features[n_train:], labels=pool.labels[n_train:])
         return train, val
-    train = load_csv_dataset(dcfg["path"], bool(dcfg.get("has_header", False)))
+    train = load_csv_dataset(dcfg["path"], dcfg.get("has_header", False))
     val = None
     if dcfg.get("val_path"):
-        val = load_csv_dataset(dcfg["val_path"], bool(dcfg.get("val_has_header", False)))
+        val = load_csv_dataset(dcfg["val_path"], dcfg.get("val_has_header", False))
     return train, val
 
 
 def build_objective(cfg: ExperimentConfig):
-    """(objective, validation dataset or None) per the config."""
+    """(objective, validation dataset or None) per the config; a builder's
+    error names its section."""
     ocfg = cfg.objective
     if ocfg is None:
         raise ConfigError("config has no objective section")
-    kind = ocfg["kind"]
-    if kind == "quadratic":  # every other key of the section is a make_quadratic parameter
-        return make_quadratic(**{"d": 10, "cond": 10.0, "seed": fold_seed(cfg.seed, 11),
-                                 **{k: v for k, v in ocfg.items() if k != "kind"}}), None
+    # every key of the section but kind is a parameter of the kind's builder
+    kind, params = ocfg["kind"], {k: v for k, v in ocfg.items() if k != "kind"}
+    if kind == "quadratic":
+        params = {"d": 10, "cond": 10.0, "seed": fold_seed(cfg.seed, 11), **params}
+        return _build("objective", make_quadratic, **params), None
     if cfg.dataset is None:
         raise ConfigError(f"objective kind {kind!r} needs a dataset section")
-    train, val = build_dataset(cfg.dataset, cfg.seed)
-    if kind == "logistic_l2":
-        spec = make_logistic(train, ocfg["lam"], ocfg.get("positive_class"))
-    else:
-        spec = make_nonconvex(train, ocfg.get("positive_class"))
-    return spec, val
+    train, val = _build("dataset", build_dataset, cfg.dataset, cfg.seed)
+    make = make_logistic if kind == "logistic_l2" else make_nonconvex
+    return _build("objective", make, train, **params), val
 
 
 def _run_cell(cfg: ExperimentConfig, pop_index: int, seed_value: int, built=None):
@@ -306,20 +286,23 @@ def _run_cell(cfg: ExperimentConfig, pop_index: int, seed_value: int, built=None
     build_objective(cfg), made here when not given."""
     spec, val = build_objective(cfg) if built is None else built
     entry = cfg.populations[pop_index]
-    partition = partition_data(spec.n_samples, entry.n0, entry.n1,
-                               seed=fold_seed(cfg.seed, pop_index, seed_value, 5))
+    where = f"population {entry.label!r}, seed {seed_value}"
     pop_cfg = replace(entry, T=cfg.T, scheduler_mode=cfg.scheduler_mode,
                       metric_cadence=cfg.metric_cadence,
                       seed=fold_seed(cfg.seed, pop_index, seed_value))
     # x0 shared across populations at equal seed value: comparisons start equal
     x0 = cfg.x0_scale * derive_rng(cfg.seed, seed_value, TAG_INIT).standard_normal(spec.d)
-    pop = init_population(pop_cfg, spec, partition, x0)
-    try:
+    try:  # a shard too small for its agents or batches is a config error
+        partition = partition_data(spec.n_samples, entry.n0, entry.n1,
+                                   seed=fold_seed(cfg.seed, pop_index, seed_value, 5))
+        pop = init_population(pop_cfg, spec, partition, x0)
         result = run(pop, pop_cfg,
                      val_features=None if val is None else val.features,
                      val_labels=None if val is None else val.labels)
     except DivergedError as exc:
-        raise DivergedError(f"population {entry.label!r}, seed {seed_value}: {exc}") from None
+        raise DivergedError(f"{where}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     return result.records
 
 
@@ -372,9 +355,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         raise ConfigError("config has no populations to run")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    built = build_objective(cfg)  # before any output: bad input leaves no directory
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    built = build_objective(cfg)
     cells = [(p, s) for p in range(len(cfg.populations)) for s in cfg.seeds]
     results = {}
     if threads > 1:
@@ -386,6 +367,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         for p, s in cells:
             results[(p, s)] = _run_cell(cfg, p, s, built)
 
+    out_dir = Path(cfg.out_dir)  # after the cells: bad input leaves no directory
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_paths = []
     for p, entry in enumerate(cfg.populations):
         per_seed = []

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -276,7 +277,7 @@ def test_cli_gen_data_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("param", ["n=2.5", "seed=1.7", "d=3.5", "separation=nan", "scale=inf",
-                                   "scale=-inf", "n=many", "seed=-1"])
+                                   "scale=-inf", "n=many", "seed=-1", "n=1", "d=0"])
 def test_cli_gen_data_rejects_bad_numbers(tmp_path, capsys, param):
     out = tmp_path / "blobs.csv"
     assert main(["gen-data", "blobs", "n=20", "d=2", "seed=1", param, str(out)]) == 1
@@ -380,7 +381,8 @@ def test_cli_gen_data_accepts_scale(tmp_path):
 
 @pytest.mark.parametrize("option, value, field", [
     ("--seeds", "0,-1", "--seeds[1]"), ("--seeds", "0,x", "--seeds[1]"),
-    ("--metric-cadence", "0", "--metric-cadence")])
+    ("--metric-cadence", "0", "--metric-cadence"), ("--metric-cadence", "1.5", "--metric-cadence"),
+    ("--threads", "x", "--threads"), ("--threads", "0", "--threads")])
 def test_cli_rejects_bad_overrides_by_name(tmp_path, capsys, option, value, field):
     # checked as the config's own fields are: exit 1 naming the option, and
     # no output directory
@@ -456,14 +458,15 @@ BLOBS = "kind: logistic_l2\n  lam: 0.1\ndataset:\n  kind: blobs\n  n_train: 16\n
     ("T: 30", "T: 30\ntheory:\n  seed: -1", "theory.seed"),
     (QUADRATIC, BLOBS.replace("n_train: 16", "n_train: 40\n  n_val: -1"), "dataset.n_val"),
     (QUADRATIC, BLOBS.replace("n_train: 16", "n_train: 0"), "dataset.n_train"),
+    (QUADRATIC, BLOBS.replace("d: 4", "d: 0"), "dataset.d"),
 ], ids=["eta-nan", "eta-inf", "cosine-eta_max-inf", "x0_scale-nan", "c-nan", "eta-true",
         "T-fraction", "n1-fraction", "fo_batch_size-fraction", "T-string",
         "smoothing_samples-string", "seed-negative", "seeds-negative",
         "objective-seed-negative", "dataset-seed-negative", "theory-seed-negative",
-        "n_val-negative", "n_train-zero"])
+        "n_val-negative", "n_train-zero", "blobs-d-zero"])
 def test_cli_rejects_bad_numbers_at_parse_time(tmp_path, capsys, old, new, field):
-    # non-finite, boolean, fractional, string, negative-seed or bad blobs
-    # split values of numeric fields, under one rule: exit 1 naming the
+    # non-finite, boolean, fractional, string, negative-seed or out-of-range
+    # blobs values of numeric fields, under one rule: exit 1 naming the
     # field, before anything runs
     assert old in TINY_CONFIG
     cfg_path = str(write_tiny(tmp_path, TINY_CONFIG.replace(old, new, 1)))
@@ -472,6 +475,88 @@ def test_cli_rejects_bad_numbers_at_parse_time(tmp_path, capsys, old, new, field
     assert main([command, cfg_path, "--out-dir", str(out)]) == 1
     assert f"{field} must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _run_rejected(tmp_path, capsys, text, *options):
+    """Run ``text`` as a config; assert exit 1, no output and no output
+    directory, and return the message."""
+    out = tmp_path / "never"
+    assert main(["run", str(write_tiny(tmp_path, text)), "--out-dir", str(out), *options]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert not out.exists()
+    return captured.err
+
+
+CSV = "kind: logistic_l2\n  lam: 0.1\ndataset:\n  kind: csv\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (QUADRATIC, CSV, "missing key 'dataset.path'"),
+    (QUADRATIC, CSV + "  path: 0\n", "dataset.path must be a string, got 0"),
+    (QUADRATIC, CSV + "  path: [a]\n", "dataset.path must be a string, got ['a']"),
+    (QUADRATIC, CSV + "  path: t.csv\n  has_header: 'no'\n",
+     "dataset.has_header must be true or false, got 'no'"),
+    (QUADRATIC, CSV + "  path: t.csv\n  val_path: 1\n", "dataset.val_path must be a string"),
+    ("label: fo2", "label: 7", "populations[0].label must be a string, got 7"),
+    ("name: tiny", "name: 2024", "name must be a string, got 2024"),
+    ("scheduler_mode: uniform_pair", "scheduler_mode: uniform", "scheduler_mode must be one of"),
+    ("zo_kind: zo_biased_one_sided", "zo_kind: first_order", "populations[1].zo_kind must be one of"),
+    (FO2_ETA, FO2_ETA.replace("0.05", "\n      mode: cosine\n      eta_max: 0.05"),
+     "populations[0].eta.mode must be one of"),
+    (QUADRATIC, QUADRATIC.replace("quadratic", "quad"), "objective.kind must be one of"),
+    (QUADRATIC, QUADRATIC + "  lam: 0.1\n", "unknown key 'objective.lam'"),
+], ids=["csv-no-path", "path-int", "path-list", "has_header-string", "val_path-int", "label-int",
+        "name-int", "scheduler_mode-unknown", "zo_kind-first-order", "eta-mode-unknown",
+        "objective-kind-unknown", "quadratic-lam"])
+def test_cli_rejects_bad_fields_by_name(tmp_path, capsys, old, new, message):
+    # string, flag and choice fields are checked at parse time as numbers are
+    assert old in TINY_CONFIG
+    err = _run_rejected(tmp_path, capsys, TINY_CONFIG.replace(old, new, 1))
+    assert err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("new, message", [
+    (BLOBS.replace("n_train: 16", "n_train: 1"), "dataset: need n >= 2 samples"),
+    (QUADRATIC.replace("cond: 5.0", "cond: 0.5"), "objective: condition number must be >= 1"),
+    (QUADRATIC + "  hessian_jitter: 2\n", "objective: hessian_jitter must lie in [0, 1]"),
+    (QUADRATIC.replace("n_samples: 16", "n_samples: 1"), "objective: need at least 2 samples"),
+    (QUADRATIC.replace("d: 4", "d: 0"), "objective: d must be >= 1"),
+], ids=["blobs-one-sample", "cond-below-one", "hessian_jitter-above-one", "n_samples-one",
+        "quadratic-d-zero"])
+def test_cli_builder_errors_name_their_section(tmp_path, capsys, new, message):
+    err = _run_rejected(tmp_path, capsys, TINY_CONFIG.replace(QUADRATIC, new, 1))
+    assert err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("edits, message", [
+    # two first-order agents over one training sample: one shard is empty
+    ([(QUADRATIC, BLOBS.replace("n_train: 16", "n_train: 1\n  n_val: 1")),
+      ("size: 4", "size: 1")], "shard must be non-empty"),
+    ([(FO2_ETA, FO2_ETA.replace("size: 4", "size: 30"))], "batch_size exceeds shard size"),
+], ids=["empty-shard", "batch-over-shard"])
+def test_cli_cell_errors_name_the_population(tmp_path, capsys, edits, message, threads):
+    # found when a cell sets up its population: named, and still no directory
+    text = TINY_CONFIG
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    err = _run_rejected(tmp_path, capsys, text, "--threads", threads)
+    assert err.startswith("config error: population 'fo2', seed ") and message in err
+
+
+def test_readme_config_schema_parses_and_names_every_key(tmp_path):
+    import hdopt.runner as runner
+
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    block = readme.split("## Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(write_tiny(tmp_path, block.replace("{", "{{").replace("}", "}}")))
+    assert cfg.name == "fig2-desk" and [p.label for p in cfg.populations] == ["hybrid4fo16zo"]
+    tables = [runner._TOP, runner._POPULATION, runner._ETA, runner._THEORY,
+              *runner._OBJECTIVES.values(), *runner._DATASETS.values()]
+    for key in {"kind"}.union(*tables):
+        assert re.search(rf"\b{key}\b", block), key
 
 
 def test_theory_suite_quadratic_checks_pass_fast_options():
