@@ -74,27 +74,26 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
     """Estimates of kind cfg.kind for k rows: row r is estimated at the model
     Xr[r] over the minibatch of sample ids B[r] (batch_size of them) and, for
     the zeroth-order kinds, the rv Gaussian directions U[r] (U is (k, rv, d)).
-    Returns (estimates (k, d), total function evals).
+    Returns (estimates (k, d), function evals per estimate).
 
     The k estimates come from one row-batched objective call.  ``nu`` is one
     smoothing radius, or a (k, 1) column of one per row; only the biased
     kinds read it.
     """
-    k = Xr.shape[0]
     b, rv = cfg.batch_size, cfg.rv
     if cfg.kind == FIRST_ORDER:
-        return spec.grad_rows(Xr, B), k * b
+        return spec.grad_rows(Xr, B), b
     if cfg.kind == ZO_FORWARD:
         # sum over directions of (u . grad F) u, the directional derivatives
         # standing in for a forward-mode pass
         g = spec.grad_rows(Xr, B)[:, :, None]
-        return (U.transpose(0, 2, 1) @ (U @ g))[..., 0] / rv, k * b * rv
+        return (U.transpose(0, 2, 1) @ (U @ g))[..., 0] / rv, b * rv
     # one objective call evaluates the rv points x + nu u after the points
     # they are differenced with: x - nu u (central) or x once (one-sided)
     nu = _resolve_nu(nu)
     central = cfg.kind == ZO_CENTRAL
     sub = rv if central else 1
-    P = np.empty((k, sub + rv, Xr.shape[1]))
+    P = np.empty((Xr.shape[0], sub + rv, Xr.shape[1]))
     np.multiply(U, nu, out=P[:, sub:])
     if central:
         np.negative(P[:, sub:], out=P[:, :sub])
@@ -103,39 +102,40 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
     P += Xr[:, None]
     vals = spec.loss_rows(P, B)
     coef = (vals[:, sub:] - vals[:, :sub])[:, None, :] / (2.0 * nu if central else nu)
-    return (coef @ U)[:, 0] / rv, k * b * (sub + rv)
+    return (coef @ U)[:, 0] / rv, b * (sub + rv)
 
 
 def draw_row_inputs(pop, A, rng=None):
-    """The estimator inputs of kernel rows whose agents are ``A``, -1 for a
-    row that makes no estimate: (B, U).  Row r's minibatch ids (i.i.d.
-    uniform over its agent's shard, or the whole shard when batch_size equals
-    its size) fill the leading batch_size columns of B[r] and, in a
-    population with zeroth-order agents, its directions U[r] (rv, d) (U is
-    None without).
+    """The estimator inputs of kernel rows whose agents are the global rows
+    ``A`` of the population's stack, -1 for a row that makes no estimate:
+    (B, U).  Row r's minibatch ids (i.i.d. uniform over its agent's shard, or
+    the whole shard when batch_size equals its size) fill the leading
+    batch_size columns of B[r] and, in a population with zeroth-order
+    agents, its directions U[r] (rv, d) (U is None without).
 
     Each agent draws the ids of all its rows, in row order, with one call on
-    ``pop.rngs[a]``, and a zeroth-order agent all their directions with one
-    call on ``pop.dir_rngs[a]``.  These streams draw nothing else, so a run of
-    rows gets the numbers of one draw per row, however the rows are split.
-    Given ``rng``, every agent makes both of its calls on that one stream
-    instead, agent by agent: its ids, then its directions.
+    its ``pop.rngs`` stream, and a zeroth-order agent all their directions
+    with one call on its ``pop.dir_rngs`` stream.  These streams draw nothing
+    else, so a run of rows gets the numbers of one draw per row, however the
+    rows are split.  Given ``rng``, every agent makes both of its calls on
+    that one stream instead, agent by agent: its ids, then its directions.
     """
-    (n, d), n0, zo, fo = pop.X.shape, pop.n0, pop.zo, pop.fo
+    (N, d), n, n0, zo, fo = pop.flat.shape, pop.n, pop.n0, pop.zo, pop.fo
     width = max(zo.batch_size if zo else 1, fo.batch_size if fo else 1)
     B = np.empty((A.shape[0], width), dtype=np.intp)
     U = np.empty((A.shape[0], zo.rv, d)) if n0 else None
     order = A.argsort(kind="stable")  # the rows by agent, each agent's in row order
-    ends = np.bincount(A + 1, minlength=n + 1).cumsum().tolist()  # after the -1 rows
-    for a in range(n):
+    ends = np.bincount(A + 1, minlength=N + 1).cumsum().tolist()  # after the -1 rows
+    for a in range(N):
         start, end = ends[a], ends[a + 1]
         if end > start:
             rows = order[start:end]
-            cfg, shard = zo if a < n0 else fo, pop.shards[a]
+            i = a % n  # seed a // n's agent i
+            cfg, shard = zo if i < n0 else fo, pop.shards[a]
             m, b = shard.shape[0], cfg.batch_size
             stream = pop.rngs[a] if rng is None else rng
             B[rows, :b] = shard if m == b else shard[stream.integers(0, m, (end - start, b))]
-            if a < n0:
-                stream = pop.dir_rngs[a] if rng is None else rng
+            if i < n0:
+                stream = pop.dir_rngs[a // n * n0 + i] if rng is None else rng
                 U[rows] = stream.standard_normal((end - start, cfg.rv, d))
     return B, U

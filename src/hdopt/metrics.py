@@ -3,7 +3,7 @@
 The variance potential reported as ``gamma`` is the mean squared distance of
 agent models from the population mean; ``mt_g`` is the mean squared norm of
 one fresh gradient estimate per agent.  All functions here are read-only
-over the population and work on its (n, d) model array as a whole.
+over the population of one seed and work on its (n, d) models as a whole.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ def sample_estimates(pop, rng, k, nu):
     k estimates, then their directions.  Each estimator group makes one
     :func:`~hdopt.estimators.estimate_rows` call; ``nu`` is the smoothing
     radius of the biased kinds."""
-    n, d = pop.X.shape
+    n, d = pop.flat.shape
     B, U = draw_row_inputs(pop, np.repeat(np.arange(n), k), rng)
     G = np.empty((n * k, d))
     for cfg, rows in pop.groups:  # agent-major rows: a group's rows are one slice
         sel = slice(rows[0] * k, (rows[-1] + 1) * k)
-        G[sel] = estimate_rows(pop.objective, cfg, pop.X[rows].repeat(k, axis=0),
+        G[sel] = estimate_rows(pop.objective, cfg, pop.flat[rows].repeat(k, axis=0),
                                B[sel, :cfg.batch_size],
                                U[sel] if rows[0] < pop.n0 else None, nu)[0]
     return G.reshape(n, k, d).swapaxes(0, 1)
@@ -82,7 +82,7 @@ class WeightedAverageState:
     instead of the raw weights (no overflow at large T).
     """
 
-    dim: int
+    dim: int | tuple  # the shape of a mean: d, or (S, d) for S seeds
     q: float = 0.0
     steps: int = 0
 
@@ -139,15 +139,15 @@ def validation_set(spec, features, labels):
 
 
 def snapshot(pop, step, eta, val=None, mtg_rng=None) -> MetricsRecord:
-    """One metrics record for the current population state; ``val`` is a
-    :func:`validation_set`."""
+    """One metrics record for the current state of a population of one seed;
+    ``val`` is a :func:`validation_set`."""
     spec = pop.objective
-    mu = pop.X.mean(axis=0)
+    mu = pop.flat.mean(axis=0)
     gap = None if spec.f_star is None else float(spec.loss(mu) - spec.f_star)
     grad_mu = spec.grad(mu)
     val_loss = val_acc = None
     if val is not None:
-        val_loss, val_acc = spec.validate(pop.X, *val)
+        val_loss, val_acc = spec.validate(pop.flat, *val)
         if math.isnan(val_acc):
             val_acc = None
     mt_g = None if mtg_rng is None else compute_mtg(pop, eta, mtg_rng)
@@ -155,13 +155,13 @@ def snapshot(pop, step, eta, val=None, mtg_rng=None) -> MetricsRecord:
         step=int(step),
         parallel_time=pop.interactions / pop.n,
         eta=float(eta),
-        gamma=float(gamma_of(pop.X)),
+        gamma=float(gamma_of(pop.flat)),
         mu_loss_gap=gap,
         grad_norm_sq_mu=float(np.dot(grad_mu, grad_mu)),
         mean_val_loss=val_loss,
         mean_val_acc=val_acc,
         mt_g=mt_g,
-        function_evals_total=int(pop.function_evals),
+        function_evals_total=int(pop.evals.sum()),
     )
 
 

@@ -304,8 +304,10 @@ class QuadraticObjective(Objective):
         return (0.5 * (W * W) @ lam_b[..., None] - W @ off_b[..., None])[..., 0]
 
     def grad_rows(self, X, B=None):
+        # each row a (1, d) product of its own: it rounds alike at any place in X
         lam_b, off_b = self._batch_coeffs(B)
-        return (lam_b * ((X - self.x_star) @ self.Q) - off_b) @ self.Qt
+        W = (X - self.x_star)[:, None] @ self.Q
+        return ((lam_b[..., None, :] * W - off_b[..., None, :]) @ self.Qt)[:, 0]
 
 
 def _antisymmetric(rows, cols, rng, uniform=False):

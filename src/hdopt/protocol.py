@@ -1,24 +1,25 @@
 """Population dynamics: pair scheduling and interactions.
 
-The models of all n agents are the rows of one (n, d) array.  An
-interaction between two agents applies one local estimator step each (at
-the pre-interaction models), then replaces both models with their average.
+The models of S seeds of n agents form one (S, n, d) array, run as one
+simulation.  An interaction between two agents of a seed applies one local
+estimator step each (at the pre-interaction models), then replaces both
+models with their average.
 Two schedulers are provided: ``uniform_pair`` draws one unordered pair per
 fine-grained step, ``random_matching`` pairs all agents via a uniformly
 random perfect matching per step (one agent idles when n is odd).  Both run
 the same kernel, :func:`interact`, over k disjoint pairs: a layer of a window
 of ``uniform_pair`` steps, or the n // 2 pairs of a ``random_matching`` step.
 
-Clock conventions: ``interactions`` counts pairwise interactions
-(fine-grained time), parallel time is interactions / n, and a matching step
-counts as one simulation step but n // 2 interactions.
+Clock conventions: a seed's interactions count its pairwise interactions
+(fine-grained time), its parallel time is interactions / n, and a matching
+step counts as one simulation step but n // 2 interactions.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -123,16 +124,23 @@ class PopulationConfig:
 
 
 class DivergedError(RuntimeError):
-    """Raised when a run's models or metrics become non-finite."""
+    """Raised when seed ``seed`` of a run's stack has non-finite models or metrics."""
+
+    def __init__(self, message, seed=0):
+        super().__init__(message)
+        self.seed = seed
 
 
 @dataclass
 class Population:
-    """Agent i's model is row i of ``X`` (n, d); it owns ``shards[i]`` and
-    draws its minibatch ids from ``rngs[i]``.  Agents 0..n0-1 use the
-    zeroth-order estimator ``zo`` and draw their Gaussian directions from
-    ``dir_rngs[i]``; the others use the first-order ``fo``.  ``M`` holds the
-    momentum buffers, one row per agent, and exists only when momentum > 0."""
+    """S seeds of n agents: seed s's agent i has the model X[s, i], global
+    row g = s n + i of the (S n, d) view ``flat``.  Agent g owns ``shards[g]``,
+    draws minibatch ids from ``rngs[g]`` and has made ``evals[g]`` function
+    evaluations; agents i < n0 use the zeroth-order ``zo`` and draw directions
+    from ``dir_rngs[s n0 + i]``, the others the first-order ``fo``.  Seed s
+    draws pairs from ``scheduler_rngs[s]`` and metrics samples from
+    ``metrics_rngs[s]``.  ``M`` holds the momentum buffers (row g for agent g)
+    when momentum > 0; ``interactions`` counts the pairs of all seeds."""
 
     objective: object
     X: np.ndarray
@@ -144,23 +152,25 @@ class Population:
     c: float
     momentum: float
     scheduler_mode: str
-    scheduler_rng: np.random.Generator
-    metrics_rng: np.random.Generator
+    scheduler_rngs: list
+    metrics_rngs: list
     dir_rngs: list = field(default_factory=list)
     M: np.ndarray | None = None
+    evals: np.ndarray | None = None
     interactions: int = 0
-    function_evals: int = 0
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
-        n = self.X.shape[0]
-        if self.X.ndim != 2 or self.X.shape[1] != self.objective.d:
-            raise ValueError("models must form an (n, d) array matching the objective")
-        if len(self.shards) != n or len(self.rngs) != n or not 0 <= self.n0 <= n:
-            raise ValueError("need one shard and one rng per agent and 0 <= n0 <= n")
-        if len(self.dir_rngs) != self.n0:
-            raise ValueError("need one direction rng per zeroth-order agent")
-        # the estimator groups, in agent order: (config, agent ids)
+        self.X = np.ascontiguousarray(self.X, dtype=float)
+        if self.X.ndim != 3 or self.X.shape[2] != self.objective.d:
+            raise ValueError("models must form an (S, n, d) array matching the objective")
+        S, n, d = self.X.shape
+        self.n, self.flat = n, self.X.reshape(S * n, d)
+        if not (len(self.shards) == len(self.rngs) == S * n and 0 <= self.n0 <= n
+                and len(self.dir_rngs) == S * self.n0
+                and len(self.scheduler_rngs) == len(self.metrics_rngs) == S):
+            raise ValueError("need 0 <= n0 <= n, a shard and an rng per agent, a direction "
+                             "rng per zeroth-order agent, a scheduler and a metrics rng per seed")
+        # the estimator groups, in agent order: (config, agent ids within a seed)
         self.groups = [(cfg, rows) for cfg, rows in
                        ((self.zo, np.arange(self.n0)), (self.fo, np.arange(self.n0, n)))
                        if rows.shape[0]]
@@ -168,25 +178,34 @@ class Population:
             raise ValueError("every agent needs an estimator config")
         if (self.zo and self.zo.kind == FIRST_ORDER) or (self.fo and self.fo.kind != FIRST_ORDER):
             raise ValueError("zo needs a zeroth-order kind and fo the first-order kind")
-        self.shards = [check_shard(self.shards[i], cfg.batch_size)
-                       for cfg, rows in self.groups for i in rows]
+        self.shards = [check_shard(shard, (self.zo if g % n < self.n0 else self.fo).batch_size)
+                       for g, shard in enumerate(self.shards)]
+        self.evals = np.zeros(S * n, dtype=np.int64) if self.evals is None else self.evals
         if self.momentum > 0.0 and self.M is None:
-            self.M = np.zeros_like(self.X)
+            self.M = np.zeros_like(self.flat)
 
-    @property
-    def n(self):
-        return self.X.shape[0]
+    def __getstate__(self):  # a copy's flat must view the copy's X
+        return {**self.__dict__, "flat": None}
 
-    @property
-    def n1(self):
-        return self.X.shape[0] - self.n0
+    def __setstate__(self, state):
+        self.__dict__.update(state, flat=state["X"].reshape(-1, state["X"].shape[2]))
+
+    def seed_view(self, s):
+        """Seed s as a population of one seed, sharing its models, buffers,
+        streams and evaluation counts with this stack."""
+        n0, rows = self.n0, slice(s * self.n, (s + 1) * self.n)
+        return replace(self, X=self.X[s:s + 1], M=None if self.M is None else self.M[rows],
+                       shards=self.shards[rows], rngs=self.rngs[rows], evals=self.evals[rows],
+                       dir_rngs=self.dir_rngs[s * n0:(s + 1) * n0],
+                       scheduler_rngs=[self.scheduler_rngs[s]],
+                       metrics_rngs=[self.metrics_rngs[s]])
 
 
 def init_population(cfg: PopulationConfig, spec, partition, x0) -> Population:
-    """All agents start at x0; agents 0..n0-1 are zeroth-order, the rest
-    first-order.  Agent i draws its minibatch ids from the stream
-    (seed, TAG_AGENT, i) and, when zeroth-order, its directions from
-    (seed, TAG_AGENT, i, 1)."""
+    """One seed, cfg.seed, whose agents all start at x0; agents 0..n0-1 are
+    zeroth-order, the rest first-order.  Agent i draws its minibatch ids from
+    the stream (seed, TAG_AGENT, i) and, when zeroth-order, its directions
+    from (seed, TAG_AGENT, i, 1)."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.d,):
         raise ValueError("x0 dimension does not match the objective")
@@ -194,33 +213,41 @@ def init_population(cfg: PopulationConfig, spec, partition, x0) -> Population:
         raise ValueError("partition shard counts do not match n0 / n1")
     n = cfg.n0 + cfg.n1
     c = cfg.c if cfg.c is not None else math.sqrt(spec.d)
-    return Population(objective=spec, X=np.tile(x0, (n, 1)),
+    return Population(objective=spec, X=np.tile(x0, (1, n, 1)),
                       shards=list(partition.zo_shards) + list(partition.fo_shards),
                       rngs=[derive_rng(cfg.seed, TAG_AGENT, i) for i in range(n)],
                       n0=cfg.n0, zo=cfg.zo if cfg.n0 else None,
                       fo=cfg.fo if cfg.n1 else None, c=c, momentum=cfg.momentum,
                       scheduler_mode=cfg.scheduler_mode,
-                      scheduler_rng=derive_rng(cfg.seed, TAG_SCHEDULER),
-                      metrics_rng=derive_rng(cfg.seed, TAG_METRICS),
+                      scheduler_rngs=[derive_rng(cfg.seed, TAG_SCHEDULER)],
+                      metrics_rngs=[derive_rng(cfg.seed, TAG_METRICS)],
                       dir_rngs=[derive_rng(cfg.seed, TAG_AGENT, i, 1) for i in range(cfg.n0)])
 
 
+def stack(pops) -> Population:
+    """Fresh populations of one configuration as one stack of their seeds, in order."""
+    lists = {key: [x for p in pops for x in getattr(p, key)] for key in
+             ("shards", "rngs", "dir_rngs", "scheduler_rngs", "metrics_rngs")}
+    return replace(pops[0], X=np.concatenate([p.X for p in pops]), M=None, evals=None, **lists)
+
+
 def interact(pop: Population, I, J, eta, B=None, U=None):
-    """The disjoint pairs (I[p], J[p]) interact at once: every agent takes
-    one local estimator step from its pre-interaction model, then both agents
-    of a pair adopt the average of their stepped models.
+    """The disjoint pairs (I[p], J[p]) of global rows interact at once: every
+    agent takes one local estimator step from its pre-interaction model, then
+    both agents of a pair adopt the average of their stepped models.
 
     ``eta`` is one rate for every pair, or an array of one positive rate per
     pair; an agent's smoothing radius is nu = eta / c.  The estimates of each
     estimator kind come from one call over all its agents, from inputs drawn
     beforehand (:func:`draw_row_inputs`): row r, for agent
     ``concat(I, J)[r]``, estimates over the minibatch ids in the leading
-    columns of B[r] and, when zeroth-order, the directions U[r].  Momentum filters each estimate through the agent's
-    persistent buffer (g <- m g + (1 - m) G); buffers are never exchanged.
+    columns of B[r] and, when zeroth-order, the directions U[r].  Momentum
+    filters each estimate through the agent's persistent buffer
+    (g <- m g + (1 - m) G); buffers are never exchanged.
     eta = 0 degenerates to pure gossip averaging and reads no input.
     Returns the applied estimates, rows as in ``B``, or None when eta = 0.
     """
-    X = pop.X
+    X = pop.flat
     k = I.shape[0]
     rows = np.concatenate((I, J))
     S = X.take(rows, axis=0)  # the 2k pre-interaction models; pair p is rows (p, k + p)
@@ -231,11 +258,12 @@ def interact(pop: Population, I, J, eta, B=None, U=None):
     if per_pair or eta != 0.0:
         nu = eta / pop.c
         spec = pop.objective
-        zo = rows < pop.n0
+        zo = rows % pop.n < pop.n0
         n_zo = np.count_nonzero(zo)
         if n_zo == 0 or n_zo == 2 * k:  # a single estimator kind
             cfg = pop.zo if n_zo else pop.fo
             G, evals = estimate_rows(spec, cfg, S, B[:, :cfg.batch_size], U, nu)
+            pop.evals[rows] += evals
         else:  # one call per kind over its rows
             if k == 1:  # one agent of each kind: slices select without copies
                 z = 0 if zo[0] else 1
@@ -243,16 +271,14 @@ def interact(pop: Population, I, J, eta, B=None, U=None):
             else:
                 parts = ((pop.zo, zo.nonzero()[0]), (pop.fo, (~zo).nonzero()[0]))
             G = np.empty_like(S)
-            evals = 0
             for cfg, sel in parts:
-                G[sel], e = estimate_rows(spec, cfg, S[sel], B[sel, :cfg.batch_size],
-                                          U[sel] if cfg is pop.zo else None,
-                                          nu[sel] if per_pair else nu)
-                evals += e
+                G[sel], evals = estimate_rows(spec, cfg, S[sel], B[sel, :cfg.batch_size],
+                                              U[sel] if cfg is pop.zo else None,
+                                              nu[sel] if per_pair else nu)
+                pop.evals[rows[sel]] += evals
         if pop.M is not None:
             G = pop.M.take(rows, axis=0) * pop.momentum + (1.0 - pop.momentum) * G
             pop.M[rows] = G
-        pop.function_evals += evals
         S -= eta * G
     S[:k] += S[k:]
     S[:k] *= 0.5
@@ -285,48 +311,59 @@ def draw_matching(rng, n):
 
 
 def step_window(pop: Population, etas, weights=None):
-    """``len(etas)`` steps of ``pop.scheduler_mode``, step s at rate etas[s].
+    """``len(etas)`` steps of ``pop.scheduler_mode`` on every seed, step t
+    at rate etas[t], each seed drawing its pairs from its own stream.
 
     Disjoint pairs commute, so the window runs as layers of them, one
-    :func:`interact` each: a matching step is a layer, and a ``uniform_pair``
-    pair goes one layer after the last earlier pair sharing an agent with it
-    (one at rate 0 among nonzero ones in a layer of its own).  The inputs of
-    every estimate come from :func:`draw_row_inputs` ahead of the layers:
-    each agent draws in one call the minibatch ids of its nonzero-rate steps,
-    and a zeroth-order agent their directions in another, per block of
-    layers holding at most about _INPUT_BLOCK direction elements.  Each
+    :func:`interact` each, layer l being the union of the seeds' layers l:
+    a matching step is a layer, and a ``uniform_pair`` pair goes one layer
+    after the last earlier pair sharing an agent with it (one at rate 0
+    among nonzero ones in a layer of its own).  The inputs of every estimate
+    come from :func:`draw_row_inputs` ahead of the layers: each agent draws
+    in one call the minibatch ids of its nonzero-rate steps, and a
+    zeroth-order agent their directions in another, per block of layers
+    holding at most about _INPUT_BLOCK direction elements per seed.  Each
     stream draws nothing else, so the numbers are those of the steps one by
-    one.  With ``weights`` (one per step) it returns
-    sum_p weights[s] (G_I + G_J)[p], s being pair p's step, which moves the
-    mean by -etas[s] / n (G_I + G_J)[p].
+    one, seed by seed.  With ``weights`` (one per step) it returns, row s
+    for seed s, sum_p weights[t] (G_I + G_J)[p] over the seed's pairs p, t
+    being p's step, which moves the seed's mean by -etas[t] / n (G_I + G_J)[p].
     """
-    n = pop.X.shape[0]
+    S, n, d = pop.X.shape
     if n < 2:
         raise ValueError("need at least two agents")
     etas = np.asarray(etas, dtype=float)
     steps = etas.shape[0]
     if pop.scheduler_mode == UNIFORM_PAIR:
-        I, J = draw_pairs(pop.scheduler_rng, n, steps)
-        depth, L = [0] * n, []  # per agent, layers joined so far; per pair, its layer
+        # seed by seed, each seed's pairs in step order, in global rows
+        I, J = map(np.concatenate, zip(*[draw_pairs(rng, n, steps) for rng in pop.scheduler_rngs]))
+        shift = np.arange(0, S * n, n).repeat(steps)
+        I, J = I + shift, J + shift
+        depth, L = [0] * (S * n), []  # per agent, layers joined so far; per pair, its layer
         for i, j in zip(I.tolist(), J.tolist()):
             l = max(depth[i], depth[j])
             depth[i] = depth[j] = l + 1
             L.append(l)
         mixed = not (etas == etas[0]).all()
         if mixed:
-            L = np.unique(2 * np.asarray(L) + (etas == 0.0), return_inverse=True)[1]
-        # sorted by layer, a layer's pairs are a slice; an agent's stay in step order
-        S = np.argsort(L, kind="stable")  # per pair, its step
-        I, J = I[S], J[S]
+            L = np.unique(2 * np.asarray(L) + np.tile(etas == 0.0, S), return_inverse=True)[1]
+        # sorted by layer, a layer's pairs are a slice, seed by seed; an agent's
+        # stay in step order
+        P = np.argsort(L, kind="stable")  # per pair, its draw
+        I, J = I[P], J[P]
+        P %= steps  # per pair, its step
         counts = np.bincount(L)
         rates = None if mixed else [float(etas[0])] * counts.shape[0]  # per layer
     else:
         k = n // 2
-        I, J = map(np.concatenate, zip(*[draw_matching(pop.scheduler_rng, n) for _ in etas]))
-        S = np.arange(steps).repeat(k)
-        counts, rates = np.full(steps, k), etas.tolist()
+        # step t's layer: every seed's matching of step t, seed by seed
+        I, J = map(np.concatenate, zip(*[draw_matching(rng, n) for _ in etas
+                                          for rng in pop.scheduler_rngs]))
+        shift = np.tile(np.arange(0, S * n, n).repeat(k), steps)
+        I, J = I + shift, J + shift
+        P = np.arange(steps).repeat(S * k)
+        counts, rates = np.full(steps, S * k), etas.tolist()
     ends = counts.cumsum()
-    E, W = etas[S], None if weights is None else weights[S]
+    E, W = etas[P], None if weights is None else weights[P]
     drawn = rates is None or any(rates)
     if drawn:
         # the layer of pairs [s, e) is kernel rows [2s, 2e): I[s:e], then J[s:e];
@@ -336,10 +373,11 @@ def step_window(pop: Population, etas, weights=None):
         idle = rates is None or 0.0 in rates
         A[at] = np.where(E != 0.0, I, -1) if idle else I
         A[at + counts.repeat(counts)] = np.where(E != 0.0, J, -1) if idle else J
-        # pairs per block: zeroth-order directions fill at most _INPUT_BLOCK elements
-        cap = _INPUT_BLOCK // (2 * pop.zo.rv * pop.X.shape[1]) if pop.n0 else I.shape[0]
+        # pairs per block: zeroth-order directions fill at most _INPUT_BLOCK
+        # elements per seed, so an agent makes as many draws as it would alone
+        cap = S * (_INPUT_BLOCK // (2 * pop.zo.rv * d)) if pop.n0 else I.shape[0]
+    drift = None if W is None else np.zeros((S, d))
     ends = ends.tolist()
-    drift = None if W is None else np.zeros(pop.X.shape[1])
     B = U = None
     start = 0
     last = 0 if drawn else len(ends)  # the layer after the block drawn so far
@@ -353,63 +391,69 @@ def step_window(pop: Population, etas, weights=None):
         G = interact(pop, I[start:end], J[start:end], rate,
                      None if B is None else B[2 * (start - first):2 * (end - first)],
                      None if U is None else U[2 * (start - first):2 * (end - first)])
-        if drift is not None and G is not None:
-            drift += W[start:end] @ (G[:end - start] + G[end - start:])
+        if drift is not None and G is not None:  # pair by pair, in each seed's order
+            np.add.at(drift, I[start:end] // n,
+                      W[start:end, None] * (G[:end - start] + G[end - start:]))
         start = end
     return drift
 
 
 @dataclass
 class RunResult:
-    records: list
-    weighted_average: np.ndarray | None = None
+    records: list  # per seed, its records
+    weighted_average: np.ndarray | None = None  # (S, d), row s for seed s
 
 
 def run(pop: Population, cfg: PopulationConfig, *, val_features=None, val_labels=None,
         sample_mtg: bool = False, track_weighted_average: bool = False) -> RunResult:
-    """Execute cfg.T scheduler steps, one :func:`step_window` per record
-    interval, recording metrics every cfg.metric_cadence steps (plus the
-    initial and final states).
+    """Execute cfg.T scheduler steps on every seed, one :func:`step_window`
+    per record interval, recording each seed's metrics every
+    cfg.metric_cadence steps (plus the initial and final states).
 
     Validation labels are mapped once, by the objective's training rule.
     With ``sample_mtg`` each record samples ``mt_g``, except at eta = 0 in a
     population of a biased zeroth-order kind: no smoothing radius, no mt_g.
-    With ``track_weighted_average`` (strongly convex objectives only) the
-    exponentially weighted average of the pre-step means is maintained; a
-    window's means follow from its first one and the steps' estimates.
-    Raises :class:`DivergedError` when a record finds a non-finite model, or
-    a non-finite gamma, loss gap, gradient norm or validation loss.
+    With ``track_weighted_average`` (strongly convex objectives only) each
+    seed's exponentially weighted average of the pre-step means is
+    maintained; a window's means follow from its first one and the steps'
+    estimates.  Raises :class:`DivergedError` for the first seed whose
+    record finds a non-finite model, or a non-finite gamma, loss gap,
+    gradient norm or validation loss.
     """
     spec = pop.objective
     val = None
     if val_features is not None:
         val = _metrics.validation_set(spec, val_features, val_labels)
-    wavg = _metrics.WeightedAverageState(dim=spec.d) if track_weighted_average else None
+    S, n = pop.X.shape[:2]
+    wavg = _metrics.WeightedAverageState(dim=(S, spec.d)) if track_weighted_average else None
 
-    records = []
+    seeds = [pop.seed_view(s) for s in range(S)]
+    records = [[] for _ in seeds]
     biased = pop.zo is not None and pop.zo.kind in BIASED_KINDS
 
     def record(step, eta):
-        if not np.isfinite(pop.X).all():
-            raise DivergedError(f"models are non-finite at step {step}")
         mtg = sample_mtg and (eta > 0 or not biased)
-        rec = _metrics.snapshot(pop, step=step, eta=eta, val=val,
-                                mtg_rng=pop.metrics_rng if mtg else None)
-        # 0 * v is 0 for a finite v and NaN otherwise, so the sum cannot overflow
-        if not math.isfinite(0.0 * rec.gamma + 0.0 * rec.grad_norm_sq_mu
-                             + 0.0 * (rec.mu_loss_gap or 0.0) + 0.0 * (rec.mean_val_loss or 0.0)):
-            raise DivergedError(f"metrics are non-finite at step {step}")
-        records.append(rec)
+        for s, one in enumerate(seeds):
+            if not np.isfinite(one.flat).all():
+                raise DivergedError(f"models are non-finite at step {step}", s)
+            one.interactions = pop.interactions // S
+            rec = _metrics.snapshot(one, step=step, eta=eta, val=val,
+                                    mtg_rng=pop.metrics_rngs[s] if mtg else None)
+            # 0 * v is 0 for a finite v and NaN otherwise, so the sum cannot overflow
+            if not math.isfinite(0.0 * rec.gamma + 0.0 * rec.grad_norm_sq_mu + 0.0
+                                 * (rec.mu_loss_gap or 0.0) + 0.0 * (rec.mean_val_loss or 0.0)):
+                raise DivergedError(f"metrics are non-finite at step {step}", s)
+            records[s].append(rec)
 
     record(0, eta_at(cfg.schedule, 0))
-    n, T, cadence = pop.n, cfg.T, cfg.metric_cadence
+    T, cadence = cfg.T, cfg.metric_cadence
     for t in range(0, T, cadence):
         etas = eta_at(cfg.schedule, np.arange(t, min(t + cadence, T)))
         if wavg is None:
             step_window(pop, etas)
         else:
             weight, w = _metrics.window_weights(etas, spec.ell, n)
-            mu = weight * (np.add.reduce(pop.X, axis=0) / n)  # from the first pre-step mean
+            mu = weight * (np.add.reduce(pop.X, axis=1) / n)  # from the first pre-step means
             mu -= step_window(pop, etas, w) / n
             _metrics.weighted_average_update(wavg, mu, etas, spec.ell, n, weight)
         record(t + etas.shape[0], etas[-1])

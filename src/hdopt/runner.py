@@ -49,6 +49,7 @@ from .protocol import (
     fold_seed,
     init_population,
     run,
+    stack,
 )
 from .theory import default_theory_suite, format_report_line, write_report
 
@@ -211,7 +212,7 @@ def _parse_population(entry, T, index):
     if entry["n0"] > 0:
         zo = EstimatorConfig(kind=entry["zo_kind"], batch_size=entry["zo_batch_size"],
                              rv=entry["zo_rv"])
-    # T, the scheduler mode, the cadence and the seed are set per cell (_run_cell)
+    # T, the scheduler mode, the cadence and the seed are set by _stack
     return _build(where, PopulationConfig, label=entry["label"], n0=entry["n0"], n1=entry["n1"],
                   schedule=schedule, momentum=entry["momentum"], c=entry.get("c"), zo=zo, fo=fo)
 
@@ -256,6 +257,9 @@ def build_dataset(dcfg, master_seed):
         if n_val:
             val = Dataset(features=pool.features[n_train:], labels=pool.labels[n_train:])
         return train, val
+    for key in ("path", "val_path") if dcfg.get("val_path") else ("path",):
+        if not Path(dcfg[key]).is_file():  # every file is looked for before any is read
+            raise ValueError(f"{key} {dcfg[key]!r} names no file")
     train = load_csv_dataset(dcfg["path"], dcfg.get("has_header", False))
     val = None
     if dcfg.get("val_path"):
@@ -281,29 +285,34 @@ def build_objective(cfg: ExperimentConfig):
     return _build("objective", make, train, **params), val
 
 
-def _run_cell(cfg: ExperimentConfig, pop_index: int, seed_value: int, built=None):
-    """One (population, seed) cell; returns the metric records.  ``built`` is
-    build_objective(cfg), made here when not given."""
-    spec, val = build_objective(cfg) if built is None else built
+def _stack(cfg: ExperimentConfig, pop_index: int, spec):
+    """Population pop_index over every seed as one stack, and its run config;
+    a shard too small for its agents or batches is a config error."""
     entry = cfg.populations[pop_index]
-    where = f"population {entry.label!r}, seed {seed_value}"
     pop_cfg = replace(entry, T=cfg.T, scheduler_mode=cfg.scheduler_mode,
-                      metric_cadence=cfg.metric_cadence,
-                      seed=fold_seed(cfg.seed, pop_index, seed_value))
-    # x0 shared across populations at equal seed value: comparisons start equal
-    x0 = cfg.x0_scale * derive_rng(cfg.seed, seed_value, TAG_INIT).standard_normal(spec.d)
-    try:  # a shard too small for its agents or batches is a config error
-        partition = partition_data(spec.n_samples, entry.n0, entry.n1,
-                                   seed=fold_seed(cfg.seed, pop_index, seed_value, 5))
-        pop = init_population(pop_cfg, spec, partition, x0)
-        result = run(pop, pop_cfg,
-                     val_features=None if val is None else val.features,
-                     val_labels=None if val is None else val.labels)
+                      metric_cadence=cfg.metric_cadence)
+    pops = []
+    for s in cfg.seeds:
+        where = f"population {entry.label!r}, seed {s}"
+        # x0 shared across populations at equal seed value: comparisons start equal
+        x0 = cfg.x0_scale * derive_rng(cfg.seed, s, TAG_INIT).standard_normal(spec.d)
+        partition = _build(where, partition_data, spec.n_samples, entry.n0, entry.n1,
+                           fold_seed(cfg.seed, pop_index, s, 5))
+        pops.append(_build(where, init_population, replace(
+            pop_cfg, seed=fold_seed(cfg.seed, pop_index, s)), spec, partition, x0))
+    return stack(pops), pop_cfg
+
+
+def _run_cell(cfg: ExperimentConfig, pop_index: int, built):
+    """Run ``built``, (:func:`_stack`'s stack of population pop_index and its
+    config, the validation set or None); returns each seed's records."""
+    (pop, pop_cfg), val = built
+    where = f"population {cfg.populations[pop_index].label!r}"
+    try:
+        return _build(where, run, pop, pop_cfg, val_features=None if val is None else val.features,
+                      val_labels=None if val is None else val.labels).records
     except DivergedError as exc:
-        raise DivergedError(f"{where}: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    return result.records
+        raise DivergedError(f"{where}, seed {cfg.seeds[exc.seed]}: {exc}") from None
 
 
 @dataclass
@@ -348,36 +357,31 @@ def process_pool(workers: int):
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Run every (population, seed) cell, writing per-seed CSVs, per-population
-    aggregates, and a manifest with content hashes.  The objective and the
-    validation set are built once and shared by all cells."""
+    """Run every population over every seed, one stack each, writing per-seed
+    CSVs, per-population aggregates, and a manifest with content hashes.  Every
+    stack is set up before any runs, so a set-up error stops the run first;
+    ``threads`` processes share out the populations."""
     if not cfg.populations:
         raise ConfigError("config has no populations to run")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    built = build_objective(cfg)
-    cells = [(p, s) for p in range(len(cfg.populations)) for s in cfg.seeds]
-    results = {}
+    indices = range(len(cfg.populations))
+    spec, val = build_objective(cfg)
+    built = [(_stack(cfg, p, spec), val) for p in indices]
     if threads > 1:
         with process_pool(threads) as pool:
-            futures = {pool.submit(_run_cell, cfg, p, s, built): (p, s) for p, s in cells}
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
+            results = list(pool.map(_run_cell, [cfg] * len(built), indices, built))
     else:
-        for p, s in cells:
-            results[(p, s)] = _run_cell(cfg, p, s, built)
+        results = [_run_cell(cfg, p, built[p]) for p in indices]
 
-    out_dir = Path(cfg.out_dir)  # after the cells: bad input leaves no directory
+    out_dir = Path(cfg.out_dir)  # after the runs: bad input leaves no directory
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_paths = []
-    for p, entry in enumerate(cfg.populations):
-        per_seed = []
-        for s in cfg.seeds:
-            records = results[(p, s)]
+    for entry, per_seed in zip(cfg.populations, results):
+        for s, records in zip(cfg.seeds, per_seed):
             path = out_dir / f"{entry.label}_seed{s}.csv"
             _metrics.write_metrics_csv(path, records)
             csv_paths.append(path)
-            per_seed.append(records)
         steps, mean, stderr = _metrics.aggregate_seeds(per_seed)
         agg_path = out_dir / f"{entry.label}_agg.csv"
         _metrics.write_aggregate_csv(agg_path, steps, mean, stderr)

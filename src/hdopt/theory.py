@@ -210,7 +210,7 @@ def check_bias_aggregate(pop, nu, samples=200_000, seed=0) -> BoundCheckReport:
     zo_rows = range(pop.n0) if pop.zo is not None and pop.zo.kind in BIASED_KINDS else ()
     for i in zo_rows:
         rng = derive_rng(seed, 29, i)
-        x, shard = pop.X[i], pop.shards[i]
+        x, shard = pop.flat[i], pop.shards[i]
         mean_vec, se = _mc_mean(samples, _zo_sampler(spec, shard, x, nu, rng))
         biases.append(float(np.linalg.norm(mean_vec - spec.grad(x, shard))))
         ses.append(se)
@@ -262,8 +262,8 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
     and a population of a biased zeroth-order kind has no smoothing radius,
     so it samples no M^G (``mean_mtg`` None), as :func:`run` does.
     """
-    n, d = pop.X.shape
-    X0, M0 = pop.X, pop.M
+    n, d = pop.flat.shape
+    X0, M0 = pop.flat, pop.M
     gamma_t = float(gamma_of(X0))
     sample_mtg = eta > 0 or pop.zo is None or pop.zo.kind not in BIASED_KINDS
     nu = eta / pop.c if eta > 0 else None

@@ -140,7 +140,7 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
     n, n0, d = pop.n, pop.n0, pop.objective.d
     rv = 1 if pop.zo is None else pop.zo.rv
     block = min(replicas, max(1, theory._REPLICA_BLOCK // (n * rv * d)))
-    gamma_t = float(gamma_of(pop.X))
+    gamma_t = float(gamma_of(pop.flat))
     sample_mtg = eta > 0 or pop.zo is None or pop.zo.kind not in BIASED_KINDS
     nu = eta / pop.c if eta > 0 else None
     width = max(cfg.batch_size for cfg, _ in pop.groups)
@@ -158,7 +158,7 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
                        else shard[rng.integers(0, m, (k, size))])
             dirs.append(rng.standard_normal((k, cfg.rv, d)) if a < n0 else None)
         for r in range(k):
-            work.X[:] = pop.X
+            work.flat[:] = pop.flat
             if work.M is not None:
                 work.M[:] = pop.M
             B = U = None  # the pair's rows, I[r] then J[r]
@@ -170,12 +170,12 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
                     if a < n0:
                         U[row] = dirs[a][r]
             interact(work, I[r:r + 1], J[r:r + 1], eta, B, U)
-            gammas.append(float(gamma_of(work.X)))
+            gammas.append(float(gamma_of(work.flat)))
             if sample_mtg:
                 total = 0.0
                 for a in range(n):
                     G, _ = estimate_rows(pop.objective, pop.zo if a < n0 else pop.fo,
-                                         pop.X[a:a + 1], ids[a][r:r + 1],
+                                         pop.flat[a:a + 1], ids[a][r:r + 1],
                                          None if dirs[a] is None else dirs[a][r:r + 1], nu)
                     total += float(np.sum(G * G))
                 mtgs.append(total / n)

@@ -169,8 +169,8 @@ def test_c04_gamma_recursion():
 def _c05_single_seed(seed):
     q, cfg, pop = make_hybrid_quadratic(seed=seed)
     result = h.run(pop, cfg, track_weighted_average=True)
-    gap = result.records[-1].mu_loss_gap
-    y_gap = q.loss(result.weighted_average) - q.f_star
+    gap = result.records[0][-1].mu_loss_gap
+    y_gap = q.loss(result.weighted_average[0]) - q.f_star
     return gap, y_gap
 
 
@@ -281,7 +281,7 @@ def _c08_hitting_time(args):
     for t in range(T):
         h.step_window(pop, [h.eta_at(sched, t)])
         if (t + 1) % n == 0:  # check once per parallel-time unit
-            mu = pop.X.mean(axis=0)
+            mu = pop.flat.mean(axis=0)
             if q.loss(mu) - q.f_star < 1e-3:
                 return (t + 1) // n
     return float("inf")
@@ -339,7 +339,7 @@ def _c10_boundary_run(n0, n1, zo_kind=h.ZO_ONE_SIDED):
         fo=h.EstimatorConfig(kind=h.FIRST_ORDER, batch_size=8) if n1 else None)
     pop = h.init_population(cfg, q, part, q.x_star + np.ones(10))
     result = h.run(pop, cfg)
-    return result.records[0].mu_loss_gap, result.records[-1].mu_loss_gap
+    return result.records[0][0].mu_loss_gap, result.records[0][-1].mu_loss_gap
 
 
 def test_c10_boundary_populations():

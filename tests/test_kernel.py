@@ -20,6 +20,7 @@ from hdopt.objectives import (
     partition_data,
 )
 from hdopt.protocol import (
+    DivergedError,
     Population,
     PopulationConfig,
     Schedule,
@@ -30,6 +31,7 @@ from hdopt.protocol import (
     init_population,
     interact,
     run,
+    stack,
     step_window,
 )
 
@@ -90,7 +92,7 @@ def _compare(objective, population, mode, eta, momentum):
     result = run(pop, cfg, val_features=None if val is None else val[0],
                  val_labels=None if val is None else val[1], sample_mtg=True)
     expected, ref = reference_run(cfg, spec, part, x0, val=val)
-    _assert_records_match(result.records, expected)
+    _assert_records_match(result.records[0], expected)
     models = ref.models()
     assert np.allclose(pop.X, models, rtol=RTOL, atol=RTOL * np.abs(models).max())
     if momentum:
@@ -146,18 +148,18 @@ def test_zero_eta_keeps_mean_exactly_and_never_raises_gamma(n, d, steps, matchin
     rng = np.random.default_rng(seed)
     pop.X[:] = rng.integers(-8, 9, size=(n, d))
     states = [copy.deepcopy(r.bit_generator.state) for r in [*pop.rngs, *pop.dir_rngs]]
-    mu0 = pop.X.mean(axis=0)
+    mu0 = pop.flat.mean(axis=0)
     for _ in range(steps):
-        gamma = gamma_of(pop.X)
+        gamma = gamma_of(pop.flat)
         if matching:
             I, J = draw_matching(rng, n)
         else:
             i, j = rng.choice(n, size=2, replace=False)
             I, J = np.array([i]), np.array([j])
         interact(pop, I, J, 0.0)
-        assert np.array_equal(pop.X.mean(axis=0), mu0)
-        assert gamma_of(pop.X) <= gamma + 1e-12 * (1.0 + gamma)
-    assert pop.function_evals == 0
+        assert np.array_equal(pop.flat.mean(axis=0), mu0)
+        assert gamma_of(pop.flat) <= gamma + 1e-12 * (1.0 + gamma)
+    assert not pop.evals.any()
     # eta = 0 draws nothing, neither minibatch ids nor directions
     assert [r.bit_generator.state for r in [*pop.rngs, *pop.dir_rngs]] == states
 
@@ -187,14 +189,14 @@ def test_batched_matching_equals_sequential_pairs(n0, n1, kind, momentum, logist
     if momentum:
         assert np.allclose(batched.M, sequential.M, rtol=RTOL,
                            atol=RTOL * np.abs(sequential.M).max())
-    assert batched.function_evals == sequential.function_evals
+    assert np.array_equal(batched.evals, sequential.evals)
     assert batched.interactions == sequential.interactions
 
 
 def _states(pop):
     """The scheduler's stream, each agent's id stream, then each zeroth-order
     agent's direction stream."""
-    return [r.bit_generator.state for r in [pop.scheduler_rng, *pop.rngs, *pop.dir_rngs]]
+    return [r.bit_generator.state for r in [*pop.scheduler_rngs, *pop.rngs, *pop.dir_rngs]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -222,18 +224,18 @@ def test_window_equals_its_steps(n, zo_share, kind, momentum, full_batch, logist
                          replace=False) for _ in range(n)]
     mode = "random_matching" if matching else "uniform_pair"
     window = Population(
-        objective=spec, X=rng.standard_normal((n, spec.d)), shards=shards,
+        objective=spec, X=rng.standard_normal((1, n, spec.d)), shards=shards,
         rngs=[np.random.default_rng([seed, a]) for a in range(n)], n0=n0,
         dir_rngs=[np.random.default_rng([seed, a, 1]) for a in range(n0)],
         zo=EstimatorConfig(kind=kind, batch_size=b, rv=4) if n0 else None,
         fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=b) if n0 < n else None,
         c=2.0, momentum=momentum, scheduler_mode=mode,
-        scheduler_rng=np.random.default_rng([seed, n]),
-        metrics_rng=np.random.default_rng([seed, n + 1]))
+        scheduler_rngs=[np.random.default_rng([seed, n])],
+        metrics_rngs=[np.random.default_rng([seed, n + 1])])
     one_by_one = copy.deepcopy(window)
     before = _states(window)
     # the agents of the pairs that step at a nonzero rate, from a replay of the schedule
-    replay, moved = copy.deepcopy(window.scheduler_rng), {-1}
+    replay, moved = copy.deepcopy(window.scheduler_rngs[0]), {-1}
     for eta in etas:
         I, J = draw_matching(replay, n) if matching else draw_pairs(replay, n, 1)
         if eta:
@@ -246,8 +248,8 @@ def test_window_equals_its_steps(n, zo_share, kind, momentum, full_batch, logist
     owners = [-1, *range(n), *range(n0)]  # per stream of _states, its agent (-1: scheduler)
     assert [s for a, s in zip(owners, _states(window)) if a not in moved] == [
         s for a, s in zip(owners, before) if a not in moved]
-    assert (window.interactions, window.function_evals) == (
-        one_by_one.interactions, one_by_one.function_evals)
+    assert window.interactions == one_by_one.interactions
+    assert np.array_equal(window.evals, one_by_one.evals)
     assert window.interactions == len(etas) * (n // 2 if matching else 1)
     assert np.allclose(window.X, one_by_one.X, rtol=RTOL,
                        atol=RTOL * np.abs(one_by_one.X).max())
@@ -297,11 +299,11 @@ def test_window_weighted_average_equals_per_step_fold(n0, n1, momentum, logistic
     state = WeightedAverageState(dim=spec.d)
     for t in range(T):
         eta = eta_at(cfg.schedule, t)
-        weighted_average_update(state, one_by_one.X.mean(axis=0), eta, spec.ell, pop.n)
+        weighted_average_update(state, one_by_one.flat.mean(axis=0), eta, spec.ell, pop.n)
         step_window(one_by_one, [eta])
     expected = state.value()
     assert state.steps == T
-    assert np.allclose(result.weighted_average, expected, rtol=RTOL,
+    assert np.allclose(result.weighted_average[0], expected, rtol=RTOL,
                        atol=RTOL * np.abs(expected).max())
     assert np.allclose(pop.X, one_by_one.X, rtol=RTOL, atol=RTOL * np.abs(one_by_one.X).max())
 
@@ -327,4 +329,46 @@ def test_metric_cadence_leaves_the_trajectory_unchanged(population, mode, block,
         runs.append(pop)
     for pop in runs[1:]:
         assert np.allclose(pop.X, runs[0].X, rtol=RTOL, atol=RTOL * np.abs(runs[0].X).max())
-        assert pop.function_evals == runs[0].function_evals
+        assert np.array_equal(pop.evals, runs[0].evals)
+
+
+@pytest.mark.parametrize("S", [1, 3])
+@pytest.mark.parametrize("mode", ["uniform_pair", "random_matching"])
+@pytest.mark.parametrize("objective", ["quadratic", "logistic"])
+def test_stack_equals_its_seeds_run_one_by_one(objective, mode, S):
+    # mixed kinds with momentum, n = 5 (one agent idles per matching), windows
+    # that hold zero-rate steps (the warmup's step 0, eta_min = 0 from step 35
+    # on), mt_g samples and a tracked weighted average: every seed of a stack
+    # gets the numbers of its run alone, bit for bit
+    spec, val = _objective(objective)
+    n0, n1, kind = POPULATIONS["hybrid_one_sided"]
+    schedule = Schedule(eta_max=0.05, mode="warmup_cosine", warmup_steps=5, total_steps=35)
+    options = dict(val_features=None if val is None else val[0],
+                   val_labels=None if val is None else val[1], sample_mtg=True,
+                   track_weighted_average=True)
+    cfgs = [_config(n0, n1, kind, mode, schedule, 0.9, seed=seed) for seed in range(S)]
+    alone = [init_population(cfg, spec, partition_data(spec.n_samples, n0, n1, seed=10 + s),
+                             np.random.default_rng(s).standard_normal(spec.d))
+             for s, cfg in enumerate(cfgs)]
+    stacked = stack(copy.deepcopy(alone))
+    result = run(stacked, cfgs[0], **options)
+    for s, (pop, cfg) in enumerate(zip(alone, cfgs)):
+        one = run(pop, cfg, **options)
+        assert result.records[s] == one.records[0]
+        assert np.array_equal(result.weighted_average[s], one.weighted_average[0])
+        rows = slice(s * pop.n, (s + 1) * pop.n)
+        assert np.array_equal(stacked.X[s], pop.X[0])
+        assert np.array_equal(stacked.M[rows], pop.M)
+        assert np.array_equal(stacked.evals[rows], pop.evals)
+        assert stacked.interactions == S * pop.interactions
+
+
+def test_a_diverged_stack_names_its_first_non_finite_seed():
+    # seeds 1 and 2 start where the loss overflows; seed 0 stays finite
+    spec, _ = _objective("quadratic")
+    cfg = _config(0, 4, ZO_ONE_SIDED, "uniform_pair", 0.05, 0.0)
+    pops = [init_population(cfg, spec, partition_data(spec.n_samples, 0, 4, seed=s),
+                            np.full(spec.d, scale)) for s, scale in enumerate((0.0, 1e300, 1e300))]
+    with pytest.raises(DivergedError, match="metrics are non-finite at step 0") as info:
+        run(stack(pops), cfg)
+    assert info.value.seed == 1

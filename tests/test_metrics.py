@@ -28,11 +28,11 @@ def make_population(models, objective=None, estimator=None, shards=None):
     estimator = estimator or EstimatorConfig(kind=FIRST_ORDER, batch_size=1)
     n = len(models)
     shards = [np.arange(objective.n_samples)] * n if shards is None else shards
-    return Population(objective=objective, X=np.array(models, dtype=float), shards=shards,
+    return Population(objective=objective, X=np.array([models], dtype=float), shards=shards,
                       rngs=[np.random.default_rng(i) for i in range(n)], n0=0, zo=None,
                       fo=estimator, c=1.0, momentum=0.0, scheduler_mode="uniform_pair",
-                      scheduler_rng=np.random.default_rng(99),
-                      metrics_rng=np.random.default_rng(100))
+                      scheduler_rngs=[np.random.default_rng(99)],
+                      metrics_rngs=[np.random.default_rng(100)])
 
 
 # ---------------------------------------------------------------------------
@@ -41,21 +41,21 @@ def make_population(models, objective=None, estimator=None, shards=None):
 
 def test_mu_of_identical_models():
     pop = make_population([[1.0, 2.0]] * 3)
-    assert np.array_equal(pop.X.mean(axis=0), [1.0, 2.0])
+    assert np.array_equal(pop.flat.mean(axis=0), [1.0, 2.0])
 
 
 def test_mu_hand_value_and_permutation_invariance():
     pop = make_population([[2.0, 0.0], [0.0, 0.0]])
-    assert np.array_equal(pop.X.mean(axis=0), [1.0, 0.0])
+    assert np.array_equal(pop.flat.mean(axis=0), [1.0, 0.0])
     models = np.random.default_rng(1).standard_normal((5, 3))
-    a = make_population(models).X.mean(axis=0)
-    b = make_population(models[::-1]).X.mean(axis=0)
+    a = make_population(models).flat.mean(axis=0)
+    b = make_population(models[::-1]).flat.mean(axis=0)
     assert np.allclose(a, b, atol=1e-15)
 
 
 def test_gamma_examples():
-    assert gamma_of(make_population([[1.0, 1.0]] * 4).X) == 0.0
-    assert gamma_of(make_population([[0.0, 0.0], [2.0, 0.0]]).X) == pytest.approx(1.0)
+    assert gamma_of(make_population([[1.0, 1.0]] * 4).flat) == 0.0
+    assert gamma_of(make_population([[0.0, 0.0], [2.0, 0.0]]).flat) == pytest.approx(1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -64,15 +64,15 @@ def test_gamma_translation_invariant(seed):
     rng = np.random.default_rng(seed)
     models = rng.standard_normal((4, 3))
     shift = rng.standard_normal(3)
-    g0 = gamma_of(make_population(models).X)
-    g1 = gamma_of(make_population(models + shift).X)
+    g0 = gamma_of(make_population(models).flat)
+    g1 = gamma_of(make_population(models + shift).flat)
     assert g0 == pytest.approx(g1, abs=1e-10)
 
 
 def test_gamma_and_mu_are_pure():
     pop = make_population(np.random.default_rng(2).standard_normal((4, 3)))
-    assert gamma_of(pop.X) == gamma_of(pop.X)
-    assert np.array_equal(pop.X.mean(axis=0), pop.X.mean(axis=0))
+    assert gamma_of(pop.flat) == gamma_of(pop.flat)
+    assert np.array_equal(pop.flat.mean(axis=0), pop.flat.mean(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,7 @@ def test_mtg_mc_average_matches_closed_form():
     exact = np.mean([
         np.mean(np.sum(q.grad_rows(np.broadcast_to(x, (shard.shape[0], q.d)), shard[:, None]) ** 2,
                        axis=1))
-        for x, shard in zip(pop.X, pop.shards)])
+        for x, shard in zip(pop.flat, pop.shards)])
     mrng = np.random.default_rng(8)
     vals = np.array([compute_mtg(pop, eta=0.1, rng=mrng) for _ in range(10**4)])
     mean, se = scalar_mc_stats(vals)
@@ -177,7 +177,7 @@ def test_validation_identical_agents_equal_single():
     lg, ds = logistic_fixture()
     x = np.array([1.0, 0.0])
     pop = make_population([x] * 3, objective=lg)
-    loss, acc = lg.validate(pop.X, *validation_set(lg, ds.features, ds.labels))
+    loss, acc = lg.validate(pop.flat, *validation_set(lg, ds.features, ds.labels))
     single_loss, single_acc = lg.validate(x[None], *validation_set(lg, ds.features, ds.labels))
     assert loss == pytest.approx(single_loss)
     assert acc == pytest.approx(single_acc)
@@ -186,14 +186,14 @@ def test_validation_identical_agents_equal_single():
 def test_validation_perfect_classifier_accuracy_one():
     lg, ds = logistic_fixture()
     pop = make_population([[5.0, 0.0]], objective=lg)
-    _, acc = lg.validate(pop.X, *validation_set(lg, ds.features, ds.labels))
+    _, acc = lg.validate(pop.flat, *validation_set(lg, ds.features, ds.labels))
     assert acc == 1.0
 
 
 def test_validation_regression_reports_nan_accuracy():
     q = make_quadratic(d=2, cond=2.0, seed=10)
     pop = make_population([[0.0, 0.0]], objective=q)
-    loss, acc = q.validate(pop.X, *validation_set(q, np.zeros((3, 2)), np.zeros(3)))
+    loss, acc = q.validate(pop.flat, *validation_set(q, np.zeros((3, 2)), np.zeros(3)))
     assert np.isnan(acc)
     assert loss == pytest.approx(q.loss(np.zeros(2)))
 
@@ -202,14 +202,15 @@ def test_validation_empty_set_rejected():
     lg, _ = logistic_fixture()
     pop = make_population([[1.0, 0.0]], objective=lg)
     with pytest.raises(ValueError):
-        lg.validate(pop.X, *validation_set(lg, np.zeros((0, 2)), np.zeros(0)))
+        lg.validate(pop.flat, *validation_set(lg, np.zeros((0, 2)), np.zeros(0)))
 
 
 def test_validation_invariant_under_relabeling():
     lg, ds = logistic_fixture()
     models = np.random.default_rng(11).standard_normal((4, 2))
-    a = lg.validate(make_population(models, objective=lg).X, *validation_set(lg, ds.features, ds.labels))
-    b = lg.validate(make_population(models[::-1], objective=lg).X, *validation_set(lg, ds.features, ds.labels))
+    val = validation_set(lg, ds.features, ds.labels)
+    a = lg.validate(make_population(models, objective=lg).flat, *val)
+    b = lg.validate(make_population(models[::-1], objective=lg).flat, *val)
     assert a == pytest.approx(b)
 
 
@@ -223,9 +224,9 @@ def test_validation_maps_labels_with_positive_class(labels, positive):
                        positive_class=positive)
     signed, ds = logistic_fixture()
     pop = make_population([[1.0, 0.0]] * 2, objective=lg)
-    loss, acc = lg.validate(pop.X, *validation_set(lg, feats, np.array(labels)))
+    loss, acc = lg.validate(pop.flat, *validation_set(lg, feats, np.array(labels)))
     assert acc == 1.0
-    want = signed.validate(make_population([[1.0, 0.0]] * 2, objective=signed).X,
+    want = signed.validate(make_population([[1.0, 0.0]] * 2, objective=signed).flat,
                            *validation_set(signed, ds.features, ds.labels))
     assert (loss, acc) == pytest.approx(want)
     assert lg.validate(np.array([[1.0, 0.0]]), *validation_set(lg, feats, np.array(labels))) \

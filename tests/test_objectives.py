@@ -81,6 +81,24 @@ def test_quadratic_batch_of_repeated_ids_is_not_the_full_mean():
     np.testing.assert_allclose(q.grad(x, [0, 0, 0, 0]), q.grad(x, [0]), rtol=1e-12)
 
 
+def test_quadratic_gradient_of_a_row_does_not_depend_on_its_place():
+    # a stacked run evaluates a seed's rows among other seeds' rows, so each
+    # row must round the same alone, in a slice and in the whole call
+    q = make_quadratic(d=10, cond=10.0, seed=11, n_samples=64, grad_noise=1.0,
+                       hessian_jitter=0.5)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((37, q.d))
+    B = rng.integers(0, q.n_samples, (37, 4))
+    for ids in (B, None):
+        full = q.grad_rows(X, ids)
+        for r in range(37):
+            alone = q.grad_rows(X[r:r + 1], None if ids is None else ids[r:r + 1])
+            assert np.array_equal(alone[0], full[r]), r
+        for a, b in ((0, 2), (5, 12), (3, 37)):
+            part = q.grad_rows(X[a:b], None if ids is None else ids[a:b])
+            assert np.array_equal(part, full[a:b]), (a, b)
+
+
 def test_quadratic_per_sample_lipschitz_within_L():
     q = make_quadratic(d=8, cond=10.0, seed=6, hessian_jitter=1.0)
     assert q.Lam.min() >= -1e-12

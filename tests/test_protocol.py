@@ -48,11 +48,11 @@ def quadratic_pop(n0, n1, seed=0, eta=0.05, T=100, mode="uniform_pair", momentum
 def two_agents(spec, models, est):
     """A first-order pair over the full data, one rng per agent."""
     shard = np.arange(spec.n_samples)
-    return Population(objective=spec, X=np.array(models, dtype=float), shards=[shard, shard],
+    return Population(objective=spec, X=np.array([models], dtype=float), shards=[shard, shard],
                       rngs=[np.random.default_rng(0), np.random.default_rng(1)], n0=0,
                       zo=None, fo=est, c=1.0, momentum=0.0, scheduler_mode="uniform_pair",
-                      scheduler_rng=np.random.default_rng(2),
-                      metrics_rng=np.random.default_rng(3))
+                      scheduler_rngs=[np.random.default_rng(2)],
+                      metrics_rngs=[np.random.default_rng(3)])
 
 
 PAIR = (np.array([0]), np.array([1]))
@@ -70,7 +70,7 @@ def pair_inputs(pop, I, J):
 def test_init_population_gamma_zero():
     _, _, pop = quadratic_pop(2, 2)
     assert gamma_of(pop.X) == 0.0
-    assert pop.n == 4 and pop.n0 == 2 and pop.n1 == 2
+    assert pop.n == 4 and pop.n0 == 2 and pop.n - pop.n0 == 2
 
 
 def test_init_boundary_populations_accepted():
@@ -122,8 +122,8 @@ def test_interact_noiseless_optimum_is_fixed_point():
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=q.n_samples)
     pop = two_agents(q, [q.x_star, q.x_star], est)
     interact(pop, *PAIR, 0.1, *pair_inputs(pop, *PAIR))
-    assert np.allclose(pop.X[0], q.x_star, atol=1e-12)
-    assert np.allclose(pop.X[1], q.x_star, atol=1e-12)
+    assert np.allclose(pop.flat[0], q.x_star, atol=1e-12)
+    assert np.allclose(pop.flat[1], q.x_star, atol=1e-12)
     assert pop.interactions == 1
 
 
@@ -132,11 +132,11 @@ def test_interact_zero_eta_is_pure_averaging():
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=1)
     pop = two_agents(q, [[2.0, 0.0], [0.0, 0.0]], est)
     interact(pop, *PAIR, eta=0.0)
-    assert np.array_equal(pop.X[0], [1.0, 0.0])
-    assert np.array_equal(pop.X[1], [1.0, 0.0])
-    assert pop.function_evals == 0
-    pop.X[0, 0] = 5.0  # the two models do not share storage
-    assert pop.X[1, 0] == 1.0
+    assert np.array_equal(pop.flat[0], [1.0, 0.0])
+    assert np.array_equal(pop.flat[1], [1.0, 0.0])
+    assert not pop.evals.any()
+    pop.flat[0, 0] = 5.0  # the two models do not share storage
+    assert pop.flat[1, 0] == 1.0
 
 
 def test_interact_hand_arithmetic_one_dim():
@@ -146,8 +146,8 @@ def test_interact_hand_arithmetic_one_dim():
     x0 = q.x_star + 2.0
     pop = two_agents(q, [x0, x0], est)
     interact(pop, *PAIR, 0.1, *pair_inputs(pop, *PAIR))
-    assert pop.X[0, 0] == pytest.approx(q.x_star[0] + 1.8, abs=1e-12)
-    assert pop.X[1, 0] == pytest.approx(q.x_star[0] + 1.8, abs=1e-12)
+    assert pop.flat[0, 0] == pytest.approx(q.x_star[0] + 1.8, abs=1e-12)
+    assert pop.flat[1, 0] == pytest.approx(q.x_star[0] + 1.8, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.05])
@@ -174,21 +174,21 @@ def replayed_estimate(pop, a, nu):
     m, b = shard.shape[0], cfg.batch_size
     ids = shard if m == b else shard[copy.deepcopy(pop.rngs[a]).integers(0, m, size=b)]
     U = None if a >= pop.n0 else copy.deepcopy(pop.dir_rngs[a]).standard_normal(
-        (1, cfg.rv, pop.X.shape[1]))
-    return estimate_rows(pop.objective, cfg, pop.X[a:a + 1], ids[None], U, nu)[0][0]
+        (1, cfg.rv, pop.flat.shape[1]))
+    return estimate_rows(pop.objective, cfg, pop.flat[a:a + 1], ids[None], U, nu)[0][0]
 
 
 def test_mean_update_identity():
     _, cfg, pop = quadratic_pop(2, 2, seed=9, T=0)
     n = pop.n
     for t in range(200):
-        mu_before = pop.X.mean(axis=0)
+        mu_before = pop.flat.mean(axis=0)
         # the pair and both estimates, replayed from copies of the streams
-        (i,), (j,) = draw_pairs(copy.deepcopy(pop.scheduler_rng), n, 1)
+        (i,), (j,) = draw_pairs(copy.deepcopy(pop.scheduler_rngs[0]), n, 1)
         nu = 0.05 / pop.c
         g = [replayed_estimate(pop, a, nu) for a in (i, j)]
         step_window(pop, [0.05])
-        mu_after = pop.X.mean(axis=0)
+        mu_after = pop.flat.mean(axis=0)
         expected = mu_before - (0.05 / n) * (g[0] + g[1])
         assert np.allclose(mu_after, expected, atol=1e-12)
 
@@ -279,12 +279,12 @@ def test_matching_odd_n_idles_one_uniform_agent():
 
 def test_matching_step_leaves_idle_agent_unchanged():
     _, cfg, pop = quadratic_pop(0, 5, seed=18, mode="random_matching", T=0)
-    before = pop.X.copy()
-    I, J = draw_matching(copy.deepcopy(pop.scheduler_rng), 5)
+    before = pop.flat.copy()
+    I, J = draw_matching(copy.deepcopy(pop.scheduler_rngs[0]), 5)
     idle = (set(range(5)) - set(I.tolist()) - set(J.tolist())).pop()
     idle_rng = copy.deepcopy(pop.rngs[idle].bit_generator.state)
     step_window(pop, [0.05])
-    assert np.array_equal(pop.X[idle], before[idle])
+    assert np.array_equal(pop.flat[idle], before[idle])
     assert pop.rngs[idle].bit_generator.state == idle_rng  # made no estimate
     assert pop.interactions == 2
 
@@ -347,9 +347,9 @@ def test_eta_bounded_property(step, warmup, total, eta_max, eta_min_frac):
 def test_run_zero_steps_yields_initial_metrics_only():
     _, cfg, pop = quadratic_pop(2, 2, seed=20, T=0)
     result = run(pop, cfg)
-    assert len(result.records) == 1
-    assert result.records[0].step == 0
-    assert result.records[0].gamma == 0.0
+    assert len(result.records[0]) == 1
+    assert result.records[0][0].step == 0
+    assert result.records[0][0].gamma == 0.0
 
 
 def test_run_zero_eta_pure_gossip_contracts_gamma():
@@ -357,13 +357,13 @@ def test_run_zero_eta_pure_gossip_contracts_gamma():
                                 cadence=1)
     # start from distinct models
     rng = np.random.default_rng(22)
-    pop.X[:] = rng.standard_normal(pop.X.shape)
-    mu0 = pop.X.mean(axis=0)
+    pop.flat[:] = rng.standard_normal(pop.X.shape)
+    mu0 = pop.flat.mean(axis=0)
     result = run(pop, cfg)
-    gammas = [r.gamma for r in result.records]
+    gammas = [r.gamma for r in result.records[0]]
     assert all(g2 <= g1 + 1e-15 for g1, g2 in zip(gammas, gammas[1:]))
     assert gammas[-1] <= 1e-12 * gammas[0]
-    assert np.allclose(pop.X.mean(axis=0), mu0, atol=1e-12)
+    assert np.allclose(pop.flat.mean(axis=0), mu0, atol=1e-12)
 
 
 def test_run_deterministic_given_seed():
@@ -384,7 +384,7 @@ def test_run_samples_mtg_from_a_warmup_at_eta_zero(kind):
                            zo=EstimatorConfig(kind=kind, batch_size=4, rv=4),
                            fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=4))
     pop = init_population(cfg, q, partition_data(q.n_samples, 2, 2, seed=29), q.x_star + 1.0)
-    records = run(pop, cfg, sample_mtg=True).records
+    (records,) = run(pop, cfg, sample_mtg=True).records
     assert records[0].eta == 0.0 and all(r.eta > 0 for r in records[1:])
     assert [r.mt_g is not None for r in records] == [
         r.eta > 0 or kind == ZO_FORWARD for r in records]
@@ -394,7 +394,7 @@ def test_run_matching_clock_accounting():
     _, cfg, pop = quadratic_pop(0, 6, seed=24, T=10, mode="random_matching", cadence=5)
     result = run(pop, cfg)
     assert pop.interactions == 10 * 3
-    assert result.records[-1].parallel_time == pytest.approx(30 / 6)
+    assert result.records[0][-1].parallel_time == pytest.approx(30 / 6)
 
 
 def test_gamma_recursion_over_replicas():

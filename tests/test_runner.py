@@ -134,6 +134,20 @@ def test_run_experiment_rerun_identical(tmp_path):
         assert p.read_bytes() == bytes_first[p.name]
 
 
+@pytest.mark.parametrize("name, T", [("quad-desk", 2000), ("fig2-desk", None)])
+def test_each_seed_of_a_stack_writes_the_bytes_of_its_run_alone(tmp_path, name, T):
+    cfg = parse_config(CONFIG_DIR / f"{name}.yaml")
+    cfg.T, cfg.out_dir = T or cfg.T, str(tmp_path / "all")
+    seeds = cfg.seeds
+    assert len(seeds) > 1 and len(run_experiment(cfg).csv_paths) > 0
+    for s in seeds:
+        cfg.seeds, cfg.out_dir = [s], str(tmp_path / f"seed{s}")
+        alone = [p for p in run_experiment(cfg).csv_paths if p.name.endswith(f"_seed{s}.csv")]
+        assert len(alone) == len(cfg.populations)
+        for path in alone:
+            assert path.read_bytes() == (tmp_path / "all" / path.name).read_bytes(), path.name
+
+
 def test_run_experiment_threads_match_serial(tmp_path):
     cfg = parse_config(write_tiny(tmp_path))
     serial = run_experiment(cfg)
@@ -361,6 +375,13 @@ def test_cli_diverged_run_exits_runtime(tmp_path, capsys):
     assert "'fo8'" in err and "seed 0" in err and "step" in err
 
 
+def test_cli_diverged_stack_names_its_first_seed_in_config_order(tmp_path, capsys):
+    text = DIVERGING.replace("T: 300", "T: 200").replace("seeds: [0]", "seeds: [7, 2]")
+    assert main(["run", str(write_tiny(tmp_path, text))]) == 2
+    err = capsys.readouterr().err
+    assert "population 'fo8', seed 7: metrics are non-finite at step 200" in err
+
+
 def test_cli_run_with_overflowing_metrics_exits_runtime(tmp_path, capsys):
     # at step 200 the models are still finite, but gamma, the loss gap and
     # the gradient norm overflow to inf: the run is diverged all the same
@@ -522,8 +543,12 @@ def test_cli_rejects_bad_fields_by_name(tmp_path, capsys, old, new, message):
     (QUADRATIC + "  hessian_jitter: 2\n", "objective: hessian_jitter must lie in [0, 1]"),
     (QUADRATIC.replace("n_samples: 16", "n_samples: 1"), "objective: need at least 2 samples"),
     (QUADRATIC.replace("d: 4", "d: 0"), "objective: d must be >= 1"),
+    (CSV + "  path: no-such-train.csv\n", "dataset: path 'no-such-train.csv' names no file"),
+    # any existing file will do for path: both names are looked for before either is read
+    (CSV + f"  path: {CONFIG_DIR / 'quad-desk.yaml'}\n  val_path: no-such-val.csv\n",
+     "dataset: val_path 'no-such-val.csv' names no file"),
 ], ids=["blobs-one-sample", "cond-below-one", "hessian_jitter-above-one", "n_samples-one",
-        "quadratic-d-zero"])
+        "quadratic-d-zero", "csv-path-missing", "csv-val_path-missing"])
 def test_cli_builder_errors_name_their_section(tmp_path, capsys, new, message):
     err = _run_rejected(tmp_path, capsys, TINY_CONFIG.replace(QUADRATIC, new, 1))
     assert err.startswith(f"config error: {message}")
@@ -544,6 +569,19 @@ def test_cli_cell_errors_name_the_population(tmp_path, capsys, edits, message, t
         text = text.replace(old, new, 1)
     err = _run_rejected(tmp_path, capsys, text, "--threads", threads)
     assert err.startswith("config error: population 'fo2', seed ") and message in err
+
+
+def test_set_up_errors_stop_the_run_before_any_worker_starts(tmp_path, capsys, monkeypatch):
+    # every population is partitioned and set up before the pool starts
+    import hdopt.runner as runner
+
+    def no_pool(workers):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(runner, "process_pool", no_pool)
+    text = TINY_CONFIG.replace("zo_batch_size: 4", "zo_batch_size: 30", 1)
+    err = _run_rejected(tmp_path, capsys, text, "--threads", "2")
+    assert err.startswith("config error: population 'hybrid', seed 0: batch_size exceeds shard")
 
 
 def test_readme_config_schema_parses_and_names_every_key(tmp_path):

@@ -194,9 +194,9 @@ def test_gamma_recursion_pure_averaging_matches_enumeration():
     from hdopt.theory import expected_gamma_pure_averaging
     from hdopt.metrics import gamma_of
 
-    gamma_t = gamma_of(pop.X)
+    gamma_t = gamma_of(pop.flat)
     exact = gamma_t * (3 - 2) / (3 - 1)
-    assert expected_gamma_pure_averaging(pop.X) == pytest.approx(exact, abs=1e-12)
+    assert expected_gamma_pure_averaging(pop.flat) == pytest.approx(exact, abs=1e-12)
     report = check_gamma_recursion(pop, eta=0.0, replicas=500, seed=26)
     assert report.passed
     assert abs(report.measured - exact) <= 3 * report.stderr
