@@ -105,7 +105,7 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
     return (coef @ U)[:, 0] / rv, b * (sub + rv)
 
 
-def draw_row_inputs(pop, A, rng=None):
+def draw_row_inputs(pop, A, rngs=None):
     """The estimator inputs of kernel rows whose agents are the global rows
     ``A`` of the population's stack, -1 for a row that makes no estimate:
     (B, U).  Row r's minibatch ids (i.i.d. uniform over its agent's shard, or
@@ -117,8 +117,9 @@ def draw_row_inputs(pop, A, rng=None):
     its ``pop.rngs`` stream, and a zeroth-order agent all their directions
     with one call on its ``pop.dir_rngs`` stream.  These streams draw nothing
     else, so a run of rows gets the numbers of one draw per row, however the
-    rows are split.  Given ``rng``, every agent makes both of its calls on
-    that one stream instead, agent by agent: its ids, then its directions.
+    rows are split.  Given ``rngs``, one stream per seed, seed s's agents
+    make both of their calls on ``rngs[s]`` instead, agent by agent: its ids,
+    then its directions.
     """
     (N, d), n, n0, zo, fo = pop.flat.shape, pop.n, pop.n0, pop.zo, pop.fo
     width = max(zo.batch_size if zo else 1, fo.batch_size if fo else 1)
@@ -133,9 +134,9 @@ def draw_row_inputs(pop, A, rng=None):
             i = a % n  # seed a // n's agent i
             cfg, shard = zo if i < n0 else fo, pop.shards[a]
             m, b = shard.shape[0], cfg.batch_size
-            stream = pop.rngs[a] if rng is None else rng
+            stream = pop.rngs[a] if rngs is None else rngs[a // n]
             B[rows, :b] = shard if m == b else shard[stream.integers(0, m, (end - start, b))]
             if i < n0:
-                stream = pop.dir_rngs[a // n * n0 + i] if rng is None else rng
+                stream = pop.dir_rngs[a // n * n0 + i] if rngs is None else rngs[a // n]
                 U[rows] = stream.standard_normal((end - start, cfg.rv, d))
     return B, U

@@ -3,7 +3,8 @@
 The variance potential reported as ``gamma`` is the mean squared distance of
 agent models from the population mean; ``mt_g`` is the mean squared norm of
 one fresh gradient estimate per agent.  All functions here are read-only
-over the population of one seed and work on its (n, d) models as a whole.
+over a stack of S seeds and work on its (S, n, d) models as a whole, with
+one value per seed.
 """
 
 from __future__ import annotations
@@ -43,34 +44,36 @@ def gamma_of(X):
     return (centered * centered).sum(axis=-1).mean(axis=-1)
 
 
-def sample_estimates(pop, rng, k, nu):
-    """k fresh estimates per agent at the current models, (k, n, d): G[r, a]
-    is agent a's r-th.  All inputs come from the one stream ``rng``, agent by
-    agent (:func:`~hdopt.estimators.draw_row_inputs`): the ids of the agent's
-    k estimates, then their directions.  Each estimator group makes one
-    :func:`~hdopt.estimators.estimate_rows` call; ``nu`` is the smoothing
-    radius of the biased kinds."""
-    n, d = pop.flat.shape
-    B, U = draw_row_inputs(pop, np.repeat(np.arange(n), k), rng)
-    G = np.empty((n * k, d))
-    for cfg, rows in pop.groups:  # agent-major rows: a group's rows are one slice
-        sel = slice(rows[0] * k, (rows[-1] + 1) * k)
-        G[sel] = estimate_rows(pop.objective, cfg, pop.flat[rows].repeat(k, axis=0),
-                               B[sel, :cfg.batch_size],
+def sample_estimates(pop, rngs, k, nu):
+    """k fresh estimates per agent at the current models, (k, S n, d): G[r, g]
+    is global row g's r-th.  Seed s's agents draw all their inputs from the
+    stream ``rngs[s]``, agent by agent
+    (:func:`~hdopt.estimators.draw_row_inputs`): the ids of the agent's k
+    estimates, then their directions.  Each estimator group makes one
+    :func:`~hdopt.estimators.estimate_rows` call over all seeds; ``nu`` is
+    the smoothing radius of the biased kinds."""
+    N, d = pop.flat.shape
+    A = np.repeat(np.arange(N), k)  # agent-major rows
+    B, U = draw_row_inputs(pop, A, rngs)
+    i = A % pop.n  # each row's agent within its seed
+    G = np.empty((N * k, d))
+    for cfg, rows in pop.groups:
+        sel = ((rows[0] <= i) & (i <= rows[-1])).nonzero()[0]
+        G[sel] = estimate_rows(pop.objective, cfg, pop.flat[A[sel]], B[sel, :cfg.batch_size],
                                U[sel] if rows[0] < pop.n0 else None, nu)[0]
-    return G.reshape(n, k, d).swapaxes(0, 1)
+    return G.reshape(N, k, d).swapaxes(0, 1)
 
 
-def compute_mtg(pop, eta, rng) -> float:
-    """Mean squared estimate norm, one fresh estimate per agent
-    (:func:`sample_estimates`).
+def compute_mtg(pop, eta, rngs) -> list:
+    """Mean squared estimate norm of each seed, one fresh estimate per agent
+    (:func:`sample_estimates`, seed s drawing from ``rngs[s]``).
 
-    The caller-supplied rng stream is drawn by no other code, so diagnostics
+    The caller-supplied rng streams are drawn by no other code, so diagnostics
     never perturb the optimization trajectory; the smoothing radius is
     coupled to ``eta``.
     """
-    G = sample_estimates(pop, rng, 1, eta / pop.c if eta > 0 else None)
-    return float(np.sum(G * G)) / pop.n
+    G = sample_estimates(pop, rngs, 1, eta / pop.c if eta > 0 else None)
+    return (np.sum((G * G).reshape(pop.X.shape[0], -1), axis=1) / pop.n).tolist()
 
 
 @dataclass
@@ -138,31 +141,27 @@ def validation_set(spec, features, labels):
     return features, spec.targets(np.asarray(labels, dtype=float))
 
 
-def snapshot(pop, step, eta, val=None, mtg_rng=None) -> MetricsRecord:
-    """One metrics record for the current state of a population of one seed;
-    ``val`` is a :func:`validation_set`."""
-    spec = pop.objective
-    mu = pop.flat.mean(axis=0)
-    gap = None if spec.f_star is None else float(spec.loss(mu) - spec.f_star)
-    grad_mu = spec.grad(mu)
-    val_loss = val_acc = None
-    if val is not None:
-        val_loss, val_acc = spec.validate(pop.flat, *val)
-        if math.isnan(val_acc):
-            val_acc = None
-    mt_g = None if mtg_rng is None else compute_mtg(pop, eta, mtg_rng)
-    return MetricsRecord(
-        step=int(step),
-        parallel_time=pop.interactions / pop.n,
-        eta=float(eta),
-        gamma=float(gamma_of(pop.flat)),
-        mu_loss_gap=gap,
-        grad_norm_sq_mu=float(np.dot(grad_mu, grad_mu)),
-        mean_val_loss=val_loss,
-        mean_val_acc=val_acc,
-        mt_g=mt_g,
-        function_evals_total=int(pop.evals.sum()),
-    )
+def snapshot(pop, step, eta, val=None, mtg_rngs=None) -> list:
+    """The metrics records of the current state of a stack, one per seed, in
+    stack order; ``val`` is a :func:`validation_set` and ``mtg_rngs`` the
+    seeds' streams for ``mt_g``.  The seeds' means go through one
+    ``grad_rows`` call and, when the optimum is known, one ``loss_rows``
+    call; validation runs seed by seed, over its (n, d) models."""
+    spec, (S, n, _) = pop.objective, pop.X.shape
+    mu = pop.X.mean(axis=1)
+    gaps = [None] * S if spec.f_star is None else (
+        spec.loss_rows(mu[:, None])[:, 0] - spec.f_star).tolist()
+    g = spec.grad_rows(mu)
+    norms = (g[:, None] @ g[:, :, None])[:, 0, 0].tolist()  # np.dot's rounding, row by row
+    valid = [(None, None)] * S if val is None else [spec.validate(X, *val) for X in pop.X]
+    mtgs = [None] * S if mtg_rngs is None else compute_mtg(pop, eta, mtg_rngs)
+    return [MetricsRecord(step=int(step), parallel_time=pop.interactions // S / n,
+                          eta=float(eta), gamma=gamma, mu_loss_gap=gap, grad_norm_sq_mu=norm,
+                          mean_val_loss=loss, mean_val_acc=None if acc != acc else acc,
+                          mt_g=mtg, function_evals_total=evals)
+            for gamma, gap, norm, (loss, acc), mtg, evals in
+            zip(gamma_of(pop.X).tolist(), gaps, norms, valid, mtgs,
+                np.add.reduce(pop.evals.reshape(S, n), axis=1).tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -190,16 +190,6 @@ class Population:
     def __setstate__(self, state):
         self.__dict__.update(state, flat=state["X"].reshape(-1, state["X"].shape[2]))
 
-    def seed_view(self, s):
-        """Seed s as a population of one seed, sharing its models, buffers,
-        streams and evaluation counts with this stack."""
-        n0, rows = self.n0, slice(s * self.n, (s + 1) * self.n)
-        return replace(self, X=self.X[s:s + 1], M=None if self.M is None else self.M[rows],
-                       shards=self.shards[rows], rngs=self.rngs[rows], evals=self.evals[rows],
-                       dir_rngs=self.dir_rngs[s * n0:(s + 1) * n0],
-                       scheduler_rngs=[self.scheduler_rngs[s]],
-                       metrics_rngs=[self.metrics_rngs[s]])
-
 
 def init_population(cfg: PopulationConfig, spec, partition, x0) -> Population:
     """One seed, cfg.seed, whose agents all start at x0; agents 0..n0-1 are
@@ -411,14 +401,16 @@ def run(pop: Population, cfg: PopulationConfig, *, val_features=None, val_labels
     cfg.metric_cadence steps (plus the initial and final states).
 
     Validation labels are mapped once, by the objective's training rule.
-    With ``sample_mtg`` each record samples ``mt_g``, except at eta = 0 in a
-    population of a biased zeroth-order kind: no smoothing radius, no mt_g.
+    One :func:`~hdopt.metrics.snapshot` of the whole stack records every seed.
+    With ``sample_mtg`` each record samples ``mt_g``, seed s from its stream
+    ``pop.metrics_rngs[s]``, except at eta = 0 in a population of a biased
+    zeroth-order kind: no smoothing radius, no mt_g.
     With ``track_weighted_average`` (strongly convex objectives only) each
     seed's exponentially weighted average of the pre-step means is
     maintained; a window's means follow from its first one and the steps'
-    estimates.  Raises :class:`DivergedError` for the first seed whose
-    record finds a non-finite model, or a non-finite gamma, loss gap,
-    gradient norm or validation loss.
+    estimates.  Raises :class:`DivergedError` for the first seed in stack
+    order whose record finds a non-finite model, or a non-finite gamma,
+    loss gap, gradient norm or validation loss.
     """
     spec = pop.objective
     val = None
@@ -426,19 +418,16 @@ def run(pop: Population, cfg: PopulationConfig, *, val_features=None, val_labels
         val = _metrics.validation_set(spec, val_features, val_labels)
     S, n = pop.X.shape[:2]
     wavg = _metrics.WeightedAverageState(dim=(S, spec.d)) if track_weighted_average else None
-
-    seeds = [pop.seed_view(s) for s in range(S)]
-    records = [[] for _ in seeds]
+    records = [[] for _ in range(S)]
     biased = pop.zo is not None and pop.zo.kind in BIASED_KINDS
 
     def record(step, eta):
         mtg = sample_mtg and (eta > 0 or not biased)
-        for s, one in enumerate(seeds):
-            if not np.isfinite(one.flat).all():
+        finite = np.isfinite(pop.X).all(axis=(1, 2))
+        recs = _metrics.snapshot(pop, step, eta, val, pop.metrics_rngs if mtg else None)
+        for s, rec in enumerate(recs):
+            if not finite[s]:
                 raise DivergedError(f"models are non-finite at step {step}", s)
-            one.interactions = pop.interactions // S
-            rec = _metrics.snapshot(one, step=step, eta=eta, val=val,
-                                    mtg_rng=pop.metrics_rngs[s] if mtg else None)
             # 0 * v is 0 for a finite v and NaN otherwise, so the sum cannot overflow
             if not math.isfinite(0.0 * rec.gamma + 0.0 * rec.grad_norm_sq_mu + 0.0
                                  * (rec.mu_loss_gap or 0.0) + 0.0 * (rec.mean_val_loss or 0.0)):

@@ -276,7 +276,7 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
         pair = np.column_stack(draw_pairs(rng, n, k))
         S = X0[pair]  # the pair's pre-interaction models, stepped as interact does
         if sample_mtg:
-            G = sample_estimates(pop, rng, k, nu)
+            G = sample_estimates(pop, [rng], k, nu)
             mtgs[start:start + k] = np.square(G).sum(axis=(1, 2)) / n
             if eta != 0:
                 Gp = G[np.arange(k)[:, None], pair]

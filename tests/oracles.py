@@ -3,7 +3,8 @@ with exact Gaussian moments and per-sample references written out one
 sample at a time, independent of the row-batched kernels they check; for
 the estimators, one estimate at a time from one stream; for the
 variance-potential recursion check, its replicas run one at a time from
-their documented draws."""
+their documented draws; for a metrics record, one seed's fields from the
+one-seed formulas."""
 
 import copy
 import math
@@ -13,7 +14,7 @@ import numpy as np
 
 from hdopt import theory
 from hdopt.estimators import BIASED_KINDS, FIRST_ORDER, check_shard, estimate_rows
-from hdopt.metrics import gamma_of
+from hdopt.metrics import MetricsRecord, gamma_of
 from hdopt.objectives import Objective, _antisymmetric
 from hdopt.protocol import draw_pairs, interact
 from hdopt.theory import _report
@@ -190,3 +191,32 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
     se = float((gammas - coef * mtgs).std(ddof=1)) / math.sqrt(replicas)
     return _report("gamma_recursion", float(gammas.mean()), bound, se, replicas, seed,
                    gamma_t=gamma_t, eta=eta, mean_mtg=mean_mtg, n=n)
+
+
+def snapshot_reference(pop, s, step, eta, val=None):
+    """Seed s's metrics record from the formulas of one seed alone, without
+    ``mt_g``: ``spec.loss`` and ``spec.grad`` at the seed's mean, the squared
+    norm through ``np.dot``, :func:`gamma_of` and ``validate`` over its
+    (n, d) models, its summed evaluation counts and its share of the
+    stack's interactions over n."""
+    spec, (S, n, _) = pop.objective, pop.X.shape
+    X = pop.X[s]
+    mu = X.mean(axis=0)
+    grad_mu = spec.grad(mu)
+    val_loss = val_acc = None
+    if val is not None:
+        val_loss, val_acc = spec.validate(X, *val)
+        if math.isnan(val_acc):
+            val_acc = None
+    return MetricsRecord(
+        step=int(step),
+        parallel_time=(pop.interactions // S) / n,
+        eta=float(eta),
+        gamma=float(gamma_of(X)),
+        mu_loss_gap=None if spec.f_star is None else float(spec.loss(mu) - spec.f_star),
+        grad_norm_sq_mu=float(np.dot(grad_mu, grad_mu)),
+        mean_val_loss=val_loss,
+        mean_val_acc=val_acc,
+        mt_g=None,
+        function_evals_total=int(pop.evals[s * n:(s + 1) * n].sum()),
+    )

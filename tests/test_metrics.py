@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdopt.estimators import FIRST_ORDER, EstimatorConfig
+from hdopt.estimators import FIRST_ORDER, ZO_ONE_SIDED, EstimatorConfig
 from hdopt.metrics import (
     CSV_COLUMNS,
     MetricsRecord,
@@ -17,10 +17,25 @@ from hdopt.metrics import (
     write_aggregate_csv,
     write_metrics_csv,
 )
-from hdopt.objectives import Dataset, make_logistic, make_quadratic, partition_data
-from hdopt.protocol import Population, PopulationConfig, Schedule, init_population
+from hdopt.objectives import (
+    Dataset,
+    make_blobs_dataset,
+    make_logistic,
+    make_nonconvex,
+    make_quadratic,
+    partition_data,
+)
+from hdopt.protocol import (
+    Population,
+    PopulationConfig,
+    Schedule,
+    init_population,
+    stack,
+    step_window,
+)
 
 from conftest import read_metrics_csv, scalar_mc_stats
+from oracles import snapshot_reference
 
 
 def make_population(models, objective=None, estimator=None, shards=None):
@@ -83,7 +98,8 @@ def test_mtg_zero_at_noiseless_optimum():
     q = make_quadratic(d=3, cond=2.0, seed=3, grad_noise=0.0, hessian_jitter=0.0)
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=q.n_samples)
     pop = make_population([q.x_star] * 4, objective=q, estimator=est)
-    assert compute_mtg(pop, eta=0.1, rng=np.random.default_rng(0)) == pytest.approx(0.0, abs=1e-20)
+    assert compute_mtg(pop, eta=0.1, rngs=[np.random.default_rng(0)])[0] == pytest.approx(
+        0.0, abs=1e-20)
 
 
 def test_mtg_single_agent_full_batch():
@@ -92,7 +108,7 @@ def test_mtg_single_agent_full_batch():
     x = q.x_star + np.array([1.0, -1.0, 0.5])
     pop = make_population([x], objective=q, estimator=est)
     g = q.grad(x)
-    assert compute_mtg(pop, eta=0.1, rng=np.random.default_rng(0)) == pytest.approx(
+    assert compute_mtg(pop, eta=0.1, rngs=[np.random.default_rng(0)])[0] == pytest.approx(
         float(g @ g), abs=1e-12)
 
 
@@ -110,7 +126,7 @@ def test_mtg_mc_average_matches_closed_form():
                        axis=1))
         for x, shard in zip(pop.flat, pop.shards)])
     mrng = np.random.default_rng(8)
-    vals = np.array([compute_mtg(pop, eta=0.1, rng=mrng) for _ in range(10**4)])
+    vals = np.array([compute_mtg(pop, eta=0.1, rngs=[mrng])[0] for _ in range(10**4)])
     mean, se = scalar_mc_stats(vals)
     assert abs(mean - exact) <= 3 * se
 
@@ -299,11 +315,38 @@ def test_aggregate_csv_schema(tmp_path):
 def test_snapshot_fields():
     q = make_quadratic(d=3, cond=2.0, seed=13)
     pop = make_population([q.x_star + 1.0, q.x_star - 1.0], objective=q)
-    r = snapshot(pop, step=4, eta=0.2)
+    r, = snapshot(pop, step=4, eta=0.2)
     assert r.step == 4 and r.eta == 0.2
     assert r.gamma == pytest.approx(3.0)
     assert r.mu_loss_gap == pytest.approx(q.loss(q.x_star) - q.f_star, abs=1e-12)
     assert r.mean_val_loss is None and r.mt_g is None
+
+
+@pytest.mark.parametrize("objective", ["quadratic", "logistic", "nonconvex"])
+def test_snapshot_of_a_stack_equals_the_one_seed_formulas(objective):
+    # three seeds apart in models and evaluation counts, after a window of
+    # steps: each seed's record holds, field by field, the bits of the
+    # formulas applied to that seed alone
+    if objective == "quadratic":
+        spec, val = make_quadratic(d=4, cond=5.0, seed=3, n_samples=30), None
+    else:
+        pool = make_blobs_dataset(80, 4, seed=4, scale=2.0)
+        train = Dataset(features=pool.features[:50], labels=pool.labels[:50])
+        spec = make_logistic(train, lam=0.05) if objective == "logistic" else make_nonconvex(train)
+        val = validation_set(spec, pool.features[50:], pool.labels[50:])
+    cfg = PopulationConfig(n0=2, n1=3, schedule=Schedule(eta_max=0.05), T=7,
+                           zo=EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=2, rv=3),
+                           fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=2))
+    pop = stack([init_population(cfg, spec, partition_data(spec.n_samples, 2, 3, seed=s),
+                                 np.random.default_rng(s).standard_normal(spec.d))
+                 for s in range(3)])
+    step_window(pop, np.full(7, 0.05))
+    records = snapshot(pop, step=7, eta=0.05, val=val)
+    assert len(records) == 3
+    for s, rec in enumerate(records):
+        ref = snapshot_reference(pop, s, step=7, eta=0.05, val=val)
+        for name, got, want in zip(CSV_COLUMNS, rec, ref):
+            assert got == want, (s, name)
 
 
 def test_csv_bytes(tmp_path):

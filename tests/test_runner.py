@@ -597,6 +597,51 @@ def test_readme_config_schema_parses_and_names_every_key(tmp_path):
         assert re.search(rf"\b{key}\b", block), key
 
 
+def _hdopt_parameters():
+    """Name -> the parameter names of each function, class and method of
+    that name that a module of hdopt defines."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import hdopt
+
+    params = {}
+    for info in pkgutil.iter_modules(hdopt.__path__):
+        module = importlib.import_module(f"hdopt.{info.name}")
+        for obj in vars(module).values():
+            if not callable(obj) or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            methods = [f for f in vars(obj).values() if inspect.isfunction(f)] \
+                if inspect.isclass(obj) else []
+            for fn in (obj, *methods):
+                try:
+                    names = set(inspect.signature(fn).parameters)
+                except ValueError:  # an exception class that inherits its signature from C
+                    continue
+                params.setdefault(fn.__name__, []).append(names)
+    return params
+
+
+def test_readme_calls_name_hdopt_functions_and_their_parameters():
+    # every backticked call `name(args)` in the README, name possibly dotted,
+    # calls something hdopt defines with parameter names it has; the names
+    # of builtins and numpy (`len`, `mean`) are skipped
+    import builtins
+
+    params = _hdopt_parameters()
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    calls = re.findall(r"`([A-Za-z_][\w.]*)\(([^`()]*)\)`", readme)
+    assert calls
+    for dotted, text in calls:
+        name = dotted.rsplit(".", 1)[-1]
+        if name not in params:
+            assert hasattr(builtins, name) or hasattr(np, name), f"{dotted} is not in hdopt"
+            continue
+        args = {arg.split("=")[0].strip() for arg in text.split(",")} - {"", "...", "\u2026"}
+        assert any(args <= names for names in params[name]), f"{dotted}({text}): {args}"
+
+
 def test_theory_suite_quadratic_checks_pass_fast_options():
     reports = default_theory_suite(dict(FAST_THEORY))
     names = {r.name for r in reports}
