@@ -10,9 +10,9 @@ Four kinds are provided:
 The biased kinds estimate the gradient of the Gaussian-smoothed batch loss;
 the forward kind is unbiased for the batch gradient itself.  Estimates that
 average ``rv`` Gaussian directions share a single minibatch per call and
-divide by ``rv`` (plain mean).  ``function_evals`` counts zeroth-order
-function evaluations, with one first-order gradient costed at batch_size
-evaluations (a simulator convention for cost-normalized plots).
+divide by ``rv`` (plain mean).  :attr:`EstimatorConfig.evals` is the cost
+of one estimate in function evaluations, one first-order gradient costed at
+batch_size evaluations (a simulator convention for cost-normalized plots).
 
 :func:`estimate_rows` computes the estimates of k agents of one kind at
 once, with one row-batched objective call, from inputs drawn beforehand
@@ -49,6 +49,12 @@ class EstimatorConfig:
         if self.rv < 1:
             raise ValueError("rv must be >= 1")
 
+    @property
+    def evals(self) -> int:
+        """Function evaluations of one estimate, a gradient costing batch_size."""
+        b, rv = self.batch_size, self.rv
+        return b * {ZO_FORWARD: rv, ZO_ONE_SIDED: rv + 1, ZO_CENTRAL: 2 * rv}.get(self.kind, 1)
+
 
 def check_shard(shard, batch_size):
     """The shard as an ndarray, checked to hold at least batch_size ids."""
@@ -74,20 +80,20 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
     """Estimates of kind cfg.kind for k rows: row r is estimated at the model
     Xr[r] over the minibatch of sample ids B[r] (batch_size of them) and, for
     the zeroth-order kinds, the rv Gaussian directions U[r] (U is (k, rv, d)).
-    Returns (estimates (k, d), function evals per estimate).
+    Returns the estimates (k, d); one costs ``cfg.evals`` function evaluations.
 
     The k estimates come from one row-batched objective call.  ``nu`` is one
     smoothing radius, or a (k, 1) column of one per row; only the biased
     kinds read it.
     """
-    b, rv = cfg.batch_size, cfg.rv
+    rv = cfg.rv
     if cfg.kind == FIRST_ORDER:
-        return spec.grad_rows(Xr, B), b
+        return spec.grad_rows(Xr, B)
     if cfg.kind == ZO_FORWARD:
         # sum over directions of (u . grad F) u, the directional derivatives
         # standing in for a forward-mode pass
         g = spec.grad_rows(Xr, B)[:, :, None]
-        return (U.transpose(0, 2, 1) @ (U @ g))[..., 0] / rv, b * rv
+        return (U.transpose(0, 2, 1) @ (U @ g))[..., 0] / rv
     # one objective call evaluates the rv points x + nu u after the points
     # they are differenced with: x - nu u (central) or x once (one-sided)
     nu = _resolve_nu(nu)
@@ -102,7 +108,7 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
     P += Xr[:, None]
     vals = spec.loss_rows(P, B)
     coef = (vals[:, sub:] - vals[:, :sub])[:, None, :] / (2.0 * nu if central else nu)
-    return (coef @ U)[:, 0] / rv, b * (sub + rv)
+    return (coef @ U)[:, 0] / rv
 
 
 def draw_row_inputs(pop, A, rngs=None):
@@ -121,22 +127,20 @@ def draw_row_inputs(pop, A, rngs=None):
     make both of their calls on ``rngs[s]`` instead, agent by agent: its ids,
     then its directions.
     """
-    (N, d), n, n0, zo, fo = pop.flat.shape, pop.n, pop.n0, pop.zo, pop.fo
-    width = max(zo.batch_size if zo else 1, fo.batch_size if fo else 1)
-    B = np.empty((A.shape[0], width), dtype=np.intp)
-    U = np.empty((A.shape[0], zo.rv, d)) if n0 else None
+    (N, d), n, n1, zo = pop.flat.shape, pop.n, pop.n - pop.n0, pop.zo
+    B = np.empty((A.shape[0], max(cfg.batch_size for cfg in pop.groups)), dtype=np.intp)
+    U = np.empty((A.shape[0], zo.rv, d)) if pop.n0 else None
     order = A.argsort(kind="stable")  # the rows by agent, each agent's in row order
     ends = np.bincount(A + 1, minlength=N + 1).cumsum().tolist()  # after the -1 rows
-    for a in range(N):
+    for a, group in enumerate(pop.group.tolist()):
         start, end = ends[a], ends[a + 1]
         if end > start:
             rows = order[start:end]
-            i = a % n  # seed a // n's agent i
-            cfg, shard = zo if i < n0 else fo, pop.shards[a]
+            cfg, shard, s = pop.groups[group], pop.shards[a], a // n  # seed s's agent a - s n
             m, b = shard.shape[0], cfg.batch_size
-            stream = pop.rngs[a] if rngs is None else rngs[a // n]
+            stream = pop.rngs[a] if rngs is None else rngs[s]
             B[rows, :b] = shard if m == b else shard[stream.integers(0, m, (end - start, b))]
-            if i < n0:
-                stream = pop.dir_rngs[a // n * n0 + i] if rngs is None else rngs[a // n]
+            if cfg is zo:
+                stream = pop.dir_rngs[a - s * n1] if rngs is None else rngs[s]
                 U[rows] = stream.standard_normal((end - start, cfg.rv, d))
     return B, U

@@ -49,18 +49,18 @@ def sample_estimates(pop, rngs, k, nu):
     is global row g's r-th.  Seed s's agents draw all their inputs from the
     stream ``rngs[s]``, agent by agent
     (:func:`~hdopt.estimators.draw_row_inputs`): the ids of the agent's k
-    estimates, then their directions.  Each estimator group makes one
-    :func:`~hdopt.estimators.estimate_rows` call over all seeds; ``nu`` is
-    the smoothing radius of the biased kinds."""
+    estimates, then their directions.  Each estimator group of the table
+    ``pop.group`` makes one :func:`~hdopt.estimators.estimate_rows` call over
+    all seeds; ``nu`` is the smoothing radius of the biased kinds."""
     N, d = pop.flat.shape
     A = np.repeat(np.arange(N), k)  # agent-major rows
     B, U = draw_row_inputs(pop, A, rngs)
-    i = A % pop.n  # each row's agent within its seed
+    group = pop.group.repeat(k)
     G = np.empty((N * k, d))
-    for cfg, rows in pop.groups:
-        sel = ((rows[0] <= i) & (i <= rows[-1])).nonzero()[0]
+    for g, cfg in enumerate(pop.groups):
+        sel = (group == g).nonzero()[0]
         G[sel] = estimate_rows(pop.objective, cfg, pop.flat[A[sel]], B[sel, :cfg.batch_size],
-                               U[sel] if rows[0] < pop.n0 else None, nu)[0]
+                               U[sel] if cfg is pop.zo else None, nu)
     return G.reshape(N, k, d).swapaxes(0, 1)
 
 

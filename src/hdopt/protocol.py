@@ -135,10 +135,11 @@ class DivergedError(RuntimeError):
 class Population:
     """S seeds of n agents: seed s's agent i has the model X[s, i], global
     row g = s n + i of the (S n, d) view ``flat``.  Agent g owns ``shards[g]``,
-    draws minibatch ids from ``rngs[g]`` and has made ``evals[g]`` function
-    evaluations; agents i < n0 use the zeroth-order ``zo`` and draw directions
-    from ``dir_rngs[s n0 + i]``, the others the first-order ``fo``.  Seed s
-    draws pairs from ``scheduler_rngs[s]`` and metrics samples from
+    draws minibatch ids from ``rngs[g]``, has made ``evals[g]`` function
+    evaluations and uses the estimator ``groups[group[g]]``, at ``cost[g]``
+    evaluations an estimate (the one table of both): ``zo`` for agents i < n0,
+    which draw directions from ``dir_rngs[s n0 + i]``, ``fo`` for the others.
+    Seed s draws pairs from ``scheduler_rngs[s]`` and metrics samples from
     ``metrics_rngs[s]``.  ``M`` holds the momentum buffers (row g for agent g)
     when momentum > 0; ``interactions`` counts the pairs of all seeds."""
 
@@ -170,16 +171,16 @@ class Population:
                 and len(self.scheduler_rngs) == len(self.metrics_rngs) == S):
             raise ValueError("need 0 <= n0 <= n, a shard and an rng per agent, a direction "
                              "rng per zeroth-order agent, a scheduler and a metrics rng per seed")
-        # the estimator groups, in agent order: (config, agent ids within a seed)
-        self.groups = [(cfg, rows) for cfg, rows in
-                       ((self.zo, np.arange(self.n0)), (self.fo, np.arange(self.n0, n)))
-                       if rows.shape[0]]
-        if any(cfg is None for cfg, _ in self.groups):
+        self.groups = [cfg for cfg, m in ((self.zo, self.n0), (self.fo, n - self.n0)) if m]
+        if None in self.groups:
             raise ValueError("every agent needs an estimator config")
         if (self.zo and self.zo.kind == FIRST_ORDER) or (self.fo and self.fo.kind != FIRST_ORDER):
             raise ValueError("zo needs a zeroth-order kind and fo the first-order kind")
-        self.shards = [check_shard(shard, (self.zo if g % n < self.n0 else self.fo).batch_size)
-                       for g, shard in enumerate(self.shards)]
+        # per global row, its index into groups (fo's is 1 when zo has agents) and its cost
+        self.group = np.tile((np.arange(n) >= self.n0) & (self.n0 > 0), S).astype(np.intp)
+        self.cost = np.array([cfg.evals for cfg in self.groups]).take(self.group)
+        self.shards = [check_shard(shard, self.groups[g].batch_size)
+                       for g, shard in zip(self.group.tolist(), self.shards)]
         self.evals = np.zeros(S * n, dtype=np.int64) if self.evals is None else self.evals
         if self.momentum > 0.0 and self.M is None:
             self.M = np.zeros_like(self.flat)
@@ -228,14 +229,14 @@ def interact(pop: Population, I, J, eta, B=None, U=None):
 
     ``eta`` is one rate for every pair, or an array of one positive rate per
     pair; an agent's smoothing radius is nu = eta / c.  The estimates of each
-    estimator kind come from one call over all its agents, from inputs drawn
-    beforehand (:func:`draw_row_inputs`): row r, for agent
+    estimator group (``pop.group``) come from one call over its rows, from
+    inputs drawn beforehand (:func:`draw_row_inputs`): row r, for agent
     ``concat(I, J)[r]``, estimates over the minibatch ids in the leading
     columns of B[r] and, when zeroth-order, the directions U[r].  Momentum
     filters each estimate through the agent's persistent buffer
-    (g <- m g + (1 - m) G); buffers are never exchanged.
-    eta = 0 degenerates to pure gossip averaging and reads no input.
-    Returns the applied estimates, rows as in ``B``, or None when eta = 0.
+    (g <- m g + (1 - m) G); buffers are never exchanged.  eta = 0 is pure
+    gossip averaging and reads no input.  Returns the applied estimates, rows
+    as in ``B``, or None when eta = 0, and counts no evaluations.
     """
     X = pop.flat
     k = I.shape[0]
@@ -247,25 +248,17 @@ def interact(pop: Population, I, J, eta, B=None, U=None):
     G = None
     if per_pair or eta != 0.0:
         nu = eta / pop.c
-        spec = pop.objective
-        zo = rows % pop.n < pop.n0
-        n_zo = np.count_nonzero(zo)
-        if n_zo == 0 or n_zo == 2 * k:  # a single estimator kind
-            cfg = pop.zo if n_zo else pop.fo
-            G, evals = estimate_rows(spec, cfg, S, B[:, :cfg.batch_size], U, nu)
-            pop.evals[rows] += evals
-        else:  # one call per kind over its rows
-            if k == 1:  # one agent of each kind: slices select without copies
-                z = 0 if zo[0] else 1
-                parts = ((pop.zo, slice(z, z + 1)), (pop.fo, slice(1 - z, 2 - z)))
-            else:
-                parts = ((pop.zo, zo.nonzero()[0]), (pop.fo, (~zo).nonzero()[0]))
-            G = np.empty_like(S)
-            for cfg, sel in parts:
-                G[sel], evals = estimate_rows(spec, cfg, S[sel], B[sel, :cfg.batch_size],
-                                              U[sel] if cfg is pop.zo else None,
-                                              nu[sel] if per_pair else nu)
-                pop.evals[rows[sel]] += evals
+        spec, group = pop.objective, pop.group.take(rows)
+        for g, cfg in enumerate(pop.groups):
+            sel = (group == g).nonzero()[0]
+            if sel.shape[0] == 2 * k:  # the group covers every row: no copies
+                G = estimate_rows(spec, cfg, S, B[:, :cfg.batch_size], U, nu)
+                break
+            if sel.shape[0]:
+                G = np.empty_like(S) if G is None else G
+                G[sel] = estimate_rows(spec, cfg, S[sel], B[sel, :cfg.batch_size],
+                                       U[sel] if cfg is pop.zo else None,
+                                       nu[sel] if per_pair else nu)
         if pop.M is not None:
             G = pop.M.take(rows, axis=0) * pop.momentum + (1.0 - pop.momentum) * G
             pop.M[rows] = G
@@ -314,9 +307,10 @@ def step_window(pop: Population, etas, weights=None):
     zeroth-order agent their directions in another, per block of layers
     holding at most about _INPUT_BLOCK direction elements per seed.  Each
     stream draws nothing else, so the numbers are those of the steps one by
-    one, seed by seed.  With ``weights`` (one per step) it returns, row s
-    for seed s, sum_p weights[t] (G_I + G_J)[p] over the seed's pairs p, t
-    being p's step, which moves the seed's mean by -etas[t] / n (G_I + G_J)[p].
+    one, seed by seed.  ``pop.evals`` adds the window's estimates at once.
+    With ``weights`` (one per step) it returns, row s for seed s,
+    sum_p weights[t] (G_I + G_J)[p] over the seed's pairs p, t being p's
+    step, which moves the seed's mean by -etas[t] / n (G_I + G_J)[p].
     """
     S, n, d = pop.X.shape
     if n < 2:
@@ -328,11 +322,11 @@ def step_window(pop: Population, etas, weights=None):
         I, J = map(np.concatenate, zip(*[draw_pairs(rng, n, steps) for rng in pop.scheduler_rngs]))
         shift = np.arange(0, S * n, n).repeat(steps)
         I, J = I + shift, J + shift
-        depth, L = [0] * (S * n), []  # per agent, layers joined so far; per pair, its layer
-        for i, j in zip(I.tolist(), J.tolist()):
-            l = max(depth[i], depth[j])
+        depth, L = [0] * (S * n), [0] * I.shape[0]  # per agent, layers joined; per pair, its layer
+        for p, (i, j) in enumerate(zip(I.tolist(), J.tolist())):
+            l = depth[i] if depth[i] > depth[j] else depth[j]
             depth[i] = depth[j] = l + 1
-            L.append(l)
+            L[p] = l
         mixed = not (etas == etas[0]).all()
         if mixed:
             L = np.unique(2 * np.asarray(L) + np.tile(etas == 0.0, S), return_inverse=True)[1]
@@ -363,6 +357,7 @@ def step_window(pop: Population, etas, weights=None):
         idle = rates is None or 0.0 in rates
         A[at] = np.where(E != 0.0, I, -1) if idle else I
         A[at + counts.repeat(counts)] = np.where(E != 0.0, J, -1) if idle else J
+        pop.evals += np.bincount(A + 1, minlength=S * n + 1)[1:] * pop.cost  # once per window
         # pairs per block: zeroth-order directions fill at most _INPUT_BLOCK
         # elements per seed, so an agent makes as many draws as it would alone
         cap = S * (_INPUT_BLOCK // (2 * pop.zo.rv * d)) if pop.n0 else I.shape[0]

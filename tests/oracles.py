@@ -125,8 +125,8 @@ def estimate_gradient(spec, shard, x, cfg, rng, nu=None):
     m, b = shard.shape[0], cfg.batch_size
     B = (shard if m == b else shard[rng.integers(0, m, size=b)])[None]
     U = None if cfg.kind == FIRST_ORDER else rng.standard_normal((1, cfg.rv, X.shape[1]))
-    G, evals = estimate_rows(spec, cfg, X, B, U, nu)
-    return GradientEstimate(vector=G[0], kind=cfg.kind, function_evals=evals)
+    G = estimate_rows(spec, cfg, X, B, U, nu)
+    return GradientEstimate(vector=G[0], kind=cfg.kind, function_evals=cfg.evals)
 
 
 def gamma_recursion_reference(pop, eta, replicas, seed):
@@ -144,7 +144,7 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
     gamma_t = float(gamma_of(pop.flat))
     sample_mtg = eta > 0 or pop.zo is None or pop.zo.kind not in BIASED_KINDS
     nu = eta / pop.c if eta > 0 else None
-    width = max(cfg.batch_size for cfg, _ in pop.groups)
+    width = max(cfg.batch_size for cfg in pop.groups)
     work = copy.deepcopy(pop)
     gammas, mtgs = [], []
     for b, start in enumerate(range(0, replicas, block)):
@@ -175,9 +175,9 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
             if sample_mtg:
                 total = 0.0
                 for a in range(n):
-                    G, _ = estimate_rows(pop.objective, pop.zo if a < n0 else pop.fo,
-                                         pop.flat[a:a + 1], ids[a][r:r + 1],
-                                         None if dirs[a] is None else dirs[a][r:r + 1], nu)
+                    G = estimate_rows(pop.objective, pop.zo if a < n0 else pop.fo,
+                                      pop.flat[a:a + 1], ids[a][r:r + 1],
+                                      None if dirs[a] is None else dirs[a][r:r + 1], nu)
                     total += float(np.sum(G * G))
                 mtgs.append(total / n)
     gammas = np.array(gammas)

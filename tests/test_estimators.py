@@ -276,8 +276,8 @@ def test_nu_override_takes_effect():
     cfg = EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=2, rv=4)
     rng = np.random.default_rng(33)
     B, U = rng.integers(0, 20, (2, 2)), rng.standard_normal((2, 4, 3))
-    a, _ = estimate_rows(lg, cfg, x, B, U, 0.5)
-    b, _ = estimate_rows(lg, cfg, x, B, U, np.full((2, 1), 0.5))
+    a = estimate_rows(lg, cfg, x, B, U, 0.5)
+    b = estimate_rows(lg, cfg, x, B, U, np.full((2, 1), 0.5))
     assert np.array_equal(a, b)
 
 

@@ -176,6 +176,7 @@ def test_batched_matching_equals_sequential_pairs(n0, n1, kind, momentum, logist
     batched = _population(n0, n1, kind, momentum, seed, spec)
     sequential = copy.deepcopy(batched)
     I, J = draw_matching(np.random.default_rng(seed), batched.n)
+    evals = batched.evals.copy()  # the counts of the run that made the population
     # both runs take the same inputs: pair p's rows are p and k + p of the batch
     rows = np.concatenate((I, J))
     B, U = draw_row_inputs(batched, rows)
@@ -189,7 +190,8 @@ def test_batched_matching_equals_sequential_pairs(n0, n1, kind, momentum, logist
     if momentum:
         assert np.allclose(batched.M, sequential.M, rtol=RTOL,
                            atol=RTOL * np.abs(sequential.M).max())
-    assert np.array_equal(batched.evals, sequential.evals)
+    # the kernel counts no evaluations: step_window does, once per window
+    assert np.array_equal(batched.evals, evals) and np.array_equal(sequential.evals, evals)
     assert batched.interactions == sequential.interactions
 
 
@@ -218,7 +220,7 @@ def test_window_equals_its_steps(n, zo_share, kind, momentum, full_batch, logist
             else make_quadratic(d=4, cond=3.0, seed=2, n_samples=40))
     n0 = int(round(zo_share * n))
     rng = np.random.default_rng(seed)
-    b = 3
+    b, rv = 3, 4
     # with full_batch every shard holds exactly b ids, so no minibatch is drawn
     shards = [rng.choice(spec.n_samples, size=b if full_batch else int(rng.integers(b, 12)),
                          replace=False) for _ in range(n)]
@@ -227,19 +229,22 @@ def test_window_equals_its_steps(n, zo_share, kind, momentum, full_batch, logist
         objective=spec, X=rng.standard_normal((1, n, spec.d)), shards=shards,
         rngs=[np.random.default_rng([seed, a]) for a in range(n)], n0=n0,
         dir_rngs=[np.random.default_rng([seed, a, 1]) for a in range(n0)],
-        zo=EstimatorConfig(kind=kind, batch_size=b, rv=4) if n0 else None,
+        zo=EstimatorConfig(kind=kind, batch_size=b, rv=rv) if n0 else None,
         fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=b) if n0 < n else None,
         c=2.0, momentum=momentum, scheduler_mode=mode,
         scheduler_rngs=[np.random.default_rng([seed, n])],
         metrics_rngs=[np.random.default_rng([seed, n + 1])])
     one_by_one = copy.deepcopy(window)
     before = _states(window)
-    # the agents of the pairs that step at a nonzero rate, from a replay of the schedule
+    # the agents of the pairs that step at a nonzero rate, and each agent's
+    # count of such steps, from a replay of the schedule
     replay, moved = copy.deepcopy(window.scheduler_rngs[0]), {-1}
+    stepped = np.zeros(n, dtype=np.int64)
     for eta in etas:
         I, J = draw_matching(replay, n) if matching else draw_pairs(replay, n, 1)
         if eta:
             moved.update(I.tolist() + J.tolist())
+            stepped[np.concatenate((I, J))] += 1
     step_window(window, etas)
     for eta in etas:
         step_window(one_by_one, [eta])
@@ -250,6 +255,9 @@ def test_window_equals_its_steps(n, zo_share, kind, momentum, full_batch, logist
         s for a, s in zip(owners, before) if a not in moved]
     assert window.interactions == one_by_one.interactions
     assert np.array_equal(window.evals, one_by_one.evals)
+    # one estimate per nonzero-rate step, at its kind's cost in function evaluations
+    zo_cost = {ZO_ONE_SIDED: b * (rv + 1), ZO_CENTRAL: 2 * b * rv, ZO_FORWARD: b * rv}[kind]
+    assert window.evals.tolist() == [(zo_cost if a < n0 else b) * stepped[a] for a in range(n)]
     assert window.interactions == len(etas) * (n // 2 if matching else 1)
     assert np.allclose(window.X, one_by_one.X, rtol=RTOL,
                        atol=RTOL * np.abs(one_by_one.X).max())

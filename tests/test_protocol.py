@@ -27,6 +27,7 @@ from hdopt.protocol import (
     init_population,
     interact,
     run,
+    stack,
     step_window,
 )
 from hdopt.theory import expected_gamma_pure_averaging
@@ -77,6 +78,18 @@ def test_init_boundary_populations_accepted():
     _, _, pure_fo = quadratic_pop(0, 8)
     _, _, pure_zo = quadratic_pop(8, 0)
     assert pure_fo.n == 8 and pure_zo.n == 8
+
+
+@pytest.mark.parametrize("n0, n1", [(0, 3), (3, 0), (2, 3)])
+def test_estimator_table_gives_every_row_of_a_stack_its_agents_config(n0, n1):
+    # in every seed of a stack, agent i uses zo when i < n0 and fo otherwise,
+    # at b (rv + 1) = 20 evaluations an estimate (one-sided) or b = 4
+    pops = [quadratic_pop(n0, n1, seed=s, batch=4, rv=4)[2] for s in range(3)]
+    pop, n = stack(pops), n0 + n1
+    assert pop.groups == [cfg for cfg in (pop.zo, pop.fo) if cfg is not None]
+    assert [pop.groups[g] for g in pop.group.tolist()] == [
+        pop.zo if g % n < n0 else pop.fo for g in range(3 * n)]
+    assert pop.cost.tolist() == [20 if g % n < n0 else 4 for g in range(3 * n)]
 
 
 def test_init_rejects_mismatched_partition():
@@ -175,7 +188,7 @@ def replayed_estimate(pop, a, nu):
     ids = shard if m == b else shard[copy.deepcopy(pop.rngs[a]).integers(0, m, size=b)]
     U = None if a >= pop.n0 else copy.deepcopy(pop.dir_rngs[a]).standard_normal(
         (1, cfg.rv, pop.flat.shape[1]))
-    return estimate_rows(pop.objective, cfg, pop.flat[a:a + 1], ids[None], U, nu)[0][0]
+    return estimate_rows(pop.objective, cfg, pop.flat[a:a + 1], ids[None], U, nu)[0]
 
 
 def test_mean_update_identity():
