@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,7 +98,6 @@ class PopulationConfig:
     scheduler_mode: str = UNIFORM_PAIR
     momentum: float = 0.0
     c: float | None = None  # nu = eta / c; defaults to sqrt(d)
-    seed: int = 0
     metric_cadence: int = 10
     zo: EstimatorConfig | None = None
     fo: EstimatorConfig | None = None
@@ -192,34 +191,29 @@ class Population:
         self.__dict__.update(state, flat=state["X"].reshape(-1, state["X"].shape[2]))
 
 
-def init_population(cfg: PopulationConfig, spec, partition, x0) -> Population:
-    """One seed, cfg.seed, whose agents all start at x0; agents 0..n0-1 are
-    zeroth-order, the rest first-order.  Agent i draws its minibatch ids from
-    the stream (seed, TAG_AGENT, i) and, when zeroth-order, its directions
-    from (seed, TAG_AGENT, i, 1)."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (spec.d,):
-        raise ValueError("x0 dimension does not match the objective")
-    if len(partition.zo_shards) != cfg.n0 or len(partition.fo_shards) != cfg.n1:
+def init_population(cfg: PopulationConfig, spec, partitions, X0, seeds) -> Population:
+    """One stack of the seeds ``seeds``, in order: seed s's agents all start
+    at X0[s] and own the shards of partitions[s]; agents 0..n0-1 are
+    zeroth-order, the rest first-order.  Seed s's agent i draws its minibatch
+    ids from the stream (seeds[s], TAG_AGENT, i) and, when zeroth-order, its
+    directions from (seeds[s], TAG_AGENT, i, 1); the seed draws pairs from
+    (seeds[s], TAG_SCHEDULER) and metrics samples from (seeds[s], TAG_METRICS)."""
+    X0 = np.asarray(X0, dtype=float)
+    if X0.shape != (len(seeds), spec.d):
+        raise ValueError("X0 needs one start of the objective's dimension per seed")
+    if any(len(p.zo_shards) != cfg.n0 or len(p.fo_shards) != cfg.n1 for p in partitions):
         raise ValueError("partition shard counts do not match n0 / n1")
     n = cfg.n0 + cfg.n1
     c = cfg.c if cfg.c is not None else math.sqrt(spec.d)
-    return Population(objective=spec, X=np.tile(x0, (1, n, 1)),
-                      shards=list(partition.zo_shards) + list(partition.fo_shards),
-                      rngs=[derive_rng(cfg.seed, TAG_AGENT, i) for i in range(n)],
-                      n0=cfg.n0, zo=cfg.zo if cfg.n0 else None,
+    return Population(objective=spec, X=np.repeat(X0[:, None], n, axis=1),
+                      shards=[x for p in partitions for x in (*p.zo_shards, *p.fo_shards)],
+                      rngs=[derive_rng(s, TAG_AGENT, i) for s in seeds for i in range(n)],
+                      n0=cfg.n0, zo=cfg.zo if cfg.n0 else None, scheduler_mode=cfg.scheduler_mode,
                       fo=cfg.fo if cfg.n1 else None, c=c, momentum=cfg.momentum,
-                      scheduler_mode=cfg.scheduler_mode,
-                      scheduler_rngs=[derive_rng(cfg.seed, TAG_SCHEDULER)],
-                      metrics_rngs=[derive_rng(cfg.seed, TAG_METRICS)],
-                      dir_rngs=[derive_rng(cfg.seed, TAG_AGENT, i, 1) for i in range(cfg.n0)])
-
-
-def stack(pops) -> Population:
-    """Fresh populations of one configuration as one stack of their seeds, in order."""
-    lists = {key: [x for p in pops for x in getattr(p, key)] for key in
-             ("shards", "rngs", "dir_rngs", "scheduler_rngs", "metrics_rngs")}
-    return replace(pops[0], X=np.concatenate([p.X for p in pops]), M=None, evals=None, **lists)
+                      scheduler_rngs=[derive_rng(s, TAG_SCHEDULER) for s in seeds],
+                      metrics_rngs=[derive_rng(s, TAG_METRICS) for s in seeds],
+                      dir_rngs=[derive_rng(s, TAG_AGENT, i, 1) for s in seeds
+                                for i in range(cfg.n0)])
 
 
 def interact(pop: Population, I, J, eta, B=None, U=None):
@@ -429,16 +423,18 @@ def run(pop: Population, cfg: PopulationConfig, *, val_features=None, val_labels
                 raise DivergedError(f"metrics are non-finite at step {step}", s)
             records[s].append(rec)
 
-    record(0, eta_at(cfg.schedule, 0))
     T, cadence = cfg.T, cfg.metric_cadence
-    for t in range(0, T, cadence):
-        etas = eta_at(cfg.schedule, np.arange(t, min(t + cadence, T)))
-        if wavg is None:
-            step_window(pop, etas)
-        else:
-            weight, w = _metrics.window_weights(etas, spec.ell, n)
-            mu = weight * (np.add.reduce(pop.X, axis=1) / n)  # from the first pre-step means
-            mu -= step_window(pop, etas, w) / n
-            _metrics.weighted_average_update(wavg, mu, etas, spec.ell, n, weight)
-        record(t + etas.shape[0], etas[-1])
+    # an overflow leaves an inf or a NaN, which record reports as diverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(0, eta_at(cfg.schedule, 0))
+        for t in range(0, T, cadence):
+            etas = eta_at(cfg.schedule, np.arange(t, min(t + cadence, T)))
+            if wavg is None:
+                step_window(pop, etas)
+            else:
+                weight, w = _metrics.window_weights(etas, spec.ell, n)
+                mu = weight * (np.add.reduce(pop.X, axis=1) / n)  # from the first pre-step means
+                mu -= step_window(pop, etas, w) / n
+                _metrics.weighted_average_update(wavg, mu, etas, spec.ell, n, weight)
+            record(t + etas.shape[0], etas[-1])
     return RunResult(records, None if wavg is None else wavg.value())

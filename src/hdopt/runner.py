@@ -49,7 +49,6 @@ from .protocol import (
     fold_seed,
     init_population,
     run,
-    stack,
 )
 from .theory import default_theory_suite, format_report_line, write_report
 
@@ -291,16 +290,17 @@ def _stack(cfg: ExperimentConfig, pop_index: int, spec):
     entry = cfg.populations[pop_index]
     pop_cfg = replace(entry, T=cfg.T, scheduler_mode=cfg.scheduler_mode,
                       metric_cadence=cfg.metric_cadence)
-    pops = []
+    partitions, X0 = [], []
     for s in cfg.seeds:
-        where = f"population {entry.label!r}, seed {s}"
         # x0 shared across populations at equal seed value: comparisons start equal
-        x0 = cfg.x0_scale * derive_rng(cfg.seed, s, TAG_INIT).standard_normal(spec.d)
-        partition = _build(where, partition_data, spec.n_samples, entry.n0, entry.n1,
-                           fold_seed(cfg.seed, pop_index, s, 5))
-        pops.append(_build(where, init_population, replace(
-            pop_cfg, seed=fold_seed(cfg.seed, pop_index, s)), spec, partition, x0))
-    return stack(pops), pop_cfg
+        X0.append(cfg.x0_scale * derive_rng(cfg.seed, s, TAG_INIT).standard_normal(spec.d))
+        partitions.append(partition_data(spec.n_samples, entry.n0, entry.n1,
+                                         fold_seed(cfg.seed, pop_index, s, 5)))
+    # no set-up error depends on the seed (shard sizes follow from m, n0 and
+    # n1 alone), so the first seed stands for all
+    where = f"population {entry.label!r}, seed {cfg.seeds[0]}"
+    return _build(where, init_population, pop_cfg, spec, partitions, X0,
+                  [fold_seed(cfg.seed, pop_index, s) for s in cfg.seeds]), pop_cfg
 
 
 def _run_cell(cfg: ExperimentConfig, pop_index: int, built):

@@ -112,14 +112,14 @@ def hdo_interact(spec, a, b, eta, c, momentum=0.0):
 
 
 class RefPopulation:
-    def __init__(self, cfg, spec, partition, x0):
+    def __init__(self, cfg, spec, partition, x0, seed):
         shards = list(partition.zo_shards) + list(partition.fo_shards)
         self.spec = spec
         self.agents = [Agent(model=np.array(x0, dtype=float),
                              estimator=cfg.zo if i < cfg.n0 else cfg.fo,
                              shard=np.asarray(shards[i]),
-                             rng=derive_rng(cfg.seed, TAG_AGENT, i),
-                             dir_rng=derive_rng(cfg.seed, TAG_AGENT, i, 1) if i < cfg.n0 else None,
+                             rng=derive_rng(seed, TAG_AGENT, i),
+                             dir_rng=derive_rng(seed, TAG_AGENT, i, 1) if i < cfg.n0 else None,
                              momentum_buffer=np.zeros(spec.d))
                        for i in range(cfg.n0 + cfg.n1)]
         self.c = cfg.c if cfg.c is not None else np.sqrt(spec.d)
@@ -127,8 +127,8 @@ class RefPopulation:
         self.biased = cfg.n0 > 0 and cfg.zo.kind in (ZO_ONE_SIDED, ZO_CENTRAL)
         self.momentum = cfg.momentum
         self.mode = cfg.scheduler_mode
-        self.scheduler_rng = derive_rng(cfg.seed, TAG_SCHEDULER)
-        self.metrics_rng = derive_rng(cfg.seed, TAG_METRICS)
+        self.scheduler_rng = derive_rng(seed, TAG_SCHEDULER)
+        self.metrics_rng = derive_rng(seed, TAG_METRICS)
         self.interactions = 0
         self.function_evals = 0
 
@@ -188,10 +188,10 @@ class RefPopulation:
                 self.mtg(eta) if eta > 0 or not self.biased else None, self.function_evals)
 
 
-def reference_run(cfg, spec, partition, x0, val=None):
-    """Metric rows, in CSV column order, of the per-pair run of cfg, mt_g
-    sampled (as by ``run(..., sample_mtg=True)``)."""
-    pop = RefPopulation(cfg, spec, partition, x0)
+def reference_run(cfg, spec, partition, x0, seed, val=None):
+    """Metric rows, in CSV column order, of the per-pair run of cfg at
+    ``seed``, mt_g sampled (as by ``run(..., sample_mtg=True)``)."""
+    pop = RefPopulation(cfg, spec, partition, x0, seed)
     rows = [pop.record(0, eta_at(cfg.schedule, 0), val)]
     for t in range(cfg.T):
         eta = eta_at(cfg.schedule, t)

@@ -31,7 +31,6 @@ from hdopt.protocol import (
     init_population,
     interact,
     run,
-    stack,
     step_window,
 )
 
@@ -62,12 +61,12 @@ POPULATIONS = {
 }
 
 
-def _config(n0, n1, kind, mode, eta, momentum, seed=7, T=40):
+def _config(n0, n1, kind, mode, eta, momentum, T=40):
     """``eta`` is a constant rate or a Schedule."""
     schedule = eta if isinstance(eta, Schedule) else Schedule(eta_max=eta)
     return PopulationConfig(
         n0=n0, n1=n1, schedule=schedule, T=T, scheduler_mode=mode,
-        momentum=momentum, seed=seed, metric_cadence=10,
+        momentum=momentum, metric_cadence=10,
         zo=EstimatorConfig(kind=kind, batch_size=3, rv=5) if n0 else None,
         fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=3) if n1 else None)
 
@@ -88,10 +87,10 @@ def _compare(objective, population, mode, eta, momentum):
     cfg = _config(n0, n1, kind, mode, eta, momentum)
     part = partition_data(spec.n_samples, n0, n1, seed=11)
     x0 = np.random.default_rng(12).standard_normal(spec.d)
-    pop = init_population(cfg, spec, part, x0)
+    pop = init_population(cfg, spec, [part], [x0], [7])
     result = run(pop, cfg, val_features=None if val is None else val[0],
                  val_labels=None if val is None else val[1], sample_mtg=True)
-    expected, ref = reference_run(cfg, spec, part, x0, val=val)
+    expected, ref = reference_run(cfg, spec, part, x0, 7, val=val)
     _assert_records_match(result.records[0], expected)
     models = ref.models()
     assert np.allclose(pop.X, models, rtol=RTOL, atol=RTOL * np.abs(models).max())
@@ -126,11 +125,11 @@ def test_run_cosine_matches_per_pair_reference(objective, population, mode):
 
 def _population(n0, n1, kind, momentum, seed, spec=None):
     spec = spec or make_quadratic(d=4, cond=3.0, seed=2, n_samples=24)
-    cfg = _config(n0, n1, kind, "random_matching", 0.05, momentum, seed=seed)
+    cfg = _config(n0, n1, kind, "random_matching", 0.05, momentum)
     part = partition_data(spec.n_samples, n0, n1, seed=seed)
     x0 = np.random.default_rng(seed).standard_normal(spec.d)
-    pop = init_population(cfg, spec, part, x0)
-    run(pop, _config(n0, n1, kind, "random_matching", 0.05, momentum, seed=seed, T=5))
+    pop = init_population(cfg, spec, [part], [x0], [seed])
+    run(pop, _config(n0, n1, kind, "random_matching", 0.05, momentum, T=5))
     return pop
 
 
@@ -142,9 +141,9 @@ def test_zero_eta_keeps_mean_exactly_and_never_raises_gamma(n, d, steps, matchin
     # floating point, so the mean is preserved bit for bit
     spec = make_quadratic(d=d, cond=2.0, seed=1, n_samples=64)
     n0 = n // 2
-    cfg = _config(n0, n - n0, ZO_ONE_SIDED, "random_matching", 0.0, 0.0, seed=seed)
-    pop = init_population(cfg, spec, partition_data(spec.n_samples, n0, n - n0, seed=seed),
-                          np.zeros(d))
+    cfg = _config(n0, n - n0, ZO_ONE_SIDED, "random_matching", 0.0, 0.0)
+    pop = init_population(cfg, spec, [partition_data(spec.n_samples, n0, n - n0, seed=seed)],
+                          [np.zeros(d)], [seed])
     rng = np.random.default_rng(seed)
     pop.X[:] = rng.integers(-8, 9, size=(n, d))
     states = [copy.deepcopy(r.bit_generator.state) for r in [*pop.rngs, *pop.dir_rngs]]
@@ -298,10 +297,11 @@ def test_window_weighted_average_equals_per_step_fold(n0, n1, momentum, logistic
         eta = Schedule(eta_max=0.05, mode="warmup_cosine", eta_min=eta_min,
                        warmup_steps=warmup, total_steps=warmup + total)
     mode = "random_matching" if matching else "uniform_pair"
-    cfg = _config(n0, n1, ZO_FORWARD, mode, eta, momentum, seed=seed % 1000, T=T)
+    cfg = _config(n0, n1, ZO_FORWARD, mode, eta, momentum, T=T)
     cfg.metric_cadence = cadence
     x0 = np.random.default_rng(seed).standard_normal(spec.d)
-    pop = init_population(cfg, spec, partition_data(spec.n_samples, n0, n1, seed=5), x0)
+    pop = init_population(cfg, spec, [partition_data(spec.n_samples, n0, n1, seed=5)], [x0],
+                          [seed % 1000])
     one_by_one = copy.deepcopy(pop)
     result = run(pop, cfg, track_weighted_average=True)
     state = WeightedAverageState(dim=spec.d)
@@ -332,7 +332,7 @@ def test_metric_cadence_leaves_the_trajectory_unchanged(population, mode, block,
     for cadence in (1, 7, 500):
         cfg = _config(n0, n1, kind, mode, schedule, 0.9, T=600 if mode == "uniform_pair" else 150)
         cfg.metric_cadence = cadence
-        pop = init_population(cfg, spec, part, x0)
+        pop = init_population(cfg, spec, [part], [x0], [7])
         run(pop, cfg)
         runs.append(pop)
     for pop in runs[1:]:
@@ -355,13 +355,13 @@ def test_stack_equals_its_seeds_run_one_by_one(objective, mode, S):
     options = dict(val_features=None if val is None else val[0],
                    val_labels=None if val is None else val[1], sample_mtg=True,
                    track_weighted_average=spec.ell > 0)
-    cfgs = [_config(n0, n1, kind, mode, schedule, 0.9, seed=seed) for seed in range(S)]
-    alone = [init_population(cfg, spec, partition_data(spec.n_samples, n0, n1, seed=10 + s),
-                             np.random.default_rng(s).standard_normal(spec.d))
-             for s, cfg in enumerate(cfgs)]
-    stacked = stack(copy.deepcopy(alone))
-    result = run(stacked, cfgs[0], **options)
-    for s, (pop, cfg) in enumerate(zip(alone, cfgs)):
+    cfg = _config(n0, n1, kind, mode, schedule, 0.9)
+    parts = [partition_data(spec.n_samples, n0, n1, seed=10 + s) for s in range(S)]
+    X0 = [np.random.default_rng(s).standard_normal(spec.d) for s in range(S)]
+    alone = [init_population(cfg, spec, [parts[s]], [X0[s]], [s]) for s in range(S)]
+    stacked = init_population(cfg, spec, parts, X0, range(S))
+    result = run(stacked, cfg, **options)
+    for s, pop in enumerate(alone):
         one = run(pop, cfg, **options)
         assert result.records[s] == one.records[0]
         if spec.ell > 0:
@@ -380,8 +380,9 @@ def test_a_diverged_stack_names_its_first_non_finite_seed():
     spec, _ = _objective("quadratic")
     cfg = _config(0, 4, ZO_ONE_SIDED, "uniform_pair", 0.05, 0.0)
     for scales, first in [((0.0, 1e300, 1e300), 1), ((1e300, np.inf), 0)]:
-        pops = [init_population(cfg, spec, partition_data(spec.n_samples, 0, 4, seed=s),
-                                np.full(spec.d, scale)) for s, scale in enumerate(scales)]
+        pop = init_population(cfg, spec, [partition_data(spec.n_samples, 0, 4, seed=s)
+                                          for s in range(len(scales))],
+                              [np.full(spec.d, scale) for scale in scales], [7] * len(scales))
         with pytest.raises(DivergedError, match="metrics are non-finite at step 0") as info:
-            run(stack(pops), cfg)
+            run(pop, cfg)
         assert info.value.seed == first

@@ -30,7 +30,6 @@ from hdopt.protocol import (
     PopulationConfig,
     Schedule,
     init_population,
-    stack,
     step_window,
 )
 
@@ -337,9 +336,10 @@ def test_snapshot_of_a_stack_equals_the_one_seed_formulas(objective):
     cfg = PopulationConfig(n0=2, n1=3, schedule=Schedule(eta_max=0.05), T=7,
                            zo=EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=2, rv=3),
                            fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=2))
-    pop = stack([init_population(cfg, spec, partition_data(spec.n_samples, 2, 3, seed=s),
-                                 np.random.default_rng(s).standard_normal(spec.d))
-                 for s in range(3)])
+    pop = init_population(cfg, spec, [partition_data(spec.n_samples, 2, 3, seed=s)
+                                      for s in range(3)],
+                          [np.random.default_rng(s).standard_normal(spec.d) for s in range(3)],
+                          [0] * 3)
     step_window(pop, np.full(7, 0.05))
     records = snapshot(pop, step=7, eta=0.05, val=val)
     assert len(records) == 3

@@ -27,23 +27,24 @@ from hdopt.protocol import (
     init_population,
     interact,
     run,
-    stack,
     step_window,
 )
 from hdopt.theory import expected_gamma_pure_averaging
 
 
 def quadratic_pop(n0, n1, seed=0, eta=0.05, T=100, mode="uniform_pair", momentum=0.0,
-                  batch=4, rv=4, cadence=10, grad_noise=1.0, d=6):
+                  batch=4, rv=4, cadence=10, grad_noise=1.0, d=6, S=1):
+    """A stack of the S seeds seed, seed + 1, ..."""
     q = make_quadratic(d=d, cond=5.0, seed=3, n_samples=32, grad_noise=grad_noise)
-    part = partition_data(q.n_samples, n0, n1, seed=seed + 1)
+    seeds = range(seed, seed + S)
+    parts = [partition_data(q.n_samples, n0, n1, seed=s + 1) for s in seeds]
     cfg = PopulationConfig(
         n0=n0, n1=n1, schedule=Schedule(eta_max=eta), T=T, scheduler_mode=mode,
-        momentum=momentum, seed=seed, metric_cadence=cadence,
+        momentum=momentum, metric_cadence=cadence,
         zo=EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=batch, rv=rv) if n0 else None,
         fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=batch) if n1 else None)
     x0 = q.x_star + np.ones(d)
-    return q, cfg, init_population(cfg, q, part, x0)
+    return q, cfg, init_population(cfg, q, parts, [x0] * S, seeds)
 
 
 def two_agents(spec, models, est):
@@ -84,8 +85,7 @@ def test_init_boundary_populations_accepted():
 def test_estimator_table_gives_every_row_of_a_stack_its_agents_config(n0, n1):
     # in every seed of a stack, agent i uses zo when i < n0 and fo otherwise,
     # at b (rv + 1) = 20 evaluations an estimate (one-sided) or b = 4
-    pops = [quadratic_pop(n0, n1, seed=s, batch=4, rv=4)[2] for s in range(3)]
-    pop, n = stack(pops), n0 + n1
+    pop, n = quadratic_pop(n0, n1, batch=4, rv=4, S=3)[2], n0 + n1
     assert pop.groups == [cfg for cfg in (pop.zo, pop.fo) if cfg is not None]
     assert [pop.groups[g] for g in pop.group.tolist()] == [
         pop.zo if g % n < n0 else pop.fo for g in range(3 * n)]
@@ -99,7 +99,7 @@ def test_init_rejects_mismatched_partition():
                            zo=EstimatorConfig(kind=ZO_ONE_SIDED),
                            fo=EstimatorConfig(kind=FIRST_ORDER))
     with pytest.raises(ValueError):
-        init_population(cfg, q, part, np.zeros(3))
+        init_population(cfg, q, [part], [np.zeros(3)], [0])
 
 
 def test_population_rejects_an_estimator_kind_on_the_wrong_side():
@@ -110,7 +110,7 @@ def test_population_rejects_an_estimator_kind_on_the_wrong_side():
         cfg = PopulationConfig(n0=2, n1=2, schedule=Schedule(eta_max=0.1),
                                zo=EstimatorConfig(kind=zo), fo=EstimatorConfig(kind=fo))
         with pytest.raises(ValueError, match="zo needs a zeroth-order kind"):
-            init_population(cfg, q, part, np.zeros(3))
+            init_population(cfg, q, [part], [np.zeros(3)], [0])
 
 
 def test_population_config_validation():
@@ -393,10 +393,11 @@ def test_run_samples_mtg_from_a_warmup_at_eta_zero(kind):
     # radius: their mt_g is recorded empty there, and the run goes on
     q = make_quadratic(d=6, cond=5.0, seed=3, n_samples=32)
     schedule = Schedule(eta_max=0.05, mode="warmup_cosine", warmup_steps=5, total_steps=20)
-    cfg = PopulationConfig(n0=2, n1=2, schedule=schedule, T=20, metric_cadence=5, seed=28,
+    cfg = PopulationConfig(n0=2, n1=2, schedule=schedule, T=20, metric_cadence=5,
                            zo=EstimatorConfig(kind=kind, batch_size=4, rv=4),
                            fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=4))
-    pop = init_population(cfg, q, partition_data(q.n_samples, 2, 2, seed=29), q.x_star + 1.0)
+    pop = init_population(cfg, q, [partition_data(q.n_samples, 2, 2, seed=29)], [q.x_star + 1.0],
+                          [28])
     (records,) = run(pop, cfg, sample_mtg=True).records
     assert records[0].eta == 0.0 and all(r.eta > 0 for r in records[1:])
     assert [r.mt_g is not None for r in records] == [

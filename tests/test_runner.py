@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -376,10 +377,13 @@ def test_cli_diverged_run_exits_runtime(tmp_path, capsys):
 
 
 def test_cli_diverged_stack_names_its_first_seed_in_config_order(tmp_path, capsys):
+    # one error line: the overflow on the way raises no numpy warning
     text = DIVERGING.replace("T: 300", "T: 200").replace("seeds: [0]", "seeds: [7, 2]")
-    assert main(["run", str(write_tiny(tmp_path, text))]) == 2
-    err = capsys.readouterr().err
-    assert "population 'fo8', seed 7: metrics are non-finite at step 200" in err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(write_tiny(tmp_path, text))]) == 2
+    assert capsys.readouterr().err == (
+        "runtime error: population 'fo8', seed 7: metrics are non-finite at step 200\n")
 
 
 def test_cli_run_with_overflowing_metrics_exits_runtime(tmp_path, capsys):
@@ -555,20 +559,24 @@ def test_cli_builder_errors_name_their_section(tmp_path, capsys, new, message):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("seeds, first", [("[0, 1, 2]", 0), ("[7, 3]", 7)],
+                         ids=["seeds-0-1-2", "seeds-7-3"])
 @pytest.mark.parametrize("edits, message", [
     # two first-order agents over one training sample: one shard is empty
     ([(QUADRATIC, BLOBS.replace("n_train: 16", "n_train: 1\n  n_val: 1")),
       ("size: 4", "size: 1")], "shard must be non-empty"),
     ([(FO2_ETA, FO2_ETA.replace("size: 4", "size: 30"))], "batch_size exceeds shard size"),
 ], ids=["empty-shard", "batch-over-shard"])
-def test_cli_cell_errors_name_the_population(tmp_path, capsys, edits, message, threads):
-    # found when a cell sets up its population: named, and still no directory
+def test_cli_cell_errors_name_the_population(tmp_path, capsys, edits, message, seeds, first,
+                                              threads):
+    # found when a cell sets up its population: named with its first seed's
+    # value (not its position), and still no directory
     text = TINY_CONFIG
-    for old, new in edits:
+    for old, new in [*edits, ("seeds: [0, 1, 2]", f"seeds: {seeds}")]:
         assert old in text
         text = text.replace(old, new, 1)
     err = _run_rejected(tmp_path, capsys, text, "--threads", threads)
-    assert err.startswith("config error: population 'fo2', seed ") and message in err
+    assert err.startswith(f"config error: population 'fo2', seed {first}: ") and message in err
 
 
 def test_set_up_errors_stop_the_run_before_any_worker_starts(tmp_path, capsys, monkeypatch):
@@ -626,7 +634,7 @@ def _hdopt_parameters():
 def test_readme_calls_name_hdopt_functions_and_their_parameters():
     # every backticked call `name(args)` in the README, name possibly dotted,
     # calls something hdopt defines with parameter names it has; the names
-    # of builtins and numpy (`len`, `mean`) are skipped
+    # of builtins (`len`) are skipped
     import builtins
 
     params = _hdopt_parameters()
@@ -636,7 +644,7 @@ def test_readme_calls_name_hdopt_functions_and_their_parameters():
     for dotted, text in calls:
         name = dotted.rsplit(".", 1)[-1]
         if name not in params:
-            assert hasattr(builtins, name) or hasattr(np, name), f"{dotted} is not in hdopt"
+            assert hasattr(builtins, name), f"{dotted} is not in hdopt"
             continue
         args = {arg.split("=")[0].strip() for arg in text.split(",")} - {"", "...", "\u2026"}
         assert any(args <= names for names in params[name]), f"{dotted}({text}): {args}"

@@ -41,12 +41,12 @@ def hybrid_population(spec, n0=2, n1=2, seed=5, steps=30, eta=0.1, zo_kind=ZO_ON
                       momentum=0.0, batch=4, rv=4):
     part = partition_data(spec.n_samples, n0, n1, seed=seed)
     cfg = PopulationConfig(n0=n0, n1=n1, schedule=Schedule(eta_max=eta), T=steps,
-                           scheduler_mode="uniform_pair", momentum=momentum, seed=seed,
+                           scheduler_mode="uniform_pair", momentum=momentum,
                            metric_cadence=10**9,
                            zo=EstimatorConfig(kind=zo_kind, batch_size=batch, rv=rv),
                            fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=batch))
     x0 = (spec.x_star if spec.x_star is not None else np.zeros(spec.d)) + np.ones(spec.d)
-    pop = init_population(cfg, spec, part, x0)
+    pop = init_population(cfg, spec, [part], [x0], [seed])
     run(pop, cfg)
     return pop
 
@@ -181,8 +181,8 @@ def test_gamma_recursion_identical_models():
     q = make_quadratic(d=4, cond=3.0, seed=21, grad_noise=0.0, hessian_jitter=0.0)
     part = partition_data(q.n_samples, 0, 4, seed=22)
     cfg = PopulationConfig(n0=0, n1=4, schedule=Schedule(eta_max=0.05), T=1,
-                           seed=23, fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=4))
-    pop = init_population(cfg, q, part, q.x_star + np.ones(4))
+                           fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=4))
+    pop = init_population(cfg, q, [part], [q.x_star + np.ones(4)], [23])
     report = check_gamma_recursion(pop, eta=0.05, replicas=400, seed=24)
     assert report.passed
     assert report.detail["gamma_t"] == 0.0
