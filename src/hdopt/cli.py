@@ -74,12 +74,18 @@ def build_parser():
     return parser
 
 
+def _out_dir(args, cfg):
+    """--out-dir if given, else the config's out_dir; an empty --out-dir is an error."""
+    if args.out_dir == "":
+        raise ConfigError("--out-dir must be a non-empty path, got ''")
+    return cfg.out_dir if args.out_dir is None else args.out_dir
+
+
 def _cmd_run(args):
     cfg = parse_config(args.config)
-    if args.seeds:
+    if args.seeds is not None:
         cfg.seeds = parse_seeds([_scalar(s) for s in args.seeds.split(",") if s], "--seeds")
-    if args.out_dir:
-        cfg.out_dir = args.out_dir
+    cfg.out_dir = _out_dir(args, cfg)
     if args.metric_cadence is not None:
         cfg.metric_cadence = _number("--metric-cadence", args.metric_cadence, **_INT1)
     result = run_experiment(cfg, threads=_number("--threads", args.threads, **_INT1))
@@ -89,7 +95,7 @@ def _cmd_run(args):
 
 def _cmd_verify(args):
     cfg = parse_config(args.config)
-    _, all_passed = run_theory_suite(cfg, out_dir=args.out_dir)
+    _, all_passed = run_theory_suite(cfg, out_dir=_out_dir(args, cfg))
     if not all_passed:
         print("theory suite FAILED", file=sys.stderr)
         return EXIT_THEORY

@@ -127,9 +127,9 @@ def draw_row_inputs(pop, A, rngs=None):
     make both of their calls on ``rngs[s]`` instead, agent by agent: its ids,
     then its directions.
     """
-    (N, d), n, n1, zo = pop.flat.shape, pop.n, pop.n - pop.n0, pop.zo
+    (N, d), n, n1, zo = pop.flat.shape, pop.n, pop.cfg.n1, pop.cfg.zo
     B = np.empty((A.shape[0], max(cfg.batch_size for cfg in pop.groups)), dtype=np.intp)
-    U = np.empty((A.shape[0], zo.rv, d)) if pop.n0 else None
+    U = np.empty((A.shape[0], zo.rv, d)) if pop.cfg.n0 else None
     order = A.argsort(kind="stable")  # the rows by agent, each agent's in row order
     ends = np.bincount(A + 1, minlength=N + 1).cumsum().tolist()  # after the -1 rows
     for a, group in enumerate(pop.group.tolist()):

@@ -60,7 +60,7 @@ def sample_estimates(pop, rngs, k, nu):
     for g, cfg in enumerate(pop.groups):
         sel = (group == g).nonzero()[0]
         G[sel] = estimate_rows(pop.objective, cfg, pop.flat[A[sel]], B[sel, :cfg.batch_size],
-                               U[sel] if cfg is pop.zo else None, nu)
+                               U[sel] if cfg is pop.cfg.zo else None, nu)
     return G.reshape(N, k, d).swapaxes(0, 1)
 
 

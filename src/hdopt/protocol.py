@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,6 +120,8 @@ class PopulationConfig:
             raise ValueError("n0 > 0 requires a zeroth-order estimator config")
         if self.n1 > 0 and self.fo is None:
             raise ValueError("n1 > 0 requires a first-order estimator config")
+        if (self.zo and self.zo.kind == FIRST_ORDER) or (self.fo and self.fo.kind != FIRST_ORDER):
+            raise ValueError("zo needs a zeroth-order kind and fo the first-order kind")
 
 
 class DivergedError(RuntimeError):
@@ -132,56 +134,50 @@ class DivergedError(RuntimeError):
 
 @dataclass
 class Population:
-    """S seeds of n agents: seed s's agent i has the model X[s, i], global
-    row g = s n + i of the (S n, d) view ``flat``.  Agent g owns ``shards[g]``,
-    draws minibatch ids from ``rngs[g]``, has made ``evals[g]`` function
-    evaluations and uses the estimator ``groups[group[g]]``, at ``cost[g]``
-    evaluations an estimate (the one table of both): ``zo`` for agents i < n0,
-    which draw directions from ``dir_rngs[s n0 + i]``, ``fo`` for the others.
-    Seed s draws pairs from ``scheduler_rngs[s]`` and metrics samples from
-    ``metrics_rngs[s]``.  ``M`` holds the momentum buffers (row g for agent g)
-    when momentum > 0; ``interactions`` counts the pairs of all seeds."""
+    """S seeds of n = cfg.n0 + cfg.n1 agents: seed s's agent i has the model
+    X[s, i], global row g = s n + i of the (S n, d) view ``flat``.  Agent g
+    owns ``shards[g]``, has made ``evals[g]`` function evaluations and uses
+    the estimator ``groups[group[g]]``, at ``cost[g]`` evaluations an estimate
+    (the one table of both): ``cfg.zo`` for agents i < n0, ``cfg.fo`` for the
+    others.  Seed s's agent i draws minibatch ids from the stream
+    (seeds[s], TAG_AGENT, i), ``rngs[g]``, and, when zeroth-order, directions
+    from (seeds[s], TAG_AGENT, i, 1), ``dir_rngs[s n0 + i]``; the seed draws
+    pairs from (seeds[s], TAG_SCHEDULER), ``scheduler_rngs[s]``, and metrics
+    samples from (seeds[s], TAG_METRICS), ``metrics_rngs[s]``.  ``c`` is
+    cfg.c, or sqrt(d) when that is None.  ``M`` holds the momentum buffers
+    (row g for agent g) when momentum > 0; ``interactions`` counts the pairs
+    of all seeds."""
 
+    cfg: PopulationConfig
     objective: object
     X: np.ndarray
     shards: list
-    rngs: list
-    n0: int
-    zo: EstimatorConfig | None
-    fo: EstimatorConfig | None
-    c: float
-    momentum: float
-    scheduler_mode: str
-    scheduler_rngs: list
-    metrics_rngs: list
-    dir_rngs: list = field(default_factory=list)
+    seeds: list
     M: np.ndarray | None = None
     evals: np.ndarray | None = None
     interactions: int = 0
 
     def __post_init__(self):
+        cfg, n0, n = self.cfg, self.cfg.n0, self.cfg.n0 + self.cfg.n1
         self.X = np.ascontiguousarray(self.X, dtype=float)
-        if self.X.ndim != 3 or self.X.shape[2] != self.objective.d:
-            raise ValueError("models must form an (S, n, d) array matching the objective")
-        S, n, d = self.X.shape
+        S, d = self.X.shape[0], self.objective.d
+        if not (self.X.shape == (S, n, d) and len(self.seeds) == S and len(self.shards) == S * n):
+            raise ValueError("need (S, n0 + n1, d) models of the objective's d, a seed value "
+                             "per seed and a shard per agent")
         self.n, self.flat = n, self.X.reshape(S * n, d)
-        if not (len(self.shards) == len(self.rngs) == S * n and 0 <= self.n0 <= n
-                and len(self.dir_rngs) == S * self.n0
-                and len(self.scheduler_rngs) == len(self.metrics_rngs) == S):
-            raise ValueError("need 0 <= n0 <= n, a shard and an rng per agent, a direction "
-                             "rng per zeroth-order agent, a scheduler and a metrics rng per seed")
-        self.groups = [cfg for cfg, m in ((self.zo, self.n0), (self.fo, n - self.n0)) if m]
-        if None in self.groups:
-            raise ValueError("every agent needs an estimator config")
-        if (self.zo and self.zo.kind == FIRST_ORDER) or (self.fo and self.fo.kind != FIRST_ORDER):
-            raise ValueError("zo needs a zeroth-order kind and fo the first-order kind")
+        self.c = cfg.c if cfg.c is not None else math.sqrt(d)
+        self.rngs = [derive_rng(s, TAG_AGENT, i) for s in self.seeds for i in range(n)]
+        self.dir_rngs = [derive_rng(s, TAG_AGENT, i, 1) for s in self.seeds for i in range(n0)]
+        self.scheduler_rngs = [derive_rng(s, TAG_SCHEDULER) for s in self.seeds]
+        self.metrics_rngs = [derive_rng(s, TAG_METRICS) for s in self.seeds]
+        self.groups = [est for est, m in ((cfg.zo, n0), (cfg.fo, cfg.n1)) if m]
         # per global row, its index into groups (fo's is 1 when zo has agents) and its cost
-        self.group = np.tile((np.arange(n) >= self.n0) & (self.n0 > 0), S).astype(np.intp)
-        self.cost = np.array([cfg.evals for cfg in self.groups]).take(self.group)
+        self.group = np.tile((np.arange(n) >= n0) & (n0 > 0), S).astype(np.intp)
+        self.cost = np.array([est.evals for est in self.groups]).take(self.group)
         self.shards = [check_shard(shard, self.groups[g].batch_size)
                        for g, shard in zip(self.group.tolist(), self.shards)]
         self.evals = np.zeros(S * n, dtype=np.int64) if self.evals is None else self.evals
-        if self.momentum > 0.0 and self.M is None:
+        if cfg.momentum > 0.0 and self.M is None:
             self.M = np.zeros_like(self.flat)
 
     def __getstate__(self):  # a copy's flat must view the copy's X
@@ -194,51 +190,36 @@ class Population:
 def init_population(cfg: PopulationConfig, spec, partitions, X0, seeds) -> Population:
     """One stack of the seeds ``seeds``, in order: seed s's agents all start
     at X0[s] and own the shards of partitions[s]; agents 0..n0-1 are
-    zeroth-order, the rest first-order.  Seed s's agent i draws its minibatch
-    ids from the stream (seeds[s], TAG_AGENT, i) and, when zeroth-order, its
-    directions from (seeds[s], TAG_AGENT, i, 1); the seed draws pairs from
-    (seeds[s], TAG_SCHEDULER) and metrics samples from (seeds[s], TAG_METRICS)."""
-    X0 = np.asarray(X0, dtype=float)
-    if X0.shape != (len(seeds), spec.d):
-        raise ValueError("X0 needs one start of the objective's dimension per seed")
+    zeroth-order, the rest first-order (streams: :class:`Population`)."""
     if any(len(p.zo_shards) != cfg.n0 or len(p.fo_shards) != cfg.n1 for p in partitions):
         raise ValueError("partition shard counts do not match n0 / n1")
-    n = cfg.n0 + cfg.n1
-    c = cfg.c if cfg.c is not None else math.sqrt(spec.d)
-    return Population(objective=spec, X=np.repeat(X0[:, None], n, axis=1),
-                      shards=[x for p in partitions for x in (*p.zo_shards, *p.fo_shards)],
-                      rngs=[derive_rng(s, TAG_AGENT, i) for s in seeds for i in range(n)],
-                      n0=cfg.n0, zo=cfg.zo if cfg.n0 else None, scheduler_mode=cfg.scheduler_mode,
-                      fo=cfg.fo if cfg.n1 else None, c=c, momentum=cfg.momentum,
-                      scheduler_rngs=[derive_rng(s, TAG_SCHEDULER) for s in seeds],
-                      metrics_rngs=[derive_rng(s, TAG_METRICS) for s in seeds],
-                      dir_rngs=[derive_rng(s, TAG_AGENT, i, 1) for s in seeds
-                                for i in range(cfg.n0)])
+    X = np.repeat(np.asarray(X0, dtype=float)[:, None], cfg.n0 + cfg.n1, axis=1)
+    return Population(cfg, spec, X, [x for p in partitions for x in (*p.zo_shards, *p.fo_shards)],
+                      seeds)
 
 
-def interact(pop: Population, I, J, eta, B=None, U=None):
-    """The disjoint pairs (I[p], J[p]) of global rows interact at once: every
-    agent takes one local estimator step from its pre-interaction model, then
-    both agents of a pair adopt the average of their stepped models.
+def interact(pop: Population, rows, eta, B=None, U=None):
+    """The k disjoint pairs (rows[p], rows[k + p]) of global rows interact at
+    once: every agent takes one local estimator step from its pre-interaction
+    model, then both agents of a pair adopt the average of their stepped
+    models.
 
-    ``eta`` is one rate for every pair, or an array of one positive rate per
-    pair; an agent's smoothing radius is nu = eta / c.  The estimates of each
-    estimator group (``pop.group``) come from one call over its rows, from
-    inputs drawn beforehand (:func:`draw_row_inputs`): row r, for agent
-    ``concat(I, J)[r]``, estimates over the minibatch ids in the leading
-    columns of B[r] and, when zeroth-order, the directions U[r].  Momentum
-    filters each estimate through the agent's persistent buffer
-    (g <- m g + (1 - m) G); buffers are never exchanged.  eta = 0 is pure
-    gossip averaging and reads no input.  Returns the applied estimates, rows
-    as in ``B``, or None when eta = 0, and counts no evaluations.
+    ``eta`` is one rate for every pair, or a (2k, 1) column of one positive
+    rate per row, both rows of a pair at the pair's rate; an agent's
+    smoothing radius is nu = eta / c.  The estimates of each estimator group
+    (``pop.group``) come from one call over its rows, from inputs drawn
+    beforehand (:func:`draw_row_inputs`): row r, for agent ``rows[r]``,
+    estimates over the minibatch ids in the leading columns of B[r] and, when
+    zeroth-order, the directions U[r].  Momentum filters each estimate
+    through the agent's persistent buffer (g <- m g + (1 - m) G); buffers are
+    never exchanged.  eta = 0 is pure gossip averaging and reads no input.
+    Returns the applied estimates, rows as in ``rows``, or None when eta = 0,
+    and counts no evaluations.
     """
     X = pop.flat
-    k = I.shape[0]
-    rows = np.concatenate((I, J))
-    S = X.take(rows, axis=0)  # the 2k pre-interaction models; pair p is rows (p, k + p)
+    k = rows.shape[0] // 2
+    S = X.take(rows, axis=0)  # the 2k pre-interaction models
     per_pair = type(eta) is np.ndarray
-    if per_pair:  # a column over the 2k rows
-        eta = np.concatenate((eta, eta))[:, None]
     G = None
     if per_pair or eta != 0.0:
         nu = eta / pop.c
@@ -251,10 +232,10 @@ def interact(pop: Population, I, J, eta, B=None, U=None):
             if sel.shape[0]:
                 G = np.empty_like(S) if G is None else G
                 G[sel] = estimate_rows(spec, cfg, S[sel], B[sel, :cfg.batch_size],
-                                       U[sel] if cfg is pop.zo else None,
+                                       U[sel] if cfg is pop.cfg.zo else None,
                                        nu[sel] if per_pair else nu)
         if pop.M is not None:
-            G = pop.M.take(rows, axis=0) * pop.momentum + (1.0 - pop.momentum) * G
+            G = pop.M.take(rows, axis=0) * pop.cfg.momentum + (1.0 - pop.cfg.momentum) * G
             pop.M[rows] = G
         S -= eta * G
     S[:k] += S[k:]
@@ -288,7 +269,7 @@ def draw_matching(rng, n):
 
 
 def step_window(pop: Population, etas, weights=None):
-    """``len(etas)`` steps of ``pop.scheduler_mode`` on every seed, step t
+    """``len(etas)`` steps of ``pop.cfg.scheduler_mode`` on every seed, step t
     at rate etas[t], each seed drawing its pairs from its own stream.
 
     Disjoint pairs commute, so the window runs as layers of them, one
@@ -301,17 +282,17 @@ def step_window(pop: Population, etas, weights=None):
     zeroth-order agent their directions in another, per block of layers
     holding at most about _INPUT_BLOCK direction elements per seed.  Each
     stream draws nothing else, so the numbers are those of the steps one by
-    one, seed by seed.  ``pop.evals`` adds the window's estimates at once.
+    one, seed by seed.  The window's kernel rows form one array, built
+    once: the layer of pairs [s, e) is rows [2s, 2e).  ``pop.evals`` adds
+    the window's estimates at once.
     With ``weights`` (one per step) it returns, row s for seed s,
     sum_p weights[t] (G_I + G_J)[p] over the seed's pairs p, t being p's
     step, which moves the seed's mean by -etas[t] / n (G_I + G_J)[p].
     """
-    S, n, d = pop.X.shape
-    if n < 2:
-        raise ValueError("need at least two agents")
+    S, n, d = pop.X.shape  # n >= 2, by the population's config
     etas = np.asarray(etas, dtype=float)
     steps = etas.shape[0]
-    if pop.scheduler_mode == UNIFORM_PAIR:
+    if pop.cfg.scheduler_mode == UNIFORM_PAIR:
         # seed by seed, each seed's pairs in step order, in global rows
         I, J = map(np.concatenate, zip(*[draw_pairs(rng, n, steps) for rng in pop.scheduler_rngs]))
         shift = np.arange(0, S * n, n).repeat(steps)
@@ -342,19 +323,22 @@ def step_window(pop: Population, etas, weights=None):
         counts, rates = np.full(steps, S * k), etas.tolist()
     ends = counts.cumsum()
     E, W = etas[P], None if weights is None else weights[P]
+    # the window's rows: the layer of pairs [s, e) is rows [2s, 2e), I[s:e], then J[s:e]
+    at = np.arange(I.shape[0]) + (ends - counts).repeat(counts)
+    at = np.concatenate((at, at + counts.repeat(counts)))
+    rows = np.empty_like(at)
+    rows[at] = np.concatenate((I, J))
     drawn = rates is None or any(rates)
     if drawn:
-        # the layer of pairs [s, e) is kernel rows [2s, 2e): I[s:e], then J[s:e];
-        # a pair at rate 0 draws nothing (agent -1)
-        at = np.arange(I.shape[0]) + (ends - counts).repeat(counts)
-        A = np.empty(2 * I.shape[0], dtype=np.intp)
-        idle = rates is None or 0.0 in rates
-        A[at] = np.where(E != 0.0, I, -1) if idle else I
-        A[at + counts.repeat(counts)] = np.where(E != 0.0, J, -1) if idle else J
+        A = rows
+        if rates is None or 0.0 in rates:  # R: per row, its pair's rate, as a column
+            R = np.empty((rows.shape[0], 1))
+            R[at, 0] = np.concatenate((E, E))
+            A = np.where(R[:, 0] != 0.0, rows, -1)  # a row at rate 0 draws nothing
         pop.evals += np.bincount(A + 1, minlength=S * n + 1)[1:] * pop.cost  # once per window
         # pairs per block: zeroth-order directions fill at most _INPUT_BLOCK
         # elements per seed, so an agent makes as many draws as it would alone
-        cap = S * (_INPUT_BLOCK // (2 * pop.zo.rv * d)) if pop.n0 else I.shape[0]
+        cap = S * (_INPUT_BLOCK // (2 * pop.cfg.zo.rv * d)) if pop.cfg.n0 else I.shape[0]
     drift = None if W is None else np.zeros((S, d))
     ends = ends.tolist()
     B = U = None
@@ -366,12 +350,12 @@ def step_window(pop: Population, etas, weights=None):
             first = start
             B = U = None  # the last block's inputs go before the next one's come
             B, U = draw_row_inputs(pop, A[2 * start:2 * ends[last - 1]])
-        rate = rates[l] if rates is not None else E[start:end] if E[start] else 0.0
-        G = interact(pop, I[start:end], J[start:end], rate,
+        rate = rates[l] if rates is not None else R[2 * start:2 * end] if E[start] else 0.0
+        G = interact(pop, rows[2 * start:2 * end], rate,
                      None if B is None else B[2 * (start - first):2 * (end - first)],
                      None if U is None else U[2 * (start - first):2 * (end - first)])
         if drift is not None and G is not None:  # pair by pair, in each seed's order
-            np.add.at(drift, I[start:end] // n,
+            np.add.at(drift, rows[2 * start:start + end] // n,
                       W[start:end, None] * (G[:end - start] + G[end - start:]))
         start = end
     return drift
@@ -383,11 +367,12 @@ class RunResult:
     weighted_average: np.ndarray | None = None  # (S, d), row s for seed s
 
 
-def run(pop: Population, cfg: PopulationConfig, *, val_features=None, val_labels=None,
-        sample_mtg: bool = False, track_weighted_average: bool = False) -> RunResult:
-    """Execute cfg.T scheduler steps on every seed, one :func:`step_window`
+def run(pop: Population, *, val_features=None, val_labels=None, sample_mtg: bool = False,
+        track_weighted_average: bool = False) -> RunResult:
+    """Execute pop.cfg.T scheduler steps on every seed, one :func:`step_window`
     per record interval, recording each seed's metrics every
-    cfg.metric_cadence steps (plus the initial and final states).
+    pop.cfg.metric_cadence steps (plus the initial and final states), at the
+    rates of pop.cfg.schedule.
 
     Validation labels are mapped once, by the objective's training rule.
     One :func:`~hdopt.metrics.snapshot` of the whole stack records every seed.
@@ -401,14 +386,14 @@ def run(pop: Population, cfg: PopulationConfig, *, val_features=None, val_labels
     order whose record finds a non-finite model, or a non-finite gamma,
     loss gap, gradient norm or validation loss.
     """
-    spec = pop.objective
+    spec, cfg = pop.objective, pop.cfg
     val = None
     if val_features is not None:
         val = _metrics.validation_set(spec, val_features, val_labels)
     S, n = pop.X.shape[:2]
     wavg = _metrics.WeightedAverageState(dim=(S, spec.d)) if track_weighted_average else None
     records = [[] for _ in range(S)]
-    biased = pop.zo is not None and pop.zo.kind in BIASED_KINDS
+    biased = cfg.n0 > 0 and cfg.zo.kind in BIASED_KINDS
 
     def record(step, eta):
         mtg = sample_mtg and (eta > 0 or not biased)

@@ -211,7 +211,7 @@ def _parse_population(entry, T, index):
     if entry["n0"] > 0:
         zo = EstimatorConfig(kind=entry["zo_kind"], batch_size=entry["zo_batch_size"],
                              rv=entry["zo_rv"])
-    # T, the scheduler mode, the cadence and the seed are set by _stack
+    # T, the scheduler mode and the cadence are set by _stack
     return _build(where, PopulationConfig, label=entry["label"], n0=entry["n0"], n1=entry["n1"],
                   schedule=schedule, momentum=entry["momentum"], c=entry.get("c"), zo=zo, fo=fo)
 
@@ -285,8 +285,9 @@ def build_objective(cfg: ExperimentConfig):
 
 
 def _stack(cfg: ExperimentConfig, pop_index: int, spec):
-    """Population pop_index over every seed as one stack, and its run config;
-    a shard too small for its agents or batches is a config error."""
+    """Population pop_index over every seed as one stack, under its config
+    with the experiment's T, scheduler mode and cadence; a shard too small
+    for its agents or batches is a config error."""
     entry = cfg.populations[pop_index]
     pop_cfg = replace(entry, T=cfg.T, scheduler_mode=cfg.scheduler_mode,
                       metric_cadence=cfg.metric_cadence)
@@ -300,16 +301,16 @@ def _stack(cfg: ExperimentConfig, pop_index: int, spec):
     # n1 alone), so the first seed stands for all
     where = f"population {entry.label!r}, seed {cfg.seeds[0]}"
     return _build(where, init_population, pop_cfg, spec, partitions, X0,
-                  [fold_seed(cfg.seed, pop_index, s) for s in cfg.seeds]), pop_cfg
+                  [fold_seed(cfg.seed, pop_index, s) for s in cfg.seeds])
 
 
 def _run_cell(cfg: ExperimentConfig, pop_index: int, built):
-    """Run ``built``, (:func:`_stack`'s stack of population pop_index and its
-    config, the validation set or None); returns each seed's records."""
-    (pop, pop_cfg), val = built
+    """Run ``built``, (:func:`_stack`'s stack of population pop_index, the
+    validation set or None); returns each seed's records."""
+    pop, val = built
     where = f"population {cfg.populations[pop_index].label!r}"
     try:
-        return _build(where, run, pop, pop_cfg, val_features=None if val is None else val.features,
+        return _build(where, run, pop, val_features=None if val is None else val.features,
                       val_labels=None if val is None else val.labels).records
     except DivergedError as exc:
         raise DivergedError(f"{where}, seed {cfg.seeds[exc.seed]}: {exc}") from None

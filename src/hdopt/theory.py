@@ -205,9 +205,10 @@ def check_bias_aggregate(pop, nu, samples=200_000, seed=0) -> BoundCheckReport:
     """
     spec = pop.objective
     n = pop.n
-    bound = nu * pop.n0 / (2.0 * n) * spec.L * (spec.d + 3) ** 1.5
+    n0, zo = pop.cfg.n0, pop.cfg.zo
+    bound = nu * n0 / (2.0 * n) * spec.L * (spec.d + 3) ** 1.5
     biases, ses = [], []
-    zo_rows = range(pop.n0) if pop.zo is not None and pop.zo.kind in BIASED_KINDS else ()
+    zo_rows = range(n0) if n0 and zo.kind in BIASED_KINDS else ()
     for i in zo_rows:
         rng = derive_rng(seed, 29, i)
         x, shard = pop.flat[i], pop.shards[i]
@@ -217,7 +218,7 @@ def check_bias_aggregate(pop, nu, samples=200_000, seed=0) -> BoundCheckReport:
     measured = sum(biases) / n
     se = math.sqrt(sum(s * s for s in ses)) / n if ses else 0.0
     return _report("bias_aggregate", measured, bound, se, samples, seed,
-                   n0=pop.n0, n=n, nu=nu)
+                   n0=n0, n=n, nu=nu)
 
 
 def expected_gamma_pure_averaging(models) -> float:
@@ -265,9 +266,10 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
     n, d = pop.flat.shape
     X0, M0 = pop.flat, pop.M
     gamma_t = float(gamma_of(X0))
-    sample_mtg = eta > 0 or pop.zo is None or pop.zo.kind not in BIASED_KINDS
+    zo = pop.cfg.zo if pop.cfg.n0 else None
+    sample_mtg = eta > 0 or zo is None or zo.kind not in BIASED_KINDS
     nu = eta / pop.c if eta > 0 else None
-    rv = 1 if pop.zo is None else pop.zo.rv
+    rv = 1 if zo is None else zo.rv
     block = min(replicas, max(1, _REPLICA_BLOCK // (n * rv * d)))
     gammas, mtgs = np.empty(replicas), np.zeros(replicas)
     for start in range(0, replicas, block):
@@ -281,7 +283,7 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
             if eta != 0:
                 Gp = G[np.arange(k)[:, None], pair]
                 if M0 is not None:
-                    Gp = M0[pair] * pop.momentum + (1.0 - pop.momentum) * Gp
+                    Gp = M0[pair] * pop.cfg.momentum + (1.0 - pop.cfg.momentum) * Gp
                 S -= eta * Gp
         Xn = np.broadcast_to(X0, (k, n, d)).copy()
         Xn[np.arange(k)[:, None], pair] = ((S[:, 0] + S[:, 1]) * 0.5)[:, None]
@@ -333,7 +335,7 @@ def _suite_population(quad, seed, eta):
     x0 = derive_rng(seed, 59, TAG_INIT).standard_normal(quad.d)
     pop = init_population(cfg, quad, [partition_data(quad.n_samples, 4, 4, fold_seed(seed, 47))],
                           [x0], [fold_seed(seed, 53)])
-    run(pop, cfg)
+    run(pop)
     return pop
 
 

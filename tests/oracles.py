@@ -138,11 +138,11 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
     population, with the inputs of its pair's own estimates, gamma_of,
     and one estimate_rows call per agent for M^G.  At eta = 0 a population
     of a biased zeroth-order kind samples no M^G."""
-    n, n0, d = pop.n, pop.n0, pop.objective.d
-    rv = 1 if pop.zo is None else pop.zo.rv
+    n, n0, d, zo, fo = pop.n, pop.cfg.n0, pop.objective.d, pop.cfg.zo, pop.cfg.fo
+    rv = zo.rv if n0 else 1
     block = min(replicas, max(1, theory._REPLICA_BLOCK // (n * rv * d)))
     gamma_t = float(gamma_of(pop.flat))
-    sample_mtg = eta > 0 or pop.zo is None or pop.zo.kind not in BIASED_KINDS
+    sample_mtg = eta > 0 or not n0 or zo.kind not in BIASED_KINDS
     nu = eta / pop.c if eta > 0 else None
     width = max(cfg.batch_size for cfg in pop.groups)
     work = copy.deepcopy(pop)
@@ -153,7 +153,7 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
         I, J = draw_pairs(rng, n, k)
         ids, dirs = [], []  # per agent: its k estimates' ids and directions
         for a in range(n if sample_mtg else 0):
-            cfg, shard = pop.zo if a < n0 else pop.fo, pop.shards[a]
+            cfg, shard = zo if a < n0 else fo, pop.shards[a]
             m, size = shard.shape[0], cfg.batch_size
             ids.append(np.tile(shard, (k, 1)) if m == size
                        else shard[rng.integers(0, m, (k, size))])
@@ -170,12 +170,12 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
                     B[row, :ids[a].shape[1]] = ids[a][r]
                     if a < n0:
                         U[row] = dirs[a][r]
-            interact(work, I[r:r + 1], J[r:r + 1], eta, B, U)
+            interact(work, np.array([I[r], J[r]]), eta, B, U)
             gammas.append(float(gamma_of(work.flat)))
             if sample_mtg:
                 total = 0.0
                 for a in range(n):
-                    G = estimate_rows(pop.objective, pop.zo if a < n0 else pop.fo,
+                    G = estimate_rows(pop.objective, zo if a < n0 else fo,
                                       pop.flat[a:a + 1], ids[a][r:r + 1],
                                       None if dirs[a] is None else dirs[a][r:r + 1], nu)
                     total += float(np.sum(G * G))

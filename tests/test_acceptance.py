@@ -168,7 +168,7 @@ def test_c04_gamma_recursion():
 
 def _c05_single_seed(seed):
     q, cfg, pop = make_hybrid_quadratic(seed=seed)
-    result = h.run(pop, cfg, track_weighted_average=True)
+    result = h.run(pop, track_weighted_average=True)
     gap = result.records[0][-1].mu_loss_gap
     y_gap = q.loss(result.weighted_average[0]) - q.f_star
     return gap, y_gap
@@ -338,7 +338,7 @@ def _c10_boundary_run(n0, n1, zo_kind=h.ZO_ONE_SIDED):
         zo=h.EstimatorConfig(kind=zo_kind, batch_size=8, rv=16) if n0 else None,
         fo=h.EstimatorConfig(kind=h.FIRST_ORDER, batch_size=8) if n1 else None)
     pop = h.init_population(cfg, q, [part], [q.x_star + np.ones(10)], [22])
-    result = h.run(pop, cfg)
+    result = h.run(pop)
     return result.records[0][0].mu_loss_gap, result.records[0][-1].mu_loss_gap
 
 

@@ -88,7 +88,7 @@ def _compare(objective, population, mode, eta, momentum):
     part = partition_data(spec.n_samples, n0, n1, seed=11)
     x0 = np.random.default_rng(12).standard_normal(spec.d)
     pop = init_population(cfg, spec, [part], [x0], [7])
-    result = run(pop, cfg, val_features=None if val is None else val[0],
+    result = run(pop, val_features=None if val is None else val[0],
                  val_labels=None if val is None else val[1], sample_mtg=True)
     expected, ref = reference_run(cfg, spec, part, x0, 7, val=val)
     _assert_records_match(result.records[0], expected)
@@ -125,11 +125,11 @@ def test_run_cosine_matches_per_pair_reference(objective, population, mode):
 
 def _population(n0, n1, kind, momentum, seed, spec=None):
     spec = spec or make_quadratic(d=4, cond=3.0, seed=2, n_samples=24)
-    cfg = _config(n0, n1, kind, "random_matching", 0.05, momentum)
+    cfg = _config(n0, n1, kind, "random_matching", 0.05, momentum, T=5)
     part = partition_data(spec.n_samples, n0, n1, seed=seed)
     x0 = np.random.default_rng(seed).standard_normal(spec.d)
     pop = init_population(cfg, spec, [part], [x0], [seed])
-    run(pop, _config(n0, n1, kind, "random_matching", 0.05, momentum, T=5))
+    run(pop)
     return pop
 
 
@@ -151,11 +151,10 @@ def test_zero_eta_keeps_mean_exactly_and_never_raises_gamma(n, d, steps, matchin
     for _ in range(steps):
         gamma = gamma_of(pop.flat)
         if matching:
-            I, J = draw_matching(rng, n)
+            rows = np.concatenate(draw_matching(rng, n))
         else:
-            i, j = rng.choice(n, size=2, replace=False)
-            I, J = np.array([i]), np.array([j])
-        interact(pop, I, J, 0.0)
+            rows = rng.choice(n, size=2, replace=False)
+        interact(pop, rows, 0.0)
         assert np.array_equal(pop.flat.mean(axis=0), mu0)
         assert gamma_of(pop.flat) <= gamma + 1e-12 * (1.0 + gamma)
     assert not pop.evals.any()
@@ -179,11 +178,11 @@ def test_batched_matching_equals_sequential_pairs(n0, n1, kind, momentum, logist
     # both runs take the same inputs: pair p's rows are p and k + p of the batch
     rows = np.concatenate((I, J))
     B, U = draw_row_inputs(batched, rows)
-    interact(batched, I, J, 0.05, B, U)
+    interact(batched, rows, 0.05, B, U)
     k = I.shape[0]
     for p in range(k):
         r = [p, k + p]
-        interact(sequential, I[p:p + 1], J[p:p + 1], 0.05, B[r], None if U is None else U[r])
+        interact(sequential, rows[r], 0.05, B[r], None if U is None else U[r])
     scale = np.abs(sequential.X).max()
     assert np.allclose(batched.X, sequential.X, rtol=RTOL, atol=RTOL * scale)
     if momentum:
@@ -224,15 +223,11 @@ def test_window_equals_its_steps(n, zo_share, kind, momentum, full_batch, logist
     shards = [rng.choice(spec.n_samples, size=b if full_batch else int(rng.integers(b, 12)),
                          replace=False) for _ in range(n)]
     mode = "random_matching" if matching else "uniform_pair"
-    window = Population(
-        objective=spec, X=rng.standard_normal((1, n, spec.d)), shards=shards,
-        rngs=[np.random.default_rng([seed, a]) for a in range(n)], n0=n0,
-        dir_rngs=[np.random.default_rng([seed, a, 1]) for a in range(n0)],
-        zo=EstimatorConfig(kind=kind, batch_size=b, rv=rv) if n0 else None,
-        fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=b) if n0 < n else None,
-        c=2.0, momentum=momentum, scheduler_mode=mode,
-        scheduler_rngs=[np.random.default_rng([seed, n])],
-        metrics_rngs=[np.random.default_rng([seed, n + 1])])
+    cfg = PopulationConfig(
+        n0=n0, n1=n - n0, schedule=Schedule(eta_max=0.05), c=2.0, momentum=momentum,
+        scheduler_mode=mode, zo=EstimatorConfig(kind=kind, batch_size=b, rv=rv) if n0 else None,
+        fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=b) if n0 < n else None)
+    window = Population(cfg, spec, rng.standard_normal((1, n, spec.d)), shards, [seed])
     one_by_one = copy.deepcopy(window)
     before = _states(window)
     # the agents of the pairs that step at a nonzero rate, and each agent's
@@ -303,7 +298,7 @@ def test_window_weighted_average_equals_per_step_fold(n0, n1, momentum, logistic
     pop = init_population(cfg, spec, [partition_data(spec.n_samples, n0, n1, seed=5)], [x0],
                           [seed % 1000])
     one_by_one = copy.deepcopy(pop)
-    result = run(pop, cfg, track_weighted_average=True)
+    result = run(pop, track_weighted_average=True)
     state = WeightedAverageState(dim=spec.d)
     for t in range(T):
         eta = eta_at(cfg.schedule, t)
@@ -333,7 +328,7 @@ def test_metric_cadence_leaves_the_trajectory_unchanged(population, mode, block,
         cfg = _config(n0, n1, kind, mode, schedule, 0.9, T=600 if mode == "uniform_pair" else 150)
         cfg.metric_cadence = cadence
         pop = init_population(cfg, spec, [part], [x0], [7])
-        run(pop, cfg)
+        run(pop)
         runs.append(pop)
     for pop in runs[1:]:
         assert np.allclose(pop.X, runs[0].X, rtol=RTOL, atol=RTOL * np.abs(runs[0].X).max())
@@ -360,9 +355,9 @@ def test_stack_equals_its_seeds_run_one_by_one(objective, mode, S):
     X0 = [np.random.default_rng(s).standard_normal(spec.d) for s in range(S)]
     alone = [init_population(cfg, spec, [parts[s]], [X0[s]], [s]) for s in range(S)]
     stacked = init_population(cfg, spec, parts, X0, range(S))
-    result = run(stacked, cfg, **options)
+    result = run(stacked, **options)
     for s, pop in enumerate(alone):
-        one = run(pop, cfg, **options)
+        one = run(pop, **options)
         assert result.records[s] == one.records[0]
         if spec.ell > 0:
             assert np.array_equal(result.weighted_average[s], one.weighted_average[0])
@@ -384,5 +379,5 @@ def test_a_diverged_stack_names_its_first_non_finite_seed():
                                           for s in range(len(scales))],
                               [np.full(spec.d, scale) for scale in scales], [7] * len(scales))
         with pytest.raises(DivergedError, match="metrics are non-finite at step 0") as info:
-            run(pop, cfg)
+            run(pop)
         assert info.value.seed == first

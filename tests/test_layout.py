@@ -43,3 +43,23 @@ def test_every_public_library_name_is_used_by_the_library():
     unused = [f"{stem}.{qualified}" for stem, tree in modules.items()
               for qualified, name in _public_definitions(tree) if name not in used]
     assert not unused, f"public names no library module uses: {unused}"
+
+
+def _imported_names(tree):
+    """The names the module's imports bind, but ``__future__`` features."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_no_library_module_imports_a_name_it_does_not_use():
+    # __init__.py imports only to re-export
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "__init__":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [f"{path.stem}.{name}" for name in _imported_names(tree) if name not in names]
+    assert not unused, f"imported names their module does not use: {unused}"

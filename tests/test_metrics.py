@@ -42,11 +42,8 @@ def make_population(models, objective=None, estimator=None, shards=None):
     estimator = estimator or EstimatorConfig(kind=FIRST_ORDER, batch_size=1)
     n = len(models)
     shards = [np.arange(objective.n_samples)] * n if shards is None else shards
-    return Population(objective=objective, X=np.array([models], dtype=float), shards=shards,
-                      rngs=[np.random.default_rng(i) for i in range(n)], n0=0, zo=None,
-                      fo=estimator, c=1.0, momentum=0.0, scheduler_mode="uniform_pair",
-                      scheduler_rngs=[np.random.default_rng(99)],
-                      metrics_rngs=[np.random.default_rng(100)])
+    cfg = PopulationConfig(n0=0, n1=n, schedule=Schedule(eta_max=0.1), c=1.0, fo=estimator)
+    return Population(cfg, objective, np.array([models], dtype=float), shards, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +99,11 @@ def test_mtg_zero_at_noiseless_optimum():
 
 
 def test_mtg_single_agent_full_batch():
+    # two identical agents: M^G, a mean over agents, is the one agent's ||g||^2
     q = make_quadratic(d=3, cond=2.0, seed=4)
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=q.n_samples)
     x = q.x_star + np.array([1.0, -1.0, 0.5])
-    pop = make_population([x], objective=q, estimator=est)
+    pop = make_population([x, x], objective=q, estimator=est)
     g = q.grad(x)
     assert compute_mtg(pop, eta=0.1, rngs=[np.random.default_rng(0)])[0] == pytest.approx(
         float(g @ g), abs=1e-12)
@@ -200,24 +198,21 @@ def test_validation_identical_agents_equal_single():
 
 def test_validation_perfect_classifier_accuracy_one():
     lg, ds = logistic_fixture()
-    pop = make_population([[5.0, 0.0]], objective=lg)
-    _, acc = lg.validate(pop.flat, *validation_set(lg, ds.features, ds.labels))
+    _, acc = lg.validate(np.array([[5.0, 0.0]]), *validation_set(lg, ds.features, ds.labels))
     assert acc == 1.0
 
 
 def test_validation_regression_reports_nan_accuracy():
     q = make_quadratic(d=2, cond=2.0, seed=10)
-    pop = make_population([[0.0, 0.0]], objective=q)
-    loss, acc = q.validate(pop.flat, *validation_set(q, np.zeros((3, 2)), np.zeros(3)))
+    loss, acc = q.validate(np.zeros((1, 2)), *validation_set(q, np.zeros((3, 2)), np.zeros(3)))
     assert np.isnan(acc)
     assert loss == pytest.approx(q.loss(np.zeros(2)))
 
 
 def test_validation_empty_set_rejected():
     lg, _ = logistic_fixture()
-    pop = make_population([[1.0, 0.0]], objective=lg)
     with pytest.raises(ValueError):
-        lg.validate(pop.flat, *validation_set(lg, np.zeros((0, 2)), np.zeros(0)))
+        lg.validate(np.array([[1.0, 0.0]]), *validation_set(lg, np.zeros((0, 2)), np.zeros(0)))
 
 
 def test_validation_invariant_under_relabeling():

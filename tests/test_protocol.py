@@ -48,21 +48,13 @@ def quadratic_pop(n0, n1, seed=0, eta=0.05, T=100, mode="uniform_pair", momentum
 
 
 def two_agents(spec, models, est):
-    """A first-order pair over the full data, one rng per agent."""
+    """A first-order pair over the full data."""
     shard = np.arange(spec.n_samples)
-    return Population(objective=spec, X=np.array([models], dtype=float), shards=[shard, shard],
-                      rngs=[np.random.default_rng(0), np.random.default_rng(1)], n0=0,
-                      zo=None, fo=est, c=1.0, momentum=0.0, scheduler_mode="uniform_pair",
-                      scheduler_rngs=[np.random.default_rng(2)],
-                      metrics_rngs=[np.random.default_rng(3)])
+    cfg = PopulationConfig(n0=0, n1=2, schedule=Schedule(eta_max=0.1), c=1.0, fo=est)
+    return Population(cfg, spec, np.array([models], dtype=float), [shard, shard], [0])
 
 
-PAIR = (np.array([0]), np.array([1]))
-
-
-def pair_inputs(pop, I, J):
-    """The estimator inputs of the kernel rows of the pairs (I[p], J[p])."""
-    return draw_row_inputs(pop, np.concatenate((I, J)))
+PAIR = np.array([0, 1])  # the kernel rows of the pair (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +64,7 @@ def pair_inputs(pop, I, J):
 def test_init_population_gamma_zero():
     _, _, pop = quadratic_pop(2, 2)
     assert gamma_of(pop.X) == 0.0
-    assert pop.n == 4 and pop.n0 == 2 and pop.n - pop.n0 == 2
+    assert pop.n == 4 and pop.cfg.n0 == 2 and pop.n - pop.cfg.n0 == 2
 
 
 def test_init_boundary_populations_accepted():
@@ -86,31 +78,36 @@ def test_estimator_table_gives_every_row_of_a_stack_its_agents_config(n0, n1):
     # in every seed of a stack, agent i uses zo when i < n0 and fo otherwise,
     # at b (rv + 1) = 20 evaluations an estimate (one-sided) or b = 4
     pop, n = quadratic_pop(n0, n1, batch=4, rv=4, S=3)[2], n0 + n1
-    assert pop.groups == [cfg for cfg in (pop.zo, pop.fo) if cfg is not None]
+    zo, fo = pop.cfg.zo, pop.cfg.fo
+    assert pop.groups == [cfg for cfg in (zo, fo) if cfg is not None]
     assert [pop.groups[g] for g in pop.group.tolist()] == [
-        pop.zo if g % n < n0 else pop.fo for g in range(3 * n)]
+        zo if g % n < n0 else fo for g in range(3 * n)]
     assert pop.cost.tolist() == [20 if g % n < n0 else 4 for g in range(3 * n)]
 
 
-def test_init_rejects_mismatched_partition():
+@pytest.mark.parametrize("n0, n, seeds", [(3, 4, [0]), (2, 5, [0]), (2, 4, [0, 1])],
+                         ids=["partition", "agents", "seeds"])
+def test_init_rejects_mismatched_partition(n0, n, seeds):
+    # a partition of 2 + 2 shards for a config of n0 + n1 = 4 agents; X of
+    # one seed of n agents; a seed value per seed of X
     q = make_quadratic(d=3, cond=2.0, seed=1)
     part = partition_data(q.n_samples, 2, 2, seed=0)
-    cfg = PopulationConfig(n0=3, n1=1, schedule=Schedule(eta_max=0.1), T=1,
+    cfg = PopulationConfig(n0=n0, n1=4 - n0, schedule=Schedule(eta_max=0.1), T=1,
                            zo=EstimatorConfig(kind=ZO_ONE_SIDED),
                            fo=EstimatorConfig(kind=FIRST_ORDER))
     with pytest.raises(ValueError):
-        init_population(cfg, q, [part], [np.zeros(3)], [0])
+        if n == 4:
+            init_population(cfg, q, [part], [np.zeros(3)], seeds)
+        else:
+            Population(cfg, q, np.zeros((1, n, 3)), [*part.zo_shards, *part.fo_shards], seeds)
 
 
 def test_population_rejects_an_estimator_kind_on_the_wrong_side():
     # only agents 0..n0-1 own a direction stream, so fo must be first-order
-    q = make_quadratic(d=3, cond=2.0, seed=1)
-    part = partition_data(q.n_samples, 2, 2, seed=0)
     for zo, fo in ((FIRST_ORDER, FIRST_ORDER), (ZO_ONE_SIDED, ZO_ONE_SIDED)):
-        cfg = PopulationConfig(n0=2, n1=2, schedule=Schedule(eta_max=0.1),
-                               zo=EstimatorConfig(kind=zo), fo=EstimatorConfig(kind=fo))
         with pytest.raises(ValueError, match="zo needs a zeroth-order kind"):
-            init_population(cfg, q, [part], [np.zeros(3)], [0])
+            PopulationConfig(n0=2, n1=2, schedule=Schedule(eta_max=0.1),
+                             zo=EstimatorConfig(kind=zo), fo=EstimatorConfig(kind=fo))
 
 
 def test_population_config_validation():
@@ -124,6 +121,9 @@ def test_population_config_validation():
         with pytest.raises(ValueError, match="c must be"):
             PopulationConfig(n0=0, n1=2, schedule=Schedule(eta_max=0.1), c=c,
                              fo=EstimatorConfig(kind=FIRST_ORDER))
+    with pytest.raises(ValueError, match="zo needs a zeroth-order kind"):
+        PopulationConfig(n0=2, n1=0, schedule=Schedule(eta_max=0.1),
+                         zo=EstimatorConfig(kind=FIRST_ORDER))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +134,7 @@ def test_interact_noiseless_optimum_is_fixed_point():
     q = make_quadratic(d=3, cond=2.0, seed=5, grad_noise=0.0, hessian_jitter=0.0)
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=q.n_samples)
     pop = two_agents(q, [q.x_star, q.x_star], est)
-    interact(pop, *PAIR, 0.1, *pair_inputs(pop, *PAIR))
+    interact(pop, PAIR, 0.1, *draw_row_inputs(pop, PAIR))
     assert np.allclose(pop.flat[0], q.x_star, atol=1e-12)
     assert np.allclose(pop.flat[1], q.x_star, atol=1e-12)
     assert pop.interactions == 1
@@ -144,7 +144,7 @@ def test_interact_zero_eta_is_pure_averaging():
     q = make_quadratic(d=2, cond=2.0, seed=6)
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=1)
     pop = two_agents(q, [[2.0, 0.0], [0.0, 0.0]], est)
-    interact(pop, *PAIR, eta=0.0)
+    interact(pop, PAIR, eta=0.0)
     assert np.array_equal(pop.flat[0], [1.0, 0.0])
     assert np.array_equal(pop.flat[1], [1.0, 0.0])
     assert not pop.evals.any()
@@ -158,7 +158,7 @@ def test_interact_hand_arithmetic_one_dim():
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=q.n_samples)
     x0 = q.x_star + 2.0
     pop = two_agents(q, [x0, x0], est)
-    interact(pop, *PAIR, 0.1, *pair_inputs(pop, *PAIR))
+    interact(pop, PAIR, 0.1, *draw_row_inputs(pop, PAIR))
     assert pop.flat[0, 0] == pytest.approx(q.x_star[0] + 1.8, abs=1e-12)
     assert pop.flat[1, 0] == pytest.approx(q.x_star[0] + 1.8, abs=1e-12)
 
@@ -168,8 +168,9 @@ def test_interact_rejects_a_per_pair_rate_that_is_not_positive(bad):
     # a biased zeroth-order kind needs nu = eta / c > 0, per pair as for one rate
     _, _, pop = quadratic_pop(4, 0)
     with pytest.raises(ValueError, match="nu > 0"):
-        I, J = np.array([0, 1]), np.array([2, 3])
-        interact(pop, I, J, np.array([0.05, bad]), *pair_inputs(pop, I, J))
+        rows = np.array([0, 1, 2, 3])  # the pairs (0, 2) and (1, 3)
+        interact(pop, rows, np.array([[0.05], [bad], [0.05], [bad]]),
+                 *draw_row_inputs(pop, rows))
 
 
 def test_interact_dimension_mismatch():
@@ -182,11 +183,11 @@ def test_interact_dimension_mismatch():
 def replayed_estimate(pop, a, nu):
     """Agent a's next estimate, from copies of its streams: minibatch ids
     from rngs[a], then for a zeroth-order agent directions from dir_rngs[a]."""
-    cfg = pop.zo if a < pop.n0 else pop.fo
+    cfg = pop.cfg.zo if a < pop.cfg.n0 else pop.cfg.fo
     shard = pop.shards[a]
     m, b = shard.shape[0], cfg.batch_size
     ids = shard if m == b else shard[copy.deepcopy(pop.rngs[a]).integers(0, m, size=b)]
-    U = None if a >= pop.n0 else copy.deepcopy(pop.dir_rngs[a]).standard_normal(
+    U = None if a >= pop.cfg.n0 else copy.deepcopy(pop.dir_rngs[a]).standard_normal(
         (1, cfg.rv, pop.flat.shape[1]))
     return estimate_rows(pop.objective, cfg, pop.flat[a:a + 1], ids[None], U, nu)[0]
 
@@ -359,7 +360,7 @@ def test_eta_bounded_property(step, warmup, total, eta_max, eta_min_frac):
 
 def test_run_zero_steps_yields_initial_metrics_only():
     _, cfg, pop = quadratic_pop(2, 2, seed=20, T=0)
-    result = run(pop, cfg)
+    result = run(pop)
     assert len(result.records[0]) == 1
     assert result.records[0][0].step == 0
     assert result.records[0][0].gamma == 0.0
@@ -372,7 +373,7 @@ def test_run_zero_eta_pure_gossip_contracts_gamma():
     rng = np.random.default_rng(22)
     pop.flat[:] = rng.standard_normal(pop.X.shape)
     mu0 = pop.flat.mean(axis=0)
-    result = run(pop, cfg)
+    result = run(pop)
     gammas = [r.gamma for r in result.records[0]]
     assert all(g2 <= g1 + 1e-15 for g1, g2 in zip(gammas, gammas[1:]))
     assert gammas[-1] <= 1e-12 * gammas[0]
@@ -382,8 +383,8 @@ def test_run_zero_eta_pure_gossip_contracts_gamma():
 def test_run_deterministic_given_seed():
     _, cfg_a, pop_a = quadratic_pop(2, 2, seed=23, T=120)
     _, cfg_b, pop_b = quadratic_pop(2, 2, seed=23, T=120)
-    res_a = run(pop_a, cfg_a)
-    res_b = run(pop_b, cfg_b)
+    res_a = run(pop_a)
+    res_b = run(pop_b)
     assert res_a.records == res_b.records
 
 
@@ -398,7 +399,7 @@ def test_run_samples_mtg_from_a_warmup_at_eta_zero(kind):
                            fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=4))
     pop = init_population(cfg, q, [partition_data(q.n_samples, 2, 2, seed=29)], [q.x_star + 1.0],
                           [28])
-    (records,) = run(pop, cfg, sample_mtg=True).records
+    (records,) = run(pop, sample_mtg=True).records
     assert records[0].eta == 0.0 and all(r.eta > 0 for r in records[1:])
     assert [r.mt_g is not None for r in records] == [
         r.eta > 0 or kind == ZO_FORWARD for r in records]
@@ -406,7 +407,7 @@ def test_run_samples_mtg_from_a_warmup_at_eta_zero(kind):
 
 def test_run_matching_clock_accounting():
     _, cfg, pop = quadratic_pop(0, 6, seed=24, T=10, mode="random_matching", cadence=5)
-    result = run(pop, cfg)
+    result = run(pop)
     assert pop.interactions == 10 * 3
     assert result.records[0][-1].parallel_time == pytest.approx(30 / 6)
 
@@ -414,7 +415,7 @@ def test_run_matching_clock_accounting():
 def test_gamma_recursion_over_replicas():
     # variance-potential step bound at a de-synchronized state, >= 1000 replicas
     q, cfg, pop = quadratic_pop(2, 2, seed=25, T=40)
-    run(pop, cfg)
+    run(pop)
     from hdopt.theory import check_gamma_recursion
 
     report = check_gamma_recursion(pop, eta=0.05, replicas=1000, seed=26)

@@ -405,7 +405,8 @@ def test_cli_gen_data_accepts_scale(tmp_path):
 
 
 @pytest.mark.parametrize("option, value, field", [
-    ("--seeds", "0,-1", "--seeds[1]"), ("--seeds", "0,x", "--seeds[1]"),
+    ("--seeds", "0,-1", "--seeds[1]"), ("--seeds", "0,x", "--seeds[1]"), ("--seeds", "", "--seeds"),
+    ("--out-dir", "", "--out-dir"),
     ("--metric-cadence", "0", "--metric-cadence"), ("--metric-cadence", "1.5", "--metric-cadence"),
     ("--threads", "x", "--threads"), ("--threads", "0", "--threads")])
 def test_cli_rejects_bad_overrides_by_name(tmp_path, capsys, option, value, field):
@@ -455,6 +456,19 @@ def test_cli_verify_rejects_bad_theory_option(tmp_path, capsys, option, value):
     captured = capsys.readouterr()
     assert f"theory.{option}" in captured.err
     assert captured.out == "" and not out.exists()  # no check ran
+
+
+def test_cli_verify_rejects_an_empty_out_dir(tmp_path, capsys, monkeypatch):
+    # an empty --out-dir names no directory: the report must not go into the
+    # current directory (hdo run's own case is in test_cli_rejects_bad_overrides_by_name)
+    monkeypatch.chdir(tmp_path)
+    theory = "theory:\n" + "".join(f"  {k}: {v}\n" for k, v in FAST_THEORY.items())
+    cfg_path = write_tiny(tmp_path, TINY_CONFIG + theory)
+    before = sorted(tmp_path.iterdir())
+    assert main(["verify", str(cfg_path), "--out-dir", ""]) == 1
+    captured = capsys.readouterr()
+    assert "config error: --out-dir must" in captured.err and captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
 
 
 FO2_ETA = "eta: 0.05\n    fo_batch_size: 4\n  - label: hybrid"

@@ -47,7 +47,7 @@ def hybrid_population(spec, n0=2, n1=2, seed=5, steps=30, eta=0.1, zo_kind=ZO_ON
                            fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=batch))
     x0 = (spec.x_star if spec.x_star is not None else np.zeros(spec.d)) + np.ones(spec.d)
     pop = init_population(cfg, spec, [part], [x0], [seed])
-    run(pop, cfg)
+    run(pop)
     return pop
 
 
