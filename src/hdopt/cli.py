@@ -84,7 +84,8 @@ def _out_dir(args, cfg):
 def _cmd_run(args):
     cfg = parse_config(args.config)
     if args.seeds is not None:
-        cfg.seeds = parse_seeds([_scalar(s) for s in args.seeds.split(",") if s], "--seeds")
+        items = args.seeds.split(",") if args.seeds else []  # an empty item is a bad seed
+        cfg.seeds = parse_seeds([_scalar(s) for s in items], "--seeds")
     cfg.out_dir = _out_dir(args, cfg)
     if args.metric_cadence is not None:
         cfg.metric_cadence = _number("--metric-cadence", args.metric_cadence, **_INT1)

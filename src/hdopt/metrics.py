@@ -10,12 +10,11 @@ one value per seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import draw_row_inputs, estimate_rows
+from .estimators import BIASED_KINDS, draw_row_inputs, estimate_rows
 
 
 class MetricsRecord(NamedTuple):
@@ -44,14 +43,20 @@ def gamma_of(X):
     return (centered * centered).sum(axis=-1).mean(axis=-1)
 
 
-def sample_estimates(pop, rngs, k, nu):
+def sample_estimates(pop, rngs, k, eta):
     """k fresh estimates per agent at the current models, (k, S n, d): G[r, g]
     is global row g's r-th.  Seed s's agents draw all their inputs from the
     stream ``rngs[s]``, agent by agent
     (:func:`~hdopt.estimators.draw_row_inputs`): the ids of the agent's k
     estimates, then their directions.  Each estimator group of the table
     ``pop.group`` makes one :func:`~hdopt.estimators.estimate_rows` call over
-    all seeds; ``nu`` is the smoothing radius of the biased kinds."""
+    all seeds.  The biased kinds smooth at radius nu = eta / c, which does
+    not exist at eta = 0: a population of a biased zeroth-order kind then
+    draws nothing and returns None.  Callers pass streams that no other code
+    draws, so diagnostics never perturb the optimization trajectory."""
+    nu = eta / pop.c if eta > 0 else None
+    if nu is None and pop.cfg.n0 and pop.cfg.zo.kind in BIASED_KINDS:
+        return None
     N, d = pop.flat.shape
     A = np.repeat(np.arange(N), k)  # agent-major rows
     B, U = draw_row_inputs(pop, A, rngs)
@@ -64,72 +69,22 @@ def sample_estimates(pop, rngs, k, nu):
     return G.reshape(N, k, d).swapaxes(0, 1)
 
 
-def compute_mtg(pop, eta, rngs) -> list:
-    """Mean squared estimate norm of each seed, one fresh estimate per agent
-    (:func:`sample_estimates`, seed s drawing from ``rngs[s]``).
-
-    The caller-supplied rng streams are drawn by no other code, so diagnostics
-    never perturb the optimization trajectory; the smoothing radius is
-    coupled to ``eta``.
-    """
-    G = sample_estimates(pop, rngs, 1, eta / pop.c if eta > 0 else None)
-    return (np.sum((G * G).reshape(pop.X.shape[0], -1), axis=1) / pop.n).tolist()
-
-
-@dataclass
-class WeightedAverageState:
-    """Running exponentially weighted average of pre-step means.
-
-    Weights w_t = prod_s (1 - eta_s ell / 2n)^(-1) grow geometrically, so the
-    state tracks the ratio q_t = S_t / w_t and the current convex combination
-    instead of the raw weights (no overflow at large T).
-    """
-
-    dim: int | tuple  # the shape of a mean: d, or (S, d) for S seeds
-    q: float = 0.0
-    steps: int = 0
-
-    def __post_init__(self):
-        self._y = np.zeros(self.dim)
-
-    def value(self):
-        if self.steps == 0:
-            return None
-        return self._y.copy()
-
-
-def _shrink(eta, ell, n):
-    """r = 1 - eta ell / 2n, for one rate or elementwise for an array of them."""
-    if ell <= 0:
-        raise ValueError("weighted averaging is defined only for ell > 0")
-    shrink = 1.0 - np.asarray(eta) * ell / (2.0 * n)
-    if not ((0.0 < shrink) & (shrink <= 1.0)).all():
-        raise ValueError("eta * ell / (2 n) must lie in [0, 1)")
-    return shrink
-
-
 def window_weights(etas, ell, n):
     """Weights for folding the pre-step means mu_0..mu_{k-1} of k steps at
-    rates ``etas`` in one update: (v.sum(), etas * u).  mu_t weighs
-    v[t] = prod_{s>t} r_s (:func:`_shrink`) relative to the last mean, and
-    u[s] = sum_{t>s} v[t] is the summed weight of the means after step s."""
-    r = _shrink(etas, ell, n)
+    rates ``etas`` into their exponentially weighted average (convex-only):
+    (r.prod(), v.sum(), etas * u), r_s = 1 - eta_s ell / 2n.  The weights
+    w_t = prod_{s<=t} r_s^(-1) grow geometrically, so the average y is kept
+    as (q, y), q = sum_t w_t / w_last; mu_t weighs v[t] = prod_{s>t} r_s in
+    the window, u[s] = sum_{t>s} v[t], and the window folds in as
+    q = q r.prod() + v.sum(), y += (sum_t v[t] mu_t - v.sum() y) / q."""
+    if ell <= 0:
+        raise ValueError("weighted averaging is defined only for ell > 0")
+    r = 1.0 - np.asarray(etas) * ell / (2.0 * n)
+    if not ((0.0 < r) & (r <= 1.0)).all():
+        raise ValueError("eta * ell / (2 n) must lie in [0, 1)")
     v = np.cumprod(np.concatenate(([1.0], r[:0:-1])))[::-1]
     u = np.cumsum(np.concatenate(([0.0], v[:0:-1])))[::-1]
-    return v.sum(), etas * u
-
-
-def weighted_average_update(state: WeightedAverageState, mu_prev, eta, ell, n,
-                            weight=1.0) -> WeightedAverageState:
-    """Fold the next mean into the weighted average (convex-only quantity).
-    The steps of an array of rates ``eta`` fold at once when ``mu_prev`` is
-    the sum of their pre-step means weighted by v and ``weight`` is v.sum()
-    (:func:`window_weights`)."""
-    shrink = _shrink(eta, ell, n)
-    state.q = state.q * shrink.prod() + weight
-    state._y += (np.asarray(mu_prev, dtype=float) - weight * state._y) / state.q
-    state.steps += shrink.size
-    return state
+    return r.prod(), v.sum(), etas * u
 
 
 def validation_set(spec, features, labels):
@@ -154,7 +109,8 @@ def snapshot(pop, step, eta, val=None, mtg_rngs=None) -> list:
     g = spec.grad_rows(mu)
     norms = (g[:, None] @ g[:, :, None])[:, 0, 0].tolist()  # np.dot's rounding, row by row
     valid = [(None, None)] * S if val is None else [spec.validate(X, *val) for X in pop.X]
-    mtgs = [None] * S if mtg_rngs is None else compute_mtg(pop, eta, mtg_rngs)
+    G = None if mtg_rngs is None else sample_estimates(pop, mtg_rngs, 1, eta)
+    mtgs = [None] * S if G is None else (np.sum((G * G).reshape(S, -1), axis=1) / n).tolist()
     return [MetricsRecord(step=int(step), parallel_time=pop.interactions // S / n,
                           eta=float(eta), gamma=gamma, mu_loss_gap=gap, grad_norm_sq_mu=norm,
                           mean_val_loss=loss, mean_val_acc=None if acc != acc else acc,

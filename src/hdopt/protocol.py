@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import (BIASED_KINDS, FIRST_ORDER, EstimatorConfig, check_shard,
-                         draw_row_inputs, estimate_rows)
+from .estimators import (FIRST_ORDER, EstimatorConfig, check_shard, draw_row_inputs,
+                         estimate_rows)
 from . import metrics as _metrics
 
 UNIFORM_PAIR = "uniform_pair"
@@ -377,12 +377,12 @@ def run(pop: Population, *, val_features=None, val_labels=None, sample_mtg: bool
     Validation labels are mapped once, by the objective's training rule.
     One :func:`~hdopt.metrics.snapshot` of the whole stack records every seed.
     With ``sample_mtg`` each record samples ``mt_g``, seed s from its stream
-    ``pop.metrics_rngs[s]``, except at eta = 0 in a population of a biased
-    zeroth-order kind: no smoothing radius, no mt_g.
+    ``pop.metrics_rngs[s]`` (:func:`~hdopt.metrics.sample_estimates`, which
+    samples none at eta = 0 in a population of a biased zeroth-order kind).
     With ``track_weighted_average`` (strongly convex objectives only) each
-    seed's exponentially weighted average of the pre-step means is
-    maintained; a window's means follow from its first one and the steps'
-    estimates.  Raises :class:`DivergedError` for the first seed in stack
+    seed's weighted average of the pre-step means is kept in the ratio form
+    (q, avg) of :func:`~hdopt.metrics.window_weights` (None when T = 0); a
+    window's means follow from its first one and the steps' estimates.  Raises :class:`DivergedError` for the first seed in stack
     order whose record finds a non-finite model, or a non-finite gamma,
     loss gap, gradient norm or validation loss.
     """
@@ -391,14 +391,12 @@ def run(pop: Population, *, val_features=None, val_labels=None, sample_mtg: bool
     if val_features is not None:
         val = _metrics.validation_set(spec, val_features, val_labels)
     S, n = pop.X.shape[:2]
-    wavg = _metrics.WeightedAverageState(dim=(S, spec.d)) if track_weighted_average else None
+    q, avg = 0.0, np.zeros((S, spec.d)) if track_weighted_average and cfg.T else None
     records = [[] for _ in range(S)]
-    biased = cfg.n0 > 0 and cfg.zo.kind in BIASED_KINDS
 
     def record(step, eta):
-        mtg = sample_mtg and (eta > 0 or not biased)
         finite = np.isfinite(pop.X).all(axis=(1, 2))
-        recs = _metrics.snapshot(pop, step, eta, val, pop.metrics_rngs if mtg else None)
+        recs = _metrics.snapshot(pop, step, eta, val, pop.metrics_rngs if sample_mtg else None)
         for s, rec in enumerate(recs):
             if not finite[s]:
                 raise DivergedError(f"models are non-finite at step {step}", s)
@@ -414,12 +412,13 @@ def run(pop: Population, *, val_features=None, val_labels=None, sample_mtg: bool
         record(0, eta_at(cfg.schedule, 0))
         for t in range(0, T, cadence):
             etas = eta_at(cfg.schedule, np.arange(t, min(t + cadence, T)))
-            if wavg is None:
+            if avg is None:
                 step_window(pop, etas)
             else:
-                weight, w = _metrics.window_weights(etas, spec.ell, n)
+                prod, weight, w = _metrics.window_weights(etas, spec.ell, n)
                 mu = weight * (np.add.reduce(pop.X, axis=1) / n)  # from the first pre-step means
                 mu -= step_window(pop, etas, w) / n
-                _metrics.weighted_average_update(wavg, mu, etas, spec.ell, n, weight)
+                q = q * prod + weight
+                avg += (mu - weight * avg) / q
             record(t + etas.shape[0], etas[-1])
-    return RunResult(records, None if wavg is None else wavg.value())
+    return RunResult(records, avg)

@@ -229,6 +229,8 @@ def parse_config(path) -> ExperimentConfig:
     top = _section(raw if raw is not None else {}, _TOP, "")  # the ExperimentConfig fields
     top.setdefault("name", path.stem)
     top.setdefault("out_dir", f"results/{top['name']}")
+    if top["out_dir"] == "":  # names no directory: the outputs would land in the cwd
+        raise ConfigError("out_dir must be a non-empty path, got ''")
     top["seeds"] = parse_seeds(top["seeds"], "seeds")
     for key, tables in (("objective", _OBJECTIVES), ("dataset", _DATASETS)):
         top[key] = None if top.get(key) is None else _kind_section(top[key], tables, key)

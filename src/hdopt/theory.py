@@ -260,16 +260,13 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
     pair, so sharing them changes neither E[Gamma_{t+1}] nor E[M^G].  The
     stderr is that of Gamma_r - (4/n) eta^2 M_r over the replicas, the
     difference the pass rule compares.  At eta = 0 the pair only averages,
-    and a population of a biased zeroth-order kind has no smoothing radius,
-    so it samples no M^G (``mean_mtg`` None), as :func:`run` does.
+    and a population of a biased zeroth-order kind samples no M^G
+    (:func:`sample_estimates` returns None; ``mean_mtg`` None).
     """
     n, d = pop.flat.shape
     X0, M0 = pop.flat, pop.M
     gamma_t = float(gamma_of(X0))
-    zo = pop.cfg.zo if pop.cfg.n0 else None
-    sample_mtg = eta > 0 or zo is None or zo.kind not in BIASED_KINDS
-    nu = eta / pop.c if eta > 0 else None
-    rv = 1 if zo is None else zo.rv
+    rv = pop.cfg.zo.rv if pop.cfg.n0 else 1
     block = min(replicas, max(1, _REPLICA_BLOCK // (n * rv * d)))
     gammas, mtgs = np.empty(replicas), np.zeros(replicas)
     for start in range(0, replicas, block):
@@ -277,8 +274,8 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
         rng = derive_rng(seed, 31, start // block)
         pair = np.column_stack(draw_pairs(rng, n, k))
         S = X0[pair]  # the pair's pre-interaction models, stepped as interact does
-        if sample_mtg:
-            G = sample_estimates(pop, [rng], k, nu)
+        G = sample_estimates(pop, [rng], k, eta)
+        if G is not None:
             mtgs[start:start + k] = np.square(G).sum(axis=(1, 2)) / n
             if eta != 0:
                 Gp = G[np.arange(k)[:, None], pair]
@@ -291,7 +288,7 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
     coef = 4.0 / n * eta * eta
     bound = (1.0 - 1.0 / (2.0 * n)) * gamma_t
     mean_mtg = None
-    if sample_mtg:
+    if G is not None:  # every block samples, or none does
         mean_mtg = float(mtgs.mean())
         bound += coef * mean_mtg
     se = float((gammas - coef * mtgs).std(ddof=1)) / math.sqrt(replicas)

@@ -4,7 +4,7 @@ sample at a time, independent of the row-batched kernels they check; for
 the estimators, one estimate at a time from one stream; for the
 variance-potential recursion check, its replicas run one at a time from
 their documented draws; for a metrics record, one seed's fields from the
-one-seed formulas."""
+one-seed formulas; for the weighted average, its direct weights."""
 
 import copy
 import math
@@ -220,3 +220,18 @@ def snapshot_reference(pop, s, step, eta, val=None):
         mt_g=None,
         function_evals_total=int(pop.evals[s * n:(s + 1) * n].sum()),
     )
+
+
+def weighted_average_reference(mus, etas, ell, n):
+    """The exponentially weighted average y = sum_t w_t mu_t / sum_t w_t of
+    the pre-step means ``mus`` (T, ...) of T steps at rates ``etas``, from
+    the direct weights w_t = prod_{s<=t} (1 - eta_s ell / 2n)^(-1): the
+    mean before step t weighs the shrinks of the steps up to t, its own
+    included.  The weights are formed as they are, so T must stay small
+    enough that they do not overflow (T <= 80 here)."""
+    y, total, w = 0.0, 0.0, 1.0
+    for mu, eta in zip(mus, etas):
+        w /= 1.0 - eta * ell / (2.0 * n)
+        y = y + w * np.asarray(mu, dtype=float)
+        total += w
+    return y / total

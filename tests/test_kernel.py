@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hdopt import protocol
 from hdopt.estimators import FIRST_ORDER, ZO_CENTRAL, ZO_FORWARD, ZO_ONE_SIDED, EstimatorConfig
-from hdopt.metrics import WeightedAverageState, gamma_of, weighted_average_update
+from hdopt.metrics import gamma_of
 from hdopt.objectives import (
     Dataset,
     make_blobs_dataset,
@@ -34,6 +34,7 @@ from hdopt.protocol import (
     step_window,
 )
 
+from oracles import weighted_average_reference
 from pairwise_reference import reference_run
 
 RTOL = 1e-12
@@ -283,7 +284,8 @@ def test_window_weighted_average_equals_per_step_fold(n0, n1, momentum, logistic
                                                       cadence, matching, cosine, warmup,
                                                       total, eta_min, seed):
     # run() folds a window's pre-step means from the first mean and the steps'
-    # estimates: it must equal folding the mean before every single step
+    # estimates: it must equal the direct weights over the mean before every
+    # single step
     if n0 + n1 < 2:
         n1 = 2
     spec = (make_logistic(make_blobs_dataset(40, 4, seed=3), lam=0.1) if logistic
@@ -299,13 +301,13 @@ def test_window_weighted_average_equals_per_step_fold(n0, n1, momentum, logistic
                           [seed % 1000])
     one_by_one = copy.deepcopy(pop)
     result = run(pop, track_weighted_average=True)
-    state = WeightedAverageState(dim=spec.d)
+    mus, etas = [], []
     for t in range(T):
-        eta = eta_at(cfg.schedule, t)
-        weighted_average_update(state, one_by_one.flat.mean(axis=0), eta, spec.ell, pop.n)
-        step_window(one_by_one, [eta])
-    expected = state.value()
-    assert state.steps == T
+        etas.append(eta_at(cfg.schedule, t))
+        mus.append(one_by_one.flat.mean(axis=0))
+        step_window(one_by_one, [etas[-1]])
+    expected = weighted_average_reference(mus, etas, spec.ell, pop.n)
+    assert len(mus) == T and result.weighted_average.shape == (1, spec.d)
     assert np.allclose(result.weighted_average[0], expected, rtol=RTOL,
                        atol=RTOL * np.abs(expected).max())
     assert np.allclose(pop.X, one_by_one.X, rtol=RTOL, atol=RTOL * np.abs(one_by_one.X).max())

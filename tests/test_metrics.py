@@ -1,19 +1,21 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdopt.estimators import FIRST_ORDER, ZO_ONE_SIDED, EstimatorConfig
+from hdopt.estimators import (FIRST_ORDER, ZO_CENTRAL, ZO_FORWARD, ZO_ONE_SIDED,
+                              EstimatorConfig)
 from hdopt.metrics import (
     CSV_COLUMNS,
     MetricsRecord,
-    WeightedAverageState,
     aggregate_seeds,
-    compute_mtg,
     gamma_of,
+    sample_estimates,
     snapshot,
     validation_set,
-    weighted_average_update,
+    window_weights,
     write_aggregate_csv,
     write_metrics_csv,
 )
@@ -34,7 +36,7 @@ from hdopt.protocol import (
 )
 
 from conftest import read_metrics_csv, scalar_mc_stats
-from oracles import snapshot_reference
+from oracles import snapshot_reference, weighted_average_reference
 
 
 def make_population(models, objective=None, estimator=None, shards=None):
@@ -90,12 +92,16 @@ def test_gamma_and_mu_are_pure():
 # M_t^G
 
 
+def mt_g(pop, rng):
+    """The one seed's mt_g at eta = 0.1, as a record samples it from ``rng``."""
+    return snapshot(pop, 0, 0.1, mtg_rngs=[rng])[0].mt_g
+
+
 def test_mtg_zero_at_noiseless_optimum():
     q = make_quadratic(d=3, cond=2.0, seed=3, grad_noise=0.0, hessian_jitter=0.0)
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=q.n_samples)
     pop = make_population([q.x_star] * 4, objective=q, estimator=est)
-    assert compute_mtg(pop, eta=0.1, rngs=[np.random.default_rng(0)])[0] == pytest.approx(
-        0.0, abs=1e-20)
+    assert mt_g(pop, np.random.default_rng(0)) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_mtg_single_agent_full_batch():
@@ -105,8 +111,7 @@ def test_mtg_single_agent_full_batch():
     x = q.x_star + np.array([1.0, -1.0, 0.5])
     pop = make_population([x, x], objective=q, estimator=est)
     g = q.grad(x)
-    assert compute_mtg(pop, eta=0.1, rngs=[np.random.default_rng(0)])[0] == pytest.approx(
-        float(g @ g), abs=1e-12)
+    assert mt_g(pop, np.random.default_rng(0)) == pytest.approx(float(g @ g), abs=1e-12)
 
 
 def test_mtg_mc_average_matches_closed_form():
@@ -123,56 +128,104 @@ def test_mtg_mc_average_matches_closed_form():
                        axis=1))
         for x, shard in zip(pop.flat, pop.shards)])
     mrng = np.random.default_rng(8)
-    vals = np.array([compute_mtg(pop, eta=0.1, rngs=[mrng])[0] for _ in range(10**4)])
+    vals = np.array([mt_g(pop, mrng) for _ in range(10**4)])
     mean, se = scalar_mc_stats(vals)
     assert abs(mean - exact) <= 3 * se
+
+
+def zo_population(kind):
+    """A stack of 2 seeds of 2 zeroth-order agents of ``kind`` and 1 first-order one."""
+    q = make_quadratic(d=3, cond=2.0, seed=4, n_samples=12)
+    cfg = PopulationConfig(n0=2, n1=1, schedule=Schedule(eta_max=0.1), c=1.0,
+                           zo=EstimatorConfig(kind=kind, batch_size=2, rv=3),
+                           fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=2))
+    part = partition_data(q.n_samples, 2, 1, seed=1)
+    X0 = np.random.default_rng(2).standard_normal((2, q.d))
+    return init_population(cfg, q, [part] * 2, X0, [0, 1])
+
+
+@pytest.mark.parametrize("kind", [ZO_ONE_SIDED, ZO_CENTRAL])
+def test_biased_population_samples_nothing_at_zero_eta(kind):
+    # nu = eta / c has no value at eta = 0: no estimate, and no stream draws
+    pop = zo_population(kind)
+    rngs = [np.random.default_rng(s) for s in (3, 4)]
+    untouched = copy.deepcopy(rngs)
+    assert sample_estimates(pop, rngs, 2, 0.0) is None
+    assert [r.random() for r in rngs] == [r.random() for r in untouched]
+    assert [rec.mt_g for rec in snapshot(pop, 0, 0.0, mtg_rngs=rngs)] == [None, None]
+    assert sample_estimates(pop, rngs, 2, 0.1).shape == (2, 6, 3)
+
+
+@pytest.mark.parametrize("kind", [ZO_FORWARD, "fo_only"])
+def test_forward_and_first_order_populations_sample_at_zero_eta(kind):
+    pop = (make_population(np.random.default_rng(5).standard_normal((3, 3)))
+           if kind == "fo_only" else zo_population(kind))
+    S, n, d = pop.X.shape
+    rngs = [np.random.default_rng(s) for s in range(S)]
+    untouched = copy.deepcopy(rngs)
+    G = sample_estimates(pop, rngs, 2, 0.0)
+    assert G.shape == (2, S * n, d) and np.isfinite(G).all()
+    assert [r.random() for r in rngs] != [r.random() for r in untouched]
 
 
 # ---------------------------------------------------------------------------
 # weighted average
 
 
+def fold(mus, etas, ell, n):
+    """The weighted average as run folds it, one step per window: the
+    ratio-form state (q, avg) of window_weights, from q = 0."""
+    q, avg = 0.0, np.zeros(np.shape(mus[0]))
+    for mu, eta in zip(mus, etas):
+        prod, weight, _ = window_weights([eta], ell, n)
+        q = q * prod + weight
+        avg += (weight * mu - weight * avg) / q
+    return avg
+
+
 def test_weighted_average_first_step_is_mu0():
-    state = WeightedAverageState(dim=2)
-    weighted_average_update(state, np.array([3.0, -1.0]), eta=0.1, ell=1.0, n=4)
-    assert np.array_equal(state.value(), [3.0, -1.0])
+    mu0 = np.array([3.0, -1.0])
+    assert np.array_equal(fold([mu0], [0.1], ell=1.0, n=4), [3.0, -1.0])
+    assert np.array_equal(weighted_average_reference([mu0], [0.1], ell=1.0, n=4), [3.0, -1.0])
 
 
 def test_weighted_average_zero_eta_is_running_mean():
-    state = WeightedAverageState(dim=1)
     mus = [np.array([float(k)]) for k in range(6)]
-    for mu in mus:
-        weighted_average_update(state, mu, eta=0.0, ell=1.0, n=2)
-    assert state.value()[0] == pytest.approx(np.mean([m[0] for m in mus]), abs=1e-12)
+    running = np.mean([m[0] for m in mus])
+    assert fold(mus, [0.0] * 6, ell=1.0, n=2)[0] == pytest.approx(running, abs=1e-12)
+    assert weighted_average_reference(mus, [0.0] * 6, ell=1.0, n=2)[0] == pytest.approx(
+        running, abs=1e-12)
+    # a window of k steps at rate 0 folds its k means at weight 1 each, no drift
+    prod, weight, w = window_weights(np.zeros(6), ell=1.0, n=2)
+    assert (prod, weight) == (1.0, 6.0) and not w.any()
 
 
 def test_weighted_average_two_step_hand_value():
     # eta ell / 2n = 0.5 gives weights (2, 4): y = (2 mu0 + 4 mu1) / 6
-    state = WeightedAverageState(dim=1)
-    weighted_average_update(state, np.array([1.0]), eta=1.0, ell=1.0, n=1)
-    weighted_average_update(state, np.array([4.0]), eta=1.0, ell=1.0, n=1)
-    assert state.value()[0] == pytest.approx((2 * 1.0 + 4 * 4.0) / 6.0, abs=1e-12)
+    mus, hand = [np.array([1.0]), np.array([4.0])], (2 * 1.0 + 4 * 4.0) / 6.0
+    assert fold(mus, [1.0, 1.0], ell=1.0, n=1)[0] == pytest.approx(hand, abs=1e-12)
+    assert weighted_average_reference(mus, [1.0, 1.0], ell=1.0, n=1)[0] == pytest.approx(
+        hand, abs=1e-12)
 
 
 def test_weighted_average_matches_direct_weights():
     rng = np.random.default_rng(9)
     mus = rng.standard_normal((40, 3))
     eta, ell, n = 0.3, 2.0, 8
-    state = WeightedAverageState(dim=3)
-    for mu in mus:
-        weighted_average_update(state, mu, eta, ell, n)
     T = len(mus)
     w = (1.0 - eta * ell / (2 * n)) ** (-np.arange(1, T + 1, dtype=float))
     assert w[0] >= 1.0 and np.all(np.diff(w) > 0)
     direct = (w[:, None] * mus).sum(axis=0) / w.sum()
-    assert np.allclose(state.value(), direct, atol=1e-12)
+    assert np.allclose(fold(mus, [eta] * T, ell, n), direct, atol=1e-12)
+    assert np.allclose(weighted_average_reference(mus, [eta] * T, ell, n), direct, atol=1e-12)
     assert (w / w.sum()).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weighted_average_rejects_nonconvex_use():
-    state = WeightedAverageState(dim=1)
-    with pytest.raises(ValueError):
-        weighted_average_update(state, np.zeros(1), eta=0.1, ell=0.0, n=2)
+    # ell > 0 only, and each rate's shrink 1 - eta ell / 2n in (0, 1]
+    for etas, ell in [([0.1], 0.0), ([0.1, 4.0], 1.0), ([-0.1], 1.0)]:
+        with pytest.raises(ValueError):
+            window_weights(etas, ell, n=2)
 
 
 # ---------------------------------------------------------------------------

@@ -406,6 +406,7 @@ def test_cli_gen_data_accepts_scale(tmp_path):
 
 @pytest.mark.parametrize("option, value, field", [
     ("--seeds", "0,-1", "--seeds[1]"), ("--seeds", "0,x", "--seeds[1]"), ("--seeds", "", "--seeds"),
+    ("--seeds", "0,,1", "--seeds[1]"),
     ("--out-dir", "", "--out-dir"),
     ("--metric-cadence", "0", "--metric-cadence"), ("--metric-cadence", "1.5", "--metric-cadence"),
     ("--threads", "x", "--threads"), ("--threads", "0", "--threads")])
@@ -468,6 +469,18 @@ def test_cli_verify_rejects_an_empty_out_dir(tmp_path, capsys, monkeypatch):
     assert main(["verify", str(cfg_path), "--out-dir", ""]) == 1
     captured = capsys.readouterr()
     assert "config error: --out-dir must" in captured.err and captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_cli_rejects_an_empty_out_dir_in_the_config(tmp_path, capsys, monkeypatch, command):
+    # out_dir: "" names no directory: nothing may be written to the current one
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_tiny(tmp_path, TINY_CONFIG.replace("out_dir: {out}", 'out_dir: ""'))
+    before = sorted(tmp_path.iterdir())
+    assert main([command, str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert "config error: out_dir must" in captured.err and captured.out == ""
     assert sorted(tmp_path.iterdir()) == before
 
 
