@@ -17,7 +17,6 @@ step counts as one simulation step but n // 2 interactions.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -37,9 +36,10 @@ TAG_SCHEDULER = 2
 TAG_METRICS = 3
 TAG_INIT = 4
 
-# a window of steps draws its estimator inputs ahead in blocks of layers
-# holding at most about this many direction elements (float64, 0.25 MB)
-_INPUT_BLOCK = 1 << 15
+# a window draws the inputs of all its estimates ahead; one whose zeroth-order
+# directions would exceed this many float64 elements per seed (8 MB) runs as
+# sub-windows
+_WINDOW_DIRECTIONS = 1 << 20
 
 
 def derive_rng(*path):
@@ -250,10 +250,6 @@ def draw_pairs(rng, n, steps):
     """``steps`` unordered pairs (I[p], J[p]), each uniform over the n (n - 1) / 2
     choices: the draws of ``steps`` scalar pairs ``rng.integers(n)``,
     ``rng.integers(n - 1)``, value for value, from one call on the bounds."""
-    if steps == 1:  # two scalar draws cost less than one call on array bounds
-        i, j = rng.integers(n), rng.integers(n - 1)
-        D = np.array((i, j + (j >= i)))
-        return D[:1], D[1:]
     D = rng.integers(0, np.tile((n, n - 1), steps))
     I, J = D[0::2], D[1::2]
     J += J >= I
@@ -277,14 +273,17 @@ def step_window(pop: Population, etas, weights=None):
     a matching step is a layer, and a ``uniform_pair`` pair goes one layer
     after the last earlier pair sharing an agent with it (one at rate 0
     among nonzero ones in a layer of its own).  The inputs of every estimate
-    come from :func:`draw_row_inputs` ahead of the layers: each agent draws
-    in one call the minibatch ids of its nonzero-rate steps, and a
-    zeroth-order agent their directions in another, per block of layers
-    holding at most about _INPUT_BLOCK direction elements per seed.  Each
-    stream draws nothing else, so the numbers are those of the steps one by
-    one, seed by seed.  The window's kernel rows form one array, built
-    once: the layer of pairs [s, e) is rows [2s, 2e).  ``pop.evals`` adds
-    the window's estimates at once.
+    come from one :func:`draw_row_inputs` call ahead of the layers: each
+    agent draws in one call the minibatch ids of its nonzero-rate steps, and
+    a zeroth-order agent their directions in another.  Each stream draws
+    nothing else, so the numbers are those of the steps one by one, seed by
+    seed.  The window's kernel rows form one array, built once: the layer of
+    pairs [s, e) is rows [2s, 2e), whose inputs are B[2s:2e] and U[2s:2e].
+    ``pop.evals`` adds the window's estimates at once.  A window whose
+    directions (2 rv d per pair) would exceed _WINDOW_DIRECTIONS per seed
+    runs as sub-windows of as many steps as fit (at least one), their drifts
+    summed; their length does not depend on S, so each seed of a stack still
+    gets the numbers of its run alone.
     With ``weights`` (one per step) it returns, row s for seed s,
     sum_p weights[t] (G_I + G_J)[p] over the seed's pairs p, t being p's
     step, which moves the seed's mean by -etas[t] / n (G_I + G_J)[p].
@@ -292,6 +291,13 @@ def step_window(pop: Population, etas, weights=None):
     S, n, d = pop.X.shape  # n >= 2, by the population's config
     etas = np.asarray(etas, dtype=float)
     steps = etas.shape[0]
+    if pop.cfg.n0:
+        pairs = 1 if pop.cfg.scheduler_mode == UNIFORM_PAIR else n // 2
+        h = max(1, _WINDOW_DIRECTIONS // (2 * pairs * pop.cfg.zo.rv * d))
+        if steps > h:
+            drifts = [step_window(pop, etas[t:t + h], None if weights is None else weights[t:t + h])
+                      for t in range(0, steps, h)]
+            return None if weights is None else sum(drifts)
     if pop.cfg.scheduler_mode == UNIFORM_PAIR:
         # seed by seed, each seed's pairs in step order, in global rows
         I, J = map(np.concatenate, zip(*[draw_pairs(rng, n, steps) for rng in pop.scheduler_rngs]))
@@ -328,32 +334,22 @@ def step_window(pop: Population, etas, weights=None):
     at = np.concatenate((at, at + counts.repeat(counts)))
     rows = np.empty_like(at)
     rows[at] = np.concatenate((I, J))
-    drawn = rates is None or any(rates)
-    if drawn:
+    B = U = None
+    if rates is None or any(rates):
         A = rows
         if rates is None or 0.0 in rates:  # R: per row, its pair's rate, as a column
             R = np.empty((rows.shape[0], 1))
             R[at, 0] = np.concatenate((E, E))
             A = np.where(R[:, 0] != 0.0, rows, -1)  # a row at rate 0 draws nothing
         pop.evals += np.bincount(A + 1, minlength=S * n + 1)[1:] * pop.cost  # once per window
-        # pairs per block: zeroth-order directions fill at most _INPUT_BLOCK
-        # elements per seed, so an agent makes as many draws as it would alone
-        cap = S * (_INPUT_BLOCK // (2 * pop.cfg.zo.rv * d)) if pop.cfg.n0 else I.shape[0]
+        B, U = draw_row_inputs(pop, A)
     drift = None if W is None else np.zeros((S, d))
-    ends = ends.tolist()
-    B = U = None
     start = 0
-    last = 0 if drawn else len(ends)  # the layer after the block drawn so far
-    for l, end in enumerate(ends):
-        if l == last:  # draw the inputs of layers l .. last - 1
-            last = max(l + 1, bisect.bisect_right(ends, start + cap))
-            first = start
-            B = U = None  # the last block's inputs go before the next one's come
-            B, U = draw_row_inputs(pop, A[2 * start:2 * ends[last - 1]])
+    for l, end in enumerate(ends.tolist()):
         rate = rates[l] if rates is not None else R[2 * start:2 * end] if E[start] else 0.0
         G = interact(pop, rows[2 * start:2 * end], rate,
-                     None if B is None else B[2 * (start - first):2 * (end - first)],
-                     None if U is None else U[2 * (start - first):2 * (end - first)])
+                     None if B is None else B[2 * start:2 * end],
+                     None if U is None else U[2 * start:2 * end])
         if drift is not None and G is not None:  # pair by pair, in each seed's order
             np.add.at(drift, rows[2 * start:start + end] // n,
                       W[start:end, None] * (G[:end - start] + G[end - start:]))

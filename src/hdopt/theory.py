@@ -249,7 +249,7 @@ def check_gamma_pure_averaging(models, seed=0) -> BoundCheckReport:
 
 def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
     """E[Gamma_{t+1}] <= (1 - 1/2n) Gamma_t + (4/n) eta^2 E[M_t^G] from a
-    frozen population, one uniform-pair step per replica.
+    frozen one-seed population, one uniform-pair step per replica.
 
     The replicas run in blocks of about _REPLICA_BLOCK direction elements, so
     the block size k follows from n, rv and d.  Block b draws from the stream
@@ -263,6 +263,8 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
     and a population of a biased zeroth-order kind samples no M^G
     (:func:`sample_estimates` returns None; ``mean_mtg`` None).
     """
+    if pop.X.shape[0] != 1:
+        raise ValueError(f"check_gamma_recursion needs one seed, got S = {pop.X.shape[0]}")
     n, d = pop.flat.shape
     X0, M0 = pop.flat, pop.M
     gamma_t = float(gamma_of(X0))

@@ -313,13 +313,13 @@ def test_window_weighted_average_equals_per_step_fold(n0, n1, momentum, logistic
     assert np.allclose(pop.X, one_by_one.X, rtol=RTOL, atol=RTOL * np.abs(one_by_one.X).max())
 
 
-@pytest.mark.parametrize("block", [protocol._INPUT_BLOCK, 2 * 5 * 6], ids=["default", "one-pair"])
+@pytest.mark.parametrize("cap", [protocol._WINDOW_DIRECTIONS, 2 * 5 * 6], ids=["default", "one-step"])
 @pytest.mark.parametrize("mode", ["uniform_pair", "random_matching"])
 @pytest.mark.parametrize("population", ["hybrid_one_sided", "central"])
-def test_metric_cadence_leaves_the_trajectory_unchanged(population, mode, block, monkeypatch):
+def test_metric_cadence_leaves_the_trajectory_unchanged(population, mode, cap, monkeypatch):
     # every stream draws the same numbers whether a window holds 1, 7 or 500
-    # steps, and whether its directions are drawn in one block or in many
-    monkeypatch.setattr(protocol, "_INPUT_BLOCK", block)
+    # steps, and whether it runs whole or as sub-windows of one step (rv d = 30)
+    monkeypatch.setattr(protocol, "_WINDOW_DIRECTIONS", cap)
     spec, _ = _objective("quadratic")
     n0, n1, kind = POPULATIONS[population]
     schedule = Schedule(eta_max=0.05, mode="warmup_cosine", warmup_steps=5, total_steps=500)
@@ -335,17 +335,67 @@ def test_metric_cadence_leaves_the_trajectory_unchanged(population, mode, block,
     for pop in runs[1:]:
         assert np.allclose(pop.X, runs[0].X, rtol=RTOL, atol=RTOL * np.abs(runs[0].X).max())
         assert np.array_equal(pop.evals, runs[0].evals)
+        if mode == "random_matching":  # each step is its own layer, however windows split
+            assert np.array_equal(pop.X, runs[0].X) and np.array_equal(pop.M, runs[0].M)
 
 
+def _count_input_draws(monkeypatch):
+    """The (B, U) of every draw_row_inputs call step_window makes, in order."""
+    draws = []
+
+    def counted(pop, A):
+        draws.append(draw_row_inputs(pop, A))
+        return draws[-1]
+
+    monkeypatch.setattr(protocol, "draw_row_inputs", counted)
+    return draws
+
+
+def test_a_paper_size_matching_window_draws_its_inputs_once(monkeypatch):
+    # 256 zeroth-order and 24 first-order agents (140 pairs a step), rv = 16,
+    # d = 20: ten steps' directions, 896,000 elements, fit one window's draw
+    spec = make_quadratic(d=20, cond=5.0, seed=3, n_samples=512)
+    cfg = PopulationConfig(n0=256, n1=24, schedule=Schedule(eta_max=0.01), T=10,
+                           scheduler_mode="random_matching", metric_cadence=10,
+                           zo=EstimatorConfig(kind=ZO_FORWARD, batch_size=1, rv=16),
+                           fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=1))
+    pop = init_population(cfg, spec, [partition_data(spec.n_samples, 256, 24, seed=1)],
+                          [np.zeros(spec.d)], [2])
+    draws = _count_input_draws(monkeypatch)
+    step_window(pop, np.full(10, 0.01))
+    assert len(draws) == 1
+    assert draws[0][1].shape == (10 * 280, 16, 20)
+
+
+@pytest.mark.parametrize("mode", ["uniform_pair", "random_matching"])
+def test_no_input_draw_exceeds_the_window_cap(mode, monkeypatch):
+    # 2 rv d = 60 directions per pair: sub-windows of 3 uniform steps, or of one
+    # matching step of 2 pairs, in windows of 10 steps on a stack of 2 seeds
+    cap = 180
+    monkeypatch.setattr(protocol, "_WINDOW_DIRECTIONS", cap)
+    spec, _ = _objective("quadratic")
+    n0, n1, kind = POPULATIONS["hybrid_one_sided"]
+    cfg = _config(n0, n1, kind, mode, 0.05, 0.0)
+    pop = init_population(cfg, spec, [partition_data(spec.n_samples, n0, n1, seed=s)
+                                      for s in range(2)], np.ones((2, spec.d)), [3, 4])
+    draws = _count_input_draws(monkeypatch)
+    run(pop)
+    assert len(draws) == (4 if mode == "uniform_pair" else 10) * cfg.T // 10
+    assert all(U.size <= 2 * cap for _, U in draws)  # cap elements per seed
+
+
+@pytest.mark.parametrize("cap", [protocol._WINDOW_DIRECTIONS, 180], ids=["default", "small-cap"])
 @pytest.mark.parametrize("S", [1, 3])
 @pytest.mark.parametrize("mode", ["uniform_pair", "random_matching"])
 @pytest.mark.parametrize("objective", ["quadratic", "logistic", "nonconvex"])
-def test_stack_equals_its_seeds_run_one_by_one(objective, mode, S):
+def test_stack_equals_its_seeds_run_one_by_one(objective, mode, S, cap, monkeypatch):
     # mixed kinds with momentum, n = 5 (one agent idles per matching), windows
     # that hold zero-rate steps (the warmup's step 0, eta_min = 0 from step 35
     # on), mt_g samples, validation where there is a validation set and a
     # tracked weighted average where the objective is strongly convex: every
-    # seed of a stack gets the numbers of its run alone, bit for bit
+    # seed of a stack gets the numbers of its run alone, bit for bit, also when
+    # a small cap splits each window into sub-windows
+    monkeypatch.setattr(protocol, "_WINDOW_DIRECTIONS", cap)
     spec, val = _objective(objective)
     n0, n1, kind = POPULATIONS["hybrid_one_sided"]
     schedule = Schedule(eta_max=0.05, mode="warmup_cosine", warmup_steps=5, total_steps=35)

@@ -223,6 +223,22 @@ def test_gamma_recursion_at_eta_zero_samples_no_mtg_on_a_biased_population():
     assert abs(report.measured - gamma_t * (n - 2) / (n - 1)) <= 3 * report.stderr
 
 
+@pytest.mark.parametrize("n0, n1, eta", [(0, 4, 0.05), (3, 0, 0.0)],
+                         ids=["first_order", "one_sided_at_eta_zero"])
+def test_gamma_recursion_rejects_a_multi_seed_stack(n0, n1, eta):
+    # the check treats the population as one: a stack of two seeds must be
+    # refused, not mixed into one population of 2 n agents
+    q = make_quadratic(d=4, cond=3.0, seed=21)
+    cfg = PopulationConfig(n0=n0, n1=n1, schedule=Schedule(eta_max=0.05), T=1,
+                           zo=EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=2) if n0 else None,
+                           fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=2) if n1 else None)
+    parts = [partition_data(q.n_samples, n0, n1, seed=s) for s in (1, 2)]
+    X0 = np.random.default_rng(3).standard_normal((2, q.d))
+    pop = init_population(cfg, q, parts, X0, [4, 5])
+    with pytest.raises(ValueError, match="S = 2"):
+        check_gamma_recursion(pop, eta=eta, replicas=50, seed=6)
+
+
 def _recursion_case(spec, n0, n1, zo_kind=ZO_ONE_SIDED, momentum=0.0, batch=4):
     return lambda: hybrid_population(spec(), n0, n1, steps=25, eta=0.05, zo_kind=zo_kind,
                                      momentum=momentum, batch=batch, rv=3)
