@@ -10,14 +10,17 @@ Four kinds are provided:
 The biased kinds estimate the gradient of the Gaussian-smoothed batch loss;
 the forward kind is unbiased for the batch gradient itself.  Estimates that
 average ``rv`` Gaussian directions share a single minibatch per call and
-divide by ``rv`` (plain mean).  :attr:`EstimatorConfig.evals` is the cost
-of one estimate in function evaluations, one first-order gradient costed at
-batch_size evaluations (a simulator convention for cost-normalized plots).
+divide by ``rv`` (plain mean).  The forward kind draws its mean (1/rv) W g,
+W = sum_k u_k u_k^T, from the exact law W g = c g + sqrt(c) (|g| z -
+(z . g) g / |g|), c = |v|^2, v ~ N(0, I_rv), z ~ N(0, I_d): rv + d normals,
+not rv d.  :attr:`EstimatorConfig.evals` is the cost of one estimate in
+function evaluations, one first-order gradient costed at batch_size
+evaluations (a simulator convention for cost-normalized plots).
 
 :func:`estimate_rows` computes the estimates of k agents of one kind at
 once, with one row-batched objective call, from inputs drawn beforehand
 by :func:`draw_row_inputs`: minibatch ids and, for the zeroth-order kinds,
-Gaussian directions.  It draws nothing itself.
+Gaussians (:meth:`EstimatorConfig.input_shape`).  It draws nothing itself.
 """
 
 from __future__ import annotations
@@ -55,6 +58,11 @@ class EstimatorConfig:
         b, rv = self.batch_size, self.rv
         return b * {ZO_FORWARD: rv, ZO_ONE_SIDED: rv + 1, ZO_CENTRAL: 2 * rv}.get(self.kind, 1)
 
+    def input_shape(self, d) -> tuple:
+        """The shape of one zeroth-order estimate's Gaussian inputs at dimension
+        d: the forward kind's rv + d numbers (v, z), or rv directions."""
+        return (self.rv + d,) if self.kind == ZO_FORWARD else (self.rv, d)
+
 
 def check_shard(shard, batch_size):
     """The shard as an ndarray, checked to hold at least batch_size ids."""
@@ -79,8 +87,10 @@ def _resolve_nu(nu):
 def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
     """Estimates of kind cfg.kind for k rows: row r is estimated at the model
     Xr[r] over the minibatch of sample ids B[r] (batch_size of them) and, for
-    the zeroth-order kinds, the rv Gaussian directions U[r] (U is (k, rv, d)).
-    Returns the estimates (k, d); one costs ``cfg.evals`` function evaluations.
+    the zeroth-order kinds, the Gaussians U[r] (``cfg.input_shape(d)``): a
+    biased kind's rv directions, or the forward kind's (v, z), whose estimate
+    is 0 where the batch gradient is.  Returns the estimates (k, d); one
+    costs ``cfg.evals`` function evaluations.
 
     The k estimates come from one row-batched objective call.  ``nu`` is one
     smoothing radius, or a (k, 1) column of one per row; only the biased
@@ -90,10 +100,14 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
     if cfg.kind == FIRST_ORDER:
         return spec.grad_rows(Xr, B)
     if cfg.kind == ZO_FORWARD:
-        # sum over directions of (u . grad F) u, the directional derivatives
-        # standing in for a forward-mode pass
-        g = spec.grad_rows(Xr, B)[:, :, None]
-        return (U.transpose(0, 2, 1) @ (U @ g))[..., 0] / rv
+        # the law of sum_k (u_k . g) u_k, the directional derivatives of a
+        # forward-mode pass, as a g + b z; a zero |g| divides by 1 instead
+        g = spec.grad_rows(Xr, B)
+        c = (U[:, None, :rv] @ U[:, :rv, None])[:, 0]
+        norm = (g[:, None] @ g[:, :, None])[:, 0] ** 0.5
+        zg = (U[:, None, rv:] @ g[:, :, None])[:, 0] / (norm + (norm == 0.0))
+        s = c ** 0.5 / rv
+        return (c / rv - s * zg) * g + s * norm * U[:, rv:]
     # one objective call evaluates the rv points x + nu u after the points
     # they are differenced with: x - nu u (central) or x once (one-sided)
     nu = _resolve_nu(nu)
@@ -117,19 +131,19 @@ def draw_row_inputs(pop, A, rngs=None):
     (B, U).  Row r's minibatch ids (i.i.d. uniform over its agent's shard, or
     the whole shard when batch_size equals its size) fill the leading
     batch_size columns of B[r] and, in a population with zeroth-order
-    agents, its directions U[r] (rv, d) (U is None without).
+    agents, its Gaussians U[r] (``zo.input_shape(d)``; U is None without).
 
     Each agent draws the ids of all its rows, in row order, with one call on
-    its ``pop.rngs`` stream, and a zeroth-order agent all their directions
+    its ``pop.rngs`` stream, and a zeroth-order agent all their Gaussians
     with one call on its ``pop.dir_rngs`` stream.  These streams draw nothing
     else, so a run of rows gets the numbers of one draw per row, however the
     rows are split.  Given ``rngs``, one stream per seed, seed s's agents
     make both of their calls on ``rngs[s]`` instead, agent by agent: its ids,
-    then its directions.
+    then its Gaussians.
     """
     (N, d), n, n1, zo = pop.flat.shape, pop.n, pop.cfg.n1, pop.cfg.zo
     B = np.empty((A.shape[0], max(cfg.batch_size for cfg in pop.groups)), dtype=np.intp)
-    U = np.empty((A.shape[0], zo.rv, d)) if pop.cfg.n0 else None
+    U = np.empty((A.shape[0], *zo.input_shape(d))) if pop.cfg.n0 else None
     order = A.argsort(kind="stable")  # the rows by agent, each agent's in row order
     ends = np.bincount(A + 1, minlength=N + 1).cumsum().tolist()  # after the -1 rows
     for a, group in enumerate(pop.group.tolist()):
@@ -142,5 +156,5 @@ def draw_row_inputs(pop, A, rngs=None):
             B[rows, :b] = shard if m == b else shard[stream.integers(0, m, (end - start, b))]
             if cfg is zo:
                 stream = pop.dir_rngs[a - s * n1] if rngs is None else rngs[s]
-                U[rows] = stream.standard_normal((end - start, cfg.rv, d))
+                U[rows] = stream.standard_normal((end - start, *U.shape[1:]))
     return B, U

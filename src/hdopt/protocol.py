@@ -37,7 +37,7 @@ TAG_METRICS = 3
 TAG_INIT = 4
 
 # a window draws the inputs of all its estimates ahead; one whose zeroth-order
-# directions would exceed this many float64 elements per seed (8 MB) runs as
+# Gaussians would exceed this many float64 elements per seed (8 MB) runs as
 # sub-windows
 _WINDOW_DIRECTIONS = 1 << 20
 
@@ -275,15 +275,15 @@ def step_window(pop: Population, etas, weights=None):
     among nonzero ones in a layer of its own).  The inputs of every estimate
     come from one :func:`draw_row_inputs` call ahead of the layers: each
     agent draws in one call the minibatch ids of its nonzero-rate steps, and
-    a zeroth-order agent their directions in another.  Each stream draws
+    a zeroth-order agent their Gaussians in another.  Each stream draws
     nothing else, so the numbers are those of the steps one by one, seed by
     seed.  The window's kernel rows form one array, built once: the layer of
     pairs [s, e) is rows [2s, 2e), whose inputs are B[2s:2e] and U[2s:2e].
     ``pop.evals`` adds the window's estimates at once.  A window whose
-    directions (2 rv d per pair) would exceed _WINDOW_DIRECTIONS per seed
-    runs as sub-windows of as many steps as fit (at least one), their drifts
-    summed; their length does not depend on S, so each seed of a stack still
-    gets the numbers of its run alone.
+    Gaussians (two ``zo.input_shape(d)`` per pair) would exceed
+    _WINDOW_DIRECTIONS per seed runs as sub-windows of as many steps as fit
+    (at least one), their drifts summed; their length does not depend on S,
+    so each seed of a stack still gets the numbers of its run alone.
     With ``weights`` (one per step) it returns, row s for seed s,
     sum_p weights[t] (G_I + G_J)[p] over the seed's pairs p, t being p's
     step, which moves the seed's mean by -etas[t] / n (G_I + G_J)[p].
@@ -293,7 +293,7 @@ def step_window(pop: Population, etas, weights=None):
     steps = etas.shape[0]
     if pop.cfg.n0:
         pairs = 1 if pop.cfg.scheduler_mode == UNIFORM_PAIR else n // 2
-        h = max(1, _WINDOW_DIRECTIONS // (2 * pairs * pop.cfg.zo.rv * d))
+        h = max(1, _WINDOW_DIRECTIONS // (2 * pairs * math.prod(pop.cfg.zo.input_shape(d))))
         if steps > h:
             drifts = [step_window(pop, etas[t:t + h], None if weights is None else weights[t:t + h])
                       for t in range(0, steps, h)]

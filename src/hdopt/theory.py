@@ -46,7 +46,7 @@ from .protocol import (
 )
 
 _CHUNK = 100_000
-# float64 elements of Gaussian directions drawn per block of recursion replicas
+# float64 elements of estimator Gaussians drawn per block of recursion replicas
 _REPLICA_BLOCK = 1 << 16
 _GRADCHECK_TOL, _GRADCHECK_H = 1e-4, 1e-6  # relative tolerance, finite-difference step
 
@@ -251,14 +251,14 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
     """E[Gamma_{t+1}] <= (1 - 1/2n) Gamma_t + (4/n) eta^2 E[M_t^G] from a
     frozen one-seed population, one uniform-pair step per replica.
 
-    The replicas run in blocks of about _REPLICA_BLOCK direction elements, so
-    the block size k follows from n, rv and d.  Block b draws from the stream
-    (seed, 31, b) its k pairs (:func:`draw_pairs`), then k fresh estimates
-    per agent (:func:`sample_estimates`).  Replica r steps its pair (I, J) as
-    :func:`interact` does, with the estimates G[r, I] and G[r, J], and its
-    M^G sums the squared norms of G[r]: each estimate is independent of the
-    pair, so sharing them changes neither E[Gamma_{t+1}] nor E[M^G].  The
-    stderr is that of Gamma_r - (4/n) eta^2 M_r over the replicas, the
+    The replicas run in blocks of about _REPLICA_BLOCK Gaussian elements, so
+    the block size k follows from n and zo.input_shape(d).  Block b draws from
+    the stream (seed, 31, b) its k pairs (:func:`draw_pairs`), then k fresh
+    estimates per agent (:func:`sample_estimates`).  Replica r steps its pair
+    (I, J) as :func:`interact` does, with the estimates G[r, I] and G[r, J],
+    and its M^G sums the squared norms of G[r]: each estimate is independent
+    of the pair, so sharing them changes neither E[Gamma_{t+1}] nor E[M^G].
+    The stderr is that of Gamma_r - (4/n) eta^2 M_r over the replicas, the
     difference the pass rule compares.  At eta = 0 the pair only averages,
     and a population of a biased zeroth-order kind samples no M^G
     (:func:`sample_estimates` returns None; ``mean_mtg`` None).
@@ -268,8 +268,8 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
     n, d = pop.flat.shape
     X0, M0 = pop.flat, pop.M
     gamma_t = float(gamma_of(X0))
-    rv = pop.cfg.zo.rv if pop.cfg.n0 else 1
-    block = min(replicas, max(1, _REPLICA_BLOCK // (n * rv * d)))
+    size = math.prod(pop.cfg.zo.input_shape(d)) if pop.cfg.n0 else d
+    block = min(replicas, max(1, _REPLICA_BLOCK // (n * size)))
     gammas, mtgs = np.empty(replicas), np.zeros(replicas)
     for start in range(0, replicas, block):
         k = min(block, replicas - start)

@@ -4,7 +4,8 @@ sample at a time, independent of the row-batched kernels they check; for
 the estimators, one estimate at a time from one stream; for the
 variance-potential recursion check, its replicas run one at a time from
 their documented draws; for a metrics record, one seed's fields from the
-one-seed formulas; for the weighted average, its direct weights."""
+one-seed formulas; for the weighted average, its direct weights; for the
+forward estimator, its literal mean of rv directional derivatives."""
 
 import copy
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hdopt import theory
-from hdopt.estimators import BIASED_KINDS, FIRST_ORDER, check_shard, estimate_rows
+from hdopt.estimators import BIASED_KINDS, FIRST_ORDER, ZO_FORWARD, check_shard, estimate_rows
 from hdopt.metrics import MetricsRecord, gamma_of
 from hdopt.objectives import Objective, _antisymmetric
 from hdopt.protocol import draw_pairs, interact
@@ -107,6 +108,20 @@ def grad_rows_reference(spec, X, B=None):
     return out
 
 
+def gaussian_shape(cfg, d):
+    """The shape of one zeroth-order estimate's Gaussian inputs at dimension
+    d, as the library lays them out: rv + d numbers (v, then z) for the
+    forward kind, rv directions for a biased one."""
+    return (cfg.rv + d,) if cfg.kind == ZO_FORWARD else (cfg.rv, d)
+
+
+def forward_literal(G, U):
+    """The forward estimates (1/rv) sum_k (u_k . g) u_k of the gradients G
+    (k, d) along the directions U (k, rv, d), summed term by term."""
+    return sum((U[:, j] * G).sum(axis=1)[:, None] * U[:, j]
+               for j in range(U.shape[1])) / U.shape[1]
+
+
 @dataclass
 class GradientEstimate:
     vector: np.ndarray
@@ -117,14 +132,15 @@ class GradientEstimate:
 def estimate_gradient(spec, shard, x, cfg, rng, nu=None):
     """One agent's estimate at x, from inputs drawn from ``rng``: its
     minibatch ids (i.i.d. uniform over the shard, or the whole shard when
-    batch_size equals its size), then for the zeroth-order kinds its rv
-    Gaussian directions.  ``nu`` is the smoothing radius of the biased
-    kinds."""
+    batch_size equals its size), then for the zeroth-order kinds its
+    Gaussians (:func:`gaussian_shape`).  ``nu`` is the smoothing radius of
+    the biased kinds."""
     shard = check_shard(shard, cfg.batch_size)
     X = np.asarray(x, dtype=float)[None, :]
     m, b = shard.shape[0], cfg.batch_size
     B = (shard if m == b else shard[rng.integers(0, m, size=b)])[None]
-    U = None if cfg.kind == FIRST_ORDER else rng.standard_normal((1, cfg.rv, X.shape[1]))
+    U = None if cfg.kind == FIRST_ORDER else rng.standard_normal(
+        (1, *gaussian_shape(cfg, X.shape[1])))
     G = estimate_rows(spec, cfg, X, B, U, nu)
     return GradientEstimate(vector=G[0], kind=cfg.kind, function_evals=cfg.evals)
 
@@ -133,14 +149,14 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
     """check_gamma_recursion one replica at a time, read from its documented
     block contract: block b of the replicas draws from the stream
     (seed, 31, b) its pairs, then, when M^G is sampled, agent by agent the
-    minibatch ids of the agent's k estimates and then their directions.
+    minibatch ids of the agent's k estimates and then their Gaussians.
     Each replica is then one interact call on a copy of the frozen
     population, with the inputs of its pair's own estimates, gamma_of,
     and one estimate_rows call per agent for M^G.  At eta = 0 a population
     of a biased zeroth-order kind samples no M^G."""
     n, n0, d, zo, fo = pop.n, pop.cfg.n0, pop.objective.d, pop.cfg.zo, pop.cfg.fo
-    rv = zo.rv if n0 else 1
-    block = min(replicas, max(1, theory._REPLICA_BLOCK // (n * rv * d)))
+    shape = gaussian_shape(zo, d) if n0 else (d,)
+    block = min(replicas, max(1, theory._REPLICA_BLOCK // (n * math.prod(shape))))
     gamma_t = float(gamma_of(pop.flat))
     sample_mtg = eta > 0 or not n0 or zo.kind not in BIASED_KINDS
     nu = eta / pop.c if eta > 0 else None
@@ -151,13 +167,13 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
         k = min(block, replicas - start)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 31, b]))
         I, J = draw_pairs(rng, n, k)
-        ids, dirs = [], []  # per agent: its k estimates' ids and directions
+        ids, dirs = [], []  # per agent: its k estimates' ids and Gaussians
         for a in range(n if sample_mtg else 0):
             cfg, shard = zo if a < n0 else fo, pop.shards[a]
             m, size = shard.shape[0], cfg.batch_size
             ids.append(np.tile(shard, (k, 1)) if m == size
                        else shard[rng.integers(0, m, (k, size))])
-            dirs.append(rng.standard_normal((k, cfg.rv, d)) if a < n0 else None)
+            dirs.append(rng.standard_normal((k, *shape)) if a < n0 else None)
         for r in range(k):
             work.flat[:] = pop.flat
             if work.M is not None:
@@ -165,7 +181,7 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
             B = U = None  # the pair's rows, I[r] then J[r]
             if eta != 0:
                 B = np.zeros((2, width), dtype=np.intp)
-                U = np.zeros((2, rv, d)) if n0 else None
+                U = np.zeros((2, *shape)) if n0 else None
                 for row, a in enumerate((I[r], J[r])):
                     B[row, :ids[a].shape[1]] = ids[a][r]
                     if a < n0:

@@ -8,9 +8,10 @@ by agent.  The seeding is the library's: the same (seed, purpose tag, agent)
 streams, drawn in the same order, so a run here and a run of
 ``hdopt.protocol.run`` from the same config follow the same trajectory up to
 floating-point rounding.  An agent draws its minibatch ids from its stream
-(seed, TAG_AGENT, i) and, when zeroth-order, its directions from
-(seed, TAG_AGENT, i, 1); an mt_g estimate draws both, ids first, from the
-metrics stream.
+(seed, TAG_AGENT, i) and, when zeroth-order, its Gaussians from
+(seed, TAG_AGENT, i, 1): rv directions for a biased kind, or the rv + d
+numbers (v, then z) from which a forward estimate is formed; an mt_g
+estimate draws both, ids first, from the metrics stream.
 """
 
 from dataclasses import dataclass
@@ -64,9 +65,15 @@ def estimate_zo_central(spec, shard, x, cfg, rng, dir_rng, nu):
 
 
 def estimate_zo_unbiased_forward(spec, shard, x, cfg, rng, dir_rng, nu):
+    """(1/rv) W g for W = sum_k u_k u_k^T, from its law
+    c g + sqrt(c) (|g| z - (z . g) g / |g|), c = |v|^2."""
     batch = draw_batch(shard, cfg.batch_size, rng)
-    U = dir_rng.standard_normal((cfg.rv, spec.d))
-    return (U @ spec.grad(x, batch)) @ U / cfg.rv, int(batch.shape[0]) * cfg.rv
+    w = dir_rng.standard_normal(cfg.rv + spec.d)
+    v, z = w[:cfg.rv], w[cfg.rv:]
+    g = spec.grad(x, batch)
+    c, norm = float(v @ v), float(np.sqrt(g @ g))
+    vec = c * g if norm == 0.0 else c * g + np.sqrt(c) * (norm * z - (z @ g) / norm * g)
+    return vec / cfg.rv, int(batch.shape[0]) * cfg.rv
 
 
 def estimate(spec, shard, x, cfg, rng, dir_rng, nu):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from hdopt.estimators import (
     FIRST_ORDER,
@@ -9,6 +10,7 @@ from hdopt.estimators import (
     EstimatorConfig,
     estimate_rows,
 )
+from hdopt.metrics import sample_estimates
 from hdopt.objectives import (
     make_blobs_dataset,
     make_logistic,
@@ -16,8 +18,10 @@ from hdopt.objectives import (
     make_quadratic,
 )
 
+from hdopt.protocol import Population, PopulationConfig, Schedule
+
 from conftest import scalar_mc_stats, vector_mc_stats
-from oracles import LinearObjective, estimate_gradient
+from oracles import LinearObjective, estimate_gradient, forward_literal
 
 
 def logistic_instance(d=3, n=40, lam=0.1, seed=5):
@@ -251,6 +255,85 @@ def test_forward_agrees_with_first_order_across_objectives():
         mean_f, se_f = vector_mc_stats(fwd)
         mean_g, se_g = vector_mc_stats(fo)
         assert np.linalg.norm(mean_f - mean_g) <= 3 * np.hypot(se_f, se_g)
+
+
+# ---------------------------------------------------------------------------
+# the forward estimator's exact law
+
+
+def forward_law_holds(G, g, rv):
+    """Whether the estimates G (N, d) of the gradient g pass each moment of
+    the forward law under the 3-stderr rule: (E G = g,
+    E |G|^2 = (rv + d + 1) / rv |g|^2)."""
+    mean, se = vector_mc_stats(G)
+    m2, se2 = scalar_mc_stats((G * G).sum(axis=1))
+    return (bool(np.linalg.norm(mean - g) <= 3 * se),
+            bool(abs(m2 - (rv + g.shape[0] + 1) / rv * (g @ g)) <= 3 * se2))
+
+
+def assert_projections_match(G, literal, g, rng):
+    """Two-sample KS tests of G against the literal estimates along g and two
+    random unit directions."""
+    for w in (g, rng.standard_normal(g.shape[0]), rng.standard_normal(g.shape[0])):
+        w = w / np.linalg.norm(w)
+        assert sps.ks_2samp(G @ w, literal @ w).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("rv, d", [(1, 1), (1, 5), (4, 1), (4, 5)])
+def test_forward_estimates_follow_the_literal_law(rv, d):
+    # the kernel's estimates from (v, z) inputs against the literal mean of rv
+    # directional derivatives; the negative control, the law without its
+    # orthogonal projection, c g + sqrt(c) |g| z, has the right mean but the
+    # second moment (rv + d + 2) / rv |g|^2, and must fail
+    rng = np.random.default_rng(40 + 10 * rv + d)
+    g, N = rng.standard_normal(d), 200_000
+    U = rng.standard_normal((N, rv + d))
+    cfg = EstimatorConfig(kind=ZO_FORWARD, batch_size=1, rv=rv)
+    G = estimate_rows(LinearObjective(g), cfg, np.zeros((N, d)), np.zeros((N, 1), dtype=np.intp), U)
+    literal = forward_literal(np.broadcast_to(g, (N, d)), rng.standard_normal((N, rv, d)))
+    assert forward_law_holds(literal, g, rv) == (True, True)
+    assert forward_law_holds(G, g, rv) == (True, True)
+    assert_projections_match(G, literal, g, rng)
+    c = (U[:, :rv] ** 2).sum(axis=1)[:, None]
+    control = (c * g + np.sqrt(c) * np.linalg.norm(g) * U[:, rv:]) / rv
+    assert forward_law_holds(control, g, rv) == (True, False)
+
+
+def test_sampled_forward_estimates_follow_the_literal_law():
+    # through the population's draw layout: full-batch agents fix each agent's
+    # g, and sample_estimates lays out every row's (v, z)
+    q = make_quadratic(d=5, cond=3.0, seed=42, n_samples=12)
+    rv, N = 4, 100_000
+    cfg = PopulationConfig(n0=2, n1=0, schedule=Schedule(eta_max=0.1),
+                           zo=EstimatorConfig(kind=ZO_FORWARD, batch_size=6, rv=rv))
+    rng = np.random.default_rng(43)
+    shards = [np.arange(6), np.arange(6, 12)]
+    pop = Population(cfg, q, rng.standard_normal((1, 2, q.d)), shards, [0])
+    G = sample_estimates(pop, [np.random.default_rng(44)], N, 0.1)
+    for a, shard in enumerate(shards):
+        g = q.grad(pop.flat[a], shard)
+        literal = forward_literal(np.broadcast_to(g, (N, q.d)), rng.standard_normal((N, rv, q.d)))
+        assert forward_law_holds(G[:, a], g, rv) == (True, True)
+        assert_projections_match(G[:, a], literal, g, rng)
+
+
+def test_forward_rows_with_a_zero_gradient_give_exact_zeros():
+    # |g| = 0 divides by 1, not 0: exact zeros, and no floating-point warning
+    cfg = EstimatorConfig(kind=ZO_FORWARD, batch_size=1, rv=3)
+    U = np.random.default_rng(45).standard_normal((6, 3 + 4))
+    with np.errstate(all="raise"):
+        G = estimate_rows(LinearObjective(np.zeros(4)), cfg, np.zeros((6, 4)),
+                          np.zeros((6, 1), dtype=np.intp), U)
+    assert np.array_equal(G, np.zeros((6, 4)))
+
+
+def test_forward_rows_whose_squared_gradient_norm_underflows_stay_finite():
+    # components near 1e-170 square to 0: |g| reads 0 where g is not
+    cfg = EstimatorConfig(kind=ZO_FORWARD, batch_size=1, rv=3)
+    U = np.random.default_rng(46).standard_normal((6, 3 + 4))
+    G = estimate_rows(LinearObjective(np.array([1e-170, -2e-170, 3e-170, 0.0])), cfg,
+                      np.zeros((6, 4)), np.zeros((6, 1), dtype=np.intp), U)
+    assert np.isfinite(G).all()
 
 
 # ---------------------------------------------------------------------------

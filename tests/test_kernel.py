@@ -353,7 +353,8 @@ def _count_input_draws(monkeypatch):
 
 def test_a_paper_size_matching_window_draws_its_inputs_once(monkeypatch):
     # 256 zeroth-order and 24 first-order agents (140 pairs a step), rv = 16,
-    # d = 20: ten steps' directions, 896,000 elements, fit one window's draw
+    # d = 20: ten steps' forward inputs, rv + d = 36 numbers a row and 100,800
+    # elements, fit one window's draw
     spec = make_quadratic(d=20, cond=5.0, seed=3, n_samples=512)
     cfg = PopulationConfig(n0=256, n1=24, schedule=Schedule(eta_max=0.01), T=10,
                            scheduler_mode="random_matching", metric_cadence=10,
@@ -364,7 +365,21 @@ def test_a_paper_size_matching_window_draws_its_inputs_once(monkeypatch):
     draws = _count_input_draws(monkeypatch)
     step_window(pop, np.full(10, 0.01))
     assert len(draws) == 1
-    assert draws[0][1].shape == (10 * 280, 16, 20)
+    assert draws[0][1].shape == (10 * 280, 36)
+
+
+def _window_cap_draws(population, mode, cap, monkeypatch):
+    """The draws of a run of ``population`` in windows of 10 steps on a stack
+    of 2 seeds, its windows capped at ``cap`` elements per seed."""
+    monkeypatch.setattr(protocol, "_WINDOW_DIRECTIONS", cap)
+    spec, _ = _objective("quadratic")
+    n0, n1, kind = POPULATIONS[population]
+    cfg = _config(n0, n1, kind, mode, 0.05, 0.0)
+    pop = init_population(cfg, spec, [partition_data(spec.n_samples, n0, n1, seed=s)
+                                      for s in range(2)], np.ones((2, spec.d)), [3, 4])
+    draws = _count_input_draws(monkeypatch)
+    run(pop)
+    return draws, cfg
 
 
 @pytest.mark.parametrize("mode", ["uniform_pair", "random_matching"])
@@ -372,15 +387,18 @@ def test_no_input_draw_exceeds_the_window_cap(mode, monkeypatch):
     # 2 rv d = 60 directions per pair: sub-windows of 3 uniform steps, or of one
     # matching step of 2 pairs, in windows of 10 steps on a stack of 2 seeds
     cap = 180
-    monkeypatch.setattr(protocol, "_WINDOW_DIRECTIONS", cap)
-    spec, _ = _objective("quadratic")
-    n0, n1, kind = POPULATIONS["hybrid_one_sided"]
-    cfg = _config(n0, n1, kind, mode, 0.05, 0.0)
-    pop = init_population(cfg, spec, [partition_data(spec.n_samples, n0, n1, seed=s)
-                                      for s in range(2)], np.ones((2, spec.d)), [3, 4])
-    draws = _count_input_draws(monkeypatch)
-    run(pop)
+    draws, cfg = _window_cap_draws("hybrid_one_sided", mode, cap, monkeypatch)
     assert len(draws) == (4 if mode == "uniform_pair" else 10) * cfg.T // 10
+    assert all(U.size <= 2 * cap for _, U in draws)  # cap elements per seed
+
+
+@pytest.mark.parametrize("mode", ["uniform_pair", "random_matching"])
+def test_no_forward_input_draw_exceeds_the_window_cap(mode, monkeypatch):
+    # 2 (rv + d) = 22 forward inputs per pair, not 2 rv d = 60: sub-windows of
+    # 8 and 2 uniform steps, or of 2 matching steps of 3 pairs
+    cap = 180
+    draws, cfg = _window_cap_draws("hybrid_forward", mode, cap, monkeypatch)
+    assert len(draws) == (2 if mode == "uniform_pair" else 5) * cfg.T // 10
     assert all(U.size <= 2 * cap for _, U in draws)  # cap elements per seed
 
 

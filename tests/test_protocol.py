@@ -31,6 +31,8 @@ from hdopt.protocol import (
 )
 from hdopt.theory import expected_gamma_pure_averaging
 
+from oracles import gaussian_shape
+
 
 def quadratic_pop(n0, n1, seed=0, eta=0.05, T=100, mode="uniform_pair", momentum=0.0,
                   batch=4, rv=4, cadence=10, grad_noise=1.0, d=6, S=1):
@@ -182,13 +184,13 @@ def test_interact_dimension_mismatch():
 
 def replayed_estimate(pop, a, nu):
     """Agent a's next estimate, from copies of its streams: minibatch ids
-    from rngs[a], then for a zeroth-order agent directions from dir_rngs[a]."""
+    from rngs[a], then for a zeroth-order agent Gaussians from dir_rngs[a]."""
     cfg = pop.cfg.zo if a < pop.cfg.n0 else pop.cfg.fo
     shard = pop.shards[a]
     m, b = shard.shape[0], cfg.batch_size
     ids = shard if m == b else shard[copy.deepcopy(pop.rngs[a]).integers(0, m, size=b)]
     U = None if a >= pop.cfg.n0 else copy.deepcopy(pop.dir_rngs[a]).standard_normal(
-        (1, cfg.rv, pop.flat.shape[1]))
+        (1, *gaussian_shape(cfg, pop.flat.shape[1])))
     return estimate_rows(pop.objective, cfg, pop.flat[a:a + 1], ids[None], U, nu)[0]
 
 
