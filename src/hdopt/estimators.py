@@ -104,7 +104,11 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
         # forward-mode pass, as a g + b z; a zero |g| divides by 1 instead
         g = spec.grad_rows(Xr, B)
         c = (U[:, None, :rv] @ U[:, :rv, None])[:, 0]
-        norm = (g[:, None] @ g[:, :, None])[:, 0] ** 0.5
+        gs, e = g, 0
+        if not np.maximum.reduce(np.abs(g), axis=None, initial=0.0) < 2.0**500:  # or NaN
+            e = np.maximum(np.frexp(np.maximum.reduce(np.abs(g), axis=1)[:, None])[1] - 500, 0)
+            gs = np.ldexp(g, -e)  # g . g may overflow: rows past 2^500 scaled by 2^-e, exactly
+        norm = np.ldexp((gs[:, None] @ gs[:, :, None])[:, 0] ** 0.5, e)
         zg = (U[:, None, rv:] @ g[:, :, None])[:, 0] / (norm + (norm == 0.0))
         s = c ** 0.5 / rv
         return (c / rv - s * zg) * g + s * norm * U[:, rv:]

@@ -56,20 +56,19 @@ class Dataset:
 def load_csv_dataset(path, has_header: bool = False) -> Dataset:
     """Load a dataset from CSV: d_in comma-separated floats then the label.
 
-    ``has_header`` skips a single leading header row.  Ragged, non-numeric
-    or non-finite rows raise :class:`DatasetFormatError` naming the first
-    offending row number (1-based, counting the header if present).
+    ``has_header`` skips a single leading header row, and blank lines are
+    skipped.  Ragged, non-numeric or non-finite rows raise
+    :class:`DatasetFormatError` naming the first offending row's file line.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in (l.strip() for l in fh) if ln]
-    start = 0
+        lines = [(no, ln) for no, ln in enumerate((l.strip() for l in fh), start=1) if ln]
     if has_header:
         if not lines:
             raise DatasetFormatError(f"{path}: empty file")
-        start = 1
+        lines = lines[1:]
     width = None
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    for lineno, line in lines:
         parts = line.split(",")
         if len(parts) < 2:
             raise DatasetFormatError(f"{path}: row {lineno}: need d_in floats plus a label")
@@ -88,7 +87,7 @@ def load_csv_dataset(path, has_header: bool = False) -> Dataset:
     arr = np.asarray(rows, dtype=float)
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
-        raise DatasetFormatError(f"{path}: row {start + 1 + int(finite.argmin())}: "
+        raise DatasetFormatError(f"{path}: row {lines[int(finite.argmin())][0]}: "
                                  "non-finite value")
     return Dataset(features=arr[:, :-1], labels=arr[:, -1])
 

@@ -6,9 +6,9 @@ estimator step each (at the pre-interaction models), then replaces both
 models with their average.
 Two schedulers are provided: ``uniform_pair`` draws one unordered pair per
 fine-grained step, ``random_matching`` pairs all agents via a uniformly
-random perfect matching per step (one agent idles when n is odd).  Both run
-the same kernel, :func:`interact`, over k disjoint pairs: a layer of a window
-of ``uniform_pair`` steps, or the n // 2 pairs of a ``random_matching`` step.
+random perfect matching per step (one agent idles when n is odd).  They
+differ only in how a window's pairs are drawn and layered: both run the
+kernel, :func:`interact`, once per layer of a window's disjoint pairs.
 
 Clock conventions: a seed's interactions count its pairwise interactions
 (fine-grained time), its parallel time is interactions / n, and a matching
@@ -256,34 +256,37 @@ def draw_pairs(rng, n, steps):
     return I, J
 
 
-def draw_matching(rng, n):
-    """Uniformly random perfect matching as two index arrays (I, J), pair p
-    being (I[p], J[p]); odd n leaves one uniform idle agent."""
-    perm = rng.permutation(n)
-    k = n // 2
-    return perm[0:2 * k:2], perm[1:2 * k:2]
+def draw_matching(rng, n, steps):
+    """``steps`` uniformly random perfect matchings as two (steps, n // 2)
+    index arrays (I, J), step t's pair p being (I[t, p], J[t, p]); odd n
+    leaves one uniform idle agent a step.  The draws of ``steps`` calls
+    ``rng.permutation(n)``, value for value, from one call."""
+    perm = rng.permuted(np.arange(n)[None].repeat(steps, axis=0), axis=1)
+    return perm[:, 0:n - 1:2], perm[:, 1:n:2]
 
 
 def step_window(pop: Population, etas, weights=None):
     """``len(etas)`` steps of ``pop.cfg.scheduler_mode`` on every seed, step t
-    at rate etas[t], each seed drawing its pairs from its own stream.
+    at rate etas[t], each seed drawing the window's pairs with one call on
+    its own stream (:func:`draw_pairs` or :func:`draw_matching`).
 
     Disjoint pairs commute, so the window runs as layers of them, one
     :func:`interact` each, layer l being the union of the seeds' layers l:
     a matching step is a layer, and a ``uniform_pair`` pair goes one layer
     after the last earlier pair sharing an agent with it (one at rate 0
-    among nonzero ones in a layer of its own).  The inputs of every estimate
-    come from one :func:`draw_row_inputs` call ahead of the layers: each
-    agent draws in one call the minibatch ids of its nonzero-rate steps, and
-    a zeroth-order agent their Gaussians in another.  Each stream draws
-    nothing else, so the numbers are those of the steps one by one, seed by
-    seed.  The window's kernel rows form one array, built once: the layer of
-    pairs [s, e) is rows [2s, 2e), whose inputs are B[2s:2e] and U[2s:2e].
-    ``pop.evals`` adds the window's estimates at once.  A window whose
-    Gaussians (two ``zo.input_shape(d)`` per pair) would exceed
-    _WINDOW_DIRECTIONS per seed runs as sub-windows of as many steps as fit
-    (at least one), their drifts summed; their length does not depend on S,
-    so each seed of a stack still gets the numbers of its run alone.
+    among nonzero ones in a layer of its own).  Layers run at the window's
+    one rate, or at a column of per-row rates when its steps' rates differ.
+    The inputs of every estimate come from one :func:`draw_row_inputs` call
+    ahead of the layers: each agent draws in one call the minibatch ids of
+    its nonzero-rate steps, and a zeroth-order agent their Gaussians in
+    another.  Each stream draws nothing else, so the numbers are those of
+    the steps one by one, seed by seed.  The window's kernel rows form one
+    array: the layer of pairs [s, e) is rows [2s, 2e), whose inputs are
+    B[2s:2e] and U[2s:2e].  ``pop.evals`` adds the window's estimates at
+    once.  A window whose Gaussians (two ``zo.input_shape(d)`` per pair)
+    would exceed _WINDOW_DIRECTIONS per seed runs as sub-windows of as many
+    steps as fit (at least one), their drifts summed; their length does not
+    depend on S, so each seed of a stack gets the numbers of its run alone.
     With ``weights`` (one per step) it returns, row s for seed s,
     sum_p weights[t] (G_I + G_J)[p] over the seed's pairs p, t being p's
     step, which moves the seed's mean by -etas[t] / n (G_I + G_J)[p].
@@ -291,68 +294,62 @@ def step_window(pop: Population, etas, weights=None):
     S, n, d = pop.X.shape  # n >= 2, by the population's config
     etas = np.asarray(etas, dtype=float)
     steps = etas.shape[0]
+    uniform = pop.cfg.scheduler_mode == UNIFORM_PAIR
+    m = 1 if uniform else n // 2  # a seed's pairs per step
     if pop.cfg.n0:
-        pairs = 1 if pop.cfg.scheduler_mode == UNIFORM_PAIR else n // 2
-        h = max(1, _WINDOW_DIRECTIONS // (2 * pairs * math.prod(pop.cfg.zo.input_shape(d))))
+        h = max(1, _WINDOW_DIRECTIONS // (2 * m * math.prod(pop.cfg.zo.input_shape(d))))
         if steps > h:
             drifts = [step_window(pop, etas[t:t + h], None if weights is None else weights[t:t + h])
                       for t in range(0, steps, h)]
             return None if weights is None else sum(drifts)
-    if pop.cfg.scheduler_mode == UNIFORM_PAIR:
-        # seed by seed, each seed's pairs in step order, in global rows
-        I, J = map(np.concatenate, zip(*[draw_pairs(rng, n, steps) for rng in pop.scheduler_rngs]))
-        shift = np.arange(0, S * n, n).repeat(steps)
-        I, J = I + shift, J + shift
+    # seed by seed, each seed's pairs in step order, in global rows
+    draw = draw_pairs if uniform else draw_matching
+    I, J = map(np.concatenate, zip(*[draw(rng, n, steps) for rng in pop.scheduler_rngs]))
+    shift = np.arange(0, S * n, n).repeat(steps * m)
+    I, J = I.ravel() + shift, J.ravel() + shift
+    T = np.arange(S * steps * m) // m % steps  # per drawn pair, its step
+    L = T  # a matching step is a layer
+    if uniform:
         depth, L = [0] * (S * n), [0] * I.shape[0]  # per agent, layers joined; per pair, its layer
         for p, (i, j) in enumerate(zip(I.tolist(), J.tolist())):
             l = depth[i] if depth[i] > depth[j] else depth[j]
             depth[i] = depth[j] = l + 1
             L[p] = l
-        mixed = not (etas == etas[0]).all()
-        if mixed:
-            L = np.unique(2 * np.asarray(L) + np.tile(etas == 0.0, S), return_inverse=True)[1]
-        # sorted by layer, a layer's pairs are a slice, seed by seed; an agent's
-        # stay in step order
-        P = np.argsort(L, kind="stable")  # per pair, its draw
-        I, J = I[P], J[P]
-        P %= steps  # per pair, its step
-        counts = np.bincount(L)
-        rates = None if mixed else [float(etas[0])] * counts.shape[0]  # per layer
-    else:
-        k = n // 2
-        # step t's layer: every seed's matching of step t, seed by seed
-        I, J = map(np.concatenate, zip(*[draw_matching(rng, n) for _ in etas
-                                          for rng in pop.scheduler_rngs]))
-        shift = np.tile(np.arange(0, S * n, n).repeat(k), steps)
-        I, J = I + shift, J + shift
-        P = np.arange(steps).repeat(S * k)
-        counts, rates = np.full(steps, S * k), etas.tolist()
+        L = np.asarray(L)
+    mixed = not (etas == etas[0]).all()
+    if mixed:  # a pair at rate 0 among nonzero ones goes in a layer of its own
+        L = np.unique(2 * L + (etas == 0.0)[T], return_inverse=True)[1]
+    # sorted by layer, a layer's pairs are a slice, seed by seed; an agent's
+    # stay in step order
+    order = L.argsort(kind="stable")
+    I, J, P = I[order], J[order], T[order]  # P: per pair, its step
+    counts = np.bincount(L)
     ends = counts.cumsum()
-    E, W = etas[P], None if weights is None else weights[P]
     # the window's rows: the layer of pairs [s, e) is rows [2s, 2e), I[s:e], then J[s:e]
     at = np.arange(I.shape[0]) + (ends - counts).repeat(counts)
     at = np.concatenate((at, at + counts.repeat(counts)))
     rows = np.empty_like(at)
     rows[at] = np.concatenate((I, J))
+    rate = float(etas[0])  # every layer's, unless mixed
     B = U = None
-    if rates is None or any(rates):
+    if mixed or rate:
         A = rows
-        if rates is None or 0.0 in rates:  # R: per row, its pair's rate, as a column
+        if mixed:  # R: per row, its pair's rate, as a column
             R = np.empty((rows.shape[0], 1))
-            R[at, 0] = np.concatenate((E, E))
+            R[at, 0] = etas[np.concatenate((P, P))]
             A = np.where(R[:, 0] != 0.0, rows, -1)  # a row at rate 0 draws nothing
         pop.evals += np.bincount(A + 1, minlength=S * n + 1)[1:] * pop.cost  # once per window
         B, U = draw_row_inputs(pop, A)
-    drift = None if W is None else np.zeros((S, d))
+    drift = None if weights is None else np.zeros((S, d))
     start = 0
-    for l, end in enumerate(ends.tolist()):
-        rate = rates[l] if rates is not None else R[2 * start:2 * end] if E[start] else 0.0
-        G = interact(pop, rows[2 * start:2 * end], rate,
+    for end in ends.tolist():
+        eta = rate if not mixed else R[2 * start:2 * end] if R[2 * start, 0] else 0.0
+        G = interact(pop, rows[2 * start:2 * end], eta,
                      None if B is None else B[2 * start:2 * end],
                      None if U is None else U[2 * start:2 * end])
         if drift is not None and G is not None:  # pair by pair, in each seed's order
             np.add.at(drift, rows[2 * start:start + end] // n,
-                      W[start:end, None] * (G[:end - start] + G[end - start:]))
+                      weights[P[start:end], None] * (G[:end - start] + G[end - start:]))
         start = end
     return drift
 

@@ -336,6 +336,29 @@ def test_forward_rows_whose_squared_gradient_norm_underflows_stay_finite():
     assert np.isfinite(G).all()
 
 
+class _GradientIsTheModel:
+    """Objective stub whose batch gradient at a model is the model itself."""
+
+    def grad_rows(self, X, B):
+        return X.copy()
+
+
+@pytest.mark.parametrize("scale", [2.0**500, 2.0**520, 2.0**1000])
+def test_forward_rows_whose_squared_gradient_norm_overflows_scale_exactly(scale):
+    # g . g overflows past about 1e154 (2^512); the estimate is linear in g,
+    # and scaling by a power of two is exact, so it must scale bit for bit,
+    # also beside rows of g = a in the same call, which keep their bits
+    cfg = EstimatorConfig(kind=ZO_FORWARD, batch_size=1, rv=3)
+    rng = np.random.default_rng(47)
+    a, U = rng.standard_normal(4), rng.standard_normal((6, 3 + 4))
+    X, B = np.zeros((6, 4)), np.zeros((6, 1), dtype=np.intp)
+    G = estimate_rows(LinearObjective(a), cfg, X, B, U)
+    scaled = estimate_rows(LinearObjective(a * scale), cfg, X, B, U)
+    assert np.isfinite(scaled).all() and np.array_equal(scaled, scale * G)
+    scales = np.array([1.0, scale] * 3)[:, None]
+    assert np.array_equal(estimate_rows(_GradientIsTheModel(), cfg, scales * a, B, U), scales * G)
+
+
 # ---------------------------------------------------------------------------
 # shared properties
 

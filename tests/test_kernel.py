@@ -152,7 +152,7 @@ def test_zero_eta_keeps_mean_exactly_and_never_raises_gamma(n, d, steps, matchin
     for _ in range(steps):
         gamma = gamma_of(pop.flat)
         if matching:
-            rows = np.concatenate(draw_matching(rng, n))
+            rows = np.concatenate(draw_matching(rng, n, 1), axis=None)
         else:
             rows = rng.choice(n, size=2, replace=False)
         interact(pop, rows, 0.0)
@@ -174,7 +174,7 @@ def test_batched_matching_equals_sequential_pairs(n0, n1, kind, momentum, logist
     spec = make_logistic(make_blobs_dataset(40, 4, seed=3), lam=0.1) if logistic else None
     batched = _population(n0, n1, kind, momentum, seed, spec)
     sequential = copy.deepcopy(batched)
-    I, J = draw_matching(np.random.default_rng(seed), batched.n)
+    (I,), (J,) = draw_matching(np.random.default_rng(seed), batched.n, 1)
     evals = batched.evals.copy()  # the counts of the run that made the population
     # both runs take the same inputs: pair p's rows are p and k + p of the batch
     rows = np.concatenate((I, J))
@@ -236,7 +236,7 @@ def test_window_equals_its_steps(n, zo_share, kind, momentum, full_batch, logist
     replay, moved = copy.deepcopy(window.scheduler_rngs[0]), {-1}
     stepped = np.zeros(n, dtype=np.int64)
     for eta in etas:
-        I, J = draw_matching(replay, n) if matching else draw_pairs(replay, n, 1)
+        I, J = map(np.ravel, (draw_matching if matching else draw_pairs)(replay, n, 1))
         if eta:
             moved.update(I.tolist() + J.tolist())
             stepped[np.concatenate((I, J))] += 1
@@ -271,6 +271,19 @@ def test_window_pairs_equal_scalar_draws(n, steps, seed):
         i, j = int(scalar.integers(n)), int(scalar.integers(n - 1))
         pairs.append((i, j + (j >= i)))
     assert list(zip(I.tolist(), J.tolist())) == pairs
+    assert bulk.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("steps", [1, 7, 50])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 20, 21, 280])
+def test_window_matchings_equal_per_step_permutations(n, steps):
+    # one rng.permuted call on the window's rows must draw what steps calls of
+    # rng.permutation(n) draw, and leave the stream where they leave it
+    bulk, scalar = np.random.default_rng(n * steps), np.random.default_rng(n * steps)
+    I, J = draw_matching(bulk, n, steps)
+    perms = np.array([scalar.permutation(n) for _ in range(steps)])
+    k = n // 2
+    assert np.array_equal(I, perms[:, 0:2 * k:2]) and np.array_equal(J, perms[:, 1:2 * k:2])
     assert bulk.bit_generator.state == scalar.bit_generator.state
 
 
@@ -313,24 +326,41 @@ def test_window_weighted_average_equals_per_step_fold(n0, n1, momentum, logistic
     assert np.allclose(pop.X, one_by_one.X, rtol=RTOL, atol=RTOL * np.abs(one_by_one.X).max())
 
 
-@pytest.mark.parametrize("cap", [protocol._WINDOW_DIRECTIONS, 2 * 5 * 6], ids=["default", "one-step"])
+class _CountedStream:
+    """A generator that counts the methods looked up on it, one per draw call."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("cap", [None, 2 * 5 * 6], ids=["default", "one-step"])
 @pytest.mark.parametrize("mode", ["uniform_pair", "random_matching"])
 @pytest.mark.parametrize("population", ["hybrid_one_sided", "central"])
 def test_metric_cadence_leaves_the_trajectory_unchanged(population, mode, cap, monkeypatch):
     # every stream draws the same numbers whether a window holds 1, 7 or 500
-    # steps, and whether it runs whole or as sub-windows of one step (rv d = 30)
-    monkeypatch.setattr(protocol, "_WINDOW_DIRECTIONS", cap)
+    # steps, and whether it runs whole or as sub-windows of one step (rv d = 30),
+    # on a stack of 3 seeds (n = 5 idles one agent per matching); each seed's
+    # scheduler stream makes one draw per (sub-)window
+    if cap:
+        monkeypatch.setattr(protocol, "_WINDOW_DIRECTIONS", cap)
     spec, _ = _objective("quadratic")
     n0, n1, kind = POPULATIONS[population]
     schedule = Schedule(eta_max=0.05, mode="warmup_cosine", warmup_steps=5, total_steps=500)
-    part = partition_data(spec.n_samples, n0, n1, seed=11)
-    x0 = np.random.default_rng(12).standard_normal(spec.d)
+    parts = [partition_data(spec.n_samples, n0, n1, seed=11 + s) for s in range(3)]
+    X0 = np.random.default_rng(12).standard_normal((3, spec.d))
     runs = []
     for cadence in (1, 7, 500):
         cfg = _config(n0, n1, kind, mode, schedule, 0.9, T=600 if mode == "uniform_pair" else 150)
         cfg.metric_cadence = cadence
-        pop = init_population(cfg, spec, [part], [x0], [7])
+        pop = init_population(cfg, spec, parts, X0, [7, 8, 9])
+        pop.scheduler_rngs = [_CountedStream(rng) for rng in pop.scheduler_rngs]
         run(pop)
+        draws = cfg.T if cap else -(-cfg.T // cadence)
+        assert [rng.calls for rng in pop.scheduler_rngs] == [draws] * 3
         runs.append(pop)
     for pop in runs[1:]:
         assert np.allclose(pop.X, runs[0].X, rtol=RTOL, atol=RTOL * np.abs(runs[0].X).max())

@@ -494,6 +494,16 @@ def test_csv_non_finite_value_names_first_row(tmp_path, value, header):
         load_csv_dataset(path, has_header=header)
 
 
+@pytest.mark.parametrize("value, message", [("abc", "could not convert"), ("nan", "non-finite")])
+@pytest.mark.parametrize("header", [False, True])
+def test_csv_errors_name_the_file_line_past_blank_lines(tmp_path, value, message, header):
+    path = tmp_path / "blank.csv"
+    lines = ["x0,x1,label", ""] * header + ["1.0,2.0,1", "", "", f"1.0,{value},1"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=f"row {len(lines)}: {message}"):
+        load_csv_dataset(path, has_header=header)
+
+
 def test_csv_ragged_row_names_line(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1.0,2.0,1\n1.0,2.0\n")

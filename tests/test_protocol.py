@@ -274,7 +274,8 @@ def test_matching_n4_uniform_over_three_matchings():
               frozenset([(0, 2), (1, 3)]): 0,
               frozenset([(0, 3), (1, 2)]): 0}
     for _ in range(10**5):
-        pairs = frozenset(tuple(sorted(p)) for p in zip(*draw_matching(rng, 4)))
+        (I,), (J,) = draw_matching(rng, 4, 1)
+        pairs = frozenset(tuple(sorted(p)) for p in zip(I, J))
         counts[pairs] += 1
     _, p = sps.chisquare(list(counts.values()))
     assert p > 0.01
@@ -284,7 +285,8 @@ def test_matching_odd_n_idles_one_uniform_agent():
     rng = np.random.default_rng(17)
     idle_counts = np.zeros(5, dtype=int)
     for _ in range(10**5):
-        pairs = list(zip(*draw_matching(rng, 5)))
+        (I,), (J,) = draw_matching(rng, 5, 1)
+        pairs = list(zip(I, J))
         used = {int(a) for p in pairs for a in p}
         assert len(pairs) == 2 and len(used) == 4
         idle = (set(range(5)) - used).pop()
@@ -296,7 +298,7 @@ def test_matching_odd_n_idles_one_uniform_agent():
 def test_matching_step_leaves_idle_agent_unchanged():
     _, cfg, pop = quadratic_pop(0, 5, seed=18, mode="random_matching", T=0)
     before = pop.flat.copy()
-    I, J = draw_matching(copy.deepcopy(pop.scheduler_rngs[0]), 5)
+    (I,), (J,) = draw_matching(copy.deepcopy(pop.scheduler_rngs[0]), 5, 1)
     idle = (set(range(5)) - set(I.tolist()) - set(J.tolist())).pop()
     idle_rng = copy.deepcopy(pop.rngs[idle].bit_generator.state)
     step_window(pop, [0.05])
