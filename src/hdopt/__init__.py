@@ -4,6 +4,8 @@ pairwise-interaction simulator, metrics, and analytic-bound verification.
 The common entry points are re-exported here; the rest lives in the
 submodules objectives, estimators, protocol, metrics, theory and runner."""
 
+__version__ = "0.1.0"
+
 from .estimators import (
     FIRST_ORDER,
     ZO_CENTRAL,
@@ -31,5 +33,3 @@ from .protocol import (
     step_window,
 )
 from .runner import ConfigError, parse_config, run_experiment, run_theory_suite
-
-__version__ = "0.1.0"

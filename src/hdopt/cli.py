@@ -58,7 +58,8 @@ def build_parser():
     p_run.add_argument("--seeds", help="comma-separated seed list overriding the config")
     p_run.add_argument("--out-dir", help="output directory overriding the config")
     p_run.add_argument("--threads", type=_scalar, default=1,
-                       help="worker processes, each running whole populations")
+                       help="worker processes, each running one stack of contiguous "
+                            "(population, seed) units")
     p_run.add_argument("--metric-cadence", type=_scalar,
                        help="record metrics every N scheduler steps")
 

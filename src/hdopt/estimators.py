@@ -25,6 +25,7 @@ Gaussians (:meth:`EstimatorConfig.input_shape`).  It draws nothing itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,10 +88,11 @@ def _resolve_nu(nu):
 def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
     """Estimates of kind cfg.kind for k rows: row r is estimated at the model
     Xr[r] over the minibatch of sample ids B[r] (batch_size of them) and, for
-    the zeroth-order kinds, the Gaussians U[r] (``cfg.input_shape(d)``): a
-    biased kind's rv directions, or the forward kind's (v, z), whose estimate
-    is 0 where the batch gradient is.  Returns the estimates (k, d); one
-    costs ``cfg.evals`` function evaluations.
+    the zeroth-order kinds, the Gaussians U[r] (``cfg.input_shape(d)``, or
+    the leading entries of a wider flat row): a biased kind's rv directions,
+    or the forward kind's (v, z), whose estimate is 0 where the batch
+    gradient is.  Returns the estimates (k, d); one costs ``cfg.evals``
+    function evaluations.
 
     The k estimates come from one row-batched objective call.  ``nu`` is one
     smoothing radius, or a (k, 1) column of one per row; only the biased
@@ -109,12 +111,15 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
             e = np.maximum(np.frexp(np.maximum.reduce(np.abs(g), axis=1)[:, None])[1] - 500, 0)
             gs = np.ldexp(g, -e)  # g . g may overflow: rows past 2^500 scaled by 2^-e, exactly
         norm = np.ldexp((gs[:, None] @ gs[:, :, None])[:, 0] ** 0.5, e)
-        zg = (U[:, None, rv:] @ g[:, :, None])[:, 0] / (norm + (norm == 0.0))
+        z = U[:, rv:rv + Xr.shape[1]]
+        zg = (z[:, None] @ g[:, :, None])[:, 0] / (norm + (norm == 0.0))
         s = c ** 0.5 / rv
-        return (c / rv - s * zg) * g + s * norm * U[:, rv:]
+        return (c / rv - s * zg) * g + s * norm * z
     # one objective call evaluates the rv points x + nu u after the points
     # they are differenced with: x - nu u (central) or x once (one-sided)
     nu = _resolve_nu(nu)
+    if U.ndim == 2:  # flat rows
+        U = U[:, :rv * Xr.shape[1]].reshape(-1, rv, Xr.shape[1])
     central = cfg.kind == ZO_CENTRAL
     sub = rv if central else 1
     P = np.empty((Xr.shape[0], sub + rv, Xr.shape[1]))
@@ -134,31 +139,43 @@ def draw_row_inputs(pop, A, rngs=None):
     ``A`` of the population's stack, -1 for a row that makes no estimate:
     (B, U).  Row r's minibatch ids (i.i.d. uniform over its agent's shard, or
     the whole shard when batch_size equals its size) fill the leading
-    batch_size columns of B[r] and, in a population with zeroth-order
-    agents, its Gaussians U[r] (``zo.input_shape(d)``; U is None without).
+    batch_size columns of B[r].  U holds one row of Gaussians for each row
+    whose agent is zeroth-order, in row order, and none for the others: of
+    shape ``pop.zo_shape``, its groups' one ``input_shape(d)`` or a flat row
+    whose leading entries are the row's (U is None in a stack without
+    zeroth-order agents).
 
     Each agent draws the ids of all its rows, in row order, with one call on
     its ``pop.rngs`` stream, and a zeroth-order agent all their Gaussians
     with one call on its ``pop.dir_rngs`` stream.  These streams draw nothing
     else, so a run of rows gets the numbers of one draw per row, however the
-    rows are split.  Given ``rngs``, one stream per seed, seed s's agents
-    make both of their calls on ``rngs[s]`` instead, agent by agent: its ids,
+    rows are split.  Given ``rngs``, one stream per unit, unit u's agents
+    make both of their calls on ``rngs[u]`` instead, agent by agent: its ids,
     then its Gaussians.
     """
-    (N, d), n, n1, zo = pop.flat.shape, pop.n, pop.cfg.n1, pop.cfg.zo
+    N, d = pop.flat.shape
     B = np.empty((A.shape[0], max(cfg.batch_size for cfg in pop.groups)), dtype=np.intp)
-    U = np.empty((A.shape[0], *zo.input_shape(d))) if pop.cfg.n0 else None
+    U = None
+    if pop.zo_shape is not None:
+        zrow = (pop.zo.take(A) & (A >= 0)).cumsum() - 1  # per zeroth-order row, its row of U
+        U = np.empty((zrow[-1] + 1 if zrow.shape[0] else 0, *pop.zo_shape))
+        zi = (pop.zo.cumsum() - 1).tolist()  # per zeroth-order agent, its dir_rngs stream
+    shapes = [None if cfg.kind == FIRST_ORDER else cfg.input_shape(d) for cfg in pop.groups]
     order = A.argsort(kind="stable")  # the rows by agent, each agent's in row order
     ends = np.bincount(A + 1, minlength=N + 1).cumsum().tolist()  # after the -1 rows
-    for a, group in enumerate(pop.group.tolist()):
+    for a, (group, u) in enumerate(zip(pop.group.tolist(), pop.unit.tolist())):
         start, end = ends[a], ends[a + 1]
         if end > start:
             rows = order[start:end]
-            cfg, shard, s = pop.groups[group], pop.shards[a], a // n  # seed s's agent a - s n
+            cfg, shard, shape = pop.groups[group], pop.shards[a], shapes[group]
             m, b = shard.shape[0], cfg.batch_size
-            stream = pop.rngs[a] if rngs is None else rngs[s]
+            stream = pop.rngs[a] if rngs is None else rngs[u]
             B[rows, :b] = shard if m == b else shard[stream.integers(0, m, (end - start, b))]
-            if cfg is zo:
-                stream = pop.dir_rngs[a - s * n1] if rngs is None else rngs[s]
-                U[rows] = stream.standard_normal((end - start, *U.shape[1:]))
+            if shape is not None:
+                stream = pop.dir_rngs[zi[a]] if rngs is None else rngs[u]
+                if shape == U.shape[1:]:
+                    U[zrow[rows]] = stream.standard_normal((end - start, *shape))
+                else:  # the leading entries of flat rows
+                    size = math.prod(shape)
+                    U[zrow[rows], :size] = stream.standard_normal((end - start, size))
     return B, U

@@ -3,8 +3,9 @@
 The variance potential reported as ``gamma`` is the mean squared distance of
 agent models from the population mean; ``mt_g`` is the mean squared norm of
 one fresh gradient estimate per agent.  All functions here are read-only
-over a stack of S seeds and work on its (S, n, d) models as a whole, with
-one value per seed.
+over a stack of units and work on it as a whole, with one value per unit:
+a sum over a unit's agents runs over its block's (k, n, d) models
+(``pop.blocks``), so it rounds as it does for that unit alone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import BIASED_KINDS, draw_row_inputs, estimate_rows
+from .estimators import BIASED_KINDS, FIRST_ORDER, draw_row_inputs, estimate_rows
 
 
 class MetricsRecord(NamedTuple):
@@ -44,29 +45,56 @@ def gamma_of(X):
 
 
 def sample_estimates(pop, rngs, k, eta):
-    """k fresh estimates per agent at the current models, (k, S n, d): G[r, g]
-    is global row g's r-th.  Seed s's agents draw all their inputs from the
-    stream ``rngs[s]``, agent by agent
+    """k fresh estimates per agent at the current models, (k, N, d): G[r, g]
+    is global row g's r-th.  Unit u's agents draw all their inputs from the
+    stream ``rngs[u]``, agent by agent
     (:func:`~hdopt.estimators.draw_row_inputs`): the ids of the agent's k
-    estimates, then their directions.  Each estimator group of the table
+    estimates, then their Gaussians.  Each estimator group of the table
     ``pop.group`` makes one :func:`~hdopt.estimators.estimate_rows` call over
-    all seeds.  The biased kinds smooth at radius nu = eta / c, which does
-    not exist at eta = 0: a population of a biased zeroth-order kind then
-    draws nothing and returns None.  Callers pass streams that no other code
-    draws, so diagnostics never perturb the optimization trajectory."""
-    nu = eta / pop.c if eta > 0 else None
-    if nu is None and pop.cfg.n0 and pop.cfg.zo.kind in BIASED_KINDS:
+    all units.  ``eta`` is one rate, or one per unit.  The biased kinds smooth
+    at radius nu = eta / c, which does not exist at eta = 0: a unit with
+    agents of a biased zeroth-order kind then draws nothing and its rows of G
+    are NaN; when no unit draws, this returns None.  Callers pass streams
+    that no other code draws, so diagnostics never perturb the optimization
+    trajectory."""
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim and (eta == eta[0]).all():
+        eta = eta[0]
+    skip = (eta <= 0) & np.array([u.cfg.n0 > 0 and u.cfg.zo.kind in BIASED_KINDS
+                                  for u in pop.units])
+    if skip.all():
         return None
     N, d = pop.flat.shape
     A = np.repeat(np.arange(N), k)  # agent-major rows
-    B, U = draw_row_inputs(pop, A, rngs)
     group = pop.group.repeat(k)
-    G = np.empty((N * k, d))
+    skipped = skip.any()
+    if skipped:
+        A[skip.take(pop.unit).repeat(k)] = -1
+        group[A < 0] = -1
+    nu = (eta.take(pop.unit)[:, None] if eta.ndim else eta) / pop.c
+    per_row = type(nu) is np.ndarray
+    if per_row:
+        nu = nu.repeat(k, axis=0)
+    B, U = draw_row_inputs(pop, A, rngs)
+    rank = None if pop.zo_groups < 2 else (pop.zo.take(A) & (A >= 0)).cumsum() - 1
+    G = np.full((N * k, d), np.nan) if skipped else np.empty((N * k, d))
     for g, cfg in enumerate(pop.groups):
         sel = (group == g).nonzero()[0]
-        G[sel] = estimate_rows(pop.objective, cfg, pop.flat[A[sel]], B[sel, :cfg.batch_size],
-                               U[sel] if cfg is pop.cfg.zo else None, nu)
+        if sel.shape[0]:  # a group of skipped units alone has none
+            G[sel] = estimate_rows(pop.objective, cfg, pop.flat[A[sel]], B[sel, :cfg.batch_size],
+                                   None if cfg.kind == FIRST_ORDER else U if rank is None
+                                   else U[rank[sel]], nu[sel] if per_row else nu)
     return G.reshape(N, k, d).swapaxes(0, 1)
+
+
+def _blocks(pop, rows):
+    """Per-row values (N, d) in ``pop.blocks``, each block as (k, n, d)."""
+    return [rows[a:b].reshape(-1, n, rows.shape[1]) for a, b, n in pop.blocks]
+
+
+def unit_means(pop):
+    """Each unit's mean model, (units, d), as ``X.mean(axis=1)`` rounds it."""
+    return np.concatenate([X.mean(axis=1) for X in _blocks(pop, pop.flat)])
 
 
 def window_weights(etas, ell, n):
@@ -97,27 +125,37 @@ def validation_set(spec, features, labels):
 
 
 def snapshot(pop, step, eta, val=None, mtg_rngs=None) -> list:
-    """The metrics records of the current state of a stack, one per seed, in
-    stack order; ``val`` is a :func:`validation_set` and ``mtg_rngs`` the
-    seeds' streams for ``mt_g``.  The seeds' means go through one
-    ``grad_rows`` call and, when the optimum is known, one ``loss_rows``
-    call; validation runs seed by seed, over its (n, d) models."""
-    spec, (S, n, _) = pop.objective, pop.X.shape
-    mu = pop.X.mean(axis=1)
-    gaps = [None] * S if spec.f_star is None else (
+    """The metrics records of the current state of a stack, one per unit, in
+    stack order; ``eta`` is the rate (one, or one per unit), ``val`` a
+    :func:`validation_set` and ``mtg_rngs`` the units' streams for ``mt_g``.
+    The units' means go through one ``grad_rows`` call and, when the optimum
+    is known, one ``loss_rows`` call; validation runs unit by unit, over its
+    (n, d) models.  A unit's parallel time is its share of the stack's
+    interactions over its n."""
+    spec, units = pop.objective, pop.units
+    eta = np.zeros(len(units)) + eta  # one per unit
+    mu = unit_means(pop)
+    gaps = [None] * len(units) if spec.f_star is None else (
         spec.loss_rows(mu[:, None])[:, 0] - spec.f_star).tolist()
     g = spec.grad_rows(mu)
     norms = (g[:, None] @ g[:, :, None])[:, 0, 0].tolist()  # np.dot's rounding, row by row
-    valid = [(None, None)] * S if val is None else [spec.validate(X, *val) for X in pop.X]
+    valid = [(None, None)] * len(units) if val is None else [
+        spec.validate(pop.flat[u.start:u.start + u.n], *val) for u in units]
     G = None if mtg_rngs is None else sample_estimates(pop, mtg_rngs, 1, eta)
-    mtgs = [None] * S if G is None else (np.sum((G * G).reshape(S, -1), axis=1) / n).tolist()
-    return [MetricsRecord(step=int(step), parallel_time=pop.interactions // S / n,
-                          eta=float(eta), gamma=gamma, mu_loss_gap=gap, grad_norm_sq_mu=norm,
+    mtgs = [None] * len(units) if G is None else [
+        None if v != v else v for v in np.concatenate([  # NaN: a unit that drew nothing
+            np.sum((X * X).reshape(X.shape[0], -1), axis=1) / X.shape[1]
+            for X in _blocks(pop, G[0])]).tolist()]
+    pairs = pop.pairs.tolist()
+    per_step = sum(pairs)
+    return [MetricsRecord(step=int(step), parallel_time=pop.interactions * m // per_step / u.n,
+                          eta=e, gamma=gamma, mu_loss_gap=gap, grad_norm_sq_mu=norm,
                           mean_val_loss=loss, mean_val_acc=None if acc != acc else acc,
                           mt_g=mtg, function_evals_total=evals)
-            for gamma, gap, norm, (loss, acc), mtg, evals in
-            zip(gamma_of(pop.X).tolist(), gaps, norms, valid, mtgs,
-                np.add.reduce(pop.evals.reshape(S, n), axis=1).tolist())]
+            for u, m, e, gamma, gap, norm, (loss, acc), mtg, evals in
+            zip(units, pairs, eta.tolist(),
+                np.concatenate([gamma_of(X) for X in _blocks(pop, pop.flat)]).tolist(),
+                gaps, norms, valid, mtgs, np.add.reduceat(pop.evals, pop.starts).tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Population dynamics: pair scheduling and interactions.
 
-The models of S seeds of n agents form one (S, n, d) array, run as one
-simulation.  An interaction between two agents of a seed applies one local
-estimator step each (at the pre-interaction models), then replaces both
-models with their average.
+The (config, seed) units of an experiment form one stack, their models one
+(N, d) array, run as one simulation.  An interaction between two agents of
+a unit applies one local estimator step each (at the pre-interaction
+models), then replaces both models with their average.
 Two schedulers are provided: ``uniform_pair`` draws one unordered pair per
 fine-grained step, ``random_matching`` pairs all agents via a uniformly
 random perfect matching per step (one agent idles when n is odd).  They
 differ only in how a window's pairs are drawn and layered: both run the
 kernel, :func:`interact`, once per layer of a window's disjoint pairs.
 
-Clock conventions: a seed's interactions count its pairwise interactions
+Clock conventions: a unit's interactions count its pairwise interactions
 (fine-grained time), its parallel time is interactions / n, and a matching
 step counts as one simulation step but n // 2 interactions.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ TAG_METRICS = 3
 TAG_INIT = 4
 
 # a window draws the inputs of all its estimates ahead; one whose zeroth-order
-# Gaussians would exceed this many float64 elements per seed (8 MB) runs as
+# Gaussians would exceed this many float64 elements for a unit (8 MB) runs as
 # sub-windows
 _WINDOW_DIRECTIONS = 1 << 20
 
@@ -125,77 +126,147 @@ class PopulationConfig:
 
 
 class DivergedError(RuntimeError):
-    """Raised when seed ``seed`` of a run's stack has non-finite models or metrics."""
+    """Raised when unit ``unit`` of a run's stack has non-finite models or
+    metrics at its record of step ``step``."""
 
-    def __init__(self, message, seed=0):
+    def __init__(self, message, unit=0, step=0):
         super().__init__(message)
-        self.seed = seed
+        self.unit, self.step = unit, step
+
+
+class Unit(NamedTuple):
+    """One config run from one seed value in a stack: its n = cfg.n0 + cfg.n1
+    agents are the stack's global rows start..start + n - 1."""
+
+    cfg: PopulationConfig
+    seed: int
+    n: int
+    start: int
 
 
 @dataclass
 class Population:
-    """S seeds of n = cfg.n0 + cfg.n1 agents: seed s's agent i has the model
-    X[s, i], global row g = s n + i of the (S n, d) view ``flat``.  Agent g
-    owns ``shards[g]``, has made ``evals[g]`` function evaluations and uses
-    the estimator ``groups[group[g]]``, at ``cost[g]`` evaluations an estimate
-    (the one table of both): ``cfg.zo`` for agents i < n0, ``cfg.fo`` for the
-    others.  Seed s's agent i draws minibatch ids from the stream
-    (seeds[s], TAG_AGENT, i), ``rngs[g]``, and, when zeroth-order, directions
-    from (seeds[s], TAG_AGENT, i, 1), ``dir_rngs[s n0 + i]``; the seed draws
-    pairs from (seeds[s], TAG_SCHEDULER), ``scheduler_rngs[s]``, and metrics
-    samples from (seeds[s], TAG_METRICS), ``metrics_rngs[s]``.  ``c`` is
-    cfg.c, or sqrt(d) when that is None.  ``M`` holds the momentum buffers
-    (row g for agent g) when momentum > 0; ``interactions`` counts the pairs
-    of all seeds."""
+    """A stack of units run as one simulation, each unit one config from one
+    seed value.  ``units`` is given as (cfg, seed) pairs and kept as
+    :class:`Unit` tuples, unit by unit in global rows: unit u's agent i has
+    the model flat[start + i] of the (N, d) array ``flat``.  The units share
+    T, the scheduler mode and the metric cadence; ``X`` views ``flat`` as
+    (units, n, d) when they share n too.
 
-    cfg: PopulationConfig
+    Agent g (a global row) belongs to unit ``unit[g]``, owns ``shards[g]``,
+    has made ``evals[g]`` function evaluations and uses the estimator
+    ``groups[group[g]]``, at ``cost[g]`` evaluations an estimate: one table
+    entry per distinct EstimatorConfig, its unit's cfg.zo for agents i < n0
+    (``zo[g]`` true) and cfg.fo for the others.  Unit u's agent i draws
+    minibatch ids from the stream (seed, TAG_AGENT, i), ``rngs[g]``, and, when
+    zeroth-order, Gaussians from (seed, TAG_AGENT, i, 1), in ``dir_rngs`` (one
+    per zeroth-order agent, in row order); the unit draws pairs from (seed,
+    TAG_SCHEDULER), ``scheduler_rngs[u]``, and metrics samples from (seed,
+    TAG_METRICS), ``metrics_rngs[u]``, at the rates of
+    ``schedules[schedule[u]]`` (one entry per distinct Schedule).  ``c``
+    (cfg.c, or sqrt(d) when that is None) and ``momentum`` are floats when
+    every unit shares them, else (N, 1) columns of each row's unit's value;
+    ``M`` holds the momentum buffers (row g for agent g) when a momentum is
+    > 0.  ``interactions`` counts the pairs of all units.  Per unit,
+    ``starts`` holds its first row and ``pairs`` its pairs per step;
+    ``blocks`` lists the runs of consecutive units of one n as (first row,
+    end row, n)."""
+
+    units: list
     objective: object
-    X: np.ndarray
+    flat: np.ndarray
     shards: list
-    seeds: list
     M: np.ndarray | None = None
     evals: np.ndarray | None = None
     interactions: int = 0
 
     def __post_init__(self):
-        cfg, n0, n = self.cfg, self.cfg.n0, self.cfg.n0 + self.cfg.n1
-        self.X = np.ascontiguousarray(self.X, dtype=float)
-        S, d = self.X.shape[0], self.objective.d
-        if not (self.X.shape == (S, n, d) and len(self.seeds) == S and len(self.shards) == S * n):
-            raise ValueError("need (S, n0 + n1, d) models of the objective's d, a seed value "
-                             "per seed and a shard per agent")
-        self.n, self.flat = n, self.X.reshape(S * n, d)
-        self.c = cfg.c if cfg.c is not None else math.sqrt(d)
-        self.rngs = [derive_rng(s, TAG_AGENT, i) for s in self.seeds for i in range(n)]
-        self.dir_rngs = [derive_rng(s, TAG_AGENT, i, 1) for s in self.seeds for i in range(n0)]
-        self.scheduler_rngs = [derive_rng(s, TAG_SCHEDULER) for s in self.seeds]
-        self.metrics_rngs = [derive_rng(s, TAG_METRICS) for s in self.seeds]
-        self.groups = [est for est, m in ((cfg.zo, n0), (cfg.fo, cfg.n1)) if m]
-        # per global row, its index into groups (fo's is 1 when zo has agents) and its cost
-        self.group = np.tile((np.arange(n) >= n0) & (n0 > 0), S).astype(np.intp)
+        d = self.objective.d
+        self.flat = np.ascontiguousarray(self.flat, dtype=float)
+        units, N = [], 0
+        for cfg, seed in self.units:
+            units.append(Unit(cfg, seed, cfg.n0 + cfg.n1, N))
+            N += cfg.n0 + cfg.n1
+        if not (units and self.flat.shape == (N, d) and len(self.shards) == N):
+            raise ValueError("need a (cfg, seed) per unit, (N, d) models of the objective's d "
+                             "for the units' N agents and a shard per agent")
+        if len({(u.cfg.T, u.cfg.scheduler_mode, u.cfg.metric_cadence) for u in units}) > 1:
+            raise ValueError("the units of a stack must share T, scheduler mode and cadence")
+        self.units = units
+        self.starts = np.array([u.start for u in units])
+        self.unit = np.repeat(np.arange(len(units)), [u.n for u in units])
+        self.blocks = []
+        for u in units:
+            if self.blocks and self.blocks[-1][2] == u.n:
+                self.blocks[-1] = (self.blocks[-1][0], u.start + u.n, u.n)
+            else:
+                self.blocks.append((u.start, u.start + u.n, u.n))
+        self.groups, group = [], []
+        for u in units:
+            for est, m in ((u.cfg.zo, u.cfg.n0), (u.cfg.fo, u.cfg.n1)):
+                if m:
+                    if est not in self.groups:
+                        self.groups.append(est)
+                    group += [self.groups.index(est)] * m
+        self.group = np.array(group, dtype=np.intp)
+        zo = [est.kind != FIRST_ORDER for est in self.groups]
+        self.zo = np.array(zo).take(self.group)
+        self.zo_groups = sum(zo)
+        # the Gaussian inputs of a zeroth-order row: the one shape of its
+        # groups, or the flat leading entries of a row as wide as the widest
+        shapes = {est.input_shape(d) for est in self.groups if est.kind != FIRST_ORDER}
+        self.zo_shape = shapes.pop() if len(shapes) == 1 else (
+            (max(map(math.prod, shapes)),) if shapes else None)
         self.cost = np.array([est.evals for est in self.groups]).take(self.group)
         self.shards = [check_shard(shard, self.groups[g].batch_size)
                        for g, shard in zip(self.group.tolist(), self.shards)]
-        self.evals = np.zeros(S * n, dtype=np.int64) if self.evals is None else self.evals
-        if cfg.momentum > 0.0 and self.M is None:
+        self.schedules = list(dict.fromkeys(u.cfg.schedule for u in units))
+        self.schedule = np.array([self.schedules.index(u.cfg.schedule) for u in units])
+        self.c = self._per_row([math.sqrt(d) if u.cfg.c is None else u.cfg.c for u in units])
+        self.momentum = self._per_row([u.cfg.momentum for u in units])
+        uniform = units[0].cfg.scheduler_mode == UNIFORM_PAIR
+        self.pairs = np.array([1 if uniform else u.n // 2 for u in units])
+        # a step's zeroth-order inputs at most, in float64 elements, by the
+        # unit that needs most: two input_shape(d) per pair
+        self.step_inputs = max((2 * int(m) * math.prod(u.cfg.zo.input_shape(d))
+                                for u, m in zip(units, self.pairs) if u.cfg.n0), default=0)
+        self.rngs = [derive_rng(u.seed, TAG_AGENT, i) for u in units for i in range(u.n)]
+        self.dir_rngs = [derive_rng(u.seed, TAG_AGENT, i, 1) for u in units
+                         for i in range(u.cfg.n0)]
+        self.scheduler_rngs = [derive_rng(u.seed, TAG_SCHEDULER) for u in units]
+        self.metrics_rngs = [derive_rng(u.seed, TAG_METRICS) for u in units]
+        self.evals = np.zeros(N, dtype=np.int64) if self.evals is None else self.evals
+        if self.M is None and any(u.cfg.momentum > 0.0 for u in units):
             self.M = np.zeros_like(self.flat)
 
-    def __getstate__(self):  # a copy's flat must view the copy's X
-        return {**self.__dict__, "flat": None}
+    def _per_row(self, values):
+        """One value per unit as a float when all agree, else as a column per row."""
+        if all(v == values[0] for v in values):
+            return float(values[0])
+        return np.array(values, dtype=float).take(self.unit)[:, None]
 
-    def __setstate__(self, state):
-        self.__dict__.update(state, flat=state["X"].reshape(-1, state["X"].shape[2]))
+    @property
+    def X(self):
+        """The models as (units, n, d), when every unit has the same n."""
+        if len(self.blocks) != 1:
+            raise ValueError("the units of this stack differ in n; their models are flat")
+        return self.flat.reshape(len(self.units), self.units[0].n, -1)
 
 
-def init_population(cfg: PopulationConfig, spec, partitions, X0, seeds) -> Population:
-    """One stack of the seeds ``seeds``, in order: seed s's agents all start
-    at X0[s] and own the shards of partitions[s]; agents 0..n0-1 are
+def init_population(cfg, spec, partitions, X0, seeds) -> Population:
+    """One stack of the units (cfg, seeds[u]), in order, or (cfg[u], seeds[u])
+    when ``cfg`` is a list of one config per unit: unit u's agents all start
+    at X0[u] and own the shards of partitions[u]; its agents 0..n0-1 are
     zeroth-order, the rest first-order (streams: :class:`Population`)."""
-    if any(len(p.zo_shards) != cfg.n0 or len(p.fo_shards) != cfg.n1 for p in partitions):
+    seeds = list(seeds)
+    cfgs = cfg if isinstance(cfg, list) else [cfg] * len(seeds)
+    if not len(cfgs) == len(partitions) == len(X0) == len(seeds):
+        raise ValueError("need a config, a partition, a start and a seed value per unit")
+    if any(len(p.zo_shards) != c.n0 or len(p.fo_shards) != c.n1 for c, p in zip(cfgs, partitions)):
         raise ValueError("partition shard counts do not match n0 / n1")
-    X = np.repeat(np.asarray(X0, dtype=float)[:, None], cfg.n0 + cfg.n1, axis=1)
-    return Population(cfg, spec, X, [x for p in partitions for x in (*p.zo_shards, *p.fo_shards)],
-                      seeds)
+    X = np.repeat(np.asarray(X0, dtype=float), [c.n0 + c.n1 for c in cfgs], axis=0)
+    return Population(list(zip(cfgs, seeds)), spec, X,
+                      [x for p in partitions for x in (*p.zo_shards, *p.fo_shards)])
 
 
 def interact(pop: Population, rows, eta, B=None, U=None):
@@ -206,36 +277,43 @@ def interact(pop: Population, rows, eta, B=None, U=None):
 
     ``eta`` is one rate for every pair, or a (2k, 1) column of one positive
     rate per row, both rows of a pair at the pair's rate; an agent's
-    smoothing radius is nu = eta / c.  The estimates of each estimator group
-    (``pop.group``) come from one call over its rows, from inputs drawn
-    beforehand (:func:`draw_row_inputs`): row r, for agent ``rows[r]``,
-    estimates over the minibatch ids in the leading columns of B[r] and, when
-    zeroth-order, the directions U[r].  Momentum filters each estimate
-    through the agent's persistent buffer (g <- m g + (1 - m) G); buffers are
-    never exchanged.  eta = 0 is pure gossip averaging and reads no input.
-    Returns the applied estimates, rows as in ``rows``, or None when eta = 0,
-    and counts no evaluations.
+    smoothing radius is nu = eta / c, its momentum and c its unit's.  The
+    estimates of each estimator group (``pop.group``) come from one call over
+    its rows, from inputs drawn beforehand (:func:`draw_row_inputs`): row r,
+    for agent ``rows[r]``, estimates over the minibatch ids in the leading
+    columns of B[r] and, when zeroth-order, its row of U, which holds the
+    Gaussians of the zeroth-order rows alone, in row order.  Momentum
+    filters each estimate through the agent's persistent buffer
+    (g <- m g + (1 - m) G); buffers are never exchanged.  eta = 0 is pure
+    gossip averaging and reads no input.  Returns the applied estimates,
+    rows as in ``rows``, or None when eta = 0, and counts no evaluations.
     """
     X = pop.flat
     k = rows.shape[0] // 2
     S = X.take(rows, axis=0)  # the 2k pre-interaction models
-    per_pair = type(eta) is np.ndarray
     G = None
-    if per_pair or eta != 0.0:
-        nu = eta / pop.c
+    if type(eta) is np.ndarray or eta != 0.0:
+        nu = eta / (pop.c if type(pop.c) is float else pop.c[rows])
+        per_row = type(nu) is np.ndarray
         spec, group = pop.objective, pop.group.take(rows)
+        rank = None  # per row, its row of U, once several zeroth-order groups share U
         for g, cfg in enumerate(pop.groups):
             sel = (group == g).nonzero()[0]
             if sel.shape[0] == 2 * k:  # the group covers every row: no copies
                 G = estimate_rows(spec, cfg, S, B[:, :cfg.batch_size], U, nu)
                 break
             if sel.shape[0]:
+                Ug = None
+                if cfg.kind != FIRST_ORDER:
+                    if pop.zo_groups > 1:
+                        rank = pop.zo[rows].cumsum() - 1 if rank is None else rank
+                    Ug = U if rank is None else U[rank[sel]]
                 G = np.empty_like(S) if G is None else G
-                G[sel] = estimate_rows(spec, cfg, S[sel], B[sel, :cfg.batch_size],
-                                       U[sel] if cfg is pop.cfg.zo else None,
-                                       nu[sel] if per_pair else nu)
+                G[sel] = estimate_rows(spec, cfg, S[sel], B[sel, :cfg.batch_size], Ug,
+                                       nu[sel] if per_row else nu)
         if pop.M is not None:
-            G = pop.M.take(rows, axis=0) * pop.cfg.momentum + (1.0 - pop.cfg.momentum) * G
+            m = pop.momentum if type(pop.momentum) is float else pop.momentum[rows]
+            G = pop.M.take(rows, axis=0) * m + (1.0 - m) * G
             pop.M[rows] = G
         S -= eta * G
     S[:k] += S[k:]
@@ -266,63 +344,72 @@ def draw_matching(rng, n, steps):
 
 
 def step_window(pop: Population, etas, weights=None):
-    """``len(etas)`` steps of ``pop.cfg.scheduler_mode`` on every seed, step t
-    at rate etas[t], each seed drawing the window's pairs with one call on
-    its own stream (:func:`draw_pairs` or :func:`draw_matching`).
+    """``etas.shape[-1]`` steps of the stack's scheduler on every unit, step t
+    of unit u at rate etas[pop.schedule[u], t] (etas (K, steps), row k for
+    ``pop.schedules[k]``), or at etas[t] for every unit (etas (steps,)).  Each
+    unit draws the window's pairs with one call on its own stream
+    (:func:`draw_pairs` or :func:`draw_matching`, at its own n).
 
     Disjoint pairs commute, so the window runs as layers of them, one
-    :func:`interact` each, layer l being the union of the seeds' layers l:
+    :func:`interact` each, layer l being the union of the units' layers l:
     a matching step is a layer, and a ``uniform_pair`` pair goes one layer
     after the last earlier pair sharing an agent with it (one at rate 0
     among nonzero ones in a layer of its own).  Layers run at the window's
-    one rate, or at a column of per-row rates when its steps' rates differ.
+    one rate, or at a column of per-row rates when its pairs' rates differ.
     The inputs of every estimate come from one :func:`draw_row_inputs` call
     ahead of the layers: each agent draws in one call the minibatch ids of
     its nonzero-rate steps, and a zeroth-order agent their Gaussians in
     another.  Each stream draws nothing else, so the numbers are those of
-    the steps one by one, seed by seed.  The window's kernel rows form one
+    the steps one by one, unit by unit.  The window's kernel rows form one
     array: the layer of pairs [s, e) is rows [2s, 2e), whose inputs are
-    B[2s:2e] and U[2s:2e].  ``pop.evals`` adds the window's estimates at
-    once.  A window whose Gaussians (two ``zo.input_shape(d)`` per pair)
-    would exceed _WINDOW_DIRECTIONS per seed runs as sub-windows of as many
-    steps as fit (at least one), their drifts summed; their length does not
-    depend on S, so each seed of a stack gets the numbers of its run alone.
-    With ``weights`` (one per step) it returns, row s for seed s,
-    sum_p weights[t] (G_I + G_J)[p] over the seed's pairs p, t being p's
-    step, which moves the seed's mean by -etas[t] / n (G_I + G_J)[p].
+    B[2s:2e] and the rows of U that belong to the layer's zeroth-order rows.
+    ``pop.evals`` adds the window's estimates at once.  A window whose
+    Gaussians would exceed _WINDOW_DIRECTIONS for a unit (two
+    ``zo.input_shape(d)`` per pair, ``pop.step_inputs`` a step for the unit
+    that needs most) runs as sub-windows of as many steps as fit (at least
+    one), their drifts summed; a unit's numbers do not depend on where a
+    window splits.  With ``weights`` (one per step, or (units, steps), row u
+    for unit u) it returns, row u for unit u, sum_p weights[t] (G_I + G_J)[p]
+    over the unit's pairs p, t being p's step, which moves the unit's mean by
+    -etas[t] / n (G_I + G_J)[p].
     """
-    S, n, d = pop.X.shape  # n >= 2, by the population's config
     etas = np.asarray(etas, dtype=float)
-    steps = etas.shape[0]
-    uniform = pop.cfg.scheduler_mode == UNIFORM_PAIR
-    m = 1 if uniform else n // 2  # a seed's pairs per step
-    if pop.cfg.n0:
-        h = max(1, _WINDOW_DIRECTIONS // (2 * m * math.prod(pop.cfg.zo.input_shape(d))))
+    etas = etas.reshape(-1, etas.shape[-1])
+    steps = etas.shape[1]
+    if pop.step_inputs:
+        h = max(1, _WINDOW_DIRECTIONS // pop.step_inputs)
         if steps > h:
-            drifts = [step_window(pop, etas[t:t + h], None if weights is None else weights[t:t + h])
+            drifts = [step_window(pop, etas[:, t:t + h],
+                                  None if weights is None else weights[..., t:t + h])
                       for t in range(0, steps, h)]
             return None if weights is None else sum(drifts)
-    # seed by seed, each seed's pairs in step order, in global rows
+    N, d = pop.flat.shape
+    uniform = pop.units[0].cfg.scheduler_mode == UNIFORM_PAIR
+    # unit by unit, each unit's pairs in step order, in global rows
     draw = draw_pairs if uniform else draw_matching
-    I, J = map(np.concatenate, zip(*[draw(rng, n, steps) for rng in pop.scheduler_rngs]))
-    shift = np.arange(0, S * n, n).repeat(steps * m)
-    I, J = I.ravel() + shift, J.ravel() + shift
-    T = np.arange(S * steps * m) // m % steps  # per drawn pair, its step
+    I, J = [np.concatenate(drawn, axis=None) for drawn in zip(
+        *[draw(rng, u.n, steps) for u, rng in zip(pop.units, pop.scheduler_rngs)])]
+    counts = steps * pop.pairs  # per unit, its pairs
+    unit, m = np.arange(counts.shape[0]).repeat(counts), pop.pairs.repeat(counts)
+    I += pop.starts.repeat(counts)
+    J += pop.starts.repeat(counts)
+    T = (np.arange(I.shape[0]) - (counts.cumsum() - counts).repeat(counts)) // m  # per pair, its step
+    E = etas[0, T] if etas.shape[0] == 1 else etas[pop.schedule.take(unit), T]  # and its rate
     L = T  # a matching step is a layer
     if uniform:
-        depth, L = [0] * (S * n), [0] * I.shape[0]  # per agent, layers joined; per pair, its layer
+        depth, L = [0] * N, [0] * I.shape[0]  # per agent, layers joined; per pair, its layer
         for p, (i, j) in enumerate(zip(I.tolist(), J.tolist())):
             l = depth[i] if depth[i] > depth[j] else depth[j]
             depth[i] = depth[j] = l + 1
             L[p] = l
         L = np.asarray(L)
-    mixed = not (etas == etas[0]).all()
+    mixed = not (etas == etas[0, 0]).all()
     if mixed:  # a pair at rate 0 among nonzero ones goes in a layer of its own
-        L = np.unique(2 * L + (etas == 0.0)[T], return_inverse=True)[1]
-    # sorted by layer, a layer's pairs are a slice, seed by seed; an agent's
+        L = np.unique(2 * L + (E == 0.0), return_inverse=True)[1]
+    # sorted by layer, a layer's pairs are a slice, unit by unit; an agent's
     # stay in step order
     order = L.argsort(kind="stable")
-    I, J, P = I[order], J[order], T[order]  # P: per pair, its step
+    I, J, P, E, unit = I[order], J[order], T[order], E[order], unit[order]  # P: per pair, its step
     counts = np.bincount(L)
     ends = counts.cumsum()
     # the window's rows: the layer of pairs [s, e) is rows [2s, 2e), I[s:e], then J[s:e]
@@ -330,88 +417,108 @@ def step_window(pop: Population, etas, weights=None):
     at = np.concatenate((at, at + counts.repeat(counts)))
     rows = np.empty_like(at)
     rows[at] = np.concatenate((I, J))
-    rate = float(etas[0])  # every layer's, unless mixed
+    rate = float(etas[0, 0])  # every layer's, unless mixed
     B = U = None
+    zs = [0] * ends.shape[0]  # per layer, the zeroth-order rows before its end
     if mixed or rate:
         A = rows
         if mixed:  # R: per row, its pair's rate, as a column
             R = np.empty((rows.shape[0], 1))
-            R[at, 0] = etas[np.concatenate((P, P))]
+            R[at, 0] = np.concatenate((E, E))
             A = np.where(R[:, 0] != 0.0, rows, -1)  # a row at rate 0 draws nothing
-        pop.evals += np.bincount(A + 1, minlength=S * n + 1)[1:] * pop.cost  # once per window
+        pop.evals += np.bincount(A + 1, minlength=N + 1)[1:] * pop.cost  # once per window
         B, U = draw_row_inputs(pop, A)
-    drift = None if weights is None else np.zeros((S, d))
-    start = 0
-    for end in ends.tolist():
+        if U is not None:
+            zs = (pop.zo.take(A) & (A >= 0)).cumsum()[2 * ends - 1].tolist()
+    drift = None
+    if weights is not None:
+        drift = np.zeros((len(pop.units), d))
+        weights = np.asarray(weights)
+        weights = weights[P] if weights.ndim == 1 else weights[unit, P]  # per pair
+    start = z = 0
+    for end, z_end in zip(ends.tolist(), zs):
         eta = rate if not mixed else R[2 * start:2 * end] if R[2 * start, 0] else 0.0
         G = interact(pop, rows[2 * start:2 * end], eta,
                      None if B is None else B[2 * start:2 * end],
-                     None if U is None else U[2 * start:2 * end])
-        if drift is not None and G is not None:  # pair by pair, in each seed's order
-            np.add.at(drift, rows[2 * start:start + end] // n,
-                      weights[P[start:end], None] * (G[:end - start] + G[end - start:]))
-        start = end
+                     None if U is None else U[z:z_end])
+        if drift is not None and G is not None:  # pair by pair, in each unit's order
+            np.add.at(drift, unit[start:end],
+                      weights[start:end, None] * (G[:end - start] + G[end - start:]))
+        start, z = end, z_end
     return drift
 
 
 @dataclass
 class RunResult:
-    records: list  # per seed, its records
-    weighted_average: np.ndarray | None = None  # (S, d), row s for seed s
+    records: list  # per unit, its records
+    weighted_average: np.ndarray | None = None  # (units, d), row u for unit u
+
+
+def _rates(pop, step):
+    """The rates of the stack's schedules at ``step`` (one, or an array of
+    them), row k for ``pop.schedules[k]``."""
+    return np.array([eta_at(schedule, step) for schedule in pop.schedules])
 
 
 def run(pop: Population, *, val_features=None, val_labels=None, sample_mtg: bool = False,
         track_weighted_average: bool = False) -> RunResult:
-    """Execute pop.cfg.T scheduler steps on every seed, one :func:`step_window`
-    per record interval, recording each seed's metrics every
-    pop.cfg.metric_cadence steps (plus the initial and final states), at the
-    rates of pop.cfg.schedule.
+    """Execute the stack's T scheduler steps on every unit, one
+    :func:`step_window` per record interval, recording each unit's metrics
+    every metric_cadence steps (plus the initial and final states), each unit
+    at the rates of its own schedule.
 
     Validation labels are mapped once, by the objective's training rule.
-    One :func:`~hdopt.metrics.snapshot` of the whole stack records every seed.
-    With ``sample_mtg`` each record samples ``mt_g``, seed s from its stream
-    ``pop.metrics_rngs[s]`` (:func:`~hdopt.metrics.sample_estimates`, which
-    samples none at eta = 0 in a population of a biased zeroth-order kind).
+    One :func:`~hdopt.metrics.snapshot` of the whole stack records every unit.
+    With ``sample_mtg`` each record samples ``mt_g``, unit u from its stream
+    ``pop.metrics_rngs[u]`` (:func:`~hdopt.metrics.sample_estimates`, which
+    samples none at eta = 0 for a unit of a biased zeroth-order kind).
     With ``track_weighted_average`` (strongly convex objectives only) each
-    seed's weighted average of the pre-step means is kept in the ratio form
+    unit's weighted average of the pre-step means is kept in the ratio form
     (q, avg) of :func:`~hdopt.metrics.window_weights` (None when T = 0); a
-    window's means follow from its first one and the steps' estimates.  Raises :class:`DivergedError` for the first seed in stack
-    order whose record finds a non-finite model, or a non-finite gamma,
-    loss gap, gradient norm or validation loss.
+    window's means follow from its first one and the steps' estimates.
+    Raises :class:`DivergedError` for the first unit in stack order whose
+    record finds a non-finite model, or a non-finite gamma, loss gap,
+    gradient norm or validation loss; its models are checked before its
+    metrics.
     """
-    spec, cfg = pop.objective, pop.cfg
+    spec, cfg = pop.objective, pop.units[0].cfg  # T and cadence are the stack's
     val = None
     if val_features is not None:
         val = _metrics.validation_set(spec, val_features, val_labels)
-    S, n = pop.X.shape[:2]
-    q, avg = 0.0, np.zeros((S, spec.d)) if track_weighted_average and cfg.T else None
-    records = [[] for _ in range(S)]
+    units = len(pop.units)
+    q = avg = None
+    if track_weighted_average and cfg.T:
+        q, avg = np.zeros((units, 1)), np.zeros((units, spec.d))
+    records = [[] for _ in range(units)]
 
     def record(step, eta):
-        finite = np.isfinite(pop.X).all(axis=(1, 2))
+        finite = np.logical_and.reduceat(np.isfinite(pop.flat).all(axis=1), pop.starts)
         recs = _metrics.snapshot(pop, step, eta, val, pop.metrics_rngs if sample_mtg else None)
-        for s, rec in enumerate(recs):
-            if not finite[s]:
-                raise DivergedError(f"models are non-finite at step {step}", s)
+        for u, rec in enumerate(recs):
+            if not finite[u]:
+                raise DivergedError(f"models are non-finite at step {step}", u, step)
             # 0 * v is 0 for a finite v and NaN otherwise, so the sum cannot overflow
             if not math.isfinite(0.0 * rec.gamma + 0.0 * rec.grad_norm_sq_mu + 0.0
                                  * (rec.mu_loss_gap or 0.0) + 0.0 * (rec.mean_val_loss or 0.0)):
-                raise DivergedError(f"metrics are non-finite at step {step}", s)
-            records[s].append(rec)
+                raise DivergedError(f"metrics are non-finite at step {step}", u, step)
+            records[u].append(rec)
 
     T, cadence = cfg.T, cfg.metric_cadence
     # an overflow leaves an inf or a NaN, which record reports as diverged
     with np.errstate(over="ignore", invalid="ignore"):
-        record(0, eta_at(cfg.schedule, 0))
+        record(0, _rates(pop, 0)[pop.schedule])
         for t in range(0, T, cadence):
-            etas = eta_at(cfg.schedule, np.arange(t, min(t + cadence, T)))
+            etas = _rates(pop, np.arange(t, min(t + cadence, T)))
             if avg is None:
                 step_window(pop, etas)
             else:
-                prod, weight, w = _metrics.window_weights(etas, spec.ell, n)
-                mu = weight * (np.add.reduce(pop.X, axis=1) / n)  # from the first pre-step means
-                mu -= step_window(pop, etas, w) / n
+                prod, weight, w = map(np.array, zip(*[
+                    _metrics.window_weights(etas[k], spec.ell, u.n)
+                    for u, k in zip(pop.units, pop.schedule.tolist())]))
+                prod, weight = prod[:, None], weight[:, None]
+                mu = weight * _metrics.unit_means(pop)  # from the first pre-step means
+                mu -= step_window(pop, etas, w) / np.array([[u.n] for u in pop.units])
                 q = q * prod + weight
                 avg += (mu - weight * avg) / q
-            record(t + etas.shape[0], etas[-1])
+            record(t + etas.shape[1], etas[pop.schedule, -1])
     return RunResult(records, avg)

@@ -14,6 +14,7 @@ import ctypes
 import hashlib
 import json
 import math
+import platform
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from . import __version__
 from . import metrics as _metrics
 from .estimators import (
     FIRST_ORDER,
@@ -187,6 +189,7 @@ class ExperimentConfig:
     dataset: dict | None
     populations: list
     theory: dict
+    sha256: str | None = None  # of the config file's bytes
 
 
 def _build(where, builder, *args, **kwargs):
@@ -221,9 +224,9 @@ def parse_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    data = path.read_bytes()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+        raw = yaml.safe_load(data.decode("utf-8"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     top = _section(raw if raw is not None else {}, _TOP, "")  # the ExperimentConfig fields
@@ -238,7 +241,8 @@ def parse_config(path) -> ExperimentConfig:
     pops = [_parse_population(p, top["T"], i) for i, p in enumerate(top["populations"])]
     if len({p.label for p in pops}) != len(pops):
         raise ConfigError("population labels must be unique")
-    return ExperimentConfig(**{**top, "populations": pops})
+    return ExperimentConfig(**{**top, "populations": pops},
+                            sha256=hashlib.sha256(data).hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -286,36 +290,38 @@ def build_objective(cfg: ExperimentConfig):
     return _build("objective", make, train, **params), val
 
 
-def _stack(cfg: ExperimentConfig, pop_index: int, spec):
-    """Population pop_index over every seed as one stack, under its config
-    with the experiment's T, scheduler mode and cadence; a shard too small
-    for its agents or batches is a config error."""
-    entry = cfg.populations[pop_index]
-    pop_cfg = replace(entry, T=cfg.T, scheduler_mode=cfg.scheduler_mode,
-                      metric_cadence=cfg.metric_cadence)
+def _stack(cfg: ExperimentConfig, units, spec):
+    """One stack of the units ``units``, (population index, seed value) pairs
+    in config order, each under its population's config with the
+    experiment's T, scheduler mode and cadence."""
+    cfgs = [replace(entry, T=cfg.T, scheduler_mode=cfg.scheduler_mode,
+                    metric_cadence=cfg.metric_cadence) for entry in cfg.populations]
     partitions, X0 = [], []
-    for s in cfg.seeds:
+    for p, s in units:
         # x0 shared across populations at equal seed value: comparisons start equal
         X0.append(cfg.x0_scale * derive_rng(cfg.seed, s, TAG_INIT).standard_normal(spec.d))
-        partitions.append(partition_data(spec.n_samples, entry.n0, entry.n1,
-                                         fold_seed(cfg.seed, pop_index, s, 5)))
-    # no set-up error depends on the seed (shard sizes follow from m, n0 and
-    # n1 alone), so the first seed stands for all
-    where = f"population {entry.label!r}, seed {cfg.seeds[0]}"
-    return _build(where, init_population, pop_cfg, spec, partitions, X0,
-                  [fold_seed(cfg.seed, pop_index, s) for s in cfg.seeds])
+        partitions.append(partition_data(spec.n_samples, cfgs[p].n0, cfgs[p].n1,
+                                         fold_seed(cfg.seed, p, s, 5)))
+    return init_population([cfgs[p] for p, _ in units], spec, partitions, X0,
+                           [fold_seed(cfg.seed, p, s) for p, s in units])
 
 
-def _run_cell(cfg: ExperimentConfig, pop_index: int, built):
-    """Run ``built``, (:func:`_stack`'s stack of population pop_index, the
-    validation set or None); returns each seed's records."""
+def _run_cell(cfg: ExperimentConfig, start: int, built):
+    """Run ``built``, (:func:`_stack`'s stack of the units start, start + 1,
+    ... in config order, the validation set or None); returns (each unit's
+    records, or the :class:`DivergedError` that names its first diverged
+    unit; the run's wall seconds; its interactions).  The error's ``unit``
+    is the unit's index in config order."""
     pop, val = built
-    where = f"population {cfg.populations[pop_index].label!r}"
+    t0 = time.perf_counter()
     try:
-        return _build(where, run, pop, val_features=None if val is None else val.features,
-                      val_labels=None if val is None else val.labels).records
+        result = run(pop, val_features=None if val is None else val.features,
+                     val_labels=None if val is None else val.labels).records
     except DivergedError as exc:
-        raise DivergedError(f"{where}, seed {cfg.seeds[exc.seed]}: {exc}") from None
+        p, s = divmod(start + exc.unit, len(cfg.seeds))
+        result = DivergedError(f"population {cfg.populations[p].label!r}, seed {cfg.seeds[s]}: "
+                               f"{exc}", start + exc.unit, exc.step)
+    return result, time.perf_counter() - t0, pop.interactions
 
 
 @dataclass
@@ -360,30 +366,52 @@ def process_pool(workers: int):
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Run every population over every seed, one stack each, writing per-seed
-    CSVs, per-population aggregates, and a manifest with content hashes.  Every
-    stack is set up before any runs, so a set-up error stops the run first;
-    ``threads`` processes share out the populations."""
+    """Run every (population, seed) unit as one stack, or, with ``threads``
+    k > 1, as min(k, units) stacks of contiguous units in config order, one
+    process each; write per-seed CSVs, per-population aggregates, and a
+    manifest with content hashes, the config's hash, the library versions
+    and each stack's units, wall seconds and throughput.  Every stack is set
+    up before any runs, so a set-up error stops the run first.  A diverged
+    run raises the :class:`DivergedError` of the unit whose non-finite
+    record comes at the earliest step, the first in config order among
+    equals, however the units are split."""
     if not cfg.populations:
         raise ConfigError("config has no populations to run")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    indices = range(len(cfg.populations))
     spec, val = build_objective(cfg)
-    built = [(_stack(cfg, p, spec), val) for p in indices]
-    if threads > 1:
-        with process_pool(threads) as pool:
-            results = list(pool.map(_run_cell, [cfg] * len(built), indices, built))
+    units = [(p, s) for p in range(len(cfg.populations)) for s in cfg.seeds]
+    k = min(threads, len(units))
+    bounds = [len(units) * i // k for i in range(k + 1)]
+    try:
+        built = [(_stack(cfg, units[a:b], spec), val) for a, b in zip(bounds, bounds[1:])]
+    except ValueError:
+        # no set-up error depends on the seed (shard sizes follow from m, n0
+        # and n1 alone): the first population that fails alone, at its first
+        # seed, is named
+        for p, entry in enumerate(cfg.populations):
+            _build(f"population {entry.label!r}, seed {cfg.seeds[0]}", _stack, cfg,
+                   [(p, cfg.seeds[0])], spec)
+        raise
+    if k > 1:
+        with process_pool(k) as pool:
+            results = list(pool.map(_run_cell, [cfg] * k, bounds[:-1], built))
     else:
-        results = [_run_cell(cfg, p, built[p]) for p in indices]
+        results = [_run_cell(cfg, 0, built[0])]
+    diverged = [r for r, _, _ in results if isinstance(r, DivergedError)]
+    if diverged:
+        raise min(diverged, key=lambda exc: (exc.step, exc.unit))
+    records = [unit for r, _, _ in results for unit in r]  # per unit, in config order
 
     out_dir = Path(cfg.out_dir)  # after the runs: bad input leaves no directory
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_paths = []
-    for entry, per_seed in zip(cfg.populations, results):
-        for s, records in zip(cfg.seeds, per_seed):
+    S = len(cfg.seeds)
+    for p, entry in enumerate(cfg.populations):
+        per_seed = records[p * S:(p + 1) * S]
+        for s, unit in zip(cfg.seeds, per_seed):
             path = out_dir / f"{entry.label}_seed{s}.csv"
-            _metrics.write_metrics_csv(path, records)
+            _metrics.write_metrics_csv(path, unit)
             csv_paths.append(path)
         steps, mean, stderr = _metrics.aggregate_seeds(per_seed)
         agg_path = out_dir / f"{entry.label}_agg.csv"
@@ -395,8 +423,16 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         "seed": cfg.seed,
         "seeds": cfg.seeds,
         "T": cfg.T,
+        "metric_cadence": cfg.metric_cadence,
         "scheduler_mode": cfg.scheduler_mode,
         "populations": [p.label for p in cfg.populations],
+        "config_sha256": cfg.sha256,
+        "versions": {"hdopt": __version__, "python": platform.python_version(),
+                     "numpy": np.__version__},
+        "stacks": [{"units": [f"{cfg.populations[p].label}_seed{s}" for p, s in units[a:b]],
+                    "wall_s": wall, "interactions": count,
+                    "interactions_per_s": count / wall if wall > 0 else None}
+                   for a, b, (_, wall, count) in zip(bounds, bounds[1:], results)],
         "outputs": {path.name: _sha256(path) for path in csv_paths},
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }

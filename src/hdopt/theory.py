@@ -203,9 +203,8 @@ def check_bias_aggregate(pop, nu, samples=200_000, seed=0) -> BoundCheckReport:
     Each zeroth-order agent's bias is the norm of (Monte-Carlo mean estimate
     minus its exact shard gradient); first-order agents contribute 0.
     """
-    spec = pop.objective
-    n = pop.n
-    n0, zo = pop.cfg.n0, pop.cfg.zo
+    spec, (cfg, _, n, _) = pop.objective, pop.units[0]
+    n0, zo = cfg.n0, cfg.zo
     bound = nu * n0 / (2.0 * n) * spec.L * (spec.d + 3) ** 1.5
     biases, ses = [], []
     zo_rows = range(n0) if n0 and zo.kind in BIASED_KINDS else ()
@@ -263,12 +262,12 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
     and a population of a biased zeroth-order kind samples no M^G
     (:func:`sample_estimates` returns None; ``mean_mtg`` None).
     """
-    if pop.X.shape[0] != 1:
-        raise ValueError(f"check_gamma_recursion needs one seed, got S = {pop.X.shape[0]}")
+    if len(pop.units) != 1:
+        raise ValueError(f"check_gamma_recursion needs one seed, got S = {len(pop.units)}")
     n, d = pop.flat.shape
-    X0, M0 = pop.flat, pop.M
+    X0, M0, cfg = pop.flat, pop.M, pop.units[0].cfg
     gamma_t = float(gamma_of(X0))
-    size = math.prod(pop.cfg.zo.input_shape(d)) if pop.cfg.n0 else d
+    size = math.prod(cfg.zo.input_shape(d)) if cfg.n0 else d
     block = min(replicas, max(1, _REPLICA_BLOCK // (n * size)))
     gammas, mtgs = np.empty(replicas), np.zeros(replicas)
     for start in range(0, replicas, block):
@@ -282,7 +281,7 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
             if eta != 0:
                 Gp = G[np.arange(k)[:, None], pair]
                 if M0 is not None:
-                    Gp = M0[pair] * pop.cfg.momentum + (1.0 - pop.cfg.momentum) * Gp
+                    Gp = M0[pair] * cfg.momentum + (1.0 - cfg.momentum) * Gp
                 S -= eta * Gp
         Xn = np.broadcast_to(X0, (k, n, d)).copy()
         Xn[np.arange(k)[:, None], pair] = ((S[:, 0] + S[:, 1]) * 0.5)[:, None]

@@ -154,7 +154,8 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
     population, with the inputs of its pair's own estimates, gamma_of,
     and one estimate_rows call per agent for M^G.  At eta = 0 a population
     of a biased zeroth-order kind samples no M^G."""
-    n, n0, d, zo, fo = pop.n, pop.cfg.n0, pop.objective.d, pop.cfg.zo, pop.cfg.fo
+    (cfg, _, n, _), d = pop.units[0], pop.objective.d
+    n0, zo, fo = cfg.n0, cfg.zo, cfg.fo
     shape = gaussian_shape(zo, d) if n0 else (d,)
     block = min(replicas, max(1, theory._REPLICA_BLOCK // (n * math.prod(shape))))
     gamma_t = float(gamma_of(pop.flat))
@@ -178,14 +179,15 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
             work.flat[:] = pop.flat
             if work.M is not None:
                 work.M[:] = pop.M
-            B = U = None  # the pair's rows, I[r] then J[r]
+            # the pair's rows, I[r] then J[r]; U holds the zeroth-order rows' alone
+            B = U = None
             if eta != 0:
                 B = np.zeros((2, width), dtype=np.intp)
-                U = np.zeros((2, *shape)) if n0 else None
+                U = np.zeros((0, *shape)) if n0 else None
                 for row, a in enumerate((I[r], J[r])):
                     B[row, :ids[a].shape[1]] = ids[a][r]
                     if a < n0:
-                        U[row] = dirs[a][r]
+                        U = np.concatenate((U, dirs[a][r][None]))
             interact(work, np.array([I[r], J[r]]), eta, B, U)
             gammas.append(float(gamma_of(work.flat)))
             if sample_mtg:

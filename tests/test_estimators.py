@@ -308,7 +308,7 @@ def test_sampled_forward_estimates_follow_the_literal_law():
                            zo=EstimatorConfig(kind=ZO_FORWARD, batch_size=6, rv=rv))
     rng = np.random.default_rng(43)
     shards = [np.arange(6), np.arange(6, 12)]
-    pop = Population(cfg, q, rng.standard_normal((1, 2, q.d)), shards, [0])
+    pop = Population([(cfg, 0)], q, rng.standard_normal((2, q.d)), shards)
     G = sample_estimates(pop, [np.random.default_rng(44)], N, 0.1)
     for a, shard in enumerate(shards):
         g = q.grad(pop.flat[a], shard)

@@ -174,16 +174,18 @@ def test_batched_matching_equals_sequential_pairs(n0, n1, kind, momentum, logist
     spec = make_logistic(make_blobs_dataset(40, 4, seed=3), lam=0.1) if logistic else None
     batched = _population(n0, n1, kind, momentum, seed, spec)
     sequential = copy.deepcopy(batched)
-    (I,), (J,) = draw_matching(np.random.default_rng(seed), batched.n, 1)
+    (I,), (J,) = draw_matching(np.random.default_rng(seed), batched.units[0].n, 1)
     evals = batched.evals.copy()  # the counts of the run that made the population
     # both runs take the same inputs: pair p's rows are p and k + p of the batch
     rows = np.concatenate((I, J))
     B, U = draw_row_inputs(batched, rows)
     interact(batched, rows, 0.05, B, U)
     k = I.shape[0]
+    zrow = batched.zo[rows].cumsum() - 1  # per zeroth-order row, its row of U
     for p in range(k):
         r = [p, k + p]
-        interact(sequential, rows[r], 0.05, B[r], None if U is None else U[r])
+        interact(sequential, rows[r], 0.05, B[r],
+                 None if U is None else U[zrow[r][batched.zo[rows[r]]]])
     scale = np.abs(sequential.X).max()
     assert np.allclose(batched.X, sequential.X, rtol=RTOL, atol=RTOL * scale)
     if momentum:
@@ -228,7 +230,7 @@ def test_window_equals_its_steps(n, zo_share, kind, momentum, full_batch, logist
         n0=n0, n1=n - n0, schedule=Schedule(eta_max=0.05), c=2.0, momentum=momentum,
         scheduler_mode=mode, zo=EstimatorConfig(kind=kind, batch_size=b, rv=rv) if n0 else None,
         fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=b) if n0 < n else None)
-    window = Population(cfg, spec, rng.standard_normal((1, n, spec.d)), shards, [seed])
+    window = Population([(cfg, seed)], spec, rng.standard_normal((n, spec.d)), shards)
     one_by_one = copy.deepcopy(window)
     before = _states(window)
     # the agents of the pairs that step at a nonzero rate, and each agent's
@@ -319,7 +321,7 @@ def test_window_weighted_average_equals_per_step_fold(n0, n1, momentum, logistic
         etas.append(eta_at(cfg.schedule, t))
         mus.append(one_by_one.flat.mean(axis=0))
         step_window(one_by_one, [etas[-1]])
-    expected = weighted_average_reference(mus, etas, spec.ell, pop.n)
+    expected = weighted_average_reference(mus, etas, spec.ell, pop.units[0].n)
     assert len(mus) == T and result.weighted_average.shape == (1, spec.d)
     assert np.allclose(result.weighted_average[0], expected, rtol=RTOL,
                        atol=RTOL * np.abs(expected).max())
@@ -383,8 +385,9 @@ def _count_input_draws(monkeypatch):
 
 def test_a_paper_size_matching_window_draws_its_inputs_once(monkeypatch):
     # 256 zeroth-order and 24 first-order agents (140 pairs a step), rv = 16,
-    # d = 20: ten steps' forward inputs, rv + d = 36 numbers a row and 100,800
-    # elements, fit one window's draw
+    # d = 20: ten steps' forward inputs, rv + d = 36 numbers for each of the
+    # 2,560 zeroth-order rows (92,160 elements; none for first-order rows),
+    # fit one window's draw
     spec = make_quadratic(d=20, cond=5.0, seed=3, n_samples=512)
     cfg = PopulationConfig(n0=256, n1=24, schedule=Schedule(eta_max=0.01), T=10,
                            scheduler_mode="random_matching", metric_cadence=10,
@@ -395,7 +398,37 @@ def test_a_paper_size_matching_window_draws_its_inputs_once(monkeypatch):
     draws = _count_input_draws(monkeypatch)
     step_window(pop, np.full(10, 0.01))
     assert len(draws) == 1
-    assert draws[0][1].shape == (10 * 280, 36)
+    assert draws[0][1].shape == (10 * 256, 36)
+
+
+@pytest.mark.parametrize("kinds", [(ZO_ONE_SIDED,), (ZO_ONE_SIDED, ZO_FORWARD)],
+                         ids=["hybrid", "two-shapes"])
+def test_input_draws_hold_gaussians_for_zeroth_order_rows_alone(kinds):
+    # a hybrid stack of units (3 + 2 agents each): U has one row per kernel
+    # row whose agent is zeroth-order, in row order, holding what the per-row
+    # layout holds there (each agent's Gaussians, drawn in one call on its
+    # direction stream); with two input shapes a row holds its Gaussians in
+    # its leading entries
+    spec = make_quadratic(d=4, cond=3.0, seed=2, n_samples=40)
+    cfgs = [_config(3, 2, kind, "uniform_pair", 0.05, 0.0) for kind in kinds for _ in range(2)]
+    pop = init_population(cfgs, spec, [partition_data(spec.n_samples, 3, 2, seed=s)
+                                       for s in range(len(cfgs))],
+                          np.zeros((len(cfgs), spec.d)), range(len(cfgs)))
+    A = np.random.default_rng(5).integers(-1, 5 * len(cfgs), size=300)
+    streams = copy.deepcopy(pop.dir_rngs)
+    B, U = draw_row_inputs(pop, A)
+    zo = (A >= 0) & pop.zo[A]
+    assert U.shape[0] == zo.sum()
+    per_row = [None] * A.shape[0]  # the per-row layout, from copies of the streams
+    for z, a in enumerate(np.flatnonzero(pop.zo).tolist()):
+        rows = np.flatnonzero(A == a)
+        cfg = pop.groups[pop.group[a]]
+        for r, u in zip(rows, streams[z].standard_normal((rows.shape[0],
+                                                           *cfg.input_shape(spec.d)))):
+            per_row[r] = u
+    for u, r in zip(U, np.flatnonzero(zo)):
+        assert np.array_equal(u.ravel()[:per_row[r].size], per_row[r].ravel())
+    assert all(per_row[r] is None for r in np.flatnonzero(~zo))
 
 
 def _window_cap_draws(population, mode, cap, monkeypatch):
@@ -461,7 +494,7 @@ def test_stack_equals_its_seeds_run_one_by_one(objective, mode, S, cap, monkeypa
         assert result.records[s] == one.records[0]
         if spec.ell > 0:
             assert np.array_equal(result.weighted_average[s], one.weighted_average[0])
-        rows = slice(s * pop.n, (s + 1) * pop.n)
+        rows = slice(s * pop.units[0].n, (s + 1) * pop.units[0].n)
         assert np.array_equal(stacked.X[s], pop.X[0])
         assert np.array_equal(stacked.M[rows], pop.M)
         assert np.array_equal(stacked.evals[rows], pop.evals)
@@ -480,4 +513,4 @@ def test_a_diverged_stack_names_its_first_non_finite_seed():
                               [np.full(spec.d, scale) for scale in scales], [7] * len(scales))
         with pytest.raises(DivergedError, match="metrics are non-finite at step 0") as info:
             run(pop)
-        assert info.value.seed == first
+        assert info.value.unit == first

@@ -45,7 +45,7 @@ def make_population(models, objective=None, estimator=None, shards=None):
     n = len(models)
     shards = [np.arange(objective.n_samples)] * n if shards is None else shards
     cfg = PopulationConfig(n0=0, n1=n, schedule=Schedule(eta_max=0.1), c=1.0, fo=estimator)
-    return Population(cfg, objective, np.array([models], dtype=float), shards, [0])
+    return Population([(cfg, 0)], objective, np.array(models, dtype=float), shards)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def two_agents(spec, models, est):
     """A first-order pair over the full data."""
     shard = np.arange(spec.n_samples)
     cfg = PopulationConfig(n0=0, n1=2, schedule=Schedule(eta_max=0.1), c=1.0, fo=est)
-    return Population(cfg, spec, np.array([models], dtype=float), [shard, shard], [0])
+    return Population([(cfg, 0)], spec, np.array(models, dtype=float), [shard, shard])
 
 
 PAIR = np.array([0, 1])  # the kernel rows of the pair (0, 1)
@@ -66,13 +66,14 @@ PAIR = np.array([0, 1])  # the kernel rows of the pair (0, 1)
 def test_init_population_gamma_zero():
     _, _, pop = quadratic_pop(2, 2)
     assert gamma_of(pop.X) == 0.0
-    assert pop.n == 4 and pop.cfg.n0 == 2 and pop.n - pop.cfg.n0 == 2
+    (unit,) = pop.units
+    assert unit.n == 4 and unit.cfg.n0 == 2 and unit.n - unit.cfg.n0 == 2
 
 
 def test_init_boundary_populations_accepted():
     _, _, pure_fo = quadratic_pop(0, 8)
     _, _, pure_zo = quadratic_pop(8, 0)
-    assert pure_fo.n == 8 and pure_zo.n == 8
+    assert pure_fo.units[0].n == 8 and pure_zo.units[0].n == 8
 
 
 @pytest.mark.parametrize("n0, n1", [(0, 3), (3, 0), (2, 3)])
@@ -80,7 +81,7 @@ def test_estimator_table_gives_every_row_of_a_stack_its_agents_config(n0, n1):
     # in every seed of a stack, agent i uses zo when i < n0 and fo otherwise,
     # at b (rv + 1) = 20 evaluations an estimate (one-sided) or b = 4
     pop, n = quadratic_pop(n0, n1, batch=4, rv=4, S=3)[2], n0 + n1
-    zo, fo = pop.cfg.zo, pop.cfg.fo
+    zo, fo = pop.units[0].cfg.zo, pop.units[0].cfg.fo
     assert pop.groups == [cfg for cfg in (zo, fo) if cfg is not None]
     assert [pop.groups[g] for g in pop.group.tolist()] == [
         zo if g % n < n0 else fo for g in range(3 * n)]
@@ -101,7 +102,8 @@ def test_init_rejects_mismatched_partition(n0, n, seeds):
         if n == 4:
             init_population(cfg, q, [part], [np.zeros(3)], seeds)
         else:
-            Population(cfg, q, np.zeros((1, n, 3)), [*part.zo_shards, *part.fo_shards], seeds)
+            Population([(cfg, s) for s in seeds], q, np.zeros((n, 3)),
+                       [*part.zo_shards, *part.fo_shards])
 
 
 def test_population_rejects_an_estimator_kind_on_the_wrong_side():
@@ -185,18 +187,19 @@ def test_interact_dimension_mismatch():
 def replayed_estimate(pop, a, nu):
     """Agent a's next estimate, from copies of its streams: minibatch ids
     from rngs[a], then for a zeroth-order agent Gaussians from dir_rngs[a]."""
-    cfg = pop.cfg.zo if a < pop.cfg.n0 else pop.cfg.fo
+    unit = pop.units[0].cfg
+    cfg = unit.zo if a < unit.n0 else unit.fo
     shard = pop.shards[a]
     m, b = shard.shape[0], cfg.batch_size
     ids = shard if m == b else shard[copy.deepcopy(pop.rngs[a]).integers(0, m, size=b)]
-    U = None if a >= pop.cfg.n0 else copy.deepcopy(pop.dir_rngs[a]).standard_normal(
+    U = None if a >= unit.n0 else copy.deepcopy(pop.dir_rngs[a]).standard_normal(
         (1, *gaussian_shape(cfg, pop.flat.shape[1])))
     return estimate_rows(pop.objective, cfg, pop.flat[a:a + 1], ids[None], U, nu)[0]
 
 
 def test_mean_update_identity():
     _, cfg, pop = quadratic_pop(2, 2, seed=9, T=0)
-    n = pop.n
+    n = pop.units[0].n
     for t in range(200):
         mu_before = pop.flat.mean(axis=0)
         # the pair and both estimates, replayed from copies of the streams

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import platform
 import re
 import warnings
 from pathlib import Path
@@ -6,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hdopt
+from hdopt import runner
 from hdopt.cli import main
+from hdopt.metrics import write_metrics_csv
 from hdopt.objectives import load_csv_dataset
 from hdopt.protocol import fold_seed
 from hdopt.runner import (
@@ -149,15 +154,107 @@ def test_each_seed_of_a_stack_writes_the_bytes_of_its_run_alone(tmp_path, name, 
             assert path.read_bytes() == (tmp_path / "all" / path.name).read_bytes(), path.name
 
 
-def test_run_experiment_threads_match_serial(tmp_path):
-    cfg = parse_config(write_tiny(tmp_path))
-    serial = run_experiment(cfg)
-    bytes_serial = {p.name: p.read_bytes() for p in serial.csv_paths}
-    cfg2 = parse_config(write_tiny(tmp_path))
-    cfg2.out_dir = str(tmp_path / "out2")
-    parallel = run_experiment(cfg2, threads=2)
-    for p in parallel.csv_paths:
-        assert p.read_bytes() == bytes_serial[p.name]
+MIXED_UNITS = """\
+name: mixed
+seed: 9
+out_dir: {out}
+T: 61
+metric_cadence: 7
+scheduler_mode: %s
+seeds: [0, 3]
+objective:
+  kind: quadratic
+  d: 4
+  cond: 4.0
+  n_samples: 30
+populations:
+  - label: one_sided5
+    n0: 3
+    n1: 2
+    eta: {{mode: warmup_cosine, eta_max: 0.05, eta_min: 0.01, warmup_steps: 6}}
+    momentum: 0.5
+    c: 2.5
+    fo_batch_size: 2
+    zo_kind: zo_biased_one_sided
+    zo_rv: 3
+    zo_batch_size: 2
+  - label: central4
+    n0: 4
+    eta: 0.04
+    zo_kind: zo_biased_central
+    zo_rv: 2
+    zo_batch_size: 3
+  - label: forward6
+    n0: 2
+    n1: 4
+    eta: 0.03
+    fo_batch_size: 2
+    zo_kind: zo_unbiased_forward
+    zo_rv: 3
+    zo_batch_size: 2
+  - label: gossip3
+    n1: 3
+    eta: 0.0
+"""
+
+
+@pytest.mark.parametrize("mode", ["uniform_pair", "random_matching"])
+def test_run_experiment_threads_match_serial(tmp_path, mode):
+    # units of odd and even n, of one-sided, central and forward kinds (whose
+    # Gaussian rows differ in width), with momentum and a c of their own on
+    # one population, warmup_cosine on one and constant rates on the others,
+    # and a gossip population: each unit's CSV is the bytes of its run in a
+    # stack of its own, whether the units run as one stack or as 2 or 3
+    cfg = parse_config(write_tiny(tmp_path, MIXED_UNITS % mode))
+    spec, val = runner.build_objective(cfg)
+    alone = {}
+    for p, entry in enumerate(cfg.populations):
+        for k, s in enumerate(cfg.seeds):
+            records, _, _ = runner._run_cell(cfg, p * len(cfg.seeds) + k,
+                                             (runner._stack(cfg, [(p, s)], spec), val))
+            path = tmp_path / f"alone-{entry.label}_seed{s}.csv"
+            write_metrics_csv(path, records[0])
+            alone[f"{entry.label}_seed{s}.csv"] = path.read_bytes()
+    aggregates = None
+    for threads in (1, 2, 3):
+        cfg.out_dir = str(tmp_path / f"threads{threads}")
+        result = run_experiment(cfg, threads=threads)
+        manifest = json.loads(result.manifest_path.read_text())
+        assert [len(stack["units"]) for stack in manifest["stacks"]] == [
+            8 * (i + 1) // threads - 8 * i // threads for i in range(threads)]
+        for name, want in alone.items():
+            assert (result.out_dir / name).read_bytes() == want, (threads, name)
+        agg = {p.name: p.read_bytes() for p in result.csv_paths if p.name.endswith("_agg.csv")}
+        assert aggregates is None or agg == aggregates
+        aggregates = agg
+
+
+def test_manifest_records_the_config_versions_and_stacks(tmp_path):
+    # observability without touching the CSVs: the manifest names what ran
+    # and how fast, and the output hashes stay those of the files
+    cfg_path = write_tiny(tmp_path)
+    outputs = None
+    for threads in (1, 2):
+        cfg = parse_config(cfg_path)
+        cfg.out_dir = str(tmp_path / f"threads{threads}")
+        result = run_experiment(cfg, threads=threads)
+        manifest = json.loads(result.manifest_path.read_text())
+        assert manifest["config_sha256"] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
+        assert manifest["versions"] == {"hdopt": hdopt.__version__,
+                                        "python": platform.python_version(),
+                                        "numpy": np.__version__}
+        assert manifest["metric_cadence"] == 10
+        stacks = manifest["stacks"]
+        assert [u for stack in stacks for u in stack["units"]] == [
+            f"{label}_seed{s}" for label in ("fo2", "hybrid") for s in (0, 1, 2)]
+        assert len(stacks) == threads
+        for stack in stacks:
+            assert stack["wall_s"] > 0 and stack["interactions"] == 30 * len(stack["units"])
+            assert stack["interactions_per_s"] == stack["interactions"] / stack["wall_s"]
+        assert manifest["outputs"] == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                       for p in result.csv_paths}
+        assert outputs is None or manifest["outputs"] == outputs
+        outputs = manifest["outputs"]
 
 
 def _blas_threads(_):
@@ -384,6 +481,44 @@ def test_cli_diverged_stack_names_its_first_seed_in_config_order(tmp_path, capsy
         assert main(["run", str(write_tiny(tmp_path, text))]) == 2
     assert capsys.readouterr().err == (
         "runtime error: population 'fo8', seed 7: metrics are non-finite at step 200\n")
+
+
+TWO_DIVERGING = """\
+name: diverge2
+seed: 5
+out_dir: {out}
+T: 600
+metric_cadence: 20
+scheduler_mode: uniform_pair
+seeds: [0, 1]
+objective:
+  kind: quadratic
+populations:
+  - label: slow
+    n1: 8
+    eta: %s
+    fo_batch_size: 4
+  - label: fast
+    n1: 8
+    eta: 50
+    fo_batch_size: 4
+"""
+
+
+@pytest.mark.parametrize("slow_eta, line", [
+    # the second population's non-finite record comes first (step 120 against
+    # 280): it is named, though its stack is the later one at --threads 2
+    (2, "population 'fast', seed 0: metrics are non-finite at step 120"),
+    # a tie at one step goes to the first unit in config order
+    (50, "population 'slow', seed 0: metrics are non-finite at step 120"),
+], ids=["second-first", "tie"])
+def test_cli_diverged_run_names_the_earliest_unit_whatever_the_threads(tmp_path, capsys,
+                                                                        slow_eta, line):
+    cfg_path = write_tiny(tmp_path, TWO_DIVERGING % slow_eta)
+    for threads in ("1", "2"):
+        assert main(["run", str(cfg_path), "--threads", threads]) == 2
+        assert capsys.readouterr().err == f"runtime error: {line}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_with_overflowing_metrics_exits_runtime(tmp_path, capsys):

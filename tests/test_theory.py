@@ -216,7 +216,7 @@ def test_gamma_recursion_at_eta_zero_samples_no_mtg_on_a_biased_population():
     q = make_quadratic(d=5, cond=5.0, seed=27)
     pop = hybrid_population(q, n0=2, n1=2, steps=40, eta=0.05)
     report = check_gamma_recursion(pop, eta=0.0, replicas=600, seed=29)
-    gamma_t, n = report.detail["gamma_t"], pop.n
+    gamma_t, n = report.detail["gamma_t"], pop.units[0].n
     assert report.detail["mean_mtg"] is None
     assert report.bound == (1.0 - 1.0 / (2.0 * n)) * gamma_t
     assert report.passed, report
@@ -354,7 +354,7 @@ def test_checks_fail_on_a_wrong_gradient_and_pass_on_the_right_one(honest):
     probes = probe_points(spec, 2, 40)
     far = probes + 2.0  # where the gradient is far from zero
     pop = hybrid_population(spec, steps=0)
-    pop.X[:] = probe_points(spec, pop.n, 43) + 2.0
+    pop.X[:] = probe_points(spec, pop.units[0].n, 43) + 2.0
     nu, shard, samples = 1e-3, np.arange(30), 20_000
     reports = [check_gradcheck_all(spec, seed=44),
                check_smoothing_value_gap(spec, 0.05, probes, samples, seed=45),
