@@ -21,6 +21,8 @@ evaluations (a simulator convention for cost-normalized plots).
 once, with one row-batched objective call, from inputs drawn beforehand
 by :func:`draw_row_inputs`: minibatch ids and, for the zeroth-order kinds,
 Gaussians (:meth:`EstimatorConfig.input_shape`).  It draws nothing itself.
+:func:`estimate_groups` sends the rows of a population's stack to their
+estimator groups, one :func:`estimate_rows` call each.
 """
 
 from __future__ import annotations
@@ -75,16 +77,6 @@ def check_shard(shard, batch_size):
     return shard
 
 
-def _resolve_nu(nu):
-    if type(nu) is np.ndarray:  # one radius per row, from interact's per-pair rates
-        if (nu <= 0).any():
-            raise ValueError("biased zeroth-order estimators need nu > 0")
-        return nu[:, :, None]
-    if nu is None or nu <= 0:
-        raise ValueError("biased zeroth-order estimators need nu > 0")
-    return float(nu)
-
-
 def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
     """Estimates of kind cfg.kind for k rows: row r is estimated at the model
     Xr[r] over the minibatch of sample ids B[r] (batch_size of them) and, for
@@ -115,9 +107,14 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
         zg = (z[:, None] @ g[:, :, None])[:, 0] / (norm + (norm == 0.0))
         s = c ** 0.5 / rv
         return (c / rv - s * zg) * g + s * norm * z
+    if type(nu) is np.ndarray:  # one radius per row
+        if (nu <= 0).any():
+            raise ValueError("biased zeroth-order estimators need nu > 0")
+        nu = nu[:, :, None]
+    elif nu is None or nu <= 0:
+        raise ValueError("biased zeroth-order estimators need nu > 0")
     # one objective call evaluates the rv points x + nu u after the points
     # they are differenced with: x - nu u (central) or x once (one-sided)
-    nu = _resolve_nu(nu)
     if U.ndim == 2:  # flat rows
         U = U[:, :rv * Xr.shape[1]].reshape(-1, rv, Xr.shape[1])
     central = cfg.kind == ZO_CENTRAL
@@ -132,6 +129,41 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
     vals = spec.loss_rows(P, B)
     coef = (vals[:, sub:] - vals[:, :sub])[:, None, :] / (2.0 * nu if central else nu)
     return (coef @ U)[:, 0] / rv
+
+
+def estimate_groups(pop, A, S, B, U=None, nu=None):
+    """The estimates (rows, d) of kernel rows whose agents are the global rows
+    ``A`` of the population's stack, at the models ``S``, one row each; a row
+    whose agent is -1 makes none, and its estimate is NaN.  Each estimator
+    group of the table ``pop.groups`` makes one :func:`estimate_rows` call
+    over its rows, with the leading columns of their rows of B and, when
+    zeroth-order, their rows of U, which holds one row per zeroth-order row,
+    in row order (:func:`draw_row_inputs`).  ``nu`` is one smoothing radius,
+    or a column of one per row."""
+    group = pop.group.take(A)
+    group[A < 0] = -1
+    per_row = type(nu) is np.ndarray
+    G = rank = None
+    covered = 0  # rows
+    for g, cfg in enumerate(pop.groups):
+        sel = (group == g).nonzero()[0]
+        if sel.shape[0] == A.shape[0]:  # the group covers every row: no copies
+            return estimate_rows(pop.objective, cfg, S, B[:, :cfg.batch_size], U, nu)
+        if sel.shape[0]:
+            Ug = None
+            if cfg.kind != FIRST_ORDER:
+                Ug = U
+                if sel.shape[0] != U.shape[0]:  # U holds other groups' rows too
+                    if rank is None:  # per row, its row of U
+                        rank = (pop.zo.take(A) & (A >= 0)).cumsum() - 1
+                    Ug = U[rank[sel]]
+            G = np.empty_like(S) if G is None else G
+            G[sel] = estimate_rows(pop.objective, cfg, S[sel], B[sel, :cfg.batch_size], Ug,
+                                   nu[sel] if per_row else nu)
+            covered += sel.shape[0]
+    if covered < A.shape[0]:
+        G[group < 0] = np.nan
+    return G
 
 
 def draw_row_inputs(pop, A, rngs=None):

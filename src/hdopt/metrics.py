@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import BIASED_KINDS, FIRST_ORDER, draw_row_inputs, estimate_rows
+from .estimators import BIASED_KINDS, draw_row_inputs, estimate_groups
 
 
 class MetricsRecord(NamedTuple):
@@ -49,12 +49,12 @@ def sample_estimates(pop, rngs, k, eta):
     is global row g's r-th.  Unit u's agents draw all their inputs from the
     stream ``rngs[u]``, agent by agent
     (:func:`~hdopt.estimators.draw_row_inputs`): the ids of the agent's k
-    estimates, then their Gaussians.  Each estimator group of the table
-    ``pop.group`` makes one :func:`~hdopt.estimators.estimate_rows` call over
-    all units.  ``eta`` is one rate, or one per unit.  The biased kinds smooth
-    at radius nu = eta / c, which does not exist at eta = 0: a unit with
-    agents of a biased zeroth-order kind then draws nothing and its rows of G
-    are NaN; when no unit draws, this returns None.  Callers pass streams
+    estimates, then their Gaussians.  The estimates of all units come from
+    one :func:`~hdopt.estimators.estimate_groups` call.  ``eta`` is one rate,
+    or one per unit.  The biased kinds smooth at radius nu = eta / c, which
+    does not exist at eta = 0: a unit with agents of a biased zeroth-order
+    kind then draws nothing and its rows of G are NaN; when no unit draws,
+    this returns None.  Callers pass streams
     that no other code draws, so diagnostics never perturb the optimization
     trajectory."""
     eta = np.asarray(eta, dtype=float)
@@ -66,24 +66,12 @@ def sample_estimates(pop, rngs, k, eta):
         return None
     N, d = pop.flat.shape
     A = np.repeat(np.arange(N), k)  # agent-major rows
-    group = pop.group.repeat(k)
-    skipped = skip.any()
-    if skipped:
-        A[skip.take(pop.unit).repeat(k)] = -1
-        group[A < 0] = -1
+    A[skip.take(pop.unit).repeat(k)] = -1
     nu = (eta.take(pop.unit)[:, None] if eta.ndim else eta) / pop.c
-    per_row = type(nu) is np.ndarray
-    if per_row:
+    if type(nu) is np.ndarray:
         nu = nu.repeat(k, axis=0)
     B, U = draw_row_inputs(pop, A, rngs)
-    rank = None if pop.zo_groups < 2 else (pop.zo.take(A) & (A >= 0)).cumsum() - 1
-    G = np.full((N * k, d), np.nan) if skipped else np.empty((N * k, d))
-    for g, cfg in enumerate(pop.groups):
-        sel = (group == g).nonzero()[0]
-        if sel.shape[0]:  # a group of skipped units alone has none
-            G[sel] = estimate_rows(pop.objective, cfg, pop.flat[A[sel]], B[sel, :cfg.batch_size],
-                                   None if cfg.kind == FIRST_ORDER else U if rank is None
-                                   else U[rank[sel]], nu[sel] if per_row else nu)
+    G = estimate_groups(pop, A, pop.flat.take(A, axis=0), B, U, nu)
     return G.reshape(N, k, d).swapaxes(0, 1)
 
 
@@ -121,6 +109,9 @@ def validation_set(spec, features, labels):
     features = np.asarray(features, dtype=float)
     if features.shape[0] == 0:
         raise ValueError("validation set must be non-empty")
+    if features.ndim != 2 or features.shape[1] != spec.d:
+        raise ValueError(f"the validation set has {features.shape[-1]} feature columns, "
+                         f"the objective's d is {spec.d}")
     return features, spec.targets(np.asarray(labels, dtype=float))
 
 

@@ -18,13 +18,13 @@ step counts as one simulation step but n // 2 interactions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .estimators import (FIRST_ORDER, EstimatorConfig, check_shard, draw_row_inputs,
-                         estimate_rows)
+                         estimate_groups)
 from . import metrics as _metrics
 
 UNIFORM_PAIR = "uniform_pair"
@@ -95,11 +95,8 @@ class PopulationConfig:
     n0: int
     n1: int
     schedule: Schedule
-    T: int = 1
-    scheduler_mode: str = UNIFORM_PAIR
     momentum: float = 0.0
     c: float | None = None  # nu = eta / c; defaults to sqrt(d)
-    metric_cadence: int = 10
     zo: EstimatorConfig | None = None
     fo: EstimatorConfig | None = None
     label: str = ""
@@ -107,16 +104,10 @@ class PopulationConfig:
     def __post_init__(self):
         if self.n0 < 0 or self.n1 < 0 or self.n0 + self.n1 < 2:
             raise ValueError("need n0, n1 >= 0 with n0 + n1 >= 2")
-        if self.T < 0:
-            raise ValueError("T must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.scheduler_mode not in SCHEDULER_MODES:
-            raise ValueError(f"unknown scheduler mode {self.scheduler_mode!r}")
         if self.c is not None and not 0 < self.c < math.inf:
             raise ValueError("c must be positive and finite")
-        if self.metric_cadence < 1:
-            raise ValueError("metric_cadence must be >= 1")
         if self.n0 > 0 and self.zo is None:
             raise ValueError("n0 > 0 requires a zeroth-order estimator config")
         if self.n1 > 0 and self.fo is None:
@@ -149,9 +140,9 @@ class Population:
     """A stack of units run as one simulation, each unit one config from one
     seed value.  ``units`` is given as (cfg, seed) pairs and kept as
     :class:`Unit` tuples, unit by unit in global rows: unit u's agent i has
-    the model flat[start + i] of the (N, d) array ``flat``.  The units share
-    T, the scheduler mode and the metric cadence; ``X`` views ``flat`` as
-    (units, n, d) when they share n too.
+    the model flat[start + i] of the (N, d) array ``flat``.  The stack's
+    settings hold for every unit: its runs take ``T`` steps of its
+    ``scheduler_mode``, recording every ``metric_cadence`` steps.
 
     Agent g (a global row) belongs to unit ``unit[g]``, owns ``shards[g]``,
     has made ``evals[g]`` function evaluations and uses the estimator
@@ -167,7 +158,7 @@ class Population:
     (cfg.c, or sqrt(d) when that is None) and ``momentum`` are floats when
     every unit shares them, else (N, 1) columns of each row's unit's value;
     ``M`` holds the momentum buffers (row g for agent g) when a momentum is
-    > 0.  ``interactions`` counts the pairs of all units.  Per unit,
+    > 0, else None.  ``interactions`` counts the pairs of all units.  Per unit,
     ``starts`` holds its first row and ``pairs`` its pairs per step;
     ``blocks`` lists the runs of consecutive units of one n as (first row,
     end row, n)."""
@@ -176,11 +167,20 @@ class Population:
     objective: object
     flat: np.ndarray
     shards: list
-    M: np.ndarray | None = None
-    evals: np.ndarray | None = None
-    interactions: int = 0
+    T: int = 1
+    scheduler_mode: str = UNIFORM_PAIR
+    metric_cadence: int = 10
+    M: np.ndarray | None = field(init=False)
+    evals: np.ndarray = field(init=False)
+    interactions: int = field(init=False)
 
     def __post_init__(self):
+        if self.T < 0:
+            raise ValueError("T must be >= 0")
+        if self.scheduler_mode not in SCHEDULER_MODES:
+            raise ValueError(f"unknown scheduler mode {self.scheduler_mode!r}")
+        if self.metric_cadence < 1:
+            raise ValueError("metric_cadence must be >= 1")
         d = self.objective.d
         self.flat = np.ascontiguousarray(self.flat, dtype=float)
         units, N = [], 0
@@ -190,8 +190,6 @@ class Population:
         if not (units and self.flat.shape == (N, d) and len(self.shards) == N):
             raise ValueError("need a (cfg, seed) per unit, (N, d) models of the objective's d "
                              "for the units' N agents and a shard per agent")
-        if len({(u.cfg.T, u.cfg.scheduler_mode, u.cfg.metric_cadence) for u in units}) > 1:
-            raise ValueError("the units of a stack must share T, scheduler mode and cadence")
         self.units = units
         self.starts = np.array([u.start for u in units])
         self.unit = np.repeat(np.arange(len(units)), [u.n for u in units])
@@ -209,9 +207,7 @@ class Population:
                         self.groups.append(est)
                     group += [self.groups.index(est)] * m
         self.group = np.array(group, dtype=np.intp)
-        zo = [est.kind != FIRST_ORDER for est in self.groups]
-        self.zo = np.array(zo).take(self.group)
-        self.zo_groups = sum(zo)
+        self.zo = np.array([est.kind != FIRST_ORDER for est in self.groups]).take(self.group)
         # the Gaussian inputs of a zeroth-order row: the one shape of its
         # groups, or the flat leading entries of a row as wide as the widest
         shapes = {est.input_shape(d) for est in self.groups if est.kind != FIRST_ORDER}
@@ -224,7 +220,7 @@ class Population:
         self.schedule = np.array([self.schedules.index(u.cfg.schedule) for u in units])
         self.c = self._per_row([math.sqrt(d) if u.cfg.c is None else u.cfg.c for u in units])
         self.momentum = self._per_row([u.cfg.momentum for u in units])
-        uniform = units[0].cfg.scheduler_mode == UNIFORM_PAIR
+        uniform = self.scheduler_mode == UNIFORM_PAIR
         self.pairs = np.array([1 if uniform else u.n // 2 for u in units])
         # a step's zeroth-order inputs at most, in float64 elements, by the
         # unit that needs most: two input_shape(d) per pair
@@ -235,9 +231,9 @@ class Population:
                          for i in range(u.cfg.n0)]
         self.scheduler_rngs = [derive_rng(u.seed, TAG_SCHEDULER) for u in units]
         self.metrics_rngs = [derive_rng(u.seed, TAG_METRICS) for u in units]
-        self.evals = np.zeros(N, dtype=np.int64) if self.evals is None else self.evals
-        if self.M is None and any(u.cfg.momentum > 0.0 for u in units):
-            self.M = np.zeros_like(self.flat)
+        self.evals = np.zeros(N, dtype=np.int64)
+        self.M = np.zeros_like(self.flat) if any(u.cfg.momentum > 0.0 for u in units) else None
+        self.interactions = 0
 
     def _per_row(self, values):
         """One value per unit as a float when all agree, else as a column per row."""
@@ -245,19 +241,14 @@ class Population:
             return float(values[0])
         return np.array(values, dtype=float).take(self.unit)[:, None]
 
-    @property
-    def X(self):
-        """The models as (units, n, d), when every unit has the same n."""
-        if len(self.blocks) != 1:
-            raise ValueError("the units of this stack differ in n; their models are flat")
-        return self.flat.reshape(len(self.units), self.units[0].n, -1)
 
-
-def init_population(cfg, spec, partitions, X0, seeds) -> Population:
+def init_population(cfg, spec, partitions, X0, seeds, **settings) -> Population:
     """One stack of the units (cfg, seeds[u]), in order, or (cfg[u], seeds[u])
     when ``cfg`` is a list of one config per unit: unit u's agents all start
     at X0[u] and own the shards of partitions[u]; its agents 0..n0-1 are
-    zeroth-order, the rest first-order (streams: :class:`Population`)."""
+    zeroth-order, the rest first-order (streams: :class:`Population`).
+    ``settings`` are the stack's T, scheduler_mode and metric_cadence, each
+    :class:`Population`'s default when not given."""
     seeds = list(seeds)
     cfgs = cfg if isinstance(cfg, list) else [cfg] * len(seeds)
     if not len(cfgs) == len(partitions) == len(X0) == len(seeds):
@@ -266,7 +257,7 @@ def init_population(cfg, spec, partitions, X0, seeds) -> Population:
         raise ValueError("partition shard counts do not match n0 / n1")
     X = np.repeat(np.asarray(X0, dtype=float), [c.n0 + c.n1 for c in cfgs], axis=0)
     return Population(list(zip(cfgs, seeds)), spec, X,
-                      [x for p in partitions for x in (*p.zo_shards, *p.fo_shards)])
+                      [x for p in partitions for x in (*p.zo_shards, *p.fo_shards)], **settings)
 
 
 def interact(pop: Population, rows, eta, B=None, U=None):
@@ -278,11 +269,11 @@ def interact(pop: Population, rows, eta, B=None, U=None):
     ``eta`` is one rate for every pair, or a (2k, 1) column of one positive
     rate per row, both rows of a pair at the pair's rate; an agent's
     smoothing radius is nu = eta / c, its momentum and c its unit's.  The
-    estimates of each estimator group (``pop.group``) come from one call over
-    its rows, from inputs drawn beforehand (:func:`draw_row_inputs`): row r,
-    for agent ``rows[r]``, estimates over the minibatch ids in the leading
-    columns of B[r] and, when zeroth-order, its row of U, which holds the
-    Gaussians of the zeroth-order rows alone, in row order.  Momentum
+    estimates come from :func:`estimate_groups`, from inputs drawn
+    beforehand (:func:`draw_row_inputs`): row r, for agent ``rows[r]``,
+    estimates over the minibatch ids in the leading columns of B[r] and,
+    when zeroth-order, its row of U, which holds the Gaussians of the
+    zeroth-order rows alone, in row order.  Momentum
     filters each estimate through the agent's persistent buffer
     (g <- m g + (1 - m) G); buffers are never exchanged.  eta = 0 is pure
     gossip averaging and reads no input.  Returns the applied estimates,
@@ -293,24 +284,8 @@ def interact(pop: Population, rows, eta, B=None, U=None):
     S = X.take(rows, axis=0)  # the 2k pre-interaction models
     G = None
     if type(eta) is np.ndarray or eta != 0.0:
-        nu = eta / (pop.c if type(pop.c) is float else pop.c[rows])
-        per_row = type(nu) is np.ndarray
-        spec, group = pop.objective, pop.group.take(rows)
-        rank = None  # per row, its row of U, once several zeroth-order groups share U
-        for g, cfg in enumerate(pop.groups):
-            sel = (group == g).nonzero()[0]
-            if sel.shape[0] == 2 * k:  # the group covers every row: no copies
-                G = estimate_rows(spec, cfg, S, B[:, :cfg.batch_size], U, nu)
-                break
-            if sel.shape[0]:
-                Ug = None
-                if cfg.kind != FIRST_ORDER:
-                    if pop.zo_groups > 1:
-                        rank = pop.zo[rows].cumsum() - 1 if rank is None else rank
-                    Ug = U if rank is None else U[rank[sel]]
-                G = np.empty_like(S) if G is None else G
-                G[sel] = estimate_rows(spec, cfg, S[sel], B[sel, :cfg.batch_size], Ug,
-                                       nu[sel] if per_row else nu)
+        G = estimate_groups(pop, rows, S, B, U,
+                            eta / (pop.c if type(pop.c) is float else pop.c[rows]))
         if pop.M is not None:
             m = pop.momentum if type(pop.momentum) is float else pop.momentum[rows]
             G = pop.M.take(rows, axis=0) * m + (1.0 - m) * G
@@ -384,7 +359,7 @@ def step_window(pop: Population, etas, weights=None):
                       for t in range(0, steps, h)]
             return None if weights is None else sum(drifts)
     N, d = pop.flat.shape
-    uniform = pop.units[0].cfg.scheduler_mode == UNIFORM_PAIR
+    uniform = pop.scheduler_mode == UNIFORM_PAIR
     # unit by unit, each unit's pairs in step order, in global rows
     draw = draw_pairs if uniform else draw_matching
     I, J = [np.concatenate(drawn, axis=None) for drawn in zip(
@@ -462,10 +437,10 @@ def _rates(pop, step):
 
 def run(pop: Population, *, val_features=None, val_labels=None, sample_mtg: bool = False,
         track_weighted_average: bool = False) -> RunResult:
-    """Execute the stack's T scheduler steps on every unit, one
+    """Execute the stack's ``pop.T`` scheduler steps on every unit, one
     :func:`step_window` per record interval, recording each unit's metrics
-    every metric_cadence steps (plus the initial and final states), each unit
-    at the rates of its own schedule.
+    every ``pop.metric_cadence`` steps (plus the initial and final states),
+    each unit at the rates of its own schedule.
 
     Validation labels are mapped once, by the objective's training rule.
     One :func:`~hdopt.metrics.snapshot` of the whole stack records every unit.
@@ -481,13 +456,13 @@ def run(pop: Population, *, val_features=None, val_labels=None, sample_mtg: bool
     gradient norm or validation loss; its models are checked before its
     metrics.
     """
-    spec, cfg = pop.objective, pop.units[0].cfg  # T and cadence are the stack's
+    spec, T, cadence = pop.objective, pop.T, pop.metric_cadence
     val = None
     if val_features is not None:
         val = _metrics.validation_set(spec, val_features, val_labels)
     units = len(pop.units)
     q = avg = None
-    if track_weighted_average and cfg.T:
+    if track_weighted_average and T:
         q, avg = np.zeros((units, 1)), np.zeros((units, spec.d))
     records = [[] for _ in range(units)]
 
@@ -503,7 +478,6 @@ def run(pop: Population, *, val_features=None, val_labels=None, sample_mtg: bool
                 raise DivergedError(f"metrics are non-finite at step {step}", u, step)
             records[u].append(rec)
 
-    T, cadence = cfg.T, cfg.metric_cadence
     # an overflow leaves an inf or a NaN, which record reports as diverged
     with np.errstate(over="ignore", invalid="ignore"):
         record(0, _rates(pop, 0)[pop.schedule])

@@ -16,7 +16,7 @@ import json
 import math
 import platform
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -214,7 +214,6 @@ def _parse_population(entry, T, index):
     if entry["n0"] > 0:
         zo = EstimatorConfig(kind=entry["zo_kind"], batch_size=entry["zo_batch_size"],
                              rv=entry["zo_rv"])
-    # T, the scheduler mode and the cadence are set by _stack
     return _build(where, PopulationConfig, label=entry["label"], n0=entry["n0"], n1=entry["n1"],
                   schedule=schedule, momentum=entry["momentum"], c=entry.get("c"), zo=zo, fo=fo)
 
@@ -274,7 +273,9 @@ def build_dataset(dcfg, master_seed):
 
 def build_objective(cfg: ExperimentConfig):
     """(objective, validation dataset or None) per the config; a builder's
-    error names its section."""
+    error names its section.  The validation set is checked here, against
+    the objective (its width and its labels), so that a bad validation file
+    fails before anything runs."""
     ocfg = cfg.objective
     if ocfg is None:
         raise ConfigError("config has no objective section")
@@ -287,23 +288,27 @@ def build_objective(cfg: ExperimentConfig):
         raise ConfigError(f"objective kind {kind!r} needs a dataset section")
     train, val = _build("dataset", build_dataset, cfg.dataset, cfg.seed)
     make = make_logistic if kind == "logistic_l2" else make_nonconvex
-    return _build("objective", make, train, **params), val
+    spec = _build("objective", make, train, **params)
+    if val is not None:
+        _build(f"dataset: {cfg.dataset.get('val_path', 'validation set')}",
+               _metrics.validation_set, spec, val.features, val.labels)
+    return spec, val
 
 
 def _stack(cfg: ExperimentConfig, units, spec):
     """One stack of the units ``units``, (population index, seed value) pairs
-    in config order, each under its population's config with the
+    in config order, each under its population's config; the stack runs the
     experiment's T, scheduler mode and cadence."""
-    cfgs = [replace(entry, T=cfg.T, scheduler_mode=cfg.scheduler_mode,
-                    metric_cadence=cfg.metric_cadence) for entry in cfg.populations]
+    cfgs = [cfg.populations[p] for p, _ in units]
     partitions, X0 = [], []
-    for p, s in units:
+    for (p, s), entry in zip(units, cfgs):
         # x0 shared across populations at equal seed value: comparisons start equal
         X0.append(cfg.x0_scale * derive_rng(cfg.seed, s, TAG_INIT).standard_normal(spec.d))
-        partitions.append(partition_data(spec.n_samples, cfgs[p].n0, cfgs[p].n1,
+        partitions.append(partition_data(spec.n_samples, entry.n0, entry.n1,
                                          fold_seed(cfg.seed, p, s, 5)))
-    return init_population([cfgs[p] for p, _ in units], spec, partitions, X0,
-                           [fold_seed(cfg.seed, p, s) for p, s in units])
+    return init_population(cfgs, spec, partitions, X0,
+                           [fold_seed(cfg.seed, p, s) for p, s in units], T=cfg.T,
+                           scheduler_mode=cfg.scheduler_mode, metric_cadence=cfg.metric_cadence)
 
 
 def _run_cell(cfg: ExperimentConfig, start: int, built):

@@ -326,13 +326,13 @@ def _suite_quadratic(seed):
 def _suite_population(quad, seed, eta):
     """The suite's hybrid population on its quadratic, de-synchronized by a
     short run."""
-    cfg = PopulationConfig(
-        n0=4, n1=4, schedule=Schedule(eta_max=eta), T=30, scheduler_mode="uniform_pair",
-        metric_cadence=10**9, zo=EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=4, rv=4),
-        fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=4))
+    cfg = PopulationConfig(n0=4, n1=4, schedule=Schedule(eta_max=eta),
+                           zo=EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=4, rv=4),
+                           fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=4))
     x0 = derive_rng(seed, 59, TAG_INIT).standard_normal(quad.d)
     pop = init_population(cfg, quad, [partition_data(quad.n_samples, 4, 4, fold_seed(seed, 47))],
-                          [x0], [fold_seed(seed, 53)])
+                          [x0], [fold_seed(seed, 53)], T=30, scheduler_mode="uniform_pair",
+                          metric_cadence=10**9)
     run(pop)
     return pop
 

@@ -36,6 +36,14 @@ def read_metrics_csv(path):
     return lines[0].split(","), np.asarray(rows, dtype=float)
 
 
+def stack_models(pop):
+    """A stack's models as (units, n, d), a view of ``pop.flat``, when every
+    unit has the same n."""
+    if len(pop.blocks) != 1:
+        raise ValueError("the units of this stack differ in n; their models are flat")
+    return pop.flat.reshape(len(pop.units), pop.units[0].n, -1)
+
+
 def scalar_mc_stats(values):
     values = np.asarray(values, dtype=float)
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))

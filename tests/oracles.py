@@ -20,6 +20,8 @@ from hdopt.objectives import Objective, _antisymmetric
 from hdopt.protocol import draw_pairs, interact
 from hdopt.theory import _report
 
+from conftest import stack_models
+
 
 class LinearObjective(Objective):
     """Linear calibration objective f(x) = a . x with optional per-sample noise.
@@ -217,8 +219,8 @@ def snapshot_reference(pop, s, step, eta, val=None):
     norm through ``np.dot``, :func:`gamma_of` and ``validate`` over its
     (n, d) models, its summed evaluation counts and its share of the
     stack's interactions over n."""
-    spec, (S, n, _) = pop.objective, pop.X.shape
-    X = pop.X[s]
+    spec, (S, n, _) = pop.objective, stack_models(pop).shape
+    X = stack_models(pop)[s]
     mu = X.mean(axis=0)
     grad_mu = spec.grad(mu)
     val_loss = val_acc = None

@@ -119,7 +119,7 @@ def hdo_interact(spec, a, b, eta, c, momentum=0.0):
 
 
 class RefPopulation:
-    def __init__(self, cfg, spec, partition, x0, seed):
+    def __init__(self, cfg, spec, partition, x0, seed, scheduler_mode):
         shards = list(partition.zo_shards) + list(partition.fo_shards)
         self.spec = spec
         self.agents = [Agent(model=np.array(x0, dtype=float),
@@ -133,7 +133,7 @@ class RefPopulation:
         # no smoothing radius at eta = 0 for these: their mt_g is empty there
         self.biased = cfg.n0 > 0 and cfg.zo.kind in (ZO_ONE_SIDED, ZO_CENTRAL)
         self.momentum = cfg.momentum
-        self.mode = cfg.scheduler_mode
+        self.mode = scheduler_mode
         self.scheduler_rng = derive_rng(seed, TAG_SCHEDULER)
         self.metrics_rng = derive_rng(seed, TAG_METRICS)
         self.interactions = 0
@@ -195,14 +195,16 @@ class RefPopulation:
                 self.mtg(eta) if eta > 0 or not self.biased else None, self.function_evals)
 
 
-def reference_run(cfg, spec, partition, x0, seed, val=None):
+def reference_run(cfg, spec, partition, x0, seed, val=None, *, T, scheduler_mode,
+                  metric_cadence):
     """Metric rows, in CSV column order, of the per-pair run of cfg at
-    ``seed``, mt_g sampled (as by ``run(..., sample_mtg=True)``)."""
-    pop = RefPopulation(cfg, spec, partition, x0, seed)
+    ``seed`` for T steps of ``scheduler_mode``, recorded every
+    ``metric_cadence`` steps, mt_g sampled (as by ``run(..., sample_mtg=True)``)."""
+    pop = RefPopulation(cfg, spec, partition, x0, seed, scheduler_mode)
     rows = [pop.record(0, eta_at(cfg.schedule, 0), val)]
-    for t in range(cfg.T):
+    for t in range(T):
         eta = eta_at(cfg.schedule, t)
         pop.step(eta)
-        if (t + 1) % cfg.metric_cadence == 0 or t + 1 == cfg.T:
+        if (t + 1) % metric_cadence == 0 or t + 1 == T:
             rows.append(pop.record(t + 1, eta, val))
     return rows, pop

@@ -126,11 +126,11 @@ def make_hybrid_quadratic(seed, grad_noise=0.15, batch=8, zo_kind=h.ZO_FORWARD,
                          grad_noise=grad_noise, hessian_jitter=0.5)
     part = h.partition_data(q.n_samples, 4, 4, seed=3 + seed)
     cfg = h.PopulationConfig(
-        n0=4, n1=4, schedule=h.Schedule(eta_max=eta), T=T,
-        scheduler_mode="uniform_pair", metric_cadence=cadence,
+        n0=4, n1=4, schedule=h.Schedule(eta_max=eta),
         zo=h.EstimatorConfig(kind=zo_kind, batch_size=batch, rv=rv),
         fo=h.EstimatorConfig(kind=h.FIRST_ORDER, batch_size=batch))
-    pop = h.init_population(cfg, q, [part], [q.x_star + np.ones(10)], [100 + seed])
+    pop = h.init_population(cfg, q, [part], [q.x_star + np.ones(10)], [100 + seed], T=T,
+                            scheduler_mode="uniform_pair", metric_cadence=cadence)
     return q, cfg, pop
 
 
@@ -274,10 +274,10 @@ def _c08_hitting_time(args):
     T = P * n
     sched = h.Schedule(eta_max=0.05, mode="warmup_cosine", eta_min=0.002,
                        warmup_steps=0, total_steps=T)
-    cfg = h.PopulationConfig(n0=0, n1=n, schedule=sched, T=T,
-                             scheduler_mode="uniform_pair", metric_cadence=1,
+    cfg = h.PopulationConfig(n0=0, n1=n, schedule=sched,
                              fo=h.EstimatorConfig(kind=h.FIRST_ORDER, batch_size=1))
-    pop = h.init_population(cfg, q, [part], [q.x_star + np.ones(10)], [seed])
+    pop = h.init_population(cfg, q, [part], [q.x_star + np.ones(10)], [seed], T=T,
+                            scheduler_mode="uniform_pair", metric_cadence=1)
     for t in range(T):
         h.step_window(pop, [h.eta_at(sched, t)])
         if (t + 1) % n == 0:  # check once per parallel-time unit
@@ -333,11 +333,11 @@ def _c10_boundary_run(n0, n1, zo_kind=h.ZO_ONE_SIDED):
                          grad_noise=0.15, hessian_jitter=0.5)
     part = h.partition_data(q.n_samples, n0, n1, seed=21)
     cfg = h.PopulationConfig(
-        n0=n0, n1=n1, schedule=h.Schedule(eta_max=0.05), T=20000,
-        scheduler_mode="uniform_pair", metric_cadence=20000,
+        n0=n0, n1=n1, schedule=h.Schedule(eta_max=0.05),
         zo=h.EstimatorConfig(kind=zo_kind, batch_size=8, rv=16) if n0 else None,
         fo=h.EstimatorConfig(kind=h.FIRST_ORDER, batch_size=8) if n1 else None)
-    pop = h.init_population(cfg, q, [part], [q.x_star + np.ones(10)], [22])
+    pop = h.init_population(cfg, q, [part], [q.x_star + np.ones(10)], [22], T=20000,
+                            scheduler_mode="uniform_pair", metric_cadence=20000)
     result = h.run(pop)
     return result.records[0][0].mu_loss_gap, result.records[0][-1].mu_loss_gap
 

@@ -34,6 +34,7 @@ from hdopt.protocol import (
     step_window,
 )
 
+from conftest import stack_models
 from oracles import weighted_average_reference
 from pairwise_reference import reference_run
 
@@ -63,13 +64,13 @@ POPULATIONS = {
 
 
 def _config(n0, n1, kind, mode, eta, momentum, T=40):
-    """``eta`` is a constant rate or a Schedule."""
+    """(config, stack settings); ``eta`` is a constant rate or a Schedule."""
     schedule = eta if isinstance(eta, Schedule) else Schedule(eta_max=eta)
     return PopulationConfig(
-        n0=n0, n1=n1, schedule=schedule, T=T, scheduler_mode=mode,
-        momentum=momentum, metric_cadence=10,
+        n0=n0, n1=n1, schedule=schedule, momentum=momentum,
         zo=EstimatorConfig(kind=kind, batch_size=3, rv=5) if n0 else None,
-        fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=3) if n1 else None)
+        fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=3) if n1 else None), dict(
+            T=T, scheduler_mode=mode, metric_cadence=10)
 
 
 def _assert_records_match(records, expected):
@@ -85,16 +86,16 @@ def _assert_records_match(records, expected):
 def _compare(objective, population, mode, eta, momentum):
     spec, val = _objective(objective)
     n0, n1, kind = POPULATIONS[population]
-    cfg = _config(n0, n1, kind, mode, eta, momentum)
+    cfg, stack = _config(n0, n1, kind, mode, eta, momentum)
     part = partition_data(spec.n_samples, n0, n1, seed=11)
     x0 = np.random.default_rng(12).standard_normal(spec.d)
-    pop = init_population(cfg, spec, [part], [x0], [7])
+    pop = init_population(cfg, spec, [part], [x0], [7], **stack)
     result = run(pop, val_features=None if val is None else val[0],
                  val_labels=None if val is None else val[1], sample_mtg=True)
-    expected, ref = reference_run(cfg, spec, part, x0, 7, val=val)
+    expected, ref = reference_run(cfg, spec, part, x0, 7, val=val, **stack)
     _assert_records_match(result.records[0], expected)
     models = ref.models()
-    assert np.allclose(pop.X, models, rtol=RTOL, atol=RTOL * np.abs(models).max())
+    assert np.allclose(stack_models(pop), models, rtol=RTOL, atol=RTOL * np.abs(models).max())
     if momentum:
         buffers = np.array([a.momentum_buffer for a in ref.agents])
         assert np.allclose(pop.M, buffers, rtol=RTOL, atol=RTOL * np.abs(buffers).max())
@@ -126,10 +127,10 @@ def test_run_cosine_matches_per_pair_reference(objective, population, mode):
 
 def _population(n0, n1, kind, momentum, seed, spec=None):
     spec = spec or make_quadratic(d=4, cond=3.0, seed=2, n_samples=24)
-    cfg = _config(n0, n1, kind, "random_matching", 0.05, momentum, T=5)
+    cfg, stack = _config(n0, n1, kind, "random_matching", 0.05, momentum, T=5)
     part = partition_data(spec.n_samples, n0, n1, seed=seed)
     x0 = np.random.default_rng(seed).standard_normal(spec.d)
-    pop = init_population(cfg, spec, [part], [x0], [seed])
+    pop = init_population(cfg, spec, [part], [x0], [seed], **stack)
     run(pop)
     return pop
 
@@ -142,11 +143,11 @@ def test_zero_eta_keeps_mean_exactly_and_never_raises_gamma(n, d, steps, matchin
     # floating point, so the mean is preserved bit for bit
     spec = make_quadratic(d=d, cond=2.0, seed=1, n_samples=64)
     n0 = n // 2
-    cfg = _config(n0, n - n0, ZO_ONE_SIDED, "random_matching", 0.0, 0.0)
+    cfg, stack = _config(n0, n - n0, ZO_ONE_SIDED, "random_matching", 0.0, 0.0)
     pop = init_population(cfg, spec, [partition_data(spec.n_samples, n0, n - n0, seed=seed)],
-                          [np.zeros(d)], [seed])
+                          [np.zeros(d)], [seed], **stack)
     rng = np.random.default_rng(seed)
-    pop.X[:] = rng.integers(-8, 9, size=(n, d))
+    stack_models(pop)[:] = rng.integers(-8, 9, size=(n, d))
     states = [copy.deepcopy(r.bit_generator.state) for r in [*pop.rngs, *pop.dir_rngs]]
     mu0 = pop.flat.mean(axis=0)
     for _ in range(steps):
@@ -186,8 +187,9 @@ def test_batched_matching_equals_sequential_pairs(n0, n1, kind, momentum, logist
         r = [p, k + p]
         interact(sequential, rows[r], 0.05, B[r],
                  None if U is None else U[zrow[r][batched.zo[rows[r]]]])
-    scale = np.abs(sequential.X).max()
-    assert np.allclose(batched.X, sequential.X, rtol=RTOL, atol=RTOL * scale)
+    scale = np.abs(stack_models(sequential)).max()
+    assert np.allclose(stack_models(batched), stack_models(sequential), rtol=RTOL,
+                       atol=RTOL * scale)
     if momentum:
         assert np.allclose(batched.M, sequential.M, rtol=RTOL,
                            atol=RTOL * np.abs(sequential.M).max())
@@ -228,9 +230,10 @@ def test_window_equals_its_steps(n, zo_share, kind, momentum, full_batch, logist
     mode = "random_matching" if matching else "uniform_pair"
     cfg = PopulationConfig(
         n0=n0, n1=n - n0, schedule=Schedule(eta_max=0.05), c=2.0, momentum=momentum,
-        scheduler_mode=mode, zo=EstimatorConfig(kind=kind, batch_size=b, rv=rv) if n0 else None,
+        zo=EstimatorConfig(kind=kind, batch_size=b, rv=rv) if n0 else None,
         fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=b) if n0 < n else None)
-    window = Population([(cfg, seed)], spec, rng.standard_normal((n, spec.d)), shards)
+    window = Population([(cfg, seed)], spec, rng.standard_normal((n, spec.d)), shards,
+                        scheduler_mode=mode)
     one_by_one = copy.deepcopy(window)
     before = _states(window)
     # the agents of the pairs that step at a nonzero rate, and each agent's
@@ -256,8 +259,8 @@ def test_window_equals_its_steps(n, zo_share, kind, momentum, full_batch, logist
     zo_cost = {ZO_ONE_SIDED: b * (rv + 1), ZO_CENTRAL: 2 * b * rv, ZO_FORWARD: b * rv}[kind]
     assert window.evals.tolist() == [(zo_cost if a < n0 else b) * stepped[a] for a in range(n)]
     assert window.interactions == len(etas) * (n // 2 if matching else 1)
-    assert np.allclose(window.X, one_by_one.X, rtol=RTOL,
-                       atol=RTOL * np.abs(one_by_one.X).max())
+    assert np.allclose(stack_models(window), stack_models(one_by_one), rtol=RTOL,
+                       atol=RTOL * np.abs(stack_models(one_by_one)).max())
     if momentum:
         assert np.allclose(window.M, one_by_one.M, rtol=RTOL,
                            atol=RTOL * max(np.abs(one_by_one.M).max(), 1.0))
@@ -309,11 +312,11 @@ def test_window_weighted_average_equals_per_step_fold(n0, n1, momentum, logistic
         eta = Schedule(eta_max=0.05, mode="warmup_cosine", eta_min=eta_min,
                        warmup_steps=warmup, total_steps=warmup + total)
     mode = "random_matching" if matching else "uniform_pair"
-    cfg = _config(n0, n1, ZO_FORWARD, mode, eta, momentum, T=T)
-    cfg.metric_cadence = cadence
+    cfg, stack = _config(n0, n1, ZO_FORWARD, mode, eta, momentum, T=T)
+    stack["metric_cadence"] = cadence
     x0 = np.random.default_rng(seed).standard_normal(spec.d)
     pop = init_population(cfg, spec, [partition_data(spec.n_samples, n0, n1, seed=5)], [x0],
-                          [seed % 1000])
+                          [seed % 1000], **stack)
     one_by_one = copy.deepcopy(pop)
     result = run(pop, track_weighted_average=True)
     mus, etas = [], []
@@ -325,7 +328,8 @@ def test_window_weighted_average_equals_per_step_fold(n0, n1, momentum, logistic
     assert len(mus) == T and result.weighted_average.shape == (1, spec.d)
     assert np.allclose(result.weighted_average[0], expected, rtol=RTOL,
                        atol=RTOL * np.abs(expected).max())
-    assert np.allclose(pop.X, one_by_one.X, rtol=RTOL, atol=RTOL * np.abs(one_by_one.X).max())
+    assert np.allclose(stack_models(pop), stack_models(one_by_one), rtol=RTOL,
+                       atol=RTOL * np.abs(stack_models(one_by_one)).max())
 
 
 class _CountedStream:
@@ -356,19 +360,22 @@ def test_metric_cadence_leaves_the_trajectory_unchanged(population, mode, cap, m
     X0 = np.random.default_rng(12).standard_normal((3, spec.d))
     runs = []
     for cadence in (1, 7, 500):
-        cfg = _config(n0, n1, kind, mode, schedule, 0.9, T=600 if mode == "uniform_pair" else 150)
-        cfg.metric_cadence = cadence
-        pop = init_population(cfg, spec, parts, X0, [7, 8, 9])
+        cfg, stack = _config(n0, n1, kind, mode, schedule, 0.9,
+                                T=600 if mode == "uniform_pair" else 150)
+        stack["metric_cadence"] = cadence
+        pop = init_population(cfg, spec, parts, X0, [7, 8, 9], **stack)
         pop.scheduler_rngs = [_CountedStream(rng) for rng in pop.scheduler_rngs]
         run(pop)
-        draws = cfg.T if cap else -(-cfg.T // cadence)
+        draws = pop.T if cap else -(-pop.T // cadence)
         assert [rng.calls for rng in pop.scheduler_rngs] == [draws] * 3
         runs.append(pop)
     for pop in runs[1:]:
-        assert np.allclose(pop.X, runs[0].X, rtol=RTOL, atol=RTOL * np.abs(runs[0].X).max())
+        assert np.allclose(stack_models(pop), stack_models(runs[0]), rtol=RTOL,
+                           atol=RTOL * np.abs(stack_models(runs[0])).max())
         assert np.array_equal(pop.evals, runs[0].evals)
         if mode == "random_matching":  # each step is its own layer, however windows split
-            assert np.array_equal(pop.X, runs[0].X) and np.array_equal(pop.M, runs[0].M)
+            assert np.array_equal(stack_models(pop), stack_models(runs[0]))
+            assert np.array_equal(pop.M, runs[0].M)
 
 
 def _count_input_draws(monkeypatch):
@@ -389,12 +396,12 @@ def test_a_paper_size_matching_window_draws_its_inputs_once(monkeypatch):
     # 2,560 zeroth-order rows (92,160 elements; none for first-order rows),
     # fit one window's draw
     spec = make_quadratic(d=20, cond=5.0, seed=3, n_samples=512)
-    cfg = PopulationConfig(n0=256, n1=24, schedule=Schedule(eta_max=0.01), T=10,
-                           scheduler_mode="random_matching", metric_cadence=10,
+    cfg = PopulationConfig(n0=256, n1=24, schedule=Schedule(eta_max=0.01),
                            zo=EstimatorConfig(kind=ZO_FORWARD, batch_size=1, rv=16),
                            fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=1))
     pop = init_population(cfg, spec, [partition_data(spec.n_samples, 256, 24, seed=1)],
-                          [np.zeros(spec.d)], [2])
+                          [np.zeros(spec.d)], [2], T=10, scheduler_mode="random_matching",
+                          metric_cadence=10)
     draws = _count_input_draws(monkeypatch)
     step_window(pop, np.full(10, 0.01))
     assert len(draws) == 1
@@ -410,7 +417,7 @@ def test_input_draws_hold_gaussians_for_zeroth_order_rows_alone(kinds):
     # direction stream); with two input shapes a row holds its Gaussians in
     # its leading entries
     spec = make_quadratic(d=4, cond=3.0, seed=2, n_samples=40)
-    cfgs = [_config(3, 2, kind, "uniform_pair", 0.05, 0.0) for kind in kinds for _ in range(2)]
+    cfgs = [_config(3, 2, kind, "uniform_pair", 0.05, 0.0)[0] for kind in kinds for _ in range(2)]
     pop = init_population(cfgs, spec, [partition_data(spec.n_samples, 3, 2, seed=s)
                                        for s in range(len(cfgs))],
                           np.zeros((len(cfgs), spec.d)), range(len(cfgs)))
@@ -437,12 +444,12 @@ def _window_cap_draws(population, mode, cap, monkeypatch):
     monkeypatch.setattr(protocol, "_WINDOW_DIRECTIONS", cap)
     spec, _ = _objective("quadratic")
     n0, n1, kind = POPULATIONS[population]
-    cfg = _config(n0, n1, kind, mode, 0.05, 0.0)
+    cfg, stack = _config(n0, n1, kind, mode, 0.05, 0.0)
     pop = init_population(cfg, spec, [partition_data(spec.n_samples, n0, n1, seed=s)
-                                      for s in range(2)], np.ones((2, spec.d)), [3, 4])
+                                      for s in range(2)], np.ones((2, spec.d)), [3, 4], **stack)
     draws = _count_input_draws(monkeypatch)
     run(pop)
-    return draws, cfg
+    return draws, pop
 
 
 @pytest.mark.parametrize("mode", ["uniform_pair", "random_matching"])
@@ -450,8 +457,8 @@ def test_no_input_draw_exceeds_the_window_cap(mode, monkeypatch):
     # 2 rv d = 60 directions per pair: sub-windows of 3 uniform steps, or of one
     # matching step of 2 pairs, in windows of 10 steps on a stack of 2 seeds
     cap = 180
-    draws, cfg = _window_cap_draws("hybrid_one_sided", mode, cap, monkeypatch)
-    assert len(draws) == (4 if mode == "uniform_pair" else 10) * cfg.T // 10
+    draws, pop = _window_cap_draws("hybrid_one_sided", mode, cap, monkeypatch)
+    assert len(draws) == (4 if mode == "uniform_pair" else 10) * pop.T // 10
     assert all(U.size <= 2 * cap for _, U in draws)  # cap elements per seed
 
 
@@ -460,8 +467,8 @@ def test_no_forward_input_draw_exceeds_the_window_cap(mode, monkeypatch):
     # 2 (rv + d) = 22 forward inputs per pair, not 2 rv d = 60: sub-windows of
     # 8 and 2 uniform steps, or of 2 matching steps of 3 pairs
     cap = 180
-    draws, cfg = _window_cap_draws("hybrid_forward", mode, cap, monkeypatch)
-    assert len(draws) == (2 if mode == "uniform_pair" else 5) * cfg.T // 10
+    draws, pop = _window_cap_draws("hybrid_forward", mode, cap, monkeypatch)
+    assert len(draws) == (2 if mode == "uniform_pair" else 5) * pop.T // 10
     assert all(U.size <= 2 * cap for _, U in draws)  # cap elements per seed
 
 
@@ -483,11 +490,11 @@ def test_stack_equals_its_seeds_run_one_by_one(objective, mode, S, cap, monkeypa
     options = dict(val_features=None if val is None else val[0],
                    val_labels=None if val is None else val[1], sample_mtg=True,
                    track_weighted_average=spec.ell > 0)
-    cfg = _config(n0, n1, kind, mode, schedule, 0.9)
+    cfg, stack = _config(n0, n1, kind, mode, schedule, 0.9)
     parts = [partition_data(spec.n_samples, n0, n1, seed=10 + s) for s in range(S)]
     X0 = [np.random.default_rng(s).standard_normal(spec.d) for s in range(S)]
-    alone = [init_population(cfg, spec, [parts[s]], [X0[s]], [s]) for s in range(S)]
-    stacked = init_population(cfg, spec, parts, X0, range(S))
+    alone = [init_population(cfg, spec, [parts[s]], [X0[s]], [s], **stack) for s in range(S)]
+    stacked = init_population(cfg, spec, parts, X0, range(S), **stack)
     result = run(stacked, **options)
     for s, pop in enumerate(alone):
         one = run(pop, **options)
@@ -495,10 +502,43 @@ def test_stack_equals_its_seeds_run_one_by_one(objective, mode, S, cap, monkeypa
         if spec.ell > 0:
             assert np.array_equal(result.weighted_average[s], one.weighted_average[0])
         rows = slice(s * pop.units[0].n, (s + 1) * pop.units[0].n)
-        assert np.array_equal(stacked.X[s], pop.X[0])
+        assert np.array_equal(stack_models(stacked)[s], stack_models(pop)[0])
         assert np.array_equal(stacked.M[rows], pop.M)
         assert np.array_equal(stacked.evals[rows], pop.evals)
         assert stacked.interactions == S * pop.interactions
+
+
+@pytest.mark.parametrize("mode", ["uniform_pair", "random_matching"])
+@pytest.mark.parametrize("objective", ["quadratic", "logistic"])
+def test_each_unit_of_a_mixed_stack_samples_the_mtg_of_its_run_alone(objective, mode):
+    # four units sampling mt_g at every record, one estimate dispatch for all:
+    # a one-sided hybrid under warmup_cosine with momentum 0.5, a forward unit
+    # (rv = 4), a central unit at eta = 0 with c = 2.5 (a biased kind samples
+    # nothing there, so its rows are skipped) and a first-order unit; three
+    # zeroth-order input shapes, and c and momentum as per-row columns
+    spec, val = _objective(objective)
+    fo = EstimatorConfig(kind=FIRST_ORDER, batch_size=3)
+    warmup = Schedule(eta_max=0.05, mode="warmup_cosine", warmup_steps=5, total_steps=35)
+    stack = dict(T=40, scheduler_mode=mode, metric_cadence=10)
+    cfgs = [PopulationConfig(n0=3, n1=2, schedule=warmup, momentum=0.5, fo=fo,
+                             zo=EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=3, rv=5)),
+            PopulationConfig(n0=4, n1=0, schedule=Schedule(eta_max=0.05),
+                             zo=EstimatorConfig(kind=ZO_FORWARD, batch_size=2, rv=4)),
+            PopulationConfig(n0=3, n1=1, schedule=Schedule(eta_max=0.0), c=2.5, fo=fo,
+                             zo=EstimatorConfig(kind=ZO_CENTRAL, batch_size=3, rv=3)),
+            PopulationConfig(n0=0, n1=4, schedule=Schedule(eta_max=0.05), fo=fo)]
+    parts = [partition_data(spec.n_samples, cfg.n0, cfg.n1, seed=20 + u)
+             for u, cfg in enumerate(cfgs)]
+    X0 = np.random.default_rng(21).standard_normal((len(cfgs), spec.d))
+    options = dict(val_features=None if val is None else val[0],
+                   val_labels=None if val is None else val[1], sample_mtg=True)
+    stacked = run(init_population(cfgs, spec, parts, X0, range(len(cfgs)), **stack),
+                  **options)
+    for u, cfg in enumerate(cfgs):
+        alone = run(init_population(cfg, spec, [parts[u]], [X0[u]], [u], **stack), **options)
+        assert stacked.records[u] == alone.records[0]
+    assert [any(r.mt_g is not None for r in records) for records in stacked.records] == [
+        True, True, False, True]
 
 
 def test_a_diverged_stack_names_its_first_non_finite_seed():
@@ -506,11 +546,12 @@ def test_a_diverged_stack_names_its_first_non_finite_seed():
     # stack order, a seed's models are checked, then its metrics, so a seed
     # with overflowing metrics comes before a later seed at inf
     spec, _ = _objective("quadratic")
-    cfg = _config(0, 4, ZO_ONE_SIDED, "uniform_pair", 0.05, 0.0)
+    cfg, stack = _config(0, 4, ZO_ONE_SIDED, "uniform_pair", 0.05, 0.0)
     for scales, first in [((0.0, 1e300, 1e300), 1), ((1e300, np.inf), 0)]:
         pop = init_population(cfg, spec, [partition_data(spec.n_samples, 0, 4, seed=s)
                                           for s in range(len(scales))],
-                              [np.full(spec.d, scale) for scale in scales], [7] * len(scales))
+                              [np.full(spec.d, scale) for scale in scales], [7] * len(scales),
+                              **stack)
         with pytest.raises(DivergedError, match="metrics are non-finite at step 0") as info:
             run(pop)
         assert info.value.unit == first

@@ -35,7 +35,7 @@ from hdopt.protocol import (
     step_window,
 )
 
-from conftest import read_metrics_csv, scalar_mc_stats
+from conftest import read_metrics_csv, scalar_mc_stats, stack_models
 from oracles import snapshot_reference, weighted_average_reference
 
 
@@ -160,7 +160,7 @@ def test_biased_population_samples_nothing_at_zero_eta(kind):
 def test_forward_and_first_order_populations_sample_at_zero_eta(kind):
     pop = (make_population(np.random.default_rng(5).standard_normal((3, 3)))
            if kind == "fo_only" else zo_population(kind))
-    S, n, d = pop.X.shape
+    S, n, d = stack_models(pop).shape
     rngs = [np.random.default_rng(s) for s in range(S)]
     untouched = copy.deepcopy(rngs)
     G = sample_estimates(pop, rngs, 2, 0.0)
@@ -381,13 +381,13 @@ def test_snapshot_of_a_stack_equals_the_one_seed_formulas(objective):
         train = Dataset(features=pool.features[:50], labels=pool.labels[:50])
         spec = make_logistic(train, lam=0.05) if objective == "logistic" else make_nonconvex(train)
         val = validation_set(spec, pool.features[50:], pool.labels[50:])
-    cfg = PopulationConfig(n0=2, n1=3, schedule=Schedule(eta_max=0.05), T=7,
+    cfg = PopulationConfig(n0=2, n1=3, schedule=Schedule(eta_max=0.05),
                            zo=EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=2, rv=3),
                            fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=2))
     pop = init_population(cfg, spec, [partition_data(spec.n_samples, 2, 3, seed=s)
                                       for s in range(3)],
                           [np.random.default_rng(s).standard_normal(spec.d) for s in range(3)],
-                          [0] * 3)
+                          [0] * 3, T=7)
     step_window(pop, np.full(7, 0.05))
     records = snapshot(pop, step=7, eta=0.05, val=val)
     assert len(records) == 3

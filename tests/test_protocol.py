@@ -31,6 +31,7 @@ from hdopt.protocol import (
 )
 from hdopt.theory import expected_gamma_pure_averaging
 
+from conftest import stack_models
 from oracles import gaussian_shape
 
 
@@ -41,12 +42,12 @@ def quadratic_pop(n0, n1, seed=0, eta=0.05, T=100, mode="uniform_pair", momentum
     seeds = range(seed, seed + S)
     parts = [partition_data(q.n_samples, n0, n1, seed=s + 1) for s in seeds]
     cfg = PopulationConfig(
-        n0=n0, n1=n1, schedule=Schedule(eta_max=eta), T=T, scheduler_mode=mode,
-        momentum=momentum, metric_cadence=cadence,
+        n0=n0, n1=n1, schedule=Schedule(eta_max=eta), momentum=momentum,
         zo=EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=batch, rv=rv) if n0 else None,
         fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=batch) if n1 else None)
     x0 = q.x_star + np.ones(d)
-    return q, cfg, init_population(cfg, q, parts, [x0] * S, seeds)
+    return q, cfg, init_population(cfg, q, parts, [x0] * S, seeds, T=T, scheduler_mode=mode,
+                                   metric_cadence=cadence)
 
 
 def two_agents(spec, models, est):
@@ -65,7 +66,7 @@ PAIR = np.array([0, 1])  # the kernel rows of the pair (0, 1)
 
 def test_init_population_gamma_zero():
     _, _, pop = quadratic_pop(2, 2)
-    assert gamma_of(pop.X) == 0.0
+    assert gamma_of(stack_models(pop)) == 0.0
     (unit,) = pop.units
     assert unit.n == 4 and unit.cfg.n0 == 2 and unit.n - unit.cfg.n0 == 2
 
@@ -95,7 +96,7 @@ def test_init_rejects_mismatched_partition(n0, n, seeds):
     # one seed of n agents; a seed value per seed of X
     q = make_quadratic(d=3, cond=2.0, seed=1)
     part = partition_data(q.n_samples, 2, 2, seed=0)
-    cfg = PopulationConfig(n0=n0, n1=4 - n0, schedule=Schedule(eta_max=0.1), T=1,
+    cfg = PopulationConfig(n0=n0, n1=4 - n0, schedule=Schedule(eta_max=0.1),
                            zo=EstimatorConfig(kind=ZO_ONE_SIDED),
                            fo=EstimatorConfig(kind=FIRST_ORDER))
     with pytest.raises(ValueError):
@@ -128,6 +129,19 @@ def test_population_config_validation():
     with pytest.raises(ValueError, match="zo needs a zeroth-order kind"):
         PopulationConfig(n0=2, n1=0, schedule=Schedule(eta_max=0.1),
                          zo=EstimatorConfig(kind=FIRST_ORDER))
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"T": -1}, "T must be >= 0"), ({"metric_cadence": 0}, "metric_cadence must be >= 1"),
+    ({"scheduler_mode": "uniform"}, "unknown scheduler mode")], ids=["T", "cadence", "mode"])
+def test_a_stack_rejects_bad_settings(setting, message):
+    # T, the scheduler mode and the cadence are the stack's, checked where it is built
+    q = make_quadratic(d=3, cond=2.0, seed=1)
+    cfg = PopulationConfig(n0=0, n1=2, schedule=Schedule(eta_max=0.1),
+                           fo=EstimatorConfig(kind=FIRST_ORDER))
+    with pytest.raises(ValueError, match=message):
+        init_population(cfg, q, [partition_data(q.n_samples, 0, 2, seed=0)], [np.zeros(3)], [0],
+                        **setting)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +252,7 @@ def test_momentum_zero_matches_raw_updates():
     for _ in range(50):
         step_window(pop_a, [0.05])
         step_window(pop_b, [0.05])
-    assert np.array_equal(pop_a.X, pop_b.X)
+    assert np.array_equal(stack_models(pop_a), stack_models(pop_b))
 
 
 def test_momentum_buffers_persist_and_are_not_averaged():
@@ -316,7 +330,7 @@ def test_matching_n2_equals_uniform_pair():
     step_window(pop_m, [0.05])
     step_window(pop_u, [0.05])
     # same agent rng streams, same single pair: identical models
-    assert np.array_equal(pop_m.X, pop_u.X)
+    assert np.array_equal(stack_models(pop_m), stack_models(pop_u))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +392,7 @@ def test_run_zero_eta_pure_gossip_contracts_gamma():
                                 cadence=1)
     # start from distinct models
     rng = np.random.default_rng(22)
-    pop.flat[:] = rng.standard_normal(pop.X.shape)
+    pop.flat[:] = rng.standard_normal(stack_models(pop).shape)
     mu0 = pop.flat.mean(axis=0)
     result = run(pop)
     gammas = [r.gamma for r in result.records[0]]
@@ -401,11 +415,11 @@ def test_run_samples_mtg_from_a_warmup_at_eta_zero(kind):
     # radius: their mt_g is recorded empty there, and the run goes on
     q = make_quadratic(d=6, cond=5.0, seed=3, n_samples=32)
     schedule = Schedule(eta_max=0.05, mode="warmup_cosine", warmup_steps=5, total_steps=20)
-    cfg = PopulationConfig(n0=2, n1=2, schedule=schedule, T=20, metric_cadence=5,
+    cfg = PopulationConfig(n0=2, n1=2, schedule=schedule,
                            zo=EstimatorConfig(kind=kind, batch_size=4, rv=4),
                            fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=4))
     pop = init_population(cfg, q, [partition_data(q.n_samples, 2, 2, seed=29)], [q.x_star + 1.0],
-                          [28])
+                          [28], T=20, metric_cadence=5)
     (records,) = run(pop, sample_mtg=True).records
     assert records[0].eta == 0.0 and all(r.eta > 0 for r in records[1:])
     assert [r.mt_g is not None for r in records] == [

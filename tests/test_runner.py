@@ -439,6 +439,21 @@ def test_cli_run_rejects_non_finite_csv_values(tmp_path, capsys, which):
     assert not (tmp_path / "out").exists()  # found while building: no output at all
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda line: "0.5," + line, "has 4 feature columns"),  # on every row, so not ragged
+    (lambda line: line.rsplit(",", 1)[0] + ",2", "labels must be binary"),
+], ids=["width", "labels"])
+def test_cli_run_rejects_a_bad_validation_file_before_it_runs(tmp_path, capsys, edit, message):
+    # checked while the objective is built, naming the section and the file,
+    # not found mid-run by the first validation record
+    cfg_path, paths = _csv_run_config(tmp_path)
+    paths[1].write_text("\n".join(map(edit, paths[1].read_text().splitlines())) + "\n")
+    assert main(["run", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: dataset: {paths[1]}: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_rejects_positive_class_absent_from_training_labels(tmp_path, capsys):
     # gen-data labels are -1 and +1; positive_class 2 would map every label to -1
     cfg_path, _ = _csv_run_config(tmp_path, "\n  positive_class: 2")

@@ -30,6 +30,7 @@ from hdopt.theory import (
     write_report,
 )
 
+from conftest import stack_models
 from oracles import LinearObjective, gamma_recursion_reference
 
 
@@ -40,13 +41,12 @@ def logistic_instance(d=5, n=60, seed=4):
 def hybrid_population(spec, n0=2, n1=2, seed=5, steps=30, eta=0.1, zo_kind=ZO_ONE_SIDED,
                       momentum=0.0, batch=4, rv=4):
     part = partition_data(spec.n_samples, n0, n1, seed=seed)
-    cfg = PopulationConfig(n0=n0, n1=n1, schedule=Schedule(eta_max=eta), T=steps,
-                           scheduler_mode="uniform_pair", momentum=momentum,
-                           metric_cadence=10**9,
+    cfg = PopulationConfig(n0=n0, n1=n1, schedule=Schedule(eta_max=eta), momentum=momentum,
                            zo=EstimatorConfig(kind=zo_kind, batch_size=batch, rv=rv),
                            fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=batch))
     x0 = (spec.x_star if spec.x_star is not None else np.zeros(spec.d)) + np.ones(spec.d)
-    pop = init_population(cfg, spec, [part], [x0], [seed])
+    pop = init_population(cfg, spec, [part], [x0], [seed], T=steps,
+                          scheduler_mode="uniform_pair", metric_cadence=10**9)
     run(pop)
     return pop
 
@@ -180,9 +180,9 @@ def test_bias_aggregate_logistic_hybrid_passes():
 def test_gamma_recursion_identical_models():
     q = make_quadratic(d=4, cond=3.0, seed=21, grad_noise=0.0, hessian_jitter=0.0)
     part = partition_data(q.n_samples, 0, 4, seed=22)
-    cfg = PopulationConfig(n0=0, n1=4, schedule=Schedule(eta_max=0.05), T=1,
+    cfg = PopulationConfig(n0=0, n1=4, schedule=Schedule(eta_max=0.05),
                            fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=4))
-    pop = init_population(cfg, q, [part], [q.x_star + np.ones(4)], [23])
+    pop = init_population(cfg, q, [part], [q.x_star + np.ones(4)], [23], T=1)
     report = check_gamma_recursion(pop, eta=0.05, replicas=400, seed=24)
     assert report.passed
     assert report.detail["gamma_t"] == 0.0
@@ -229,12 +229,12 @@ def test_gamma_recursion_rejects_a_multi_seed_stack(n0, n1, eta):
     # the check treats the population as one: a stack of two seeds must be
     # refused, not mixed into one population of 2 n agents
     q = make_quadratic(d=4, cond=3.0, seed=21)
-    cfg = PopulationConfig(n0=n0, n1=n1, schedule=Schedule(eta_max=0.05), T=1,
+    cfg = PopulationConfig(n0=n0, n1=n1, schedule=Schedule(eta_max=0.05),
                            zo=EstimatorConfig(kind=ZO_ONE_SIDED, batch_size=2) if n0 else None,
                            fo=EstimatorConfig(kind=FIRST_ORDER, batch_size=2) if n1 else None)
     parts = [partition_data(q.n_samples, n0, n1, seed=s) for s in (1, 2)]
     X0 = np.random.default_rng(3).standard_normal((2, q.d))
-    pop = init_population(cfg, q, parts, X0, [4, 5])
+    pop = init_population(cfg, q, parts, X0, [4, 5], T=1)
     with pytest.raises(ValueError, match="S = 2"):
         check_gamma_recursion(pop, eta=eta, replicas=50, seed=6)
 
@@ -354,7 +354,7 @@ def test_checks_fail_on_a_wrong_gradient_and_pass_on_the_right_one(honest):
     probes = probe_points(spec, 2, 40)
     far = probes + 2.0  # where the gradient is far from zero
     pop = hybrid_population(spec, steps=0)
-    pop.X[:] = probe_points(spec, pop.units[0].n, 43) + 2.0
+    stack_models(pop)[:] = probe_points(spec, pop.units[0].n, 43) + 2.0
     nu, shard, samples = 1e-3, np.arange(30), 20_000
     reports = [check_gradcheck_all(spec, seed=44),
                check_smoothing_value_gap(spec, 0.05, probes, samples, seed=45),
