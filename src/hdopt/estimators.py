@@ -21,8 +21,9 @@ evaluations (a simulator convention for cost-normalized plots).
 once, with one row-batched objective call, from inputs drawn beforehand
 by :func:`draw_row_inputs`: minibatch ids and, for the zeroth-order kinds,
 Gaussians (:meth:`EstimatorConfig.input_shape`).  It draws nothing itself.
-:func:`estimate_groups` sends the rows of a population's stack to their
-estimator groups, one :func:`estimate_rows` call each.
+:func:`group_rows` orders the kernel rows of a population's stack by
+estimator group, and :func:`estimate_groups` sends each group's contiguous
+slice of them to its estimator, one :func:`estimate_rows` call each.
 """
 
 from __future__ import annotations
@@ -131,39 +132,53 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
     return (coef @ U)[:, 0] / rv
 
 
-def estimate_groups(pop, A, S, B, U=None, nu=None):
-    """The estimates (rows, d) of kernel rows whose agents are the global rows
-    ``A`` of the population's stack, at the models ``S``, one row each; a row
-    whose agent is -1 makes none, and its estimate is NaN.  Each estimator
-    group of the table ``pop.groups`` makes one :func:`estimate_rows` call
-    over its rows, with the leading columns of their rows of B and, when
-    zeroth-order, their rows of U, which holds one row per zeroth-order row,
-    in row order (:func:`draw_row_inputs`).  ``nu`` is one smoothing radius,
-    or a column of one per row."""
-    group = pop.group.take(A)
-    group[A < 0] = -1
+def estimate_groups(spec, slices, S, B, U, nu, G):
+    """Writes to G the estimates of kernel rows at the models S, one
+    :func:`estimate_rows` call per entry (cfg, a, b, ua, ub) of ``slices``:
+    rows a:b use the estimator cfg, the leading columns of B[a:b] and, when
+    zeroth-order, the Gaussians U[ua:ub] (:func:`group_rows` plans the
+    slices, :func:`draw_row_inputs` draws B and U).  ``nu`` is one smoothing
+    radius, or a column of one per row; rows in no slice are left as they
+    are."""
     per_row = type(nu) is np.ndarray
-    G = rank = None
-    covered = 0  # rows
-    for g, cfg in enumerate(pop.groups):
-        sel = (group == g).nonzero()[0]
-        if sel.shape[0] == A.shape[0]:  # the group covers every row: no copies
-            return estimate_rows(pop.objective, cfg, S, B[:, :cfg.batch_size], U, nu)
-        if sel.shape[0]:
-            Ug = None
-            if cfg.kind != FIRST_ORDER:
-                Ug = U
-                if sel.shape[0] != U.shape[0]:  # U holds other groups' rows too
-                    if rank is None:  # per row, its row of U
-                        rank = (pop.zo.take(A) & (A >= 0)).cumsum() - 1
-                    Ug = U[rank[sel]]
-            G = np.empty_like(S) if G is None else G
-            G[sel] = estimate_rows(pop.objective, cfg, S[sel], B[sel, :cfg.batch_size], Ug,
-                                   nu[sel] if per_row else nu)
-            covered += sel.shape[0]
-    if covered < A.shape[0]:
-        G[group < 0] = np.nan
-    return G
+    for cfg, a, b, ua, ub in slices:
+        G[a:b] = estimate_rows(spec, cfg, S[a:b], B[a:b, :cfg.batch_size],
+                               U if U is None else U[ua:ub], nu[a:b] if per_row else nu)
+
+
+def _zo_rank(pop, A):
+    """Per kernel row whose agent is the global row A[r] (-1: none), the
+    number of zeroth-order rows up to it: such a row's Gaussians are row
+    rank - 1 of the U of :func:`draw_row_inputs`."""
+    return (pop.zo.take(A) & (A >= 0)).cumsum()
+
+
+def group_rows(pop, A, seg=0, segments=1):
+    """The kernel rows whose agents are the global rows ``A`` (-1 for a row
+    that makes no estimate), in segments ``seg`` (0..segments - 1, per row,
+    or 0), ordered by estimator group for :func:`estimate_groups`:
+    (order, slices).  A[order] holds segment 0's rows, then segment 1's, and
+    so on, each segment's rows group by group in the order of ``pop.groups``
+    and the -1 rows last, a group's rows in their order in A.  slices[s]
+    lists, for each group with rows in segment s, (cfg, a, b, ua, ub): its
+    estimator, its rows a:b counted from the segment's first row, and its
+    rows ua:ub of the U that ``draw_row_inputs(pop, A[order])`` draws (none
+    when first-order)."""
+    n = len(pop.groups) + 1  # the groups and the -1 rows
+    key = pop.group.take(A)
+    key[A < 0] = n - 1
+    key += seg * n
+    order = key.argsort(kind="stable")
+    counts = np.bincount(key, minlength=segments * n).reshape(segments, n)
+    ends = counts.cumsum().reshape(segments, n)
+    starts = ends - counts
+    s, g = counts[:, :-1].nonzero()  # the (segment, group) cells that hold rows
+    a, b = starts[s, g], ends[s, g]
+    z = np.concatenate(([0], _zo_rank(pop, A[order])))
+    cells = list(zip(map(pop.groups.__getitem__, g.tolist()), (a - starts[s, 0]).tolist(),
+                     (b - starts[s, 0]).tolist(), z[a].tolist(), z[b].tolist()))
+    per = np.bincount(s, minlength=segments).cumsum().tolist()
+    return order, [cells[i:j] for i, j in zip([0] + per, per)]
 
 
 def draw_row_inputs(pop, A, rngs=None):
@@ -189,7 +204,7 @@ def draw_row_inputs(pop, A, rngs=None):
     B = np.empty((A.shape[0], max(cfg.batch_size for cfg in pop.groups)), dtype=np.intp)
     U = None
     if pop.zo_shape is not None:
-        zrow = (pop.zo.take(A) & (A >= 0)).cumsum() - 1  # per zeroth-order row, its row of U
+        zrow = _zo_rank(pop, A) - 1  # per zeroth-order row, its row of U
         U = np.empty((zrow[-1] + 1 if zrow.shape[0] else 0, *pop.zo_shape))
         zi = (pop.zo.cumsum() - 1).tolist()  # per zeroth-order agent, its dir_rngs stream
     shapes = [None if cfg.kind == FIRST_ORDER else cfg.input_shape(d) for cfg in pop.groups]

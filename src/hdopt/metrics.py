@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import BIASED_KINDS, draw_row_inputs, estimate_groups
+from .estimators import BIASED_KINDS, draw_row_inputs, estimate_groups, group_rows
 
 
 class MetricsRecord(NamedTuple):
@@ -50,7 +50,10 @@ def sample_estimates(pop, rngs, k, eta):
     stream ``rngs[u]``, agent by agent
     (:func:`~hdopt.estimators.draw_row_inputs`): the ids of the agent's k
     estimates, then their Gaussians.  The estimates of all units come from
-    one :func:`~hdopt.estimators.estimate_groups` call.  ``eta`` is one rate,
+    one :func:`~hdopt.estimators.estimate_groups` call, over the agent-major
+    rows ordered by estimator group once (:func:`~hdopt.estimators.group_rows`,
+    the rows that make no estimate last) and put back in agent-major order
+    after.  ``eta`` is one rate,
     or one per unit.  The biased kinds smooth at radius nu = eta / c, which
     does not exist at eta = 0: a unit with agents of a biased zeroth-order
     kind then draws nothing and its rows of G are NaN; when no unit draws,
@@ -67,12 +70,15 @@ def sample_estimates(pop, rngs, k, eta):
     N, d = pop.flat.shape
     A = np.repeat(np.arange(N), k)  # agent-major rows
     A[skip.take(pop.unit).repeat(k)] = -1
+    order, (slices,) = group_rows(pop, A)
+    A = A[order]
     nu = (eta.take(pop.unit)[:, None] if eta.ndim else eta) / pop.c
     if type(nu) is np.ndarray:
-        nu = nu.repeat(k, axis=0)
+        nu = nu.repeat(k, axis=0)[order]
     B, U = draw_row_inputs(pop, A, rngs)
-    G = estimate_groups(pop, A, pop.flat.take(A, axis=0), B, U, nu)
-    return G.reshape(N, k, d).swapaxes(0, 1)
+    by_group = np.full((A.shape[0], d), np.nan)
+    estimate_groups(pop.objective, slices, pop.flat.take(A, axis=0), B, U, nu, by_group)
+    return by_group[order.argsort()].reshape(N, k, d).swapaxes(0, 1)
 
 
 def _blocks(pop, rows):
@@ -170,7 +176,7 @@ def aggregate_seeds(series_list):
     ``series_list`` holds per-seed record lists.  Returns
     (steps, mean matrix, stderr matrix) over the non-step columns; stderr is
     the sample standard deviation over seeds divided by sqrt(k), zero for a
-    single series.
+    single series and NaN for a column with an infinite value.
     """
     if not series_list:
         raise ValueError("need at least one series")
@@ -184,7 +190,8 @@ def aggregate_seeds(series_list):
     if stack.shape[0] == 1:
         stderr = np.zeros_like(mean)
     else:
-        stderr = stack.std(axis=0, ddof=1) / math.sqrt(stack.shape[0])
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN stderr, an empty field
+            stderr = stack.std(axis=0, ddof=1) / math.sqrt(stack.shape[0])
     return steps.astype(int), mean, stderr
 
 

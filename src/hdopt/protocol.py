@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimators import (FIRST_ORDER, EstimatorConfig, check_shard, draw_row_inputs,
-                         estimate_groups)
+                         estimate_groups, group_rows)
 from . import metrics as _metrics
 
 UNIFORM_PAIR = "uniform_pair"
@@ -260,43 +260,62 @@ def init_population(cfg, spec, partitions, X0, seeds, **settings) -> Population:
                       [x for p in partitions for x in (*p.zo_shards, *p.fo_shards)], **settings)
 
 
-def interact(pop: Population, rows, eta, B=None, U=None):
-    """The k disjoint pairs (rows[p], rows[k + p]) of global rows interact at
-    once: every agent takes one local estimator step from its pre-interaction
-    model, then both agents of a pair adopt the average of their stepped
-    models.
+def interact(pop: Population, rows, partner, eta, slices=(), B=None, U=None, G=None):
+    """The disjoint pairs of kernel rows (r, partner[r]), row r for the
+    global row rows[r], interact at once: every agent takes one local
+    estimator step from its pre-interaction model, then both agents of a
+    pair adopt the average of their stepped models.  The rows come from
+    :func:`plan_layers`, which orders them by estimator group.
 
-    ``eta`` is one rate for every pair, or a (2k, 1) column of one positive
-    rate per row, both rows of a pair at the pair's rate; an agent's
-    smoothing radius is nu = eta / c, its momentum and c its unit's.  The
-    estimates come from :func:`estimate_groups`, from inputs drawn
-    beforehand (:func:`draw_row_inputs`): row r, for agent ``rows[r]``,
-    estimates over the minibatch ids in the leading columns of B[r] and,
-    when zeroth-order, its row of U, which holds the Gaussians of the
-    zeroth-order rows alone, in row order.  Momentum
-    filters each estimate through the agent's persistent buffer
-    (g <- m g + (1 - m) G); buffers are never exchanged.  eta = 0 is pure
-    gossip averaging and reads no input.  Returns the applied estimates,
-    rows as in ``rows``, or None when eta = 0, and counts no evaluations.
+    ``eta`` is one rate for every pair, or a column of one positive rate per
+    row, both rows of a pair at the pair's rate; an agent's smoothing radius
+    is nu = eta / c, its momentum and c its unit's.  The estimates are
+    written to G, one row per kernel row, by :func:`estimate_groups` over
+    ``slices``, the rows' groups as contiguous runs of rows, from inputs drawn
+    beforehand (:func:`draw_row_inputs`): row r estimates over the minibatch
+    ids in the leading columns of B[r] and, when zeroth-order, its row of U.
+    Momentum filters each estimate through the agent's persistent buffer
+    (g <- m g + (1 - m) G), and G holds the filtered estimates; buffers are
+    never exchanged.  eta = 0 is pure gossip averaging and reads no input.
+    The kernel counts no evaluations.
     """
     X = pop.flat
-    k = rows.shape[0] // 2
-    S = X.take(rows, axis=0)  # the 2k pre-interaction models
-    G = None
+    S = X.take(rows, axis=0)  # the pre-interaction models
     if type(eta) is np.ndarray or eta != 0.0:
-        G = estimate_groups(pop, rows, S, B, U,
-                            eta / (pop.c if type(pop.c) is float else pop.c[rows]))
+        estimate_groups(pop.objective, slices, S, B, U,
+                        eta / (pop.c if type(pop.c) is float else pop.c[rows]), G)
         if pop.M is not None:
             m = pop.momentum if type(pop.momentum) is float else pop.momentum[rows]
-            G = pop.M.take(rows, axis=0) * m + (1.0 - m) * G
+            G[...] = pop.M.take(rows, axis=0) * m + (1.0 - m) * G
             pop.M[rows] = G
         S -= eta * G
-    S[:k] += S[k:]
-    S[:k] *= 0.5
-    S[k:] = S[:k]
+    S += S[partner]
+    S *= 0.5
     X[rows] = S
-    pop.interactions += k
-    return G
+    pop.interactions += rows.shape[0] // 2
+
+
+def plan_layers(pop, I, J, counts, live=None):
+    """The kernel rows of layers of disjoint pairs (I[p], J[p]) of global
+    rows, the pairs sorted by layer, counts[l] of them in layer l, as
+    :func:`interact` takes them: (rows, A, partner, slices, at).  Layer l,
+    the pairs [s, e), is rows[2s:2e]: the agents I[s:e], then J[s:e],
+    ordered by estimator group (:func:`~hdopt.estimators.group_rows`), so
+    each group's rows keep that order.  partner[r] is the row of r's partner,
+    counted from the first row of their layer, and pair p's rows are
+    at[0, p] (I[p]) and at[1, p] (J[p]).  A is ``rows`` with -1 for the rows
+    of a pair whose ``live`` is false, one that makes no estimate, and
+    slices[l] is layer l's :func:`estimate_groups` slices over the inputs
+    ``draw_row_inputs(pop, A)``.  One layer of pairs is counts = [len(I)]."""
+    rows = np.concatenate((I, J))
+    A = rows if live is None else np.where(np.concatenate((live, live)), rows, -1)
+    layer = np.arange(counts.shape[0]).repeat(counts)
+    order, slices = group_rows(pop, A, np.concatenate((layer, layer)), counts.shape[0])
+    at = order.argsort().reshape(2, -1)  # the inverse of order
+    partner = np.empty_like(order)
+    partner[at] = at[::-1]
+    partner -= (2 * (counts.cumsum() - counts)).repeat(2 * counts)
+    return rows[order], A[order], partner, slices, at
 
 
 def draw_pairs(rng, n, steps):
@@ -336,10 +355,11 @@ def step_window(pop: Population, etas, weights=None):
     its nonzero-rate steps, and a zeroth-order agent their Gaussians in
     another.  Each stream draws nothing else, so the numbers are those of
     the steps one by one, unit by unit.  The window's kernel rows form one
-    array: the layer of pairs [s, e) is rows [2s, 2e), whose inputs are
-    B[2s:2e] and the rows of U that belong to the layer's zeroth-order rows.
-    ``pop.evals`` adds the window's estimates at once.  A window whose
-    Gaussians would exceed _WINDOW_DIRECTIONS for a unit (two
+    array, planned once by :func:`plan_layers`: the layer of pairs [s, e) is
+    rows [2s, 2e), ordered by estimator group, whose inputs are B[2s:2e] and
+    its groups' slices of U, and whose estimates go to rows [2s, 2e) of one
+    (rows, d) array.  ``pop.evals`` adds the window's estimates at once.  A
+    window whose Gaussians would exceed _WINDOW_DIRECTIONS for a unit (two
     ``zo.input_shape(d)`` per pair, ``pop.step_inputs`` a step for the unit
     that needs most) runs as sub-windows of as many steps as fit (at least
     one), their drifts summed; a unit's numbers do not depend on where a
@@ -386,40 +406,30 @@ def step_window(pop: Population, etas, weights=None):
     order = L.argsort(kind="stable")
     I, J, P, E, unit = I[order], J[order], T[order], E[order], unit[order]  # P: per pair, its step
     counts = np.bincount(L)
-    ends = counts.cumsum()
-    # the window's rows: the layer of pairs [s, e) is rows [2s, 2e), I[s:e], then J[s:e]
-    at = np.arange(I.shape[0]) + (ends - counts).repeat(counts)
-    at = np.concatenate((at, at + counts.repeat(counts)))
-    rows = np.empty_like(at)
-    rows[at] = np.concatenate((I, J))
+    rows, A, partner, slices, at = plan_layers(pop, I, J, counts, E != 0.0 if mixed else None)
+    firsts, ends = (2 * (counts.cumsum() - counts)).tolist(), (2 * counts.cumsum()).tolist()
     rate = float(etas[0, 0])  # every layer's, unless mixed
-    B = U = None
-    zs = [0] * ends.shape[0]  # per layer, the zeroth-order rows before its end
+    layer_etas = [rate] * counts.shape[0]
+    B = U = G = None
     if mixed or rate:
-        A = rows
-        if mixed:  # R: per row, its pair's rate, as a column
+        if mixed:  # per row, its pair's rate, as a column
             R = np.empty((rows.shape[0], 1))
-            R[at, 0] = np.concatenate((E, E))
-            A = np.where(R[:, 0] != 0.0, rows, -1)  # a row at rate 0 draws nothing
+            R[at, 0] = E
+            layer_etas = [R[a:b] if R[a, 0] else 0.0 for a, b in zip(firsts, ends)]
         pop.evals += np.bincount(A + 1, minlength=N + 1)[1:] * pop.cost  # once per window
         B, U = draw_row_inputs(pop, A)
-        if U is not None:
-            zs = (pop.zo.take(A) & (A >= 0)).cumsum()[2 * ends - 1].tolist()
-    drift = None
-    if weights is not None:
-        drift = np.zeros((len(pop.units), d))
+        G = np.empty((rows.shape[0], d))
+    for a, b, eta, layer in zip(firsts, ends, layer_etas, slices):
+        interact(pop, rows[a:b], partner[a:b], eta, layer, B if B is None else B[a:b], U,
+                 G if G is None else G[a:b])
+    if weights is None:
+        return None
+    drift = np.zeros((len(pop.units), d))
+    if G is not None:  # pair by pair, in each unit's order
         weights = np.asarray(weights)
         weights = weights[P] if weights.ndim == 1 else weights[unit, P]  # per pair
-    start = z = 0
-    for end, z_end in zip(ends.tolist(), zs):
-        eta = rate if not mixed else R[2 * start:2 * end] if R[2 * start, 0] else 0.0
-        G = interact(pop, rows[2 * start:2 * end], eta,
-                     None if B is None else B[2 * start:2 * end],
-                     None if U is None else U[z:z_end])
-        if drift is not None and G is not None:  # pair by pair, in each unit's order
-            np.add.at(drift, unit[start:end],
-                      weights[start:end, None] * (G[:end - start] + G[end - start:]))
-        start, z = end, z_end
+        p = np.flatnonzero(E) if mixed else slice(None)  # the pairs that made estimates
+        np.add.at(drift, unit[p], weights[p, None] * (G[at[0, p]] + G[at[1, p]]))
     return drift
 
 

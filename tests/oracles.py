@@ -17,7 +17,7 @@ from hdopt import theory
 from hdopt.estimators import BIASED_KINDS, FIRST_ORDER, ZO_FORWARD, check_shard, estimate_rows
 from hdopt.metrics import MetricsRecord, gamma_of
 from hdopt.objectives import Objective, _antisymmetric
-from hdopt.protocol import draw_pairs, interact
+from hdopt.protocol import draw_pairs, interact, plan_layers
 from hdopt.theory import _report
 
 from conftest import stack_models
@@ -153,8 +153,9 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
     (seed, 31, b) its pairs, then, when M^G is sampled, agent by agent the
     minibatch ids of the agent's k estimates and then their Gaussians.
     Each replica is then one interact call on a copy of the frozen
-    population, with the inputs of its pair's own estimates, gamma_of,
-    and one estimate_rows call per agent for M^G.  At eta = 0 a population
+    population, its pair planned as one layer by plan_layers, with the
+    inputs of its pair's own estimates, gamma_of, and one estimate_rows
+    call per agent for M^G.  At eta = 0 a population
     of a biased zeroth-order kind samples no M^G."""
     (cfg, _, n, _), d = pop.units[0], pop.objective.d
     n0, zo, fo = cfg.n0, cfg.zo, cfg.fo
@@ -181,16 +182,20 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
             work.flat[:] = pop.flat
             if work.M is not None:
                 work.M[:] = pop.M
-            # the pair's rows, I[r] then J[r]; U holds the zeroth-order rows' alone
-            B = U = None
+            # the pair's rows, ordered as step_window orders a layer's; U
+            # holds the zeroth-order rows' alone
+            rows, _, partner, (slices,), _ = plan_layers(work, I[r:r + 1], J[r:r + 1],
+                                                         np.array([1]))
+            B = U = G = None
             if eta != 0:
                 B = np.zeros((2, width), dtype=np.intp)
                 U = np.zeros((0, *shape)) if n0 else None
-                for row, a in enumerate((I[r], J[r])):
+                for row, a in enumerate(rows.tolist()):
                     B[row, :ids[a].shape[1]] = ids[a][r]
                     if a < n0:
                         U = np.concatenate((U, dirs[a][r][None]))
-            interact(work, np.array([I[r], J[r]]), eta, B, U)
+                G = np.empty((2, d))
+            interact(work, rows, partner, eta, slices, B, U, G)
             gammas.append(float(gamma_of(work.flat)))
             if sample_mtg:
                 total = 0.0

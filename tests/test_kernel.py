@@ -2,13 +2,14 @@
 algebraic properties."""
 
 import copy
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdopt import protocol
+from hdopt import estimators, protocol
 from hdopt.estimators import FIRST_ORDER, ZO_CENTRAL, ZO_FORWARD, ZO_ONE_SIDED, EstimatorConfig
 from hdopt.metrics import gamma_of
 from hdopt.objectives import (
@@ -30,6 +31,7 @@ from hdopt.protocol import (
     eta_at,
     init_population,
     interact,
+    plan_layers,
     run,
     step_window,
 )
@@ -153,10 +155,11 @@ def test_zero_eta_keeps_mean_exactly_and_never_raises_gamma(n, d, steps, matchin
     for _ in range(steps):
         gamma = gamma_of(pop.flat)
         if matching:
-            rows = np.concatenate(draw_matching(rng, n, 1), axis=None)
+            (I,), (J,) = draw_matching(rng, n, 1)
         else:
-            rows = rng.choice(n, size=2, replace=False)
-        interact(pop, rows, 0.0)
+            I, J = np.split(rng.choice(n, size=2, replace=False), 2)
+        rows, _, partner, _, _ = plan_layers(pop, I, J, np.array([I.shape[0]]))
+        interact(pop, rows, partner, 0.0)
         assert np.array_equal(pop.flat.mean(axis=0), mu0)
         assert gamma_of(pop.flat) <= gamma + 1e-12 * (1.0 + gamma)
     assert not pop.evals.any()
@@ -177,16 +180,20 @@ def test_batched_matching_equals_sequential_pairs(n0, n1, kind, momentum, logist
     sequential = copy.deepcopy(batched)
     (I,), (J,) = draw_matching(np.random.default_rng(seed), batched.units[0].n, 1)
     evals = batched.evals.copy()  # the counts of the run that made the population
-    # both runs take the same inputs: pair p's rows are p and k + p of the batch
-    rows = np.concatenate((I, J))
-    B, U = draw_row_inputs(batched, rows)
-    interact(batched, rows, 0.05, B, U)
+    # both runs take the same inputs: pair p's rows are at[:, p] of the batch
     k = I.shape[0]
+    rows, A, partner, (slices,), at = plan_layers(batched, I, J, np.array([k]))
+    B, U = draw_row_inputs(batched, A)
+    interact(batched, rows, partner, 0.05, slices, B, U, np.empty((2 * k, batched.flat.shape[1])))
     zrow = batched.zo[rows].cumsum() - 1  # per zeroth-order row, its row of U
     for p in range(k):
-        r = [p, k + p]
-        interact(sequential, rows[r], 0.05, B[r],
-                 None if U is None else U[zrow[r][batched.zo[rows[r]]]])
+        one, _, pair, (one_slices,), one_at = plan_layers(sequential, I[p:p + 1], J[p:p + 1],
+                                                          np.array([1]))
+        r = np.empty(2, dtype=np.intp)
+        r[one_at[:, 0]] = at[:, p]  # the pair's rows of the batch, in its own rows' order
+        interact(sequential, one, pair, 0.05, one_slices, B[r],
+                 None if U is None else U[zrow[r][batched.zo[rows[r]]]],
+                 np.empty((2, batched.flat.shape[1])))
     scale = np.abs(stack_models(sequential)).max()
     assert np.allclose(stack_models(batched), stack_models(sequential), rtol=RTOL,
                        atol=RTOL * scale)
@@ -555,3 +562,33 @@ def test_a_diverged_stack_names_its_first_non_finite_seed():
         with pytest.raises(DivergedError, match="metrics are non-finite at step 0") as info:
             run(pop)
         assert info.value.unit == first
+
+
+def test_a_layer_makes_two_calls_and_one_per_estimator_group():
+    # a uniform_pair window on a stack of a one-sided hybrid unit and a
+    # first-order unit, under sys.setprofile: the calls made from the frames
+    # of interact and estimate_groups are the model gather, the dispatch and
+    # one estimate_rows call per estimator group present in the layer
+    spec, _ = _objective("quadratic")
+    cfgs = [_config(*POPULATIONS[name][:2], ZO_ONE_SIDED, "uniform_pair", 0.05, 0.0)[0]
+            for name in ("hybrid_one_sided", "fo")]
+    pop = init_population(cfgs, spec, [partition_data(spec.n_samples, c.n0, c.n1, seed=s)
+                                       for s, c in enumerate(cfgs)],
+                          np.ones((2, spec.d)), [3, 4], T=40, scheduler_mode="uniform_pair")
+    frames = {protocol.interact.__code__, estimators.estimate_groups.__code__}
+    layers = []  # per layer: (groups present, calls made)
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is protocol.interact.__code__:
+            layers.append([np.unique(pop.group[frame.f_locals["rows"]]).shape[0], 0])
+        caller = frame if event == "c_call" else frame.f_back if event == "call" else None
+        if caller is not None and caller.f_code in frames:
+            layers[-1][1] += 1
+
+    sys.setprofile(hook)
+    try:
+        step_window(pop, np.full(40, 0.05))
+    finally:
+        sys.setprofile(None)
+    assert len(layers) > 10 and any(groups == 2 for groups, _ in layers)
+    assert all(calls <= 2 + groups for groups, calls in layers), layers

@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,18 @@ def test_aggregate_permutation_invariant():
     s2 = aggregate_seeds(series[::-1])
     assert np.allclose(s1[1], s2[1], equal_nan=True)
     assert np.allclose(s1[2], s2[2], equal_nan=True)
+
+
+def test_aggregate_of_an_inf_column_warns_nothing():
+    # inf - inf inside the standard error is NaN, written as an empty field,
+    # with no RuntimeWarning
+    a = [rec(0, 1.0)]
+    b = [rec(0, float("inf"))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, mean, stderr = aggregate_seeds([a, b])
+    gamma_col = CSV_COLUMNS.index("gamma") - 1
+    assert mean[0, gamma_col] == np.inf and np.isnan(stderr[0, gamma_col])
 
 
 def test_aggregate_misaligned_steps_rejected():

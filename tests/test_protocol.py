@@ -26,6 +26,7 @@ from hdopt.protocol import (
     eta_at,
     init_population,
     interact,
+    plan_layers,
     run,
     step_window,
 )
@@ -57,7 +58,22 @@ def two_agents(spec, models, est):
     return Population([(cfg, 0)], spec, np.array(models, dtype=float), [shard, shard])
 
 
-PAIR = np.array([0, 1])  # the kernel rows of the pair (0, 1)
+PAIR = (np.array([0]), np.array([1]))  # the pair (0, 1)
+
+
+def interact_layer(pop, I, J, eta):
+    """One interact call on the pairs (I[p], J[p]) as one layer, planned as
+    step_window plans a layer; ``eta`` is one rate or one per pair, and the
+    inputs are drawn from the agents' streams."""
+    rows, A, partner, (slices,), at = plan_layers(pop, I, J, np.array([I.shape[0]]))
+    if type(eta) is np.ndarray:  # per row, its pair's rate
+        R = np.empty((rows.shape[0], 1))
+        R[at, 0] = eta
+        eta = R
+    if type(eta) is not np.ndarray and eta == 0.0:
+        return interact(pop, rows, partner, eta)
+    return interact(pop, rows, partner, eta, slices, *draw_row_inputs(pop, A),
+                    np.empty((rows.shape[0], pop.flat.shape[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +168,7 @@ def test_interact_noiseless_optimum_is_fixed_point():
     q = make_quadratic(d=3, cond=2.0, seed=5, grad_noise=0.0, hessian_jitter=0.0)
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=q.n_samples)
     pop = two_agents(q, [q.x_star, q.x_star], est)
-    interact(pop, PAIR, 0.1, *draw_row_inputs(pop, PAIR))
+    interact_layer(pop, *PAIR, 0.1)
     assert np.allclose(pop.flat[0], q.x_star, atol=1e-12)
     assert np.allclose(pop.flat[1], q.x_star, atol=1e-12)
     assert pop.interactions == 1
@@ -162,7 +178,7 @@ def test_interact_zero_eta_is_pure_averaging():
     q = make_quadratic(d=2, cond=2.0, seed=6)
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=1)
     pop = two_agents(q, [[2.0, 0.0], [0.0, 0.0]], est)
-    interact(pop, PAIR, eta=0.0)
+    interact_layer(pop, *PAIR, 0.0)
     assert np.array_equal(pop.flat[0], [1.0, 0.0])
     assert np.array_equal(pop.flat[1], [1.0, 0.0])
     assert not pop.evals.any()
@@ -176,7 +192,7 @@ def test_interact_hand_arithmetic_one_dim():
     est = EstimatorConfig(kind=FIRST_ORDER, batch_size=q.n_samples)
     x0 = q.x_star + 2.0
     pop = two_agents(q, [x0, x0], est)
-    interact(pop, PAIR, 0.1, *draw_row_inputs(pop, PAIR))
+    interact_layer(pop, *PAIR, 0.1)
     assert pop.flat[0, 0] == pytest.approx(q.x_star[0] + 1.8, abs=1e-12)
     assert pop.flat[1, 0] == pytest.approx(q.x_star[0] + 1.8, abs=1e-12)
 
@@ -186,9 +202,8 @@ def test_interact_rejects_a_per_pair_rate_that_is_not_positive(bad):
     # a biased zeroth-order kind needs nu = eta / c > 0, per pair as for one rate
     _, _, pop = quadratic_pop(4, 0)
     with pytest.raises(ValueError, match="nu > 0"):
-        rows = np.array([0, 1, 2, 3])  # the pairs (0, 2) and (1, 3)
-        interact(pop, rows, np.array([[0.05], [bad], [0.05], [bad]]),
-                 *draw_row_inputs(pop, rows))
+        # the pairs (0, 2) and (1, 3)
+        interact_layer(pop, np.array([0, 1]), np.array([2, 3]), np.array([0.05, bad]))
 
 
 def test_interact_dimension_mismatch():
