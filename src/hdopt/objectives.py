@@ -349,12 +349,12 @@ def make_quadratic(d: int, cond: float, seed: int, n_samples: int = 64,
 
 def _signed_labels(labels, positive_class=None):
     labs = np.asarray(labels, dtype=float)
-    values = np.unique(labs)
     if positive_class is not None:
         return np.where(labs == positive_class, 1.0, -1.0)
-    if set(values.tolist()) <= {-1.0, 1.0}:
+    values = set(labs.tolist())
+    if values <= {-1.0, 1.0}:
         return labs.copy()
-    if set(values.tolist()) <= {0.0, 1.0}:
+    if values <= {0.0, 1.0}:
         return np.where(labs > 0.5, 1.0, -1.0)
     raise ValueError("labels must be binary ({0,1} or {-1,+1}) unless positive_class is given")
 

@@ -37,9 +37,9 @@ TAG_SCHEDULER = 2
 TAG_METRICS = 3
 TAG_INIT = 4
 
-# a window draws the inputs of all its estimates ahead; one whose zeroth-order
-# Gaussians would exceed this many float64 elements for a unit (8 MB) runs as
-# sub-windows
+# a window draws the inputs of all its estimates ahead; one whose footprint
+# (Population.step_elements a step) would exceed this many 8-byte elements
+# (8 MB) for the whole stack runs as sub-windows
 _WINDOW_DIRECTIONS = 1 << 20
 
 
@@ -161,7 +161,9 @@ class Population:
     > 0, else None.  ``interactions`` counts the pairs of all units.  Per unit,
     ``starts`` holds its first row and ``pairs`` its pairs per step;
     ``blocks`` lists the runs of consecutive units of one n as (first row,
-    end row, n)."""
+    end row, n).  ``step_elements`` is the stack's memory a window step, in
+    8-byte elements: the one budget by which :func:`step_window` splits
+    every window of every unit."""
 
     units: list
     objective: object
@@ -222,10 +224,14 @@ class Population:
         self.momentum = self._per_row([u.cfg.momentum for u in units])
         uniform = self.scheduler_mode == UNIFORM_PAIR
         self.pairs = np.array([1 if uniform else u.n // 2 for u in units])
-        # a step's zeroth-order inputs at most, in float64 elements, by the
-        # unit that needs most: two input_shape(d) per pair
-        self.step_inputs = max((2 * int(m) * math.prod(u.cfg.zo.input_shape(d))
-                                for u, m in zip(units, self.pairs) if u.cfg.n0), default=0)
+        # a window's footprint a step in 8-byte elements: per pair, two kernel
+        # rows, each an estimate (d), minibatch ids (the largest batch), the
+        # widest zeroth-order inputs and 32 elements of the window's per-pair
+        # index arrays (tracemalloc: about 12 a row, 23 with a weighted-average
+        # drift at d = 10)
+        self.step_elements = 2 * int(self.pairs.sum()) * (
+            d + max(est.batch_size for est in self.groups)
+            + (math.prod(self.zo_shape) if self.zo_shape else 0) + 32)
         self.rngs = [derive_rng(u.seed, TAG_AGENT, i) for u in units for i in range(u.n)]
         self.dir_rngs = [derive_rng(u.seed, TAG_AGENT, i, 1) for u in units
                          for i in range(u.cfg.n0)]
@@ -340,46 +346,51 @@ def draw_matching(rng, n, steps):
 def step_window(pop: Population, etas, weights=None):
     """``etas.shape[-1]`` steps of the stack's scheduler on every unit, step t
     of unit u at rate etas[pop.schedule[u], t] (etas (K, steps), row k for
-    ``pop.schedules[k]``), or at etas[t] for every unit (etas (steps,)).  Each
-    unit draws the window's pairs with one call on its own stream
-    (:func:`draw_pairs` or :func:`draw_matching`, at its own n).
+    ``pop.schedules[k]``), or at etas[t] for every unit (etas (steps,)).
 
-    Disjoint pairs commute, so the window runs as layers of them, one
-    :func:`interact` each, layer l being the union of the units' layers l:
-    a matching step is a layer, and a ``uniform_pair`` pair goes one layer
-    after the last earlier pair sharing an agent with it (one at rate 0
-    among nonzero ones in a layer of its own).  Layers run at the window's
-    one rate, or at a column of per-row rates when its pairs' rates differ.
-    The inputs of every estimate come from one :func:`draw_row_inputs` call
-    ahead of the layers: each agent draws in one call the minibatch ids of
-    its nonzero-rate steps, and a zeroth-order agent their Gaussians in
-    another.  Each stream draws nothing else, so the numbers are those of
-    the steps one by one, unit by unit.  The window's kernel rows form one
-    array, planned once by :func:`plan_layers`: the layer of pairs [s, e) is
-    rows [2s, 2e), ordered by estimator group, whose inputs are B[2s:2e] and
-    its groups' slices of U, and whose estimates go to rows [2s, 2e) of one
-    (rows, d) array.  ``pop.evals`` adds the window's estimates at once.  A
-    window whose Gaussians would exceed _WINDOW_DIRECTIONS for a unit (two
-    ``zo.input_shape(d)`` per pair, ``pop.step_inputs`` a step for the unit
-    that needs most) runs as sub-windows of as many steps as fit (at least
-    one), their drifts summed; a unit's numbers do not depend on where a
-    window splits.  With ``weights`` (one per step, or (units, steps), row u
-    for unit u) it returns, row u for unit u, sum_p weights[t] (G_I + G_J)[p]
-    over the unit's pairs p, t being p's step, which moves the unit's mean by
-    -etas[t] / n (G_I + G_J)[p].
+    The window runs as consecutive sub-windows of as many steps as fit the
+    stack's one element budget, _WINDOW_DIRECTIONS over ``pop.step_elements``
+    (at least one step).  Each unit draws a sub-window's pairs with one call
+    on its own stream (:func:`draw_pairs` or :func:`draw_matching`, at its
+    own n).  Disjoint pairs commute, so a sub-window runs as layers of them,
+    one :func:`interact` each, layer l being the union of the units' layers
+    l: a matching step is a layer, and a ``uniform_pair`` pair goes one layer
+    after the last earlier pair sharing an agent with it (one at rate 0 among
+    nonzero ones in a layer of its own).  Layers run at the sub-window's one
+    rate, or at a column of per-row rates when its pairs' rates differ.  The
+    inputs of every estimate come from one :func:`draw_row_inputs` call ahead
+    of the layers: each agent draws in one call the minibatch ids of its
+    nonzero-rate steps, and a zeroth-order agent their Gaussians in another.
+    Each stream draws nothing else, so the numbers are those of the steps one
+    by one, unit by unit, wherever the window splits.  The sub-window's
+    kernel rows form one array, planned once by :func:`plan_layers`: the
+    layer of pairs [s, e) is rows [2s, 2e), ordered by estimator group, whose
+    inputs are B[2s:2e] and its groups' slices of U, and whose estimates go
+    to rows [2s, 2e) of one (rows, d) array.  ``pop.evals`` adds the
+    sub-window's estimates at once.
+
+    With ``weights`` (units, steps) it returns, row u for unit u, the sum over
+    the unit's pairs p of weights[u, t] (G_I + G_J)[p], t being p's step,
+    which moves the unit's mean by -etas[t] / n (G_I + G_J)[p].  The pairs add
+    into one accumulator in (unit, step) order, so the sum depends neither on
+    the split nor on the layering.
     """
     etas = np.asarray(etas, dtype=float)
     etas = etas.reshape(-1, etas.shape[-1])
-    steps = etas.shape[1]
-    if pop.step_inputs:
-        h = max(1, _WINDOW_DIRECTIONS // pop.step_inputs)
-        if steps > h:
-            drifts = [step_window(pop, etas[:, t:t + h],
-                                  None if weights is None else weights[..., t:t + h])
-                      for t in range(0, steps, h)]
-            return None if weights is None else sum(drifts)
+    drift = None if weights is None else np.zeros((len(pop.units), pop.flat.shape[1]))
+    h = max(1, _WINDOW_DIRECTIONS // pop.step_elements)
+    for t in range(0, etas.shape[1], h):
+        _sub_window(pop, etas[:, t:t + h], None if weights is None else weights[:, t:t + h], drift)
+    return drift
+
+
+def _sub_window(pop, etas, weights, drift):
+    """One sub-window of :func:`step_window`, at rates etas (K, steps): adds
+    its pairs' weighted estimates to ``drift`` when that is not None.  Its
+    arrays die on return, before the next sub-window allocates its own."""
     N, d = pop.flat.shape
     uniform = pop.scheduler_mode == UNIFORM_PAIR
+    steps = etas.shape[1]
     # unit by unit, each unit's pairs in step order, in global rows
     draw = draw_pairs if uniform else draw_matching
     I, J = [np.concatenate(drawn, axis=None) for drawn in zip(
@@ -404,9 +415,9 @@ def step_window(pop: Population, etas, weights=None):
     # sorted by layer, a layer's pairs are a slice, unit by unit; an agent's
     # stay in step order
     order = L.argsort(kind="stable")
-    I, J, P, E, unit = I[order], J[order], T[order], E[order], unit[order]  # P: per pair, its step
     counts = np.bincount(L)
-    rows, A, partner, slices, at = plan_layers(pop, I, J, counts, E != 0.0 if mixed else None)
+    rows, A, partner, slices, at = plan_layers(pop, I[order], J[order], counts,
+                                               E[order] != 0.0 if mixed else None)
     firsts, ends = (2 * (counts.cumsum() - counts)).tolist(), (2 * counts.cumsum()).tolist()
     rate = float(etas[0, 0])  # every layer's, unless mixed
     layer_etas = [rate] * counts.shape[0]
@@ -414,23 +425,21 @@ def step_window(pop: Population, etas, weights=None):
     if mixed or rate:
         if mixed:  # per row, its pair's rate, as a column
             R = np.empty((rows.shape[0], 1))
-            R[at, 0] = E
+            R[at, 0] = E[order]
             layer_etas = [R[a:b] if R[a, 0] else 0.0 for a, b in zip(firsts, ends)]
-        pop.evals += np.bincount(A + 1, minlength=N + 1)[1:] * pop.cost  # once per window
+        pop.evals += np.bincount(A + 1, minlength=N + 1)[1:] * pop.cost  # once per sub-window
         B, U = draw_row_inputs(pop, A)
         G = np.empty((rows.shape[0], d))
     for a, b, eta, layer in zip(firsts, ends, layer_etas, slices):
         interact(pop, rows[a:b], partner[a:b], eta, layer, B if B is None else B[a:b], U,
                  G if G is None else G[a:b])
-    if weights is None:
-        return None
-    drift = np.zeros((len(pop.units), d))
-    if G is not None:  # pair by pair, in each unit's order
-        weights = np.asarray(weights)
-        weights = weights[P] if weights.ndim == 1 else weights[unit, P]  # per pair
-        p = np.flatnonzero(E) if mixed else slice(None)  # the pairs that made estimates
-        np.add.at(drift, unit[p], weights[p, None] * (G[at[0, p]] + G[at[1, p]]))
-    return drift
+    if drift is not None and G is not None:  # the pairs that made estimates, in (unit, step) order
+        i, j = at[:, order.argsort()]
+        p = np.flatnonzero(E) if mixed else slice(None)
+        S = G[i[p]]
+        S += G[j[p]]
+        S *= weights[unit[p], T[p], None]
+        np.add.at(drift, unit[p], S)
 
 
 @dataclass

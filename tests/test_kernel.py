@@ -3,6 +3,7 @@ algebraic properties."""
 
 import copy
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,7 +356,8 @@ class _CountedStream:
 @pytest.mark.parametrize("population", ["hybrid_one_sided", "central"])
 def test_metric_cadence_leaves_the_trajectory_unchanged(population, mode, cap, monkeypatch):
     # every stream draws the same numbers whether a window holds 1, 7 or 500
-    # steps, and whether it runs whole or as sub-windows of one step (rv d = 30),
+    # steps, and whether it runs whole or as sub-windows of one step (a cap of
+    # 60 elements, below one step's footprint),
     # on a stack of 3 seeds (n = 5 idles one agent per matching); each seed's
     # scheduler stream makes one draw per (sub-)window
     if cap:
@@ -376,13 +378,10 @@ def test_metric_cadence_leaves_the_trajectory_unchanged(population, mode, cap, m
         draws = pop.T if cap else -(-pop.T // cadence)
         assert [rng.calls for rng in pop.scheduler_rngs] == [draws] * 3
         runs.append(pop)
-    for pop in runs[1:]:
-        assert np.allclose(stack_models(pop), stack_models(runs[0]), rtol=RTOL,
-                           atol=RTOL * np.abs(stack_models(runs[0])).max())
+    for pop in runs[1:]:  # bit for bit, however the pairs are layered
+        assert np.array_equal(stack_models(pop), stack_models(runs[0]))
+        assert np.array_equal(pop.M, runs[0].M)
         assert np.array_equal(pop.evals, runs[0].evals)
-        if mode == "random_matching":  # each step is its own layer, however windows split
-            assert np.array_equal(stack_models(pop), stack_models(runs[0]))
-            assert np.array_equal(pop.M, runs[0].M)
 
 
 def _count_input_draws(monkeypatch):
@@ -447,7 +446,7 @@ def test_input_draws_hold_gaussians_for_zeroth_order_rows_alone(kinds):
 
 def _window_cap_draws(population, mode, cap, monkeypatch):
     """The draws of a run of ``population`` in windows of 10 steps on a stack
-    of 2 seeds, its windows capped at ``cap`` elements per seed."""
+    of 2 seeds, its windows capped at ``cap`` elements for the whole stack."""
     monkeypatch.setattr(protocol, "_WINDOW_DIRECTIONS", cap)
     spec, _ = _objective("quadratic")
     n0, n1, kind = POPULATIONS[population]
@@ -456,27 +455,61 @@ def _window_cap_draws(population, mode, cap, monkeypatch):
                                       for s in range(2)], np.ones((2, spec.d)), [3, 4], **stack)
     draws = _count_input_draws(monkeypatch)
     run(pop)
+    # each sub-window's ids B, Gaussians U and estimates G (a row of d per
+    # row of B) together stay within the stack's one budget
+    assert all(B.size + U.size + B.shape[0] * spec.d <= cap for B, U in draws)
     return draws, pop
 
 
 @pytest.mark.parametrize("mode", ["uniform_pair", "random_matching"])
 def test_no_input_draw_exceeds_the_window_cap(mode, monkeypatch):
-    # 2 rv d = 60 directions per pair: sub-windows of 3 uniform steps, or of one
-    # matching step of 2 pairs, in windows of 10 steps on a stack of 2 seeds
-    cap = 180
-    draws, pop = _window_cap_draws("hybrid_one_sided", mode, cap, monkeypatch)
-    assert len(draws) == (4 if mode == "uniform_pair" else 10) * pop.T // 10
-    assert all(U.size <= 2 * cap for _, U in draws)  # cap elements per seed
+    # a kernel row takes d + b + rv d + 32 = 6 + 3 + 30 + 32 = 71 elements, so
+    # a step of the 2-seed stack takes 2 * 71 per pair: 284 for one uniform
+    # pair a seed, 568 for two matching pairs a seed.  A cap of 1,200 splits
+    # each window of 10 steps into sub-windows of 4, 4 and 2 uniform steps, or
+    # of 2 matching steps
+    draws, pop = _window_cap_draws("hybrid_one_sided", mode, 1200, monkeypatch)
+    assert len(draws) == (3 if mode == "uniform_pair" else 5) * pop.T // 10
 
 
 @pytest.mark.parametrize("mode", ["uniform_pair", "random_matching"])
 def test_no_forward_input_draw_exceeds_the_window_cap(mode, monkeypatch):
-    # 2 (rv + d) = 22 forward inputs per pair, not 2 rv d = 60: sub-windows of
-    # 8 and 2 uniform steps, or of 2 matching steps of 3 pairs
-    cap = 180
-    draws, pop = _window_cap_draws("hybrid_forward", mode, cap, monkeypatch)
-    assert len(draws) == (2 if mode == "uniform_pair" else 5) * pop.T // 10
-    assert all(U.size <= 2 * cap for _, U in draws)  # cap elements per seed
+    # forward rows take rv + d = 11 inputs, not rv d = 30: 6 + 3 + 11 + 32 = 52
+    # elements, so a step takes 208 for one uniform pair a seed and 624 for
+    # three matching pairs a seed.  A cap of 1,200 makes sub-windows of 5
+    # uniform steps, or of one matching step
+    draws, pop = _window_cap_draws("hybrid_forward", mode, 1200, monkeypatch)
+    assert len(draws) == (2 if mode == "uniform_pair" else 10) * pop.T // 10
+
+
+def _window_peak(cfg, units, steps):
+    """The tracemalloc peak of one uniform_pair step_window call of ``steps``
+    steps at rate 0.05 on a stack of ``units`` seeds of ``cfg``."""
+    spec, _ = _objective("quadratic")
+    pop = init_population(cfg, spec, [partition_data(spec.n_samples, cfg.n0, cfg.n1, seed=s)
+                                      for s in range(units)], np.ones((units, spec.d)),
+                          range(units))
+    etas = np.full(steps, 0.05)
+    tracemalloc.start()
+    try:
+        step_window(pop, etas)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_window_stays_within_one_stack_wide_budget(monkeypatch):
+    # a first-order stack, which draws no Gaussians, over 5,000 steps (25
+    # sub-windows), and one-sided hybrid stacks of 1, 3 and 9 seeds over 600
+    # steps: at a cap of 2^14 elements (128 KiB), one call's peak stays within
+    # the cap's bytes and one fixed slack, whatever the units or the steps
+    cap, slack = 1 << 14, 1 << 16
+    monkeypatch.setattr(protocol, "_WINDOW_DIRECTIONS", cap)
+    first_order = _config(0, 8, ZO_ONE_SIDED, "uniform_pair", 0.05, 0.0)[0]
+    hybrid = _config(*POPULATIONS["hybrid_one_sided"], "uniform_pair", 0.05, 0.0)[0]
+    peaks = [_window_peak(first_order, 1, 5000)] + [_window_peak(hybrid, units, 600)
+                                                    for units in (1, 3, 9)]
+    assert max(peaks) <= 8 * cap + slack, peaks
 
 
 @pytest.mark.parametrize("cap", [protocol._WINDOW_DIRECTIONS, 180], ids=["default", "small-cap"])
@@ -513,6 +546,32 @@ def test_stack_equals_its_seeds_run_one_by_one(objective, mode, S, cap, monkeypa
         assert np.array_equal(stacked.M[rows], pop.M)
         assert np.array_equal(stacked.evals[rows], pop.evals)
         assert stacked.interactions == S * pop.interactions
+
+
+@pytest.mark.parametrize("mode", ["uniform_pair", "random_matching"])
+def test_weighted_average_depends_on_neither_the_split_nor_the_stack(mode, monkeypatch):
+    # each unit's pairs fold into the weighted-average drift in step order, so
+    # a seed's weighted average keeps its bits whether its windows of 10 steps
+    # run whole (default cap), split by a 3-seed stack's footprint at a cap of
+    # 1,000 (2 uniform steps a sub-window, one matching step) or by its own (7
+    # uniform steps, 3 matching steps), or run as one-step sub-windows (cap 180)
+    spec, _ = _objective("quadratic")
+    n0, n1, kind = POPULATIONS["hybrid_one_sided"]
+    schedule = Schedule(eta_max=0.05, mode="warmup_cosine", warmup_steps=5, total_steps=35)
+    cfg, stack = _config(n0, n1, kind, mode, schedule, 0.9)
+    parts = [partition_data(spec.n_samples, n0, n1, seed=10 + s) for s in range(3)]
+    X0 = [np.random.default_rng(s).standard_normal(spec.d) for s in range(3)]
+    expected = [run(init_population(cfg, spec, [parts[s]], [X0[s]], [s], **stack),
+                    track_weighted_average=True).weighted_average[0] for s in range(3)]
+    for cap in (1000, 180):
+        monkeypatch.setattr(protocol, "_WINDOW_DIRECTIONS", cap)
+        stacked = run(init_population(cfg, spec, parts, X0, range(3), **stack),
+                      track_weighted_average=True)
+        for s in range(3):
+            alone = run(init_population(cfg, spec, [parts[s]], [X0[s]], [s], **stack),
+                        track_weighted_average=True)
+            assert np.array_equal(alone.weighted_average[0], expected[s])
+            assert np.array_equal(stacked.weighted_average[s], expected[s])
 
 
 @pytest.mark.parametrize("mode", ["uniform_pair", "random_matching"])

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -142,6 +146,20 @@ def test_positive_class_must_match_a_training_label(make):
     with pytest.raises(ValueError, match="positive_class 2 matches no training label"):
         make(ds, 2)
     assert np.array_equal(make(ds, 0).y, [1.0, -1.0, -1.0, 1.0])
+
+
+def test_mapping_labels_imports_no_masked_arrays():
+    # np.unique imports numpy.ma on first use, a lazy import that would land
+    # inside a run; the label rule needs only the set of label values
+    code = ("import sys\n"
+            "from hdopt.objectives import make_blobs_dataset, make_logistic\n"
+            "make_logistic(make_blobs_dataset(40, 4, seed=3), lam=0.1)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    path = [str(Path(objectives.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
