@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .objectives import DatasetFormatError, make_blobs_dataset, save_dataset_csv
+from .objectives import make_blobs_dataset, save_dataset_csv
 from .protocol import DivergedError
 from .runner import (_INT0, _INT1, _NUMBER, ConfigError, _number, _section, parse_config,
                      parse_seeds, run_experiment, run_theory_suite)
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_gen_data(args)
-    except (ConfigError, DatasetFormatError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and DatasetFormatError among them
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DivergedError, OSError) as exc:

@@ -28,7 +28,6 @@ slice of them to its estimator, one :func:`estimate_rows` call each.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,11 +80,10 @@ def check_shard(shard, batch_size):
 def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
     """Estimates of kind cfg.kind for k rows: row r is estimated at the model
     Xr[r] over the minibatch of sample ids B[r] (batch_size of them) and, for
-    the zeroth-order kinds, the Gaussians U[r] (``cfg.input_shape(d)``, or
-    the leading entries of a wider flat row): a biased kind's rv directions,
-    or the forward kind's (v, z), whose estimate is 0 where the batch
-    gradient is.  Returns the estimates (k, d); one costs ``cfg.evals``
-    function evaluations.
+    the zeroth-order kinds, the Gaussians U[r] (``cfg.input_shape(d)``): a
+    biased kind's rv directions, or the forward kind's (v, z), whose estimate
+    is 0 where the batch gradient is.  Returns the estimates (k, d); one
+    costs ``cfg.evals`` function evaluations.
 
     The k estimates come from one row-batched objective call.  ``nu`` is one
     smoothing radius, or a (k, 1) column of one per row; only the biased
@@ -116,8 +114,6 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
         raise ValueError("biased zeroth-order estimators need nu > 0")
     # one objective call evaluates the rv points x + nu u after the points
     # they are differenced with: x - nu u (central) or x once (one-sided)
-    if U.ndim == 2:  # flat rows
-        U = U[:, :rv * Xr.shape[1]].reshape(-1, rv, Xr.shape[1])
     central = cfg.kind == ZO_CENTRAL
     sub = rv if central else 1
     P = np.empty((Xr.shape[0], sub + rv, Xr.shape[1]))
@@ -134,23 +130,31 @@ def estimate_rows(spec, cfg: EstimatorConfig, Xr, B, U=None, nu=None):
 
 def estimate_groups(spec, slices, S, B, U, nu, G):
     """Writes to G the estimates of kernel rows at the models S, one
-    :func:`estimate_rows` call per entry (cfg, a, b, ua, ub) of ``slices``:
-    rows a:b use the estimator cfg, the leading columns of B[a:b] and, when
-    zeroth-order, the Gaussians U[ua:ub] (:func:`group_rows` plans the
-    slices, :func:`draw_row_inputs` draws B and U).  ``nu`` is one smoothing
-    radius, or a column of one per row; rows in no slice are left as they
-    are."""
+    :func:`estimate_rows` call per entry (cfg, g, a, b, ua, ub) of
+    ``slices``: rows a:b use the estimator cfg, group g's minibatch ids
+    B[g][ua:ub] and, when zeroth-order, its Gaussians U[g][ua:ub]
+    (:func:`group_rows` plans the slices, :func:`draw_row_inputs` draws B
+    and U).  ``nu`` is one smoothing radius, or a column of one per row; rows
+    in no slice are left as they are."""
     per_row = type(nu) is np.ndarray
-    for cfg, a, b, ua, ub in slices:
-        G[a:b] = estimate_rows(spec, cfg, S[a:b], B[a:b, :cfg.batch_size],
-                               U if U is None else U[ua:ub], nu[a:b] if per_row else nu)
+    for cfg, g, a, b, ua, ub in slices:
+        G[a:b] = estimate_rows(spec, cfg, S[a:b], B[g][ua:ub], U[g] if U[g] is None
+                               else U[g][ua:ub], nu[a:b] if per_row else nu)
 
 
-def _zo_rank(pop, A):
-    """Per kernel row whose agent is the global row A[r] (-1: none), the
-    number of zeroth-order rows up to it: such a row's Gaussians are row
-    rank - 1 of the U of :func:`draw_row_inputs`."""
-    return (pop.zo.take(A) & (A >= 0)).cumsum()
+def _group_rank(pop, A):
+    """Per kernel row whose agent is the global row A[r] (-1: none), its row
+    of its estimator group's arrays in :func:`draw_row_inputs`, which hold a
+    group's rows in their order in A: the number of earlier rows of A in its
+    group.  Also returns each group's count of rows, then the -1 rows'."""
+    n = len(pop.groups)
+    key = pop.group.take(A)
+    key[A < 0] = n
+    order = key.argsort(kind="stable")
+    counts = np.bincount(key, minlength=n + 1)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(A.shape[0]) - (counts.cumsum() - counts).repeat(counts)
+    return rank, counts
 
 
 def group_rows(pop, A, seg=0, segments=1):
@@ -160,10 +164,10 @@ def group_rows(pop, A, seg=0, segments=1):
     (order, slices).  A[order] holds segment 0's rows, then segment 1's, and
     so on, each segment's rows group by group in the order of ``pop.groups``
     and the -1 rows last, a group's rows in their order in A.  slices[s]
-    lists, for each group with rows in segment s, (cfg, a, b, ua, ub): its
-    estimator, its rows a:b counted from the segment's first row, and its
-    rows ua:ub of the U that ``draw_row_inputs(pop, A[order])`` draws (none
-    when first-order)."""
+    lists, for each group g with rows in segment s, (cfg, g, a, b, ua, ub):
+    its estimator, its index, its rows a:b counted from the segment's first
+    row, and their rows ua:ub of group g's arrays in the (B, U) that
+    ``draw_row_inputs(pop, A[order], streams)`` draws."""
     n = len(pop.groups) + 1  # the groups and the -1 rows
     key = pop.group.take(A)
     key[A < 0] = n - 1
@@ -174,55 +178,47 @@ def group_rows(pop, A, seg=0, segments=1):
     starts = ends - counts
     s, g = counts[:, :-1].nonzero()  # the (segment, group) cells that hold rows
     a, b = starts[s, g], ends[s, g]
-    z = np.concatenate(([0], _zo_rank(pop, A[order])))
-    cells = list(zip(map(pop.groups.__getitem__, g.tolist()), (a - starts[s, 0]).tolist(),
-                     (b - starts[s, 0]).tolist(), z[a].tolist(), z[b].tolist()))
+    ua = _group_rank(pop, A[order])[0][a]
+    cells = list(zip(map(pop.groups.__getitem__, g.tolist()), g.tolist(),
+                     (a - starts[s, 0]).tolist(), (b - starts[s, 0]).tolist(),
+                     ua.tolist(), (ua + b - a).tolist()))
     per = np.bincount(s, minlength=segments).cumsum().tolist()
     return order, [cells[i:j] for i, j in zip([0] + per, per)]
 
 
-def draw_row_inputs(pop, A, rngs=None):
+def draw_row_inputs(pop, A, streams):
     """The estimator inputs of kernel rows whose agents are the global rows
     ``A`` of the population's stack, -1 for a row that makes no estimate:
-    (B, U).  Row r's minibatch ids (i.i.d. uniform over its agent's shard, or
-    the whole shard when batch_size equals its size) fill the leading
-    batch_size columns of B[r].  U holds one row of Gaussians for each row
-    whose agent is zeroth-order, in row order, and none for the others: of
-    shape ``pop.zo_shape``, its groups' one ``input_shape(d)`` or a flat row
-    whose leading entries are the row's (U is None in a stack without
-    zeroth-order agents).
+    (B, U), one array each per estimator group of ``pop.groups``.  Row j of
+    group g's arrays belongs to the j-th row of A whose agent uses group g
+    (:func:`_group_rank`): B[g] (rows, batch_size) holds its minibatch ids
+    (i.i.d. uniform over its agent's shard, or the whole shard when
+    batch_size equals its size) and U[g] (rows, ``input_shape(d)``) its
+    Gaussians, U[g] being None when the group is first-order.
 
-    Each agent draws the ids of all its rows, in row order, with one call on
-    its ``pop.rngs`` stream, and a zeroth-order agent all their Gaussians
-    with one call on its ``pop.dir_rngs`` stream.  These streams draw nothing
+    ``streams`` is (ids, dirs), one stream per agent in each: each agent
+    draws the ids of all its rows, in row order, with one call on ids[a],
+    then, when zeroth-order, all their Gaussians with one call on dirs[a].
+    A run passes ``(pop.rngs, pop.dir_rngs)``, streams that draw nothing
     else, so a run of rows gets the numbers of one draw per row, however the
-    rows are split.  Given ``rngs``, one stream per unit, unit u's agents
-    make both of their calls on ``rngs[u]`` instead, agent by agent: its ids,
-    then its Gaussians.
+    rows are split; :func:`~hdopt.metrics.sample_estimates` passes each
+    agent's unit stream as both.
     """
     N, d = pop.flat.shape
-    B = np.empty((A.shape[0], max(cfg.batch_size for cfg in pop.groups)), dtype=np.intp)
-    U = None
-    if pop.zo_shape is not None:
-        zrow = _zo_rank(pop, A) - 1  # per zeroth-order row, its row of U
-        U = np.empty((zrow[-1] + 1 if zrow.shape[0] else 0, *pop.zo_shape))
-        zi = (pop.zo.cumsum() - 1).tolist()  # per zeroth-order agent, its dir_rngs stream
-    shapes = [None if cfg.kind == FIRST_ORDER else cfg.input_shape(d) for cfg in pop.groups]
+    rank, counts = _group_rank(pop, A)
+    B = [np.empty((m, cfg.batch_size), dtype=np.intp) for cfg, m in zip(pop.groups, counts)]
+    U = [None if cfg.kind == FIRST_ORDER else np.empty((m, *cfg.input_shape(d)))
+         for cfg, m in zip(pop.groups, counts)]
+    ids, dirs = streams
     order = A.argsort(kind="stable")  # the rows by agent, each agent's in row order
     ends = np.bincount(A + 1, minlength=N + 1).cumsum().tolist()  # after the -1 rows
-    for a, (group, u) in enumerate(zip(pop.group.tolist(), pop.unit.tolist())):
+    for a, group in enumerate(pop.group.tolist()):
         start, end = ends[a], ends[a + 1]
         if end > start:
-            rows = order[start:end]
-            cfg, shard, shape = pop.groups[group], pop.shards[a], shapes[group]
-            m, b = shard.shape[0], cfg.batch_size
-            stream = pop.rngs[a] if rngs is None else rngs[u]
-            B[rows, :b] = shard if m == b else shard[stream.integers(0, m, (end - start, b))]
-            if shape is not None:
-                stream = pop.dir_rngs[zi[a]] if rngs is None else rngs[u]
-                if shape == U.shape[1:]:
-                    U[zrow[rows]] = stream.standard_normal((end - start, *shape))
-                else:  # the leading entries of flat rows
-                    size = math.prod(shape)
-                    U[zrow[rows], :size] = stream.standard_normal((end - start, size))
+            at = rank[order[start:end]]
+            shard, b, u = pop.shards[a], B[group].shape[1], U[group]
+            m = shard.shape[0]
+            B[group][at] = shard if m == b else shard[ids[a].integers(0, m, (end - start, b))]
+            if u is not None:
+                u[at] = dirs[a].standard_normal((end - start, *u.shape[1:]))
     return B, U

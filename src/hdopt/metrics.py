@@ -47,9 +47,10 @@ def gamma_of(X):
 def sample_estimates(pop, rngs, k, eta):
     """k fresh estimates per agent at the current models, (k, N, d): G[r, g]
     is global row g's r-th.  Unit u's agents draw all their inputs from the
-    stream ``rngs[u]``, agent by agent
-    (:func:`~hdopt.estimators.draw_row_inputs`): the ids of the agent's k
-    estimates, then their Gaussians.  The estimates of all units come from
+    stream ``rngs[u]``, agent by agent, by the loop a run draws with
+    (:func:`~hdopt.estimators.draw_row_inputs`, given each agent's unit
+    stream as both its id and its direction stream): the ids of the agent's
+    k estimates, then their Gaussians.  The estimates of all units come from
     one :func:`~hdopt.estimators.estimate_groups` call, over the agent-major
     rows ordered by estimator group once (:func:`~hdopt.estimators.group_rows`,
     the rows that make no estimate last) and put back in agent-major order
@@ -75,7 +76,8 @@ def sample_estimates(pop, rngs, k, eta):
     nu = (eta.take(pop.unit)[:, None] if eta.ndim else eta) / pop.c
     if type(nu) is np.ndarray:
         nu = nu.repeat(k, axis=0)[order]
-    B, U = draw_row_inputs(pop, A, rngs)
+    unit_streams = [rngs[u] for u in pop.unit.tolist()]  # per agent, its unit's stream
+    B, U = draw_row_inputs(pop, A, (unit_streams, unit_streams))
     by_group = np.full((A.shape[0], d), np.nan)
     estimate_groups(pop.objective, slices, pop.flat.take(A, axis=0), B, U, nu, by_group)
     return by_group[order.argsort()].reshape(N, k, d).swapaxes(0, 1)

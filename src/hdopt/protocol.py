@@ -148,10 +148,10 @@ class Population:
     has made ``evals[g]`` function evaluations and uses the estimator
     ``groups[group[g]]``, at ``cost[g]`` evaluations an estimate: one table
     entry per distinct EstimatorConfig, its unit's cfg.zo for agents i < n0
-    (``zo[g]`` true) and cfg.fo for the others.  Unit u's agent i draws
-    minibatch ids from the stream (seed, TAG_AGENT, i), ``rngs[g]``, and, when
-    zeroth-order, Gaussians from (seed, TAG_AGENT, i, 1), in ``dir_rngs`` (one
-    per zeroth-order agent, in row order); the unit draws pairs from (seed,
+    and cfg.fo for the others.  Unit u's agent i draws minibatch ids from the
+    stream (seed, TAG_AGENT, i), ``rngs[g]``, and, when zeroth-order,
+    Gaussians from (seed, TAG_AGENT, i, 1), ``dir_rngs[g]`` (None for a
+    first-order agent); the unit draws pairs from (seed,
     TAG_SCHEDULER), ``scheduler_rngs[u]``, and metrics samples from (seed,
     TAG_METRICS), ``metrics_rngs[u]``, at the rates of
     ``schedules[schedule[u]]`` (one entry per distinct Schedule).  ``c``
@@ -209,12 +209,6 @@ class Population:
                         self.groups.append(est)
                     group += [self.groups.index(est)] * m
         self.group = np.array(group, dtype=np.intp)
-        self.zo = np.array([est.kind != FIRST_ORDER for est in self.groups]).take(self.group)
-        # the Gaussian inputs of a zeroth-order row: the one shape of its
-        # groups, or the flat leading entries of a row as wide as the widest
-        shapes = {est.input_shape(d) for est in self.groups if est.kind != FIRST_ORDER}
-        self.zo_shape = shapes.pop() if len(shapes) == 1 else (
-            (max(map(math.prod, shapes)),) if shapes else None)
         self.cost = np.array([est.evals for est in self.groups]).take(self.group)
         self.shards = [check_shard(shard, self.groups[g].batch_size)
                        for g, shard in zip(self.group.tolist(), self.shards)]
@@ -231,10 +225,11 @@ class Population:
         # drift at d = 10)
         self.step_elements = 2 * int(self.pairs.sum()) * (
             d + max(est.batch_size for est in self.groups)
-            + (math.prod(self.zo_shape) if self.zo_shape else 0) + 32)
+            + max([math.prod(est.input_shape(d)) for est in self.groups
+                   if est.kind != FIRST_ORDER], default=0) + 32)
         self.rngs = [derive_rng(u.seed, TAG_AGENT, i) for u in units for i in range(u.n)]
-        self.dir_rngs = [derive_rng(u.seed, TAG_AGENT, i, 1) for u in units
-                         for i in range(u.cfg.n0)]
+        self.dir_rngs = [derive_rng(u.seed, TAG_AGENT, i, 1) if i < u.cfg.n0 else None
+                         for u in units for i in range(u.n)]
         self.scheduler_rngs = [derive_rng(u.seed, TAG_SCHEDULER) for u in units]
         self.metrics_rngs = [derive_rng(u.seed, TAG_METRICS) for u in units]
         self.evals = np.zeros(N, dtype=np.int64)
@@ -278,8 +273,9 @@ def interact(pop: Population, rows, partner, eta, slices=(), B=None, U=None, G=N
     is nu = eta / c, its momentum and c its unit's.  The estimates are
     written to G, one row per kernel row, by :func:`estimate_groups` over
     ``slices``, the rows' groups as contiguous runs of rows, from inputs drawn
-    beforehand (:func:`draw_row_inputs`): row r estimates over the minibatch
-    ids in the leading columns of B[r] and, when zeroth-order, its row of U.
+    beforehand (:func:`draw_row_inputs`), one array each per estimator group:
+    a slice (cfg, g, a, b, ua, ub) estimates rows a:b over the minibatch ids
+    B[g][ua:ub] and, when zeroth-order, the Gaussians U[g][ua:ub].
     Momentum filters each estimate through the agent's persistent buffer
     (g <- m g + (1 - m) G), and G holds the filtered estimates; buffers are
     never exchanged.  eta = 0 is pure gossip averaging and reads no input.
@@ -312,7 +308,8 @@ def plan_layers(pop, I, J, counts, live=None):
     at[0, p] (I[p]) and at[1, p] (J[p]).  A is ``rows`` with -1 for the rows
     of a pair whose ``live`` is false, one that makes no estimate, and
     slices[l] is layer l's :func:`estimate_groups` slices over the inputs
-    ``draw_row_inputs(pop, A)``.  One layer of pairs is counts = [len(I)]."""
+    ``draw_row_inputs(pop, A, streams)``.  One layer of pairs is
+    counts = [len(I)]."""
     rows = np.concatenate((I, J))
     A = rows if live is None else np.where(np.concatenate((live, live)), rows, -1)
     layer = np.arange(counts.shape[0]).repeat(counts)
@@ -365,9 +362,9 @@ def step_window(pop: Population, etas, weights=None):
     by one, unit by unit, wherever the window splits.  The sub-window's
     kernel rows form one array, planned once by :func:`plan_layers`: the
     layer of pairs [s, e) is rows [2s, 2e), ordered by estimator group, whose
-    inputs are B[2s:2e] and its groups' slices of U, and whose estimates go
-    to rows [2s, 2e) of one (rows, d) array.  ``pop.evals`` adds the
-    sub-window's estimates at once.
+    inputs are its slices' rows of the window's per-group arrays B and U,
+    and whose estimates go to rows [2s, 2e) of one (rows, d) array.
+    ``pop.evals`` adds the sub-window's estimates at once.
 
     With ``weights`` (units, steps) it returns, row u for unit u, the sum over
     the unit's pairs p of weights[u, t] (G_I + G_J)[p], t being p's step,
@@ -428,11 +425,10 @@ def _sub_window(pop, etas, weights, drift):
             R[at, 0] = E[order]
             layer_etas = [R[a:b] if R[a, 0] else 0.0 for a, b in zip(firsts, ends)]
         pop.evals += np.bincount(A + 1, minlength=N + 1)[1:] * pop.cost  # once per sub-window
-        B, U = draw_row_inputs(pop, A)
+        B, U = draw_row_inputs(pop, A, (pop.rngs, pop.dir_rngs))
         G = np.empty((rows.shape[0], d))
     for a, b, eta, layer in zip(firsts, ends, layer_etas, slices):
-        interact(pop, rows[a:b], partner[a:b], eta, layer, B if B is None else B[a:b], U,
-                 G if G is None else G[a:b])
+        interact(pop, rows[a:b], partner[a:b], eta, layer, B, U, G if G is None else G[a:b])
     if drift is not None and G is not None:  # the pairs that made estimates, in (unit, step) order
         i, j = at[:, order.argsort()]
         p = np.flatnonzero(E) if mixed else slice(None)

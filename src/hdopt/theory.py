@@ -253,7 +253,9 @@ def check_gamma_recursion(pop, eta, replicas=2000, seed=0) -> BoundCheckReport:
     The replicas run in blocks of about _REPLICA_BLOCK Gaussian elements, so
     the block size k follows from n and zo.input_shape(d).  Block b draws from
     the stream (seed, 31, b) its k pairs (:func:`draw_pairs`), then k fresh
-    estimates per agent (:func:`sample_estimates`).  Replica r steps its pair
+    estimates per agent (:func:`sample_estimates`, with that stream as the
+    unit's: agent by agent, the ids of the agent's k estimates, then their
+    Gaussians).  Replica r steps its pair
     (I, J) as :func:`interact` does, with the estimates G[r, I] and G[r, J],
     and its M^G sums the squared norms of G[r]: each estimate is independent
     of the pair, so sharing them changes neither E[Gamma_{t+1}] nor E[M^G].

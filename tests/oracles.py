@@ -164,7 +164,6 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
     gamma_t = float(gamma_of(pop.flat))
     sample_mtg = eta > 0 or not n0 or zo.kind not in BIASED_KINDS
     nu = eta / pop.c if eta > 0 else None
-    width = max(cfg.batch_size for cfg in pop.groups)
     work = copy.deepcopy(pop)
     gammas, mtgs = [], []
     for b, start in enumerate(range(0, replicas, block)):
@@ -182,18 +181,20 @@ def gamma_recursion_reference(pop, eta, replicas, seed):
             work.flat[:] = pop.flat
             if work.M is not None:
                 work.M[:] = pop.M
-            # the pair's rows, ordered as step_window orders a layer's; U
-            # holds the zeroth-order rows' alone
+            # the pair's rows, ordered as step_window orders a layer's; each
+            # estimator group's B and U hold its rows' inputs, in row order
             rows, _, partner, (slices,), _ = plan_layers(work, I[r:r + 1], J[r:r + 1],
                                                          np.array([1]))
             B = U = G = None
             if eta != 0:
-                B = np.zeros((2, width), dtype=np.intp)
-                U = np.zeros((0, *shape)) if n0 else None
-                for row, a in enumerate(rows.tolist()):
-                    B[row, :ids[a].shape[1]] = ids[a][r]
+                B = [np.zeros((0, c.batch_size), dtype=np.intp) for c in pop.groups]
+                U = [None if c.kind == FIRST_ORDER else np.zeros((0, *shape))
+                     for c in pop.groups]
+                for a in rows.tolist():
+                    g = pop.group[a]
+                    B[g] = np.concatenate((B[g], ids[a][r][None]))
                     if a < n0:
-                        U = np.concatenate((U, dirs[a][r][None]))
+                        U[g] = np.concatenate((U[g], dirs[a][r][None]))
                 G = np.empty((2, d))
             interact(work, rows, partner, eta, slices, B, U, G)
             gammas.append(float(gamma_of(work.flat)))

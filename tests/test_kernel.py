@@ -151,7 +151,8 @@ def test_zero_eta_keeps_mean_exactly_and_never_raises_gamma(n, d, steps, matchin
                           [np.zeros(d)], [seed], **stack)
     rng = np.random.default_rng(seed)
     stack_models(pop)[:] = rng.integers(-8, 9, size=(n, d))
-    states = [copy.deepcopy(r.bit_generator.state) for r in [*pop.rngs, *pop.dir_rngs]]
+    states = [copy.deepcopy(r.bit_generator.state) for r in [*pop.rngs, *pop.dir_rngs]
+              if r is not None]
     mu0 = pop.flat.mean(axis=0)
     for _ in range(steps):
         gamma = gamma_of(pop.flat)
@@ -165,7 +166,7 @@ def test_zero_eta_keeps_mean_exactly_and_never_raises_gamma(n, d, steps, matchin
         assert gamma_of(pop.flat) <= gamma + 1e-12 * (1.0 + gamma)
     assert not pop.evals.any()
     # eta = 0 draws nothing, neither minibatch ids nor directions
-    assert [r.bit_generator.state for r in [*pop.rngs, *pop.dir_rngs]] == states
+    assert [r.bit_generator.state for r in [*pop.rngs, *pop.dir_rngs] if r is not None] == states
 
 
 @settings(max_examples=40, deadline=None)
@@ -184,16 +185,19 @@ def test_batched_matching_equals_sequential_pairs(n0, n1, kind, momentum, logist
     # both runs take the same inputs: pair p's rows are at[:, p] of the batch
     k = I.shape[0]
     rows, A, partner, (slices,), at = plan_layers(batched, I, J, np.array([k]))
-    B, U = draw_row_inputs(batched, A)
+    B, U = draw_row_inputs(batched, A, (batched.rngs, batched.dir_rngs))
     interact(batched, rows, partner, 0.05, slices, B, U, np.empty((2 * k, batched.flat.shape[1])))
-    zrow = batched.zo[rows].cumsum() - 1  # per zeroth-order row, its row of U
+    group = batched.group[rows]  # per row, its group and its row of the group's arrays
+    rank = np.array([(group[:r] == group[r]).sum() for r in range(2 * k)])
     for p in range(k):
         one, _, pair, (one_slices,), one_at = plan_layers(sequential, I[p:p + 1], J[p:p + 1],
                                                           np.array([1]))
         r = np.empty(2, dtype=np.intp)
         r[one_at[:, 0]] = at[:, p]  # the pair's rows of the batch, in its own rows' order
-        interact(sequential, one, pair, 0.05, one_slices, B[r],
-                 None if U is None else U[zrow[r][batched.zo[rows[r]]]],
+        # per group, the pair's rows of the group's arrays of the batch
+        pick = [rank[r][group[r] == g] for g in range(len(B))]
+        interact(sequential, one, pair, 0.05, one_slices, [b[i] for b, i in zip(B, pick)],
+                 [u if u is None else u[i] for u, i in zip(U, pick)],
                  np.empty((2, batched.flat.shape[1])))
     scale = np.abs(stack_models(sequential)).max()
     assert np.allclose(stack_models(batched), stack_models(sequential), rtol=RTOL,
@@ -209,7 +213,8 @@ def test_batched_matching_equals_sequential_pairs(n0, n1, kind, momentum, logist
 def _states(pop):
     """The scheduler's stream, each agent's id stream, then each zeroth-order
     agent's direction stream."""
-    return [r.bit_generator.state for r in [*pop.scheduler_rngs, *pop.rngs, *pop.dir_rngs]]
+    return [r.bit_generator.state for r in [*pop.scheduler_rngs, *pop.rngs, *pop.dir_rngs]
+            if r is not None]
 
 
 @settings(max_examples=60, deadline=None)
@@ -388,8 +393,8 @@ def _count_input_draws(monkeypatch):
     """The (B, U) of every draw_row_inputs call step_window makes, in order."""
     draws = []
 
-    def counted(pop, A):
-        draws.append(draw_row_inputs(pop, A))
+    def counted(pop, A, streams):
+        draws.append(draw_row_inputs(pop, A, streams))
         return draws[-1]
 
     monkeypatch.setattr(protocol, "draw_row_inputs", counted)
@@ -411,37 +416,71 @@ def test_a_paper_size_matching_window_draws_its_inputs_once(monkeypatch):
     draws = _count_input_draws(monkeypatch)
     step_window(pop, np.full(10, 0.01))
     assert len(draws) == 1
-    assert draws[0][1].shape == (10 * 256, 36)
+    assert [u if u is None else u.shape for u in draws[0][1]] == [(10 * 256, 36), None]
 
 
-@pytest.mark.parametrize("kinds", [(ZO_ONE_SIDED,), (ZO_ONE_SIDED, ZO_FORWARD)],
-                         ids=["hybrid", "two-shapes"])
-def test_input_draws_hold_gaussians_for_zeroth_order_rows_alone(kinds):
-    # a hybrid stack of units (3 + 2 agents each): U has one row per kernel
-    # row whose agent is zeroth-order, in row order, holding what the per-row
-    # layout holds there (each agent's Gaussians, drawn in one call on its
-    # direction stream); with two input shapes a row holds its Gaussians in
-    # its leading entries
-    spec = make_quadratic(d=4, cond=3.0, seed=2, n_samples=40)
-    cfgs = [_config(3, 2, kind, "uniform_pair", 0.05, 0.0)[0] for kind in kinds for _ in range(2)]
-    pop = init_population(cfgs, spec, [partition_data(spec.n_samples, 3, 2, seed=s)
-                                       for s in range(len(cfgs))],
-                          np.zeros((len(cfgs), spec.d)), range(len(cfgs)))
-    A = np.random.default_rng(5).integers(-1, 5 * len(cfgs), size=300)
-    streams = copy.deepcopy(pop.dir_rngs)
-    B, U = draw_row_inputs(pop, A)
-    zo = (A >= 0) & pop.zo[A]
-    assert U.shape[0] == zo.sum()
-    per_row = [None] * A.shape[0]  # the per-row layout, from copies of the streams
-    for z, a in enumerate(np.flatnonzero(pop.zo).tolist()):
+def _replayed_inputs(pop, A, ids, dirs):
+    """Per row of A, the (ids, Gaussians) its agent's streams ``(ids, dirs)``
+    give it, drawn agent by agent: the ids of all the agent's rows, then, when
+    zeroth-order, their Gaussians (None for a first-order row or a -1 row)."""
+    d, inputs = pop.flat.shape[1], [None] * A.shape[0]
+    for a, shard in enumerate(pop.shards):
         rows = np.flatnonzero(A == a)
-        cfg = pop.groups[pop.group[a]]
-        for r, u in zip(rows, streams[z].standard_normal((rows.shape[0],
-                                                           *cfg.input_shape(spec.d)))):
-            per_row[r] = u
-    for u, r in zip(U, np.flatnonzero(zo)):
-        assert np.array_equal(u.ravel()[:per_row[r].size], per_row[r].ravel())
-    assert all(per_row[r] is None for r in np.flatnonzero(~zo))
+        if rows.shape[0]:
+            cfg, (m,) = pop.groups[pop.group[a]], shard.shape
+            B = (np.tile(shard, (rows.shape[0], 1)) if m == cfg.batch_size
+                 else shard[ids[a].integers(0, m, (rows.shape[0], cfg.batch_size))])
+            U = [None] * rows.shape[0] if cfg.kind == FIRST_ORDER else dirs[a].standard_normal(
+                (rows.shape[0], *cfg.input_shape(d)))
+            for r, b, u in zip(rows.tolist(), B, U):
+                inputs[r] = (b, u)
+    return inputs
+
+
+@pytest.mark.parametrize("streams", ["agent", "unit"])
+def test_input_draws_hold_each_groups_rows_from_its_agents_streams(streams):
+    # a stack of one-sided hybrid, forward, central and first-order units of
+    # several batch sizes, rv and input shapes (agent streams), or its first
+    # two units, each drawing from one stream (unit streams): B[g] and U[g]
+    # hold exactly the rows of group g in row order, at the group's width,
+    # with the numbers the streams give agent by agent (ids, then Gaussians),
+    # replayed from copies; U[g] is None for the first-order group
+    spec = make_quadratic(d=4, cond=3.0, seed=2, n_samples=40)
+    schedule = Schedule(eta_max=0.05)
+    cfgs = [PopulationConfig(n0=3, n1=2, schedule=schedule,
+                             zo=EstimatorConfig(ZO_ONE_SIDED, batch_size=2, rv=3),
+                             fo=EstimatorConfig(FIRST_ORDER, batch_size=4)),
+            PopulationConfig(n0=3, n1=0, schedule=schedule,
+                             zo=EstimatorConfig(ZO_FORWARD, batch_size=3, rv=5)),
+            PopulationConfig(n0=2, n1=0, schedule=schedule,
+                             zo=EstimatorConfig(ZO_CENTRAL, batch_size=1, rv=2)),
+            PopulationConfig(n0=0, n1=3, schedule=schedule,
+                             fo=EstimatorConfig(FIRST_ORDER, batch_size=5))]
+    cfgs = cfgs if streams == "agent" else cfgs[:2]
+    parts = [partition_data(spec.n_samples, c.n0, c.n1, seed=s) for s, c in enumerate(cfgs)]
+    pop = init_population(cfgs, spec, parts, np.zeros((len(cfgs), spec.d)), range(len(cfgs)))
+    A = np.random.default_rng(5).integers(-1, pop.flat.shape[0], size=300)
+    if streams == "agent":
+        ids, dirs = pop.rngs, pop.dir_rngs
+        replay = _replayed_inputs(pop, A, *copy.deepcopy((ids, dirs)))
+    else:
+        units = [np.random.default_rng(s) for s in (7, 8)]
+        ids = dirs = [units[u] for u in pop.unit]
+        copies = copy.deepcopy(units)
+        replay = _replayed_inputs(pop, A, *[[copies[u] for u in pop.unit]] * 2)
+    B, U = draw_row_inputs(pop, A, (ids, dirs))
+    assert len(B) == len(U) == len(pop.groups)
+    for g, cfg in enumerate(pop.groups):
+        rows = np.flatnonzero((A >= 0) & (pop.group[A] == g))
+        assert B[g].shape == (rows.shape[0], cfg.batch_size)
+        assert [b.tolist() for b in B[g]] == [replay[r][0].tolist() for r in rows]
+        if cfg.kind == FIRST_ORDER:
+            assert U[g] is None
+        else:
+            assert U[g].shape == (rows.shape[0], *cfg.input_shape(spec.d))
+            assert np.array_equal(U[g], np.array([replay[r][1] for r in rows]))
+    if streams == "unit":  # each unit's stream ends where its one-stream replay does
+        assert [r.bit_generator.state for r in units] == [r.bit_generator.state for r in copies]
 
 
 def _window_cap_draws(population, mode, cap, monkeypatch):
@@ -457,7 +496,8 @@ def _window_cap_draws(population, mode, cap, monkeypatch):
     run(pop)
     # each sub-window's ids B, Gaussians U and estimates G (a row of d per
     # row of B) together stay within the stack's one budget
-    assert all(B.size + U.size + B.shape[0] * spec.d <= cap for B, U in draws)
+    assert all(sum(b.size + b.shape[0] * spec.d for b in B)
+               + sum(u.size for u in U if u is not None) <= cap for B, U in draws)
     return draws, pop
 
 

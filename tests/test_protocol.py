@@ -72,7 +72,8 @@ def interact_layer(pop, I, J, eta):
         eta = R
     if type(eta) is not np.ndarray and eta == 0.0:
         return interact(pop, rows, partner, eta)
-    return interact(pop, rows, partner, eta, slices, *draw_row_inputs(pop, A),
+    return interact(pop, rows, partner, eta, slices,
+                    *draw_row_inputs(pop, A, (pop.rngs, pop.dir_rngs)),
                     np.empty((rows.shape[0], pop.flat.shape[1])))
 
 
